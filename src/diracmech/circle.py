@@ -50,10 +50,13 @@ class CircleState:
         return float(np.sum(np.abs(self.coeffs) ** 2))
 
     def normalized(self) -> "CircleState":
-        n2 = self.norm_squared()
+        # an exact power-of-two rescale first, so tiny amplitudes cannot underflow when squared
+        _, exponent = np.frexp(np.max(np.abs(self.coeffs.view(float))))
+        scaled = np.ldexp(self.coeffs.view(float), -exponent).view(complex)
+        n2 = float(np.sum(np.abs(scaled) ** 2))
         if n2 == 0.0:
             raise UsageError("cannot normalize the zero state")
-        return CircleState(self.coeffs / np.sqrt(n2), self.hbar)
+        return CircleState(scaled / np.sqrt(n2), self.hbar)
 
     def values_on_grid(self, phis: np.ndarray) -> np.ndarray:
         """psi(phi) on a grid: sum_m c_m e^{i m phi}."""

@@ -27,165 +27,88 @@ except ImportError:  # pragma: no cover - declared dependency
 from .brackets import poisson_bracket
 from .circle import (CircleState, SpectrumTable, evolve_time_dependent,
                      expect_cartesian, expect_phi, expect_phi_quadrature, expect_reduced)
-from .constraints import ConstraintSet, dirac_bracket
-from .dynamics import (DiracFlow, GaugeFlow, IntegratorConfig, NewtonProjection,
-                       PoissonFlow, constraint_drift, evolve)
+from .constraints import dirac_bracket
+from .dynamics import IntegratorConfig, NewtonProjection, constraint_drift, evolve
 from .errors import (ConfigError, DegeneracyError, NumericDomainError,
                      UsageError)
-from .fields import coordinate_field, polynomial_field
-from .models import KlauderModel, KRamp, LatticeMaxwell, RadialPotential, RelativisticParticle
-from .verify import available_suites, run_suite
+from .fields import coordinate_field
+from .models import CustomModel, KlauderModel, KRamp, LatticeMaxwell, RelativisticParticle
+from .verify import DEFAULT_SEED, available_suites, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
 
-_POLY = {
-    "type": "object",
-    "properties": {"type": {"const": "poly"},
-                   "coeffs": {"type": "array", "items": {"type": "number"}}},
-    "required": ["type", "coeffs"],
-    "additionalProperties": False,
-}
+def _strict(properties: dict, *required: str) -> dict:
+    """A JSON-schema object that rejects unknown keys."""
+    schema = {"type": "object", "properties": properties}
+    if required:
+        schema["required"] = list(required)
+    schema["additionalProperties"] = False
+    return schema
 
-_TERMS = {
-    "type": "array",
-    "items": {
-        "type": "object",
-        "properties": {"coeff": {"type": "number"},
-                       "powers": {"type": "array", "items": {"type": "integer", "minimum": 0}}},
-        "required": ["coeff", "powers"],
-        "additionalProperties": False,
-    },
-}
 
-_MODEL = {
-    "type": "object",
-    "properties": {
+_NUMBER = {"type": "number"}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_NUMBERS = {"type": "array", "items": _NUMBER}
+_PAIR = {"type": "array", "items": _NUMBER, "minItems": 2, "maxItems": 2}
+_POLY = _strict({"type": {"const": "poly"}, "coeffs": _NUMBERS}, "type", "coeffs")
+_TERMS = {"type": "array", "items": _strict(
+    {"coeff": _NUMBER, "powers": {"type": "array", "items": {"type": "integer", "minimum": 0}}},
+    "coeff", "powers")}
+
+SCENARIO_SCHEMA = _strict({
+    "seed": {"type": "integer", "minimum": 0},
+    "output": _strict({"path": {"type": "string"}, "format": {"enum": ["csv", "json"]}}),
+    "model": _strict({
         "kind": {"enum": ["klauder", "particle", "maxwell", "custom"]},
-        "alpha": {"type": "number", "exclusiveMinimum": 0},
-        "k": {"oneOf": [{"type": "number"},
-                        {"type": "array", "items": {"type": "number"},
-                         "minItems": 2, "maxItems": 2}]},
-        "hbar": {"type": "number", "exclusiveMinimum": 0},
+        "alpha": _POSITIVE,
+        "k": {"oneOf": [_NUMBER, _PAIR]},
+        "hbar": _POSITIVE,
         "potential": _POLY,
-        "mass": {"type": "number", "exclusiveMinimum": 0},
+        "mass": _POSITIVE,
         "spatial_dim": {"type": "integer", "minimum": 1},
         "side": {"type": "integer", "minimum": 2},
-        "spacing": {"type": "number", "exclusiveMinimum": 0},
+        "spacing": _POSITIVE,
         "labels": {"type": "array", "items": {"type": "string"}},
-        "constraints": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {"name": {"type": "string"}, "terms": _TERMS},
-                "required": ["name", "terms"],
-                "additionalProperties": False,
-            },
-        },
-    },
-    "required": ["kind"],
-    "additionalProperties": False,
-}
-
-_INTEGRATOR = {
-    "type": "object",
-    "properties": {
-        "dt": {"type": "number", "exclusiveMinimum": 0},
+        "constraints": {"type": "array", "items": _strict(
+            {"name": {"type": "string"}, "terms": _TERMS}, "name", "terms")},
+    }, "kind"),
+    "samples": _strict({"count": {"type": "integer", "minimum": 1},
+                        "r_range": _PAIR, "momentum_range": _PAIR}),
+    "flow": _strict({
+        "kind": {"enum": ["poisson", "dirac", "gauge"]},
+        "hamiltonian": _TERMS,
+        "multiplier": {"oneOf": [_NUMBER, _POLY]},
+    }, "kind"),
+    "integrator": _strict({
+        "dt": _POSITIVE,
         "steps": {"type": "integer", "minimum": 0},
         "scheme": {"const": "rk4"},
-        "projection": {
-            "type": "object",
-            "properties": {"tol": {"type": "number", "exclusiveMinimum": 0},
-                           "max_iter": {"type": "integer", "minimum": 1}},
-            "additionalProperties": False,
-        },
-    },
-    "required": ["dt", "steps"],
-    "additionalProperties": False,
-}
-
-_OUTPUT = {
-    "type": "object",
-    "properties": {"path": {"type": "string"}, "format": {"enum": ["csv", "json"]}},
-    "additionalProperties": False,
-}
-
-SCENARIO_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "seed": {"type": "integer", "minimum": 0},
-        "output": _OUTPUT,
-        "model": _MODEL,
-        "samples": {
-            "type": "object",
-            "properties": {"count": {"type": "integer", "minimum": 1},
-                           "r_range": {"type": "array", "items": {"type": "number"},
-                                       "minItems": 2, "maxItems": 2},
-                           "momentum_range": {"type": "array", "items": {"type": "number"},
-                                              "minItems": 2, "maxItems": 2}},
-            "additionalProperties": False,
-        },
-        "flow": {
-            "type": "object",
-            "properties": {
-                "kind": {"enum": ["poisson", "dirac", "gauge"]},
-                "hamiltonian": _TERMS,
-                "multiplier": {"oneOf": [{"type": "number"}, _POLY]},
-            },
-            "required": ["kind"],
-            "additionalProperties": False,
-        },
-        "integrator": _INTEGRATOR,
-        "initial": {
-            "type": "object",
-            "properties": {
-                "coords": {"type": "array", "items": {"type": "number"}},
-                "surface": {
-                    "type": "object",
-                    "properties": {"phi": {"type": "number"}, "p_phi": {"type": "number"}},
-                    "required": ["p_phi"],
-                    "additionalProperties": False,
-                },
-                "x": {"type": "array", "items": {"type": "number"}},
-                "p": {"type": "array", "items": {"type": "number"}},
-            },
-            "additionalProperties": False,
-        },
-        "quantum": {
-            "type": "object",
-            "properties": {
-                "m_max": {"type": "integer", "minimum": 1},
-                "coeffs": {"type": "array",
-                           "items": {"type": "array", "items": {"type": "number"},
-                                     "minItems": 2, "maxItems": 2}},
-                "single_mode": {"type": "integer"},
-                "times": {"oneOf": [
-                    {"type": "array", "items": {"type": "number"}},
-                    {"type": "object",
-                     "properties": {"start": {"type": "number"}, "stop": {"type": "number"},
-                                    "count": {"type": "integer", "minimum": 1}},
-                     "required": ["start", "stop", "count"],
-                     "additionalProperties": False},
-                ]},
-                "time_dependent": {"type": "boolean"},
-                "quadrature_steps": {"type": "integer", "minimum": 2},
-            },
-            "required": ["times"],
-            "additionalProperties": False,
-        },
-        "maxwell": {
-            "type": "object",
-            "properties": {
-                "initial": {"enum": ["lowest_mode", "random"]},
-                "e_scale": {"type": "number", "minimum": 0},
-            },
-            "additionalProperties": False,
-        },
-    },
-    "additionalProperties": False,
-}
+        "projection": _strict({"tol": _POSITIVE, "max_iter": {"type": "integer", "minimum": 1}}),
+    }, "dt", "steps"),
+    "initial": _strict({
+        "coords": _NUMBERS,
+        "surface": _strict({"phi": _NUMBER, "p_phi": _NUMBER}, "p_phi"),
+        "x": _NUMBERS,
+        "p": _NUMBERS,
+    }),
+    "quantum": _strict({
+        "m_max": {"type": "integer", "minimum": 1},
+        "coeffs": {"type": "array", "items": _PAIR},
+        "single_mode": {"type": "integer"},
+        "times": {"oneOf": [_NUMBERS, _strict(
+            {"start": _NUMBER, "stop": _NUMBER, "count": {"type": "integer", "minimum": 1}},
+            "start", "stop", "count")]},
+        "time_dependent": {"type": "boolean"},
+        "quadrature_steps": {"type": "integer", "minimum": 2},
+    }, "times"),
+    "maxwell": _strict({
+        "initial": {"enum": ["lowest_mode", "random"]},
+        "e_scale": {"type": "number", "minimum": 0},
+    }),
+})
 
 
 def load_config(path: str) -> dict:
@@ -204,39 +127,44 @@ def load_config(path: str) -> dict:
     return config
 
 
-def build_model(config: dict):
+# the model kinds each subcommand runs; build_model is the only kind dispatch
+COMMAND_KINDS = {
+    "brackets": ("klauder", "particle", "custom"),
+    "evolve": ("klauder", "particle", "custom"),
+    "quantum": ("klauder",),
+    "maxwell": ("maxwell",),
+}
+
+
+def build_model(config: dict, command: str):
     block = config.get("model")
     if block is None:
         raise ConfigError("scenario needs a 'model' block")
     kind = block["kind"]
+    if kind not in COMMAND_KINDS[command]:
+        raise ConfigError(f"the {command!r} subcommand runs {', '.join(COMMAND_KINDS[command])} "
+                          f"models, not {kind!r}")
     if kind == "klauder":
         k = block.get("k", 1.0)
-        if isinstance(k, list):
-            k = KRamp(k[0], k[1])
-        coeffs = block.get("potential", {}).get("coeffs", [])
-        return KlauderModel(alpha=block.get("alpha", 1.0), k=k,
-                            hbar=block.get("hbar", 1.0),
-                            potential=RadialPotential(tuple(coeffs)))
+        return KlauderModel(alpha=block.get("alpha", 1.0),
+                            k=KRamp(*k) if isinstance(k, list) else k, hbar=block.get("hbar", 1.0),
+                            potential=block.get("potential", {}).get("coeffs", ()))
     if kind == "particle":
         return RelativisticParticle(mass=block.get("mass", 1.0),
                                     spatial_dim=block.get("spatial_dim", 3))
     if kind == "maxwell":
         return LatticeMaxwell(side=block.get("side", 2), spacing=block.get("spacing", 1.0))
-    if kind == "custom":
-        labels = block.get("labels")
-        if not labels:
-            raise ConfigError("custom model needs 'labels'")
-        from .phase import ChartSpec
+    return CustomModel(labels=tuple(block.get("labels", ())),
+                       constraints=tuple((c["name"], _terms(c["terms"]))
+                                         for c in block.get("constraints", [])))
 
-        chart = ChartSpec(labels=tuple(labels), name="custom")
-        constraints = []
-        names = []
-        for entry in block.get("constraints", []):
-            terms = [(t["coeff"], t["powers"]) for t in entry["terms"]]
-            constraints.append(polynomial_field(chart, terms, name=entry["name"]))
-            names.append(entry["name"])
-        return chart, ConstraintSet(chart, tuple(constraints), tuple(names))
-    raise ConfigError(f"unknown model kind {kind!r}")
+
+def _terms(entries) -> tuple[tuple[float, tuple[int, ...]], ...]:
+    return tuple((t["coeff"], tuple(t["powers"])) for t in entries)
+
+
+def _rng(config: dict, args) -> np.random.Generator:
+    return np.random.default_rng(args.seed if args.seed is not None else config.get("seed", 0))
 
 
 # --------------------------------------------------------------------------
@@ -285,72 +213,26 @@ def _resolve_output(config, args, default_name):
 
 
 def cmd_brackets(config: dict, args) -> int:
-    rng = np.random.default_rng(args.seed if args.seed is not None else config.get("seed", 0))
-    model = build_model(config)
-    samples_cfg = config.get("samples", {})
-    count = samples_cfg.get("count", 100)
-    columns = ["pair"]
+    rng = _rng(config, args)
+    model = build_model(config, "brackets")
+    ranges = dict(config.get("samples", {}))
+    count = ranges.pop("count", 100)
+    chart = model.bracket_chart
+    coords = {l: coordinate_field(chart, l) for l in chart.labels}
     rows = []
-    if isinstance(model, KlauderModel):
-        chart = model.polar_chart
-        columns += list(chart.labels) + ["poisson", "dirac", "oracle", "abs_diff"]
-        coords = {l: coordinate_field(chart, l) for l in chart.labels}
-        pairs = [("r", "p_r"), ("r", "p_phi"), ("r", "phi"),
-                 ("phi", "p_r"), ("phi", "p_phi"), ("p_r", "p_phi")]
-        points = model.sample_points(
-            rng, count,
-            r_range=tuple(samples_cfg.get("r_range", (0.1, 5.0))),
-            other_range=tuple(samples_cfg.get("momentum_range", (-5.0, 5.0))))
-        for x in points:
-            for a, b in pairs:
-                pb = poisson_bracket(coords[a], coords[b], x)
-                db = dirac_bracket(coords[a], coords[b], model.constraint_set, x)
-                oracle = model.dirac_oracle((a, b), x)
-                rows.append([f"{{{a},{b}}}", *x.coords, pb, db, oracle, abs(db - oracle)])
-    elif isinstance(model, RelativisticParticle):
-        chart = model.full_chart
-        columns += list(chart.labels) + ["poisson", "dirac", "oracle", "abs_diff"]
-        d = model.spatial_dim
-        coords = {l: coordinate_field(chart, l) for l in chart.labels}
-        pairs = [(f"x{i}", f"p{j}") for i in range(d + 1) for j in range(d + 1)]
-        for x in model.sample_on_shell(rng, count):
-            cs = model.constraint_set(tau=x["x0"])
-            for a, b in pairs:
-                pb = poisson_bracket(coords[a], coords[b], x)
-                db = dirac_bracket(coords[a], coords[b], cs, x)
-                oracle = _particle_oracle(model, (a, b), x)
-                rows.append([f"{{{a},{b}}}", *x.coords, pb, db, oracle, abs(db - oracle)])
-    elif isinstance(model, tuple):  # custom chart
-        chart, cs = model
-        columns += list(chart.labels) + ["poisson", "dirac", "oracle", "abs_diff"]
-        coords = [coordinate_field(chart, l) for l in chart.labels]
-        for _ in range(count):
-            x = chart.point(rng.uniform(-3.0, 3.0, chart.dim))
-            for i in range(chart.dim):
-                for j in range(i + 1, chart.dim):
-                    pb = poisson_bracket(coords[i], coords[j], x)
-                    db = dirac_bracket(coords[i], coords[j], cs, x)
-                    oracle = pb if len(cs) == 0 else ""
-                    diff = abs(db - pb) if len(cs) == 0 else ""
-                    rows.append([f"{{{chart.labels[i]},{chart.labels[j]}}}",
-                                 *x.coords, pb, db, oracle, diff])
-    else:
-        raise ConfigError("bracket tables support klauder, particle and custom models; "
-                          "use the 'maxwell' subcommand for lattice matrices")
+    for x in model.sample(rng, count, **ranges):
+        cs = model.constraints_at(x)
+        for a, b in model.bracket_pairs:
+            pb = poisson_bracket(coords[a], coords[b], x)
+            db = dirac_bracket(coords[a], coords[b], cs, x)
+            oracle = model.dirac_oracle((a, b), x)
+            rows.append([f"{{{a},{b}}}", *x.coords, pb, db, "" if oracle is None else oracle,
+                         "" if oracle is None else abs(db - oracle)])
+    columns = ["pair", *chart.labels, "poisson", "dirac", "oracle", "abs_diff"]
     path, fmt = _resolve_output(config, args, "brackets.csv")
     write_table(path, fmt, columns, rows)
     print(f"wrote {len(rows)} bracket rows to {path}")
     return EXIT_OK
-
-
-def _particle_oracle(model: RelativisticParticle, pair, x) -> float:
-    """Closed-form on-shell Dirac brackets: time is frozen, spatial pairs canonical."""
-    a, b = pair
-    if a == "x0":
-        return 0.0
-    if b == "p0":  # {x^i, p_0}_D = p_i / p_0
-        return x[f"p{a[1:]}"] / x["p0"]
-    return 1.0 if a[1:] == b[1:] else 0.0
 
 
 def _build_integrator(config: dict) -> IntegratorConfig:
@@ -364,68 +246,34 @@ def _build_integrator(config: dict) -> IntegratorConfig:
                             scheme=block.get("scheme", "rk4"), projection=projection)
 
 
-def _initial_point(config, model, chart):
-    block = config.get("initial", {})
+def _multiplier(value):
+    """A constant, or a {"type": "poly"} block as the polynomial lambda(t)."""
+    if isinstance(value, dict):
+        return np.polynomial.Polynomial(value["coeffs"] or [0.0])
+    return value
+
+
+def _initial_point(block: dict, model, chart):
     if "coords" in block:
         return chart.point(block["coords"])
-    if "surface" in block and isinstance(model, KlauderModel):
-        surf = block["surface"]
-        return model.embed_reduced(surf.get("phi", 0.0), surf["p_phi"])
-    if "x" in block and isinstance(model, RelativisticParticle):
-        return chart.point(list(block["x"]) + list(block["p"]))
-    raise ConfigError("scenario needs an 'initial' block matching the model")
+    surface = block.get("surface", {})
+    x0 = model.initial_point(phi=surface.get("phi", 0.0), p_phi=surface.get("p_phi"),
+                             x=block.get("x"), p=block.get("p"))
+    if x0 is None:
+        raise ConfigError("scenario needs an 'initial' block matching the model")
+    return x0
 
 
 def cmd_evolve(config: dict, args) -> int:
-    model = build_model(config)
+    model = build_model(config, "evolve")
     flow_cfg = config.get("flow")
     if flow_cfg is None:
         raise ConfigError("scenario needs a 'flow' block")
-    kind = flow_cfg["kind"]
-    monitor = None
-
-    if isinstance(model, KlauderModel):
-        if kind == "gauge":
-            chart = model.cartesian_chart
-            mult = flow_cfg.get("multiplier", 1.0)
-            if isinstance(mult, dict):
-                coeffs = tuple(mult["coeffs"])
-                mult = RadialPotential(coeffs)  # reuse the Horner polynomial, now in t
-            flow = GaugeFlow(model.cartesian_generator, mult)
-            monitor = ConstraintSet(chart, (model.cartesian_generator,), ("C",))
-        else:
-            chart = model.polar_chart
-            h = model.hamiltonian()
-            if kind == "dirac":
-                flow = DiracFlow(h, model.constraint_set)
-            else:
-                flow = PoissonFlow(h)
-                monitor = model.constraint_set
-    elif isinstance(model, RelativisticParticle):
-        if kind != "poisson":
-            raise ConfigError("particle scenarios evolve under the physical Hamiltonian "
-                              "(flow kind 'poisson')")
-        chart = model.spatial_chart
-        flow = PoissonFlow(model.physical_hamiltonian)
-    elif isinstance(model, tuple):
-        chart, cs = model
-        terms = flow_cfg.get("hamiltonian")
-        if terms is None:
-            raise ConfigError("custom flows need a polynomial 'hamiltonian'")
-        h = polynomial_field(chart, [(t["coeff"], t["powers"]) for t in terms], name="H")
-        if kind == "dirac":
-            flow = DiracFlow(h, cs)
-        elif kind == "gauge":
-            flow = GaugeFlow(h, flow_cfg.get("multiplier", 1.0))
-            monitor = cs if len(cs) else None
-        else:
-            flow = PoissonFlow(h)
-            monitor = cs if len(cs) else None
-    else:
-        raise ConfigError("use the 'maxwell' subcommand for lattice evolution")
-
+    terms = flow_cfg.get("hamiltonian")
+    flow, monitor = model.flow(flow_cfg["kind"], _multiplier(flow_cfg.get("multiplier", 1.0)),
+                               None if terms is None else _terms(terms))
     cfg = _build_integrator(config)
-    x0 = _initial_point(config, model, chart)
+    x0 = _initial_point(config.get("initial", {}), model, flow.chart)
     path, fmt = _resolve_output(config, args, "trajectory.csv")
 
     try:
@@ -458,9 +306,7 @@ def _write_trajectory(path, fmt, traj):
 
 
 def cmd_quantum(config: dict, args) -> int:
-    model = build_model(config)
-    if not isinstance(model, KlauderModel):
-        raise ConfigError("quantum scenarios use the klauder model")
+    model = build_model(config, "quantum")
     block = config.get("quantum")
     if block is None:
         raise ConfigError("scenario needs a 'quantum' block")
@@ -515,23 +361,11 @@ def cmd_quantum(config: dict, args) -> int:
 
 
 def cmd_maxwell(config: dict, args) -> int:
-    model = build_model(config)
-    if not isinstance(model, LatticeMaxwell):
-        raise ConfigError("the maxwell subcommand needs \"model\": {\"kind\": \"maxwell\", ...}")
-    rng = np.random.default_rng(args.seed if args.seed is not None else config.get("seed", 0))
+    model = build_model(config, "maxwell")
+    rng = _rng(config, args)
     block = config.get("maxwell", {})
-
-    p = model.transverse_projector()
-    matrices = model.dirac_bracket_matrices()
-    checks = [
-        ["check", "projector_idempotency", float(np.max(np.abs(p @ p - p))), ""],
-        ["check", "projector_symmetry", float(np.max(np.abs(p - p.T))), ""],
-        ["check", "projector_trace_deviation",
-         abs(float(np.trace(p)) - (2 * model.sites + 1)), ""],
-        ["check", "dirac_vs_projector", float(np.max(np.abs(matrices["ae"] - p))), ""],
-        ["check", "dirac_aa_max", float(np.max(np.abs(matrices["aa"]))), ""],
-        ["check", "dirac_ee_max", float(np.max(np.abs(matrices["ee"]))), ""],
-    ]
+    checks = [["check", name, abs(value), ""]
+              for name, value in model.projector_residuals().items()]
 
     if block.get("initial", "lowest_mode") == "lowest_mode":
         a0, _ = model.lowest_standing_mode()
@@ -554,7 +388,7 @@ def cmd_maxwell(config: dict, args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = run_suite(args.suite, seed=args.seed if args.seed is not None else 20250810,
+    results = run_suite(args.suite, seed=args.seed if args.seed is not None else DEFAULT_SEED,
                         inject_fault=args.inject_fault)
     for result in results:
         print(result.line())

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field as dfield
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .brackets import bracket_of_gradients, poisson_bracket
 from .errors import DegeneracyError, UsageError
@@ -126,11 +125,11 @@ def pairing_det(m: np.ndarray) -> float:
 
 
 def _solve_pairing(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    # closed 2x2 form; pivoted LU beyond that
+    # closed 2x2 form; pivoted LU (LAPACK gesv) beyond that
     if m.shape[0] == 2:
         delta = m[0, 1]
         return np.array([-rhs[1] / delta, rhs[0] / delta])
-    return scipy.linalg.lu_solve(scipy.linalg.lu_factor(m), rhs)
+    return np.linalg.solve(m, rhs)
 
 
 def _require_invertible(m: np.ndarray, coords=None) -> float:
@@ -166,7 +165,7 @@ def classify(cs: ConstraintSet, samples: Sequence[PhaseSpacePoint], tol: float) 
 
     second_class: |det M| > tol * (product of row norms) at every sample;
     first_class: max |M_IJ| < tol at every sample;
-    otherwise mixed_or_degenerate, with the rank from a pivoted QR.
+    otherwise mixed_or_degenerate, with the rank from the singular values.
     """
     if tol <= 0:
         raise UsageError("classification tolerance must be positive")
@@ -191,10 +190,9 @@ def classify(cs: ConstraintSet, samples: Sequence[PhaseSpacePoint], tol: float) 
         if not (np.max(np.abs(m)) < tol if len(cs) else True):
             all_first = False
         if not (all_second or all_first):
-            _, r, _ = scipy.linalg.qr(m, pivoting=True)
-            diag = np.abs(np.diag(r))
-            cutoff = tol * max(diag[0], 1.0) if diag.size else 0.0
-            min_rank = min(min_rank, int(np.sum(diag > cutoff)))
+            s = np.linalg.svd(m, compute_uv=False)
+            cutoff = tol * max(s[0], 1.0) if s.size else 0.0
+            min_rank = min(min_rank, int(np.sum(s > cutoff)))
 
     if all_second and cs.even_count and len(cs) > 0:
         kind, rank = "second_class", len(cs)

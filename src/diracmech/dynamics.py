@@ -55,6 +55,10 @@ class PoissonFlow:
 
     hamiltonian: ScalarField
 
+    @property
+    def chart(self) -> ChartSpec:
+        return self.hamiltonian.chart
+
 
 @dataclass(frozen=True)
 class DiracFlow:
@@ -67,6 +71,10 @@ class DiracFlow:
     hamiltonian: ScalarField
     constraints: ConstraintSet
 
+    @property
+    def chart(self) -> ChartSpec:
+        return self.hamiltonian.chart
+
 
 @dataclass(frozen=True)
 class GaugeFlow:
@@ -74,6 +82,10 @@ class GaugeFlow:
 
     generator: ScalarField
     multiplier: Union[float, Callable[[float], float]] = 1.0
+
+    @property
+    def chart(self) -> ChartSpec:
+        return self.generator.chart
 
     def multiplier_at(self, t: float) -> float:
         if callable(self.multiplier):
@@ -179,7 +191,7 @@ def evolve(x0: PhaseSpacePoint, flow: FlowSpec, cfg: IntegratorConfig,
 
     The Dirac flow requires x0 on the constraint surface (|Phi_I| < 1e-8) and
     an invertible pairing matrix; both are rechecked along the trajectory.
-    Coordinates beyond 1e12 abort with a blow-up error. ``monitor`` adds a
+    Coordinates beyond 1e12, or NaN, abort with a blow-up error. ``monitor`` adds a
     constraint set to watch for Poisson/gauge flows; a Dirac flow always
     monitors its own.
     """
@@ -232,9 +244,9 @@ def evolve(x0: PhaseSpacePoint, flow: FlowSpec, cfg: IntegratorConfig,
             t_next = (i + 1) * dt
             if cfg.projection is not None and watched is not None:
                 z = _project(z, watched, t_next, cfg.projection)
-            if np.max(np.abs(z)) > BLOWUP_LIMIT:
+            if not np.max(np.abs(z)) <= BLOWUP_LIMIT:  # also catches NaN
                 raise NumericDomainError(
-                    f"trajectory blew up at t={t_next:g} (|z| > {BLOWUP_LIMIT:g})")
+                    f"trajectory blew up at t={t_next:g} (|z| > {BLOWUP_LIMIT:g} or NaN)")
             times[i + 1] = t_next
             states[i + 1] = z
     except DegeneracyError as err:

@@ -174,19 +174,6 @@ def field_product(a: ScalarField, b: ScalarField, name: Optional[str] = None) ->
                        fd_step=a.fd_step if a.numerical else b.fd_step)
 
 
-def field_sum(a: ScalarField, b: ScalarField, name: Optional[str] = None) -> ScalarField:
-    chart = require_same_chart(a, b)
-    numerical = a.numerical or b.numerical
-    grad = None
-    if not numerical and a.grad is not None and b.grad is not None:
-        def grad(z, a=a, b=b):
-            return a.grad(z) + b.grad(z)
-    return ScalarField(name=name or f"({a.name})+({b.name})", chart=chart,
-                       func=lambda z, a=a, b=b: a.func(z) + b.func(z),
-                       grad=grad, numerical=numerical,
-                       fd_step=a.fd_step if a.numerical else b.fd_step)
-
-
 def pullback_field(field: ScalarField, embed: Callable, reduced_chart: ChartSpec,
                    name: Optional[str] = None) -> ScalarField:
     """Composition field o embed as a field on the reduced chart.

@@ -30,6 +30,7 @@ import numpy as np
 
 from .. import duals
 from ..constraints import ConstraintSet, SurfaceParametrization, TimeRamp
+from ..dynamics import DiracFlow, GaugeFlow, PoissonFlow
 from ..errors import NumericDomainError, UsageError
 from ..fields import ScalarField, function_field
 from ..phase import ChartSpec, PhaseSpacePoint
@@ -94,6 +95,8 @@ class KlauderModel:
             raise UsageError("hbar must be positive")
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "hbar", float(self.hbar))
+        if not isinstance(self.potential, RadialPotential):
+            object.__setattr__(self, "potential", RadialPotential(tuple(self.potential)))
         if not isinstance(self.k, KRamp):
             object.__setattr__(self, "k", float(self.k))
 
@@ -163,12 +166,6 @@ class KlauderModel:
 
         return function_field(self.cartesian_chart, "C_cartesian", func)
 
-    @cached_property
-    def cartesian_gauge_condition(self) -> ScalarField:
-        k0 = self.k_at(0.0)
-        return function_field(self.cartesian_chart, "chi_cartesian",
-                              lambda z, k0=k0: z[0] * z[2] + z[1] * z[3] - k0)
-
     # -- reduced phase space -------------------------------------------------
     def reduced_radius(self, p_phi, t: float = 0.0):
         """r* = ((k^2 + p_phi^2)/alpha^2)^(1/4); dual-capable for embeddings."""
@@ -227,6 +224,36 @@ class KlauderModel:
                 p_phi = 0.1 if p_phi >= 0 else -0.1
             pts.append(self.embed_reduced(rng.uniform(0.0, 2.0 * np.pi), p_phi))
         return pts
+
+    # -- model interface (see diracmech.models) ------------------------------
+    bracket_pairs = (("r", "p_r"), ("r", "p_phi"), ("r", "phi"),
+                     ("phi", "p_r"), ("phi", "p_phi"), ("p_r", "p_phi"))
+
+    @property
+    def bracket_chart(self) -> ChartSpec:
+        return self.polar_chart
+
+    def sample(self, rng: np.random.Generator, count: int,
+               r_range: tuple[float, float] = (0.1, 5.0),
+               momentum_range: tuple[float, float] = (-5.0, 5.0)) -> list[PhaseSpacePoint]:
+        return self.sample_points(rng, count, r_range, momentum_range)
+
+    def constraints_at(self, x: PhaseSpacePoint) -> ConstraintSet:
+        return self.constraint_set
+
+    def flow(self, kind: str, multiplier=1.0, hamiltonian=None):
+        """(flow, monitor): the gauge orbit of the Cartesian First Class generator,
+        or the physical Hamiltonian under the Dirac or the Poisson bracket."""
+        if kind == "gauge":
+            gen = self.cartesian_generator
+            return GaugeFlow(gen, multiplier), ConstraintSet(self.cartesian_chart, (gen,), ("C",))
+        if kind == "dirac":
+            return DiracFlow(self.hamiltonian(), self.constraint_set), None
+        return PoissonFlow(self.hamiltonian()), self.constraint_set
+
+    def initial_point(self, phi: float = 0.0, p_phi: Optional[float] = None,
+                      **_) -> Optional[PhaseSpacePoint]:
+        return None if p_phi is None else self.embed_reduced(phi, p_phi)
 
     # -- closed-form oracles ---------------------------------------------------
     def dirac_oracle(self, pair: tuple[str, str], x: PhaseSpacePoint) -> float:

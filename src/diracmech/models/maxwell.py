@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from ..errors import DegeneracyError, UsageError
 from ..fields import ScalarField
@@ -48,10 +47,6 @@ class LatticeMaxwell:
     @property
     def n_components(self) -> int:
         return 3 * self.sites
-
-    @property
-    def phase_dim(self) -> int:
-        return 6 * self.sites
 
     # -- lattice calculus on flat vectors ---------------------------------
     def _grid(self, scalar_flat):
@@ -142,14 +137,29 @@ class LatticeMaxwell:
         k_red = s @ s.T
         if np.linalg.cond(k_red) > 1e12:
             raise DegeneracyError("reduced Laplacian solve is ill-conditioned")
-        lu = scipy.linalg.lu_factor(k_red)
-        correction = s.T @ scipy.linalg.lu_solve(lu, s)
+        correction = s.T @ np.linalg.solve(k_red, s)
         identity = np.eye(self.n_components)
         # {A_a, E_b}_D = delta_ab - {A_a, C'_i}(K'^-1)_ij {chi'_j, E_b}
         ae = identity - correction
         # {A,A}_D and {E,E}_D: every correction path hits {A, chi'} = 0 or {E, C'} = 0
         zero = np.zeros_like(identity)
         return {"ae": ae, "aa": zero, "ee": zero}
+
+    def projector_residuals(self, dirac: bool = True) -> dict[str, float]:
+        """Deviations from P^2 = P = P^T and trace P = 2 L^3 + 1 (the trace one
+        signed); with ``dirac``, also of the LU-route matrices from {A,E}_D = P
+        and {A,A}_D = {E,E}_D = 0. One projector and one Dirac build per call.
+        """
+        p = self.transverse_projector()
+        out = {"projector_idempotency": float(np.max(np.abs(p @ p - p))),
+               "projector_symmetry": float(np.max(np.abs(p - p.T))),
+               "projector_trace_deviation": float(np.trace(p)) - (2 * self.sites + 1)}
+        if dirac:
+            matrices = self.dirac_bracket_matrices()
+            out["dirac_vs_projector"] = float(np.max(np.abs(matrices["ae"] - p)))
+            out["dirac_aa_max"] = float(np.max(np.abs(matrices["aa"])))
+            out["dirac_ee_max"] = float(np.max(np.abs(matrices["ee"])))
+        return out
 
     # -- physical content -----------------------------------------------------
     def gauss_residual(self, e_flat) -> np.ndarray:

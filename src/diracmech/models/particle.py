@@ -14,12 +14,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
 from .. import duals
 from ..constraints import ConstraintSet, dirac_bracket
 from ..brackets import poisson_bracket
+from ..dynamics import PoissonFlow
 from ..errors import UsageError
 from ..fields import ScalarField, coordinate_field, function_field
 from ..phase import ChartSpec, PhaseSpacePoint
@@ -108,6 +110,43 @@ class RelativisticParticle:
         return [self.on_shell_point(rng.uniform(-spread, spread, self.spatial_dim),
                                     rng.uniform(-spread, spread, self.spatial_dim), tau)
                 for _ in range(n)]
+
+    # -- model interface (see diracmech.models) ------------------------------
+    @property
+    def bracket_chart(self) -> ChartSpec:
+        return self.full_chart
+
+    @cached_property
+    def bracket_pairs(self) -> tuple[tuple[str, str], ...]:
+        d = self.spatial_dim
+        return tuple((f"x{i}", f"p{j}") for i in range(d + 1) for j in range(d + 1))
+
+    def sample(self, rng: np.random.Generator, count: int, **_) -> list[PhaseSpacePoint]:
+        return self.sample_on_shell(rng, count)
+
+    def constraints_at(self, x: PhaseSpacePoint) -> ConstraintSet:
+        return self.constraint_set(tau=x["x0"])
+
+    def dirac_oracle(self, pair: tuple[str, str], x: PhaseSpacePoint) -> float:
+        """Closed-form on-shell Dirac brackets: time is frozen, spatial pairs canonical."""
+        a, b = pair
+        if a == "x0":
+            return 0.0
+        if b == "p0":  # {x^i, p_0}_D = p_i / p_0
+            return x[f"p{a[1:]}"] / x["p0"]
+        return 1.0 if a[1:] == b[1:] else 0.0
+
+    def flow(self, kind: str, multiplier=1.0, hamiltonian=None):
+        """(flow, monitor) on the reduced spatial chart."""
+        if kind != "poisson":
+            raise UsageError("particle scenarios evolve under the physical Hamiltonian "
+                             "(flow kind 'poisson')")
+        return PoissonFlow(self.physical_hamiltonian), None
+
+    def initial_point(self, x=None, p=None, **_) -> Optional[PhaseSpacePoint]:
+        if x is None or p is None:
+            return None
+        return self.spatial_chart.point(list(x) + list(p))
 
     def bracket_report(self, samples) -> dict[str, float]:
         """Worst-case deviations of the on-shell bracket structure.

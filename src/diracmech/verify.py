@@ -19,8 +19,8 @@ from .circle import (CircleState, SpectrumTable, evolve_static, evolve_time_depe
                      expect_phi_quadrature, expect_reduced)
 from .constraints import (ConstraintSet, classify, dirac_bracket, observable_check,
                           pair_jacobian_check, reduced_bracket_check)
-from .dynamics import (DiracFlow, GaugeFlow, IntegratorConfig, PoissonFlow,
-                       constraint_drift, evolve, gauge_orbit_closed_form)
+from .dynamics import (IntegratorConfig, PoissonFlow, constraint_drift, evolve,
+                       gauge_orbit_closed_form)
 from .fields import (coordinate_field, field_product, gradient_consistency_check,
                      polynomial_field)
 from .models import KlauderModel, KRamp, LatticeMaxwell, RadialPotential, RelativisticParticle
@@ -202,14 +202,12 @@ def check_classification(rng, fault):
 
 def check_bracket_table(rng, fault):
     model = KlauderModel(alpha=1.0, k=1.0)
-    chart = model.polar_chart
+    chart = model.bracket_chart
     coords = {l: coordinate_field(chart, l) for l in chart.labels}
-    pairs = [("r", "p_r"), ("r", "p_phi"), ("r", "phi"),
-             ("phi", "p_r"), ("phi", "p_phi"), ("p_r", "p_phi")]
     worst = 0.0
-    for x in model.sample_points(rng, 200):
-        for pair in pairs:
-            engine = dirac_bracket(coords[pair[0]], coords[pair[1]], model.constraint_set, x)
+    for x in model.sample(rng, 200):
+        for pair in model.bracket_pairs:
+            engine = dirac_bracket(coords[pair[0]], coords[pair[1]], model.constraints_at(x), x)
             worst = max(worst, abs(engine - (model.dirac_oracle(pair, x) + fault)))
     return _result("klauder.bracket_table", worst, 1e-9, "matrix formula vs closed forms")
 
@@ -279,8 +277,7 @@ def check_rotational_invariance(rng, fault):
 def check_circular_orbit(rng, fault):
     model = KlauderModel(alpha=1.0, k=0.0, potential=RadialPotential.harmonic())
     x0 = model.embed_reduced(phi=0.3, p_phi=2.0)
-    traj = evolve(x0, DiracFlow(model.hamiltonian(), model.constraint_set),
-                  IntegratorConfig(dt=1e-3, steps=1000))
+    traj = evolve(x0, model.flow("dirac")[0], IntegratorConfig(dt=1e-3, steps=1000))
     const_dev = max(float(np.max(np.abs(traj.states[:, i] - traj.states[0, i])))
                     for i in (0, 2, 3))
     measured_rate = (traj.states[-1, 1] - traj.states[0, 1]) / traj.times[-1]
@@ -296,9 +293,8 @@ def check_circular_orbit(rng, fault):
 def check_gauge_closed_form(rng, fault):
     model = KlauderModel(alpha=1.0, k=0.0)
     x0 = model.cartesian_chart.point([1.0, 0.0, 1.0, 0.0])
-    monitor = ConstraintSet(model.cartesian_chart, (model.cartesian_generator,), ("C",))
-    traj = evolve(x0, GaugeFlow(model.cartesian_generator, 1.0),
-                  IntegratorConfig(dt=1e-3, steps=1000), monitor=monitor)
+    flow, monitor = model.flow("gauge", 1.0)
+    traj = evolve(x0, flow, IntegratorConfig(dt=1e-3, steps=1000), monitor=monitor)
     q, p = gauge_orbit_closed_form([1.0, 0.0], [1.0, 0.0], 1.0, 1.0 + fault)
     end_dev = float(np.max(np.abs(traj.states[-1] - np.concatenate([q, p]))))
     residual = float(np.max(traj.residuals["C"]))
@@ -312,12 +308,11 @@ def check_gauge_closed_form(rng, fault):
 def check_gauge_residual_order(rng, fault):
     model = KlauderModel(alpha=1.0, k=0.0)
     x0 = model.cartesian_chart.point([1.3, -0.4, 0.9, 0.8])
-    monitor = ConstraintSet(model.cartesian_chart, (model.cartesian_generator,), ("C",))
+    flow, monitor = model.flow("gauge", 1.0)
     start = abs(model.cartesian_generator.value(x0))
     residuals = []
     for dt, steps in ((2e-2, 50), (1e-2, 100)):
-        traj = evolve(x0, GaugeFlow(model.cartesian_generator, 1.0),
-                      IntegratorConfig(dt=dt, steps=steps), monitor=monitor)
+        traj = evolve(x0, flow, IntegratorConfig(dt=dt, steps=steps), monitor=monitor)
         residuals.append(float(np.max(np.abs(traj.residuals["C"] - start))))
     ratio = residuals[0] / max(residuals[1], 1e-300)
     measured = 15.0 - ratio + abs(fault) * 1e3  # negative when the order-4 ratio holds
@@ -339,8 +334,7 @@ def check_energy_conservation(rng, fault):
 def check_dirac_surface_drift(rng, fault):
     model = KlauderModel(alpha=1.0, k=1.0, potential=RadialPotential.harmonic())
     x0 = model.embed_reduced(phi=0.0, p_phi=1.0)
-    traj = evolve(x0, DiracFlow(model.hamiltonian(), model.constraint_set),
-                  IntegratorConfig(dt=1e-3, steps=2000))
+    traj = evolve(x0, model.flow("dirac")[0], IntegratorConfig(dt=1e-3, steps=2000))
     drift = constraint_drift(traj)
     worst = max(stats.max_residual for stats in drift.values())
     return _result("dynamics.dirac_surface_drift", worst + abs(fault), 1e-8,
@@ -380,11 +374,11 @@ def check_projector_identity(rng, fault):
     detail = []
     for side in (2, 4):
         model = LatticeMaxwell(side=side)
-        p = model.transverse_projector()
-        worst = max(worst, float(np.max(np.abs(p @ p - p))) + abs(fault),
-                    float(np.max(np.abs(p - p.T))),
-                    abs(float(np.trace(p)) - (2 * side ** 3 + 1)))
-        detail.append(f"L={side} trace {np.trace(p):.1f}")
+        res = model.projector_residuals(dirac=False)
+        trace_dev = res["projector_trace_deviation"]
+        worst = max(worst, res["projector_idempotency"] + abs(fault),
+                    res["projector_symmetry"], abs(trace_dev))
+        detail.append(f"L={side} trace {2 * model.sites + 1 + trace_dev:.1f}")
     return _result("maxwell.projector_identity", worst, 1e-10, ", ".join(detail))
 
 
@@ -405,12 +399,9 @@ def check_projector_action(rng, fault):
 def check_dirac_matrix(rng, fault):
     worst = 0.0
     for side in (2, 4):
-        model = LatticeMaxwell(side=side)
-        matrices = model.dirac_bracket_matrices()
-        p = model.transverse_projector()
-        worst = max(worst, float(np.max(np.abs(matrices["ae"] - p))) + abs(fault),
-                    float(np.max(np.abs(matrices["aa"]))),
-                    float(np.max(np.abs(matrices["ee"]))))
+        res = LatticeMaxwell(side=side).projector_residuals()
+        worst = max(worst, res["dirac_vs_projector"] + abs(fault),
+                    res["dirac_aa_max"], res["dirac_ee_max"])
     return _result("maxwell.dirac_matrix", worst, 1e-8,
                    "{A,E}_D equals the transverse projector")
 

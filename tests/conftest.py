@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from diracmech.fields import polynomial_field
+from diracmech.verify import _random_poly as random_polynomial  # noqa: F401  (same draws)
 
 CBRT_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
@@ -33,13 +33,3 @@ def fd_poisson_bracket(a, b, coords, step=None):
 
     ga, gb = fd_grad(a), fd_grad(b)
     return float(ga[:n] @ gb[n:] - gb[:n] @ ga[n:])
-
-
-def random_polynomial(chart, rng, degree=2, terms=5, name="poly"):
-    spec = []
-    for _ in range(terms):
-        powers = [0] * chart.dim
-        for _ in range(rng.integers(1, degree + 1)):
-            powers[rng.integers(0, chart.dim)] += 1
-        spec.append((rng.uniform(-1.0, 1.0), powers))
-    return polynomial_field(chart, spec, name=name)

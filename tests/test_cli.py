@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from diracmech.cli import main
+from diracmech.dynamics import gauge_orbit_closed_form
 
 
 def run_cli(*argv):
@@ -62,6 +63,26 @@ def test_brackets_custom_unconstrained_dirac_equals_poisson(tmp_path):
     _, rows = read_csv(out)
     for row in rows:
         assert row[5] == row[6]  # poisson column equals dirac column
+
+
+SECOND_CLASS_CUSTOM = {
+    "kind": "custom", "labels": ["q1", "q2", "p1", "p2"],
+    "constraints": [{"name": "q2", "terms": [{"coeff": 1.0, "powers": [0, 1, 0, 0]}]},
+                    {"name": "p2", "terms": [{"coeff": 1.0, "powers": [0, 0, 0, 1]}]}],
+}
+
+
+def test_brackets_custom_second_class_pair_has_no_oracle(tmp_path):
+    config = write_config(tmp_path / "cfg.json", {
+        "model": SECOND_CLASS_CUSTOM, "samples": {"count": 4}})
+    out = tmp_path / "custom.csv"
+    assert run_cli("brackets", "--config", config, "--out", str(out)) == 0
+    header, rows = read_csv(out)
+    assert len(rows) == 4 * 6
+    dirac = {row[0]: float(row[header.index("dirac")]) for row in rows}
+    assert dirac["{q1,p1}"] == 1.0
+    assert dirac["{q2,p2}"] == 0.0  # the Dirac bracket removes the constrained pair
+    assert all(row[-2] == "" and row[-1] == "" for row in rows)
 
 
 def test_brackets_particle_oracle(tmp_path):
@@ -127,6 +148,57 @@ def test_evolve_gauge_flow_residual(tmp_path):
     assert max(float(r[res_col]) for r in data) < 1e-10
     q1_final = float(data[-1][1])
     assert q1_final == pytest.approx(math.e, abs=1e-8)
+
+
+def test_evolve_gauge_flow_polynomial_multiplier(tmp_path):
+    # lambda(t) = 1 + t/2 accumulates T = t + t^2/4 along the cosh/sinh orbit
+    config = write_config(tmp_path / "cfg.json", {
+        "model": {"kind": "klauder", "alpha": 1.0, "k": 0.0},
+        "flow": {"kind": "gauge", "multiplier": {"type": "poly", "coeffs": [1.0, 0.5]}},
+        "integrator": {"dt": 0.001, "steps": 1000},
+        "initial": {"coords": [1.0, 0.0, 1.0, 0.0]},
+    })
+    out = tmp_path / "gauge.csv"
+    assert run_cli("evolve", "--config", config, "--out", str(out)) == 0
+    _, rows = read_csv(out)
+    final = [float(v) for v in [r for r in rows if r[0] != "drift"][-1][1:5]]
+    q, p = gauge_orbit_closed_form([1.0, 0.0], [1.0, 0.0], 1.0, 1.25)
+    assert final == pytest.approx([*q, *p], abs=1e-8)
+
+
+def test_evolve_custom_dirac_flow_stays_on_surface(tmp_path):
+    config = write_config(tmp_path / "cfg.json", {
+        "model": SECOND_CLASS_CUSTOM,
+        "flow": {"kind": "dirac",
+                 "hamiltonian": [{"coeff": 0.5, "powers": [2, 0, 0, 0]},
+                                 {"coeff": 0.5, "powers": [0, 0, 2, 0]},
+                                 {"coeff": 1.0, "powers": [0, 1, 0, 1]}]},
+        "integrator": {"dt": 0.001, "steps": 500},
+        "initial": {"coords": [1.0, 0.0, 0.0, 0.0]},
+    })
+    out = tmp_path / "custom.csv"
+    assert run_cli("evolve", "--config", config, "--out", str(out)) == 0
+    header, rows = read_csv(out)
+    assert header == ["t", "q1", "q2", "p1", "p2", "res_q2", "res_p2", "H"]
+    data = [[float(v) for v in r] for r in rows if r[0] != "drift"]
+    assert max(max(abs(r[2]), abs(r[4])) for r in data) == 0.0
+    assert data[-1][1] == pytest.approx(math.cos(0.5), abs=1e-10)
+
+
+@pytest.mark.parametrize("command, model, flow", [
+    ("evolve", {"kind": "particle", "mass": 1.0}, {"kind": "dirac"}),
+    ("brackets", {"kind": "maxwell", "side": 2}, None),
+    ("evolve", {"kind": "maxwell", "side": 2}, {"kind": "poisson"}),
+    ("quantum", {"kind": "particle", "mass": 1.0}, None),
+])
+def test_command_rejects_unsupported_model_or_flow(tmp_path, command, model, flow):
+    payload = {"model": model, "integrator": {"dt": 0.01, "steps": 1},
+               "initial": {"x": [0.0, 0.0, 0.0], "p": [1.0, 0.0, 0.0]},
+               "quantum": {"single_mode": 0, "times": [0.0]}}
+    if flow is not None:
+        payload["flow"] = flow
+    config = write_config(tmp_path / "cfg.json", payload)
+    assert run_cli(command, "--config", config, "--out", str(tmp_path / "out.csv")) == 2
 
 
 def test_evolve_zero_steps_single_row(tmp_path):

@@ -8,7 +8,7 @@ from diracmech.dynamics import (DiracFlow, GaugeFlow, IntegratorConfig, NewtonPr
                                 PoissonFlow, constraint_drift, evolve,
                                 gauge_orbit_closed_form, multiplier_from_gauge)
 from diracmech.errors import DegeneracyError, NumericDomainError, UsageError
-from diracmech.fields import constant_field, polynomial_field
+from diracmech.fields import constant_field, function_field, polynomial_field
 from diracmech.models import KlauderModel, KRamp, RadialPotential
 from diracmech.phase import ChartSpec
 
@@ -139,6 +139,20 @@ def test_blowup_detected():
     x0 = FLAT.point([1.0, 10.0])
     with pytest.raises(NumericDomainError, match="blew up"):
         evolve(x0, PoissonFlow(h), IntegratorConfig(dt=0.5, steps=10000))
+
+
+def test_nan_state_is_rejected():
+    # H = q^2/2 + sqrt(1 - p): the closed-form gradient turns NaN once p passes 1
+    def func(z):
+        return 0.5 * z[0] ** 2 + (math.sqrt(1.0 - z[1]) if z[1] <= 1.0 else math.nan)
+
+    def grad(z):
+        return np.array([z[0], -0.5 / math.sqrt(1.0 - z[1]) if z[1] < 1.0 else math.nan])
+
+    h = function_field(FLAT, "sqrt_wall", func, grad=grad)
+    x0 = FLAT.point([1.0, 0.0])
+    with pytest.raises(NumericDomainError, match="NaN"):
+        evolve(x0, PoissonFlow(h), IntegratorConfig(dt=0.01, steps=1000))
 
 
 def test_newton_projection_restores_surface():

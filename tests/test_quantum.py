@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diracmech.circle import (CircleState, SpectrumTable, evolve_static,
@@ -57,6 +57,7 @@ amplitudes = st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1)), min_size=5,
 
 
 @given(amplitudes)
+@example([(0.0, 0.0), (0.0, 2.2e-313), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0)])  # squares to 0
 @settings(max_examples=40, deadline=None)
 def test_normalize_is_unit_norm(raw):
     coeffs = np.array([complex(a, b) for a, b in raw])

@@ -19,10 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover - declared dependency
-    jsonschema = None
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from .brackets import poisson_bracket
 from .circle import (CircleState, SpectrumTable, evolve_time_dependent,
@@ -110,6 +108,10 @@ SCENARIO_SCHEMA = _strict({
     }),
 })
 
+# built once: jsonschema.validate would check the schema against its
+# metaschema on every call (tests/test_cli.py checks it once)
+_VALIDATOR = validator_for(SCENARIO_SCHEMA)(SCENARIO_SCHEMA)
+
 
 def load_config(path: str) -> dict:
     try:
@@ -119,9 +121,8 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path!r}: {err}") from err
     except json.JSONDecodeError as err:
         raise ConfigError(f"malformed JSON in {path!r}: {err}") from err
-    try:
-        jsonschema.validate(config, SCENARIO_SCHEMA)
-    except jsonschema.ValidationError as err:
+    err = best_match(_VALIDATOR.iter_errors(config))
+    if err is not None:
         location = "/".join(str(p) for p in err.absolute_path) or "<root>"
         raise ConfigError(f"invalid config at {location}: {err.message}") from err
     return config
@@ -375,10 +376,8 @@ def cmd_maxwell(config: dict, args) -> int:
         if block.get("e_scale", 0.0) else np.zeros_like(a0)
     cfg = _build_integrator(config)
     traj = model.evolve(a0, e0, cfg)
-    n = model.n_components
     columns = ["t", "energy", "gauss_residual", "transverse_residual"]
-    rows = [[float(traj.times[i]),
-             model.energy(traj.states[i, :n], traj.states[i, n:]),
+    rows = [[float(traj.times[i]), float(traj.generator_values[i]),
              float(traj.residuals["gauss"][i]), float(traj.residuals["transverse"][i])]
             for i in range(len(traj))]
     path, fmt = _resolve_output(config, args, "maxwell.csv")

@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+from .errors import NumericDomainError
+
 
 class Dual:
     __slots__ = ("val", "eps")
@@ -119,48 +121,78 @@ def gradient(func, coords):
     return np.zeros(len(coords))
 
 
+# math's domain, range and division errors re-raise as NumericDomainError;
+# the try costs nothing on the non-raising path
+_MATH_ERRORS = (ValueError, OverflowError, ZeroDivisionError)
+
+
+def _domain_error(name, x, err):
+    return NumericDomainError(f"{name}({_value(x)!r}): {err}")
+
+
 def sqrt(x):
-    if isinstance(x, Dual):
-        v = math.sqrt(x.val)
-        return Dual(v, (0.5 / v) * x.eps)
-    return math.sqrt(x)
+    try:
+        if isinstance(x, Dual):
+            v = math.sqrt(x.val)
+            return Dual(v, (0.5 / v) * x.eps)
+        return math.sqrt(x)
+    except _MATH_ERRORS as err:
+        raise _domain_error("sqrt", x, err) from err
 
 
 def exp(x):
-    if isinstance(x, Dual):
-        v = math.exp(x.val)
-        return Dual(v, v * x.eps)
-    return math.exp(x)
+    try:
+        if isinstance(x, Dual):
+            v = math.exp(x.val)
+            return Dual(v, v * x.eps)
+        return math.exp(x)
+    except _MATH_ERRORS as err:
+        raise _domain_error("exp", x, err) from err
 
 
 def log(x):
-    if isinstance(x, Dual):
-        return Dual(math.log(x.val), x.eps / x.val)
-    return math.log(x)
+    try:
+        if isinstance(x, Dual):
+            return Dual(math.log(x.val), x.eps / x.val)
+        return math.log(x)
+    except _MATH_ERRORS as err:
+        raise _domain_error("log", x, err) from err
 
 
 def sin(x):
-    if isinstance(x, Dual):
-        return Dual(math.sin(x.val), math.cos(x.val) * x.eps)
-    return math.sin(x)
+    try:
+        if isinstance(x, Dual):
+            return Dual(math.sin(x.val), math.cos(x.val) * x.eps)
+        return math.sin(x)
+    except _MATH_ERRORS as err:
+        raise _domain_error("sin", x, err) from err
 
 
 def cos(x):
-    if isinstance(x, Dual):
-        return Dual(math.cos(x.val), -math.sin(x.val) * x.eps)
-    return math.cos(x)
+    try:
+        if isinstance(x, Dual):
+            return Dual(math.cos(x.val), -math.sin(x.val) * x.eps)
+        return math.cos(x)
+    except _MATH_ERRORS as err:
+        raise _domain_error("cos", x, err) from err
 
 
 def sinh(x):
-    if isinstance(x, Dual):
-        return Dual(math.sinh(x.val), math.cosh(x.val) * x.eps)
-    return math.sinh(x)
+    try:
+        if isinstance(x, Dual):
+            return Dual(math.sinh(x.val), math.cosh(x.val) * x.eps)
+        return math.sinh(x)
+    except _MATH_ERRORS as err:
+        raise _domain_error("sinh", x, err) from err
 
 
 def cosh(x):
-    if isinstance(x, Dual):
-        return Dual(math.cosh(x.val), math.sinh(x.val) * x.eps)
-    return math.cosh(x)
+    try:
+        if isinstance(x, Dual):
+            return Dual(math.cosh(x.val), math.sinh(x.val) * x.eps)
+        return math.cosh(x)
+    except _MATH_ERRORS as err:
+        raise _domain_error("cosh", x, err) from err
 
 
 def atan2(y, x):

@@ -49,49 +49,57 @@ class LatticeMaxwell:
         return 3 * self.sites
 
     # -- lattice calculus on flat vectors ---------------------------------
-    def _grid(self, scalar_flat):
-        return np.asarray(scalar_flat, dtype=float).reshape((self.side,) * 3)
+    # Fields are flat: a scalar is L^3 site values, a vector 3L^3 values with
+    # the component outermost; leading axes are batch axes. The stencils keep
+    # their order of operations fixed, so results are bitwise reproducible
+    # (tests/test_maxwell.py compares them with an np.roll reference).
+    @cached_property
+    def _neighbours(self) -> tuple[np.ndarray, np.ndarray]:
+        """Flat site indices of x+e_i and x-e_i, shape (3, L^3) each."""
+        sites = np.arange(self.sites).reshape((self.side,) * 3)
+        forward = np.stack([np.roll(sites, -1, axis=i).reshape(-1) for i in range(3)])
+        backward = np.stack([np.roll(sites, 1, axis=i).reshape(-1) for i in range(3)])
+        return forward, backward
 
-    def _vec(self, vec_flat):
-        return np.asarray(vec_flat, dtype=float).reshape((3,) + (self.side,) * 3)
+    def _components(self, vec_flat) -> np.ndarray:
+        v = np.asarray(vec_flat, dtype=float)
+        return v.reshape(v.shape[:-1] + (3, self.sites))
 
     def forward_gradient(self, scalar_flat) -> np.ndarray:
         """(D u)_i(x) = (u(x+e_i) - u(x)) / a, flattened to 3L^3."""
-        u = self._grid(scalar_flat)
-        out = np.empty((3,) + u.shape)
-        for i in range(3):
-            out[i] = (np.roll(u, -1, axis=i) - u) / self.spacing
-        return out.reshape(-1)
+        u = np.asarray(scalar_flat, dtype=float)
+        forward, _ = self._neighbours
+        out = u[..., forward]  # in place below: gradient_matrix passes an L^3 batch
+        out -= u[..., None, :]
+        out /= self.spacing
+        return out.reshape(u.shape[:-1] + (self.n_components,))
 
     def backward_divergence(self, vec_flat) -> np.ndarray:
         """div v(x) = sum_i (v_i(x) - v_i(x-e_i)) / a; the negative adjoint of D."""
-        v = self._vec(vec_flat)
-        out = np.zeros(v.shape[1:])
+        v = self._components(vec_flat)
+        _, backward = self._neighbours
+        out = np.zeros(v.shape[:-2] + (self.sites,))
         for i in range(3):
-            out += (v[i] - np.roll(v[i], 1, axis=i)) / self.spacing
-        return out.reshape(-1)
+            out += (v[..., i, :] - v[..., i, backward[i]]) / self.spacing
+        return out
 
     def laplacian(self, scalar_flat) -> np.ndarray:
         return self.backward_divergence(self.forward_gradient(scalar_flat))
 
     def vector_laplacian(self, vec_flat) -> np.ndarray:
-        # 7-point stencil applied to all components at once (axis 0 = component)
-        v = self._vec(vec_flat)
+        # 7-point stencil applied to all components at once
+        v = self._components(vec_flat)
+        forward, backward = self._neighbours
         out = -6.0 * v
-        for axis in (1, 2, 3):
-            out += np.roll(v, -1, axis=axis) + np.roll(v, 1, axis=axis)
-        return (out / self.spacing ** 2).reshape(-1)
+        for i in range(3):
+            out += v[..., forward[i]] + v[..., backward[i]]
+        return (out / self.spacing ** 2).reshape(v.shape[:-2] + (self.n_components,))
 
     # -- operators as dense matrices ---------------------------------------
     @cached_property
     def gradient_matrix(self) -> np.ndarray:
         """Dense D: L^3 scalars -> 3L^3 vectors."""
-        v = self.sites
-        d = np.empty((self.n_components, v))
-        eye = np.eye(v)
-        for j in range(v):
-            d[:, j] = self.forward_gradient(eye[j])
-        return d
+        return np.ascontiguousarray(self.forward_gradient(np.eye(self.sites)).T)
 
     @cached_property
     def scalar_laplacian_matrix(self) -> np.ndarray:
@@ -109,6 +117,13 @@ class LatticeMaxwell:
         d = self.gradient_matrix
         k_pinv = np.linalg.pinv(self.scalar_laplacian_matrix, hermitian=True)
         return np.eye(self.n_components) - d @ k_pinv @ d.T
+
+    @cached_property
+    def projector(self) -> np.ndarray:
+        """The transverse projector, built once per lattice; read-only."""
+        p = self.transverse_projector()
+        p.flags.writeable = False
+        return p
 
     @cached_property
     def _mean_zero_basis(self) -> np.ndarray:
@@ -148,9 +163,9 @@ class LatticeMaxwell:
     def projector_residuals(self, dirac: bool = True) -> dict[str, float]:
         """Deviations from P^2 = P = P^T and trace P = 2 L^3 + 1 (the trace one
         signed); with ``dirac``, also of the LU-route matrices from {A,E}_D = P
-        and {A,A}_D = {E,E}_D = 0. One projector and one Dirac build per call.
+        and {A,A}_D = {E,E}_D = 0. One Dirac build per call.
         """
-        p = self.transverse_projector()
+        p = self.projector
         out = {"projector_idempotency": float(np.max(np.abs(p @ p - p))),
                "projector_symmetry": float(np.max(np.abs(p - p.T))),
                "projector_trace_deviation": float(np.trace(p)) - (2 * self.sites + 1)}
@@ -174,8 +189,7 @@ class LatticeMaxwell:
             raise UsageError(f"{what} is not transverse (max |div| = {worst:.3e})")
 
     def random_transverse(self, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-        p = self.transverse_projector()
-        return p @ rng.normal(0.0, scale, self.n_components)
+        return self.projector @ rng.normal(0.0, scale, self.n_components)
 
     def lowest_standing_mode(self) -> tuple[np.ndarray, float]:
         """Transverse eigenmode of -Laplacian: A_y ~ cos(2 pi x1 / L), with its omega."""
@@ -187,10 +201,11 @@ class LatticeMaxwell:
         return a.reshape(-1), float(omega)
 
     def energy(self, a_flat, e_flat) -> float:
-        v = self._vec(a_flat)
+        v = self._components(a_flat)
+        forward, _ = self._neighbours
         grad_sq = 0.0
-        for axis in (1, 2, 3):
-            diff = (np.roll(v, -1, axis=axis) - v) / self.spacing
+        for i in range(3):
+            diff = (v[:, forward[i]] - v) / self.spacing
             grad_sq += float(np.sum(diff * diff))
         e = np.asarray(e_flat, dtype=float)
         return 0.5 * (float(e @ e) + grad_sq)
@@ -204,9 +219,14 @@ class LatticeMaxwell:
                     names.append(f"{prefix}{c}.{site}")
         return ChartSpec(labels=tuple(names), name=f"maxwell L={self.side}")
 
-    @cached_property
+    @property
     def hamiltonian(self) -> ScalarField:
-        """H = (1/2)(sum E^2 + sum |grad A|^2) with a closed-form gradient."""
+        """H = (1/2)(sum E^2 + sum |grad A|^2) with a closed-form gradient.
+
+        Built per call: its functions hold the lattice, so caching it on the
+        lattice would make a reference cycle that keeps the lattice and its
+        dense matrices alive until the cyclic garbage collector runs.
+        """
         n = self.n_components
         model = self
 
@@ -238,8 +258,7 @@ class LatticeMaxwell:
         x0 = self.chart.point(np.concatenate([a0, e0]))
         traj = _evolve(x0, PoissonFlow(self.hamiltonian), cfg)
         n = self.n_components
-        gauss = np.array([np.max(np.abs(self.gauss_residual(s[n:]))) for s in traj.states])
-        trans = np.array([np.max(np.abs(self.backward_divergence(s[:n]))) for s in traj.states])
-        traj.residuals["gauss"] = gauss
-        traj.residuals["transverse"] = trans
+        traj.residuals["gauss"] = np.max(np.abs(self.gauss_residual(traj.states[:, n:])), axis=1)
+        traj.residuals["transverse"] = np.max(
+            np.abs(self.backward_divergence(traj.states[:, :n])), axis=1)
         return traj

@@ -384,7 +384,7 @@ def check_projector_identity(rng, fault):
 
 def check_projector_action(rng, fault):
     model = LatticeMaxwell(side=3)
-    p = model.transverse_projector()
+    p = model.projector
     lam = rng.normal(size=model.sites)
     lam -= lam.mean()
     gradient = model.forward_gradient(lam)
@@ -411,8 +411,7 @@ def check_maxwell_evolution(rng, fault):
     a0, omega = model.lowest_standing_mode()
     e0 = model.random_transverse(rng, 0.3)
     traj = model.evolve(a0, e0, IntegratorConfig(dt=1e-3, steps=2000))
-    n = model.n_components
-    energies = np.array([model.energy(s[:n], s[n:]) for s in traj.states[::100]])
+    energies = traj.generator_values[::100]
     drift = float(np.max(np.abs(energies - energies[0]))) / max(1.0, abs(energies[0]))
     gauss = float(np.max(traj.residuals["gauss"]))
     return _result("maxwell.evolution", max(drift + abs(fault), gauss), 1e-9,

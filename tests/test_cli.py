@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from jsonschema.validators import validator_for
 
-from diracmech.cli import main
+from diracmech.cli import SCENARIO_SCHEMA, main
 from diracmech.dynamics import gauge_orbit_closed_form
 
 
@@ -106,6 +107,21 @@ def test_unknown_keys_rejected(tmp_path):
     config = write_config(tmp_path / "cfg.json", {
         "model": {"kind": "klauder"}, "surprise": True})
     assert run_cli("brackets", "--config", config) == 2
+
+
+def test_scenario_schema_is_valid():
+    validator_for(SCENARIO_SCHEMA).check_schema(SCENARIO_SCHEMA)
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"model": {"kind": "klauder"}, "samples": {"count": 0}},
+     "invalid config at samples/count: 0 is less than the minimum of 1"),
+    ({"model": {"kind": "klauder"}, "surprise": True},
+     "invalid config at <root>: Additional properties are not allowed ('surprise' was unexpected)"),
+])
+def test_invalid_config_message(tmp_path, capsys, config, message):
+    assert run_cli("brackets", "--config", write_config(tmp_path / "cfg.json", config)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_missing_file_exits_2(tmp_path):

@@ -47,6 +47,17 @@ def test_dual_transcendentals():
     assert y.eps[0] == pytest.approx(2.0 / (4.0 + 0.49), rel=1e-14)
 
 
+@pytest.mark.parametrize("fn, arg, dual", [
+    (duals.log, -1.0, False), (duals.log, -1.0, True), (duals.log, 0.0, True),
+    (duals.sqrt, -1.0, False), (duals.sqrt, -1.0, True), (duals.sqrt, 0.0, True),
+    (duals.exp, 1000.0, False), (duals.exp, 1000.0, True),
+    (duals.sinh, 1000.0, False), (duals.cosh, 1000.0, True),
+    (duals.sin, math.inf, False), (duals.cos, math.inf, True)])
+def test_dual_math_errors_are_numeric_domain_errors(fn, arg, dual):
+    with pytest.raises(NumericDomainError):
+        fn(duals.seed([arg])[0] if dual else arg)
+
+
 def test_dual_numpy_scalars_do_not_swallow_duals():
     x = duals.seed([2.0])[0]
     out = np.float64(3.0) * x + np.float64(1.0)

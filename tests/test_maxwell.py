@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -39,6 +42,62 @@ def test_vector_laplacian_matches_composition(small, rng):
     assert np.allclose(small.vector_laplacian(v), by_parts, atol=1e-13)
 
 
+# np.roll reference stencils: the lattice calculus as first written, on
+# (3, L, L, L) grids, kept here as the bitwise oracle for the index gathers
+
+def roll_forward_gradient(model, u):
+    u = np.asarray(u, dtype=float).reshape((model.side,) * 3)
+    out = np.empty((3,) + u.shape)
+    for i in range(3):
+        out[i] = (np.roll(u, -1, axis=i) - u) / model.spacing
+    return out.reshape(-1)
+
+
+def roll_backward_divergence(model, v):
+    v = np.asarray(v, dtype=float).reshape((3,) + (model.side,) * 3)
+    out = np.zeros(v.shape[1:])
+    for i in range(3):
+        out += (v[i] - np.roll(v[i], 1, axis=i)) / model.spacing
+    return out.reshape(-1)
+
+
+def roll_vector_laplacian(model, v):
+    v = np.asarray(v, dtype=float).reshape((3,) + (model.side,) * 3)
+    out = -6.0 * v
+    for axis in (1, 2, 3):
+        out += np.roll(v, -1, axis=axis) + np.roll(v, 1, axis=axis)
+    return (out / model.spacing ** 2).reshape(-1)
+
+
+def roll_energy(model, a, e):
+    v = np.asarray(a, dtype=float).reshape((3,) + (model.side,) * 3)
+    grad_sq = 0.0
+    for axis in (1, 2, 3):
+        diff = (np.roll(v, -1, axis=axis) - v) / model.spacing
+        grad_sq += float(np.sum(diff * diff))
+    e = np.asarray(e, dtype=float)
+    return 0.5 * (float(e @ e) + grad_sq)
+
+
+@pytest.mark.parametrize("side", [2, 3, 5])
+def test_stencils_match_roll_reference_bitwise(side, rng):
+    model = LatticeMaxwell(side=side, spacing=0.7)
+    u = rng.normal(size=model.sites)
+    a = rng.normal(size=model.n_components)
+    e = rng.normal(size=model.n_components)
+    assert np.array_equal(model.forward_gradient(u), roll_forward_gradient(model, u))
+    assert np.array_equal(model.backward_divergence(a), roll_backward_divergence(model, a))
+    assert np.array_equal(model.vector_laplacian(a), roll_vector_laplacian(model, a))
+    assert model.energy(a, e) == roll_energy(model, a, e)
+
+
+def test_batched_divergence_matches_rows(rng):
+    model = LatticeMaxwell(side=3, spacing=0.7)
+    batch = rng.normal(size=(4, model.n_components))
+    rows = np.stack([model.backward_divergence(v) for v in batch])
+    assert np.array_equal(model.backward_divergence(batch), rows)
+
+
 # -- transverse projector -----------------------------------------------------------
 
 @pytest.mark.parametrize("side", [2, 3, 4])
@@ -48,6 +107,17 @@ def test_projector_identities(side):
     assert np.max(np.abs(p @ p - p)) < 1e-10
     assert np.max(np.abs(p - p.T)) < 1e-10
     assert np.trace(p) == pytest.approx(2 * side ** 3 + 1, abs=1e-8)
+
+
+def test_projector_is_built_once_and_read_only():
+    model = LatticeMaxwell(side=2)
+    p = model.projector
+    assert model.projector is p
+    with pytest.raises(ValueError):
+        p[0, 0] = 0.0
+    fresh = model.transverse_projector()
+    assert fresh is not p and fresh.flags.writeable
+    assert np.array_equal(fresh, p)
 
 
 def test_projector_annihilates_gradients(rng):
@@ -154,6 +224,20 @@ def test_energy_and_gauss_conservation(rng):
         assert abs(energy - start) / max(1.0, start) < 1e-8
     assert np.max(traj.residuals["gauss"]) < 1e-9
     assert np.max(traj.residuals["transverse"]) < 1e-9
+
+
+def test_lattice_is_freed_by_reference_counting():
+    model = LatticeMaxwell(side=2)
+    a0, _ = model.lowest_standing_mode()
+    model.evolve(a0, model.random_transverse(np.random.default_rng(3), 0.2),
+                 IntegratorConfig(dt=1e-2, steps=2))
+    ref = weakref.ref(model)
+    gc.disable()
+    try:
+        del model
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_validation():

@@ -125,12 +125,31 @@ def _require_normalized(state: CircleState):
         raise UsageError("state is not normalized; call normalized() first")
 
 
-def evolve_static(state: CircleState, table: SpectrumTable, t: float) -> CircleState:
-    """c_m -> c_m exp(-i U_m t / hbar); unitary, norm enforced to roundoff."""
+def _phased(state: CircleState, table: SpectrumTable, t: float) -> np.ndarray:
+    """c_m exp(-i U_m t / hbar) of a normalized state on the table's window."""
     _require_normalized(state)
     table._match(state)
-    phases = np.exp(-1j * table.u_values * t / state.hbar)
-    return CircleState(state.coeffs * phases, state.hbar).normalized()
+    return state.coeffs * np.exp(-1j * table.u_values * t / state.hbar)
+
+
+def _simpson(integrand, a: float, b: float, intervals: int):
+    """Composite Simpson (weights 1-4-2-...-4-1) of integrand(nodes) along its last
+    axis over [a, b]; an odd interval count rounds up to the next even one."""
+    n = int(intervals)
+    if n < 2:
+        raise UsageError("need at least 2 quadrature steps")
+    n += n % 2
+    values = integrand(np.linspace(a, b, n + 1))
+    # the weights come after the integrand's temporaries are freed: the peak stays theirs
+    weights = np.ones(n + 1)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    return ((b - a) / n / 3.0) * (values @ weights)
+
+
+def evolve_static(state: CircleState, table: SpectrumTable, t: float) -> CircleState:
+    """c_m -> c_m exp(-i U_m t / hbar); unitary, norm enforced to roundoff."""
+    return CircleState(_phased(state, table, t), state.hbar).normalized()
 
 
 def evolve_time_dependent(state: CircleState, model: KlauderModel, t0: float, t1: float,
@@ -143,25 +162,18 @@ def evolve_time_dependent(state: CircleState, model: KlauderModel, t0: float, t1
     by composite Simpson quadrature on ``quadrature_steps`` subintervals.
     """
     _require_normalized(state)
-    steps = int(quadrature_steps)
-    if steps < 2:
-        raise UsageError("need at least 2 quadrature steps")
-    if steps % 2:
-        steps += 1
-    ts = np.linspace(t0, t1, steps + 1)
-    k = np.array([model.k_at(t) for t in ts])
-    if not np.all(np.isfinite(k)):
-        raise NumericDomainError("k(t) is non-finite on the integration window")
     hbar = state.hbar
     m = state.m_values.astype(float)
-    # r*_m(t) for all modes and times; (modes, times). Horner is elementwise.
-    r4 = (k[None, :] ** 2 + (m[:, None] * hbar) ** 2) / model.alpha ** 2
-    u = np.broadcast_to(np.asarray(model.potential(r4 ** 0.25), dtype=float), r4.shape)
-    weights = np.ones(steps + 1)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    h = (t1 - t0) / steps
-    integrals = (h / 3.0) * (u @ weights)
+
+    def potentials(ts):
+        k = np.array([model.k_at(t) for t in ts])
+        if not np.all(np.isfinite(k)):
+            raise NumericDomainError("k(t) is non-finite on the integration window")
+        # r*_m(t) for all modes and times; (modes, times). Horner is elementwise.
+        r4 = (k[None, :] ** 2 + (m[:, None] * hbar) ** 2) / model.alpha ** 2
+        return np.broadcast_to(np.asarray(model.potential(r4 ** 0.25), dtype=float), r4.shape)
+
+    integrals = _simpson(potentials, t0, t1, quadrature_steps)
     return CircleState(state.coeffs * np.exp(-1j * integrals / hbar), hbar).normalized()
 
 
@@ -206,9 +218,7 @@ def expect_phi(state: CircleState, table: SpectrumTable, t: float) -> PhiExpecta
     the off-diagonal sum is purely imaginary, so the result is real up to
     roundoff, which is reported rather than discarded.
     """
-    _require_normalized(state)
-    table._match(state)
-    d = state.coeffs * np.exp(-1j * table.u_values * t / state.hbar)
+    d = _phased(state, table, t)
     m = state.m_values
     diff = m[None, :] - m[:, None]  # n - m
     inv = np.zeros(diff.shape)
@@ -222,20 +232,10 @@ def expect_phi(state: CircleState, table: SpectrumTable, t: float) -> PhiExpecta
 def expect_phi_quadrature(state: CircleState, table: SpectrumTable, t: float,
                           nodes: int = 4096) -> float:
     """Quadrature oracle (1/2pi) int_0^{2pi} phi |psi(phi,t)|^2 dphi (Simpson)."""
-    _require_normalized(state)
-    table._match(state)
-    if nodes % 2:
-        nodes += 1
-    d = state.coeffs * np.exp(-1j * table.u_values * t / state.hbar)
-    evolved = CircleState(d, state.hbar)
-    phis = np.linspace(0.0, 2.0 * np.pi, nodes + 1)
-    density = np.abs(evolved.values_on_grid(phis)) ** 2
-    integrand = phis * density
-    weights = np.ones(nodes + 1)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    h = 2.0 * np.pi / nodes
-    return float((h / 3.0) * (weights @ integrand) / (2.0 * np.pi))
+    evolved = CircleState(_phased(state, table, t), state.hbar)
+    integral = _simpson(lambda phis: phis * np.abs(evolved.values_on_grid(phis)) ** 2,
+                        0.0, 2.0 * np.pi, nodes)
+    return float(integral / (2.0 * np.pi))
 
 
 @dataclass(frozen=True)
@@ -251,9 +251,7 @@ def expect_cartesian(state: CircleState, table: SpectrumTable, t: float) -> Cart
     <x + i y>   = sum_n r*_n c*_{n+1} c_n e^{(i/hbar)(U_{n+1} - U_n) t},
     <p_x+i p_y> = sum_n (k + i n hbar)/r*_n c*_{n+1} c_n e^{...}.
     """
-    _require_normalized(state)
-    table._match(state)
-    d = state.coeffs * np.exp(-1j * table.u_values * t / state.hbar)
+    d = _phased(state, table, t)
     lower, upper = d[:-1], d[1:]          # modes n and n+1
     coherence = np.conj(upper) * lower    # c*_{n+1} c_n with the phases folded in
     r_star = table.r_star[:-1]
@@ -273,9 +271,7 @@ def expect_cartesian(state: CircleState, table: SpectrumTable, t: float) -> Cart
 def expect_cartesian_matrix_oracle(state: CircleState, table: SpectrumTable,
                                    t: float) -> CartesianExpectations:
     """Same observables contracted against dense mode-space operator matrices."""
-    _require_normalized(state)
-    table._match(state)
-    d = state.coeffs * np.exp(-1j * table.u_values * t / state.hbar)
+    d = _phased(state, table, t)
     size = len(d)
     x_op = np.zeros((size, size), dtype=complex)
     p_op = np.zeros((size, size), dtype=complex)

@@ -113,13 +113,18 @@ SCENARIO_SCHEMA = _strict({
 _VALIDATOR = validator_for(SCENARIO_SCHEMA)(SCENARIO_SCHEMA)
 
 
+def _reject_constant(name: str):
+    # Python's json accepts NaN, Infinity and -Infinity; JSON (RFC 8259) does not
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as handle:
-            config = json.load(handle)
+            config = json.load(handle, parse_constant=_reject_constant)
     except OSError as err:
         raise ConfigError(f"cannot read config {path!r}: {err}") from err
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # JSONDecodeError, undecodable bytes, NaN/Infinity
         raise ConfigError(f"malformed JSON in {path!r}: {err}") from err
     err = best_match(_VALIDATOR.iter_errors(config))
     if err is not None:

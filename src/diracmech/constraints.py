@@ -97,6 +97,11 @@ class ConstraintSet:
         vals = self.values_at(coords, t)
         return {name: abs(float(v)) for name, v in zip(self.names, vals)}
 
+    def residual_series(self, times, states) -> dict[str, np.ndarray]:
+        """|Phi_I| at every (t, z) of a trajectory, one array per constraint name."""
+        vals = np.stack([np.abs(self.values_at(z, t)) for t, z in zip(times, states)])
+        return {name: vals[:, j] for j, name in enumerate(self.names)}
+
 
 def pairing_matrix_of_rows(rows: np.ndarray, n_pairs: int) -> np.ndarray:
     """M_IJ = {Phi_I, Phi_J} from stacked gradient rows; antisymmetric by construction."""
@@ -111,9 +116,10 @@ def constraint_matrix(cs: ConstraintSet, x: PhaseSpacePoint) -> np.ndarray:
 
 
 def degeneracy_scale(m: np.ndarray) -> float:
+    """max(1, prod of row norms); NaN or inf when an entry of M is not finite."""
     if m.shape[0] == 0:
         return 1.0
-    return float(max(1.0, np.prod(np.linalg.norm(m, axis=1))))
+    return float(max(np.prod(np.linalg.norm(m, axis=1)), 1.0))  # max keeps a leading NaN
 
 
 def pairing_det(m: np.ndarray) -> float:
@@ -132,15 +138,26 @@ def _solve_pairing(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(m, rhs)
 
 
-def _require_invertible(m: np.ndarray, coords=None) -> float:
+def _constraint_brackets(rows: np.ndarray, grad: np.ndarray, n_pairs: int) -> np.ndarray:
+    """{Phi_I, g} for every constraint, from its gradient rows and the gradient of g."""
+    return rows[:, :n_pairs] @ grad[n_pairs:] - rows[:, n_pairs:] @ grad[:n_pairs]
+
+
+def _pairing_multipliers(rows: np.ndarray, rhs: np.ndarray, n_pairs: int, coords) -> np.ndarray:
+    """M^-1 rhs, with M built from ``rows``; the one degeneracy guard of the package.
+
+    A non-finite M, or |det M| <= DEGENERACY_RTOL * max(1, prod of row norms),
+    raises DegeneracyError: the set is not Second Class at ``coords``.
+    """
+    m = pairing_matrix_of_rows(rows, n_pairs)
     det = pairing_det(m)
-    if abs(det) <= DEGENERACY_RTOL * degeneracy_scale(m):
+    # a NaN det or scale fails the comparison too: a non-finite M counts as singular
+    if not abs(det) > DEGENERACY_RTOL * degeneracy_scale(m):
         raise DegeneracyError(
             f"constraint pairing matrix is singular (det={det:.3e}); "
             "system is not Second Class here",
-            det=det, coords=None if coords is None else np.array(coords),
-        )
-    return det
+            det=det, coords=np.array(coords))
+    return _solve_pairing(m, rhs)
 
 
 @dataclass(frozen=True)
@@ -215,13 +232,9 @@ def dirac_bracket(a: ScalarField, b: ScalarField, cs: Optional[ConstraintSet],
     ga = a.gradient(x)
     gb = b.gradient(x)
     rows = cs.gradient_rows(x.coords)
-    m = pairing_matrix_of_rows(rows, n)
-    _require_invertible(m, x.coords)
-    pb = bracket_of_gradients(ga, gb, n)
-    # v_a[I] = {a, Phi_I}; v_b[J] = {Phi_J, b}
-    v_a = rows[:, n:] @ ga[:n] - rows[:, :n] @ ga[n:]
-    v_b = rows[:, :n] @ gb[n:] - rows[:, n:] @ gb[:n]
-    return float(pb - v_a @ _solve_pairing(m, v_b))
+    w = _pairing_multipliers(rows, _constraint_brackets(rows, gb, n), n, x.coords)
+    # {a, Phi_I} = -{Phi_I, a}
+    return float(bracket_of_gradients(ga, gb, n) + _constraint_brackets(rows, ga, n) @ w)
 
 
 @dataclass(frozen=True)

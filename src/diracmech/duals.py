@@ -126,73 +126,31 @@ def gradient(func, coords):
 _MATH_ERRORS = (ValueError, OverflowError, ZeroDivisionError)
 
 
-def _domain_error(name, x, err):
-    return NumericDomainError(f"{name}({_value(x)!r}): {err}")
+def _lift(fn, tangent):
+    """``fn`` on floats and duals; ``tangent(v, x)`` is the tangent of a dual ``x``
+    with value ``v = fn(x.val)``."""
+    name = fn.__name__
+
+    def lifted(x):
+        try:
+            if isinstance(x, Dual):
+                v = fn(x.val)
+                return Dual(v, tangent(v, x))
+            return fn(x)
+        except _MATH_ERRORS as err:
+            raise NumericDomainError(f"{name}({_value(x)!r}): {err}") from err
+
+    lifted.__name__ = lifted.__qualname__ = name
+    return lifted
 
 
-def sqrt(x):
-    try:
-        if isinstance(x, Dual):
-            v = math.sqrt(x.val)
-            return Dual(v, (0.5 / v) * x.eps)
-        return math.sqrt(x)
-    except _MATH_ERRORS as err:
-        raise _domain_error("sqrt", x, err) from err
-
-
-def exp(x):
-    try:
-        if isinstance(x, Dual):
-            v = math.exp(x.val)
-            return Dual(v, v * x.eps)
-        return math.exp(x)
-    except _MATH_ERRORS as err:
-        raise _domain_error("exp", x, err) from err
-
-
-def log(x):
-    try:
-        if isinstance(x, Dual):
-            return Dual(math.log(x.val), x.eps / x.val)
-        return math.log(x)
-    except _MATH_ERRORS as err:
-        raise _domain_error("log", x, err) from err
-
-
-def sin(x):
-    try:
-        if isinstance(x, Dual):
-            return Dual(math.sin(x.val), math.cos(x.val) * x.eps)
-        return math.sin(x)
-    except _MATH_ERRORS as err:
-        raise _domain_error("sin", x, err) from err
-
-
-def cos(x):
-    try:
-        if isinstance(x, Dual):
-            return Dual(math.cos(x.val), -math.sin(x.val) * x.eps)
-        return math.cos(x)
-    except _MATH_ERRORS as err:
-        raise _domain_error("cos", x, err) from err
-
-
-def sinh(x):
-    try:
-        if isinstance(x, Dual):
-            return Dual(math.sinh(x.val), math.cosh(x.val) * x.eps)
-        return math.sinh(x)
-    except _MATH_ERRORS as err:
-        raise _domain_error("sinh", x, err) from err
-
-
-def cosh(x):
-    try:
-        if isinstance(x, Dual):
-            return Dual(math.cosh(x.val), math.sinh(x.val) * x.eps)
-        return math.cosh(x)
-    except _MATH_ERRORS as err:
-        raise _domain_error("cosh", x, err) from err
+sqrt = _lift(math.sqrt, lambda v, x: (0.5 / v) * x.eps)
+exp = _lift(math.exp, lambda v, x: v * x.eps)
+log = _lift(math.log, lambda v, x: x.eps / x.val)
+sin = _lift(math.sin, lambda v, x: math.cos(x.val) * x.eps)
+cos = _lift(math.cos, lambda v, x: -math.sin(x.val) * x.eps)
+sinh = _lift(math.sinh, lambda v, x: math.cosh(x.val) * x.eps)
+cosh = _lift(math.cosh, lambda v, x: math.sinh(x.val) * x.eps)
 
 
 def atan2(y, x):

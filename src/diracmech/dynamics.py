@@ -15,8 +15,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .constraints import (ConstraintSet, degeneracy_scale, pairing_det,
-                          pairing_matrix_of_rows, DEGENERACY_RTOL, _solve_pairing)
+from .constraints import ConstraintSet, _constraint_brackets, _pairing_multipliers
 from .errors import DegeneracyError, NumericDomainError, UsageError
 from .fields import ScalarField
 from .phase import ChartSpec, PhaseSpacePoint, require_same_chart
@@ -153,17 +152,11 @@ def _dirac_rhs(flow: DiracFlow, n: int):
     def rhs(t, z):
         gh = h.gradient_at(z)
         rows = cs.gradient_rows(z)
-        m = pairing_matrix_of_rows(rows, n)
-        det = pairing_det(m)
-        if abs(det) <= DEGENERACY_RTOL * degeneracy_scale(m):
-            raise DegeneracyError(
-                f"pairing matrix degenerated along the flow (det={det:.3e})",
-                det=det, coords=np.array(z))
         # s_J = {Phi_J, H} (+ explicit-time rates)
-        s = rows[:, :n] @ gh[n:] - rows[:, n:] @ gh[:n]
+        s = _constraint_brackets(rows, gh, n)
         if time_dependent:
             s = s + cs.rates_at(t)
-        effective = gh - rows.T @ _solve_pairing(m, s)
+        effective = gh - rows.T @ _pairing_multipliers(rows, s, n, z)
         return _symplectic_apply(effective, n)
 
     return rhs
@@ -259,11 +252,7 @@ def evolve(x0: PhaseSpacePoint, flow: FlowSpec, cfg: IntegratorConfig,
 
 
 def _finalize(chart, times, states, watched, generator) -> Trajectory:
-    residuals: dict[str, np.ndarray] = {}
-    if watched is not None and len(watched):
-        vals = np.stack([np.abs(watched.values_at(states[i], times[i]))
-                         for i in range(len(times))])
-        residuals = {name: vals[:, j] for j, name in enumerate(watched.names)}
+    residuals = watched.residual_series(times, states) if watched is not None else {}
     gen_values = None
     if generator is not None:
         gen_values = np.array([generator.value_at(states[i]) for i in range(len(times))])
@@ -283,14 +272,7 @@ def constraint_drift(traj: Trajectory, cs: Optional[ConstraintSet] = None) -> di
     Uses the trajectory's recorded residuals unless a constraint set is given,
     in which case residuals are recomputed from the stored states.
     """
-    if cs is not None:
-        series = {
-            name: np.array([abs(cs.values_at(traj.states[i], traj.times[i])[j])
-                            for i in range(len(traj))])
-            for j, name in enumerate(cs.names)
-        }
-    else:
-        series = traj.residuals
+    series = traj.residuals if cs is None else cs.residual_series(traj.times, traj.states)
     out = {}
     for name, values in series.items():
         if len(traj) > 1:

@@ -22,6 +22,7 @@ Class generator (1/2)(p.p - alpha^2 q.q), whose orbit is the cosh/sinh map in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Union
@@ -95,6 +96,8 @@ class KlauderModel:
             raise UsageError("hbar must be positive")
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "hbar", float(self.hbar))
+        if not math.isfinite(self.alpha * self.alpha):
+            raise UsageError(f"alpha^2 is not finite for alpha = {self.alpha!r}")
         if not isinstance(self.potential, RadialPotential):
             object.__setattr__(self, "potential", RadialPotential(tuple(self.potential)))
         if not isinstance(self.k, KRamp):
@@ -146,10 +149,9 @@ class KlauderModel:
                              fields=(self.gauge_condition, self.constraint),
                              names=("chi", "C"), time_ramps=ramps)
 
-    def hamiltonian(self, potential: Optional[RadialPotential] = None) -> ScalarField:
+    def hamiltonian(self) -> ScalarField:
         """Physical Hamiltonian C + U(r) = (1/2)alpha^2 r^2 + (U(r) - alpha^2 r^2) on-surface."""
-        u = potential if potential is not None else self.potential
-        c = self.constraint
+        u, c = self.potential, self.constraint
 
         def func(z, c=c, u=u):
             return c.func(z) + u(z[0])
@@ -288,13 +290,12 @@ class KlauderModel:
         k = self.k_at(t)
         return 2.0 * (k * k + p_phi * p_phi)
 
-    def phi_rate(self, p_phi: float, potential: Optional[RadialPotential] = None) -> float:
+    def phi_rate(self, p_phi: float) -> float:
         """Angular rate {phi, C + U(r)}_D on-surface: p_phi U'(r*) / (2 alpha^2 r*^3)."""
-        u = potential if potential is not None else self.potential
         r_star, _ = self.reduced_point(p_phi)
-        return p_phi * float(u.derivative(r_star)) / (2.0 * self.alpha ** 2 * r_star ** 3)
+        slope = float(self.potential.derivative(r_star))
+        return p_phi * slope / (2.0 * self.alpha ** 2 * r_star ** 3)
 
-    def circular_orbit(self, phi0: float, p_phi: float, t,
-                       potential: Optional[RadialPotential] = None):
+    def circular_orbit(self, phi0: float, p_phi: float, t):
         """phi(t) on the circular orbit; r, p_r, p_phi are constants of motion."""
-        return phi0 + self.phi_rate(p_phi, potential) * np.asarray(t, dtype=float)
+        return phi0 + self.phi_rate(p_phi) * np.asarray(t, dtype=float)

@@ -38,6 +38,8 @@ class RelativisticParticle:
         if self.spatial_dim < 1:
             raise UsageError("need at least one spatial dimension")
         object.__setattr__(self, "mass", float(self.mass))
+        if not math.isfinite(self.mass * self.mass):
+            raise UsageError(f"mass^2 is not finite for mass = {self.mass!r}")
 
     @cached_property
     def full_chart(self) -> ChartSpec:

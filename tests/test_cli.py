@@ -128,6 +128,48 @@ def test_missing_file_exits_2(tmp_path):
     assert run_cli("brackets", "--config", str(tmp_path / "absent.json")) == 2
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_nonfinite_json_literal_exits_2(tmp_path, capsys, literal):
+    # Python's json parses these; a table of nan rows would otherwise exit 0
+    path = tmp_path / "cfg.json"
+    path.write_text('{"model": {"kind": "klauder", "alpha": %s}, "samples": {"count": 2}}'
+                    % literal)
+    out = tmp_path / "table.csv"
+    assert run_cli("brackets", "--config", str(path), "--out", str(out)) == 2
+    assert f"{literal} is not a JSON number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_undecodable_config_exits_2(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"model": "\xff\xfe"}')
+    assert run_cli("brackets", "--config", str(bad)) == 2
+
+
+@pytest.mark.parametrize("command, model, extra", [
+    ("brackets", {"kind": "klauder", "alpha": 1e200}, {"samples": {"count": 2}}),
+    ("brackets", {"kind": "particle", "mass": 1e200}, {"samples": {"count": 2}}),
+    ("quantum", {"kind": "klauder", "alpha": 1e200},
+     {"quantum": {"m_max": 1, "single_mode": 0, "times": [0.0]}}),
+])
+def test_overflowing_model_parameter_exits_2(tmp_path, capsys, command, model, extra):
+    config = write_config(tmp_path / "cfg.json", {"model": model, **extra})
+    assert run_cli(command, "--config", config, "--out", str(tmp_path / "out.csv")) == 2
+    assert "is not finite" in capsys.readouterr().err
+
+
+def test_brackets_nonfinite_pairing_matrix_exits_3(tmp_path, capsys):
+    # M = [[nan, inf], [-inf, 0]]; the unscaled pair (q p, p^2) gives {q, p}_D = 0
+    config = write_config(tmp_path / "cfg.json", {
+        "model": {"kind": "custom", "labels": ["q", "p"], "constraints": [
+            {"name": "A", "terms": [{"coeff": 1e300, "powers": [1, 1]}]},
+            {"name": "B", "terms": [{"coeff": 1e300, "powers": [0, 2]}]}]},
+        "samples": {"count": 3},
+    })
+    assert run_cli("brackets", "--config", config, "--out", str(tmp_path / "t.csv")) == 3
+    assert "not Second Class" in capsys.readouterr().err
+
+
 # -- evolve ---------------------------------------------------------------------
 
 def test_evolve_dirac_flow_constant_radius(tmp_path):

@@ -154,6 +154,19 @@ def test_dirac_degenerate_set_raises():
         dirac_bracket(a, b, cs, FLAT.point([0.0, 0.0, 1.0, 1.0]))
 
 
+def test_dirac_nonfinite_pairing_matrix_raises():
+    # 1e300 q p and 1e300 p^2 overflow M to [[nan, inf], [-inf, 0]]; the unscaled
+    # pair (q p, p^2) gives {q, p}_D = 0 there, so no finite answer may pass
+    chart = ChartSpec(labels=("q", "p"), name="line")
+    cs = ConstraintSet(chart, (polynomial_field(chart, [(1e300, (1, 1))], name="A"),
+                               polynomial_field(chart, [(1e300, (0, 2))], name="B")),
+                       ("A", "B"))
+    x = chart.point([0.5, -1.5])
+    assert not np.all(np.isfinite(constraint_matrix(cs, x)))
+    with pytest.raises(DegeneracyError, match="Second Class"):
+        dirac_bracket(coordinate_field(chart, "q"), coordinate_field(chart, "p"), cs, x)
+
+
 # -- observables -----------------------------------------------------------------
 
 def test_observables_commute_with_constraints(model, polar_coords, rng):

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from diracmech.constraints import ConstraintSet
+from diracmech.constraints import ConstraintSet, dirac_bracket
 from diracmech.dynamics import (DiracFlow, GaugeFlow, IntegratorConfig, NewtonProjection,
-                                PoissonFlow, constraint_drift, evolve,
+                                PoissonFlow, _dirac_rhs, constraint_drift, evolve,
                                 gauge_orbit_closed_form, multiplier_from_gauge)
 from diracmech.errors import DegeneracyError, NumericDomainError, UsageError
-from diracmech.fields import constant_field, function_field, polynomial_field
+from diracmech.fields import constant_field, coordinate_field, function_field, polynomial_field
 from diracmech.models import KlauderModel, KRamp, RadialPotential
 from diracmech.phase import ChartSpec
 
@@ -177,6 +177,23 @@ def test_degeneracy_mid_run_keeps_partial_trajectory():
     assert partial is not None and 1 <= len(partial) < 2001
 
 
+def test_dirac_vector_field_is_the_dirac_bracket(rng):
+    # dz_i/dt = {z_i, H}_D: the flow and the bracket share one pairing solve
+    model = KlauderModel(alpha=1.3, k=0.7, potential=RadialPotential((0.0, 0.4, 0.1)))
+    chart, cs, h = model.polar_chart, model.constraint_set, model.hamiltonian()
+    rhs = _dirac_rhs(DiracFlow(h, cs), chart.n_pairs)
+    coords = [coordinate_field(chart, label) for label in chart.labels]
+    for x in model.sample_surface(rng, 20):
+        expected = [dirac_bracket(z, h, cs, x) for z in coords]
+        assert np.max(np.abs(rhs(0.0, x.coords) - expected)) < 1e-12
+    # near the excluded origin with p_r = p_phi = 0, det M = alpha^4 r^4 is below the guard
+    x = chart.point([1e-4, 0.3, 0.0, 0.0])
+    with pytest.raises(DegeneracyError, match="not Second Class"):
+        rhs(0.0, x.coords)
+    with pytest.raises(DegeneracyError, match="not Second Class"):
+        dirac_bracket(coords[1], h, cs, x)
+
+
 # -- trajectory bookkeeping ---------------------------------------------------------
 
 def test_trajectory_invariants():
@@ -233,3 +250,16 @@ def test_dirac_flow_rejects_odd_or_empty_sets():
     x0 = model.embed_reduced(0.0, 1.0)
     with pytest.raises(UsageError):
         evolve(x0, DiracFlow(model.hamiltonian(), alone), IntegratorConfig(dt=0.1, steps=1))
+
+
+def test_constraint_drift_recomputed_equals_recorded():
+    # the recorded residuals and the recomputed ones come from one residual series
+    ramped = KlauderModel(alpha=1.0, k=KRamp(1.0, 0.5), potential=RadialPotential.harmonic())
+    traj = evolve(ramped.embed_reduced(0.2, 1.3),
+                  DiracFlow(ramped.hamiltonian(), ramped.constraint_set),
+                  IntegratorConfig(dt=1e-2, steps=50))
+    assert constraint_drift(traj, ramped.constraint_set) == constraint_drift(traj)
+    model = KlauderModel(alpha=1.0, k=1.0)
+    traj = evolve(model.embed_reduced(0.0, 1.0), PoissonFlow(model.hamiltonian()),
+                  IntegratorConfig(dt=1e-2, steps=50), monitor=model.constraint_set)
+    assert constraint_drift(traj, model.constraint_set) == constraint_drift(traj)

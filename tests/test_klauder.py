@@ -186,3 +186,9 @@ def test_model_validation():
         KlauderModel(alpha=0.0)
     with pytest.raises(UsageError):
         KlauderModel(hbar=-1.0)
+
+
+@pytest.mark.parametrize("alpha", [1e200, 1.5e154, math.nan])
+def test_model_rejects_alpha_whose_square_is_not_finite(alpha):
+    with pytest.raises(UsageError, match="alpha"):
+        KlauderModel(alpha=alpha)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -70,3 +72,9 @@ def test_validation():
         RelativisticParticle(mass=1.0, spatial_dim=0)
     with pytest.raises(UsageError):
         RelativisticParticle(mass=1.0).trajectory([0.0], [1.0, 0.0, 0.0], 1.0)
+
+
+@pytest.mark.parametrize("mass", [1e200, math.inf, math.nan])
+def test_mass_whose_square_is_not_finite_rejected(mass):
+    with pytest.raises(UsageError, match="mass"):
+        RelativisticParticle(mass=mass)

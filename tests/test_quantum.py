@@ -240,3 +240,13 @@ def test_window_mismatch_rejected(rng):
     model, table = table_for(m_max=4)
     with pytest.raises(UsageError, match="window"):
         expect_reduced(CircleState.random(rng, 3), table)
+
+
+@pytest.mark.parametrize("nodes", [0, 1, -4])
+def test_quadrature_needs_two_intervals(nodes):
+    model, table = table_for()
+    state = CircleState.single_mode(1, 4)
+    with pytest.raises(UsageError, match="at least 2"):
+        expect_phi_quadrature(state, table, 0.5, nodes=nodes)
+    with pytest.raises(UsageError, match="at least 2"):
+        evolve_time_dependent(state, model, 0.0, 1.0, quadrature_steps=nodes)

@@ -8,7 +8,7 @@ built-in planar model. See the README for the CLI and scenario format.
 
 from .brackets import poisson_bracket
 from .constraints import (ClassificationResult, ConstraintSet, SurfaceParametrization,
-                          classify, constraint_matrix, dirac_bracket,
+                          classify, constraint_matrix, dirac_bracket, dirac_tensor,
                           faddeev_popov_determinant, observable_check,
                           pair_jacobian_check, reduced_bracket_check)
 from .dynamics import (DiracFlow, GaugeFlow, IntegratorConfig, NewtonProjection,
@@ -27,7 +27,7 @@ __all__ = [
     "coordinate_field", "constant_field", "function_field", "polynomial_field",
     "poisson_bracket", "gradient_consistency_check",
     "ConstraintSet", "ClassificationResult", "SurfaceParametrization",
-    "constraint_matrix", "classify", "dirac_bracket", "observable_check",
+    "constraint_matrix", "classify", "dirac_bracket", "dirac_tensor", "observable_check",
     "reduced_bracket_check", "faddeev_popov_determinant", "pair_jacobian_check",
     "PoissonFlow", "DiracFlow", "GaugeFlow", "IntegratorConfig", "NewtonProjection",
     "Trajectory", "evolve", "constraint_drift", "gauge_orbit_closed_form",

@@ -18,6 +18,11 @@ def bracket_of_gradients(ga: np.ndarray, gb: np.ndarray, n_pairs: int) -> float:
     return float(ga[:n] @ gb[n:] - gb[:n] @ ga[n:])
 
 
+def poisson_tensor(n_pairs: int) -> np.ndarray:
+    """J_ab = {z_a, z_b}; a difference of shifted identities, so no zero is -0.0."""
+    return np.eye(2 * n_pairs, k=n_pairs) - np.eye(2 * n_pairs, k=-n_pairs)
+
+
 def poisson_bracket(a: ScalarField, b: ScalarField, x: PhaseSpacePoint) -> float:
     chart = require_same_chart(a, b, x)
     ga = a.gradient(x)

@@ -166,7 +166,7 @@ def evolve_time_dependent(state: CircleState, model: KlauderModel, t0: float, t1
     m = state.m_values.astype(float)
 
     def potentials(ts):
-        k = np.array([model.k_at(t) for t in ts])
+        k = np.broadcast_to(model.k_at(ts), ts.shape)  # KRamp is affine; a float k broadcasts
         if not np.all(np.isfinite(k)):
             raise NumericDomainError("k(t) is non-finite on the integration window")
         # r*_m(t) for all modes and times; (modes, times). Horner is elementwise.

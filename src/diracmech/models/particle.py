@@ -19,11 +19,11 @@ from typing import Optional
 import numpy as np
 
 from .. import duals
-from ..constraints import ConstraintSet, dirac_bracket
+from ..constraints import ConstraintSet, dirac_tensor
 from ..brackets import poisson_bracket
 from ..dynamics import PoissonFlow
 from ..errors import UsageError
-from ..fields import ScalarField, coordinate_field, function_field
+from ..fields import ScalarField, function_field
 from ..phase import ChartSpec, PhaseSpacePoint
 
 
@@ -156,24 +156,17 @@ class RelativisticParticle:
         pairing: {chi, C} vs p0;   xp: {x^i, p_j}_D vs delta_ij;
         xx, pp: spatial Dirac brackets that must vanish.
         """
-        chart = self.full_chart
         d = self.spatial_dim
-        xs = [coordinate_field(chart, f"x{i}") for i in range(1, d + 1)]
-        ps = [coordinate_field(chart, f"p{i}") for i in range(1, d + 1)]
+        xs, ps = slice(1, d + 1), slice(d + 2, 2 * d + 2)
         worst = {"pairing": 0.0, "xp": 0.0, "xx": 0.0, "pp": 0.0}
         for x in samples:
             cs = self.constraint_set(tau=x["x0"])
-            vals = cs.values_at(x.coords)
-            if np.max(np.abs(vals)) >= 1e-9:
+            if np.max(np.abs(cs.values_at(x.coords))) >= 1e-9:
                 raise UsageError("sample is off-shell; use on_shell_point")
-            p0 = x["p0"]
             worst["pairing"] = max(worst["pairing"],
-                                   abs(poisson_bracket(cs.fields[0], cs.fields[1], x) - p0))
-            for i in range(d):
-                for j in range(d):
-                    target = 1.0 if i == j else 0.0
-                    worst["xp"] = max(worst["xp"],
-                                      abs(dirac_bracket(xs[i], ps[j], cs, x) - target))
-                    worst["xx"] = max(worst["xx"], abs(dirac_bracket(xs[i], xs[j], cs, x)))
-                    worst["pp"] = max(worst["pp"], abs(dirac_bracket(ps[i], ps[j], cs, x)))
+                                   abs(poisson_bracket(cs.fields[0], cs.fields[1], x) - x["p0"]))
+            dirac = dirac_tensor(cs, x)
+            worst["xp"] = max(worst["xp"], float(np.max(np.abs(dirac[xs, ps] - np.eye(d)))))
+            worst["xx"] = max(worst["xx"], float(np.max(np.abs(dirac[xs, xs]))))
+            worst["pp"] = max(worst["pp"], float(np.max(np.abs(dirac[ps, ps]))))
         return worst

@@ -17,10 +17,11 @@ from .brackets import poisson_bracket, poisson_bracket_field
 from .circle import (CircleState, SpectrumTable, evolve_static, evolve_time_dependent,
                      expect_cartesian, expect_cartesian_matrix_oracle, expect_phi,
                      expect_phi_quadrature, expect_reduced)
-from .constraints import (ConstraintSet, classify, dirac_bracket, observable_check,
-                          pair_jacobian_check, reduced_bracket_check)
+from .constraints import (ConstraintSet, classify, dirac_bracket, dirac_tensor,
+                          observable_check, pair_jacobian_check, reduced_bracket_check)
 from .dynamics import (IntegratorConfig, PoissonFlow, constraint_drift, evolve,
                        gauge_orbit_closed_form)
+from .errors import UsageError
 from .fields import (coordinate_field, field_product, gradient_consistency_check,
                      polynomial_field)
 from .models import KlauderModel, KRamp, LatticeMaxwell, RadialPotential, RelativisticParticle
@@ -203,12 +204,12 @@ def check_classification(rng, fault):
 def check_bracket_table(rng, fault):
     model = KlauderModel(alpha=1.0, k=1.0)
     chart = model.bracket_chart
-    coords = {l: coordinate_field(chart, l) for l in chart.labels}
     worst = 0.0
     for x in model.sample(rng, 200):
+        engine = dirac_tensor(model.constraints_at(x), x)
         for pair in model.bracket_pairs:
-            engine = dirac_bracket(coords[pair[0]], coords[pair[1]], model.constraints_at(x), x)
-            worst = max(worst, abs(engine - (model.dirac_oracle(pair, x) + fault)))
+            value = engine[chart.index(pair[0]), chart.index(pair[1])]
+            worst = max(worst, abs(value - (model.dirac_oracle(pair, x) + fault)))
     return _result("klauder.bracket_table", worst, 1e-9, "matrix formula vs closed forms")
 
 
@@ -261,7 +262,6 @@ def check_rotational_invariance(rng, fault):
     worst = 0.0
     for trial in range(10):
         # fields of (r, p_r, p_phi) only: rotation generator must Dirac-commute
-        dim = chart.dim
         spec = []
         for _ in range(4):
             powers = [0, 0, 0, 0]
@@ -534,8 +534,6 @@ def run_suite(selector: str = "all", seed: int = DEFAULT_SEED,
     elif selector in SUITES:
         checks = SUITES[selector]
     else:
-        from .errors import UsageError
-
         raise UsageError(f"unknown suite {selector!r}; choose from {available_suites()}")
     results = []
     for check in checks:

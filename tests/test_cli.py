@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -159,15 +160,20 @@ def test_overflowing_model_parameter_exits_2(tmp_path, capsys, command, model, e
 
 
 def test_brackets_nonfinite_pairing_matrix_exits_3(tmp_path, capsys):
-    # M = [[nan, inf], [-inf, 0]]; the unscaled pair (q p, p^2) gives {q, p}_D = 0
-    config = write_config(tmp_path / "cfg.json", {
-        "model": {"kind": "custom", "labels": ["q", "p"], "constraints": [
-            {"name": "A", "terms": [{"coeff": 1e300, "powers": [1, 1]}]},
-            {"name": "B", "terms": [{"coeff": 1e300, "powers": [0, 2]}]}]},
-        "samples": {"count": 3},
-    })
-    assert run_cli("brackets", "--config", config, "--out", str(tmp_path / "t.csv")) == 3
-    assert "not Second Class" in capsys.readouterr().err
+    # M = [[nan, inf], [-inf, 0]]; the unscaled pair (q p, p^2) gives {q, p}_D = 0.
+    # alpha = 1e154 keeps alpha^2 finite, but the constraint gradients overflow.
+    custom = {"kind": "custom", "labels": ["q", "p"], "constraints": [
+        {"name": "A", "terms": [{"coeff": 1e300, "powers": [1, 1]}]},
+        {"name": "B", "terms": [{"coeff": 1e300, "powers": [0, 2]}]}]}
+    for model in (custom, {"kind": "klauder", "alpha": 1e154}):
+        config = write_config(tmp_path / "cfg.json", {"model": model, "samples": {"count": 3}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy overflow warnings would reach stderr
+            code = run_cli("brackets", "--config", config, "--out", str(tmp_path / "t.csv"))
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "error: constraint pairing matrix has a non-finite entry; "
+            "system is not Second Class here"]
 
 
 # -- evolve ---------------------------------------------------------------------

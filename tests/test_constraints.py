@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from diracmech.brackets import poisson_bracket
+from diracmech.brackets import poisson_bracket, poisson_tensor
 from diracmech.constraints import (ConstraintSet, classify, constraint_matrix,
-                                   dirac_bracket, faddeev_popov_determinant,
+                                   dirac_bracket, dirac_tensor, faddeev_popov_determinant,
                                    observable_check, pair_jacobian_check,
                                    reduced_bracket_check)
 from diracmech.errors import DegeneracyError, UsageError
 from diracmech.fields import coordinate_field, polynomial_field
-from diracmech.models import KlauderModel
+from diracmech.models import CustomModel, KlauderModel, KRamp, RelativisticParticle
 from diracmech.phase import ChartSpec
 
 from conftest import fd_poisson_bracket, random_polynomial
@@ -167,6 +167,78 @@ def test_dirac_nonfinite_pairing_matrix_raises():
         dirac_bracket(coordinate_field(chart, "q"), coordinate_field(chart, "p"), cs, x)
 
 
+# -- Dirac tensor -----------------------------------------------------------------
+
+# four constraints on three pairs: the pairing solve takes the LU route
+CUSTOM_FOUR = CustomModel(labels=("q1", "q2", "q3", "p1", "p2", "p3"), constraints=(
+    ("A", ((1.0, (1, 0, 0, 0, 0, 0)), (1.0, (0, 1, 0, 0, 0, 1)))),
+    ("B", ((1.0, (0, 0, 0, 1, 0, 0)),)),
+    ("C", ((1.0, (0, 1, 0, 0, 0, 0)), (0.5, (0, 0, 2, 0, 0, 0)))),
+    ("D", ((1.0, (0, 0, 0, 0, 1, 0)), (1.0, (0, 0, 2, 0, 0, 0))))))
+
+
+def tensor_points(rng):
+    """(constraint set, point) at Klauder, particle and four-constraint custom samples."""
+    for model in (KlauderModel(alpha=1.3, k=KRamp(0.7, 0.2)), RelativisticParticle(mass=2.0),
+                  CUSTOM_FOUR):
+        for x in model.sample(rng, 10):
+            yield model.constraints_at(x), x
+
+
+def reference_bracket(a, b, cs, x):
+    """The per-pair formula {a,b} + {Phi,a} . M^-1 {Phi,b}, with M solved by LU."""
+    n = x.chart.n_pairs
+    ga, gb = a.gradient(x), b.gradient(x)
+    rows = cs.gradient_rows(x.coords)
+
+    def with_constraints(g):  # {Phi_I, g}
+        return rows[:, :n] @ g[n:] - rows[:, n:] @ g[:n]
+
+    m = np.stack([with_constraints(row) for row in rows], axis=1)
+    pb = ga[:n] @ gb[n:] - ga[n:] @ gb[:n]
+    return pb + with_constraints(ga) @ np.linalg.solve(m, with_constraints(gb))
+
+
+def test_dirac_tensor_antisymmetric_and_canonical_without_constraints(rng):
+    for cs, x in tensor_points(rng):
+        d = dirac_tensor(cs, x)
+        assert np.max(np.abs(d + d.T)) <= 1e-12 * np.max(np.abs(d))
+    x = FLAT.point(rng.uniform(-3, 3, 4))
+    j = poisson_tensor(2)
+    assert np.array_equal(j, [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]])
+    assert not np.any(np.signbit(j[j == 0]))  # a -0.0 would print as "-0" in tables
+    for empty in (ConstraintSet(FLAT, (), ()), None):
+        d = dirac_tensor(empty, x)
+        assert np.array_equal(d, j) and not np.any(np.signbit(d[d == 0]))
+
+
+def test_dirac_tensor_annihilates_constraint_gradients(rng):
+    # {z_a, Phi_I}_D = (D grad Phi_I)_a = 0: every coordinate is an observable
+    for cs, x in tensor_points(rng):
+        d = dirac_tensor(cs, x)
+        rows = cs.gradient_rows(x.coords)
+        assert np.max(np.abs(d @ rows.T)) <= 1e-12 * np.max(np.abs(d)) * np.max(np.abs(rows))
+
+
+def test_dirac_tensor_matches_per_pair_formula(rng):
+    for cs, x in tensor_points(rng):
+        chart = x.chart
+        coords = [coordinate_field(chart, label) for label in chart.labels]
+        d = dirac_tensor(cs, x)
+        expected = np.array([[reference_bracket(a, b, cs, x) for b in coords] for a in coords])
+        assert np.max(np.abs(d - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
+        a = random_polynomial(chart, rng, name="a")
+        b = random_polynomial(chart, rng, name="b")
+        assert dirac_bracket(a, b, cs, x) == pytest.approx(reference_bracket(a, b, cs, x),
+                                                           rel=1e-12, abs=1e-12)
+
+
+def test_dirac_tensor_chart_mismatch_raises(model):
+    x = FLAT.point([0.0, 0.0, 1.0, 1.0])
+    with pytest.raises(UsageError, match="different charts"):
+        dirac_tensor(model.constraint_set, x)
+
+
 # -- observables -----------------------------------------------------------------
 
 def test_observables_commute_with_constraints(model, polar_coords, rng):
@@ -246,6 +318,12 @@ def test_fp_determinant_values(model):
     x_surf = model.embed_reduced(0.0, 0.0)
     assert faddeev_popov_determinant([model.gauge_condition], [model.constraint], x_surf) \
         == pytest.approx(2.0, abs=1e-12)
+    # two pairs, swapped: {q_i, p_j} = delta_ij in reversed column order
+    q2, p2 = coordinate_field(FLAT, "q2"), coordinate_field(FLAT, "p2")
+    assert faddeev_popov_determinant([q1, q2], [p2, p1], FLAT.point([0, 0, 0, 0])) \
+        == pytest.approx(-1.0, abs=1e-15)
+    # no gauge fixing at all: the weight of the empty set is 1
+    assert faddeev_popov_determinant([], [], x) == 1.0
 
 
 def test_fp_determinant_count_mismatch(model):

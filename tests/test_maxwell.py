@@ -4,10 +4,10 @@ import weakref
 import numpy as np
 import pytest
 
-from diracmech.constraints import ConstraintSet, dirac_bracket
+from diracmech.constraints import ConstraintSet, dirac_tensor
 from diracmech.dynamics import IntegratorConfig
 from diracmech.errors import UsageError
-from diracmech.fields import ScalarField, coordinate_field
+from diracmech.fields import ScalarField
 from diracmech.models import LatticeMaxwell
 
 
@@ -147,13 +147,15 @@ def test_dirac_matrix_equals_projector(side):
     assert np.max(np.abs(matrices["ee"])) < 1e-12
 
 
-def test_dirac_matrix_spot_check_against_generic_engine(small):
-    """A few entries recomputed through the generic constraint engine.
+def test_dirac_matrices_match_generic_engine(small):
+    """The LU-route matrices recomputed as blocks of the generic engine's Dirac tensor.
 
     The per-site constraints are linear fields on the 48-dim chart; the
     mean-zero reduction is realised by differencing site 0 against each other
     site, which spans the same space as the orthonormal basis used internally
-    (Dirac brackets are invariant under invertible recombinations).
+    (Dirac brackets are invariant under invertible recombinations). The
+    engine's {A,A}_D and {E,E}_D blocks are measured here, where the LU route
+    returns literal zeros.
     """
     chart = small.chart
     n = small.n_components
@@ -181,12 +183,11 @@ def test_dirac_matrix_spot_check_against_generic_engine(small):
     cs = ConstraintSet(chart, tuple(fields), tuple(names))
     x = chart.point(np.zeros(2 * n))
 
-    reference = small.dirac_bracket_matrices()["ae"]
-    for a_idx, e_idx in ((0, 0), (0, 5), (3, 17), (10, 10), (23, 2)):
-        a_field = coordinate_field(chart, chart.labels[a_idx])
-        e_field = coordinate_field(chart, chart.labels[n + e_idx])
-        value = dirac_bracket(a_field, e_field, cs, x)
-        assert value == pytest.approx(reference[a_idx, e_idx], abs=1e-9)
+    reference = small.dirac_bracket_matrices()
+    engine = dirac_tensor(cs, x)
+    assert np.max(np.abs(engine[:n, n:] - reference["ae"])) < 1e-9
+    assert np.max(np.abs(engine[:n, :n] - reference["aa"])) < 1e-12
+    assert np.max(np.abs(engine[n:, n:] - reference["ee"])) < 1e-12
 
 
 # -- evolution ----------------------------------------------------------------------

@@ -22,14 +22,14 @@ import numpy as np
 from jsonschema.exceptions import best_match
 from jsonschema.validators import validator_for
 
-from .brackets import poisson_tensor
+from .brackets import poisson_bracket
 from .circle import (CircleState, SpectrumTable, evolve_time_dependent,
                      expect_cartesian, expect_phi, expect_phi_quadrature, expect_reduced)
-# dirac_bracket is unused here: bench/test_bench.py checks the tracer swaps this binding
-from .constraints import dirac_bracket, dirac_tensor  # noqa: F401
+from .constraints import dirac_bracket, dirac_tensor
 from .dynamics import IntegratorConfig, NewtonProjection, constraint_drift, evolve
 from .errors import (ConfigError, DegeneracyError, NumericDomainError,
                      UsageError)
+from .fields import coordinate_field
 from .models import CustomModel, KlauderModel, KRamp, LatticeMaxwell, RelativisticParticle
 from .verify import DEFAULT_SEED, available_suites, run_suite
 
@@ -224,16 +224,16 @@ def cmd_brackets(config: dict, args) -> int:
     ranges = dict(config.get("samples", {}))
     count = ranges.pop("count", 100)
     chart = model.bracket_chart
-    poisson = poisson_tensor(chart.n_pairs)
-    pairs = [(a, b, chart.index(a), chart.index(b)) for a, b in model.bracket_pairs]
+    coords = {l: coordinate_field(chart, l) for l in chart.labels}
     rows = []
     for x in model.sample(rng, count, **ranges):
-        dirac = dirac_tensor(model.constraints_at(x), x)
-        for a, b, i, j in pairs:
-            db = float(dirac[i, j])
+        cs = model.constraints_at(x)
+        dirac = dirac_tensor(cs, x)
+        for a, b in model.bracket_pairs:
+            pb = poisson_bracket(coords[a], coords[b], x)
+            db = dirac_bracket(coords[a], coords[b], cs, x, tensor=dirac)
             oracle = model.dirac_oracle((a, b), x)
-            rows.append([f"{{{a},{b}}}", *x.coords, float(poisson[i, j]), db,
-                         "" if oracle is None else oracle,
+            rows.append([f"{{{a},{b}}}", *x.coords, pb, db, "" if oracle is None else oracle,
                          "" if oracle is None else abs(db - oracle)])
     columns = ["pair", *chart.labels, "poisson", "dirac", "oracle", "abs_diff"]
     path, fmt = _resolve_output(config, args, "brackets.csv")
@@ -305,8 +305,10 @@ def _write_trajectory(path, fmt, traj):
         row += [float(traj.residuals[n][i]) for n in res_names]
         row.append(float(traj.generator_values[i]) if traj.generator_values is not None else "")
         rows.append(row)
-    footer = [["drift", name, stats.max_residual, stats.growth_rate]
-              for name, stats in constraint_drift(traj).items()]
+    footer = []
+    drift = constraint_drift(traj)
+    for name, stats in drift.items():
+        footer.append(["drift", name, stats.max_residual, stats.growth_rate])
     write_table(path, fmt, columns, rows, footer)
 
 
@@ -350,7 +352,9 @@ def cmd_quantum(config: dict, args) -> int:
             table_t = SpectrumTable.build(model, m_max, t=t)
             phi_t = 0.0  # phases already folded into the state
         else:
-            evolved, table_t, phi_t = state, static_table, t
+            evolved = state
+            table_t = static_table
+            phi_t = t
         reduced = expect_reduced(evolved, table_t)
         phi_mean = expect_phi(evolved, table_t, phi_t)
         quad = expect_phi_quadrature(evolved, table_t, phi_t, nodes=4096)
@@ -399,10 +403,6 @@ def cmd_verify(args) -> int:
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
-COMMANDS = {"brackets": cmd_brackets, "evolve": cmd_evolve, "quantum": cmd_quantum,
-            "maxwell": cmd_maxwell}
-
-
 # --------------------------------------------------------------------------
 
 
@@ -438,7 +438,16 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":
             return cmd_verify(args)
-        return COMMANDS[args.command](load_config(args.config), args)
+        config = load_config(args.config)
+        if args.command == "brackets":
+            return cmd_brackets(config, args)
+        if args.command == "evolve":
+            return cmd_evolve(config, args)
+        if args.command == "quantum":
+            return cmd_quantum(config, args)
+        if args.command == "maxwell":
+            return cmd_maxwell(config, args)
+        raise ConfigError(f"unknown command {args.command!r}")
     except NumericDomainError as err:  # includes DegeneracyError
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DEGENERATE

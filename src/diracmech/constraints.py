@@ -242,9 +242,13 @@ def dirac_tensor(cs: Optional[ConstraintSet], x: PhaseSpacePoint) -> np.ndarray:
 
 
 def dirac_bracket(a: ScalarField, b: ScalarField, cs: Optional[ConstraintSet],
-                  x: PhaseSpacePoint) -> float:
-    """{a,b}_D at x; with an empty (or no) constraint set this is the Poisson bracket."""
-    return float(a.gradient(x) @ dirac_tensor(cs, x) @ b.gradient(x))
+                  x: PhaseSpacePoint, tensor: Optional[np.ndarray] = None) -> float:
+    """{a,b}_D at x; with an empty (or no) constraint set this is the Poisson bracket.
+
+    ``tensor`` is dirac_tensor(cs, x), passed by callers that read many brackets at x.
+    """
+    d = dirac_tensor(cs, x) if tensor is None else tensor
+    return float(a.gradient(x) @ d @ b.gradient(x))
 
 
 @dataclass(frozen=True)

@@ -281,7 +281,9 @@ class KlauderModel:
             ("r", "phi"): -r * p_phi / denom,
             ("phi", "p_r"): -p_r * p_phi / denom,
         }
-        return table[pair] if pair in table else -table[(b, a)]
+        if pair in table:
+            return table[pair]
+        return -table[(b, a)]
 
     def surface_denominator(self, p_phi: float, t: float = 0.0) -> float:
         """On-surface value of the oracle denominator: 2(k^2 + p_phi^2)."""

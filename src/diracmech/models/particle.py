@@ -161,10 +161,12 @@ class RelativisticParticle:
         worst = {"pairing": 0.0, "xp": 0.0, "xx": 0.0, "pp": 0.0}
         for x in samples:
             cs = self.constraint_set(tau=x["x0"])
-            if np.max(np.abs(cs.values_at(x.coords))) >= 1e-9:
+            vals = cs.values_at(x.coords)
+            if np.max(np.abs(vals)) >= 1e-9:
                 raise UsageError("sample is off-shell; use on_shell_point")
+            p0 = x["p0"]
             worst["pairing"] = max(worst["pairing"],
-                                   abs(poisson_bracket(cs.fields[0], cs.fields[1], x) - x["p0"]))
+                                   abs(poisson_bracket(cs.fields[0], cs.fields[1], x) - p0))
             dirac = dirac_tensor(cs, x)
             worst["xp"] = max(worst["xp"], float(np.max(np.abs(dirac[xs, ps] - np.eye(d)))))
             worst["xx"] = max(worst["xx"], float(np.max(np.abs(dirac[xs, xs]))))

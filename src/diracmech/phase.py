@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ChartMismatchError, NumericDomainError, UsageError
+from .errors import NumericDomainError, UsageError
 
 
 @dataclass(frozen=True)
@@ -113,6 +113,8 @@ def require_same_chart(*objs) -> ChartSpec:
     """Shared chart of fields/points, or a usage error naming the clash."""
     charts = [o.chart for o in objs]
     if not same_chart(*charts):
+        from .errors import ChartMismatchError
+
         names = ", ".join(sorted({c.name for c in charts}))
         raise ChartMismatchError(f"operands live on different charts: {names}")
     return charts[0]

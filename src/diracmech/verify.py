@@ -21,7 +21,6 @@ from .constraints import (ConstraintSet, classify, dirac_bracket, dirac_tensor,
                           observable_check, pair_jacobian_check, reduced_bracket_check)
 from .dynamics import (IntegratorConfig, PoissonFlow, constraint_drift, evolve,
                        gauge_orbit_closed_form)
-from .errors import UsageError
 from .fields import (coordinate_field, field_product, gradient_consistency_check,
                      polynomial_field)
 from .models import KlauderModel, KRamp, LatticeMaxwell, RadialPotential, RelativisticParticle
@@ -262,6 +261,7 @@ def check_rotational_invariance(rng, fault):
     worst = 0.0
     for trial in range(10):
         # fields of (r, p_r, p_phi) only: rotation generator must Dirac-commute
+        dim = chart.dim
         spec = []
         for _ in range(4):
             powers = [0, 0, 0, 0]
@@ -534,6 +534,8 @@ def run_suite(selector: str = "all", seed: int = DEFAULT_SEED,
     elif selector in SUITES:
         checks = SUITES[selector]
     else:
+        from .errors import UsageError
+
         raise UsageError(f"unknown suite {selector!r}; choose from {available_suites()}")
     results = []
     for check in checks:

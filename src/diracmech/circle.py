@@ -160,20 +160,36 @@ def evolve_time_dependent(state: CircleState, model: KlauderModel, t0: float, t1
     so all of them commute and the time-ordered exponential collapses to
     c_m -> c_m exp(-(i/hbar) int_t0^t1 U_m(t') dt'), with the integral done
     by composite Simpson quadrature on ``quadrature_steps`` subintervals.
+
+    Where a ramped k(t) = k0 + k1 t vanishes inside [t0, t1], at t* = -k0/k1,
+    r*_0(t) has a square-root cusp; each side of t* is then integrated in s on
+    ``quadrature_steps`` subintervals, with t = t* +- s^2, where the integrand
+    U_m(t* +- s^2) 2s is smooth.
     """
     _require_normalized(state)
     hbar = state.hbar
     m = state.m_values.astype(float)
 
     def potentials(ts):
-        k = np.broadcast_to(model.k_at(ts), ts.shape)  # KRamp is affine; a float k broadcasts
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite k raises below
+            k = np.broadcast_to(model.k_at(ts), ts.shape)  # KRamp is affine; a float k broadcasts
         if not np.all(np.isfinite(k)):
             raise NumericDomainError("k(t) is non-finite on the integration window")
         # r*_m(t) for all modes and times; (modes, times). Horner is elementwise.
         r4 = (k[None, :] ** 2 + (m[:, None] * hbar) ** 2) / model.alpha ** 2
         return np.broadcast_to(np.asarray(model.potential(r4 ** 0.25), dtype=float), r4.shape)
 
-    integrals = _simpson(potentials, t0, t1, quadrature_steps)
+    t_star = -model.k.k0 / model.k.k1 if model.time_dependent else np.nan
+    if min(t0, t1) <= t_star <= max(t0, t1):
+        def from_cusp(end):  # int_t*^end U_m dt
+            if end == t_star:
+                return 0.0
+            sign = np.sign(end - t_star)
+            return sign * _simpson(lambda s: potentials(t_star + sign * s * s) * (2.0 * s),
+                                   0.0, np.sqrt(abs(end - t_star)), quadrature_steps)
+        integrals = from_cusp(t1) - from_cusp(t0)
+    else:
+        integrals = _simpson(potentials, t0, t1, quadrature_steps)
     return CircleState(state.coeffs * np.exp(-1j * integrals / hbar), hbar).normalized()
 
 

@@ -406,6 +406,13 @@ def cmd_verify(args) -> int:
 # --------------------------------------------------------------------------
 
 
+def _seed(text: str) -> int:
+    """argparse type for --seed: PCG64 seeds are non-negative integers."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diracmech",
@@ -417,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_config:
             p.add_argument("--config", required=True, help="scenario JSON file")
         p.add_argument("--out", help="output artifact path (overrides config)")
-        p.add_argument("--seed", type=int, help="64-bit seed for PCG64 sampling")
+        p.add_argument("--seed", type=_seed, help="64-bit seed for PCG64 sampling")
         p.add_argument("--format", choices=["csv", "json"], help="artifact format")
 
     add_common(sub.add_parser("brackets", help="Poisson/Dirac bracket tables vs oracles"))
@@ -427,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run the invariant suites")
     verify.add_argument("suite", nargs="?", default="all", choices=available_suites())
-    verify.add_argument("--seed", type=int, help="seed for the check sampler")
+    verify.add_argument("--seed", type=_seed, help="seed for the check sampler")
     verify.add_argument("--inject-fault", metavar="CHECK_ID",
                         help="negative control: shift the named check's oracle so it fails")
     return parser

@@ -94,9 +94,14 @@ class ConstraintSet:
             return np.zeros((0, self.chart.dim))
         return np.stack([f.gradient_at(coords) for f in self.fields])
 
-    def residuals(self, coords, t: float = 0.0) -> dict[str, float]:
-        vals = self.values_at(coords, t)
-        return {name: abs(float(v)) for name, v in zip(self.names, vals)}
+    def require_on_surface(self, coords, label: str, tol: float = ON_SURFACE_TOL,
+                           t: float = 0.0) -> None:
+        """Raise UsageError naming the worst constraint unless every |Phi_I| < tol."""
+        vals = np.abs(self.values_at(coords, t))
+        if not np.all(vals < tol):  # a NaN residual is off the surface too
+            worst = int(np.argmax(vals))
+            raise UsageError(f"{label} is off the constraint surface: |{self.names[worst]}| "
+                             f"= {vals[worst]:.3e}, tolerance {tol:g}")
 
     def residual_series(self, times, states) -> dict[str, np.ndarray]:
         """|Phi_I| at every (t, z) of a trajectory, one array per constraint name."""
@@ -107,8 +112,10 @@ class ConstraintSet:
 def pairing_matrix_of_rows(rows: np.ndarray, n_pairs: int) -> np.ndarray:
     """M_IJ = {Phi_I, Phi_J} from stacked gradient rows; antisymmetric by construction."""
     gq, gp = rows[:, :n_pairs], rows[:, n_pairs:]
-    a = gq @ gp.T
-    return a - a.T
+    # an overflowing pairing is left non-finite for the degeneracy test, without warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = gq @ gp.T
+        return a - a.T
 
 
 def constraint_matrix(cs: ConstraintSet, x: PhaseSpacePoint) -> np.ndarray:
@@ -144,16 +151,20 @@ def _constraint_brackets(rows: np.ndarray, grad: np.ndarray, n_pairs: int) -> np
     return rows[:, :n_pairs] @ grad[n_pairs:] - rows[:, n_pairs:] @ grad[:n_pairs]
 
 
-def _pairing_multipliers(rows: np.ndarray, rhs: np.ndarray, n_pairs: int, coords) -> np.ndarray:
-    """M^-1 rhs, with M built from ``rows``; the one degeneracy guard of the package.
+def _second_class(m: np.ndarray, det: float) -> bool:
+    """The package's one degeneracy test: |det M| > DEGENERACY_RTOL * degeneracy_scale(M).
 
-    A non-finite M, or |det M| <= DEGENERACY_RTOL * max(1, prod of row norms),
-    raises DegeneracyError: the set is not Second Class at ``coords``.
+    A NaN det or scale fails the comparison, so a non-finite M counts as singular.
     """
+    return abs(det) > DEGENERACY_RTOL * degeneracy_scale(m)
+
+
+def _pairing_multipliers(rows: np.ndarray, rhs: np.ndarray, n_pairs: int, coords) -> np.ndarray:
+    """M^-1 rhs, with M built from ``rows``; raises DegeneracyError unless the set
+    is Second Class at ``coords`` by ``_second_class``."""
     m = pairing_matrix_of_rows(rows, n_pairs)
     det = pairing_det(m)
-    # a NaN det or scale fails the comparison too: a non-finite M counts as singular
-    if not abs(det) > DEGENERACY_RTOL * degeneracy_scale(m):
+    if not _second_class(m, det):
         problem = (f"is singular (det={det:.3e})" if np.all(np.isfinite(m))
                    else "has a non-finite entry")
         raise DegeneracyError(
@@ -172,17 +183,11 @@ class ClassificationResult:
     notes: tuple[str, ...] = ()
 
 
-def _require_on_surface(cs: ConstraintSet, x: PhaseSpacePoint, tol: float = ON_SURFACE_TOL):
-    res = cs.residuals(x.coords)
-    for name, value in res.items():
-        if value >= tol:
-            raise UsageError(f"sample violates constraint {name!r}: |{name}| = {value:.3e}")
-
-
 def classify(cs: ConstraintSet, samples: Sequence[PhaseSpacePoint], tol: float) -> ClassificationResult:
     """Classify a constraint set on on-surface samples.
 
-    second_class: |det M| > tol * (product of row norms) at every sample;
+    second_class: the pairing solve's degeneracy test passes at every sample, so
+    dirac_tensor succeeds exactly there;
     first_class: max |M_IJ| < tol at every sample;
     otherwise mixed_or_degenerate, with the rank from the singular values.
     """
@@ -199,12 +204,11 @@ def classify(cs: ConstraintSet, samples: Sequence[PhaseSpacePoint], tol: float) 
     min_rank = len(cs)
     for x in samples:
         require_same_chart(cs, x)
-        _require_on_surface(cs, x)
+        cs.require_on_surface(x.coords, "classification sample")
         m = constraint_matrix(cs, x)
         det = pairing_det(m)
         min_abs_det = min(min_abs_det, abs(det))
-        scale = np.prod(np.linalg.norm(m, axis=1)) if len(cs) else 1.0
-        if not (abs(det) > tol * max(scale, np.finfo(float).tiny)):
+        if not _second_class(m, det):
             all_second = False
         if not (np.max(np.abs(m)) < tol if len(cs) else True):
             all_first = False
@@ -234,11 +238,11 @@ def dirac_tensor(cs: Optional[ConstraintSet], x: PhaseSpacePoint) -> np.ndarray:
     n = chart.n_pairs
     if cs is None or len(cs) == 0:
         return poisson_tensor(n)
-    # overflowing gradients or pairings end in the guard's error, not in numpy warnings
+    # overflowing gradients end in the guard's error, not in numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         rows = cs.gradient_rows(x.coords)
         s = _constraint_brackets(rows, np.eye(chart.dim), n)
-        return poisson_tensor(n) + s.T @ _pairing_multipliers(rows, s, n, x.coords)
+    return poisson_tensor(n) + s.T @ _pairing_multipliers(rows, s, n, x.coords)
 
 
 def dirac_bracket(a: ScalarField, b: ScalarField, cs: Optional[ConstraintSet],
@@ -307,9 +311,7 @@ def reduced_bracket_check(a: ScalarField, b: ScalarField, cs: ConstraintSet,
     Poisson bracket of the reduced chart.
     """
     x = param.embed_point(cs.chart, reduced_point)
-    bad = [n for n, v in cs.residuals(x.coords).items() if v >= ON_SURFACE_TOL]
-    if bad:
-        raise UsageError(f"embedding leaves the constraint surface: {', '.join(bad)}")
+    cs.require_on_surface(x.coords, "embedded point")
     dirac_value = dirac_bracket(a, b, cs, x)
     a_red = pullback_field(a, param.embed, param.reduced_chart)
     b_red = pullback_field(b, param.embed, param.reduced_chart)

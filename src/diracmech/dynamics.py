@@ -205,12 +205,7 @@ def evolve(x0: PhaseSpacePoint, flow: FlowSpec, cfg: IntegratorConfig,
         if monitor is not None:
             raise UsageError("Dirac flow already monitors its own constraints")
         watched = flow.constraints
-        start = watched.values_at(x0.coords, 0.0)
-        if np.max(np.abs(start)) >= DIRAC_SURFACE_TOL:
-            worst = watched.names[int(np.argmax(np.abs(start)))]
-            raise UsageError(
-                f"initial point violates {worst!r} by {np.max(np.abs(start)):.3e}; "
-                "Dirac flows start on the constraint surface")
+        watched.require_on_surface(x0.coords, "initial point of a Dirac flow", DIRAC_SURFACE_TOL)
         rhs = _dirac_rhs(flow, chart.n_pairs)
         generator = flow.hamiltonian
     else:

@@ -21,16 +21,14 @@ from .phase import ChartSpec, PhaseSpacePoint, require_same_chart
 _CBRT_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
 
-def fd_steps(coords: np.ndarray, step: Optional[float] = None) -> np.ndarray:
+def fd_steps(coords: np.ndarray) -> np.ndarray:
     """Per-coordinate central-difference steps (optimal for 2nd-order schemes)."""
-    if step is not None:
-        return np.full(len(coords), float(step))
     return _CBRT_EPS * np.maximum(1.0, np.abs(coords))
 
 
-def central_difference_gradient(func, coords, step: Optional[float] = None) -> np.ndarray:
+def central_difference_gradient(func, coords) -> np.ndarray:
     coords = np.asarray(coords, dtype=float)
-    h = fd_steps(coords, step)
+    h = fd_steps(coords)
     grad = np.empty_like(coords)
     for i in range(len(coords)):
         up = np.array(coords)
@@ -49,21 +47,18 @@ class ScalarField:
     numbers (exact differentiation), so it must be written with the helpers
     in :mod:`diracmech.duals` for anything beyond arithmetic. Fields with a
     black-box ``func`` should register a closed-form ``grad`` or set
-    ``fd_step`` to opt into numerical gradients.
+    ``numerical`` to opt into central-difference gradients.
     """
 
     name: str
     chart: ChartSpec
     func: Callable = dfield(compare=False)
     grad: Optional[Callable] = dfield(default=None, compare=False)
-    fd_step: Optional[float] = None  # set -> numerical gradients with this step (None = auto)
     numerical: bool = False
 
     @property
     def gradient_kind(self) -> str:
-        if self.numerical:
-            return f"numerical(step={self.fd_step if self.fd_step is not None else 'auto'})"
-        return "exact"
+        return "numerical" if self.numerical else "exact"
 
     # raw-coordinate fast path, used by the integrators -------------------
     def value_at(self, coords) -> float:
@@ -72,7 +67,7 @@ class ScalarField:
     def gradient_at(self, coords) -> np.ndarray:
         coords = np.asarray(coords, dtype=float)
         if self.numerical:
-            return central_difference_gradient(self.func, coords, self.fd_step)
+            return central_difference_gradient(self.func, coords)
         if self.grad is not None:
             return np.asarray(self.grad(coords), dtype=float)
         return duals.gradient(self.func, coords)
@@ -96,9 +91,8 @@ class ScalarField:
         return f"ScalarField({self.name!r} on {self.chart.name!r}, {self.gradient_kind})"
 
 
-def function_field(chart, name, func, grad=None, fd_step=None, numerical=False) -> ScalarField:
-    return ScalarField(name=name, chart=chart, func=func, grad=grad,
-                       fd_step=fd_step, numerical=numerical)
+def function_field(chart, name, func, grad=None, numerical=False) -> ScalarField:
+    return ScalarField(name=name, chart=chart, func=func, grad=grad, numerical=numerical)
 
 
 def coordinate_field(chart: ChartSpec, label: str) -> ScalarField:
@@ -170,8 +164,7 @@ def field_product(a: ScalarField, b: ScalarField, name: Optional[str] = None) ->
             return a.func(z) * b.grad(z) + b.func(z) * a.grad(z)
     return ScalarField(name=name or f"({a.name})*({b.name})", chart=chart,
                        func=lambda z, a=a, b=b: a.func(z) * b.func(z),
-                       grad=grad, numerical=numerical,
-                       fd_step=a.fd_step if a.numerical else b.fd_step)
+                       grad=grad, numerical=numerical)
 
 
 def pullback_field(field: ScalarField, embed: Callable, reduced_chart: ChartSpec,

@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 from jsonschema.validators import validator_for
 
+from diracmech.circle import (CircleState, SpectrumTable, evolve_time_dependent,
+                              expect_phi, expect_reduced)
 from diracmech.cli import SCENARIO_SCHEMA, main
+from diracmech.models import KlauderModel, KRamp, RadialPotential
 from diracmech.dynamics import gauge_orbit_closed_form
 
 
@@ -328,6 +331,27 @@ def test_quantum_two_mode_oscillates_and_matches_quadrature(tmp_path):
         assert float(row[phi_a]) == pytest.approx(float(row[phi_q]), abs=1e-6)
 
 
+def test_quantum_time_dependent_matches_library(tmp_path):
+    coeffs = [[0.0, 0.0]] * 2 + [[1.0, 0.0], [0.0, 1.0], [0.5, 0.0]] + [[0.0, 0.0]] * 2
+    times = [0.0, 0.4, 1.3]
+    config = write_config(tmp_path / "cfg.json", {
+        "model": {"kind": "klauder", "k": [0.5, -1.0],
+                  "potential": {"type": "poly", "coeffs": [0, 1]}},
+        "quantum": {"m_max": 3, "coeffs": coeffs, "times": times, "time_dependent": True},
+    })
+    out = tmp_path / "tdep.csv"
+    assert run_cli("quantum", "--config", config, "--out", str(out)) == 0
+    header, rows = read_csv(out)
+    model = KlauderModel(k=KRamp(0.5, -1.0), potential=RadialPotential((0.0, 1.0)))
+    state = CircleState(np.array([complex(re, im) for re, im in coeffs])).normalized()
+    for t, row in zip(times, rows):
+        evolved = evolve_time_dependent(state, model, 0.0, t) if t else state
+        table = SpectrumTable.build(model, 3, t=t)
+        assert float(row[header.index("norm")]) == pytest.approx(1.0, abs=1e-14)
+        assert float(row[header.index("phi_mean_analytic")]) == expect_phi(evolved, table, 0.0).value
+        assert float(row[header.index("r_mean")]) == expect_reduced(evolved, table).r_mean
+
+
 def test_quantum_bad_coeffs_exit_2(tmp_path):
     config = write_config(tmp_path / "cfg.json", {
         "model": {"kind": "klauder"},
@@ -385,3 +409,28 @@ def test_verify_fault_injection_fails(capsys):
     assert run_cli("verify", "klauder", "--inject-fault", "klauder.bracket_table") == 1
     out = capsys.readouterr().out
     assert "FAIL klauder.bracket_table" in out
+
+
+def test_verify_fault_injection_short_id_fails(capsys):
+    assert run_cli("verify", "core", "--inject-fault", "canonical_relations") == 1
+    assert "FAIL core.canonical_relations" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("suite, check_id", [("core", "core.bogus"),
+                                             ("core", "klauder.bracket_table")])
+def test_verify_unknown_fault_id_exits_2(capsys, suite, check_id):
+    assert run_cli("verify", suite, "--inject-fault", check_id) == 2
+    captured = capsys.readouterr()
+    assert "names no check" in captured.err and "checks passed" not in captured.out
+
+
+@pytest.mark.parametrize("argv", [
+    ("brackets", "--config", "scenarios/klauder_brackets.json", "--seed", "-1"),
+    ("verify", "core", "--seed", "-5"),
+])
+def test_negative_seed_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(*argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "non-negative integer" in err and "Traceback" not in err

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from diracmech.constraints import (ConstraintSet, classify, constraint_matrix,
                                    observable_check, pair_jacobian_check,
                                    reduced_bracket_check)
 from diracmech.errors import DegeneracyError, UsageError
-from diracmech.fields import coordinate_field, polynomial_field
+from diracmech.fields import coordinate_field, function_field, polynomial_field
 from diracmech.models import CustomModel, KlauderModel, KRamp, RelativisticParticle
 from diracmech.phase import ChartSpec
 
@@ -93,6 +94,93 @@ def test_classify_rejects_off_surface_sample(model):
     off = model.polar_chart.point([2.0, 0.0, 3.0, 1.0])
     with pytest.raises(UsageError, match="chi|C"):
         classify(model.constraint_set, [off], tol=1e-8)
+
+
+def _solves_everywhere(cs, samples):
+    try:
+        for x in samples:
+            dirac_tensor(cs, x)
+    except DegeneracyError:
+        return False
+    return True
+
+
+def _scaled(cs, factor):
+    return ConstraintSet(cs.chart, tuple(
+        function_field(cs.chart, f.name, lambda z, f=f: factor * f.func(z)) for f in cs.fields),
+        cs.names)
+
+
+LINE = ChartSpec(labels=("q", "p"), name="line")
+# M = [[0, inf], [-inf, 0]] at the origin, which lies on the surface
+HUGE_PAIR = ConstraintSet(LINE, (polynomial_field(LINE, [(1e300, (1, 0))], name="A"),
+                                 polynomial_field(LINE, [(1e300, (0, 1))], name="B")), ("A", "B"))
+
+
+@pytest.mark.parametrize("case", ["tiny_radius_k0", "scaled_by_1e-3", "klauder_random",
+                                  "particle_random", "overflowing_pair"])
+def test_classify_second_class_exactly_where_dirac_tensor_solves(case):
+    rng = np.random.default_rng(17)
+    if case == "tiny_radius_k0":
+        cs, samples = KlauderModel(k=0.0).constraint_set, [
+            KlauderModel(k=0.0).polar_chart.point([1e-5, 0.3, 0.0, 0.0])]
+    elif case == "scaled_by_1e-3":
+        model = KlauderModel(k=1.0)
+        cs, samples = _scaled(model.constraint_set, 1e-3), [model.embed_reduced(0.0, 0.5)]
+    elif case == "klauder_random":
+        model = KlauderModel(alpha=1.3, k=0.7)
+        cs, samples = model.constraint_set, model.sample_surface(rng, 20)
+    elif case == "particle_random":
+        particle = RelativisticParticle(mass=0.8)
+        cs, samples = particle.constraint_set(), particle.sample_on_shell(rng, 20)
+    else:
+        cs, samples = HUGE_PAIR, [LINE.point([0.0, 0.0])]
+    second = classify(cs, samples, tol=1e-8).kind == "second_class"
+    assert second == _solves_everywhere(cs, samples)
+    assert second == (case in ("klauder_random", "particle_random"))
+
+
+def test_classify_and_dirac_tensor_switch_at_the_same_point():
+    # k = 0: {chi, C} = 2|p_phi| on the surface, so det M crosses the guard inside the sweep
+    model = KlauderModel(k=0.0)
+    verdicts = set()
+    for p_phi in np.logspace(-8, -2, 25):
+        x = model.embed_reduced(0.3, p_phi)
+        second = classify(model.constraint_set, [x], tol=1e-8).kind == "second_class"
+        assert second == _solves_everywhere(model.constraint_set, [x])
+        verdicts.add(second)
+    assert verdicts == {True, False}
+
+
+def test_require_on_surface_names_worst_constraint(model):
+    x = model.polar_chart.point([2.0, 0.0, 3.0, 1.0])  # chi = 5, C = 2.625
+    with pytest.raises(UsageError, match=r"^probe is off the constraint surface: "
+                                         r"\|chi\| = 5\.000e\+00, tolerance 1e-09$"):
+        model.constraint_set.require_on_surface(x.coords, "probe")
+    with pytest.raises(UsageError, match=r"\|chi\| = 5\.000e\+00, tolerance 4$"):
+        model.constraint_set.require_on_surface(x.coords, "probe", tol=4.0)
+    model.constraint_set.require_on_surface(x.coords, "probe", tol=5.5)
+    nan_point = np.array([2.0, 0.0, np.nan, 1.0])
+    with pytest.raises(UsageError, match=r"\|chi\| = nan"):
+        model.constraint_set.require_on_surface(nan_point, "probe")
+    # chi(z, t) = r p_r - k(t): on the surface at t = 0, off it at t = 1
+    ramped = KlauderModel(k=KRamp(1.0, 1.0))
+    start = ramped.embed_reduced(0.0, 1.0)
+    ramped.constraint_set.require_on_surface(start.coords, "start")
+    with pytest.raises(UsageError, match=r"\|chi\| = 1\.000e\+00"):
+        ramped.constraint_set.require_on_surface(start.coords, "start", t=1.0)
+
+
+def test_overflowing_pairing_matrix_warns_nowhere():
+    chart = ChartSpec(labels=("q", "p"), name="line")
+    cs = ConstraintSet(chart, (polynomial_field(chart, [(1e300, (1, 1))], name="A"),
+                               polynomial_field(chart, [(1e300, (0, 2))], name="B")),
+                       ("A", "B"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not np.all(np.isfinite(constraint_matrix(cs, chart.point([0.5, -1.5]))))
+        result = classify(HUGE_PAIR, [LINE.point([0.0, 0.0])], tol=1e-8)
+    assert result.kind == "mixed_or_degenerate"
 
 
 def test_classify_mixed(rng):

@@ -124,6 +124,17 @@ def test_linear_ramp_phase_integral():
     assert phase == pytest.approx(2.0 / 3.0, abs=1e-10)
 
 
+def test_ramp_through_zero_integrates_the_cusp():
+    # k = 0.5 - t vanishes at t* = 0.5: the m = 0 phase is int_0^1.3 sqrt|0.5 - t| dt
+    model = KlauderModel(alpha=1.0, k=KRamp(0.5, -1.0), potential=LINEAR)
+    state = CircleState.single_mode(0, 1)
+    out = evolve_time_dependent(state, model, 0.0, 1.3)
+    phase = -np.angle(out.coeffs[1] / state.coeffs[1])
+    assert phase == pytest.approx((2.0 / 3.0) * (0.5 ** 1.5 + 0.8 ** 1.5), abs=1e-12)
+    back = evolve_time_dependent(out, model, 1.3, 0.0)
+    assert np.max(np.abs(back.coeffs - state.coeffs)) < 1e-14
+
+
 def test_time_dependent_norm_preserved(rng):
     model = KlauderModel(alpha=1.2, k=KRamp(0.5, 0.3), potential=RadialPotential((0.0, 0.4)))
     state = CircleState.random(rng, 6)

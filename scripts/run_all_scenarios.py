@@ -20,6 +20,7 @@ COMMANDS = {
     "ramped_k_orbit.json": "evolve",
     "particle_flight.json": "evolve",
     "quantum_sweep.json": "quantum",
+    "quantum_ramped_sweep.json": "quantum",
     "maxwell_l2.json": "maxwell",
 }
 

@@ -87,15 +87,27 @@ class CircleState:
         return cls(coeffs, float(data.get("hbar", 1.0)))
 
 
+def _reduced_spectrum(model: KlauderModel, p_phi, t):
+    """r* = ((k(t)^2 + p_phi^2)/alpha^2)^(1/4) and U(r*) (Horner, elementwise) for p_phi
+    and t that broadcast together; NumericDomainError where either is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises below
+        k = model.k(t)
+        r_star = ((k * k + p_phi * p_phi) / model.alpha ** 2) ** 0.25
+        u_values = np.broadcast_to(model.potential(r_star), r_star.shape)
+    if not (np.all(np.isfinite(r_star)) and np.all(np.isfinite(u_values))):
+        raise NumericDomainError("non-finite reduced spectrum: r*^4 or U(r*) overflows")
+    return r_star, u_values
+
+
 @dataclass(frozen=True, eq=False)
 class SpectrumTable:
-    """Per-mode reduced radius r*_m and energy U_m = U(r*_m).
+    """Per-mode reduced radius r*_m and energy U_m = U(r*_m) at one time t.
 
-    r*_m = ((k^2 + (m hbar)^2)/alpha^2)^(1/4); the (k, m) = (0, 0) mode is
-    flagged degenerate (radius zero, radial momentum undefined).
+    r*_m = ((k^2 + (m hbar)^2)/alpha^2)^(1/4) and p_r* = k/r*_m with k = k(t); the
+    (k, m) = (0, 0) mode is flagged degenerate (radius zero, p_r* undefined).
     """
 
-    model: KlauderModel
+    k: float
     hbar: float
     m_values: np.ndarray
     r_star: np.ndarray
@@ -104,14 +116,10 @@ class SpectrumTable:
 
     @classmethod
     def build(cls, model: KlauderModel, m_max: int, t: float = 0.0) -> "SpectrumTable":
-        hbar = model.hbar
         m = np.arange(-m_max, m_max + 1)
-        k = model.k_at(t)
-        r4 = (k * k + (m * hbar) ** 2) / model.alpha ** 2
-        r_star = r4 ** 0.25
-        u_values = np.array([model.potential(r) for r in r_star])
-        return cls(model=model, hbar=hbar, m_values=m, r_star=r_star,
-                   u_values=u_values, degenerate=(r4 == 0.0))
+        r_star, u_values = _reduced_spectrum(model, m * model.hbar, t)
+        return cls(k=model.k(t), hbar=model.hbar, m_values=m, r_star=r_star,
+                   u_values=u_values, degenerate=(r_star == 0.0))
 
     def _match(self, state: CircleState):
         if len(state.coeffs) != len(self.m_values):
@@ -168,16 +176,10 @@ def evolve_time_dependent(state: CircleState, model: KlauderModel, t0: float, t1
     """
     _require_normalized(state)
     hbar = state.hbar
-    m = state.m_values.astype(float)
+    p_phi = (state.m_values * hbar)[:, None]
 
-    def potentials(ts):
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite k raises below
-            k = np.broadcast_to(model.k_at(ts), ts.shape)  # KRamp is affine; a float k broadcasts
-        if not np.all(np.isfinite(k)):
-            raise NumericDomainError("k(t) is non-finite on the integration window")
-        # r*_m(t) for all modes and times; (modes, times). Horner is elementwise.
-        r4 = (k[None, :] ** 2 + (m[:, None] * hbar) ** 2) / model.alpha ** 2
-        return np.broadcast_to(np.asarray(model.potential(r4 ** 0.25), dtype=float), r4.shape)
+    def potentials(ts):  # U(r*_m(t)) for all modes and times; (modes, times)
+        return _reduced_spectrum(model, p_phi, ts)[1]
 
     t_star = -model.k.k0 / model.k.k1 if model.time_dependent else np.nan
     if min(t0, t1) <= t_star <= max(t0, t1):
@@ -201,9 +203,9 @@ class ReducedExpectations:
 
 
 def expect_reduced(state: CircleState, table: SpectrumTable) -> ReducedExpectations:
-    """<r>, <p_r>, <p_phi> from the diagonal mode weights; time-independent.
+    """<r>, <p_r>, <p_phi> from the diagonal mode weights on the table's surface.
 
-    <r> = sum |c_m|^2 r*_m, <p_r> = sum |c_m|^2 k / r*_m,
+    <r> = sum |c_m|^2 r*_m, <p_r> = sum |c_m|^2 k / r*_m with the table's k,
     <p_phi> = hbar sum m |c_m|^2.
     """
     _require_normalized(state)
@@ -212,11 +214,10 @@ def expect_reduced(state: CircleState, table: SpectrumTable) -> ReducedExpectati
     if np.any(w[table.degenerate] > 0):
         raise NumericDomainError(
             "state occupies the degenerate (k, m) = (0, 0) mode; <p_r> undefined")
-    k = table.model.k_at(0.0)
     ok = ~table.degenerate  # zero-weight degenerate modes contribute nothing
     return ReducedExpectations(
         r_mean=float(w @ table.r_star),
-        pr_mean=float(np.sum(w[ok] * (k / table.r_star[ok]))),
+        pr_mean=float(np.sum(w[ok] * (table.k / table.r_star[ok]))),
         pphi_mean=float(state.hbar * (state.m_values @ w)),
     )
 
@@ -272,14 +273,13 @@ def expect_cartesian(state: CircleState, table: SpectrumTable, t: float) -> Cart
     coherence = np.conj(upper) * lower    # c*_{n+1} c_n with the phases folded in
     r_star = table.r_star[:-1]
     xy = np.sum(r_star * coherence)
-    k = table.model.k_at(0.0)
     n_vals = table.m_values[:-1]
     active = coherence != 0
     if np.any(active & (r_star == 0.0)):
         raise NumericDomainError("degenerate r* = 0 mode carries weight; <p> undefined")
     factors = np.zeros_like(coherence)
     safe = r_star > 0
-    factors[safe] = (k + 1j * n_vals[safe] * state.hbar) / r_star[safe]
+    factors[safe] = (table.k + 1j * n_vals[safe] * state.hbar) / r_star[safe]
     pxy = np.sum(factors * coherence)
     return CartesianExpectations(xy=complex(xy), pxy=complex(pxy))
 
@@ -291,12 +291,11 @@ def expect_cartesian_matrix_oracle(state: CircleState, table: SpectrumTable,
     size = len(d)
     x_op = np.zeros((size, size), dtype=complex)
     p_op = np.zeros((size, size), dtype=complex)
-    k = table.model.k_at(0.0)
     for col in range(size - 1):  # ket mode n, bra mode n+1
         row = col + 1
         x_op[row, col] = table.r_star[col]
         if table.r_star[col] > 0:
-            p_op[row, col] = (k + 1j * table.m_values[col] * state.hbar) / table.r_star[col]
+            p_op[row, col] = (table.k + 1j * table.m_values[col] * state.hbar) / table.r_star[col]
         elif abs(d[row] * d[col]) > 0:
             raise NumericDomainError("degenerate r* = 0 mode carries weight; <p> undefined")
     return CartesianExpectations(xy=complex(np.conj(d) @ x_op @ d),

@@ -338,7 +338,7 @@ def cmd_quantum(config: dict, args) -> int:
         times = np.asarray(times, dtype=float)
     time_dependent = block.get("time_dependent", False)
     quad_steps = block.get("quadrature_steps", 2048)
-    if time_dependent and not isinstance(model.k, KRamp):
+    if time_dependent and not isinstance(config["model"].get("k"), list):
         raise ConfigError("time-dependent evolution needs a ramped k: \"k\": [k0, k1]")
 
     columns = ["t", "r_mean", "pr_mean", "pphi_mean", "phi_mean_analytic",

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .brackets import poisson_bracket, poisson_tensor
-from .errors import DegeneracyError, UsageError
+from .errors import DegeneracyError, NumericDomainError, UsageError
 from .fields import ScalarField, pullback_field
 from .phase import ChartSpec, PhaseSpacePoint, require_same_chart
 
@@ -190,6 +190,7 @@ def classify(cs: ConstraintSet, samples: Sequence[PhaseSpacePoint], tol: float) 
     dirac_tensor succeeds exactly there;
     first_class: max |M_IJ| < tol at every sample;
     otherwise mixed_or_degenerate, with the rank from the singular values.
+    A non-finite M at any sample raises NumericDomainError.
     """
     if tol <= 0:
         raise UsageError("classification tolerance must be positive")
@@ -206,6 +207,9 @@ def classify(cs: ConstraintSet, samples: Sequence[PhaseSpacePoint], tol: float) 
         require_same_chart(cs, x)
         cs.require_on_surface(x.coords, "classification sample")
         m = constraint_matrix(cs, x)
+        if not np.all(np.isfinite(m)):  # the rank of a non-finite M is undefined
+            raise NumericDomainError("constraint pairing matrix has a non-finite entry; "
+                                     "cannot classify the constraint set")
         det = pairing_det(m)
         min_abs_det = min(min_abs_det, abs(det))
         if not _second_class(m, det):

@@ -213,6 +213,9 @@ def evolve(x0: PhaseSpacePoint, flow: FlowSpec, cfg: IntegratorConfig,
 
     if watched is not None:
         require_same_chart(watched, x0)
+    elif cfg.projection is not None:
+        raise UsageError("a Newton projection needs constraints to project onto; "
+                         "this flow watches none")
 
     dt, steps = cfg.dt, cfg.steps
     times = np.empty(steps + 1)
@@ -230,7 +233,7 @@ def evolve(x0: PhaseSpacePoint, flow: FlowSpec, cfg: IntegratorConfig,
             k4 = rhs(t + dt, z + dt * k3)
             z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             t_next = (i + 1) * dt
-            if cfg.projection is not None and watched is not None:
+            if cfg.projection is not None:
                 z = _project(z, watched, t_next, cfg.projection)
             if not np.max(np.abs(z)) <= BLOWUP_LIMIT:  # also catches NaN
                 raise NumericDomainError(

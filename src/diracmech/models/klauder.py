@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -85,7 +85,7 @@ class KRamp:
 @dataclass(frozen=True)
 class KlauderModel:
     alpha: float = 1.0
-    k: Union[float, KRamp] = 1.0
+    k: KRamp = KRamp(1.0)  # a number k is the constant ramp KRamp(k)
     hbar: float = 1.0
     potential: RadialPotential = RadialPotential.zero()
 
@@ -101,15 +101,15 @@ class KlauderModel:
         if not isinstance(self.potential, RadialPotential):
             object.__setattr__(self, "potential", RadialPotential(tuple(self.potential)))
         if not isinstance(self.k, KRamp):
-            object.__setattr__(self, "k", float(self.k))
+            object.__setattr__(self, "k", KRamp(float(self.k)))
 
     # -- gauge parameter ---------------------------------------------------
     @property
     def time_dependent(self) -> bool:
-        return isinstance(self.k, KRamp) and self.k.k1 != 0.0
+        return self.k.k1 != 0.0
 
     def k_at(self, t: float = 0.0) -> float:
-        return self.k(t) if isinstance(self.k, KRamp) else self.k
+        return self.k(t)
 
     # -- charts and fields ---------------------------------------------------
     @cached_property

@@ -179,6 +179,21 @@ def test_brackets_nonfinite_pairing_matrix_exits_3(tmp_path, capsys):
             "system is not Second Class here"]
 
 
+@pytest.mark.parametrize("k, time_dependent", [([1.0, 1e308], True), (1e200, False)])
+def test_quantum_overflowing_spectrum_exits_3(tmp_path, capsys, k, time_dependent):
+    # k^2 overflows although k(t) is finite on the sweep
+    config = write_config(tmp_path / "cfg.json", {
+        "model": {"kind": "klauder", "k": k, "potential": {"type": "poly", "coeffs": [0, 1]}},
+        "quantum": {"m_max": 2, "single_mode": 1, "times": [0.0, 0.5],
+                    "time_dependent": time_dependent}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy overflow warnings would reach stderr
+        code = run_cli("quantum", "--config", config, "--out", str(tmp_path / "q.csv"))
+    assert code == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "error: non-finite reduced spectrum: r*^4 or U(r*) overflows"]
+
+
 # -- evolve ---------------------------------------------------------------------
 
 def test_evolve_dirac_flow_constant_radius(tmp_path):
@@ -266,6 +281,16 @@ def test_command_rejects_unsupported_model_or_flow(tmp_path, command, model, flo
         payload["flow"] = flow
     config = write_config(tmp_path / "cfg.json", payload)
     assert run_cli(command, "--config", config, "--out", str(tmp_path / "out.csv")) == 2
+
+
+def test_evolve_projection_without_constraints_exits_2(tmp_path, capsys):
+    # a particle flow watches no constraints, so a projection would be ignored
+    config = write_config(tmp_path / "cfg.json", {
+        "model": {"kind": "particle", "mass": 1.0}, "flow": {"kind": "poisson"},
+        "integrator": {"dt": 0.01, "steps": 10, "projection": {"tol": 1e-10}},
+        "initial": {"x": [0.0, 0.0, 0.0], "p": [1.0, 0.0, 0.0]}})
+    assert run_cli("evolve", "--config", config, "--out", str(tmp_path / "t.csv")) == 2
+    assert "Newton projection needs constraints" in capsys.readouterr().err
 
 
 def test_evolve_zero_steps_single_row(tmp_path):

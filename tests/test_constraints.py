@@ -9,7 +9,7 @@ from diracmech.constraints import (ConstraintSet, classify, constraint_matrix,
                                    dirac_bracket, dirac_tensor, faddeev_popov_determinant,
                                    observable_check, pair_jacobian_check,
                                    reduced_bracket_check)
-from diracmech.errors import DegeneracyError, UsageError
+from diracmech.errors import DegeneracyError, NumericDomainError, UsageError
 from diracmech.fields import coordinate_field, function_field, polynomial_field
 from diracmech.models import CustomModel, KlauderModel, KRamp, RelativisticParticle
 from diracmech.phase import ChartSpec
@@ -133,8 +133,12 @@ def test_classify_second_class_exactly_where_dirac_tensor_solves(case):
     elif case == "particle_random":
         particle = RelativisticParticle(mass=0.8)
         cs, samples = particle.constraint_set(), particle.sample_on_shell(rng, 20)
-    else:
+    else:  # a non-finite M has no rank to report, and the pairing solve rejects it too
         cs, samples = HUGE_PAIR, [LINE.point([0.0, 0.0])]
+        with pytest.raises(NumericDomainError, match="non-finite entry"):
+            classify(cs, samples, tol=1e-8)
+        assert not _solves_everywhere(cs, samples)
+        return
     second = classify(cs, samples, tol=1e-8).kind == "second_class"
     assert second == _solves_everywhere(cs, samples)
     assert second == (case in ("klauder_random", "particle_random"))
@@ -179,8 +183,22 @@ def test_overflowing_pairing_matrix_warns_nowhere():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert not np.all(np.isfinite(constraint_matrix(cs, chart.point([0.5, -1.5]))))
-        result = classify(HUGE_PAIR, [LINE.point([0.0, 0.0])], tol=1e-8)
-    assert result.kind == "mixed_or_degenerate"
+        with pytest.raises(NumericDomainError, match="non-finite entry"):
+            classify(HUGE_PAIR, [LINE.point([0.0, 0.0])], tol=1e-8)
+
+
+def test_classify_nonfinite_pairing_matrix_raises_at_any_sample():
+    # A = 1e200 q1, B = 1e200 p1 q2 on the surface q1 = p1 = 0: M_AB = 1e400 q2, which
+    # is Second Class at q2 = 1e-300 (M = 1e100) and overflows to inf at q2 = 1
+    cs = ConstraintSet(FLAT, (polynomial_field(FLAT, [(1e200, (1, 0, 0, 0))], name="A"),
+                              polynomial_field(FLAT, [(1e200, (0, 1, 1, 0))], name="B")),
+                       ("A", "B"))
+    good, bad = FLAT.point([0.0, 1e-300, 0.0, 0.0]), FLAT.point([0.0, 1.0, 0.0, 0.0])
+    assert classify(cs, [good], tol=1e-8).kind == "second_class"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericDomainError, match="pairing matrix has a non-finite entry"):
+            classify(cs, [good, bad], tol=1e-8)
 
 
 def test_classify_mixed(rng):

@@ -164,6 +164,16 @@ def test_newton_projection_restores_surface():
     assert max(s.max_residual for s in drift.values()) < 1e-11
 
 
+def test_newton_projection_needs_watched_constraints():
+    model = KlauderModel(alpha=1.0, k=1.0, potential=RadialPotential.harmonic())
+    x0 = model.embed_reduced(phi=0.0, p_phi=1.0)
+    cfg = IntegratorConfig(dt=1e-2, steps=5, projection=NewtonProjection())
+    with pytest.raises(UsageError, match="Newton projection needs constraints"):
+        evolve(x0, PoissonFlow(model.hamiltonian()), cfg)
+    traj = evolve(x0, PoissonFlow(model.hamiltonian()), cfg, monitor=model.constraint_set)
+    assert max(s.max_residual for s in constraint_drift(traj).values()) < 1e-12
+
+
 def test_degeneracy_mid_run_keeps_partial_trajectory():
     # drive the radial pair toward the excluded origin: k(t) ramps down through 0
     # with p_phi = 0 the pairing matrix det -> 0 as r -> 0

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -146,6 +147,33 @@ def test_nonfinite_ramp_rejected():
     model = KlauderModel(alpha=1.0, k=KRamp(np.inf, 0.0), potential=LINEAR)
     with pytest.raises(NumericDomainError):
         evolve_time_dependent(CircleState.single_mode(0, 1), model, 0.0, 1.0, 16)
+
+
+def test_overflowing_reduced_spectrum_raises_without_warnings():
+    # finite k whose square overflows, statically and under a ramp; then a finite r* whose U does
+    octic = RadialPotential((0.0,) * 8 + (1.0,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericDomainError, match="non-finite reduced spectrum"):
+            SpectrumTable.build(KlauderModel(k=1e200, potential=LINEAR), 2)
+        with pytest.raises(NumericDomainError, match="non-finite reduced spectrum"):
+            evolve_time_dependent(CircleState.single_mode(1, 2),
+                                  KlauderModel(k=KRamp(1.0, 1e308), potential=LINEAR), 0.0, 0.5)
+        with pytest.raises(NumericDomainError, match="non-finite reduced spectrum"):
+            SpectrumTable.build(KlauderModel(k=1e100, potential=octic), 1)  # r* = 1e50
+
+
+def test_ramped_tables_carry_k_and_single_mode_pr_is_classical():
+    # k = 0.5 - t crosses 0 at t = 0.5: <p_r> of mode m is p_r* = k(t)/r*(m hbar, t)
+    model = KlauderModel(alpha=1.3, k=KRamp(0.5, -1.0), hbar=0.7, potential=LINEAR)
+    for m in (1, -2):
+        state = CircleState.single_mode(m, 3, hbar=0.7)
+        for t in (0.0, 0.3, 0.5, 1.0, 1.7):
+            table = SpectrumTable.build(model, 3, t)
+            assert table.k == model.k_at(t)
+            evolved = evolve_time_dependent(state, model, 0.0, t) if t else state
+            expected = model.reduced_point(m * model.hbar, t)[1]
+            assert expect_reduced(evolved, table).pr_mean == pytest.approx(expected, abs=1e-12)
 
 
 # -- expectation values ----------------------------------------------------------------

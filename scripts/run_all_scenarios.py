@@ -22,6 +22,7 @@ COMMANDS = {
     "quantum_sweep.json": "quantum",
     "quantum_ramped_sweep.json": "quantum",
     "maxwell_l2.json": "maxwell",
+    "maxwell_l8_random.json": "maxwell",
 }
 
 

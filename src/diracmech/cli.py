@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
+from jsonschema.validators import extend, validator_for
 
 from .brackets import poisson_bracket
 from .circle import (CircleState, SpectrumTable, evolve_time_dependent,
@@ -110,7 +110,12 @@ SCENARIO_SCHEMA = _strict({
 
 # built once: jsonschema.validate would check the schema against its
 # metaschema on every call (tests/test_cli.py checks it once)
-_VALIDATOR = validator_for(SCENARIO_SCHEMA)(SCENARIO_SCHEMA)
+_BASE = validator_for(SCENARIO_SCHEMA)
+# JSON Schema counts 2.0 as an integer, but the sizes and counts here index and
+# range over Python ints
+_INTEGERS = _BASE.TYPE_CHECKER.redefine(
+    "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool))
+_VALIDATOR = extend(_BASE, type_checker=_INTEGERS)(SCENARIO_SCHEMA)
 
 
 def _reject_constant(name: str):

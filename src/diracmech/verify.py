@@ -371,40 +371,46 @@ def check_particle_trajectory(rng, fault):
 
 
 def check_projector_identity(rng, fault):
+    """The matrix-free maxwell footer, its CG Dirac route included."""
     worst = 0.0
     detail = []
     for side in (2, 4):
         model = LatticeMaxwell(side=side)
-        res = model.projector_residuals(dirac=False)
+        res = model.projector_residuals()
         trace_dev = res["projector_trace_deviation"]
         worst = max(worst, res["projector_idempotency"] + abs(fault),
-                    res["projector_symmetry"], abs(trace_dev))
+                    res["projector_symmetry"], abs(trace_dev), res["dirac_vs_projector"])
         detail.append(f"L={side} trace {2 * model.sites + 1 + trace_dev:.1f}")
     return _result("maxwell.projector_identity", worst, 1e-10, ", ".join(detail))
 
 
 def check_projector_action(rng, fault):
     model = LatticeMaxwell(side=3)
-    p = model.projector
     lam = rng.normal(size=model.sites)
     lam -= lam.mean()
     gradient = model.forward_gradient(lam)
-    worst = float(np.max(np.abs(p @ gradient))) / max(1.0, float(np.max(np.abs(gradient))))
+    worst = (float(np.max(np.abs(model.project(gradient))))
+             / max(1.0, float(np.max(np.abs(gradient)))))
     transverse = model.random_transverse(rng)
-    worst = max(worst, float(np.max(np.abs(p @ transverse - transverse)))
+    worst = max(worst, float(np.max(np.abs(model.project(transverse) - transverse)))
                 / max(1.0, float(np.max(np.abs(transverse)))))
     return _result("maxwell.projector_action", worst + abs(fault), 1e-10,
                    "kills gradients, fixes divergence-free fields")
 
 
 def check_dirac_matrix(rng, fault):
+    """{A,E}_D entry by entry by three routes: FFT on the identity, pinv and LU."""
     worst = 0.0
     for side in (2, 4):
-        res = LatticeMaxwell(side=side).projector_residuals()
-        worst = max(worst, res["dirac_vs_projector"] + abs(fault),
-                    res["dirac_aa_max"], res["dirac_ee_max"])
+        model = LatticeMaxwell(side=side)
+        fft = model.project(np.eye(model.n_components))
+        pinv = model.transverse_projector()
+        lu = model.dirac_bracket_matrices()
+        worst = max(worst, float(np.max(np.abs(lu["ae"] - fft))) + abs(fault),
+                    float(np.max(np.abs(pinv - fft))), float(np.max(np.abs(lu["ae"] - pinv))),
+                    float(np.max(np.abs(lu["aa"]))), float(np.max(np.abs(lu["ee"]))))
     return _result("maxwell.dirac_matrix", worst, 1e-8,
-                   "{A,E}_D equals the transverse projector")
+                   "{A,E}_D by FFT, pseudo-inverse and LU agree")
 
 
 def check_maxwell_evolution(rng, fault):

@@ -122,6 +122,13 @@ def test_scenario_schema_is_valid():
      "invalid config at samples/count: 0 is less than the minimum of 1"),
     ({"model": {"kind": "klauder"}, "surprise": True},
      "invalid config at <root>: Additional properties are not allowed ('surprise' was unexpected)"),
+    # JSON Schema's "integer" admits 2.0; these used to end in a TypeError traceback
+    ({"model": {"kind": "klauder"}, "samples": {"count": 3.0}},
+     "invalid config at samples/count: 3.0 is not of type 'integer'"),
+    ({"model": {"kind": "maxwell", "side": 2.0}},
+     "invalid config at model/side: 2.0 is not of type 'integer'"),
+    ({"model": {"kind": "klauder"}, "integrator": {"dt": 0.1, "steps": 5.0}},
+     "invalid config at integrator/steps: 5.0 is not of type 'integer'"),
 ])
 def test_invalid_config_message(tmp_path, capsys, config, message):
     assert run_cli("brackets", "--config", write_config(tmp_path / "cfg.json", config)) == 2

@@ -1,9 +1,12 @@
+import csv
 import gc
+import json
 import weakref
 
 import numpy as np
 import pytest
 
+from diracmech.cli import main
 from diracmech.constraints import ConstraintSet, dirac_tensor
 from diracmech.dynamics import IntegratorConfig
 from diracmech.errors import UsageError
@@ -128,6 +131,43 @@ def test_projector_annihilates_gradients(rng):
     assert np.max(np.abs(model.transverse_projector() @ gradient)) < 1e-10
 
 
+@pytest.mark.parametrize("side, spacing", [(2, 1.0), (3, 0.7), (4, 1.0)])
+def test_fft_projector_matches_dense_entrywise(side, spacing):
+    model = LatticeMaxwell(side=side, spacing=spacing)
+    fft = model.project(np.eye(model.n_components)).T  # column i is P e_i
+    assert np.max(np.abs(fft - model.transverse_projector())) <= 1e-14
+
+
+def test_fft_projector_batch_is_bitwise_rows(rng):
+    model = LatticeMaxwell(side=3, spacing=0.7)
+    batch = rng.normal(size=(2, 3, model.n_components))
+    rows = np.stack([[model.project(v) for v in group] for group in batch])
+    assert np.array_equal(model.project(batch), rows)
+
+
+@pytest.fixture
+def no_dense(monkeypatch):
+    """Make every dense route raise, so a test shows it builds no 3L^3 x 3L^3 array."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense route called")
+
+    for name in ("transverse_projector", "dirac_bracket_matrices"):
+        monkeypatch.setattr(LatticeMaxwell, name, refuse)
+    for name in ("gradient_matrix", "scalar_laplacian_matrix", "projector", "_mean_zero_basis"):
+        monkeypatch.setattr(LatticeMaxwell, name, property(refuse))
+
+
+def test_fft_projector_at_l16_is_matrix_free(no_dense):
+    model = LatticeMaxwell(side=16)  # 24,576 components
+    v = model.project(np.random.default_rng(5).normal(size=model.n_components))
+    assert np.max(np.abs(model.project(v) - v)) < 1e-13
+    assert model.longitudinal_content(v) <= 1e-13
+    res = model.projector_residuals()
+    assert abs(res["projector_trace_deviation"]) < 1e-10  # trace P = 2 L^3 + 1
+    assert max(res["projector_idempotency"], res["projector_symmetry"]) < 1e-13
+    assert res["dirac_vs_projector"] < 1e-12
+
+
 def test_projector_fixes_divergence_free(rng):
     model = LatticeMaxwell(side=3)
     p = model.transverse_projector()
@@ -145,6 +185,9 @@ def test_dirac_matrix_equals_projector(side):
     assert np.max(np.abs(matrices["ae"] - p)) < 1e-8
     assert np.max(np.abs(matrices["aa"])) < 1e-12
     assert np.max(np.abs(matrices["ee"])) < 1e-12
+    # the footer's real-space route: conjugate gradients on the stencil Laplacian
+    v = np.random.default_rng(side).normal(size=(3, model.n_components))
+    assert np.max(np.abs(model.dirac_correction(v) - v @ matrices["ae"].T)) < 1e-12
 
 
 def test_dirac_matrices_match_generic_engine(small):
@@ -227,6 +270,24 @@ def test_energy_and_gauss_conservation(rng):
     assert np.max(traj.residuals["transverse"]) < 1e-9
 
 
+def test_cmd_maxwell_at_l8_builds_no_dense_array(no_dense, tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "seed": 3,
+        "model": {"kind": "maxwell", "side": 8},
+        "integrator": {"dt": 0.001, "steps": 20},
+        "maxwell": {"initial": "random", "e_scale": 0.3},
+    }))
+    out = tmp_path / "mx.csv"
+    assert main(["maxwell", "--config", str(config), "--out", str(out)]) == 0
+    with open(out) as handle:
+        footer = [row for row in csv.reader(handle) if row[0] == "check"]
+    assert [row[1] for row in footer] == [
+        "projector_idempotency", "projector_symmetry", "projector_trace_deviation",
+        "dirac_vs_projector", "dirac_aa_max", "dirac_ee_max"]
+    assert max(float(row[2]) for row in footer) < 1e-10
+
+
 def test_lattice_is_freed_by_reference_counting():
     model = LatticeMaxwell(side=2)
     a0, _ = model.lowest_standing_mode()
@@ -241,11 +302,24 @@ def test_lattice_is_freed_by_reference_counting():
         gc.enable()
 
 
+@pytest.mark.parametrize("side, spacing", [
+    (1, 1.0), (2.5, 1.0), ("2", 1.0), (2, 0.0), (2, float("nan")), (2, float("inf"))])
+def test_invalid_lattice_rejected(side, spacing):
+    with pytest.raises(UsageError, match="lattice"):
+        LatticeMaxwell(side=side, spacing=spacing)
+
+
+@pytest.mark.parametrize("entry, value, where", [
+    (0, np.nan, "entry 0 \\(component 0, site 0\\) is nan"),
+    (13, np.inf, "entry 13 \\(component 1, site 5\\) is inf")])
+def test_nonfinite_field_is_not_transverse(small, entry, value, where):
+    v = np.zeros(small.n_components)
+    v[entry] = value
+    with pytest.raises(UsageError, match=where):
+        small.require_transverse(v, "initial A")
+
+
 def test_validation():
-    with pytest.raises(UsageError):
-        LatticeMaxwell(side=1)
-    with pytest.raises(UsageError):
-        LatticeMaxwell(side=2, spacing=0.0)
     model = LatticeMaxwell(side=2)
     with pytest.raises(UsageError, match="components"):
         model.evolve(np.zeros(5), np.zeros(5), IntegratorConfig(dt=0.1, steps=1))

@@ -53,17 +53,25 @@ class Dual:
 
     __rmul__ = __mul__
 
+    # a zero divisor, an overflowing power or a complex power raises
+    # NumericDomainError naming the operation and its operands
     def __truediv__(self, other):
+        den = _value(other)
+        try:
+            inv = 1.0 / den
+        except ZeroDivisionError as err:
+            raise division_error(self.val, den) from err
         if isinstance(other, Dual):
-            inv = 1.0 / other.val
             return Dual(self.val * inv,
                         (self.eps - (self.val * inv) * other.eps) * inv)
-        inv = 1.0 / float(other)
         return Dual(self.val * inv, self.eps * inv)
 
     def __rtruediv__(self, other):
         c = float(other)
-        inv = 1.0 / self.val
+        try:
+            inv = 1.0 / self.val
+        except ZeroDivisionError as err:
+            raise division_error(c, self.val) from err
         return Dual(c * inv, (-c * inv * inv) * self.eps)
 
     def __pow__(self, n):
@@ -72,8 +80,14 @@ class Dual:
         n = float(n)
         if n == 2.0:
             return Dual(self.val * self.val, (2.0 * self.val) * self.eps)
-        v = self.val ** n
-        return Dual(v, (n * self.val ** (n - 1.0)) * self.eps)
+        try:
+            v = self.val ** n
+            slope = n * self.val ** (n - 1.0)
+        except (ZeroDivisionError, OverflowError) as err:
+            raise NumericDomainError(f"({self.val!r}) ** {n!r}: {err.args[-1]}") from err
+        if isinstance(v, complex):  # a negative base to a fractional power
+            raise NumericDomainError(f"({self.val!r}) ** {n!r}: complex result")
+        return Dual(v, slope * self.eps)
 
     def __neg__(self):
         return Dual(-self.val, -self.eps)
@@ -97,6 +111,11 @@ class Dual:
 
 def _value(x):
     return x.val if isinstance(x, Dual) else float(x)
+
+
+def division_error(num, den) -> NumericDomainError:
+    """The error for ``num / den`` with a zero ``den``, on duals and closed forms alike."""
+    return NumericDomainError(f"{num!r} / {den!r}: division by zero")
 
 
 def value(x):

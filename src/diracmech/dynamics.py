@@ -254,7 +254,8 @@ def _finalize(chart, times, states, watched, generator) -> Trajectory:
     gen_values = None
     if generator is not None:
         gen_values = np.array([generator.value_at(states[i]) for i in range(len(times))])
-    return Trajectory(chart=chart, times=np.array(times), states=np.array(states),
+    # the trajectory owns evolve's preallocated arrays; no second copy of the states
+    return Trajectory(chart=chart, times=times, states=states,
                       residuals=residuals, generator_values=gen_values)
 
 

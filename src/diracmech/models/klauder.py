@@ -18,6 +18,13 @@ and phi advances at the constant rate p_phi U'(r*) / (2 alpha^2 r*^3).
 The same system in Cartesian coordinates (q1, q2, p1, p2) carries the First
 Class generator (1/2)(p.p - alpha^2 q.q), whose orbit is the cosh/sinh map in
 :func:`diracmech.dynamics.gauge_orbit_closed_form`.
+
+C, chi, C + U and the Cartesian generator register closed-form gradients,
+written on floats in the operation order of their dual pass: they equal the
+dual gradient under ==, so the Dirac, Poisson and gauge flows never run the
+dual engine. Each ``func`` stays dual-capable for pullbacks and the
+reduced-bracket checks, and the dual route is the oracle the closed forms
+are tested against.
 """
 
 from __future__ import annotations
@@ -69,6 +76,33 @@ class RadialPotential:
         for i in range(n - 1, 0, -1):
             total = total * r + i * self.coeffs[i]
         return total
+
+
+def _constraint_gradient(alpha2: float, r: float, p_r: float, p_phi: float) -> list:
+    """Gradient of C on floats, in the operation order of its dual pass.
+
+    inv = 1/(r r) and q = p_phi^2 inv as the dual quotient forms them; a zero
+    r r raises the error the dual division raises.
+    """
+    rr = r * r
+    if rr == 0.0:
+        raise duals.division_error(p_phi * p_phi, rr)
+    inv = 1.0 / rr
+    q = (p_phi * p_phi) * inv
+    return [0.5 * ((0.0 - q * (r + r)) * inv - alpha2 * (r + r)), 0.0,
+            0.5 * (p_r + p_r), 0.5 * ((p_phi + p_phi) * inv)]
+
+
+def _potential_slope(coeffs: tuple[float, ...], r: float) -> float:
+    """U'(r) from the dual Horner pass of U on floats: (v, s) <- (v r + c, v + r s).
+
+    Not RadialPotential.derivative, which sums i c_i r^(i-1) in its own order
+    and is kept as the independent oracle of phi_rate.
+    """
+    v = s = 0.0
+    for c in reversed(coeffs):
+        v, s = v * r + c, v + r * s
+    return s
 
 
 @dataclass(frozen=True)
@@ -130,13 +164,22 @@ class KlauderModel:
             r, p_r, p_phi = z[0], z[2], z[3]
             return 0.5 * (p_r * p_r + (p_phi * p_phi) / (r * r) - alpha2 * (r * r))
 
-        return function_field(self.polar_chart, "C", func)
+        def grad(z, alpha2=alpha2):
+            r, _, p_r, p_phi = z.tolist()
+            return np.array(_constraint_gradient(alpha2, r, p_r, p_phi))
+
+        return function_field(self.polar_chart, "C", func, grad)
 
     @cached_property
     def gauge_condition(self) -> ScalarField:
         k0 = self.k_at(0.0)
+
+        def grad(z):
+            r, _, p_r, _ = z.tolist()
+            return np.array([p_r, 0.0, r, 0.0])
+
         return function_field(self.polar_chart, "chi",
-                              lambda z, k0=k0: z[0] * z[2] - k0)
+                              lambda z, k0=k0: z[0] * z[2] - k0, grad)
 
     @cached_property
     def constraint_set(self) -> ConstraintSet:
@@ -156,7 +199,13 @@ class KlauderModel:
         def func(z, c=c, u=u):
             return c.func(z) + u(z[0])
 
-        return function_field(self.polar_chart, "H_phys", func)
+        def grad(z, alpha2=self.alpha ** 2, coeffs=u.coeffs):
+            r, _, p_r, p_phi = z.tolist()
+            g = _constraint_gradient(alpha2, r, p_r, p_phi)
+            g[0] += _potential_slope(coeffs, r)
+            return np.array(g)
+
+        return function_field(self.polar_chart, "H_phys", func, grad)
 
     @cached_property
     def cartesian_generator(self) -> ScalarField:
@@ -166,7 +215,12 @@ class KlauderModel:
         def func(z, alpha2=alpha2):
             return 0.5 * (z[2] * z[2] + z[3] * z[3] - alpha2 * (z[0] * z[0] + z[1] * z[1]))
 
-        return function_field(self.cartesian_chart, "C_cartesian", func)
+        def grad(z, alpha2=alpha2):
+            q1, q2, p1, p2 = z.tolist()
+            return np.array([0.5 * (0.0 - alpha2 * (q1 + q1)), 0.5 * (0.0 - alpha2 * (q2 + q2)),
+                             0.5 * (p1 + p1), 0.5 * (p2 + p2)])
+
+        return function_field(self.cartesian_chart, "C_cartesian", func, grad)
 
     # -- reduced phase space -------------------------------------------------
     def reduced_radius(self, p_phi, t: float = 0.0):

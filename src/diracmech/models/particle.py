@@ -7,6 +7,11 @@ branch), the spatial pairs stay canonical under the Dirac bracket, and the
 emergent Hamiltonian sqrt(p.p + m^2) drives straight-line motion
 
     x^i(tau) = x^i(0) + p^i tau / sqrt(p.p + m^2).
+
+C, chi and the emergent Hamiltonian register closed-form gradients, written
+on floats in the operation order of their dual pass: they equal the dual
+gradient under ==, so the particle flight never runs the dual engine, and
+the dual route stays the oracle the closed forms are tested against.
 """
 
 from __future__ import annotations
@@ -22,8 +27,8 @@ from .. import duals
 from ..constraints import ConstraintSet, dirac_tensor
 from ..brackets import poisson_bracket
 from ..dynamics import PoissonFlow
-from ..errors import UsageError
-from ..fields import ScalarField, function_field
+from ..errors import NumericDomainError, UsageError
+from ..fields import ScalarField, coordinate_field, function_field
 from ..phase import ChartSpec, PhaseSpacePoint
 
 
@@ -64,11 +69,18 @@ class RelativisticParticle:
                 total = total - z[d + 1 + i] * z[d + 1 + i]
             return 0.5 * total
 
-        return function_field(self.full_chart, "C", func)
+        def grad(z, d=d):
+            momenta = z.tolist()[d + 1:]
+            p0 = momenta[0]
+            return np.array([0.0] * (d + 1) + [0.5 * (p0 + p0)]
+                            + [0.5 * (0.0 - (p + p)) for p in momenta[1:]])
+
+        return function_field(self.full_chart, "C", func, grad)
 
     def time_gauge(self, tau: float = 0.0) -> ScalarField:
+        x0 = coordinate_field(self.full_chart, "x0")
         return function_field(self.full_chart, "chi",
-                              lambda z, tau=float(tau): z[0] - tau)
+                              lambda z, tau=float(tau): z[0] - tau, x0.grad)
 
     def constraint_set(self, tau: float = 0.0) -> ConstraintSet:
         return ConstraintSet(chart=self.full_chart,
@@ -90,7 +102,18 @@ class RelativisticParticle:
                 total = total + z[d + i] * z[d + i]
             return duals.sqrt(total)
 
-        return function_field(self.spatial_chart, "H_phys", func)
+        def grad(z, d=d, m2=m2):
+            momenta = z.tolist()[d:]
+            total = m2
+            for p in momenta:
+                total = p * p + total
+            energy = duals.sqrt(total)
+            if energy == 0.0:  # m^2 underflowed and p = 0: the dual tangent divides by it
+                raise NumericDomainError(f"sqrt({total!r}): float division by zero")
+            scale = 0.5 / energy
+            return np.array([0.0] * d + [scale * (p + p) for p in momenta])
+
+        return function_field(self.spatial_chart, "H_phys", func, grad)
 
     def trajectory(self, x0, p, tau):
         """Closed-form x(tau) = x(0) + p tau / sqrt(p.p + m^2)."""

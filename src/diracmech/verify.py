@@ -68,6 +68,10 @@ def _flat_chart(n_pairs=2):
     return ChartSpec(labels=labels, name="flat")
 
 
+def _uniform_points(chart, rng, n):
+    return [chart.point(rng.uniform(-3, 3, chart.dim)) for _ in range(n)]
+
+
 # --------------------------------------------------------------------------
 # core bracket engine
 
@@ -127,7 +131,8 @@ def check_jacobi(rng, fault):
 
 
 def check_gradient_consistency(rng, fault):
-    model = KlauderModel(alpha=1.3, k=0.7)
+    """Every closed-form model gradient, and a polynomial's, against central differences."""
+    model = KlauderModel(alpha=1.3, k=0.7, potential=RadialPotential.harmonic())
     worst = 0.0
     for x in model.sample_points(rng, 20):
         worst = max(worst, gradient_consistency_check(model.constraint, x).max_rel_err,
@@ -137,6 +142,15 @@ def check_gradient_consistency(rng, fault):
     for _ in range(10):
         x = chart.point(rng.uniform(-3, 3, chart.dim))
         worst = max(worst, gradient_consistency_check(poly, x).max_rel_err)
+    particle = RelativisticParticle(mass=2.0, spatial_dim=3)
+    for fields, points in (
+            ([model.hamiltonian()], model.sample_points(rng, 5)),
+            ([model.cartesian_generator], _uniform_points(model.cartesian_chart, rng, 5)),
+            ([particle.mass_shell, particle.time_gauge(0.4)],
+             _uniform_points(particle.full_chart, rng, 5)),
+            ([particle.physical_hamiltonian], _uniform_points(particle.spatial_chart, rng, 5))):
+        for x in points:
+            worst = max(worst, *(gradient_consistency_check(f, x).max_rel_err for f in fields))
     return _result("core.gradient_consistency", worst + fault, 1e-6)
 
 

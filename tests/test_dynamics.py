@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from diracmech.dynamics import (DiracFlow, GaugeFlow, IntegratorConfig, NewtonPr
                                 gauge_orbit_closed_form, multiplier_from_gauge)
 from diracmech.errors import DegeneracyError, NumericDomainError, UsageError
 from diracmech.fields import constant_field, coordinate_field, function_field, polynomial_field
-from diracmech.models import KlauderModel, KRamp, RadialPotential
+from diracmech.models import KlauderModel, KRamp, LatticeMaxwell, RadialPotential
 from diracmech.phase import ChartSpec
 
 FLAT = ChartSpec(labels=("q1", "p1"), name="flat1d")
@@ -273,3 +274,17 @@ def test_constraint_drift_recomputed_equals_recorded():
     traj = evolve(model.embed_reduced(0.0, 1.0), PoissonFlow(model.hamiltonian()),
                   IntegratorConfig(dt=1e-2, steps=50), monitor=model.constraint_set)
     assert constraint_drift(traj, model.constraint_set) == constraint_drift(traj)
+
+
+def test_trajectory_keeps_the_integrator_arrays_without_a_copy():
+    # the states array is the only trajectory-sized allocation
+    model = LatticeMaxwell(side=8)
+    h = model.hamiltonian
+    x0 = h.chart.point(np.random.default_rng(3).uniform(-0.1, 0.1, h.chart.dim))
+    tracemalloc.start()
+    try:
+        traj = evolve(x0, PoissonFlow(h), IntegratorConfig(dt=1e-3, steps=300))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * traj.states.nbytes

@@ -58,6 +58,20 @@ def test_dual_math_errors_are_numeric_domain_errors(fn, arg, dual):
         fn(duals.seed([arg])[0] if dual else arg)
 
 
+@pytest.mark.parametrize("func, coords, message", [
+    (lambda z: 1.0 / z[0], [0.0, 1.0], "1.0 / 0.0: division by zero"),
+    (lambda z: z[1] / z[0], [0.0, 2.0], "2.0 / 0.0: division by zero"),
+    (lambda z: z[1] / 0.0, [0.0, 3.0], "3.0 / 0.0: division by zero"),
+    (lambda z: z[0] ** 0.5, [0.0, 1.0], "(0.0) ** 0.5: 0.0 cannot be raised"),
+    (lambda z: z[0] ** 0.25, [-1.0, 1.0], "(-1.0) ** 0.25: complex result"),
+    (lambda z: z[0] ** 2.5, [1e200, 1.0], "(1e+200) ** 2.5: Numerical result out of range")],
+    ids=["reciprocal", "quotient", "by_constant", "sqrt_at_zero", "complex", "overflow"])
+def test_dual_operator_errors_are_numeric_domain_errors(func, coords, message):
+    with pytest.raises(NumericDomainError) as err:
+        duals.gradient(func, coords)
+    assert str(err.value).startswith(message)
+
+
 def test_dual_numpy_scalars_do_not_swallow_duals():
     x = duals.seed([2.0])[0]
     out = np.float64(3.0) * x + np.float64(1.0)

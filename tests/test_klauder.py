@@ -1,14 +1,21 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from diracmech import duals
+from diracmech.cli import main
 from diracmech.constraints import dirac_bracket
 from diracmech.errors import NumericDomainError, UsageError
 from diracmech.fields import coordinate_field, polynomial_field
 from diracmech.models import KlauderModel, KRamp, RadialPotential
 
+from conftest import (assert_closed_form_equals_duals, assert_closed_form_finite_like_duals,
+                      log_uniform, refuse_duals)
+
 HARMONIC = RadialPotential.harmonic()
+QUARTIC = RadialPotential((0.3, -1.2, 0.5, 0.7, -0.2))
 
 
 def coords_of(model):
@@ -196,3 +203,72 @@ def test_model_validation():
 def test_model_rejects_alpha_whose_square_is_not_finite(alpha):
     with pytest.raises(UsageError, match="alpha"):
         KlauderModel(alpha=alpha)
+
+
+# -- closed-form gradients ---------------------------------------------------------
+
+def klauder_fields(model):
+    return (model.constraint, model.gauge_condition, model.hamiltonian())
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1.0, 1.7])
+@pytest.mark.parametrize("k", [1.0, KRamp(1.0, 0.5), KRamp(0.0, -0.4)],
+                         ids=["static", "ramped", "ramped_from_zero"])
+@pytest.mark.parametrize("potential", [HARMONIC, QUARTIC], ids=["harmonic", "quartic"])
+def test_closed_form_gradients_equal_dual_route(rng, alpha, k, potential):
+    model = KlauderModel(alpha=alpha, k=k, potential=potential)
+    wide = np.column_stack([10.0 ** rng.uniform(-6, 6, 50), *(log_uniform(rng, -6, 6, 50)
+                                                               for _ in range(3))])
+    polar = ([x.coords for x in model.sample_points(rng, 100)]
+             + [x.coords for x in model.sample_surface(rng, 100)] + list(wide))
+    for field in klauder_fields(model):
+        assert_closed_form_equals_duals(field, polar)
+    q = rng.uniform(-5, 5, (100, 2))
+    angle = rng.uniform(0, 2 * np.pi, 100)
+    zero_set = np.column_stack([q, alpha * np.hypot(*q.T)[:, None]
+                                * np.column_stack([np.cos(angle), np.sin(angle)])])
+    assert_closed_form_equals_duals(model.cartesian_generator,
+                                    list(rng.uniform(-5, 5, (100, 4))) + list(zero_set))
+
+
+def test_closed_form_gradients_at_extreme_points(rng):
+    model = KlauderModel(alpha=1.7, k=KRamp(1.0, 0.5), potential=QUARTIC)
+    n = 300
+    r = np.where(rng.random(n) < 0.5, 1e-11, 10.0 ** rng.uniform(-11, 150, n))
+    # p_phi up to 1e133 keeps p_phi^2/r^2 finite at r = 1e-11; beyond, it overflows
+    p_phi = log_uniform(rng, 0, 133, n) * np.where(rng.random(n) < 0.5, 1.0, 1e27)
+    polar = np.column_stack([r, rng.uniform(-5, 5, n), log_uniform(rng, 0, 155, n), p_phi])
+    for field in klauder_fields(model):
+        finite = assert_closed_form_finite_like_duals(field, polar)
+        assert 0 < finite < n or field.name == "chi"
+    assert_closed_form_finite_like_duals(model.cartesian_generator,
+                                         log_uniform(rng, 0, 155, (n, 4)))
+
+
+@pytest.mark.parametrize("r", [0.0, -0.0, 1e-170])
+def test_constraint_closed_form_raises_like_dual_division(r):
+    model = KlauderModel(alpha=1.0, k=1.0, potential=HARMONIC)
+    z = np.array([r, 0.3, 1.0, 2.0])
+    for field in (model.constraint, model.hamiltonian()):
+        with pytest.raises(NumericDomainError) as closed:
+            field.gradient_at(z)
+        with pytest.raises(NumericDomainError) as dual:
+            duals.gradient(field.func, z)
+        assert str(closed.value) == str(dual.value) == "4.0 / 0.0: division by zero"
+
+
+@pytest.mark.parametrize("model, flow, initial", [
+    ({"alpha": 1.0, "k": 0.0, "potential": {"type": "poly", "coeffs": [0, 0, 0.5]}},
+     {"kind": "dirac"}, {"surface": {"phi": 0.4, "p_phi": -1.5}}),
+    ({"alpha": 1.0, "k": [1.0, 0.5], "potential": {"type": "poly", "coeffs": [0, 0, 0.5]}},
+     {"kind": "dirac"}, {"surface": {"phi": 2.0, "p_phi": 0.8}}),
+    ({"alpha": 1.0, "k": 0.0}, {"kind": "gauge", "multiplier": 1.0},
+     {"coords": [0.6, -0.8, 0.0, 1.0]}),
+], ids=["static_dirac", "ramped_dirac", "gauge"])
+def test_orbit_flows_run_without_duals(tmp_path, monkeypatch, model, flow, initial):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"model": {"kind": "klauder", **model}, "flow": flow,
+                                  "integrator": {"dt": 0.001, "steps": 100},
+                                  "initial": initial}))
+    refuse_duals(monkeypatch)
+    assert main(["evolve", "--config", str(config), "--out", str(tmp_path / "t.csv")]) == 0

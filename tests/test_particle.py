@@ -1,12 +1,18 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from diracmech import duals
 from diracmech.brackets import poisson_bracket
+from diracmech.cli import main
 from diracmech.dynamics import IntegratorConfig, PoissonFlow, evolve
-from diracmech.errors import UsageError
+from diracmech.errors import NumericDomainError, UsageError
 from diracmech.models import RelativisticParticle
+
+from conftest import (assert_closed_form_equals_duals, assert_closed_form_finite_like_duals,
+                      log_uniform, refuse_duals)
 
 
 def test_trajectory_rest_frame():
@@ -78,3 +84,60 @@ def test_validation():
 def test_mass_whose_square_is_not_finite_rejected(mass):
     with pytest.raises(UsageError, match="mass"):
         RelativisticParticle(mass=mass)
+
+
+# -- closed-form gradients ---------------------------------------------------------
+
+def particle_fields(particle):
+    return ((particle.mass_shell, particle.full_chart),
+            (particle.time_gauge(0.7), particle.full_chart),
+            (particle.physical_hamiltonian, particle.spatial_chart))
+
+
+@pytest.mark.parametrize("spatial_dim", [1, 2, 3])
+def test_closed_form_gradients_equal_dual_route(rng, spatial_dim):
+    particle = RelativisticParticle(mass=rng.uniform(0.1, 5.0), spatial_dim=spatial_dim)
+    on_shell = [x.coords for x in particle.sample_on_shell(rng, 100, tau=0.7)]
+    for field, chart in particle_fields(particle):
+        off_shell = list(rng.uniform(-5, 5, (100, chart.dim)))
+        wide = list(log_uniform(rng, -6, 6, (50, chart.dim)))
+        points = off_shell + wide
+        if chart == particle.full_chart:
+            points += on_shell
+        else:
+            points += [np.concatenate([z[1:spatial_dim + 1], z[spatial_dim + 2:]])
+                       for z in on_shell]
+        assert_closed_form_equals_duals(field, points)
+
+
+def test_closed_form_gradients_at_extreme_points(rng):
+    particle = RelativisticParticle(mass=2.0, spatial_dim=3)
+    for field, chart in particle_fields(particle):
+        # momenta up to 1e155 square past the float range; near 1e308 they double past it
+        half = chart.dim // 2
+        points = np.column_stack([rng.uniform(-5, 5, (300, half)),
+                                  log_uniform(rng, 0, 155, (300, half))])
+        points[::3, half:] = log_uniform(rng, 307, 308, (100, half))
+        finite = assert_closed_form_finite_like_duals(field, points)
+        assert 0 < finite < 300 or field.name == "chi"
+
+
+def test_energy_gradient_raises_like_duals_where_the_energy_vanishes():
+    # 1e-170^2 underflows to 0, so at p = 0 both routes divide by sqrt(0)
+    h = RelativisticParticle(mass=1e-170, spatial_dim=2).physical_hamiltonian
+    z = np.zeros(4)
+    with pytest.raises(NumericDomainError) as closed:
+        h.gradient_at(z)
+    with pytest.raises(NumericDomainError) as dual:
+        duals.gradient(h.func, z)
+    assert str(closed.value) == str(dual.value) == "sqrt(0.0): float division by zero"
+
+
+def test_particle_flight_runs_without_duals(tmp_path, monkeypatch):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "model": {"kind": "particle", "mass": 4.0, "spatial_dim": 3},
+        "flow": {"kind": "poisson"}, "integrator": {"dt": 0.01, "steps": 100},
+        "initial": {"x": [0.5, -1.0, 2.0], "p": [-2.5, 0.3, 1.1]}}))
+    refuse_duals(monkeypatch)
+    assert main(["evolve", "--config", str(config), "--out", str(tmp_path / "t.csv")]) == 0

@@ -301,15 +301,19 @@ def cmd_evolve(config: dict, args) -> int:
     return EXIT_OK
 
 
+def _trajectory_rows(traj) -> list[list]:
+    """t, the coordinates, one |Phi_I| per residual series and G ("" if unrecorded)."""
+    # one tolist() per array gives the Python floats a float() per element would
+    residuals = [series.tolist() for series in traj.residuals.values()]
+    energy = ([""] * len(traj) if traj.generator_values is None
+              else traj.generator_values.tolist())
+    return [[t, *z, *rest] for t, z, *rest in
+            zip(traj.times.tolist(), traj.states.tolist(), *residuals, energy)]
+
+
 def _write_trajectory(path, fmt, traj):
-    res_names = list(traj.residuals.keys())
-    columns = ["t", *traj.chart.labels, *[f"res_{n}" for n in res_names], "H"]
-    rows = []
-    for i in range(len(traj)):
-        row = [float(traj.times[i]), *map(float, traj.states[i])]
-        row += [float(traj.residuals[n][i]) for n in res_names]
-        row.append(float(traj.generator_values[i]) if traj.generator_values is not None else "")
-        rows.append(row)
+    columns = ["t", *traj.chart.labels, *[f"res_{n}" for n in traj.residuals], "H"]
+    rows = _trajectory_rows(traj)
     footer = []
     drift = constraint_drift(traj)
     for name, stats in drift.items():
@@ -389,9 +393,8 @@ def cmd_maxwell(config: dict, args) -> int:
     cfg = _build_integrator(config)
     traj = model.evolve(a0, e0, cfg)
     columns = ["t", "energy", "gauss_residual", "transverse_residual"]
-    rows = [[float(traj.times[i]), float(traj.generator_values[i]),
-             float(traj.residuals["gauss"][i]), float(traj.residuals["transverse"][i])]
-            for i in range(len(traj))]
+    rows = list(zip(traj.times.tolist(), traj.generator_values.tolist(),
+                    traj.residuals["gauss"].tolist(), traj.residuals["transverse"].tolist()))
     path, fmt = _resolve_output(config, args, "maxwell.csv")
     write_table(path, fmt, columns, rows, checks)
     print(f"wrote {len(rows)} evolution rows and {len(checks)} checks to {path}")

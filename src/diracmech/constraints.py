@@ -15,6 +15,7 @@ with a rank estimate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dfield
 from typing import Callable, Optional, Sequence
 
@@ -92,7 +93,7 @@ class ConstraintSet:
     def gradient_rows(self, coords) -> np.ndarray:
         if not self.fields:
             return np.zeros((0, self.chart.dim))
-        return np.stack([f.gradient_at(coords) for f in self.fields])
+        return np.array([f.gradient_at(coords) for f in self.fields])
 
     def require_on_surface(self, coords, label: str, tol: float = ON_SURFACE_TOL,
                            t: float = 0.0) -> None:
@@ -124,10 +125,13 @@ def constraint_matrix(cs: ConstraintSet, x: PhaseSpacePoint) -> np.ndarray:
 
 
 def degeneracy_scale(m: np.ndarray) -> float:
-    """max(1, prod of row norms); NaN or inf when an entry of M is not finite."""
-    if m.shape[0] == 0:
-        return 1.0
-    return float(max(np.prod(np.linalg.norm(m, axis=1)), 1.0))  # max keeps a leading NaN
+    """max(1, prod of row norms); NaN or inf when an entry of M is not finite.
+
+    On Python floats: a small M costs no numpy calls, and math.hypot neither
+    overflows nor underflows where a row's sum of squares would.
+    """
+    # max keeps a leading NaN
+    return max(math.prod((math.hypot(*row) for row in m.tolist()), start=1.0), 1.0)
 
 
 def pairing_det(m: np.ndarray) -> float:

@@ -10,6 +10,7 @@ the Dirac flow is tangent to it by construction so the default is off.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field as dfield
 from typing import Callable, Optional, Union
 
@@ -40,9 +41,13 @@ class IntegratorConfig:
     projection: Optional[NewtonProjection] = None
 
     def __post_init__(self):
-        if self.dt <= 0 or not math.isfinite(self.dt * self.steps):
+        try:
+            steps = operator.index(self.steps)
+        except TypeError:
+            raise UsageError(f"integrator steps must be an integer, got {self.steps!r}") from None
+        if self.dt <= 0 or not math.isfinite(self.dt * steps):
             raise UsageError("need dt > 0 and finite dt*steps")
-        if self.steps < 0:
+        if steps < 0:
             raise UsageError("steps must be non-negative")
         if self.scheme != "rk4":
             raise UsageError(f"unknown scheme {self.scheme!r}")
@@ -235,7 +240,7 @@ def evolve(x0: PhaseSpacePoint, flow: FlowSpec, cfg: IntegratorConfig,
             t_next = (i + 1) * dt
             if cfg.projection is not None:
                 z = _project(z, watched, t_next, cfg.projection)
-            if not np.max(np.abs(z)) <= BLOWUP_LIMIT:  # also catches NaN
+            if not np.abs(z).max() <= BLOWUP_LIMIT:  # also catches NaN
                 raise NumericDomainError(
                     f"trajectory blew up at t={t_next:g} (|z| > {BLOWUP_LIMIT:g} or NaN)")
             times[i + 1] = t_next

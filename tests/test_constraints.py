@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from diracmech.brackets import poisson_bracket, poisson_tensor
-from diracmech.constraints import (ConstraintSet, classify, constraint_matrix,
-                                   dirac_bracket, dirac_tensor, faddeev_popov_determinant,
-                                   observable_check, pair_jacobian_check,
-                                   reduced_bracket_check)
+from diracmech.constraints import (DEGENERACY_RTOL, ConstraintSet, _pairing_multipliers,
+                                   _second_class, classify, constraint_matrix,
+                                   degeneracy_scale, dirac_bracket, dirac_tensor,
+                                   faddeev_popov_determinant, observable_check,
+                                   pair_jacobian_check, pairing_det, reduced_bracket_check)
 from diracmech.errors import DegeneracyError, NumericDomainError, UsageError
 from diracmech.fields import coordinate_field, function_field, polynomial_field
 from diracmech.models import CustomModel, KlauderModel, KRamp, RelativisticParticle
@@ -345,6 +346,105 @@ def test_dirac_tensor_chart_mismatch_raises(model):
     x = FLAT.point([0.0, 0.0, 1.0, 1.0])
     with pytest.raises(UsageError, match="different charts"):
         dirac_tensor(model.constraint_set, x)
+
+
+# -- the pairing guard and the gradient stack against their numpy forms ------------
+
+def reference_degeneracy_scale(m):
+    """The guard's scale max(1, prod of row norms), computed by numpy."""
+    if m.shape[0] == 0:
+        return 1.0
+    return float(max(np.prod(np.linalg.norm(m, axis=1)), 1.0))
+
+
+def reference_gradient_rows(cs, coords):
+    """ConstraintSet.gradient_rows, stacked by np.stack."""
+    return np.stack([f.gradient_at(coords) for f in cs.fields])
+
+
+GUARD_CASES = ("dense", "nonfinite_entry", "underflowing_row", "near_threshold", "all_tiny")
+
+
+def random_pairing_matrix(rng, size, case):
+    """A random antisymmetric M of the given size for one of GUARD_CASES."""
+    if case == "near_threshold":
+        # det M within a factor 3 of DEGENERACY_RTOL * scale, randomly relabelled
+        m = np.zeros((size, size))
+        if size == 2:  # scale 1: |m01| near 1e-5
+            m[0, 1] = 1e-5 * 10.0 ** rng.uniform(-0.25, 0.25)
+        else:  # scale > 1: the Pfaffian m01 m23 - m02 m13 + m03 m12 cancelled down to p
+            m[:4, :4] = np.triu(rng.uniform(1.0, 10.0, (4, 4)) * 10.0 ** rng.uniform(0.0, 3.0), 1)
+            m[4:, 4:] = np.triu(rng.uniform(1.0, 10.0, (size - 4, size - 4)), 1)  # Pf factor m45
+            for p in (0.0, 1.0):  # p from the scale of the cancelled block
+                m[0, 3] = (p - m[0, 1] * m[2, 3] + m[0, 2] * m[1, 3]) / m[1, 2]
+                p = math.sqrt(1e-10 * reference_degeneracy_scale(m[:4, :4] - m[:4, :4].T))
+            m[0, 3] = (p * 10.0 ** rng.uniform(-0.25, 0.25) - m[0, 1] * m[2, 3]
+                       + m[0, 2] * m[1, 3]) / m[1, 2]
+        perm = rng.permutation(size)
+        return (m - m.T)[perm][:, perm]
+    m = np.triu(rng.normal(size=(size, size)) * 10.0 ** rng.uniform(-3.0, 3.0), 1)
+    m = m - m.T
+    if case == "nonfinite_entry":
+        i, j = rng.choice(size, 2, replace=False)
+        value = rng.choice([np.inf, -np.inf, np.nan])
+        m[i, j], m[j, i] = value, -value
+    elif case == "underflowing_row":  # its squares underflow, and numpy's norm reads 0
+        i = rng.integers(size)
+        tiny = 10.0 ** rng.uniform(-250.0, -160.0)
+        m[i] *= tiny
+        m[:, i] *= tiny
+    elif case == "all_tiny":
+        m *= 10.0 ** rng.uniform(-200.0, -150.0)
+    return m
+
+
+def test_guard_decision_matches_the_numpy_scale(rng):
+    decisions = set()
+    for trial in range(2400):
+        case = GUARD_CASES[trial % len(GUARD_CASES)]
+        m = random_pairing_matrix(rng, (2, 4, 6)[trial // len(GUARD_CASES) % 3], case)
+        with np.errstate(all="ignore"):  # det of a non-finite M warns in LU
+            det = pairing_det(m)
+        second = _second_class(m, det)
+        assert second == (abs(det) > DEGENERACY_RTOL * reference_degeneracy_scale(m)), (case, m)
+        decisions.add((case, second))
+        if case == "nonfinite_entry":
+            assert not math.isfinite(degeneracy_scale(m))
+        elif case in ("dense", "near_threshold"):
+            assert degeneracy_scale(m) == pytest.approx(reference_degeneracy_scale(m),
+                                                        rel=1e-14)
+    assert {second for case, second in decisions if case == "near_threshold"} == {True, False}
+    assert ("nonfinite_entry", False) in decisions and ("dense", True) in decisions
+
+
+def test_degeneracy_scale_where_a_squared_row_norm_overflows():
+    # m03 = 1e155 squares to inf in numpy's row norm, but the product of the row norms,
+    # 1e155 * 1e-10 * 1e-10 * 1e155 = 1e290, is finite: M is Second Class by the true scale
+    m = np.zeros((4, 4))
+    m[0, 3], m[1, 2] = 1e155, 1e-10
+    m = m - m.T
+    det = pairing_det(m)
+    assert degeneracy_scale(m) == pytest.approx(1e290, rel=1e-14)
+    assert _second_class(m, det)
+    with np.errstate(over="ignore"):
+        assert reference_degeneracy_scale(m) == math.inf
+
+
+def test_nonfinite_pairing_matrix_raises_degeneracy_error():
+    for bad in (math.inf, -math.inf, math.nan):
+        # M = [[0, 1], [-1, nan]] has the finite 2x2 det m01^2 = 1: only the scale sees the NaN
+        rows = np.array([[1.0, 0.0], [bad, 1.0]])
+        with pytest.raises(DegeneracyError, match="has a non-finite entry"):
+            _pairing_multipliers(rows, np.ones(2), 1, [0.0, 0.0])
+    with pytest.raises(DegeneracyError, match="has a non-finite entry"):
+        dirac_tensor(HUGE_PAIR, LINE.point([0.0, 0.0]))
+
+
+def test_gradient_rows_equals_the_numpy_stack(rng):
+    for cs, x in tensor_points(rng):
+        rows, expected = cs.gradient_rows(x.coords), reference_gradient_rows(cs, x.coords)
+        assert rows.shape == expected.shape and rows.dtype == expected.dtype
+        assert rows.tobytes() == expected.tobytes()
 
 
 # -- observables -----------------------------------------------------------------

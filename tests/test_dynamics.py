@@ -4,14 +4,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from diracmech.constraints import ConstraintSet, dirac_bracket
+from diracmech.cli import _trajectory_rows
+from diracmech.constraints import DEGENERACY_RTOL, ConstraintSet, dirac_bracket
 from diracmech.dynamics import (DiracFlow, GaugeFlow, IntegratorConfig, NewtonProjection,
-                                PoissonFlow, _dirac_rhs, constraint_drift, evolve,
+                                PoissonFlow, Trajectory, _dirac_rhs, constraint_drift, evolve,
                                 gauge_orbit_closed_form, multiplier_from_gauge)
 from diracmech.errors import DegeneracyError, NumericDomainError, UsageError
 from diracmech.fields import constant_field, coordinate_field, function_field, polynomial_field
-from diracmech.models import KlauderModel, KRamp, LatticeMaxwell, RadialPotential
+from diracmech.models import (KlauderModel, KRamp, LatticeMaxwell, RadialPotential,
+                              RelativisticParticle)
 from diracmech.phase import ChartSpec
+
+from test_constraints import CUSTOM_FOUR, reference_degeneracy_scale, reference_gradient_rows
 
 FLAT = ChartSpec(labels=("q1", "p1"), name="flat1d")
 
@@ -205,6 +209,100 @@ def test_dirac_vector_field_is_the_dirac_bracket(rng):
         dirac_bracket(coords[1], h, cs, x)
 
 
+def reference_dirac_rhs(flow, n):
+    """The Dirac right-hand side written out with the numpy guard scale and np.stack."""
+    h, cs = flow.hamiltonian, flow.constraints
+
+    def rhs(t, z):
+        gh = h.gradient_at(z)
+        rows = reference_gradient_rows(cs, z)
+        s = rows[:, :n] @ gh[n:] - rows[:, n:] @ gh[:n]
+        if cs.time_dependent:
+            s = s + cs.rates_at(t)
+        a = rows[:, :n] @ rows[:, n:].T
+        m = a - a.T
+        det = float(m[0, 1] * m[0, 1]) if len(m) == 2 else float(np.linalg.det(m))
+        if not abs(det) > DEGENERACY_RTOL * reference_degeneracy_scale(m):
+            raise DegeneracyError("reference guard", det=det, coords=z)
+        lam = (np.array([-s[1] / m[0, 1], s[0] / m[0, 1]]) if len(m) == 2
+               else np.linalg.solve(m, s))
+        effective = gh - rows.T @ lam
+        return np.concatenate([effective[n:], -effective[:n]])
+
+    return rhs
+
+
+def dirac_flows():
+    """(flow, x0): static-k and ramped-k Klauder orbits, and a four-constraint custom
+    flow whose pairing solve takes the LU route."""
+    for k in (1.0, KRamp(1.0, 0.5)):
+        model = KlauderModel(alpha=1.0, k=k, potential=RadialPotential.harmonic())
+        yield DiracFlow(model.hamiltonian(), model.constraint_set), model.embed_reduced(0.1, 2.0)
+    h = ((0.5, (0, 0, 2, 0, 0, 0)), (0.5, (0, 0, 0, 0, 0, 2)), (1.0, (1, 0, 0, 0, 0, 1)))
+    flow, _ = CUSTOM_FOUR.flow("dirac", hamiltonian=h)
+    # on the surface: q1 = -q2 p3, p1 = 0, q2 = -q3^2 / 2, p2 = -q3^2 at q3 = 0.5, p3 = 0.25
+    yield flow, CUSTOM_FOUR.chart.point([0.03125, -0.125, 0.5, 0.0, -0.25, 0.25])
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_dirac_rhs_equals_the_reference_bitwise_over_200_steps(index):
+    flow, x0 = list(dirac_flows())[index]
+    n, dt = flow.chart.n_pairs, 1e-3
+    rhs, reference = _dirac_rhs(flow, n), reference_dirac_rhs(flow, n)
+
+    def both(t, z):
+        k = rhs(t, z)
+        assert k.tobytes() == reference(t, z).tobytes()
+        return k
+
+    z = np.array(x0.coords)
+    for i in range(200):  # evolve's RK4 step, every stage checked
+        t = i * dt
+        k1 = both(t, z)
+        k2 = both(t + 0.5 * dt, z + (0.5 * dt) * k1)
+        k3 = both(t + 0.5 * dt, z + (0.5 * dt) * k2)
+        k4 = both(t + dt, z + dt * k3)
+        z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    traj = evolve(x0, flow, IntegratorConfig(dt=dt, steps=200))
+    assert traj.states[-1].tobytes() == z.tobytes()
+    assert max(np.max(v) for v in traj.residuals.values()) < 1e-9
+
+
+def reference_trajectory_rows(traj):
+    """The per-element row builder: float() of every entry."""
+    res_names = list(traj.residuals.keys())
+    rows = []
+    for i in range(len(traj)):
+        row = [float(traj.times[i]), *map(float, traj.states[i])]
+        row += [float(traj.residuals[n][i]) for n in res_names]
+        row.append(float(traj.generator_values[i]) if traj.generator_values is not None else "")
+        rows.append(row)
+    return rows
+
+
+def test_trajectory_rows_equal_the_per_element_builder():
+    cfg = IntegratorConfig(dt=1e-3, steps=300)
+    flow, x0 = next(dirac_flows())
+    trajectories = [evolve(x0, flow, cfg)]
+    # the k = 0.05 - t orbit degenerates mid-run and keeps its good steps
+    model = KlauderModel(alpha=1.0, k=KRamp(0.05, -1.0))
+    with pytest.raises(DegeneracyError) as err:
+        evolve(model.embed_reduced(0.0, 0.0),
+               DiracFlow(model.hamiltonian(), model.constraint_set), cfg)
+    trajectories.append(err.value.partial_trajectory)
+    particle = RelativisticParticle(mass=4.0, spatial_dim=3)
+    flow, _ = particle.flow("poisson")
+    trajectories.append(evolve(particle.initial_point(x=[0.0, -1.0, 2.0], p=[3.0, 0.0, 0.0]),
+                               flow, cfg))
+    traj = trajectories[-1]
+    trajectories.append(Trajectory(traj.chart, traj.times, traj.states))  # no G recorded
+    assert 1 < len(trajectories[1]) < 301
+    for traj in trajectories:
+        rows, expected = _trajectory_rows(traj), reference_trajectory_rows(traj)
+        # repr tells 1 from 1.0 and -0.0 from 0.0, and equates NaNs
+        assert [list(map(repr, row)) for row in rows] == [list(map(repr, row)) for row in expected]
+
+
 # -- trajectory bookkeeping ---------------------------------------------------------
 
 def test_trajectory_invariants():
@@ -253,6 +351,17 @@ def test_integrator_config_validation():
         IntegratorConfig(dt=0.1, steps=-1)
     with pytest.raises(UsageError):
         IntegratorConfig(dt=0.1, steps=5, scheme="euler")
+
+
+@pytest.mark.parametrize("steps", [2.5, 3.0, "3"])
+def test_integrator_config_rejects_non_integer_steps(steps):
+    with pytest.raises(UsageError, match="steps must be an integer"):
+        IntegratorConfig(dt=1e-3, steps=steps)
+
+
+def test_integrator_config_takes_integer_like_steps():
+    cfg = IntegratorConfig(dt=1e-3, steps=np.int64(3))
+    assert len(evolve(FLAT.point([1.0, 0.0]), PoissonFlow(constant_field(FLAT, 0.0)), cfg)) == 4
 
 
 def test_dirac_flow_rejects_odd_or_empty_sets():

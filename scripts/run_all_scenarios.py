@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Run every scenario in scenarios/ through the CLI and summarize exit codes.
 
+Every ``scenarios/*.json`` needs a COMMANDS entry and every entry a file;
+otherwise the script names the file and exits 1 before running anything.
+
 With ``--check DIR``, also compare each artifact a scenario writes (its
 ``output.path``, under out/) byte for byte with the file of the same name in
 DIR, and exit 1 on any difference. For a CSV that differs, the number of
@@ -28,6 +31,13 @@ COMMANDS = {
     "maxwell_l2.json": "maxwell",
     "maxwell_l8_random.json": "maxwell",
 }
+
+
+def unmatched_scenarios(scenario_dir: pathlib.Path, commands=COMMANDS) -> list[str]:
+    """One line per scenario file without a COMMANDS entry, or entry without a file."""
+    files = {path.name for path in scenario_dir.glob("*.json")}
+    return ([f"{name}: no COMMANDS entry" for name in sorted(files - set(commands))]
+            + [f"{name}: COMMANDS entry has no file" for name in commands if name not in files])
 
 
 def csv_difference(golden: pathlib.Path, artifact: pathlib.Path) -> list[str]:
@@ -68,6 +78,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     root = pathlib.Path(__file__).resolve().parent.parent
     scenario_dir = root / "scenarios"
+    unmatched = unmatched_scenarios(scenario_dir)
+    for line in unmatched:
+        print(f"scenarios/{line}", file=sys.stderr)
+    if unmatched:
+        return 1
     failures = 0
     for name, command in COMMANDS.items():
         config = scenario_dir / name

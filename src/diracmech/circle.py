@@ -75,17 +75,6 @@ class CircleState:
         c = rng.normal(size=2 * m_max + 1) + 1j * rng.normal(size=2 * m_max + 1)
         return cls(c, hbar).normalized()
 
-    def to_json_dict(self) -> dict:
-        return {"hbar": self.hbar, "m_max": self.m_max,
-                "coeffs": [[float(c.real), float(c.imag)] for c in self.coeffs]}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "CircleState":
-        coeffs = np.array([complex(re, im) for re, im in data["coeffs"]])
-        if len(coeffs) != 2 * int(data["m_max"]) + 1:
-            raise UsageError("coeffs length does not match m_max")
-        return cls(coeffs, float(data.get("hbar", 1.0)))
-
 
 def _reduced_spectrum(model: KlauderModel, p_phi, t):
     """r* = ((k(t)^2 + p_phi^2)/alpha^2)^(1/4) and U(r*) (Horner, elementwise) for p_phi

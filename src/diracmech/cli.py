@@ -22,7 +22,7 @@ import numpy as np
 from jsonschema.exceptions import best_match
 from jsonschema.validators import extend, validator_for
 
-from .brackets import poisson_bracket
+from .brackets import poisson_tensor
 from .circle import (CircleState, SpectrumTable, evolve_time_dependent,
                      expect_cartesian, expect_phi, expect_phi_quadrature, expect_reduced)
 from .constraints import dirac_bracket, dirac_tensor
@@ -230,12 +230,14 @@ def cmd_brackets(config: dict, args) -> int:
     count = ranges.pop("count", 100)
     chart = model.bracket_chart
     coords = {l: coordinate_field(chart, l) for l in chart.labels}
+    # {z_a, z_b} = J_ab: the Poisson column is a constant of the chart
+    poisson = poisson_tensor(chart.n_pairs).tolist()
+    pairs = [(a, b, poisson[chart.index(a)][chart.index(b)]) for a, b in model.bracket_pairs]
     rows = []
     for x in model.sample(rng, count, **ranges):
         cs = model.constraints_at(x)
         dirac = dirac_tensor(cs, x)
-        for a, b in model.bracket_pairs:
-            pb = poisson_bracket(coords[a], coords[b], x)
+        for a, b, pb in pairs:
             db = dirac_bracket(coords[a], coords[b], cs, x, tensor=dirac)
             oracle = model.dirac_oracle((a, b), x)
             rows.append([f"{{{a},{b}}}", *x.coords, pb, db, "" if oracle is None else oracle,
@@ -254,8 +256,7 @@ def _build_integrator(config: dict) -> IntegratorConfig:
     projection = None
     if "projection" in block:
         projection = NewtonProjection(**block["projection"])
-    return IntegratorConfig(dt=block["dt"], steps=block["steps"],
-                            scheme=block.get("scheme", "rk4"), projection=projection)
+    return IntegratorConfig(dt=block["dt"], steps=block["steps"], projection=projection)
 
 
 def _multiplier(value):

@@ -34,7 +34,10 @@ ON_SURFACE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class TimeRamp:
-    """Additive explicit-time part of a constraint: Phi(z,t) = Phi(z) + offset(t)."""
+    """Additive explicit-time part of a constraint: Phi(z,t) = Phi(z) + offset(t).
+
+    ``offset`` takes a float or an array of times, elementwise; ``rate`` a float.
+    """
 
     offset: Callable[[float], float]
     rate: Callable[[float], float]
@@ -106,7 +109,11 @@ class ConstraintSet:
 
     def residual_series(self, times, states) -> dict[str, np.ndarray]:
         """|Phi_I| at every (t, z) of a trajectory, one array per constraint name."""
-        vals = np.stack([np.abs(self.values_at(z, t)) for t, z in zip(times, states)])
+        vals = np.array([[f.value_at(z) for f in self.fields] for z in states])
+        for j, ramp in enumerate(self.time_ramps or ()):
+            if ramp is not None:
+                vals[:, j] += ramp.offset(np.asarray(times, dtype=float))
+        vals = np.abs(vals)
         return {name: vals[:, j] for j, name in enumerate(self.names)}
 
 

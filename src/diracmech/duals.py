@@ -56,7 +56,7 @@ class Dual:
     # a zero divisor, an overflowing power or a complex power raises
     # NumericDomainError naming the operation and its operands
     def __truediv__(self, other):
-        den = _value(other)
+        den = value(other)
         try:
             inv = 1.0 / den
         except ZeroDivisionError as err:
@@ -97,20 +97,16 @@ class Dual:
 
     # comparisons act on values so domain guards work inside field code
     def __lt__(self, other):
-        return self.val < _value(other)
+        return self.val < value(other)
 
     def __le__(self, other):
-        return self.val <= _value(other)
+        return self.val <= value(other)
 
     def __gt__(self, other):
-        return self.val > _value(other)
+        return self.val > value(other)
 
     def __ge__(self, other):
-        return self.val >= _value(other)
-
-
-def _value(x):
-    return x.val if isinstance(x, Dual) else float(x)
+        return self.val >= value(other)
 
 
 def division_error(num, den) -> NumericDomainError:
@@ -120,7 +116,7 @@ def division_error(num, den) -> NumericDomainError:
 
 def value(x):
     """Plain float value of ``x``, whether dual or not."""
-    return _value(x)
+    return x.val if isinstance(x, Dual) else float(x)
 
 
 def seed(coords):
@@ -157,7 +153,7 @@ def _lift(fn, tangent):
                 return Dual(v, tangent(v, x))
             return fn(x)
         except _MATH_ERRORS as err:
-            raise NumericDomainError(f"{name}({_value(x)!r}): {err}") from err
+            raise NumericDomainError(f"{name}({value(x)!r}): {err}") from err
 
     lifted.__name__ = lifted.__qualname__ = name
     return lifted
@@ -174,7 +170,7 @@ cosh = _lift(math.cosh, lambda v, x: math.sinh(x.val) * x.eps)
 
 def atan2(y, x):
     if isinstance(y, Dual) or isinstance(x, Dual):
-        yv, xv = _value(y), _value(x)
+        yv, xv = value(y), value(x)
         denom = xv * xv + yv * yv
         ye = y.eps if isinstance(y, Dual) else 0.0
         xe = x.eps if isinstance(x, Dual) else 0.0

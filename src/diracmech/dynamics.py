@@ -37,7 +37,6 @@ class NewtonProjection:
 class IntegratorConfig:
     dt: float
     steps: int
-    scheme: str = "rk4"
     projection: Optional[NewtonProjection] = None
 
     def __post_init__(self):
@@ -49,8 +48,6 @@ class IntegratorConfig:
             raise UsageError("need dt > 0 and finite dt*steps")
         if steps < 0:
             raise UsageError("steps must be non-negative")
-        if self.scheme != "rk4":
-            raise UsageError(f"unknown scheme {self.scheme!r}")
 
 
 @dataclass(frozen=True)
@@ -121,10 +118,6 @@ class Trajectory:
 
     def point(self, i: int) -> PhaseSpacePoint:
         return PhaseSpacePoint(self.chart, self.states[i])
-
-    @property
-    def final_point(self) -> PhaseSpacePoint:
-        return self.point(len(self) - 1)
 
 
 def _symplectic_apply(grad: np.ndarray, n: int) -> np.ndarray:

@@ -142,9 +142,6 @@ class KlauderModel:
     def time_dependent(self) -> bool:
         return self.k.k1 != 0.0
 
-    def k_at(self, t: float = 0.0) -> float:
-        return self.k(t)
-
     # -- charts and fields ---------------------------------------------------
     @cached_property
     def polar_chart(self) -> ChartSpec:
@@ -172,7 +169,7 @@ class KlauderModel:
 
     @cached_property
     def gauge_condition(self) -> ScalarField:
-        k0 = self.k_at(0.0)
+        k0 = self.k(0.0)
 
         def grad(z):
             r, _, p_r, _ = z.tolist()
@@ -225,7 +222,7 @@ class KlauderModel:
     # -- reduced phase space -------------------------------------------------
     def reduced_radius(self, p_phi, t: float = 0.0):
         """r* = ((k^2 + p_phi^2)/alpha^2)^(1/4); dual-capable for embeddings."""
-        k = self.k_at(t)
+        k = self.k(t)
         value = (k * k + p_phi * p_phi) / (self.alpha ** 2)
         if duals.value(value) <= 0.0:
             raise NumericDomainError(
@@ -235,7 +232,7 @@ class KlauderModel:
     def reduced_point(self, p_phi: float, t: float = 0.0) -> tuple[float, float]:
         """On-surface radial pair (r*, p_r*) for given angular momentum."""
         r_star = float(self.reduced_radius(p_phi, t))
-        return r_star, self.k_at(t) / r_star
+        return r_star, self.k(t) / r_star
 
     def embed_reduced(self, phi: float, p_phi: float, t: float = 0.0) -> PhaseSpacePoint:
         r_star, p_r_star = self.reduced_point(p_phi, t)
@@ -243,7 +240,7 @@ class KlauderModel:
 
     @cached_property
     def reduced_chart(self) -> ChartSpec:
-        if self.k_at(0.0) == 0.0:
+        if self.k(0.0) == 0.0:
             return ChartSpec(labels=("phi", "p_phi"), name="reduced",
                              domain=lambda z: z[1] != 0.0,
                              domain_description="p_phi != 0 (k = 0 excludes the origin)")
@@ -254,7 +251,7 @@ class KlauderModel:
         def embed(z, model=self):
             phi, p_phi = z[0], z[1]
             r_star = model.reduced_radius(p_phi)
-            return [r_star, phi, model.k_at(0.0) / r_star, p_phi]
+            return [r_star, phi, model.k(0.0) / r_star, p_phi]
 
         return SurfaceParametrization(reduced_chart=self.reduced_chart, embed=embed)
 
@@ -276,7 +273,7 @@ class KlauderModel:
         pts = []
         for _ in range(n):
             p_phi = rng.uniform(*p_phi_range)
-            if self.k_at(0.0) == 0.0 and abs(p_phi) < 0.1:
+            if self.k(0.0) == 0.0 and abs(p_phi) < 0.1:
                 p_phi = 0.1 if p_phi >= 0 else -0.1
             pts.append(self.embed_reduced(rng.uniform(0.0, 2.0 * np.pi), p_phi))
         return pts
@@ -341,7 +338,7 @@ class KlauderModel:
 
     def surface_denominator(self, p_phi: float, t: float = 0.0) -> float:
         """On-surface value of the oracle denominator: 2(k^2 + p_phi^2)."""
-        k = self.k_at(t)
+        k = self.k(t)
         return 2.0 * (k * k + p_phi * p_phi)
 
     def phi_rate(self, p_phi: float) -> float:

@@ -28,6 +28,7 @@ from .models import KlauderModel, KRamp, LatticeMaxwell, RadialPotential, Relati
 from .phase import ChartSpec
 
 DEFAULT_SEED = 20250810
+FAULT_SIZE = 1e-3  # the oracle shift of an injected fault
 
 
 @dataclass(frozen=True)
@@ -238,7 +239,7 @@ def check_surface_simplification(rng, fault):
         denom = x["p_phi"] ** 2 + (x["r"] * x["p_r"]) ** 2 + (model.alpha * x["r"] ** 2) ** 2
         worst = max(worst, abs(denom - model.surface_denominator(p_phi) - fault))
         engine = dirac_bracket(r, phi, model.constraint_set, x)
-        closed = -x["r"] * p_phi / (2.0 * (p_phi ** 2 + model.k_at(0.0) ** 2))
+        closed = -x["r"] * p_phi / (2.0 * (p_phi ** 2 + model.k(0.0) ** 2))
         worst = max(worst, abs(engine - closed - fault))
     return _result("klauder.surface_simplification", worst, 1e-9,
                    "on-surface denominator 2(k^2+p_phi^2)")
@@ -276,7 +277,6 @@ def check_rotational_invariance(rng, fault):
     worst = 0.0
     for trial in range(10):
         # fields of (r, p_r, p_phi) only: rotation generator must Dirac-commute
-        dim = chart.dim
         spec = []
         for _ in range(4):
             powers = [0, 0, 0, 0]
@@ -420,9 +420,8 @@ def check_dirac_matrix(rng, fault):
         fft = model.project(np.eye(model.n_components))
         pinv = model.transverse_projector()
         lu = model.dirac_bracket_matrices()
-        worst = max(worst, float(np.max(np.abs(lu["ae"] - fft))) + abs(fault),
-                    float(np.max(np.abs(pinv - fft))), float(np.max(np.abs(lu["ae"] - pinv))),
-                    float(np.max(np.abs(lu["aa"]))), float(np.max(np.abs(lu["ee"]))))
+        worst = max(worst, float(np.max(np.abs(lu - fft))) + abs(fault),
+                    float(np.max(np.abs(pinv - fft))), float(np.max(np.abs(lu - pinv))))
     return _result("maxwell.dirac_matrix", worst, 1e-8,
                    "{A,E}_D by FFT, pseudo-inverse and LU agree")
 
@@ -547,7 +546,7 @@ def available_suites() -> list[str]:
 
 
 def run_suite(selector: str = "all", seed: int = DEFAULT_SEED,
-              inject_fault: str | None = None, fault_size: float = 1e-3) -> list[CheckResult]:
+              inject_fault: str | None = None) -> list[CheckResult]:
     """Run one suite (or all), optionally shifting the oracle of the check named
     by its short or qualified id (``bracket_table`` or ``klauder.bracket_table``)."""
     if selector == "all":
@@ -562,7 +561,7 @@ def run_suite(selector: str = "all", seed: int = DEFAULT_SEED,
         raise UsageError(f"inject_fault {inject_fault!r} names no check of suite {selector!r}")
     results = []
     for check, names in zip(checks, ids):
-        fault = fault_size if inject_fault in names else 0.0
+        fault = FAULT_SIZE if inject_fault in names else 0.0
         rng = np.random.default_rng(seed)
         results.append(check(rng, fault))
     return results

@@ -62,9 +62,9 @@ def test_criterion_2_surface_simplification():
         p_phi = rng.uniform(-5.0, 5.0)
         x = model.embed_reduced(rng.uniform(0.0, 2.0 * math.pi), p_phi)
         denom = x["p_phi"] ** 2 + (x["r"] * x["p_r"]) ** 2 + (model.alpha * x["r"] ** 2) ** 2
-        worst = max(worst, abs(denom - 2.0 * (model.k_at() ** 2 + p_phi ** 2)))
+        worst = max(worst, abs(denom - 2.0 * (model.k(0.0) ** 2 + p_phi ** 2)))
         engine = dirac_bracket(fields["r"], fields["phi"], model.constraint_set, x)
-        closed = -x["r"] * p_phi / (2.0 * (p_phi ** 2 + model.k_at() ** 2))
+        closed = -x["r"] * p_phi / (2.0 * (p_phi ** 2 + model.k(0.0) ** 2))
         worst = max(worst, abs(engine - closed))
     report(2, worst < 1e-9,
            f"on-surface denominator and {{r,phi}} closed form at 100 points: "
@@ -166,7 +166,7 @@ def test_criterion_8_lattice_maxwell():
         projector = model.transverse_projector()
         worst_proj = max(worst_proj, float(np.max(np.abs(projector @ projector - projector))))
         worst_matrix = max(worst_matrix, float(np.max(np.abs(
-            model.dirac_bracket_matrices()["ae"] - projector))))
+            model.dirac_bracket_matrices() - projector))))
         a0 = model.random_transverse(rng)
         e0 = model.random_transverse(rng, 0.5)
         traj = model.evolve(a0, e0, IntegratorConfig(dt=1e-3, steps=10000))

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from jsonschema.validators import validator_for
 
+from diracmech.brackets import poisson_bracket
 from diracmech.circle import (CircleState, SpectrumTable, evolve_time_dependent,
                               expect_phi, expect_reduced)
-from diracmech.cli import SCENARIO_SCHEMA, main
+from diracmech.cli import SCENARIO_SCHEMA, build_model, main
+from diracmech.fields import coordinate_field
 from diracmech.models import KlauderModel, KRamp, RadialPotential
 from diracmech.dynamics import gauge_orbit_closed_form
 
@@ -90,6 +92,25 @@ def test_brackets_custom_second_class_pair_has_no_oracle(tmp_path):
     assert all(row[-2] == "" and row[-1] == "" for row in rows)
 
 
+@pytest.mark.parametrize("model", [{"kind": "klauder", "alpha": 1.3, "k": 0.7},
+                                   {"kind": "particle", "mass": 2.0, "spatial_dim": 2},
+                                   SECOND_CLASS_CUSTOM])
+def test_brackets_poisson_column_equals_the_engine_bracket(tmp_path, model):
+    config = {"seed": 3, "model": model, "samples": {"count": 6}}
+    out = tmp_path / "table.csv"
+    assert run_cli("brackets", "--config", write_config(tmp_path / "cfg.json", config),
+                   "--out", str(out)) == 0
+    header, rows = read_csv(out)
+    chart = build_model(config, "brackets").bracket_chart
+    column = header.index("poisson")
+    assert header[1:column] == list(chart.labels) and rows
+    for row in rows:
+        a, b = row[0][1:-1].split(",")
+        x = chart.point([float(v) for v in row[1:column]])
+        expected = poisson_bracket(coordinate_field(chart, a), coordinate_field(chart, b), x)
+        assert row[column] == f"{expected:.17g}", row
+
+
 def test_brackets_particle_oracle(tmp_path):
     config = write_config(tmp_path / "cfg.json", {
         "model": {"kind": "particle", "mass": 2.0, "spatial_dim": 2},
@@ -129,10 +150,23 @@ def test_scenario_schema_is_valid():
      "invalid config at model/side: 2.0 is not of type 'integer'"),
     ({"model": {"kind": "klauder"}, "integrator": {"dt": 0.1, "steps": 5.0}},
      "invalid config at integrator/steps: 5.0 is not of type 'integer'"),
+    # RK4 is the one scheme: the schema, not the integrator, rejects any other
+    ({"model": {"kind": "klauder"}, "integrator": {"dt": 0.1, "steps": 5, "scheme": "euler"}},
+     "invalid config at integrator/scheme: 'rk4' was expected"),
 ])
 def test_invalid_config_message(tmp_path, capsys, config, message):
     assert run_cli("brackets", "--config", write_config(tmp_path / "cfg.json", config)) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_integrator_scheme_rk4_loads(tmp_path):
+    config = write_config(tmp_path / "cfg.json", {
+        "model": {"kind": "klauder", "alpha": 1.0, "k": 0.0}, "flow": {"kind": "gauge"},
+        "integrator": {"dt": 0.01, "steps": 3, "scheme": "rk4"},
+        "initial": {"coords": [1.0, 0.0, 1.0, 0.0]}})
+    out = tmp_path / "traj.csv"
+    assert run_cli("evolve", "--config", config, "--out", str(out)) == 0
+    assert len(read_csv(out)[1]) == 4 + 1  # four states and the drift footer row
 
 
 def test_missing_file_exits_2(tmp_path):

@@ -487,7 +487,7 @@ def test_reduced_bracket_phi_r_closed_form(model, polar_coords):
     report = reduced_bracket_check(polar_coords["phi"], polar_coords["r"],
                                    model.constraint_set, param, zred)
     r_star = model.reduced_point(p_phi)[0]
-    expected = r_star * p_phi / (2.0 * (p_phi ** 2 + model.k_at(0.0) ** 2))
+    expected = r_star * p_phi / (2.0 * (p_phi ** 2 + model.k(0.0) ** 2))
     assert report.dirac_value == pytest.approx(expected, abs=1e-10)
     assert report.abs_diff < 1e-10
 

@@ -172,12 +172,12 @@ def test_ramp_values_and_flags():
     ramp = KRamp(1.0, 0.5)
     model = KlauderModel(alpha=1.0, k=ramp)
     assert model.time_dependent
-    assert model.k_at(0.0) == 1.0 and model.k_at(2.0) == 2.0
+    assert model.k(0.0) == 1.0 and model.k(2.0) == 2.0
     assert not KlauderModel(alpha=1.0, k=KRamp(1.0, 0.0)).time_dependent
     constant = KlauderModel(alpha=1.0, k=1.0)  # a number is the constant ramp
     assert constant.k == KRamp(1.0) and not constant.time_dependent
     for t in (-2.5, 0.0, 3.0):
-        assert constant.k_at(t).hex() == (1.0).hex()
+        assert constant.k(t).hex() == (1.0).hex()
     cs = model.constraint_set
     x = model.embed_reduced(0.0, 1.0)
     vals_later = cs.values_at(x.coords, t=2.0)

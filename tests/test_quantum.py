@@ -46,14 +46,6 @@ def test_state_validation():
         CircleState(np.array([1.0 + 0j]), hbar=0.0)
 
 
-def test_json_round_trip(rng):
-    state = CircleState.random(rng, 3, hbar=0.7)
-    data = state.to_json_dict()
-    back = CircleState.from_json_dict(data)
-    assert np.max(np.abs(back.coeffs - state.coeffs)) == 0.0
-    assert back.hbar == state.hbar
-
-
 amplitudes = st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1)), min_size=5, max_size=5)
 
 
@@ -170,7 +162,7 @@ def test_ramped_tables_carry_k_and_single_mode_pr_is_classical():
         state = CircleState.single_mode(m, 3, hbar=0.7)
         for t in (0.0, 0.3, 0.5, 1.0, 1.7):
             table = SpectrumTable.build(model, 3, t)
-            assert table.k == model.k_at(t)
+            assert table.k == model.k(t)
             evolved = evolve_time_dependent(state, model, 0.0, t) if t else state
             expected = model.reduced_point(m * model.hbar, t)[1]
             assert expect_reduced(evolved, table).pr_mean == pytest.approx(expected, abs=1e-12)

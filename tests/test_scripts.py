@@ -11,6 +11,29 @@ def load_runner():
     return module
 
 
+def test_every_scenario_file_has_a_command_and_every_command_a_file(tmp_path):
+    runner = load_runner()
+    assert runner.unmatched_scenarios(SCRIPT.parent.parent / "scenarios") == []
+    for name in ("a.json", "b.json", "notes.txt"):
+        (tmp_path / name).write_text("{}")
+    assert runner.unmatched_scenarios(tmp_path, {"a.json": "brackets", "c.json": "evolve"}) == [
+        "b.json: no COMMANDS entry", "c.json: COMMANDS entry has no file"]
+
+
+def test_unmatched_scenario_exits_1_before_running_anything(monkeypatch, capsys):
+    runner = load_runner()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scenario ran")
+
+    monkeypatch.setattr(runner.subprocess, "run", refuse)
+    monkeypatch.setitem(runner.COMMANDS, "absent.json", "brackets")
+    assert runner.main([]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "scenarios/absent.json: COMMANDS entry has no file\n"
+
+
 def test_csv_difference_counts_rows_and_bounds_each_column(tmp_path):
     golden, written = tmp_path / "golden.csv", tmp_path / "written.csv"
     golden.write_text("t,a,b\n0,1.0,x\n1,2.0,y\n2,nan,z\n3,4.0,z\n")

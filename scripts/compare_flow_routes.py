@@ -12,8 +12,7 @@ import argparse
 
 import numpy as np
 
-from diracmech import DiracFlow, IntegratorConfig, PoissonFlow, evolve
-from diracmech.fields import function_field
+from diracmech import DiracFlow, IntegratorConfig, PoissonFlow, ScalarField, evolve
 from diracmech.models import KlauderModel, RadialPotential
 
 
@@ -24,7 +23,7 @@ def reduced_rate(model, p_phi, steps=2000, dt=1e-3):
     def reduced_hamiltonian(z, model=model):
         return model.potential(model.reduced_radius(z[1]))
 
-    h = function_field(chart, "U(r*)", reduced_hamiltonian)
+    h = ScalarField("U(r*)", chart, reduced_hamiltonian)
     traj = evolve(chart.point([0.0, p_phi]), PoissonFlow(h),
                   IntegratorConfig(dt=dt, steps=steps))
     return (traj.states[-1, 0] - traj.states[0, 0]) / traj.times[-1]

@@ -16,7 +16,7 @@ from .dynamics import (DiracFlow, GaugeFlow, IntegratorConfig, NewtonProjection,
                        gauge_orbit_closed_form, multiplier_from_gauge)
 from .errors import (ChartMismatchError, ConfigError, DegeneracyError,
                      DiracMechError, NumericDomainError, UsageError)
-from .fields import (ScalarField, constant_field, coordinate_field, function_field,
+from .fields import (ScalarField, constant_field, coordinate_field,
                      gradient_consistency_check, polynomial_field)
 from .phase import ChartSpec, PhaseSpacePoint
 
@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChartSpec", "PhaseSpacePoint", "ScalarField",
-    "coordinate_field", "constant_field", "function_field", "polynomial_field",
+    "coordinate_field", "constant_field", "polynomial_field",
     "poisson_bracket", "gradient_consistency_check",
     "ConstraintSet", "ClassificationResult", "SurfaceParametrization",
     "constraint_matrix", "classify", "dirac_bracket", "dirac_tensor", "observable_check",

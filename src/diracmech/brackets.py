@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import ScalarField
+from .fields import ScalarField, central_difference_gradient
 from .phase import PhaseSpacePoint, require_same_chart
 
 
@@ -31,7 +31,7 @@ def poisson_bracket(a: ScalarField, b: ScalarField, x: PhaseSpacePoint) -> float
 
 
 def poisson_bracket_field(a: ScalarField, b: ScalarField, name=None) -> ScalarField:
-    """{a,b} as a derived field with numerical gradients.
+    """{a,b} as a derived field with a central-difference ``grad``.
 
     Used for nested brackets (Jacobi probes): the derived field's value is the
     bracket itself and its gradient is taken by finite differences of bracket
@@ -44,5 +44,5 @@ def poisson_bracket_field(a: ScalarField, b: ScalarField, name=None) -> ScalarFi
         z = np.asarray(z, dtype=float)
         return bracket_of_gradients(a.gradient_at(z), b.gradient_at(z), n)
 
-    return ScalarField(name=name or f"{{{a.name},{b.name}}}", chart=chart,
-                       func=func, numerical=True)
+    return ScalarField(name=name or f"{{{a.name},{b.name}}}", chart=chart, func=func,
+                       grad=lambda z, f=func: central_difference_gradient(f, z))

@@ -142,8 +142,6 @@ def degeneracy_scale(m: np.ndarray) -> float:
 
 
 def pairing_det(m: np.ndarray) -> float:
-    if m.shape[0] == 0:
-        return 1.0
     if m.shape[0] == 2:
         return float(m[0, 1] * m[0, 1])
     return float(np.linalg.det(m))

@@ -216,8 +216,12 @@ def evolve(x0: PhaseSpacePoint, flow: FlowSpec, cfg: IntegratorConfig,
                          "this flow watches none")
 
     dt, steps = cfg.dt, cfg.steps
-    times = np.empty(steps + 1)
-    states = np.empty((steps + 1, chart.dim))
+    try:
+        times = np.empty(steps + 1)
+        states = np.empty((steps + 1, chart.dim))
+    except (MemoryError, ValueError) as err:
+        raise UsageError(f"cannot record {steps + 1} states of {chart.dim} coordinates: "
+                         f"{err}") from None
     times[0] = 0.0
     states[0] = x0.coords
     z = np.array(x0.coords)

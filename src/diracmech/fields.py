@@ -1,8 +1,9 @@
 """Differentiable scalar fields on phase space.
 
-A field wraps a pure function of the coordinates. Gradients come from one of
-three routes: a registered closed form, exact forward-mode differentiation
-(dual numbers; the default), or central finite differences with step
+A field wraps a pure function of the coordinates. Its gradient is the
+registered ``grad`` if it has one, and exact forward-mode differentiation
+(dual numbers) otherwise. A black-box function registers central finite
+differences, ``lambda z: central_difference_gradient(func, z)``, with step
 h = cbrt(machine eps) * max(1, |x_i|). Evaluation and gradients are pure:
 the same coordinates always produce bitwise-identical results.
 """
@@ -45,20 +46,15 @@ class ScalarField:
 
     ``func`` receives either a float array (evaluation) or a list of dual
     numbers (exact differentiation), so it must be written with the helpers
-    in :mod:`diracmech.duals` for anything beyond arithmetic. Fields with a
-    black-box ``func`` should register a closed-form ``grad`` or set
-    ``numerical`` to opt into central-difference gradients.
+    in :mod:`diracmech.duals` for anything beyond arithmetic. A field with a
+    black-box ``func`` registers a closed-form ``grad``, or central
+    differences: ``grad=lambda z: central_difference_gradient(func, z)``.
     """
 
     name: str
     chart: ChartSpec
     func: Callable = dfield(compare=False)
     grad: Optional[Callable] = dfield(default=None, compare=False)
-    numerical: bool = False
-
-    @property
-    def gradient_kind(self) -> str:
-        return "numerical" if self.numerical else "exact"
 
     # raw-coordinate fast path, used by the integrators -------------------
     def value_at(self, coords) -> float:
@@ -66,8 +62,6 @@ class ScalarField:
 
     def gradient_at(self, coords) -> np.ndarray:
         coords = np.asarray(coords, dtype=float)
-        if self.numerical:
-            return central_difference_gradient(self.func, coords)
         if self.grad is not None:
             return np.asarray(self.grad(coords), dtype=float)
         return duals.gradient(self.func, coords)
@@ -88,11 +82,7 @@ class ScalarField:
         return g
 
     def __repr__(self):
-        return f"ScalarField({self.name!r} on {self.chart.name!r}, {self.gradient_kind})"
-
-
-def function_field(chart, name, func, grad=None, numerical=False) -> ScalarField:
-    return ScalarField(name=name, chart=chart, func=func, grad=grad, numerical=numerical)
+        return f"ScalarField({self.name!r} on {self.chart.name!r})"
 
 
 def coordinate_field(chart: ChartSpec, label: str) -> ScalarField:
@@ -157,14 +147,12 @@ def polynomial_field(chart: ChartSpec, terms: Sequence[tuple[float, Sequence[int
 
 def field_product(a: ScalarField, b: ScalarField, name: Optional[str] = None) -> ScalarField:
     chart = require_same_chart(a, b)
-    numerical = a.numerical or b.numerical
     grad = None
-    if not numerical and a.grad is not None and b.grad is not None:
+    if a.grad is not None and b.grad is not None:
         def grad(z, a=a, b=b):
             return a.func(z) * b.grad(z) + b.func(z) * a.grad(z)
     return ScalarField(name=name or f"({a.name})*({b.name})", chart=chart,
-                       func=lambda z, a=a, b=b: a.func(z) * b.func(z),
-                       grad=grad, numerical=numerical)
+                       func=lambda z, a=a, b=b: a.func(z) * b.func(z), grad=grad)
 
 
 def pullback_field(field: ScalarField, embed: Callable, reduced_chart: ChartSpec,

@@ -40,7 +40,7 @@ from .. import duals
 from ..constraints import ConstraintSet, SurfaceParametrization, TimeRamp
 from ..dynamics import DiracFlow, GaugeFlow, PoissonFlow
 from ..errors import NumericDomainError, UsageError
-from ..fields import ScalarField, function_field
+from ..fields import ScalarField
 from ..phase import ChartSpec, PhaseSpacePoint
 
 R_MIN = 1e-12  # chart exclusion; the origin is not part of the phase space
@@ -165,7 +165,7 @@ class KlauderModel:
             r, _, p_r, p_phi = z.tolist()
             return np.array(_constraint_gradient(alpha2, r, p_r, p_phi))
 
-        return function_field(self.polar_chart, "C", func, grad)
+        return ScalarField("C", self.polar_chart, func, grad)
 
     @cached_property
     def gauge_condition(self) -> ScalarField:
@@ -175,8 +175,7 @@ class KlauderModel:
             r, _, p_r, _ = z.tolist()
             return np.array([p_r, 0.0, r, 0.0])
 
-        return function_field(self.polar_chart, "chi",
-                              lambda z, k0=k0: z[0] * z[2] - k0, grad)
+        return ScalarField("chi", self.polar_chart, lambda z, k0=k0: z[0] * z[2] - k0, grad)
 
     @cached_property
     def constraint_set(self) -> ConstraintSet:
@@ -202,7 +201,7 @@ class KlauderModel:
             g[0] += _potential_slope(coeffs, r)
             return np.array(g)
 
-        return function_field(self.polar_chart, "H_phys", func, grad)
+        return ScalarField("H_phys", self.polar_chart, func, grad)
 
     @cached_property
     def cartesian_generator(self) -> ScalarField:
@@ -217,7 +216,7 @@ class KlauderModel:
             return np.array([0.5 * (0.0 - alpha2 * (q1 + q1)), 0.5 * (0.0 - alpha2 * (q2 + q2)),
                              0.5 * (p1 + p1), 0.5 * (p2 + p2)])
 
-        return function_field(self.cartesian_chart, "C_cartesian", func, grad)
+        return ScalarField("C_cartesian", self.cartesian_chart, func, grad)
 
     # -- reduced phase space -------------------------------------------------
     def reduced_radius(self, p_phi, t: float = 0.0):

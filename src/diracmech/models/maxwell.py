@@ -254,11 +254,9 @@ class LatticeMaxwell:
         return np.eye(self.n_components) - correction
 
     # -- physical content -----------------------------------------------------
-    def gauss_residual(self, e_flat) -> np.ndarray:
-        return self.backward_divergence(e_flat)
-
-    def longitudinal_content(self, vec_flat) -> float:
-        return float(np.max(np.abs(self.backward_divergence(vec_flat))))
+    def longitudinal_content(self, vec_flat) -> np.ndarray:
+        """max |div v| over the sites, for each row of a batch of vector fields."""
+        return np.max(np.abs(self.backward_divergence(vec_flat)), axis=-1)
 
     def require_transverse(self, vec_flat, what: str = "field"):
         v = np.asarray(vec_flat, dtype=float)
@@ -341,7 +339,6 @@ class LatticeMaxwell:
         x0 = self.chart.point(np.concatenate([a0, e0]))
         traj = _evolve(x0, PoissonFlow(self.hamiltonian), cfg)
         n = self.n_components
-        traj.residuals["gauss"] = np.max(np.abs(self.gauss_residual(traj.states[:, n:])), axis=1)
-        traj.residuals["transverse"] = np.max(
-            np.abs(self.backward_divergence(traj.states[:, :n])), axis=1)
+        traj.residuals["gauss"] = self.longitudinal_content(traj.states[:, n:])
+        traj.residuals["transverse"] = self.longitudinal_content(traj.states[:, :n])
         return traj

@@ -28,7 +28,7 @@ from ..constraints import ConstraintSet, dirac_tensor
 from ..brackets import poisson_bracket
 from ..dynamics import PoissonFlow
 from ..errors import NumericDomainError, UsageError
-from ..fields import ScalarField, coordinate_field, function_field
+from ..fields import ScalarField, coordinate_field
 from ..phase import ChartSpec, PhaseSpacePoint
 
 
@@ -75,12 +75,11 @@ class RelativisticParticle:
             return np.array([0.0] * (d + 1) + [0.5 * (p0 + p0)]
                             + [0.5 * (0.0 - (p + p)) for p in momenta[1:]])
 
-        return function_field(self.full_chart, "C", func, grad)
+        return ScalarField("C", self.full_chart, func, grad)
 
     def time_gauge(self, tau: float = 0.0) -> ScalarField:
         x0 = coordinate_field(self.full_chart, "x0")
-        return function_field(self.full_chart, "chi",
-                              lambda z, tau=float(tau): z[0] - tau, x0.grad)
+        return ScalarField("chi", self.full_chart, lambda z, tau=float(tau): z[0] - tau, x0.grad)
 
     def constraint_set(self, tau: float = 0.0) -> ConstraintSet:
         return ConstraintSet(chart=self.full_chart,
@@ -113,7 +112,7 @@ class RelativisticParticle:
             scale = 0.5 / energy
             return np.array([0.0] * d + [scale * (p + p) for p in momenta])
 
-        return function_field(self.spatial_chart, "H_phys", func, grad)
+        return ScalarField("H_phys", self.spatial_chart, func, grad)
 
     def trajectory(self, x0, p, tau):
         """Closed-form x(tau) = x(0) + p tau / sqrt(p.p + m^2)."""

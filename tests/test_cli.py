@@ -334,6 +334,21 @@ def test_evolve_projection_without_constraints_exits_2(tmp_path, capsys):
     assert "Newton projection needs constraints" in capsys.readouterr().err
 
 
+def test_evolve_unrecordable_step_count_exits_2(tmp_path, capsys):
+    # 2^62 + 1 rows is past numpy's size limit, so nothing is allocated
+    config = write_config(tmp_path / "cfg.json", {
+        "model": {"kind": "klauder", "k": 1.0},
+        "flow": {"kind": "dirac"},
+        "integrator": {"dt": 0.001, "steps": 2 ** 62},
+        "initial": {"surface": {"p_phi": 1.0}},
+    })
+    out = tmp_path / "t.csv"
+    assert run_cli("evolve", "--config", config, "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot record {2 ** 62 + 1} states of 4 coordinates: ")
+    assert not out.exists()
+
+
 def test_evolve_zero_steps_single_row(tmp_path):
     config = write_config(tmp_path / "cfg.json", {
         "model": {"kind": "klauder", "k": 1.0},

@@ -11,7 +11,7 @@ from diracmech.constraints import (DEGENERACY_RTOL, ConstraintSet, _pairing_mult
                                    faddeev_popov_determinant, observable_check,
                                    pair_jacobian_check, pairing_det, reduced_bracket_check)
 from diracmech.errors import DegeneracyError, NumericDomainError, UsageError
-from diracmech.fields import coordinate_field, function_field, polynomial_field
+from diracmech.fields import ScalarField, coordinate_field, polynomial_field
 from diracmech.models import CustomModel, KlauderModel, KRamp, RelativisticParticle
 from diracmech.phase import ChartSpec
 
@@ -91,6 +91,14 @@ def test_classify_two_positions_first_class(rng):
     assert classify(cs, samples, tol=1e-8).kind == "first_class"
 
 
+def test_classify_empty_set_has_unit_pairing_det(rng):
+    # det of the 0x0 pairing matrix is the empty product
+    samples = [FLAT.point(rng.uniform(-3, 3, 4)) for _ in range(3)]
+    result = classify(ConstraintSet(FLAT, (), ()), samples, tol=1e-8)
+    assert result.det_M == 1.0
+    assert result.kind == "first_class" and result.rank == 0
+
+
 def test_classify_rejects_off_surface_sample(model):
     off = model.polar_chart.point([2.0, 0.0, 3.0, 1.0])
     with pytest.raises(UsageError, match="chi|C"):
@@ -108,7 +116,7 @@ def _solves_everywhere(cs, samples):
 
 def _scaled(cs, factor):
     return ConstraintSet(cs.chart, tuple(
-        function_field(cs.chart, f.name, lambda z, f=f: factor * f.func(z)) for f in cs.fields),
+        ScalarField(f.name, cs.chart, lambda z, f=f: factor * f.func(z)) for f in cs.fields),
         cs.names)
 
 

@@ -10,7 +10,7 @@ from diracmech.dynamics import (DiracFlow, GaugeFlow, IntegratorConfig, NewtonPr
                                 PoissonFlow, Trajectory, _dirac_rhs, constraint_drift, evolve,
                                 gauge_orbit_closed_form, multiplier_from_gauge)
 from diracmech.errors import DegeneracyError, NumericDomainError, UsageError
-from diracmech.fields import constant_field, coordinate_field, function_field, polynomial_field
+from diracmech.fields import ScalarField, constant_field, coordinate_field, polynomial_field
 from diracmech.models import (KlauderModel, KRamp, LatticeMaxwell, RadialPotential,
                               RelativisticParticle)
 from diracmech.phase import ChartSpec
@@ -154,7 +154,7 @@ def test_nan_state_is_rejected():
     def grad(z):
         return np.array([z[0], -0.5 / math.sqrt(1.0 - z[1]) if z[1] < 1.0 else math.nan])
 
-    h = function_field(FLAT, "sqrt_wall", func, grad=grad)
+    h = ScalarField("sqrt_wall", FLAT, func, grad)
     x0 = FLAT.point([1.0, 0.0])
     with pytest.raises(NumericDomainError, match="NaN"):
         evolve(x0, PoissonFlow(h), IntegratorConfig(dt=0.01, steps=1000))

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from diracmech import duals
 from diracmech.errors import NumericDomainError, UsageError
-from diracmech.fields import (ScalarField, constant_field, coordinate_field,
-                              function_field, gradient_consistency_check,
+from diracmech.fields import (ScalarField, central_difference_gradient, constant_field,
+                              coordinate_field, field_product, gradient_consistency_check,
                               polynomial_field)
 from diracmech.phase import ChartSpec
 
@@ -152,20 +152,44 @@ def test_gradient_consistency_negative_control():
     assert gradient_consistency_check(broken, x).max_rel_err > 0.1
 
 
-def test_numerical_gradient_kind():
-    f = function_field(CHART, "blackbox", lambda z: float(np.sin(z[0]) * z[3]),
-                       numerical=True)
-    assert f.gradient_kind.startswith("numerical")
+def blackbox(z):
+    return float(np.sin(z[0]) * z[3])  # np.sin refuses a dual: no dual pass through it
+
+
+BLACKBOX = ScalarField("blackbox", CHART, blackbox,
+                       lambda z: central_difference_gradient(blackbox, z))
+
+
+def test_blackbox_field_with_finite_difference_grad():
     x = CHART.point([0.5, 0.0, 0.0, 2.0])
-    g = f.gradient(x)
+    g = BLACKBOX.gradient(x)
     assert g[0] == pytest.approx(2.0 * math.cos(0.5), rel=1e-7)
     assert g[3] == pytest.approx(math.sin(0.5), rel=1e-7)
 
 
+def test_field_product_without_grad_takes_the_dual_pass():
+    square = polynomial_field(CHART, [(1.0, (2, 0, 0, 0))])
+    plain = ScalarField("sin_p2", CHART, lambda z: duals.sin(z[3]))
+    product = field_product(square, plain)
+    assert product.grad is None
+    z = np.array([0.3, -1.2, 0.8, 2.1])
+    expected = duals.gradient(lambda w: square.func(w) * plain.func(w), z)
+    assert np.array_equal(product.gradient_at(z), expected)
+
+
+def test_field_product_with_finite_difference_factor_uses_the_product_rule():
+    square = polynomial_field(CHART, [(1.0, (0, 2, 1, 0))])
+    product = field_product(square, BLACKBOX)
+    z = np.array([0.5, -0.7, 1.3, 2.0])
+    assert np.array_equal(product.gradient_at(z),
+                          square.func(z) * BLACKBOX.grad(z) + BLACKBOX.func(z) * square.grad(z))
+    assert gradient_consistency_check(product, CHART.point(z)).max_rel_err < 1e-6
+
+
 def test_nonfinite_gradient_names_label():
-    f = function_field(CHART, "divergent", lambda z: z[0] / (z[1] * 0.0 + 0.0)
-                       if not isinstance(z, list) else z[0],
-                       grad=lambda z: np.array([np.inf, 0.0, 0.0, 0.0]))
+    f = ScalarField("divergent", CHART, lambda z: z[0] / (z[1] * 0.0 + 0.0)
+                    if not isinstance(z, list) else z[0],
+                    lambda z: np.array([np.inf, 0.0, 0.0, 0.0]))
     x = CHART.point([1.0, 0.0, 0.0, 0.0])
     with pytest.raises(NumericDomainError, match="q1"):
         f.gradient(x)

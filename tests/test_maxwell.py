@@ -101,6 +101,13 @@ def test_batched_divergence_matches_rows(rng):
     assert np.array_equal(model.backward_divergence(batch), rows)
 
 
+def test_batched_longitudinal_content_matches_rows(rng):
+    model = LatticeMaxwell(side=3, spacing=0.7)
+    batch = rng.normal(size=(2, 4, model.n_components))
+    rows = [[model.longitudinal_content(v) for v in block] for block in batch]
+    assert np.array_equal(model.longitudinal_content(batch), rows)
+
+
 # -- transverse projector -----------------------------------------------------------
 
 @pytest.mark.parametrize("side", [2, 3, 4])

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dfield
+from itertools import starmap
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -85,13 +86,10 @@ class ConstraintSet:
                     vals[i] += ramp.offset(t)
         return vals
 
-    def rates_at(self, t: float) -> np.ndarray:
-        rates = np.zeros(len(self.fields))
-        if self.time_ramps is not None:
-            for i, ramp in enumerate(self.time_ramps):
-                if ramp is not None:
-                    rates[i] = ramp.rate(t)
-        return rates
+    def rates_at(self, t: float) -> list:
+        """d(offset)/dt of every constraint as Python floats, 0.0 where there is no ramp."""
+        return [0.0 if ramp is None else float(ramp.rate(t))
+                for ramp in self.time_ramps or (None,) * len(self.fields)]
 
     def gradient_rows(self, coords) -> np.ndarray:
         if not self.fields:
@@ -117,8 +115,27 @@ class ConstraintSet:
         return {name: vals[:, j] for j, name in enumerate(self.names)}
 
 
-def pairing_matrix_of_rows(rows: np.ndarray, n_pairs: int) -> np.ndarray:
-    """M_IJ = {Phi_I, Phi_J} from stacked gradient rows; antisymmetric by construction."""
+def _float_dot(a, b) -> float:
+    # summed in index order from +0.0, as BLAS sums: a lone -0.0 product gives +0.0
+    total = 0.0
+    for i in range(len(a)):
+        total += a[i] * b[i]
+    return total
+
+
+def pairing_matrix_of_rows(rows, n_pairs: int):
+    """M_IJ = {Phi_I, Phi_J} from stacked gradient rows; antisymmetric by construction.
+
+    Two rows given as float lists, as the two-constraint Dirac flow reads them, give
+    M as nested float lists. Either way M = a - a^T with a_IJ = q_I . p_J, so the
+    diagonal a_II - a_II is NaN for a non-finite row.
+    """
+    if isinstance(rows, list):
+        r0, r1 = rows
+        q0, p0, q1, p1 = r0[:n_pairs], r0[n_pairs:], r1[:n_pairs], r1[n_pairs:]
+        a00, a01 = _float_dot(q0, p0), _float_dot(q0, p1)
+        a10, a11 = _float_dot(q1, p0), _float_dot(q1, p1)
+        return [[a00 - a00, a01 - a10], [a10 - a01, a11 - a11]]
     gq, gp = rows[:, :n_pairs], rows[:, n_pairs:]
     # an overflowing pairing is left non-finite for the degeneracy test, without warnings
     with np.errstate(over="ignore", invalid="ignore"):
@@ -131,36 +148,43 @@ def constraint_matrix(cs: ConstraintSet, x: PhaseSpacePoint) -> np.ndarray:
     return pairing_matrix_of_rows(cs.gradient_rows(x.coords), cs.chart.n_pairs)
 
 
-def degeneracy_scale(m: np.ndarray) -> float:
+def degeneracy_scale(m) -> float:
     """max(1, prod of row norms); NaN or inf when an entry of M is not finite.
 
-    On Python floats: a small M costs no numpy calls, and math.hypot neither
-    overflows nor underflows where a row's sum of squares would.
+    On Python floats, for an array or nested lists: a small M costs no numpy
+    calls, and math.hypot neither overflows nor underflows where a row's sum
+    of squares would.
     """
+    rows = m.tolist() if isinstance(m, np.ndarray) else m
     # max keeps a leading NaN
-    return max(math.prod((math.hypot(*row) for row in m.tolist()), start=1.0), 1.0)
+    return max(math.prod(starmap(math.hypot, rows), start=1.0), 1.0)
 
 
-def pairing_det(m: np.ndarray) -> float:
-    if m.shape[0] == 2:
-        return float(m[0, 1] * m[0, 1])
+def pairing_det(m) -> float:
+    if len(m) == 2:  # on Python floats: an overflowing square is inf without a numpy warning
+        m01 = float(m[0][1])
+        return m01 * m01
     return float(np.linalg.det(m))
 
 
-def _solve_pairing(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    # closed 2x2 form; pivoted LU (LAPACK gesv) beyond that
-    if m.shape[0] == 2:
-        delta = m[0, 1]
-        return np.array([-rhs[1] / delta, rhs[0] / delta])
+def _solve_pairing(m, rhs):
+    # closed 2x2 form as a list, for an array or nested lists; pivoted LU (gesv) beyond that
+    if len(m) == 2:
+        delta = m[0][1]
+        return [-rhs[1] / delta, rhs[0] / delta]
     return np.linalg.solve(m, rhs)
 
 
-def _constraint_brackets(rows: np.ndarray, grad: np.ndarray, n_pairs: int) -> np.ndarray:
-    """{Phi_I, g} for every constraint, from its gradient rows and the gradient of g."""
+def _constraint_brackets(rows, grad, n_pairs: int):
+    """{Phi_I, g} for every constraint, from its gradient rows and the gradient of g;
+    on Python floats when both are given as lists."""
+    if isinstance(rows, list):
+        gq, gp = grad[:n_pairs], grad[n_pairs:]
+        return [_float_dot(row[:n_pairs], gp) - _float_dot(row[n_pairs:], gq) for row in rows]
     return rows[:, :n_pairs] @ grad[n_pairs:] - rows[:, n_pairs:] @ grad[:n_pairs]
 
 
-def _second_class(m: np.ndarray, det: float) -> bool:
+def _second_class(m, det: float) -> bool:
     """The package's one degeneracy test: |det M| > DEGENERACY_RTOL * degeneracy_scale(M).
 
     A NaN det or scale fails the comparison, so a non-finite M counts as singular.
@@ -168,9 +192,9 @@ def _second_class(m: np.ndarray, det: float) -> bool:
     return abs(det) > DEGENERACY_RTOL * degeneracy_scale(m)
 
 
-def _pairing_multipliers(rows: np.ndarray, rhs: np.ndarray, n_pairs: int, coords) -> np.ndarray:
-    """M^-1 rhs, with M built from ``rows``; raises DegeneracyError unless the set
-    is Second Class at ``coords`` by ``_second_class``."""
+def _pairing_multipliers(rows, rhs, n_pairs: int, coords):
+    """M^-1 rhs, with M built from ``rows`` (an array, or two float lists); raises
+    DegeneracyError unless the set is Second Class at ``coords`` by ``_second_class``."""
     m = pairing_matrix_of_rows(rows, n_pairs)
     det = pairing_det(m)
     if not _second_class(m, det):

@@ -144,18 +144,25 @@ def _gauge_rhs(flow: GaugeFlow, n: int):
 
 
 def _dirac_rhs(flow: DiracFlow, n: int):
+    """{z, H}_D at (t, z). Two constraints run the brackets, M, its guard and the
+    2x2 solve on Python floats; more take the numpy stack and pivoted LU."""
     h, cs = flow.hamiltonian, flow.constraints
-    time_dependent = cs.time_dependent
+    fields, time_dependent, on_floats = cs.fields, cs.time_dependent, len(cs) == 2
 
     def rhs(t, z):
-        gh = h.gradient_at(z)
-        rows = cs.gradient_rows(z)
+        if on_floats:
+            gh, rows = h.gradient_list(z), [f.gradient_list(z) for f in fields]
+        else:
+            gh, rows = h.gradient_at(z), cs.gradient_rows(z)
         # s_J = {Phi_J, H} (+ explicit-time rates)
         s = _constraint_brackets(rows, gh, n)
         if time_dependent:
-            s = s + cs.rates_at(t)
-        effective = gh - rows.T @ _pairing_multipliers(rows, s, n, z)
-        return _symplectic_apply(effective, n)
+            s = list(map(operator.add, s, cs.rates_at(t)))
+        lam = _pairing_multipliers(rows, s, n, z)
+        # grad H - rows^T lam, with rows^T lam one BLAS matvec: BLAS rounds each entry
+        # with a fused multiply-add, which Python floats cannot reproduce
+        effective = list(map(operator.sub, gh, np.dot(lam, rows).tolist()))
+        return np.array(effective[n:] + list(map(operator.neg, effective[:n])))
 
     return rhs
 

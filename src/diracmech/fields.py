@@ -49,6 +49,10 @@ class ScalarField:
     in :mod:`diracmech.duals` for anything beyond arithmetic. A field with a
     black-box ``func`` registers a closed-form ``grad``, or central
     differences: ``grad=lambda z: central_difference_gradient(func, z)``.
+
+    ``grad`` takes a float64 array and returns an array or a list of Python
+    floats. ``gradient_at`` always gives an array; ``gradient_list``, which the
+    two-constraint Dirac flow reads, passes a returned list on with no numpy call.
     """
 
     name: str
@@ -61,9 +65,17 @@ class ScalarField:
         return float(self.func(np.asarray(coords, dtype=float)))
 
     def gradient_at(self, coords) -> np.ndarray:
-        coords = np.asarray(coords, dtype=float)
+        return np.asarray(self._gradient(np.asarray(coords, dtype=float)), dtype=float)
+
+    def gradient_list(self, coords: np.ndarray) -> list:
+        """The gradient at a float64 array as Python floats; an array is read by tolist()."""
+        g = self._gradient(coords)
+        return g if isinstance(g, list) else np.asarray(g, dtype=float).tolist()
+
+    def _gradient(self, coords: np.ndarray):
+        # the one gradient route: the registered grad, else the dual pass
         if self.grad is not None:
-            return np.asarray(self.grad(coords), dtype=float)
+            return self.grad(coords)
         return duals.gradient(self.func, coords)
 
     # validated point API --------------------------------------------------
@@ -149,8 +161,8 @@ def field_product(a: ScalarField, b: ScalarField, name: Optional[str] = None) ->
     chart = require_same_chart(a, b)
     grad = None
     if a.grad is not None and b.grad is not None:
-        def grad(z, a=a, b=b):
-            return a.func(z) * b.grad(z) + b.func(z) * a.grad(z)
+        def grad(z, a=a, b=b):  # a grad may return a list; gradient_at reads it as an array
+            return a.func(z) * b.gradient_at(z) + b.func(z) * a.gradient_at(z)
     return ScalarField(name=name or f"({a.name})*({b.name})", chart=chart,
                        func=lambda z, a=a, b=b: a.func(z) * b.func(z), grad=grad)
 

@@ -163,7 +163,7 @@ class KlauderModel:
 
         def grad(z, alpha2=alpha2):
             r, _, p_r, p_phi = z.tolist()
-            return np.array(_constraint_gradient(alpha2, r, p_r, p_phi))
+            return _constraint_gradient(alpha2, r, p_r, p_phi)
 
         return ScalarField("C", self.polar_chart, func, grad)
 
@@ -173,7 +173,7 @@ class KlauderModel:
 
         def grad(z):
             r, _, p_r, _ = z.tolist()
-            return np.array([p_r, 0.0, r, 0.0])
+            return [p_r, 0.0, r, 0.0]
 
         return ScalarField("chi", self.polar_chart, lambda z, k0=k0: z[0] * z[2] - k0, grad)
 
@@ -199,7 +199,7 @@ class KlauderModel:
             r, _, p_r, p_phi = z.tolist()
             g = _constraint_gradient(alpha2, r, p_r, p_phi)
             g[0] += _potential_slope(coeffs, r)
-            return np.array(g)
+            return g
 
         return ScalarField("H_phys", self.polar_chart, func, grad)
 
@@ -213,8 +213,8 @@ class KlauderModel:
 
         def grad(z, alpha2=alpha2):
             q1, q2, p1, p2 = z.tolist()
-            return np.array([0.5 * (0.0 - alpha2 * (q1 + q1)), 0.5 * (0.0 - alpha2 * (q2 + q2)),
-                             0.5 * (p1 + p1), 0.5 * (p2 + p2)])
+            return [0.5 * (0.0 - alpha2 * (q1 + q1)), 0.5 * (0.0 - alpha2 * (q2 + q2)),
+                    0.5 * (p1 + p1), 0.5 * (p2 + p2)]
 
         return ScalarField("C_cartesian", self.cartesian_chart, func, grad)
 

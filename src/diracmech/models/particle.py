@@ -72,8 +72,8 @@ class RelativisticParticle:
         def grad(z, d=d):
             momenta = z.tolist()[d + 1:]
             p0 = momenta[0]
-            return np.array([0.0] * (d + 1) + [0.5 * (p0 + p0)]
-                            + [0.5 * (0.0 - (p + p)) for p in momenta[1:]])
+            return ([0.0] * (d + 1) + [0.5 * (p0 + p0)]
+                    + [0.5 * (0.0 - (p + p)) for p in momenta[1:]])
 
         return ScalarField("C", self.full_chart, func, grad)
 
@@ -110,7 +110,7 @@ class RelativisticParticle:
             if energy == 0.0:  # m^2 underflowed and p = 0: the dual tangent divides by it
                 raise NumericDomainError(f"sqrt({total!r}): float division by zero")
             scale = 0.5 / energy
-            return np.array([0.0] * d + [scale * (p + p) for p in momenta])
+            return [0.0] * d + [scale * (p + p) for p in momenta]
 
         return ScalarField("H_phys", self.spatial_chart, func, grad)
 

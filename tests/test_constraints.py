@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from diracmech.brackets import poisson_bracket, poisson_tensor
-from diracmech.constraints import (DEGENERACY_RTOL, ConstraintSet, _pairing_multipliers,
-                                   _second_class, classify, constraint_matrix,
+from diracmech.constraints import (DEGENERACY_RTOL, ConstraintSet, _constraint_brackets,
+                                   _pairing_multipliers, _second_class, classify,
+                                   constraint_matrix, pairing_matrix_of_rows,
                                    degeneracy_scale, dirac_bracket, dirac_tensor,
                                    faddeev_popov_determinant, observable_check,
                                    pair_jacobian_check, pairing_det, reduced_bracket_check)
@@ -453,6 +454,34 @@ def test_gradient_rows_equals_the_numpy_stack(rng):
         rows, expected = cs.gradient_rows(x.coords), reference_gradient_rows(cs, x.coords)
         assert rows.shape == expected.shape and rows.dtype == expected.dtype
         assert rows.tobytes() == expected.tobytes()
+
+
+
+def test_two_by_two_det_squares_without_a_numpy_warning():
+    # M_01 = 3e198 squares past the float range: inf, and no "overflow in scalar multiply"
+    m = np.array([[0.0, 3e198], [-3e198, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert pairing_det(m) == math.inf and pairing_det(m.tolist()) == math.inf
+
+
+def test_float_pairing_matrix_and_brackets_equal_the_numpy_route(rng):
+    # one pair, so every q.p is a single product and BLAS has nothing to fuse: the float
+    # lists must equal numpy's M and {Phi_I, g} by repr, signed zeros, inf and NaN included
+    specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e200, -1e-200]
+    for trial in range(400):
+        rows = rng.normal(size=(2, 2)) * 10.0 ** rng.uniform(-5.0, 5.0, (2, 2))
+        grad = rng.normal(size=2)
+        for values in (rows.reshape(-1), grad):
+            hit = rng.random(values.shape) < 0.3
+            values[hit] = rng.choice(specials, int(hit.sum()))
+        with np.errstate(all="ignore"):
+            m = pairing_matrix_of_rows(rows, 1)
+            s = rows[:, :1] @ grad[1:] - rows[:, 1:] @ grad[:1]
+        assert repr(pairing_matrix_of_rows(rows.tolist(), 1)) == repr(m.tolist()), rows
+        assert repr(_constraint_brackets(rows.tolist(), grad.tolist(), 1)) == repr(s.tolist())
+        assert repr(pairing_det(m.tolist())) == repr(pairing_det(m))
+        assert repr(degeneracy_scale(m.tolist())) == repr(degeneracy_scale(m))
 
 
 # -- observables -----------------------------------------------------------------

@@ -1,11 +1,12 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from diracmech.cli import _trajectory_rows
-from diracmech.constraints import DEGENERACY_RTOL, ConstraintSet, dirac_bracket
+from diracmech.constraints import DEGENERACY_RTOL, ConstraintSet, dirac_bracket, dirac_tensor
 from diracmech.dynamics import (DiracFlow, GaugeFlow, IntegratorConfig, NewtonProjection,
                                 PoissonFlow, Trajectory, _dirac_rhs, constraint_drift, evolve,
                                 gauge_orbit_closed_form, multiplier_from_gauge)
@@ -13,7 +14,7 @@ from diracmech.errors import DegeneracyError, NumericDomainError, UsageError
 from diracmech.fields import ScalarField, constant_field, coordinate_field, polynomial_field
 from diracmech.models import (KlauderModel, KRamp, LatticeMaxwell, RadialPotential,
                               RelativisticParticle)
-from diracmech.phase import ChartSpec
+from diracmech.phase import ChartSpec, PhaseSpacePoint
 
 from test_constraints import CUSTOM_FOUR, reference_degeneracy_scale, reference_gradient_rows
 
@@ -266,6 +267,153 @@ def test_dirac_rhs_equals_the_reference_bitwise_over_200_steps(index):
     traj = evolve(x0, flow, IntegratorConfig(dt=dt, steps=200))
     assert traj.states[-1].tobytes() == z.tobytes()
     assert max(np.max(v) for v in traj.residuals.values()) < 1e-9
+
+
+
+def rk4_final_state(stage, x0, dt, steps):
+    """evolve's RK4 loop on a bare right-hand side ``stage``; returns the last state."""
+    z = np.array(x0.coords)
+    for i in range(steps):
+        t = i * dt
+        k1 = stage(t, z)
+        k2 = stage(t + 0.5 * dt, z + (0.5 * dt) * k1)
+        k3 = stage(t + 0.5 * dt, z + (0.5 * dt) * k2)
+        k4 = stage(t + dt, z + dt * k3)
+        z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return z
+
+
+QUARTIC = RadialPotential((0.3, -1.2, 0.5, 0.7, -0.2))
+KLAUDER_FLOAT_CASES = {  # (alpha, k, U, p_phi) of a two-constraint Dirac orbit
+    "alpha_0.3": (0.3, 1.0, RadialPotential.harmonic(), 2.0),
+    "alpha_1.7": (1.7, 1.0, RadialPotential.harmonic(), 2.0),
+    "quartic_U": (1.0, 1.0, QUARTIC, 2.0),
+    "negative_ramp_slope": (1.0, KRamp(1.0, -0.5), RadialPotential.harmonic(), 2.0),
+    "negative_p_phi": (1.0, KRamp(1.0, 0.5), RadialPotential.harmonic(), -2.0),
+    # k = 0 puts p_r = 0 on the surface: exact zeros, and -0.0 products, in every row
+    "k_0": (1.0, 0.0, RadialPotential.harmonic(), 1.3),
+}
+
+
+@pytest.mark.parametrize("case", KLAUDER_FLOAT_CASES)
+def test_float_dirac_rhs_equals_the_reference_bitwise(case):
+    alpha, k, potential, p_phi = KLAUDER_FLOAT_CASES[case]
+    model = KlauderModel(alpha=alpha, k=k, potential=potential)
+    flow, x0 = DiracFlow(model.hamiltonian(), model.constraint_set), model.embed_reduced(0.1, p_phi)
+    n, dt = flow.chart.n_pairs, 1e-3
+    rhs, reference = _dirac_rhs(flow, n), reference_dirac_rhs(flow, n)
+
+    def both(t, z):
+        k = rhs(t, z)
+        assert k.dtype == np.float64 and k.tobytes() == reference(t, z).tobytes()
+        return k
+
+    z = rk4_final_state(both, x0, dt, 200)
+    assert evolve(x0, flow, IntegratorConfig(dt=dt, steps=200)).states[-1].tobytes() == z.tobytes()
+
+
+# two constraints whose gradient rows have no zero entry: each q.p sums two products
+DENSE_CHART = ChartSpec(labels=("q1", "q2", "p1", "p2"), name="dense")
+DENSE_FLOW = DiracFlow(
+    polynomial_field(DENSE_CHART, [(0.5, (0, 0, 2, 0)), (0.5, (0, 0, 0, 2)), (0.5, (2, 0, 0, 0)),
+                                   (0.5, (0, 2, 0, 0)), (0.3, (1, 1, 1, 1))], name="H"),
+    ConstraintSet(DENSE_CHART, (
+        polynomial_field(DENSE_CHART, [(1.0, (1, 0, 0, 0)), (0.3, (0, 1, 0, 0)),
+                                       (0.2, (0, 0, 0, 1)), (0.1, (1, 0, 0, 1))], name="A"),
+        polynomial_field(DENSE_CHART, [(1.0, (0, 0, 1, 0)), (0.4, (0, 1, 0, 0)),
+                                       (-0.25, (0, 0, 0, 1)), (0.15, (0, 1, 1, 0))], name="B")),
+        ("A", "B")))
+DENSE_ULPS = 8  # of the largest |entry| of the reference rhs; 2 measured on OpenBLAS
+
+
+def test_float_dirac_rhs_of_dense_rows_within_ulps_of_the_reference():
+    # BLAS sums a two-term q.p with a fused multiply-add and the float route does not,
+    # so here the bits may move; the difference stays within DENSE_ULPS ulps
+    n, dt = 2, 1e-3
+    rhs, reference = _dirac_rhs(DENSE_FLOW, n), reference_dirac_rhs(DENSE_FLOW, n)
+    worst, moved = 0.0, 0
+
+    def both(t, z):
+        nonlocal worst, moved
+        k, expected = rhs(t, z), reference(t, z)
+        ulp = np.spacing(np.max(np.abs(expected)))
+        worst = max(worst, float(np.max(np.abs(k - expected)) / ulp))
+        moved += k.tobytes() != expected.tobytes()
+        return k
+
+    rk4_final_state(both, DENSE_CHART.point([0.3, -0.2, 0.5, 0.7]), dt, 200)
+    assert worst <= DENSE_ULPS, worst
+    assert moved > 0  # the case does reach the fused multiply-add rounding
+
+
+def unchecked_point(chart, coords):
+    """A PhaseSpacePoint past its validation: an RK4 stage is a bare array, so the
+    rhs can meet coordinates that no validated point holds."""
+    x = object.__new__(PhaseSpacePoint)
+    object.__setattr__(x, "chart", chart)
+    object.__setattr__(x, "coords", np.array(coords, dtype=float))
+    return x
+
+
+LINE = ChartSpec(labels=("q", "p"), name="line")
+KLAUDER = KlauderModel(alpha=1.0, k=1.0, potential=RadialPotential.harmonic())
+TINY_PAIRING = DiracFlow(polynomial_field(LINE, [(0.5, (0, 2))], name="H"), ConstraintSet(
+    LINE, (polynomial_field(LINE, [(1e-170, (1, 0))], name="A"), coordinate_field(LINE, "p")),
+    ("A", "p")))
+FLOAT_FAILURES = {  # (flow, coords, message): where the two-constraint pairing fails
+    # det M = alpha^4 r^4 is below the guard
+    "near_origin": (DiracFlow(KLAUDER.hamiltonian(), KLAUDER.constraint_set),
+                    [1e-4, 0.3, 0.0, 0.0], r"is singular \(det=1\.000e-16\)"),
+    # r r = 1e-320 is subnormal and 1/(r r) overflows to inf inside the closed forms
+    "overflowing_gradient": (DiracFlow(KLAUDER.hamiltonian(), KLAUDER.constraint_set),
+                             [1e-160, 0.3, 0.5, 1.0], "has a non-finite entry"),
+    # M_01 = 1e-170, and det M = M_01^2 underflows to 0
+    "underflowing_det": (TINY_PAIRING, [0.5, 0.25], r"is singular \(det=0\.000e\+00\)"),
+    "nan_coordinate": (DiracFlow(KLAUDER.hamiltonian(), KLAUDER.constraint_set),
+                       [1.0, 0.3, math.nan, 1.0], "has a non-finite entry"),
+}
+
+
+@pytest.mark.parametrize("case", FLOAT_FAILURES)
+def test_float_dirac_rhs_fails_as_dirac_tensor_does(case):
+    flow, coords, message = FLOAT_FAILURES[case]
+    rhs = _dirac_rhs(flow, flow.chart.n_pairs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on either route
+        with pytest.raises(DegeneracyError, match=message) as float_route:
+            rhs(0.0, np.array(coords))
+        with pytest.raises(DegeneracyError) as tensor_route:
+            dirac_tensor(flow.constraints, unchecked_point(flow.chart, coords))
+    assert str(float_route.value) == str(tensor_route.value)
+    assert isinstance(float_route.value.det, float) and isinstance(tensor_route.value.det, float)
+    assert repr(float_route.value.det) == repr(tensor_route.value.det)  # repr equates NaNs
+
+
+def test_float_dirac_rhs_keeps_the_partial_trajectory_on_a_nonfinite_row():
+    # Phi = (q2, p2 - sqrt(1 - q1)) with H = p1: q1 moves at unit speed, and the
+    # gradient of the second constraint turns NaN at q1 = 1, at step 100 of 200
+    def wall(z):
+        return z[3] - math.sqrt(1.0 - z[0]) if z[0] <= 1.0 else math.nan
+
+    def wall_grad(z):
+        q1 = float(z[0])
+        return [0.5 / math.sqrt(1.0 - q1) if q1 < 1.0 else math.nan, 0.0, 0.0, 1.0]
+
+    cs = ConstraintSet(DENSE_CHART, (coordinate_field(DENSE_CHART, "q2"),
+                                     ScalarField("wall", DENSE_CHART, wall, wall_grad)),
+                       ("q2", "wall"))
+    flow = DiracFlow(coordinate_field(DENSE_CHART, "p1"), cs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegeneracyError, match="has a non-finite entry") as err:
+            evolve(DENSE_CHART.point([0.0, 0.0, 0.0, 1.0]), flow,
+                   IntegratorConfig(dt=0.01, steps=200))
+    partial = err.value.partial_trajectory
+    assert partial is not None and len(partial) == 100  # step 99 reaches q1 = 1 in its last stage
+    assert np.all(np.isfinite(partial.states)) and partial.states[-1, 0] < 1.0
+    with pytest.raises(DegeneracyError) as tensor_route:
+        dirac_tensor(cs, unchecked_point(DENSE_CHART, err.value.coords))
+    assert str(tensor_route.value) == str(err.value)
 
 
 def reference_trajectory_rows(traj):

@@ -10,6 +10,7 @@ from diracmech.errors import NumericDomainError, UsageError
 from diracmech.fields import (ScalarField, central_difference_gradient, constant_field,
                               coordinate_field, field_product, gradient_consistency_check,
                               polynomial_field)
+from diracmech.models import KlauderModel, KRamp, RadialPotential, RelativisticParticle
 from diracmech.phase import ChartSpec
 
 from conftest import random_polynomial
@@ -184,6 +185,52 @@ def test_field_product_with_finite_difference_factor_uses_the_product_rule():
     assert np.array_equal(product.gradient_at(z),
                           square.func(z) * BLACKBOX.grad(z) + BLACKBOX.func(z) * square.grad(z))
     assert gradient_consistency_check(product, CHART.point(z)).max_rel_err < 1e-6
+
+
+
+def closed_form_fields():
+    """(field, points) for every closed-form grad of the Klauder and particle models."""
+    rng = np.random.default_rng(11)
+    klauder = KlauderModel(alpha=1.3, k=KRamp(0.7, 0.2), potential=RadialPotential((0.0, 0.4, 0.1)))
+    polar = [x.coords for x in klauder.sample_points(rng, 20)]
+    for field in (klauder.constraint, klauder.gauge_condition, klauder.hamiltonian()):
+        yield field, polar
+    yield klauder.cartesian_generator, list(rng.uniform(-3, 3, (20, 4)))
+    particle = RelativisticParticle(mass=2.0, spatial_dim=3)
+    yield particle.mass_shell, [x.coords for x in particle.sample(rng, 20)]
+    yield particle.physical_hamiltonian, list(rng.uniform(-3, 3, (20, 6)))
+
+
+def test_closed_form_grads_return_python_floats():
+    # the two-constraint Dirac rhs reads them as they are; a numpy scalar would put
+    # numpy back into every float operation of the pairing solve
+    for field, points in closed_form_fields():
+        for z in points:
+            g = field.grad(np.asarray(z, dtype=float))
+            assert type(g) is list and all(type(v) is float for v in g), (field.name, g)
+            assert field.gradient_list(z) == g
+            at = field.gradient_at(z)
+            assert at.dtype == np.float64 and at.tolist() == g
+
+
+def test_gradient_list_reads_arrays_by_tolist():
+    square = polynomial_field(CHART, [(1.0, (2, 0, 1, 0))])
+    plain = ScalarField("sin_p2", CHART, lambda z: duals.sin(z[3]))
+    z = np.array([0.3, -1.2, 0.8, 2.1])
+    for field in (square, plain, coordinate_field(CHART, "p1")):  # a grad array, the dual pass
+        g = field.gradient_list(z)
+        assert type(g) is list and all(type(v) is float for v in g)
+        assert g == field.gradient_at(z).tolist()
+
+
+def test_field_product_of_closed_forms_returning_lists():
+    model = KlauderModel(alpha=1.3, k=0.7)
+    product = field_product(model.constraint, model.gauge_condition)
+    z = np.array([1.1, 0.4, -0.6, 1.9])
+    c, chi = model.constraint, model.gauge_condition
+    expected = c.func(z) * np.array(chi.grad(z)) + chi.func(z) * np.array(c.grad(z))
+    assert np.array_equal(product.gradient_at(z), expected)
+    assert gradient_consistency_check(product, model.polar_chart.point(z)).max_rel_err < 1e-6
 
 
 def test_nonfinite_gradient_names_label():

@@ -91,10 +91,9 @@ class ConstraintSet:
         return [0.0 if ramp is None else float(ramp.rate(t))
                 for ramp in self.time_ramps or (None,) * len(self.fields)]
 
-    def gradient_rows(self, coords) -> np.ndarray:
-        if not self.fields:
-            return np.zeros((0, self.chart.dim))
-        return np.array([f.gradient_at(coords) for f in self.fields])
+    def gradient_rows(self, coords: np.ndarray) -> list:
+        """One gradient row per constraint at a float64 array, as lists of Python floats."""
+        return [f.gradient_list(coords) for f in self.fields]
 
     def require_on_surface(self, coords, label: str, tol: float = ON_SURFACE_TOL,
                            t: float = 0.0) -> None:
@@ -123,29 +122,27 @@ def _float_dot(a, b) -> float:
     return total
 
 
-def pairing_matrix_of_rows(rows, n_pairs: int):
-    """M_IJ = {Phi_I, Phi_J} from stacked gradient rows; antisymmetric by construction.
+def pairing_matrix_of_rows(rows: list, n_pairs: int) -> list:
+    """M_IJ = {Phi_I, Phi_J} as nested float lists, from float-list gradient rows.
 
-    Two rows given as float lists, as the two-constraint Dirac flow reads them, give
-    M as nested float lists. Either way M = a - a^T with a_IJ = q_I . p_J, so the
-    diagonal a_II - a_II is NaN for a non-finite row.
+    M = a - a^T with a_IJ = q_I . p_J summed in index order, so M is antisymmetric
+    by construction and the diagonal a_II - a_II is NaN for a non-finite row.
     """
-    if isinstance(rows, list):
+    if len(rows) == 2:  # unrolled: the two-constraint Dirac flow builds one M per rhs
         r0, r1 = rows
         q0, p0, q1, p1 = r0[:n_pairs], r0[n_pairs:], r1[:n_pairs], r1[n_pairs:]
         a00, a01 = _float_dot(q0, p0), _float_dot(q0, p1)
         a10, a11 = _float_dot(q1, p0), _float_dot(q1, p1)
         return [[a00 - a00, a01 - a10], [a10 - a01, a11 - a11]]
-    gq, gp = rows[:, :n_pairs], rows[:, n_pairs:]
-    # an overflowing pairing is left non-finite for the degeneracy test, without warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        a = gq @ gp.T
-        return a - a.T
+    ps = [row[n_pairs:] for row in rows]
+    a = [[_float_dot(row[:n_pairs], p) for p in ps] for row in rows]
+    return [[a_i[j] - a[j][i] for j in range(len(a))] for i, a_i in enumerate(a)]
 
 
 def constraint_matrix(cs: ConstraintSet, x: PhaseSpacePoint) -> np.ndarray:
     require_same_chart(cs, x)
-    return pairing_matrix_of_rows(cs.gradient_rows(x.coords), cs.chart.n_pairs)
+    m = pairing_matrix_of_rows(cs.gradient_rows(x.coords), cs.chart.n_pairs)
+    return np.array(m, dtype=float).reshape(len(cs), len(cs))
 
 
 def degeneracy_scale(m) -> float:
@@ -175,13 +172,11 @@ def _solve_pairing(m, rhs):
     return np.linalg.solve(m, rhs)
 
 
-def _constraint_brackets(rows, grad, n_pairs: int):
-    """{Phi_I, g} for every constraint, from its gradient rows and the gradient of g;
-    on Python floats when both are given as lists."""
-    if isinstance(rows, list):
-        gq, gp = grad[:n_pairs], grad[n_pairs:]
-        return [_float_dot(row[:n_pairs], gp) - _float_dot(row[n_pairs:], gq) for row in rows]
-    return rows[:, :n_pairs] @ grad[n_pairs:] - rows[:, n_pairs:] @ grad[:n_pairs]
+def _constraint_brackets(rows: list, grad: list, n_pairs: int) -> list:
+    """{Phi_I, g} for every constraint as Python floats, from float-list gradient
+    rows and the float-list gradient of g."""
+    gq, gp = grad[:n_pairs], grad[n_pairs:]
+    return [_float_dot(row[:n_pairs], gp) - _float_dot(row[n_pairs:], gq) for row in rows]
 
 
 def _second_class(m, det: float) -> bool:
@@ -192,8 +187,8 @@ def _second_class(m, det: float) -> bool:
     return abs(det) > DEGENERACY_RTOL * degeneracy_scale(m)
 
 
-def _pairing_multipliers(rows, rhs, n_pairs: int, coords):
-    """M^-1 rhs, with M built from ``rows`` (an array, or two float lists); raises
+def _pairing_multipliers(rows: list, rhs, n_pairs: int, coords):
+    """M^-1 rhs, with M built from float-list gradient ``rows``; raises
     DegeneracyError unless the set is Second Class at ``coords`` by ``_second_class``."""
     m = pairing_matrix_of_rows(rows, n_pairs)
     det = pairing_det(m)
@@ -278,7 +273,8 @@ def dirac_tensor(cs: Optional[ConstraintSet], x: PhaseSpacePoint) -> np.ndarray:
     # overflowing gradients end in the guard's error, not in numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         rows = cs.gradient_rows(x.coords)
-        s = _constraint_brackets(rows, np.eye(chart.dim), n)
+    # S_I = {Phi_I, z} = (-dPhi_I/dp, dPhi_I/dq)
+    s = np.array([[-v for v in row[n:]] + row[:n] for row in rows])
     return poisson_tensor(n) + s.T @ _pairing_multipliers(rows, s, n, x.coords)
 
 
@@ -304,7 +300,8 @@ def observable_check(a: ScalarField, cs: ConstraintSet,
     worst = np.zeros(len(cs))
     for x in samples:
         d = dirac_tensor(cs, x)
-        worst = np.maximum(worst, np.abs(a.gradient(x) @ d @ cs.gradient_rows(x.coords).T))
+        rows = np.array(cs.gradient_rows(x.coords))
+        worst = np.maximum(worst, np.abs(a.gradient(x) @ d @ rows.T))
     per_constraint = dict(zip(cs.names, map(float, worst)))
     return ObservableReport(max_abs=max(per_constraint.values()), per_constraint=per_constraint)
 
@@ -369,9 +366,10 @@ def faddeev_popov_determinant(gauge_conditions: Sequence[ScalarField],
     k = len(constraints)
     if k == 0:
         return 1.0
-    chi_rows = np.stack([chi.gradient(x) for chi in gauge_conditions])
-    c_rows = np.stack([c.gradient(x) for c in constraints])
-    m = _constraint_brackets(chi_rows, c_rows.T, x.chart.n_pairs)
+    chi_rows = [chi.gradient(x).tolist() for chi in gauge_conditions]
+    # column j holds {chi_i, C_j}
+    m = np.array([_constraint_brackets(chi_rows, c.gradient(x).tolist(), x.chart.n_pairs)
+                  for c in constraints]).T
     # det of a 1x1 matrix by LU is not always its entry
     return float(np.linalg.det(m)) if k > 1 else float(m[0, 0])
 

@@ -144,16 +144,13 @@ def _gauge_rhs(flow: GaugeFlow, n: int):
 
 
 def _dirac_rhs(flow: DiracFlow, n: int):
-    """{z, H}_D at (t, z). Two constraints run the brackets, M, its guard and the
-    2x2 solve on Python floats; more take the numpy stack and pivoted LU."""
+    """{z, H}_D at (t, z). The brackets and M are summed on Python floats; two
+    constraints take the closed 2x2 solve, more take pivoted LU."""
     h, cs = flow.hamiltonian, flow.constraints
-    fields, time_dependent, on_floats = cs.fields, cs.time_dependent, len(cs) == 2
+    time_dependent = cs.time_dependent
 
     def rhs(t, z):
-        if on_floats:
-            gh, rows = h.gradient_list(z), [f.gradient_list(z) for f in fields]
-        else:
-            gh, rows = h.gradient_at(z), cs.gradient_rows(z)
+        gh, rows = h.gradient_list(z), cs.gradient_rows(z)
         # s_J = {Phi_J, H} (+ explicit-time rates)
         s = _constraint_brackets(rows, gh, n)
         if time_dependent:
@@ -172,7 +169,7 @@ def _project(z: np.ndarray, cs: ConstraintSet, t: float, proj: NewtonProjection)
         vals = cs.values_at(z, t)
         if np.max(np.abs(vals)) < proj.tol:
             return z
-        rows = cs.gradient_rows(z)
+        rows = np.array(cs.gradient_rows(z))
         # minimal-norm correction: z += rows^T delta with (rows rows^T) delta = -vals
         delta, *_ = np.linalg.lstsq(rows @ rows.T, -vals, rcond=None)
         z = z + rows.T @ delta

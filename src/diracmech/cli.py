@@ -147,6 +147,16 @@ COMMAND_KINDS = {
 }
 
 
+# the keys only one model kind reads; under another kind they are rejected, not ignored
+KIND_KEYS = {
+    "klauder": ("model/alpha", "model/k", "model/hbar", "model/potential",
+                "samples/r_range", "samples/momentum_range"),
+    "particle": ("model/mass", "model/spatial_dim"),
+    "maxwell": ("model/side", "model/spacing"),
+    "custom": ("model/labels", "model/constraints", "flow/hamiltonian"),
+}
+
+
 def build_model(config: dict, command: str):
     block = config.get("model")
     if block is None:
@@ -155,6 +165,13 @@ def build_model(config: dict, command: str):
     if kind not in COMMAND_KINDS[command]:
         raise ConfigError(f"the {command!r} subcommand runs {', '.join(COMMAND_KINDS[command])} "
                           f"models, not {kind!r}")
+    for other, paths in KIND_KEYS.items():
+        if other == kind:
+            continue
+        for path in paths:
+            section, key = path.split("/")
+            if key in config.get(section, {}):
+                raise ConfigError(f"{path} is read by {other} models only, not by {kind!r}")
     if kind == "klauder":
         k = block.get("k", 1.0)
         return KlauderModel(alpha=block.get("alpha", 1.0),

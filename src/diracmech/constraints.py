@@ -79,12 +79,7 @@ class ConstraintSet:
         return self.time_ramps is not None and any(r is not None for r in self.time_ramps)
 
     def values_at(self, coords, t: float = 0.0) -> np.ndarray:
-        vals = np.array([f.value_at(coords) for f in self.fields])
-        if self.time_ramps is not None:
-            for i, ramp in enumerate(self.time_ramps):
-                if ramp is not None:
-                    vals[i] += ramp.offset(t)
-        return vals
+        return self.values_along([t], [coords])[0]
 
     def rates_at(self, t: float) -> list:
         """d(offset)/dt of every constraint as Python floats, 0.0 where there is no ramp."""
@@ -104,13 +99,17 @@ class ConstraintSet:
             raise UsageError(f"{label} is off the constraint surface: |{self.names[worst]}| "
                              f"= {vals[worst]:.3e}, tolerance {tol:g}")
 
-    def residual_series(self, times, states) -> dict[str, np.ndarray]:
-        """|Phi_I| at every (t, z) of a trajectory, one array per constraint name."""
+    def values_along(self, times, states) -> np.ndarray:
+        """Phi_I(z, t) at every (t, z), as a (len(states), M) array; a point is a batch of one."""
         vals = np.array([[f.value_at(z) for f in self.fields] for z in states])
         for j, ramp in enumerate(self.time_ramps or ()):
             if ramp is not None:
                 vals[:, j] += ramp.offset(np.asarray(times, dtype=float))
-        vals = np.abs(vals)
+        return vals
+
+    def residual_series(self, times, states) -> dict[str, np.ndarray]:
+        """|Phi_I| at every (t, z) of a trajectory, one array per constraint name."""
+        vals = np.abs(self.values_along(times, states))
         return {name: vals[:, j] for j, name in enumerate(self.names)}
 
 
@@ -161,7 +160,8 @@ def pairing_det(m) -> float:
     if len(m) == 2:  # on Python floats: an overflowing square is inf without a numpy warning
         m01 = float(m[0][1])
         return m01 * m01
-    return float(np.linalg.det(m))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite det is the guard's to judge
+        return float(np.linalg.det(m))
 
 
 def _solve_pairing(m, rhs):
@@ -183,8 +183,15 @@ def _second_class(m, det: float) -> bool:
     """The package's one degeneracy test: |det M| > DEGENERACY_RTOL * degeneracy_scale(M).
 
     A NaN det or scale fails the comparison, so a non-finite M counts as singular.
+    Where the scale of a finite M overflows, both sides are taken on M / 2^e with
+    2^e near max |M_IJ|: det and the product of row norms scale alike by 2^(-e k),
+    and a scale that overflowed was that product, not the floor 1.
     """
-    return abs(det) > DEGENERACY_RTOL * degeneracy_scale(m)
+    scale = degeneracy_scale(m)
+    if scale == math.inf and np.all(np.isfinite(m)):
+        m = np.ldexp(m, -int(np.frexp(np.max(np.abs(m)))[1]))
+        det, scale = pairing_det(m), math.prod(starmap(math.hypot, m.tolist()))
+    return abs(det) > DEGENERACY_RTOL * scale
 
 
 def _pairing_multipliers(rows: list, rhs, n_pairs: int, coords):

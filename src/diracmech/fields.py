@@ -52,7 +52,7 @@ class ScalarField:
 
     ``grad`` takes a float64 array and returns an array or a list of Python
     floats. ``gradient_at`` always gives an array; ``gradient_list``, which the
-    two-constraint Dirac flow reads, passes a returned list on with no numpy call.
+    constraint engine reads, passes a returned list on with no numpy call.
     """
 
     name: str

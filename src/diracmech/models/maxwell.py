@@ -32,6 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ..dynamics import PoissonFlow, Trajectory, evolve as _evolve
 from ..errors import DegeneracyError, UsageError
 from ..fields import ScalarField
 from ..phase import ChartSpec
@@ -321,15 +322,13 @@ class LatticeMaxwell:
 
         return ScalarField(name="H_maxwell", chart=self.chart, func=func, grad=grad)
 
-    def evolve(self, a0, e0, cfg) -> "Trajectory":
+    def evolve(self, a0, e0, cfg) -> Trajectory:
         """Integrate the transverse wave equation dA/dt = E, dE/dt = lap A.
 
         Initial data must be transverse; transversality is preserved by the
         flow (the Laplacian commutes with the divergence), so the Gauss
         residual stays at roundoff and the recorded residuals verify it.
         """
-        from ..dynamics import PoissonFlow, evolve as _evolve
-
         a0 = np.asarray(a0, dtype=float).reshape(-1)
         e0 = np.asarray(e0, dtype=float).reshape(-1)
         if a0.shape != (self.n_components,) or e0.shape != (self.n_components,):

@@ -324,6 +324,29 @@ def test_command_rejects_unsupported_model_or_flow(tmp_path, command, model, flo
     assert run_cli(command, "--config", config, "--out", str(tmp_path / "out.csv")) == 2
 
 
+@pytest.mark.parametrize("command, payload, path", [
+    ("brackets", {"model": {"kind": "particle", "mass": 1.0, "alpha": 5.0}}, "model/alpha"),
+    ("brackets", {"model": {"kind": "custom", "labels": ["q", "p"], "side": 2}}, "model/side"),
+    ("brackets", {"model": {"kind": "particle"}, "samples": {"r_range": [0.5, 1.0]}},
+     "samples/r_range"),
+    ("brackets", {"model": {"kind": "custom", "labels": ["q", "p"]},
+                  "samples": {"momentum_range": [-1.0, 1.0]}}, "samples/momentum_range"),
+    ("evolve", {"model": {"kind": "klauder"},
+                "flow": {"kind": "dirac", "hamiltonian": [{"coeff": 1.0, "powers": [2, 0, 0, 0]}]},
+                "integrator": {"dt": 0.01, "steps": 1}, "initial": {"surface": {"p_phi": 1.0}}},
+     "flow/hamiltonian"),
+    ("evolve", {"model": {"kind": "particle"},
+                "flow": {"kind": "poisson", "hamiltonian": []},
+                "integrator": {"dt": 0.01, "steps": 1},
+                "initial": {"x": [0.0, 0.0, 0.0], "p": [1.0, 0.0, 0.0]}}, "flow/hamiltonian"),
+])
+def test_key_of_another_model_kind_exits_2(tmp_path, capsys, command, payload, path):
+    config = write_config(tmp_path / "cfg.json", payload)
+    assert run_cli(command, "--config", config, "--out", str(tmp_path / "out.csv")) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path} is read by ")
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_evolve_projection_without_constraints_exits_2(tmp_path, capsys):
     # a particle flow watches no constraints, so a projection would be ignored
     config = write_config(tmp_path / "cfg.json", {

@@ -449,6 +449,43 @@ def test_nonfinite_pairing_matrix_raises_degeneracy_error():
         dirac_tensor(HUGE_PAIR, LINE.point([0.0, 0.0]))
 
 
+def test_guard_passes_an_invertible_pairing_whose_det_and_scale_overflow():
+    # M = [[0, 1e200], [-1e200, 0]] on the pair (1e200 q, p), and the block-diagonal
+    # 4x4 of two such pairs: det M and the scale overflow to inf alike, while
+    # {z_a, z_b}_D = 0 is finite
+    pair = ConstraintSet(LINE, (polynomial_field(LINE, [(1e200, (1, 0))], name="A"),
+                                polynomial_field(LINE, [(1.0, (0, 1))], name="B")), ("A", "B"))
+    four = ConstraintSet(FLAT, (polynomial_field(FLAT, [(1e200, (1, 0, 0, 0))], name="A"),
+                                polynomial_field(FLAT, [(1.0, (0, 0, 1, 0))], name="B"),
+                                polynomial_field(FLAT, [(1e200, (0, 1, 0, 0))], name="C"),
+                                polynomial_field(FLAT, [(1.0, (0, 0, 0, 1))], name="D")),
+                         ("A", "B", "C", "D"))
+    for cs, x in ((pair, LINE.point([0.0, 0.0])), (four, FLAT.point([0.0, 0.0, 0.0, 0.0]))):
+        m = constraint_matrix(cs, x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert degeneracy_scale(m) == math.inf
+            assert np.array_equal(dirac_tensor(cs, x), np.zeros((x.chart.dim,) * 2))
+            assert classify(cs, [x], tol=1e-8).kind == "second_class"
+
+
+def test_guard_decision_survives_a_power_of_two_that_overflows_the_scale(rng):
+    # M * 2^900 keeps M's decision wherever M's scale is its product of row norms, not 1
+    decisions = set()
+    for trial in range(600):
+        m = random_pairing_matrix(rng, (2, 4, 6)[trial % 3], ("dense", "near_threshold")[trial % 2])
+        if degeneracy_scale(m) == 1.0:
+            continue
+        big = np.ldexp(m, 900)
+        with np.errstate(all="ignore"):  # det by LU overflows with a warning
+            big_det = pairing_det(big)
+        assert degeneracy_scale(big) == math.inf
+        second = _second_class(m, pairing_det(m))
+        assert _second_class(big, big_det) == second, m
+        decisions.add(second)
+    assert decisions == {True, False}
+
+
 def test_gradient_rows_equals_the_numpy_stack(rng):
     for cs, x in tensor_points(rng):
         rows, expected = cs.gradient_rows(x.coords), reference_gradient_rows(cs, x.coords)
@@ -483,6 +520,49 @@ def test_float_pairing_matrix_and_brackets_equal_the_numpy_route(rng):
         assert repr(_constraint_brackets(rows.tolist(), grad.tolist(), 1)) == repr(s.tolist())
         assert repr(pairing_det(m.tolist())) == repr(pairing_det(m))
         assert repr(degeneracy_scale(m.tolist())) == repr(degeneracy_scale(m))
+
+
+def array_dirac_tensor(cs, x):
+    """D = J + S^T M^-1 S by numpy arrays: S from products with the identity, M = a - a^T
+    by matmul, the closed 2x2 solve or LU."""
+    n = x.chart.n_pairs
+    rows = reference_gradient_rows(cs, x.coords)
+    eye = np.eye(x.chart.dim)
+    s = rows[:, :n] @ eye[n:] - rows[:, n:] @ eye[:n]
+    a = rows[:, :n] @ rows[:, n:].T
+    m = a - a.T
+    lam = [-s[1] / m[0, 1], s[0] / m[0, 1]] if len(m) == 2 else np.linalg.solve(m, s)
+    return poisson_tensor(n) + s.T @ lam
+
+
+def test_dirac_tensor_equals_the_array_formula_bitwise(rng):
+    # every q.p here has at most one nonzero product, so the float sums round as BLAS does
+    for cs, x in tensor_points(rng):
+        assert dirac_tensor(cs, x).tobytes() == array_dirac_tensor(cs, x).tobytes(), x
+
+
+def test_four_constraint_pairing_matrix_equals_numpy_by_repr(rng):
+    n = CUSTOM_FOUR.chart.n_pairs
+    for x in CUSTOM_FOUR.sample(rng, 50):
+        rows = CUSTOM_FOUR.constraint_set.gradient_rows(x.coords)
+        a = np.array(rows)[:, :n] @ np.array(rows)[:, n:].T
+        assert repr(pairing_matrix_of_rows(rows, n)) == repr((a - a.T).tolist()), x
+
+
+@pytest.mark.parametrize("count", [2, 4, 6])
+def test_dense_pairing_matrix_within_the_inner_product_bound_of_numpy(rng, count):
+    # |float sum - BLAS sum| <= 2 gamma_n sum |q_k p_k| per product a_IJ (Higham 2002,
+    # sec. 3.1), plus the rounding of a_IJ - a_JI: 4 n eps sum |q_k p_k| covers both
+    n = 5
+    for _ in range(200):
+        rows = rng.normal(size=(count, 2 * n)) * 10.0 ** rng.uniform(-3.0, 3.0, (count, 2 * n))
+        q, p = rows[:, :n], rows[:, n:]
+        a = q @ p.T
+        magnitude = np.abs(q) @ np.abs(p).T
+        bound = 4 * n * np.finfo(float).eps * (magnitude + magnitude.T)
+        m = np.array(pairing_matrix_of_rows(rows.tolist(), n))
+        assert np.all(np.abs(m - (a - a.T)) <= bound)
+        assert np.array_equal(m, -m.T)
 
 
 # -- observables -----------------------------------------------------------------

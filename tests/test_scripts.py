@@ -1,5 +1,9 @@
 import importlib.util
 import pathlib
+import runpy
+import sys
+
+from diracmech.models import KlauderModel, RadialPotential
 
 SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "run_all_scenarios.py"
 
@@ -46,3 +50,30 @@ def test_csv_difference_counts_rows_and_bounds_each_column(tmp_path):
     written.write_text("t,a,b\n0,1.0,x\n1,2.5,y\n2,nan,z\n3,4.25,z\n")
     assert load_runner().csv_difference(golden, written) == [
         "2 of 5 rows differ", "max |diff| a: 5.000e-01"]
+
+
+def load_script(name):
+    path = SCRIPT.parent / name
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_compare_flow_routes_agree():
+    routes = load_script("compare_flow_routes.py")
+    model = KlauderModel(alpha=1.0, k=1.0, potential=RadialPotential.harmonic())
+    for p_phi in (-2.0, 1.5):
+        rates = (routes.dirac_rate(model, p_phi, steps=200), model.phi_rate(p_phi),
+                 routes.reduced_rate(model, p_phi, steps=200))
+        assert max(rates) - min(rates) < 1e-12, rates
+
+
+def test_classical_vs_quantum_prints_its_table(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["classical_vs_quantum.py", "--t-max", "1"])
+    runpy.run_path(str(SCRIPT.parent / "classical_vs_quantum.py"), run_name="__main__")
+    lines = capsys.readouterr().out.splitlines()
+    header = next(i for i, line in enumerate(lines) if line.split()[:1] == ["t"])
+    rows = [line.split() for line in lines[header + 1:]]
+    assert len(rows) == 11 and all(len(row) == 5 for row in rows)
+    assert float(rows[-1][0]) == 1.0

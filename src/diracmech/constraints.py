@@ -165,7 +165,7 @@ def pairing_det(m) -> float:
 
 
 def _solve_pairing(m, rhs):
-    # closed 2x2 form as a list, for an array or nested lists; pivoted LU (gesv) beyond that
+    # closed 2x2 form as a list; pivoted LU (gesv) beyond that
     if len(m) == 2:
         delta = m[0][1]
         return [-rhs[1] / delta, rhs[0] / delta]

@@ -304,6 +304,8 @@ class ObservableReport:
 def observable_check(a: ScalarField, cs: ConstraintSet,
                      samples: Sequence[PhaseSpacePoint]) -> ObservableReport:
     """Max |{a, Phi_I}_D| over samples; ~0 is the Second Class observable identity."""
+    if len(cs) == 0:
+        raise UsageError("an observable check needs at least one constraint")
     worst = np.zeros(len(cs))
     for x in samples:
         d = dirac_tensor(cs, x)

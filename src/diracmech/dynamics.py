@@ -215,7 +215,7 @@ def evolve(x0: PhaseSpacePoint, flow: FlowSpec, cfg: IntegratorConfig,
 
     if watched is not None:
         require_same_chart(watched, x0)
-    elif cfg.projection is not None:
+    if cfg.projection is not None and (watched is None or len(watched) == 0):
         raise UsageError("a Newton projection needs constraints to project onto; "
                          "this flow watches none")
 

@@ -25,7 +25,6 @@ and the LU ``dirac_bracket_matrices``) are kept as oracles for L <= 4.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -40,6 +39,10 @@ from ..phase import ChartSpec
 TRANSVERSE_TOL = 1e-10
 FOOTER_PROBES = 4     # unit probes per matrix-free footer check
 CG_RTOL = 1e-14       # relative residual at which the footer's Laplacian solve stops
+# The footer's CG step forms p . K p ~ |p|^2 / a^4, which overflows below a = 1e-77 and
+# underflows to 0 above about 1e75 (measured at L = 2 to 24); the range keeps 15 decades
+# from both.
+SPACING_RANGE = (1e-60, 1e60)
 
 
 @dataclass(frozen=True)
@@ -55,8 +58,9 @@ class LatticeMaxwell:
         if side < 2:
             raise UsageError("lattice side must be at least 2")
         spacing = float(self.spacing)
-        if not (math.isfinite(spacing) and spacing > 0):
-            raise UsageError(f"lattice spacing must be positive and finite, got {spacing}")
+        if not SPACING_RANGE[0] <= spacing <= SPACING_RANGE[1]:
+            raise UsageError(f"lattice spacing must lie in [{SPACING_RANGE[0]:g}, "
+                             f"{SPACING_RANGE[1]:g}], got {spacing}")
         object.__setattr__(self, "side", side)
         object.__setattr__(self, "spacing", spacing)
 
@@ -70,7 +74,10 @@ class LatticeMaxwell:
 
     # -- lattice calculus on flat vectors ---------------------------------
     # Fields are flat: a scalar is L^3 site values, a vector 3L^3 values with
-    # the component outermost; leading axes are batch axes. The stencils keep
+    # the component outermost; leading axes are batch axes. The stencils read
+    # their neighbours through index tables built once per lattice: site
+    # indices for scalars, flat indices into the whole 3L^3 vector for the
+    # vector Laplacian and the energy, so each of those is one gather. They keep
     # their order of operations fixed, so results are bitwise reproducible
     # (tests/test_maxwell.py compares them with an np.roll reference).
     @cached_property
@@ -81,9 +88,19 @@ class LatticeMaxwell:
         backward = np.stack([np.roll(sites, 1, axis=i).reshape(-1) for i in range(3)])
         return forward, backward
 
-    def _components(self, vec_flat) -> np.ndarray:
+    @cached_property
+    def _vector_neighbours(self) -> np.ndarray:
+        """Flat indices of v_c(x+e_i) and v_c(x-e_i) in a 3L^3 vector, shape (3, 2, 3L^3)."""
+        pairs = np.stack(self._neighbours, axis=1)[:, :, None, :]  # (direction i, +/-, 1, site)
+        offsets = np.arange(3)[:, None] * self.sites               # component c at c L^3
+        return (pairs + offsets).reshape(3, 2, self.n_components)
+
+    def _vector(self, vec_flat) -> np.ndarray:
         v = np.asarray(vec_flat, dtype=float)
-        return v.reshape(v.shape[:-1] + (3, self.sites))
+        if v.shape[-1:] != (self.n_components,):
+            raise UsageError(f"lattice vectors need {self.n_components} components, "
+                             f"got shape {v.shape}")
+        return v
 
     def forward_gradient(self, scalar_flat) -> np.ndarray:
         """(D u)_i(x) = (u(x+e_i) - u(x)) / a, flattened to 3L^3."""
@@ -96,7 +113,8 @@ class LatticeMaxwell:
 
     def backward_divergence(self, vec_flat) -> np.ndarray:
         """div v(x) = sum_i (v_i(x) - v_i(x-e_i)) / a; the negative adjoint of D."""
-        v = self._components(vec_flat)
+        v = self._vector(vec_flat)
+        v = v.reshape(v.shape[:-1] + (3, self.sites))
         _, backward = self._neighbours
         out = np.zeros(v.shape[:-2] + (self.sites,))
         for i in range(3):
@@ -107,13 +125,15 @@ class LatticeMaxwell:
         return self.backward_divergence(self.forward_gradient(scalar_flat))
 
     def vector_laplacian(self, vec_flat) -> np.ndarray:
-        # 7-point stencil applied to all components at once
-        v = self._components(vec_flat)
-        forward, backward = self._neighbours
+        """7-point stencil on every component, its 6 neighbours read in one gather."""
+        v = self._vector(vec_flat)
+        pairs = v.take(self._vector_neighbours, axis=-1)
+        sums = pairs[..., 0, :] + pairs[..., 1, :]
         out = -6.0 * v
         for i in range(3):
-            out += v[..., forward[i]] + v[..., backward[i]]
-        return (out / self.spacing ** 2).reshape(v.shape[:-2] + (self.n_components,))
+            out += sums[..., i, :]
+        out /= self.spacing ** 2
+        return out
 
     # -- the transverse projector in momentum space --------------------------
     @cached_property
@@ -267,7 +287,8 @@ class LatticeMaxwell:
             raise UsageError(f"{what} is not transverse: entry {i} (component {i // self.sites}, "
                              f"site {i % self.sites}) is {v.flat[i]}")
         worst = self.longitudinal_content(v)
-        if worst > TRANSVERSE_TOL * max(1.0, float(np.max(np.abs(v)))):
+        # weigh a |div v|: the divergence of the roundoff in a transverse field scales as 1/a
+        if self.spacing * worst > TRANSVERSE_TOL * max(1.0, float(np.max(np.abs(v)))):
             raise UsageError(f"{what} is not transverse (max |div| = {worst:.3e})")
 
     def random_transverse(self, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
@@ -282,15 +303,19 @@ class LatticeMaxwell:
         omega = 2.0 * np.sin(np.pi / self.side) / self.spacing
         return a.reshape(-1), float(omega)
 
-    def energy(self, a_flat, e_flat) -> float:
-        v = self._components(a_flat)
-        forward, _ = self._neighbours
-        grad_sq = 0.0
-        for i in range(3):
-            diff = (v[:, forward[i]] - v) / self.spacing
-            grad_sq += float(np.sum(diff * diff))
+    def energy(self, a_flat, e_flat) -> float | np.ndarray:
+        """H = (1/2)(sum E^2 + sum |grad A|^2) over leading batch axes; a float for one field."""
+        a = self._vector(a_flat)
+        diff = a.take(self._vector_neighbours[:, 0], axis=-1)  # A_c(x+e_i), per direction i
+        diff -= a[..., None, :]
+        diff /= self.spacing
+        diff *= diff
+        # direction axis first (.T), so that one field adds numpy scalars, not 0-d arrays
+        s = np.sum(diff, axis=-1).T
+        grad_sq = (0.0 + s[0] + s[1] + s[2]).T
         e = np.asarray(e_flat, dtype=float)
-        return 0.5 * (float(e @ e) + grad_sq)
+        total = 0.5 * (np.vecdot(e, e) + grad_sq)
+        return total if total.ndim else float(total)
 
     @cached_property
     def chart(self) -> ChartSpec:

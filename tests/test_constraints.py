@@ -576,6 +576,12 @@ def test_observables_commute_with_constraints(model, polar_coords, rng):
     assert observable_check(any_poly, model.constraint_set, samples).max_abs < 1e-9
 
 
+def test_observable_check_on_an_empty_set_is_a_usage_error(model, polar_coords, rng):
+    samples = model.sample_points(rng, 3)
+    with pytest.raises(UsageError, match="at least one constraint"):
+        observable_check(polar_coords["r"], ConstraintSet(model.polar_chart, (), ()), samples)
+
+
 # -- reduced-bracket theorem -------------------------------------------------------
 
 def test_reduced_bracket_angle_pair(model, polar_coords):

@@ -180,6 +180,13 @@ def test_newton_projection_needs_watched_constraints():
     assert max(s.max_residual for s in constraint_drift(traj).values()) < 1e-12
 
 
+def test_newton_projection_onto_an_empty_monitor_is_a_usage_error():
+    h = polynomial_field(FLAT, [(0.5, (2, 0)), (0.5, (0, 2))], name="H")
+    cfg = IntegratorConfig(dt=1e-2, steps=5, projection=NewtonProjection())
+    with pytest.raises(UsageError, match="Newton projection needs constraints"):
+        evolve(FLAT.point([1.0, 0.0]), PoissonFlow(h), cfg, monitor=ConstraintSet(FLAT, (), ()))
+
+
 def test_degeneracy_mid_run_keeps_partial_trajectory():
     # drive the radial pair toward the excluded origin: k(t) ramps down through 0
     # with p_phi = 0 the pairing matrix det -> 0 as r -> 0

@@ -1,6 +1,7 @@
 import csv
 import gc
 import json
+import warnings
 import weakref
 
 import numpy as np
@@ -82,7 +83,7 @@ def roll_energy(model, a, e):
     return 0.5 * (float(e @ e) + grad_sq)
 
 
-@pytest.mark.parametrize("side", [2, 3, 5])
+@pytest.mark.parametrize("side", [2, 3, 5, 8])
 def test_stencils_match_roll_reference_bitwise(side, rng):
     model = LatticeMaxwell(side=side, spacing=0.7)
     u = rng.normal(size=model.sites)
@@ -92,6 +93,51 @@ def test_stencils_match_roll_reference_bitwise(side, rng):
     assert np.array_equal(model.backward_divergence(a), roll_backward_divergence(model, a))
     assert np.array_equal(model.vector_laplacian(a), roll_vector_laplacian(model, a))
     assert model.energy(a, e) == roll_energy(model, a, e)
+
+
+@pytest.mark.parametrize("side", [2, 3, 5, 8])
+def test_batched_stencils_are_bitwise_rows(side, rng):
+    model = LatticeMaxwell(side=side, spacing=0.7)
+    a = rng.normal(size=(4, model.n_components))
+    e = rng.normal(size=(4, model.n_components))
+    assert np.array_equal(model.vector_laplacian(a), [model.vector_laplacian(v) for v in a])
+    energies = model.energy(a, e)
+    assert energies.shape == (4,)
+    assert np.array_equal(energies, [model.energy(u, v) for u, v in zip(a, e)])
+    assert np.array_equal(model.energy(a.reshape(2, 2, -1), e.reshape(2, 2, -1)),
+                          energies.reshape(2, 2))
+
+
+@pytest.mark.parametrize("side", [2, 3, 5, 8])
+def test_energy_matches_roll_reference_bitwise_on_nearly_one_dimensional_fields(side, rng):
+    # fields that vary along x with a ripple along y and z: the y and z sums fall near
+    # an ulp of the x sum, so adding the three directions in any other order moves bits
+    model = LatticeMaxwell(side=side, spacing=0.7)
+    ripples = np.geomspace(1e-9, 1e-6, 40)[:, None, None, None, None]
+    a = rng.normal(size=(40, 3, side, 1, 1)) + ripples * rng.normal(size=(40, 3) + (side,) * 3)
+    a = a.reshape(40, model.n_components)
+    e = rng.normal(size=a.shape)
+    assert np.array_equal(model.energy(a, e), [roll_energy(model, u, v) for u, v in zip(a, e)])
+
+
+def test_batched_energy_equals_the_trajectory_generator_values(small, rng):
+    a0, _ = small.lowest_standing_mode()
+    e0 = small.random_transverse(rng, 0.3)
+    traj = small.evolve(a0, e0, IntegratorConfig(dt=1e-2, steps=200))
+    n = small.n_components
+    assert np.array_equal(small.energy(traj.states[:, :n], traj.states[:, n:]),
+                          traj.generator_values)
+
+
+@pytest.mark.parametrize("length", [-1, 1])
+def test_stencils_reject_a_vector_of_another_length(small, length):
+    v = np.zeros(small.n_components + length)
+    with pytest.raises(ValueError, match="24 components"):
+        small.vector_laplacian(v)
+    with pytest.raises(ValueError, match="24 components"):
+        small.energy(v, np.zeros(small.n_components))
+    with pytest.raises(ValueError, match="24 components"):
+        small.backward_divergence(v)
 
 
 def test_batched_divergence_matches_rows(rng):
@@ -296,10 +342,38 @@ def test_lattice_is_freed_by_reference_counting():
 
 
 @pytest.mark.parametrize("side, spacing", [
-    (1, 1.0), (2.5, 1.0), ("2", 1.0), (2, 0.0), (2, float("nan")), (2, float("inf"))])
+    (1, 1.0), (2.5, 1.0), ("2", 1.0), (2, 0.0), (2, float("nan")), (2, float("inf")),
+    (2, -1.0), (2, 1e-150), (2, 1e150), (2, 5e-324)])
 def test_invalid_lattice_rejected(side, spacing):
     with pytest.raises(UsageError, match="lattice"):
         LatticeMaxwell(side=side, spacing=spacing)
+
+
+@pytest.mark.parametrize("spacing", [1e-60, 1e-6, 1e3, 1e60])
+def test_projected_field_is_transverse_at_any_accepted_spacing(spacing):
+    # max |div v| of the FFT's roundoff scales as 1/a; the test weighs a |div v|
+    model = LatticeMaxwell(side=4, spacing=spacing)
+    v = model.random_transverse(np.random.default_rng(2))
+    model.require_transverse(v, "initial A")
+    lam = np.random.default_rng(3).normal(size=model.sites)
+    with pytest.raises(UsageError, match="not transverse"):
+        model.require_transverse(model.forward_gradient(lam - lam.mean()) * spacing, "initial A")
+
+
+@pytest.mark.parametrize("spacing", [1e-150, 1e150])
+def test_cmd_maxwell_rejects_an_extreme_spacing_without_a_warning(spacing, tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "seed": 1,
+        "model": {"kind": "maxwell", "side": 4, "spacing": spacing},
+        "integrator": {"dt": 0.001, "steps": 20},
+        "maxwell": {"initial": "random", "e_scale": 0.3},
+    }))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["maxwell", "--config", str(config), "--out", str(tmp_path / "mx.csv")])
+    assert code in (2, 3)
+    assert capsys.readouterr().err.startswith("error: lattice spacing must lie in")
 
 
 @pytest.mark.parametrize("entry, value, where", [

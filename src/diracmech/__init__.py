@@ -13,25 +13,24 @@ from .constraints import (ClassificationResult, ConstraintSet, SurfaceParametriz
                           pair_jacobian_check, reduced_bracket_check)
 from .dynamics import (DiracFlow, GaugeFlow, IntegratorConfig, NewtonProjection,
                        PoissonFlow, Trajectory, constraint_drift, evolve,
-                       gauge_orbit_closed_form, multiplier_from_gauge)
+                       gauge_orbit_closed_form)
 from .errors import (ChartMismatchError, ConfigError, DegeneracyError,
                      DiracMechError, NumericDomainError, UsageError)
-from .fields import (ScalarField, constant_field, coordinate_field,
-                     gradient_consistency_check, polynomial_field)
+from .fields import (ScalarField, coordinate_field, gradient_consistency_check,
+                     polynomial_field)
 from .phase import ChartSpec, PhaseSpacePoint
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ChartSpec", "PhaseSpacePoint", "ScalarField",
-    "coordinate_field", "constant_field", "polynomial_field",
+    "coordinate_field", "polynomial_field",
     "poisson_bracket", "gradient_consistency_check",
     "ConstraintSet", "ClassificationResult", "SurfaceParametrization",
     "constraint_matrix", "classify", "dirac_bracket", "dirac_tensor", "observable_check",
     "reduced_bracket_check", "faddeev_popov_determinant", "pair_jacobian_check",
     "PoissonFlow", "DiracFlow", "GaugeFlow", "IntegratorConfig", "NewtonProjection",
     "Trajectory", "evolve", "constraint_drift", "gauge_orbit_closed_form",
-    "multiplier_from_gauge",
     "DiracMechError", "UsageError", "ChartMismatchError", "ConfigError",
     "NumericDomainError", "DegeneracyError",
     "__version__",

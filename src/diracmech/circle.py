@@ -122,11 +122,20 @@ def _require_normalized(state: CircleState):
         raise UsageError("state is not normalized; call normalized() first")
 
 
+def _phase_factors(action, hbar: float) -> np.ndarray:
+    """exp(-i action / hbar); NumericDomainError where action / hbar overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite phase raises below
+        factors = np.exp(-1j * action / hbar)
+    if not np.all(np.isfinite(factors)):
+        raise NumericDomainError("non-finite phase: U t / hbar overflows")
+    return factors
+
+
 def _phased(state: CircleState, table: SpectrumTable, t: float) -> np.ndarray:
     """c_m exp(-i U_m t / hbar) of a normalized state on the table's window."""
     _require_normalized(state)
     table._match(state)
-    return state.coeffs * np.exp(-1j * table.u_values * t / state.hbar)
+    return state.coeffs * _phase_factors(table.u_values * t, state.hbar)
 
 
 def _simpson(integrand, a: float, b: float, intervals: int):
@@ -181,7 +190,7 @@ def evolve_time_dependent(state: CircleState, model: KlauderModel, t0: float, t1
         integrals = from_cusp(t1) - from_cusp(t0)
     else:
         integrals = _simpson(potentials, t0, t1, quadrature_steps)
-    return CircleState(state.coeffs * np.exp(-1j * integrals / hbar), hbar).normalized()
+    return CircleState(state.coeffs * _phase_factors(integrals, hbar), hbar).normalized()
 
 
 @dataclass(frozen=True)

@@ -99,7 +99,6 @@ SCENARIO_SCHEMA = _strict({
         "times": {"oneOf": [_NUMBERS, _strict(
             {"start": _NUMBER, "stop": _NUMBER, "count": {"type": "integer", "minimum": 1}},
             "start", "stop", "count")]},
-        "time_dependent": {"type": "boolean"},
         "quadrature_steps": {"type": "integer", "minimum": 2},
     }, "times"),
     "maxwell": _strict({
@@ -219,9 +218,7 @@ def write_table(path: str, fmt: str, columns: list[str], rows: list[list],
             for row in footer_rows or []:
                 writer.writerow([_fmt(v) for v in row])
     else:
-        payload = {"columns": columns,
-                   "rows": [[v if not isinstance(v, float) else float(_fmt(v)) for v in row]
-                            for row in rows]}
+        payload = {"columns": columns, "rows": rows}
         if footer_rows:
             payload["footer"] = [[_fmt(v) for v in row] for row in footer_rows]
         with open(out, "w") as handle:
@@ -363,18 +360,16 @@ def cmd_quantum(config: dict, args) -> int:
         times = np.linspace(times["start"], times["stop"], times["count"])
     else:
         times = np.asarray(times, dtype=float)
-    time_dependent = block.get("time_dependent", False)
+    ramped = model.time_dependent  # k1 != 0: the reduced surface moves with t
     quad_steps = block.get("quadrature_steps", 2048)
-    if time_dependent and not isinstance(config["model"].get("k"), list):
-        raise ConfigError("time-dependent evolution needs a ramped k: \"k\": [k0, k1]")
 
     columns = ["t", "r_mean", "pr_mean", "pphi_mean", "phi_mean_analytic",
                "phi_mean_quadrature", "re_xy", "im_xy", "re_pxy", "im_pxy", "norm"]
     rows = []
-    static_table = None if time_dependent else SpectrumTable.build(model, m_max)
+    static_table = None if ramped else SpectrumTable.build(model, m_max)
     for t in times:
         t = float(t)
-        if time_dependent:
+        if ramped:
             evolved = evolve_time_dependent(state, model, 0.0, t, quad_steps) if t else state
             table_t = SpectrumTable.build(model, m_max, t=t)
             phi_t = 0.0  # phases already folded into the state

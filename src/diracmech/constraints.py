@@ -267,15 +267,14 @@ def classify(cs: ConstraintSet, samples: Sequence[PhaseSpacePoint], tol: float) 
                                 notes=tuple(notes))
 
 
-def dirac_tensor(cs: Optional[ConstraintSet], x: PhaseSpacePoint) -> np.ndarray:
+def dirac_tensor(cs: ConstraintSet, x: PhaseSpacePoint) -> np.ndarray:
     """D_ab = {z_a, z_b}_D = J + S^T M^-1 S at x, with S_Ia = {Phi_I, z_a}.
 
     One stack of gradient rows and one guarded pairing solve serve every
-    coordinate pair; with an empty (or no) constraint set D is the canonical J.
+    coordinate pair; with an empty constraint set D is the canonical J.
     """
-    chart = x.chart if cs is None else require_same_chart(cs, x)
-    n = chart.n_pairs
-    if cs is None or len(cs) == 0:
+    n = require_same_chart(cs, x).n_pairs
+    if len(cs) == 0:
         return poisson_tensor(n)
     # overflowing gradients end in the guard's error, not in numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
@@ -285,9 +284,9 @@ def dirac_tensor(cs: Optional[ConstraintSet], x: PhaseSpacePoint) -> np.ndarray:
     return poisson_tensor(n) + s.T @ _pairing_multipliers(rows, s, n, x.coords)
 
 
-def dirac_bracket(a: ScalarField, b: ScalarField, cs: Optional[ConstraintSet],
+def dirac_bracket(a: ScalarField, b: ScalarField, cs: ConstraintSet,
                   x: PhaseSpacePoint, tensor: Optional[np.ndarray] = None) -> float:
-    """{a,b}_D at x; with an empty (or no) constraint set this is the Poisson bracket.
+    """{a,b}_D at x; with an empty constraint set this is the Poisson bracket.
 
     ``tensor`` is dirac_tensor(cs, x), passed by callers that read many brackets at x.
     """
@@ -366,7 +365,8 @@ def reduced_bracket_check(a: ScalarField, b: ScalarField, cs: ConstraintSet,
 def faddeev_popov_determinant(gauge_conditions: Sequence[ScalarField],
                               constraints: Sequence[ScalarField],
                               x: PhaseSpacePoint) -> float:
-    """det of the K x K matrix {chi_i, C_j}; the canonical-measure weight."""
+    """det of the K x K matrix {chi_i, C_j}, the canonical-measure weight: the
+    off-diagonal block of the pairing matrix M of (chi..., C...)."""
     if len(gauge_conditions) != len(constraints):
         raise UsageError(
             f"need equally many gauge conditions and constraints, "
@@ -375,12 +375,10 @@ def faddeev_popov_determinant(gauge_conditions: Sequence[ScalarField],
     k = len(constraints)
     if k == 0:
         return 1.0
-    chi_rows = [chi.gradient(x).tolist() for chi in gauge_conditions]
-    # column j holds {chi_i, C_j}
-    m = np.array([_constraint_brackets(chi_rows, c.gradient(x).tolist(), x.chart.n_pairs)
-                  for c in constraints]).T
+    rows = [f.gradient(x).tolist() for f in (*gauge_conditions, *constraints)]
+    block = [row[k:] for row in pairing_matrix_of_rows(rows, x.chart.n_pairs)[:k]]
     # det of a 1x1 matrix by LU is not always its entry
-    return float(np.linalg.det(m)) if k > 1 else float(m[0, 0])
+    return float(np.linalg.det(block)) if k > 1 else block[0][0]
 
 
 @dataclass(frozen=True)
@@ -402,6 +400,6 @@ def pair_jacobian_check(gauge: ScalarField, constraint: ScalarField, x: PhaseSpa
     g_chi = gauge.gradient(x)
     g_c = constraint.gradient(x)
     jac = g_chi[i1] * g_c[i2] - g_chi[i2] * g_c[i1]
-    bracket = poisson_bracket(gauge, constraint, x)
+    bracket = faddeev_popov_determinant([gauge], [constraint], x)
     return JacobianReport(jacobian_det=float(jac), bracket_value=bracket,
                           abs_diff=abs(float(jac) - bracket))

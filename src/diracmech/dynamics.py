@@ -230,22 +230,25 @@ def evolve(x0: PhaseSpacePoint, flow: FlowSpec, cfg: IntegratorConfig,
     states[0] = x0.coords
     z = np.array(x0.coords)
 
+    # entered once per run: an overflowing or NaN stage ends in the blow-up check or in
+    # the pairing guard, not in numpy warnings
     try:
-        for i in range(steps):
-            t = i * dt
-            k1 = rhs(t, z)
-            k2 = rhs(t + 0.5 * dt, z + (0.5 * dt) * k1)
-            k3 = rhs(t + 0.5 * dt, z + (0.5 * dt) * k2)
-            k4 = rhs(t + dt, z + dt * k3)
-            z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t_next = (i + 1) * dt
-            if cfg.projection is not None:
-                z = _project(z, watched, t_next, cfg.projection)
-            if not np.abs(z).max() <= BLOWUP_LIMIT:  # also catches NaN
-                raise NumericDomainError(
-                    f"trajectory blew up at t={t_next:g} (|z| > {BLOWUP_LIMIT:g} or NaN)")
-            times[i + 1] = t_next
-            states[i + 1] = z
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(steps):
+                t = i * dt
+                k1 = rhs(t, z)
+                k2 = rhs(t + 0.5 * dt, z + (0.5 * dt) * k1)
+                k3 = rhs(t + 0.5 * dt, z + (0.5 * dt) * k2)
+                k4 = rhs(t + dt, z + dt * k3)
+                z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                t_next = (i + 1) * dt
+                if cfg.projection is not None:
+                    z = _project(z, watched, t_next, cfg.projection)
+                if not np.abs(z).max() <= BLOWUP_LIMIT:  # also catches NaN
+                    raise NumericDomainError(
+                        f"trajectory blew up at t={t_next:g} (|z| > {BLOWUP_LIMIT:g} or NaN)")
+                times[i + 1] = t_next
+                states[i + 1] = z
     except DegeneracyError as err:
         done = i + 1  # rows 0..i are valid
         partial = _finalize(chart, times[:done], states[:done], watched, generator)
@@ -278,10 +281,15 @@ def constraint_drift(traj: Trajectory, cs: Optional[ConstraintSet] = None) -> di
     in which case residuals are recomputed from the stored states.
     """
     series = traj.residuals if cs is None else cs.residual_series(traj.times, traj.states)
+    # the fit runs on times scaled into [0, 1) by 2^-e, so no t^2 underflows or overflows;
+    # the exact power of two leaves every bit of the slope as it is where none did
+    e = math.frexp(traj.times[-1])[1]
+    scaled = np.ldexp(traj.times, -e)
     out = {}
     for name, values in series.items():
         if len(traj) > 1:
-            rate = float(np.polyfit(traj.times, values, 1)[0])
+            with np.errstate(over="ignore"):  # a slope beyond the float range is inf
+                rate = float(np.ldexp(np.polyfit(scaled, values, 1)[0], -e))
         else:
             rate = 0.0
         out[name] = DriftStats(max_residual=float(np.max(values)), growth_rate=rate)
@@ -302,17 +310,3 @@ def gauge_orbit_closed_form(q0, p0, alpha: float, T: float):
     c, s = math.cosh(alpha * T), math.sinh(alpha * T)
     return q0 * c + (p0 / alpha) * s, p0 * c + (alpha * q0) * s
 
-
-def multiplier_from_gauge(x: PhaseSpacePoint, kdot: float, alpha: float) -> float:
-    """Multiplier lambda = kdot / (|p|^2 + alpha^2 |q|^2) preserving q.p = k(t).
-
-    On the constraint surface of (1/2)(p.p - alpha^2 q.q) the denominator is
-    2 alpha^2 r^2. Degenerates at the phase-space origin, which is excluded.
-    """
-    n = x.chart.n_pairs
-    q, p = x.coords[:n], x.coords[n:]
-    denom = float(p @ p + alpha * alpha * (q @ q))
-    if denom <= 0.0 or not math.isfinite(denom):
-        raise DegeneracyError("gauge multiplier undefined at the phase-space origin",
-                              det=denom, coords=np.array(x.coords))
-    return float(kdot) / denom

@@ -108,15 +108,6 @@ def coordinate_field(chart: ChartSpec, label: str) -> ScalarField:
                        grad=lambda z, b=basis: b)
 
 
-def constant_field(chart: ChartSpec, value: float, name: Optional[str] = None) -> ScalarField:
-    value = float(value)
-    zero = np.zeros(chart.dim)
-    zero.setflags(write=False)
-    return ScalarField(name=name or f"const({value:g})", chart=chart,
-                       func=lambda z, v=value: v,
-                       grad=lambda z, g=zero: g)
-
-
 def polynomial_field(chart: ChartSpec, terms: Sequence[tuple[float, Sequence[int]]],
                      name: str = "poly") -> ScalarField:
     """Multivariate polynomial sum_k c_k * prod_i z_i^e_ki with exact gradient."""

@@ -130,8 +130,9 @@ class KlauderModel:
             raise UsageError("hbar must be positive")
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "hbar", float(self.hbar))
-        if not math.isfinite(self.alpha * self.alpha):
-            raise UsageError(f"alpha^2 is not finite for alpha = {self.alpha!r}")
+        if not 0.0 < self.alpha * self.alpha < math.inf:
+            raise UsageError(
+                f"alpha^2 is not finite or underflows to 0 for alpha = {self.alpha!r}")
         if not isinstance(self.potential, RadialPotential):
             object.__setattr__(self, "potential", RadialPotential(tuple(self.potential)))
         if not isinstance(self.k, KRamp):
@@ -288,6 +289,13 @@ class KlauderModel:
     def sample(self, rng: np.random.Generator, count: int,
                r_range: tuple[float, float] = (0.1, 5.0),
                momentum_range: tuple[float, float] = (-5.0, 5.0)) -> list[PhaseSpacePoint]:
+        # the sampler draws from [low, high] and needs a finite width high - low >= 0
+        if not 0.0 <= r_range[1] - max(r_range[0], R_SAMPLE_FLOOR) < math.inf:
+            raise UsageError(f"samples/r_range {list(r_range)} needs low <= high with a finite "
+                             f"width once low is raised to the floor {R_SAMPLE_FLOOR:g}")
+        if not 0.0 <= momentum_range[1] - momentum_range[0] < math.inf:
+            raise UsageError(f"samples/momentum_range {list(momentum_range)} needs low <= high "
+                             f"with a finite width")
         return self.sample_points(rng, count, r_range, momentum_range)
 
     def constraints_at(self, x: PhaseSpacePoint) -> ConstraintSet:

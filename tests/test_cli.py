@@ -153,6 +153,11 @@ def test_scenario_schema_is_valid():
     # RK4 is the one scheme: the schema, not the integrator, rejects any other
     ({"model": {"kind": "klauder"}, "integrator": {"dt": 0.1, "steps": 5, "scheme": "euler"}},
      "invalid config at integrator/scheme: 'rk4' was expected"),
+    # the quantum route follows the model's k: a ramped k is the time-dependent one
+    ({"model": {"kind": "klauder", "k": [0.5, -1.0]},
+      "quantum": {"single_mode": 0, "times": [0.0], "time_dependent": True}},
+     "invalid config at quantum: Additional properties are not allowed "
+     "('time_dependent' was unexpected)"),
 ])
 def test_invalid_config_message(tmp_path, capsys, config, message):
     assert run_cli("brackets", "--config", write_config(tmp_path / "cfg.json", config)) == 2
@@ -220,19 +225,102 @@ def test_brackets_nonfinite_pairing_matrix_exits_3(tmp_path, capsys):
             "system is not Second Class here"]
 
 
-@pytest.mark.parametrize("k, time_dependent", [([1.0, 1e308], True), (1e200, False)])
-def test_quantum_overflowing_spectrum_exits_3(tmp_path, capsys, k, time_dependent):
+@pytest.mark.parametrize("k, ramped", [([1.0, 1e308], True), (1e200, False)])
+def test_quantum_overflowing_spectrum_exits_3(tmp_path, capsys, k, ramped):
     # k^2 overflows although k(t) is finite on the sweep
-    config = write_config(tmp_path / "cfg.json", {
+    payload = {
         "model": {"kind": "klauder", "k": k, "potential": {"type": "poly", "coeffs": [0, 1]}},
-        "quantum": {"m_max": 2, "single_mode": 1, "times": [0.0, 0.5],
-                    "time_dependent": time_dependent}})
+        "quantum": {"m_max": 2, "single_mode": 1, "times": [0.0, 0.5]}}
+    assert build_model(payload, "quantum").time_dependent == ramped  # the route k picks
+    config = write_config(tmp_path / "cfg.json", payload)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # numpy overflow warnings would reach stderr
         code = run_cli("quantum", "--config", config, "--out", str(tmp_path / "q.csv"))
     assert code == 3
     assert capsys.readouterr().err.splitlines() == [
         "error: non-finite reduced spectrum: r*^4 or U(r*) overflows"]
+
+
+RAMPED_DIRAC = {"model": {"kind": "klauder", "alpha": 1.0, "k": [1.0, 0.5],
+                          "potential": {"type": "poly", "coeffs": [0, 0, 0.5]}},
+                "flow": {"kind": "dirac"}, "initial": {"surface": {"phi": 0.0, "p_phi": 2.0}}}
+GAUGE = {"model": {"kind": "klauder", "alpha": 1.0, "k": 0.0}, "flow": {"kind": "gauge"},
+         "initial": {"coords": [1.0, 0.0, 1.0, 0.0]}}
+KLAUDER_SAMPLES = {"model": {"kind": "klauder", "alpha": 1.0, "k": 1.0}}
+SINGLE_MODE_SWEEP = {"m_max": 2, "single_mode": 1, "times": [0.0, 0.5]}
+
+
+@pytest.mark.parametrize("command, payload, code, message", [
+    # RK4 stages that overflow end in the blow-up check or the pairing guard
+    ("maxwell", {"model": {"kind": "maxwell", "side": 2}, "integrator": {"dt": 1e100, "steps": 3}},
+     3, "trajectory blew up at t=1e+100 (|z| > 1e+12 or NaN)"),
+    ("evolve", {**GAUGE, "model": {"kind": "klauder", "alpha": 1e-8, "k": 0.0},
+                "integrator": {"dt": 1e160, "steps": 3}},
+     3, "trajectory blew up at t=1e+160 (|z| > 1e+12 or NaN)"),
+    ("evolve", {**RAMPED_DIRAC, "model": {**RAMPED_DIRAC["model"],
+                                          "potential": {"type": "poly", "coeffs": [0, 0, 1e160]}},
+                "integrator": {"dt": 0.001, "steps": 5}},
+     3, "constraint pairing matrix has a non-finite entry; system is not Second Class here"),
+    # a sampling range that holds no point
+    ("brackets", {**KLAUDER_SAMPLES, "samples": {"count": 3, "momentum_range": [7, 5.0]}},
+     2, "samples/momentum_range [7, 5.0] needs low <= high with a finite width"),
+    ("brackets", {**KLAUDER_SAMPLES, "samples": {"count": 3, "momentum_range": [-1e308, 1e308]}},
+     2, "samples/momentum_range [-1e+308, 1e+308] needs low <= high with a finite width"),
+    ("brackets", {**KLAUDER_SAMPLES, "samples": {"count": 3, "r_range": [5.0, 0.1]}},
+     2, "samples/r_range [5.0, 0.1] needs low <= high with a finite width "
+        "once low is raised to the floor 0.05"),
+    ("brackets", {**KLAUDER_SAMPLES, "samples": {"count": 3, "r_range": [0.01, 0.02]}},
+     2, "samples/r_range [0.01, 0.02] needs low <= high with a finite width "
+        "once low is raised to the floor 0.05"),
+    # alpha^2 underflows to 0
+    ("evolve", {**RAMPED_DIRAC, "model": {**RAMPED_DIRAC["model"], "alpha": 5e-324},
+                "integrator": {"dt": 0.001, "steps": 5}},
+     2, "alpha^2 is not finite or underflows to 0 for alpha = 5e-324"),
+    # U t / hbar overflows, static and ramped
+    ("quantum", {"model": {"kind": "klauder", "hbar": 5e-324,
+                           "potential": {"type": "poly", "coeffs": [0, 1]}},
+                 "quantum": SINGLE_MODE_SWEEP},
+     3, "non-finite phase: U t / hbar overflows"),
+    ("quantum", {"model": {"kind": "klauder", "hbar": 5e-324, "k": [1.0, 0.5],
+                           "potential": {"type": "poly", "coeffs": [0, 1]}},
+                 "quantum": SINGLE_MODE_SWEEP},
+     3, "non-finite phase: U t / hbar overflows"),
+])
+def test_extreme_valid_config_ends_in_one_error_line(tmp_path, capsys, command, payload, code,
+                                                     message):
+    config = write_config(tmp_path / "cfg.json", payload)
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy warnings would reach stderr
+        assert run_cli(command, "--config", config, "--out", str(out)) == code
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("error:")] == [f"error: {message}"]
+    if command == "quantum":
+        assert not out.exists()  # no NaN rows
+
+
+@pytest.mark.parametrize("payload", [GAUGE, RAMPED_DIRAC])
+@pytest.mark.parametrize("dt", [1e-200, 5e-324])
+def test_evolve_subnormal_dt_fits_the_drift_without_a_warning(tmp_path, payload, dt):
+    # t^2 underflows at these steps; the drift fit runs on rescaled times
+    config = write_config(tmp_path / "cfg.json", {**payload,
+                                                  "integrator": {"dt": dt, "steps": 3}})
+    out = tmp_path / "traj.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("evolve", "--config", config, "--out", str(out)) == 0
+    _, rows = read_csv(out)
+    drift = [row for row in rows if row[0] == "drift"]
+    assert drift and not any(math.isnan(float(row[3])) for row in drift)
+
+
+@pytest.mark.parametrize("samples", [{"r_range": [1, 1]}, {"momentum_range": [2, 2]}])
+def test_brackets_equal_sampling_bounds_are_valid(tmp_path, samples):
+    config = write_config(tmp_path / "cfg.json", {**KLAUDER_SAMPLES,
+                                                  "samples": {"count": 3, **samples}})
+    out = tmp_path / "table.csv"
+    assert run_cli("brackets", "--config", config, "--out", str(out)) == 0
+    assert len(read_csv(out)[1]) == 18
 
 
 # -- evolve ---------------------------------------------------------------------
@@ -441,7 +529,7 @@ def test_quantum_time_dependent_matches_library(tmp_path):
     config = write_config(tmp_path / "cfg.json", {
         "model": {"kind": "klauder", "k": [0.5, -1.0],
                   "potential": {"type": "poly", "coeffs": [0, 1]}},
-        "quantum": {"m_max": 3, "coeffs": coeffs, "times": times, "time_dependent": True},
+        "quantum": {"m_max": 3, "coeffs": coeffs, "times": times},
     })
     out = tmp_path / "tdep.csv"
     assert run_cli("quantum", "--config", config, "--out", str(out)) == 0
@@ -454,6 +542,9 @@ def test_quantum_time_dependent_matches_library(tmp_path):
         assert float(row[header.index("norm")]) == pytest.approx(1.0, abs=1e-14)
         assert float(row[header.index("phi_mean_analytic")]) == expect_phi(evolved, table, 0.0).value
         assert float(row[header.index("r_mean")]) == expect_reduced(evolved, table).r_mean
+        assert float(row[header.index("pr_mean")]) == expect_reduced(evolved, table).pr_mean
+    # p_r* = k(t) / r* changes sign with k(t) = 0.5 - t
+    assert float(rows[-1][header.index("pr_mean")]) < 0.0
 
 
 def test_quantum_bad_coeffs_exit_2(tmp_path):

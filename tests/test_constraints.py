@@ -323,9 +323,8 @@ def test_dirac_tensor_antisymmetric_and_canonical_without_constraints(rng):
     j = poisson_tensor(2)
     assert np.array_equal(j, [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]])
     assert not np.any(np.signbit(j[j == 0]))  # a -0.0 would print as "-0" in tables
-    for empty in (ConstraintSet(FLAT, (), ()), None):
-        d = dirac_tensor(empty, x)
-        assert np.array_equal(d, j) and not np.any(np.signbit(d[d == 0]))
+    d = dirac_tensor(ConstraintSet(FLAT, (), ()), x)
+    assert np.array_equal(d, j) and not np.any(np.signbit(d[d == 0]))
 
 
 def test_dirac_tensor_annihilates_constraint_gradients(rng):
@@ -677,6 +676,61 @@ def test_pair_jacobian_matches_bracket(model, rng):
     for x3 in model.sample_points(rng, 20):
         assert pair_jacobian_check(model.gauge_condition, model.constraint, x3,
                                    ("r", "p_r")).abs_diff < 1e-9
+
+
+def column_fp_determinant(gauge_conditions, constraints, x):
+    """det {chi_i, C_j} built column by column from the brackets {chi_i, C_j}, not
+    from the pairing matrix."""
+    chi_rows = [chi.gradient(x).tolist() for chi in gauge_conditions]
+    m = np.array([_constraint_brackets(chi_rows, c.gradient(x).tolist(), x.chart.n_pairs)
+                  for c in constraints]).T
+    return float(np.linalg.det(m)) if len(constraints) > 1 else float(m[0, 0])
+
+
+def fp_cases(rng):
+    """(gauge conditions, constraints, points): Klauder samples off and on the surface,
+    particle on-shell points, and flat K = 2 sets."""
+    klauder = KlauderModel(alpha=1.3, k=0.7)
+    particle = RelativisticParticle(mass=1.5, spatial_dim=2)
+    q1, q2, p1, p2 = (coordinate_field(FLAT, l) for l in FLAT.labels)
+    flat_points = [FLAT.point(rng.uniform(-3, 3, 4)) for _ in range(5)]
+    polys = [random_polynomial(FLAT, rng, name=f"f{i}") for i in range(4)]
+    return [([klauder.gauge_condition], [klauder.constraint],
+             klauder.sample_points(rng, 20) + klauder.sample_surface(rng, 20)),
+            ([particle.time_gauge(0.0)], [particle.mass_shell], particle.sample_on_shell(rng, 20)),
+            ([q1, q2], [p2, p1], flat_points),
+            (polys[:2], polys[2:], flat_points)]
+
+
+def test_fp_determinant_is_the_column_formula_bitwise(rng):
+    for chis, cs, points in fp_cases(rng):
+        for x in points:
+            fp = faddeev_popov_determinant(chis, cs, x)
+            assert repr(fp) == repr(column_fp_determinant(chis, cs, x))
+
+
+def test_pairing_det_is_the_square_of_the_fp_determinant_where_cc_vanishes(rng):
+    # {C, C} = 0: det M = det({chi, C})^2 whatever {chi, chi} is
+    klauder = KlauderModel(alpha=1.3, k=0.7)
+    particle = RelativisticParticle(mass=1.5, spatial_dim=2)
+    q1, q2, p1, p2 = (coordinate_field(FLAT, l) for l in FLAT.labels)
+    cases = [(klauder.constraint_set, klauder.sample_surface(rng, 20)),
+             (particle.constraint_set(0.0), particle.sample_on_shell(rng, 20)),
+             (ConstraintSet(FLAT, (q1, q2, p1, p2), ("q1", "q2", "p1", "p2")),
+              [FLAT.point(rng.uniform(-3, 3, 4)) for _ in range(5)])]
+    for cs, points in cases:
+        k = len(cs) // 2
+        for x in points:
+            fp = faddeev_popov_determinant(cs.fields[:k], cs.fields[k:], x)
+            assert pairing_det(constraint_matrix(cs, x)) == fp ** 2
+
+
+def test_pair_jacobian_bracket_is_the_fp_determinant(rng):
+    model = KlauderModel(alpha=1.3, k=0.7)
+    for x in model.sample_points(rng, 20):
+        report = pair_jacobian_check(model.gauge_condition, model.constraint, x, ("r", "p_r"))
+        fp = faddeev_popov_determinant([model.gauge_condition], [model.constraint], x)
+        assert repr(report.bracket_value) == repr(fp)
 
 
 # -- constraint set validation --------------------------------------------------------

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from diracmech import duals
 from diracmech.errors import NumericDomainError, UsageError
-from diracmech.fields import (ScalarField, central_difference_gradient, constant_field,
-                              coordinate_field, field_product, gradient_consistency_check,
-                              polynomial_field)
+from diracmech.fields import (ScalarField, central_difference_gradient, coordinate_field,
+                              field_product, gradient_consistency_check, polynomial_field)
 from diracmech.models import KlauderModel, KRamp, RadialPotential, RelativisticParticle
 from diracmech.phase import ChartSpec
 
@@ -117,7 +116,7 @@ def test_coordinate_and_constant_fields():
     q1 = coordinate_field(CHART, "q1")
     assert q1.value(x) == 1.0
     assert np.array_equal(q1.gradient(x), [1.0, 0.0, 0.0, 0.0])
-    c = constant_field(CHART, 7.5)
+    c = polynomial_field(CHART, [(7.5, (0, 0, 0, 0))])
     assert c.value(x) == 7.5
     assert np.array_equal(c.gradient(x), np.zeros(4))
 

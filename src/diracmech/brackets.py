@@ -30,7 +30,7 @@ def poisson_bracket(a: ScalarField, b: ScalarField, x: PhaseSpacePoint) -> float
     return bracket_of_gradients(ga, gb, chart.n_pairs)
 
 
-def poisson_bracket_field(a: ScalarField, b: ScalarField, name=None) -> ScalarField:
+def poisson_bracket_field(a: ScalarField, b: ScalarField) -> ScalarField:
     """{a,b} as a derived field with a central-difference ``grad``.
 
     Used for nested brackets (Jacobi probes): the derived field's value is the
@@ -44,5 +44,5 @@ def poisson_bracket_field(a: ScalarField, b: ScalarField, name=None) -> ScalarFi
         z = np.asarray(z, dtype=float)
         return bracket_of_gradients(a.gradient_at(z), b.gradient_at(z), n)
 
-    return ScalarField(name=name or f"{{{a.name},{b.name}}}", chart=chart, func=func,
+    return ScalarField(name=f"{{{a.name},{b.name}}}", chart=chart, func=func,
                        grad=lambda z, f=func: central_difference_gradient(f, z))

@@ -71,9 +71,9 @@ class CircleState:
         return cls(c, hbar)
 
     @classmethod
-    def random(cls, rng: np.random.Generator, m_max: int, hbar: float = 1.0) -> "CircleState":
+    def random(cls, rng: np.random.Generator, m_max: int) -> "CircleState":
         c = rng.normal(size=2 * m_max + 1) + 1j * rng.normal(size=2 * m_max + 1)
-        return cls(c, hbar).normalized()
+        return cls(c).normalized()
 
 
 def _reduced_spectrum(model: KlauderModel, p_phi, t):

@@ -83,7 +83,6 @@ SCENARIO_SCHEMA = _strict({
     "integrator": _strict({
         "dt": _POSITIVE,
         "steps": {"type": "integer", "minimum": 0},
-        "scheme": {"const": "rk4"},
         "projection": _strict({"tol": _POSITIVE, "max_iter": {"type": "integer", "minimum": 1}}),
     }, "dt", "steps"),
     "initial": _strict({
@@ -317,13 +316,12 @@ def cmd_evolve(config: dict, args) -> int:
 
 
 def _trajectory_rows(traj) -> list[list]:
-    """t, the coordinates, one |Phi_I| per residual series and G ("" if unrecorded)."""
+    """t, the coordinates, one |Phi_I| per residual series and G."""
     # one tolist() per array gives the Python floats a float() per element would
     residuals = [series.tolist() for series in traj.residuals.values()]
-    energy = ([""] * len(traj) if traj.generator_values is None
-              else traj.generator_values.tolist())
     return [[t, *z, *rest] for t, z, *rest in
-            zip(traj.times.tolist(), traj.states.tolist(), *residuals, energy)]
+            zip(traj.times.tolist(), traj.states.tolist(), *residuals,
+                traj.generator_values.tolist())]
 
 
 def _write_trajectory(path, fmt, traj):
@@ -441,9 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "classification, flows, quantum evolution, invariant verification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="scenario JSON file")
+    def add_common(p):
+        p.add_argument("--config", required=True, help="scenario JSON file")
         p.add_argument("--out", help="output artifact path (overrides config)")
         p.add_argument("--seed", type=_seed, help="64-bit seed for PCG64 sampling")
         p.add_argument("--format", choices=["csv", "json"], help="artifact format")

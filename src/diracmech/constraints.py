@@ -151,9 +151,8 @@ def degeneracy_scale(m) -> float:
     calls, and math.hypot neither overflows nor underflows where a row's sum
     of squares would.
     """
-    rows = m.tolist() if isinstance(m, np.ndarray) else m
     # max keeps a leading NaN
-    return max(math.prod(starmap(math.hypot, rows), start=1.0), 1.0)
+    return max(math.prod(starmap(math.hypot, m), start=1.0), 1.0)
 
 
 def pairing_det(m) -> float:

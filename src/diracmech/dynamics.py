@@ -116,9 +116,6 @@ class Trajectory:
     def __len__(self):
         return len(self.times)
 
-    def point(self, i: int) -> PhaseSpacePoint:
-        return PhaseSpacePoint(self.chart, self.states[i])
-
 
 def _symplectic_apply(grad: np.ndarray, n: int) -> np.ndarray:
     """J grad for J = [[0, I], [-I, 0]]: the Hamiltonian vector field map."""
@@ -260,9 +257,7 @@ def evolve(x0: PhaseSpacePoint, flow: FlowSpec, cfg: IntegratorConfig,
 
 def _finalize(chart, times, states, watched, generator) -> Trajectory:
     residuals = watched.residual_series(times, states) if watched is not None else {}
-    gen_values = None
-    if generator is not None:
-        gen_values = np.array([generator.value_at(states[i]) for i in range(len(times))])
+    gen_values = np.array([generator.value_at(states[i]) for i in range(len(times))])
     # the trajectory owns evolve's preallocated arrays; no second copy of the states
     return Trajectory(chart=chart, times=times, states=states,
                       residuals=residuals, generator_values=gen_values)

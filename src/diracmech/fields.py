@@ -148,24 +148,23 @@ def polynomial_field(chart: ChartSpec, terms: Sequence[tuple[float, Sequence[int
     return ScalarField(name=name, chart=chart, func=func, grad=grad)
 
 
-def field_product(a: ScalarField, b: ScalarField, name: Optional[str] = None) -> ScalarField:
+def field_product(a: ScalarField, b: ScalarField) -> ScalarField:
     chart = require_same_chart(a, b)
     grad = None
     if a.grad is not None and b.grad is not None:
         def grad(z, a=a, b=b):  # a grad may return a list; gradient_at reads it as an array
             return a.func(z) * b.gradient_at(z) + b.func(z) * a.gradient_at(z)
-    return ScalarField(name=name or f"({a.name})*({b.name})", chart=chart,
+    return ScalarField(name=f"({a.name})*({b.name})", chart=chart,
                        func=lambda z, a=a, b=b: a.func(z) * b.func(z), grad=grad)
 
 
-def pullback_field(field: ScalarField, embed: Callable, reduced_chart: ChartSpec,
-                   name: Optional[str] = None) -> ScalarField:
+def pullback_field(field: ScalarField, embed: Callable, reduced_chart: ChartSpec) -> ScalarField:
     """Composition field o embed as a field on the reduced chart.
 
     ``embed`` maps reduced coordinates to full-chart coordinates and must be
     dual-capable so the chain rule flows through forward differentiation.
     """
-    return ScalarField(name=name or f"{field.name}|surface", chart=reduced_chart,
+    return ScalarField(name=f"{field.name}|surface", chart=reduced_chart,
                        func=lambda z, f=field, e=embed: f.func(e(z)))
 
 

@@ -61,8 +61,8 @@ class RadialPotential:
         return cls(())
 
     @classmethod
-    def harmonic(cls, strength: float = 1.0) -> "RadialPotential":
-        return cls((0.0, 0.0, 0.5 * strength))
+    def harmonic(cls) -> "RadialPotential":
+        return cls((0.0, 0.0, 0.5))
 
     def __call__(self, r):
         total = 0.0
@@ -234,8 +234,8 @@ class KlauderModel:
         r_star = float(self.reduced_radius(p_phi, t))
         return r_star, self.k(t) / r_star
 
-    def embed_reduced(self, phi: float, p_phi: float, t: float = 0.0) -> PhaseSpacePoint:
-        r_star, p_r_star = self.reduced_point(p_phi, t)
+    def embed_reduced(self, phi: float, p_phi: float) -> PhaseSpacePoint:
+        r_star, p_r_star = self.reduced_point(p_phi)
         return self.polar_chart.point([r_star, phi, p_r_star, p_phi])
 
     @cached_property
@@ -268,11 +268,10 @@ class KlauderModel:
             pts.append(self.polar_chart.point([r, phi, p_r, p_phi]))
         return pts
 
-    def sample_surface(self, rng: np.random.Generator, n: int,
-                       p_phi_range: tuple[float, float] = (-5.0, 5.0)) -> list[PhaseSpacePoint]:
+    def sample_surface(self, rng: np.random.Generator, n: int) -> list[PhaseSpacePoint]:
         pts = []
         for _ in range(n):
-            p_phi = rng.uniform(*p_phi_range)
+            p_phi = rng.uniform(-5.0, 5.0)
             if self.k(0.0) == 0.0 and abs(p_phi) < 0.1:
                 p_phi = 0.1 if p_phi >= 0 else -0.1
             pts.append(self.embed_reduced(rng.uniform(0.0, 2.0 * np.pi), p_phi))
@@ -343,9 +342,9 @@ class KlauderModel:
             return table[pair]
         return -table[(b, a)]
 
-    def surface_denominator(self, p_phi: float, t: float = 0.0) -> float:
-        """On-surface value of the oracle denominator: 2(k^2 + p_phi^2)."""
-        k = self.k(t)
+    def surface_denominator(self, p_phi: float) -> float:
+        """On-surface value of the oracle denominator at t = 0: 2(k^2 + p_phi^2)."""
+        k = self.k(0.0)
         return 2.0 * (k * k + p_phi * p_phi)
 
     def phi_rate(self, p_phi: float) -> float:

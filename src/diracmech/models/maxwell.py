@@ -338,11 +338,9 @@ class LatticeMaxwell:
         model = self
 
         def func(z, model=model, n=n):
-            z = np.asarray(z, dtype=float)
             return model.energy(z[:n], z[n:])
 
         def grad(z, model=model, n=n):
-            z = np.asarray(z, dtype=float)
             return np.concatenate([-model.vector_laplacian(z[:n]), z[n:]])
 
         return ScalarField(name="H_maxwell", chart=self.chart, func=func, grad=grad)

@@ -129,10 +129,10 @@ class RelativisticParticle:
         coords = np.concatenate([[float(tau)], x, [self.energy(p)], p])
         return self.full_chart.point(coords)
 
-    def sample_on_shell(self, rng: np.random.Generator, n: int, tau: float = 0.0,
-                        spread: float = 5.0) -> list[PhaseSpacePoint]:
-        return [self.on_shell_point(rng.uniform(-spread, spread, self.spatial_dim),
-                                    rng.uniform(-spread, spread, self.spatial_dim), tau)
+    def sample_on_shell(self, rng: np.random.Generator, n: int,
+                        tau: float = 0.0) -> list[PhaseSpacePoint]:
+        return [self.on_shell_point(rng.uniform(-5.0, 5.0, self.spatial_dim),
+                                    rng.uniform(-5.0, 5.0, self.spatial_dim), tau)
                 for _ in range(n)]
 
     # -- model interface (see diracmech.models) ------------------------------

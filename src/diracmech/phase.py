@@ -93,12 +93,6 @@ class PhaseSpacePoint:
     def __getitem__(self, label: str) -> float:
         return float(self.coords[self.chart.index(label)])
 
-    def replace(self, **updates: float) -> "PhaseSpacePoint":
-        coords = np.array(self.coords)
-        for label, value in updates.items():
-            coords[self.chart.index(label)] = value
-        return PhaseSpacePoint(self.chart, coords)
-
     def __repr__(self):
         pairs = ", ".join(f"{l}={v:g}" for l, v in zip(self.chart.labels, self.coords))
         return f"PhaseSpacePoint({pairs})"

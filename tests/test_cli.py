@@ -150,9 +150,10 @@ def test_scenario_schema_is_valid():
      "invalid config at model/side: 2.0 is not of type 'integer'"),
     ({"model": {"kind": "klauder"}, "integrator": {"dt": 0.1, "steps": 5.0}},
      "invalid config at integrator/steps: 5.0 is not of type 'integer'"),
-    # RK4 is the one scheme: the schema, not the integrator, rejects any other
+    # RK4 is the one scheme, so the schema has no key that names one
     ({"model": {"kind": "klauder"}, "integrator": {"dt": 0.1, "steps": 5, "scheme": "euler"}},
-     "invalid config at integrator/scheme: 'rk4' was expected"),
+     "invalid config at integrator: Additional properties are not allowed "
+     "('scheme' was unexpected)"),
     # the quantum route follows the model's k: a ramped k is the time-dependent one
     ({"model": {"kind": "klauder", "k": [0.5, -1.0]},
       "quantum": {"single_mode": 0, "times": [0.0], "time_dependent": True}},
@@ -164,14 +165,16 @@ def test_invalid_config_message(tmp_path, capsys, config, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_integrator_scheme_rk4_loads(tmp_path):
+def test_integrator_scheme_rk4_is_an_unknown_key(tmp_path, capsys):
     config = write_config(tmp_path / "cfg.json", {
         "model": {"kind": "klauder", "alpha": 1.0, "k": 0.0}, "flow": {"kind": "gauge"},
         "integrator": {"dt": 0.01, "steps": 3, "scheme": "rk4"},
         "initial": {"coords": [1.0, 0.0, 1.0, 0.0]}})
     out = tmp_path / "traj.csv"
-    assert run_cli("evolve", "--config", config, "--out", str(out)) == 0
-    assert len(read_csv(out)[1]) == 4 + 1  # four states and the drift footer row
+    assert run_cli("evolve", "--config", config, "--out", str(out)) == 2
+    assert capsys.readouterr().err == ("error: invalid config at integrator: Additional "
+                                       "properties are not allowed ('scheme' was unexpected)\n")
+    assert not out.exists()
 
 
 def test_missing_file_exits_2(tmp_path):

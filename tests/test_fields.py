@@ -103,12 +103,6 @@ def test_point_validation():
         x.coords[0] = 9.0  # read-only
 
 
-def test_point_replace():
-    x = CHART.point([1.0, 2.0, 3.0, 4.0])
-    y = x.replace(q1=5.0)
-    assert y["q1"] == 5.0 and x["q1"] == 1.0
-
-
 # -- scalar fields -------------------------------------------------------------
 
 def test_coordinate_and_constant_fields():

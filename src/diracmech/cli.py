@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -189,6 +190,18 @@ def _terms(entries) -> tuple[tuple[float, tuple[int, ...]], ...]:
     return tuple((t["coeff"], tuple(t["powers"])) for t in entries)
 
 
+@contextmanager
+def _sized_by(key: str):
+    """Reports an array too large to allocate as a config error on ``key``: numpy
+    raises MemoryError, or past its own size limit a ValueError."""
+    try:
+        yield
+    except UsageError:
+        raise
+    except (MemoryError, ValueError):
+        raise ConfigError(f"{key} is too large: its arrays cannot be allocated") from None
+
+
 def _rng(config: dict, args) -> np.random.Generator:
     return np.random.default_rng(args.seed if args.seed is not None else config.get("seed", 0))
 
@@ -349,13 +362,15 @@ def cmd_quantum(config: dict, args) -> int:
             raise ConfigError("all-zero initial coefficients")
         state = CircleState(coeffs, model.hbar).normalized()
     elif "single_mode" in block:
-        state = CircleState.single_mode(block["single_mode"], m_max, model.hbar)
+        with _sized_by("quantum/m_max"):
+            state = CircleState.single_mode(block["single_mode"], m_max, model.hbar)
     else:
         raise ConfigError("quantum block needs 'coeffs' or 'single_mode'")
 
     times = block["times"]
     if isinstance(times, dict):
-        times = np.linspace(times["start"], times["stop"], times["count"])
+        with _sized_by("quantum/times"):
+            times = np.linspace(times["start"], times["stop"], times["count"])
     else:
         times = np.asarray(times, dtype=float)
     ramped = model.time_dependent  # k1 != 0: the reduced surface moves with t
@@ -368,7 +383,8 @@ def cmd_quantum(config: dict, args) -> int:
     for t in times:
         t = float(t)
         if ramped:
-            evolved = evolve_time_dependent(state, model, 0.0, t, quad_steps) if t else state
+            with _sized_by("quantum/quadrature_steps"):
+                evolved = evolve_time_dependent(state, model, 0.0, t, quad_steps) if t else state
             table_t = SpectrumTable.build(model, m_max, t=t)
             phi_t = 0.0  # phases already folded into the state
         else:
@@ -392,15 +408,21 @@ def cmd_maxwell(config: dict, args) -> int:
     model = build_model(config, "maxwell")
     rng = _rng(config, args)
     block = config.get("maxwell", {})
-    checks = [["check", name, abs(value), ""]
-              for name, value in model.projector_residuals().items()]
+    with _sized_by("model/side"):
+        residuals = model.projector_residuals()
+    checks = [["check", name, abs(value), ""] for name, value in residuals.items()]
 
     if block.get("initial", "lowest_mode") == "lowest_mode":
         a0, _ = model.lowest_standing_mode()
     else:
         a0 = model.random_transverse(rng)
-    e0 = model.random_transverse(rng, block.get("e_scale", 0.0)) \
-        if block.get("e_scale", 0.0) else np.zeros_like(a0)
+    e_scale = block.get("e_scale", 0.0)
+    e0 = np.zeros_like(a0)
+    if e_scale:
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing field raises below
+            e0 = model.random_transverse(rng, e_scale)
+        if not np.all(np.isfinite(e0)):
+            raise ConfigError(f"maxwell/e_scale {e_scale!r} overflows the projected initial E")
     cfg = _build_integrator(config)
     traj = model.evolve(a0, e0, cfg)
     columns = ["t", "energy", "gauss_residual", "transverse_residual"]

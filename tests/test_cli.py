@@ -288,6 +288,23 @@ SINGLE_MODE_SWEEP = {"m_max": 2, "single_mode": 1, "times": [0.0, 0.5]}
                            "potential": {"type": "poly", "coeffs": [0, 1]}},
                  "quantum": SINGLE_MODE_SWEEP},
      3, "non-finite phase: U t / hbar overflows"),
+    # sizes whose arrays exceed 2^60 bytes, which no host can map
+    ("quantum", {"model": {"kind": "klauder"}, "quantum": {**SINGLE_MODE_SWEEP, "m_max": 10 ** 18}},
+     2, "quantum/m_max is too large: its arrays cannot be allocated"),
+    ("quantum", {"model": {"kind": "klauder"},
+                 "quantum": {**SINGLE_MODE_SWEEP,
+                             "times": {"start": 0, "stop": 1, "count": 10 ** 18}}},
+     2, "quantum/times is too large: its arrays cannot be allocated"),
+    ("quantum", {"model": {"kind": "klauder", "k": [1.0, 0.5]},
+                 "quantum": {**SINGLE_MODE_SWEEP, "quadrature_steps": 10 ** 18}},
+     2, "quantum/quadrature_steps is too large: its arrays cannot be allocated"),
+    ("maxwell", {"model": {"kind": "maxwell", "side": 10 ** 6},
+                 "integrator": {"dt": 0.1, "steps": 2}},
+     2, "model/side is too large: its arrays cannot be allocated"),
+    # the FFT projector of so large a random E overflows
+    ("maxwell", {"model": {"kind": "maxwell", "side": 2}, "integrator": {"dt": 0.1, "steps": 2},
+                 "maxwell": {"e_scale": 1e308}},
+     2, "maxwell/e_scale 1e+308 overflows the projected initial E"),
 ])
 def test_extreme_valid_config_ends_in_one_error_line(tmp_path, capsys, command, payload, code,
                                                      message):

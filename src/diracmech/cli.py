@@ -417,12 +417,10 @@ def cmd_maxwell(config: dict, args) -> int:
     else:
         a0 = model.random_transverse(rng)
     e_scale = block.get("e_scale", 0.0)
-    e0 = np.zeros_like(a0)
-    if e_scale:
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing field raises below
-            e0 = model.random_transverse(rng, e_scale)
-        if not np.all(np.isfinite(e0)):
-            raise ConfigError(f"maxwell/e_scale {e_scale!r} overflows the projected initial E")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing field raises below
+        e0 = model.random_transverse(rng, e_scale) if e_scale else np.zeros_like(a0)
+    if not np.all(np.isfinite(e0)):
+        raise ConfigError(f"maxwell/e_scale {e_scale!r} overflows the projected initial E")
     cfg = _build_integrator(config)
     traj = model.evolve(a0, e0, cfg)
     columns = ["t", "energy", "gauss_residual", "transverse_residual"]

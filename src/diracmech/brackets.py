@@ -42,6 +42,8 @@ def poisson_bracket_field(a: ScalarField, b: ScalarField) -> ScalarField:
 
     def func(z, a=a, b=b, n=n):
         z = np.asarray(z, dtype=float)
+        if z.ndim > 1:  # a (dim, B) block: gradients are taken one state at a time
+            return np.array([func(state) for state in z.T])
         return bracket_of_gradients(a.gradient_at(z), b.gradient_at(z), n)
 
     return ScalarField(name=f"{{{a.name},{b.name}}}", chart=chart, func=func,

@@ -16,6 +16,7 @@ import csv
 import json
 import sys
 from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -210,10 +211,9 @@ def _rng(config: dict, args) -> np.random.Generator:
 # artifact writing
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
+def _formatted(rows) -> list[list[str]]:
+    """Rows as text: a float (numpy's too) to 17 significant digits, anything else by str."""
+    return [[f"{v:.17g}" if isinstance(v, float) else str(v) for v in row] for row in rows]
 
 
 def write_table(path: str, fmt: str, columns: list[str], rows: list[list],
@@ -225,14 +225,11 @@ def write_table(path: str, fmt: str, columns: list[str], rows: list[list],
         with open(out, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(columns)
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
-            for row in footer_rows or []:
-                writer.writerow([_fmt(v) for v in row])
+            writer.writerows(_formatted(chain(rows, footer_rows or ())))
     else:
         payload = {"columns": columns, "rows": rows}
         if footer_rows:
-            payload["footer"] = [[_fmt(v) for v in row] for row in footer_rows]
+            payload["footer"] = _formatted(footer_rows)
         with open(out, "w") as handle:
             json.dump(payload, handle, indent=1)
             handle.write("\n")

@@ -101,7 +101,10 @@ class ConstraintSet:
 
     def values_along(self, times, states) -> np.ndarray:
         """Phi_I(z, t) at every (t, z), as a (len(states), M) array; a point is a batch of one."""
-        vals = np.array([[f.value_at(z) for f in self.fields] for z in states])
+        states = np.asarray(states, dtype=float)
+        vals = np.empty((len(states), len(self.fields)))
+        for j, f in enumerate(self.fields):
+            vals[:, j] = f.values_along(states)
         for j, ramp in enumerate(self.time_ramps or ()):
             if ramp is not None:
                 vals[:, j] += ramp.offset(np.asarray(times, dtype=float))

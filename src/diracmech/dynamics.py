@@ -60,6 +60,11 @@ class PoissonFlow:
     def chart(self) -> ChartSpec:
         return self.hamiltonian.chart
 
+    def _direct_rhs(self, n: int) -> Optional[Callable[[float, np.ndarray], np.ndarray]]:
+        """(t, z) -> J grad H built directly, with the bits of the gradient route, or None
+        for that route; a subclass whose H has a known vector field overrides it."""
+        return None
+
 
 @dataclass(frozen=True)
 class DiracFlow:
@@ -123,6 +128,9 @@ def _symplectic_apply(grad: np.ndarray, n: int) -> np.ndarray:
 
 
 def _poisson_rhs(flow: PoissonFlow, n: int):
+    direct = flow._direct_rhs(n)
+    if direct is not None:
+        return direct
     h = flow.hamiltonian
 
     def rhs(t, z):
@@ -256,8 +264,15 @@ def evolve(x0: PhaseSpacePoint, flow: FlowSpec, cfg: IntegratorConfig,
 
 
 def _finalize(chart, times, states, watched, generator) -> Trajectory:
+    # bounded states whose generator overflows end in the blow-up error, not in numpy
+    # warnings; the initial state meets this check even with no step taken
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        gen_values = generator.values_along(states)
+    bad = np.flatnonzero(~np.isfinite(gen_values))
+    if bad.size:
+        raise NumericDomainError(f"trajectory blew up at t={times[bad[0]]:g} "
+                                 f"({generator.name} = {gen_values[bad[0]]})")
     residuals = watched.residual_series(times, states) if watched is not None else {}
-    gen_values = np.array([generator.value_at(states[i]) for i in range(len(times))])
     # the trajectory owns evolve's preallocated arrays; no second copy of the states
     return Trajectory(chart=chart, times=times, states=states,
                       residuals=residuals, generator_values=gen_values)

@@ -1,6 +1,8 @@
 """Differentiable scalar fields on phase space.
 
-A field wraps a pure function of the coordinates. Its gradient is the
+A field wraps a pure function of the coordinates, which reads them on axis 0:
+a point is a (dim,) array, and a block of states a (dim, B) array whose
+trailing axis is the batch. Its gradient is the
 registered ``grad`` if it has one, and exact forward-mode differentiation
 (dual numbers) otherwise. A black-box function registers central finite
 differences, ``lambda z: central_difference_gradient(func, z)``, with step
@@ -20,6 +22,9 @@ from .errors import NumericDomainError, UsageError
 from .phase import ChartSpec, PhaseSpacePoint, require_same_chart
 
 _CBRT_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
+# coordinates per func call of ScalarField.values_along: whole runs of small charts in one
+# call, and about 20 states of an L=8 lattice, whose temporaries stay a few per cent of them
+BLOCK_COORDINATES = 65536
 
 
 def fd_steps(coords: np.ndarray) -> np.ndarray:
@@ -44,9 +49,11 @@ def central_difference_gradient(func, coords) -> np.ndarray:
 class ScalarField:
     """Real-valued function of the phase-space coordinates.
 
-    ``func`` receives either a float array (evaluation) or a list of dual
-    numbers (exact differentiation), so it must be written with the helpers
-    in :mod:`diracmech.duals` for anything beyond arithmetic. A field with a
+    ``func`` receives a float array with the coordinates on axis 0 (one point,
+    or a (dim, B) block of states) or a list of dual numbers (exact
+    differentiation), so it must be written with the helpers in
+    :mod:`diracmech.duals` for anything beyond arithmetic, and give on a block
+    the values it gives point by point, bit for bit. A field with a
     black-box ``func`` registers a closed-form ``grad``, or central
     differences: ``grad=lambda z: central_difference_gradient(func, z)``.
 
@@ -63,6 +70,16 @@ class ScalarField:
     # raw-coordinate fast path, used by the integrators -------------------
     def value_at(self, coords) -> float:
         return float(self.func(np.asarray(coords, dtype=float)))
+
+    def values_along(self, states) -> np.ndarray:
+        """``value_at`` of every row of a (T, dim) block of states, in blocks of rows
+        holding at most BLOCK_COORDINATES coordinates, one ``func`` call each."""
+        states = np.asarray(states, dtype=float)
+        out = np.empty(len(states))
+        rows = max(1, BLOCK_COORDINATES // self.chart.dim)
+        for start in range(0, len(states), rows):
+            out[start:start + rows] = self.func(states[start:start + rows].T)
+        return out
 
     def gradient_at(self, coords) -> np.ndarray:
         return np.asarray(self._gradient(np.asarray(coords, dtype=float)), dtype=float)

@@ -221,7 +221,13 @@ class KlauderModel:
 
     # -- reduced phase space -------------------------------------------------
     def reduced_radius(self, p_phi, t: float = 0.0):
-        """r* = ((k^2 + p_phi^2)/alpha^2)^(1/4); dual-capable for embeddings."""
+        """r* = ((k^2 + p_phi^2)/alpha^2)^(1/4); dual-capable for embeddings.
+
+        An array of p_phi takes libm's pow entry by entry, as a float does; numpy's
+        vectorised pow may round the last bit differently.
+        """
+        if isinstance(p_phi, np.ndarray):
+            return np.array([self.reduced_radius(p, t) for p in p_phi.tolist()])
         k = self.k(t)
         value = (k * k + p_phi * p_phi) / (self.alpha ** 2)
         if duals.value(value) <= 0.0:

@@ -99,7 +99,8 @@ class RelativisticParticle:
             total = m2
             for i in range(d):
                 total = total + z[d + i] * z[d + i]
-            return duals.sqrt(total)
+            # np.sqrt on a block of states rounds correctly, as math.sqrt does on a float
+            return np.sqrt(total) if isinstance(total, np.ndarray) else duals.sqrt(total)
 
         def grad(z, d=d, m2=m2):
             momenta = z.tolist()[d:]

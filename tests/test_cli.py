@@ -305,6 +305,10 @@ SINGLE_MODE_SWEEP = {"m_max": 2, "single_mode": 1, "times": [0.0, 0.5]}
     ("maxwell", {"model": {"kind": "maxwell", "side": 2}, "integrator": {"dt": 0.1, "steps": 2},
                  "maxwell": {"e_scale": 1e308}},
      2, "maxwell/e_scale 1e+308 overflows the projected initial E"),
+    # a finite initial field whose energy overflows, with no step for the RK4 check to see
+    ("maxwell", {"model": {"kind": "maxwell", "side": 2}, "integrator": {"dt": 0.1, "steps": 0},
+                 "maxwell": {"e_scale": 1e200}},
+     3, "trajectory blew up at t=0 (H_maxwell = inf)"),
 ])
 def test_extreme_valid_config_ends_in_one_error_line(tmp_path, capsys, command, payload, code,
                                                      message):

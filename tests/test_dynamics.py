@@ -200,6 +200,24 @@ def test_degeneracy_mid_run_keeps_partial_trajectory():
     assert partial is not None and 1 <= len(partial) < 2001
 
 
+def test_partial_trajectory_values_equal_the_per_state_values():
+    # the batch route of the finalisation, on the partial trajectory of the k = 0.05 - t orbit
+    model = KlauderModel(alpha=1.0, k=KRamp(0.05, -1.0))
+    h, cs = model.hamiltonian(), model.constraint_set
+    with pytest.raises(DegeneracyError) as err:
+        evolve(model.embed_reduced(phi=0.0, p_phi=0.0), DiracFlow(h, cs),
+               IntegratorConfig(dt=1e-3, steps=2000))
+    partial = err.value.partial_trajectory
+    assert len(partial) > 1
+    expected = np.array([h.value_at(z) for z in partial.states])
+    assert partial.generator_values.tobytes() == expected.tobytes()
+    for j, (name, f) in enumerate(zip(cs.names, cs.fields)):
+        ramp = cs.time_ramps[j]
+        values = [f.value_at(z) + (0.0 if ramp is None else ramp.offset(t))
+                  for t, z in zip(partial.times.tolist(), partial.states)]
+        assert partial.residuals[name].tobytes() == np.abs(values).tobytes()
+
+
 def test_dirac_vector_field_is_the_dirac_bracket(rng):
     # dz_i/dt = {z_i, H}_D: the flow and the bracket share one pairing solve
     model = KlauderModel(alpha=1.3, k=0.7, potential=RadialPotential((0.0, 0.4, 0.1)))
@@ -399,8 +417,8 @@ def test_float_dirac_rhs_fails_as_dirac_tensor_does(case):
 def test_float_dirac_rhs_keeps_the_partial_trajectory_on_a_nonfinite_row():
     # Phi = (q2, p2 - sqrt(1 - q1)) with H = p1: q1 moves at unit speed, and the
     # gradient of the second constraint turns NaN at q1 = 1, at step 100 of 200
-    def wall(z):
-        return z[3] - math.sqrt(1.0 - z[0]) if z[0] <= 1.0 else math.nan
+    def wall(z):  # one state or a (4, B) block of states
+        return np.where(z[0] <= 1.0, z[3] - np.sqrt(np.maximum(1.0 - z[0], 0.0)), math.nan)
 
     def wall_grad(z):
         q1 = float(z[0])

@@ -6,10 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diracmech import duals
+from diracmech.brackets import poisson_bracket_field
 from diracmech.errors import NumericDomainError, UsageError
-from diracmech.fields import (ScalarField, central_difference_gradient, coordinate_field,
-                              field_product, gradient_consistency_check, polynomial_field)
-from diracmech.models import KlauderModel, KRamp, RadialPotential, RelativisticParticle
+from diracmech.fields import (BLOCK_COORDINATES, ScalarField, central_difference_gradient,
+                              coordinate_field, field_product, gradient_consistency_check,
+                              polynomial_field, pullback_field)
+from diracmech.models import (KlauderModel, KRamp, LatticeMaxwell, RadialPotential,
+                              RelativisticParticle)
 from diracmech.phase import ChartSpec
 
 from conftest import random_polynomial
@@ -233,3 +236,60 @@ def test_nonfinite_gradient_names_label():
     x = CHART.point([1.0, 0.0, 0.0, 0.0])
     with pytest.raises(NumericDomainError, match="q1"):
         f.gradient(x)
+
+
+# -- batches of states -------------------------------------------------------------
+
+BATCH_KLAUDER = KlauderModel(alpha=1.3, k=KRamp(0.7, 0.2),
+                             potential=RadialPotential((0.0, 0.4, 0.1)))
+BATCH_PARTICLE = RelativisticParticle(mass=2.0, spatial_dim=3)
+BATCH_LATTICE = LatticeMaxwell(side=2, spacing=0.7)
+
+
+def polar_states(rng, count):
+    return np.column_stack([rng.uniform(0.1, 5.0, count), rng.uniform(-5.0, 5.0, (count, 3))])
+
+
+def uniform_states(dim):
+    return lambda rng, count: rng.uniform(-3.0, 3.0, (count, dim))
+
+
+def reduced_pullback():
+    param = BATCH_KLAUDER.surface_parametrization
+    return pullback_field(BATCH_KLAUDER.hamiltonian(), param.embed, param.reduced_chart)
+
+
+# every field factory of the package: (builder, sampler of (count, dim) states in its domain)
+BATCH_FIELDS = {
+    "klauder-C": (lambda: BATCH_KLAUDER.constraint, polar_states),
+    "klauder-chi": (lambda: BATCH_KLAUDER.gauge_condition, polar_states),
+    "klauder-H_phys": (BATCH_KLAUDER.hamiltonian, polar_states),
+    "klauder-C_cartesian": (lambda: BATCH_KLAUDER.cartesian_generator, uniform_states(4)),
+    "particle-C": (lambda: BATCH_PARTICLE.mass_shell, uniform_states(8)),
+    "particle-chi": (lambda: BATCH_PARTICLE.time_gauge(0.4), uniform_states(8)),
+    "particle-H_phys": (lambda: BATCH_PARTICLE.physical_hamiltonian, uniform_states(6)),
+    "polynomial": (lambda: polynomial_field(CHART, [(1.5, (2, 0, 1, 0)), (-0.3, (0, 3, 0, 1)),
+                                                    (2.0, (0, 0, 0, 0))]), uniform_states(4)),
+    "coordinate": (lambda: coordinate_field(CHART, "p1"), uniform_states(4)),
+    "product": (lambda: field_product(BATCH_KLAUDER.constraint, BATCH_KLAUDER.gauge_condition),
+                polar_states),
+    "maxwell-H": (lambda: BATCH_LATTICE.hamiltonian, uniform_states(48)),
+    "poisson-bracket": (lambda: poisson_bracket_field(
+        BATCH_LATTICE.hamiltonian, coordinate_field(BATCH_LATTICE.chart, "A1.3")),
+        uniform_states(48)),
+    "reduced-pullback": (reduced_pullback, uniform_states(2)),
+}
+
+
+# state counts as (states, blocks): none, one, and one block of rows less one, exact and plus one
+@pytest.mark.parametrize("size", [(0, 0), (1, 0), (-1, 1), (0, 1), (1, 1)],
+                         ids=["0", "1", "block-1", "block", "block+1"])
+@pytest.mark.parametrize("name", list(BATCH_FIELDS))
+def test_batch_route_equals_value_at_bitwise(name, size):
+    build, sample = BATCH_FIELDS[name]
+    field = build()
+    count = size[0] + size[1] * max(1, BLOCK_COORDINATES // field.chart.dim)
+    states = sample(np.random.default_rng(17), count)
+    batch = field.values_along(states)
+    expected = np.array([field.value_at(z) for z in states], dtype=float)
+    assert batch.shape == (count,) and batch.tobytes() == expected.tobytes()

@@ -9,7 +9,7 @@ import pytest
 
 from diracmech.cli import main
 from diracmech.constraints import ConstraintSet, dirac_tensor
-from diracmech.dynamics import IntegratorConfig
+from diracmech.dynamics import IntegratorConfig, PoissonFlow, evolve
 from diracmech.errors import UsageError
 from diracmech.fields import ScalarField
 from diracmech.models import LatticeMaxwell
@@ -127,6 +127,20 @@ def test_batched_energy_equals_the_trajectory_generator_values(small, rng):
     n = small.n_components
     assert np.array_equal(small.energy(traj.states[:, :n], traj.states[:, n:]),
                           traj.generator_values)
+
+
+@pytest.mark.parametrize("spacing", [1.0, 0.7])
+@pytest.mark.parametrize("side", [2, 3])
+def test_direct_vector_field_gives_the_bits_of_the_gradient_route(side, spacing, rng):
+    # evolve builds (E, lap A) at once; the generic route J grad H negates lap A twice
+    model = LatticeMaxwell(side=side, spacing=spacing)
+    a0, e0 = model.random_transverse(rng), model.random_transverse(rng, 0.5)
+    cfg = IntegratorConfig(dt=0.05, steps=40)
+    direct = model.evolve(a0, e0, cfg)
+    oracle = evolve(model.chart.point(np.concatenate([a0, e0])), PoissonFlow(model.hamiltonian),
+                    cfg)
+    assert direct.states.tobytes() == oracle.states.tobytes()
+    assert direct.generator_values.tobytes() == oracle.generator_values.tobytes()
 
 
 @pytest.mark.parametrize("length", [-1, 1])

@@ -21,9 +21,6 @@ from pathlib import Path
 
 import numpy as np
 
-from jsonschema.exceptions import best_match
-from jsonschema.validators import extend, validator_for
-
 from .brackets import poisson_tensor
 from .circle import (CircleState, SpectrumTable, evolve_time_dependent,
                      expect_cartesian, expect_phi, expect_phi_quadrature, expect_reduced)
@@ -108,14 +105,91 @@ SCENARIO_SCHEMA = _strict({
     }),
 })
 
-# built once: jsonschema.validate would check the schema against its
-# metaschema on every call (tests/test_cli.py checks it once)
-_BASE = validator_for(SCENARIO_SCHEMA)
-# JSON Schema counts 2.0 as an integer, but the sizes and counts here index and
-# range over Python ints
-_INTEGERS = _BASE.TYPE_CHECKER.redefine(
-    "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool))
-_VALIDATOR = extend(_BASE, type_checker=_INTEGERS)(SCENARIO_SCHEMA)
+# The validator reads the keywords SCENARIO_SCHEMA uses, with JSON Schema's messages,
+# and of several violations reports the one jsonschema's best_match picks. 2.0 is not an
+# integer (the sizes and counts here index and range over Python ints), a bool no number.
+_TYPES = {"object": dict, "array": list, "string": str, "number": (int, float), "integer": int}
+
+
+def _is(value, name: str) -> bool:
+    return isinstance(value, _TYPES[name]) and not isinstance(value, bool)
+
+
+def _violations(value, schema: dict, path: tuple = ()) -> list[tuple]:
+    """(path, keyword, message, typed, context) per violation, in jsonschema's order;
+    ``typed`` says the value has its schema's type, ``context`` holds a oneOf's
+    violations with paths relative to it."""
+    typed = "type" in schema and _is(value, schema["type"])
+    found = []
+
+    def fail(keyword, message, context=()):
+        found.append((path, keyword, message, typed, context))
+
+    for keyword, rule in schema.items():
+        if keyword == "type" and not typed:
+            fail(keyword, f"{value!r} is not of type {rule!r}")
+        elif keyword == "properties" and _is(value, "object"):
+            for key, sub in rule.items():
+                if key in value:
+                    found += _violations(value[key], sub, path + (key,))
+        elif keyword == "required" and _is(value, "object"):
+            for key in rule:
+                if key not in value:
+                    fail(keyword, f"{key!r} is a required property")
+        elif keyword == "additionalProperties" and _is(value, "object"):
+            extras = sorted(key for key in value if key not in schema["properties"])
+            if extras:
+                fail(keyword, "Additional properties are not allowed (%s %s unexpected)"
+                     % (", ".join(map(repr, extras)), "was" if len(extras) == 1 else "were"))
+        elif keyword == "items" and _is(value, "array"):
+            for index, item in enumerate(value):
+                found += _violations(item, rule, path + (index,))
+        elif keyword == "minItems" and _is(value, "array") and len(value) < rule:
+            fail(keyword, f"{value!r} {'should be non-empty' if rule == 1 else 'is too short'}")
+        elif keyword == "maxItems" and _is(value, "array") and len(value) > rule:
+            fail(keyword, f"{value!r} {'is expected to be empty' if rule == 0 else 'is too long'}")
+        elif keyword == "minimum" and _is(value, "number") and value < rule:
+            fail(keyword, f"{value!r} is less than the minimum of {rule!r}")
+        elif keyword == "exclusiveMinimum" and _is(value, "number") and value <= rule:
+            fail(keyword, f"{value!r} is less than or equal to the minimum of {rule!r}")
+        elif keyword == "enum" and value not in rule:  # the enums are all strings
+            fail(keyword, f"{value!r} is not one of {rule!r}")
+        elif keyword == "const" and value != rule:
+            fail(keyword, f"{rule!r} was expected")
+        elif keyword == "oneOf":  # the branches exclude each other: at most one matches
+            context = []
+            for branch in rule:
+                errors = _violations(value, branch)
+                if not errors:
+                    break
+                context += errors
+            else:
+                fail(keyword, f"{value!r} is not valid under any of the given schemas", context)
+    return found
+
+
+def _relevance(violation):
+    """jsonschema's relevance: the maximum is the shallowest, then the greatest path, not a
+    oneOf, a type mismatch; of equals the first found."""
+    path, keyword, _, typed, _ = violation
+    return -len(path), path, keyword != "oneOf", not typed
+
+
+def _best_violation(config) -> tuple[str, str] | None:
+    """(location, message) of jsonschema's best_match among the violations, or None:
+    the most relevant one, where a oneOf gives way to its least relevant violation
+    unless the two least relevant tie."""
+    best = max(_violations(config, SCENARIO_SCHEMA), key=_relevance, default=None)
+    if best is None:
+        return None
+    path = best[0]
+    while best[4]:
+        first, *second = sorted(best[4], key=_relevance)[:2]
+        if second and _relevance(first) == _relevance(second[0]):
+            break
+        best = first
+        path += best[0]
+    return "/".join(map(str, path)) or "<root>", best[2]
 
 
 def _reject_constant(name: str):
@@ -131,10 +205,9 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path!r}: {err}") from err
     except ValueError as err:  # JSONDecodeError, undecodable bytes, NaN/Infinity
         raise ConfigError(f"malformed JSON in {path!r}: {err}") from err
-    err = best_match(_VALIDATOR.iter_errors(config))
-    if err is not None:
-        location = "/".join(str(p) for p in err.absolute_path) or "<root>"
-        raise ConfigError(f"invalid config at {location}: {err.message}") from err
+    violation = _best_violation(config)
+    if violation is not None:
+        raise ConfigError("invalid config at %s: %s" % violation)
     return config
 
 

@@ -234,6 +234,8 @@ def evolve(x0: PhaseSpacePoint, flow: FlowSpec, cfg: IntegratorConfig,
     times[0] = 0.0
     states[0] = x0.coords
     z = np.array(x0.coords)
+    if not np.abs(z).max() <= BLOWUP_LIMIT:  # the start meets the check each step meets
+        raise NumericDomainError(f"trajectory blew up at t=0 (|z| > {BLOWUP_LIMIT:g} or NaN)")
 
     # entered once per run: an overflowing or NaN stage ends in the blow-up check or in
     # the pairing guard, not in numpy warnings

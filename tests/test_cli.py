@@ -305,10 +305,19 @@ SINGLE_MODE_SWEEP = {"m_max": 2, "single_mode": 1, "times": [0.0, 0.5]}
     ("maxwell", {"model": {"kind": "maxwell", "side": 2}, "integrator": {"dt": 0.1, "steps": 2},
                  "maxwell": {"e_scale": 1e308}},
      2, "maxwell/e_scale 1e+308 overflows the projected initial E"),
-    # a finite initial field whose energy overflows, with no step for the RK4 check to see
+    # an initial field beyond the blow-up limit, with no step taken: the start is checked
+    # like every step, before its energy overflows
     ("maxwell", {"model": {"kind": "maxwell", "side": 2}, "integrator": {"dt": 0.1, "steps": 0},
                  "maxwell": {"e_scale": 1e200}},
-     3, "trajectory blew up at t=0 (H_maxwell = inf)"),
+     3, "trajectory blew up at t=0 (|z| > 1e+12 or NaN)"),
+    ("maxwell", {"model": {"kind": "maxwell", "side": 2}, "integrator": {"dt": 0.1, "steps": 0},
+                 "maxwell": {"e_scale": 1e100}},
+     3, "trajectory blew up at t=0 (|z| > 1e+12 or NaN)"),
+    # a bounded start whose generator overflows
+    ("evolve", {"model": {"kind": "custom", "labels": ["q", "p"]},
+                "flow": {"kind": "poisson", "hamiltonian": [{"coeff": 1e300, "powers": [4, 0]}]},
+                "integrator": {"dt": 0.1, "steps": 0}, "initial": {"coords": [1000.0, 0.0]}},
+     3, "trajectory blew up at t=0 (H = inf)"),
 ])
 def test_extreme_valid_config_ends_in_one_error_line(tmp_path, capsys, command, payload, code,
                                                      message):

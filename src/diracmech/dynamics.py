@@ -5,6 +5,14 @@ the Hamiltonian (Poisson or Dirac bracket) or lambda(t) times a gauge
 generator (Poisson bracket). Constraint residuals are recorded along the way;
 an optional Newton projection can push each step back onto the surface, but
 the Dirac flow is tangent to it by construction so the default is off.
+
+A chart flow of a few coordinates steps on a list of Python floats: its
+right-hand side takes and returns float lists, the RK4 stage sums and the
+blow-up test make no numpy call, and each state is written into the
+preallocated trajectory array. A flow with a direct array right-hand side
+(``PoissonFlow._direct_rhs``: the lattice Maxwell flow, 48 to 3,072
+coordinates) steps on float64 arrays, where numpy's per-call cost is repaid.
+Both steps sum in the same operation order, so they give the same bits.
 """
 
 from __future__ import annotations
@@ -122,9 +130,9 @@ class Trajectory:
         return len(self.times)
 
 
-def _symplectic_apply(grad: np.ndarray, n: int) -> np.ndarray:
-    """J grad for J = [[0, I], [-I, 0]]: the Hamiltonian vector field map."""
-    return np.concatenate([grad[n:], -grad[:n]])
+def _symplectic_apply(grad: list, n: int) -> list:
+    """J grad for J = [[0, I], [-I, 0]] on Python floats: the Hamiltonian vector field map."""
+    return grad[n:] + list(map(operator.neg, grad[:n]))
 
 
 def _poisson_rhs(flow: PoissonFlow, n: int):
@@ -134,7 +142,7 @@ def _poisson_rhs(flow: PoissonFlow, n: int):
     h = flow.hamiltonian
 
     def rhs(t, z):
-        return _symplectic_apply(h.gradient_at(z), n)
+        return _symplectic_apply(h.gradient_list(z), n)
 
     return rhs
 
@@ -143,14 +151,15 @@ def _gauge_rhs(flow: GaugeFlow, n: int):
     gen = flow.generator
 
     def rhs(t, z):
-        return flow.multiplier_at(t) * _symplectic_apply(gen.gradient_at(z), n)
+        lam = flow.multiplier_at(t)
+        return [lam * v for v in _symplectic_apply(gen.gradient_list(z), n)]
 
     return rhs
 
 
 def _dirac_rhs(flow: DiracFlow, n: int):
-    """{z, H}_D at (t, z). The brackets and M are summed on Python floats; two
-    constraints take the closed 2x2 solve, more take pivoted LU."""
+    """{z, H}_D at (t, z) as Python floats. The brackets and M are summed on Python
+    floats; two constraints take the closed 2x2 solve, more take pivoted LU."""
     h, cs = flow.hamiltonian, flow.constraints
     time_dependent = cs.time_dependent
 
@@ -163,10 +172,39 @@ def _dirac_rhs(flow: DiracFlow, n: int):
         lam = _pairing_multipliers(rows, s, n, z)
         # grad H - rows^T lam, with rows^T lam one BLAS matvec: BLAS rounds each entry
         # with a fused multiply-add, which Python floats cannot reproduce
-        effective = list(map(operator.sub, gh, np.dot(lam, rows).tolist()))
-        return np.array(effective[n:] + list(map(operator.neg, effective[:n])))
+        return _symplectic_apply(list(map(operator.sub, gh, np.dot(lam, rows).tolist())), n)
 
     return rhs
+
+
+def _float_step(rhs, t: float, z: list, dt: float) -> list:
+    """One RK4 step on Python floats, in the operation order of ``_array_step``."""
+    half = 0.5 * dt
+    k1 = rhs(t, z)
+    k2 = rhs(t + half, [a + half * b for a, b in zip(z, k1)])
+    k3 = rhs(t + half, [a + half * b for a, b in zip(z, k2)])
+    k4 = rhs(t + dt, [a + dt * b for a, b in zip(z, k3)])
+    sixth = dt / 6.0
+    return [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(z, k1, k2, k3, k4)]
+
+
+def _array_step(rhs, t: float, z: np.ndarray, dt: float) -> np.ndarray:
+    """One RK4 step on a float64 array."""
+    k1 = rhs(t, z)
+    k2 = rhs(t + 0.5 * dt, z + (0.5 * dt) * k1)
+    k3 = rhs(t + 0.5 * dt, z + (0.5 * dt) * k2)
+    k4 = rhs(t + dt, z + dt * k3)
+    return z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _floats_bounded(z: list) -> bool:
+    # every entry, not max(map(abs, z)): max passes over a NaN that is not first
+    return all(abs(v) <= BLOWUP_LIMIT for v in z)
+
+
+def _array_bounded(z: np.ndarray) -> bool:
+    return np.abs(z).max() <= BLOWUP_LIMIT  # False for a NaN
 
 
 def _project(z: np.ndarray, cs: ConstraintSet, t: float, proj: NewtonProjection) -> np.ndarray:
@@ -233,8 +271,13 @@ def evolve(x0: PhaseSpacePoint, flow: FlowSpec, cfg: IntegratorConfig,
                          f"{err}") from None
     times[0] = 0.0
     states[0] = x0.coords
-    z = np.array(x0.coords)
-    if not np.abs(z).max() <= BLOWUP_LIMIT:  # the start meets the check each step meets
+    # the array step only where the flow builds its vector field as an array
+    on_floats = not isinstance(flow, PoissonFlow) or flow._direct_rhs(chart.n_pairs) is None
+    if on_floats:
+        z, step, bounded = x0.coords.tolist(), _float_step, _floats_bounded
+    else:
+        z, step, bounded = np.array(x0.coords), _array_step, _array_bounded
+    if not bounded(z):  # the start meets the check each step meets
         raise NumericDomainError(f"trajectory blew up at t=0 (|z| > {BLOWUP_LIMIT:g} or NaN)")
 
     # entered once per run: an overflowing or NaN stage ends in the blow-up check or in
@@ -242,16 +285,13 @@ def evolve(x0: PhaseSpacePoint, flow: FlowSpec, cfg: IntegratorConfig,
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(steps):
-                t = i * dt
-                k1 = rhs(t, z)
-                k2 = rhs(t + 0.5 * dt, z + (0.5 * dt) * k1)
-                k3 = rhs(t + 0.5 * dt, z + (0.5 * dt) * k2)
-                k4 = rhs(t + dt, z + dt * k3)
-                z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                z = step(rhs, i * dt, z, dt)
                 t_next = (i + 1) * dt
                 if cfg.projection is not None:
-                    z = _project(z, watched, t_next, cfg.projection)
-                if not np.abs(z).max() <= BLOWUP_LIMIT:  # also catches NaN
+                    z = _project(np.asarray(z), watched, t_next, cfg.projection)
+                    if on_floats:
+                        z = z.tolist()
+                if not bounded(z):  # also catches NaN
                     raise NumericDomainError(
                         f"trajectory blew up at t={t_next:g} (|z| > {BLOWUP_LIMIT:g} or NaN)")
                 times[i + 1] = t_next

@@ -12,6 +12,7 @@ the same coordinates always produce bitwise-identical results.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dfield
 from typing import Callable, Optional, Sequence
 
@@ -57,9 +58,11 @@ class ScalarField:
     black-box ``func`` registers a closed-form ``grad``, or central
     differences: ``grad=lambda z: central_difference_gradient(func, z)``.
 
-    ``grad`` takes a float64 array and returns an array or a list of Python
-    floats. ``gradient_at`` always gives an array; ``gradient_list``, which the
-    constraint engine reads, passes a returned list on with no numpy call.
+    ``grad`` reads its point, a list of Python floats, by index or by unpacking,
+    and returns an array or a list of Python floats. ``gradient_at`` reads an
+    array point by tolist() and always gives an array; ``gradient_list``, which
+    the constraint engine and every RK4 step of a chart flow read, passes a
+    list point and a returned list on with no numpy call.
     """
 
     name: str
@@ -82,14 +85,17 @@ class ScalarField:
         return out
 
     def gradient_at(self, coords) -> np.ndarray:
-        return np.asarray(self._gradient(np.asarray(coords, dtype=float)), dtype=float)
+        return np.asarray(self._gradient(np.asarray(coords, dtype=float).tolist()), dtype=float)
 
-    def gradient_list(self, coords: np.ndarray) -> list:
-        """The gradient at a float64 array as Python floats; an array is read by tolist()."""
+    def gradient_list(self, coords) -> list:
+        """The gradient as Python floats at a list of Python floats; an array, as point
+        or as gradient, is read by tolist()."""
+        if isinstance(coords, np.ndarray):
+            coords = coords.tolist()
         g = self._gradient(coords)
         return g if isinstance(g, list) else np.asarray(g, dtype=float).tolist()
 
-    def _gradient(self, coords: np.ndarray):
+    def _gradient(self, coords: list):
         # the one gradient route: the registered grad, else the dual pass
         if self.grad is not None:
             return self.grad(coords)
@@ -125,6 +131,15 @@ def coordinate_field(chart: ChartSpec, label: str) -> ScalarField:
                        grad=lambda z, b=basis: b)
 
 
+def _power(x, e: int):
+    """x ** e for an integer e >= 1. On a Python float an overflow is the signed inf
+    that numpy's pow gives, not OverflowError; the finite bits are libm's pow either way."""
+    try:
+        return x ** e
+    except OverflowError:
+        return math.copysign(math.inf, x) if e % 2 else math.inf
+
+
 def polynomial_field(chart: ChartSpec, terms: Sequence[tuple[float, Sequence[int]]],
                      name: str = "poly") -> ScalarField:
     """Multivariate polynomial sum_k c_k * prod_i z_i^e_ki with exact gradient."""
@@ -149,7 +164,7 @@ def polynomial_field(chart: ChartSpec, terms: Sequence[tuple[float, Sequence[int
         return total
 
     def grad(z, terms=cleaned, dim=chart.dim):
-        g = np.zeros(dim)
+        g = [0.0] * dim
         for coeff, powers in terms:
             for j, pj in enumerate(powers):
                 if pj == 0:
@@ -158,7 +173,7 @@ def polynomial_field(chart: ChartSpec, terms: Sequence[tuple[float, Sequence[int
                 for i, p in enumerate(powers):
                     e = p - 1 if i == j else p
                     if e:
-                        term *= z[i] ** e
+                        term *= _power(z[i], e)
                 g[j] += term
         return g
 

@@ -163,7 +163,7 @@ class KlauderModel:
             return 0.5 * (p_r * p_r + (p_phi * p_phi) / (r * r) - alpha2 * (r * r))
 
         def grad(z, alpha2=alpha2):
-            r, _, p_r, p_phi = z.tolist()
+            r, _, p_r, p_phi = z
             return _constraint_gradient(alpha2, r, p_r, p_phi)
 
         return ScalarField("C", self.polar_chart, func, grad)
@@ -173,7 +173,7 @@ class KlauderModel:
         k0 = self.k(0.0)
 
         def grad(z):
-            r, _, p_r, _ = z.tolist()
+            r, _, p_r, _ = z
             return [p_r, 0.0, r, 0.0]
 
         return ScalarField("chi", self.polar_chart, lambda z, k0=k0: z[0] * z[2] - k0, grad)
@@ -197,7 +197,7 @@ class KlauderModel:
             return c.func(z) + u(z[0])
 
         def grad(z, alpha2=self.alpha ** 2, coeffs=u.coeffs):
-            r, _, p_r, p_phi = z.tolist()
+            r, _, p_r, p_phi = z
             g = _constraint_gradient(alpha2, r, p_r, p_phi)
             g[0] += _potential_slope(coeffs, r)
             return g
@@ -213,7 +213,7 @@ class KlauderModel:
             return 0.5 * (z[2] * z[2] + z[3] * z[3] - alpha2 * (z[0] * z[0] + z[1] * z[1]))
 
         def grad(z, alpha2=alpha2):
-            q1, q2, p1, p2 = z.tolist()
+            q1, q2, p1, p2 = z
             return [0.5 * (0.0 - alpha2 * (q1 + q1)), 0.5 * (0.0 - alpha2 * (q2 + q2)),
                     0.5 * (p1 + p1), 0.5 * (p2 + p2)]
 

@@ -70,7 +70,7 @@ class RelativisticParticle:
             return 0.5 * total
 
         def grad(z, d=d):
-            momenta = z.tolist()[d + 1:]
+            momenta = z[d + 1:]
             p0 = momenta[0]
             return ([0.0] * (d + 1) + [0.5 * (p0 + p0)]
                     + [0.5 * (0.0 - (p + p)) for p in momenta[1:]])
@@ -103,7 +103,7 @@ class RelativisticParticle:
             return np.sqrt(total) if isinstance(total, np.ndarray) else duals.sqrt(total)
 
         def grad(z, d=d, m2=m2):
-            momenta = z.tolist()[d:]
+            momenta = z[d:]
             total = m2
             for p in momenta:
                 total = p * p + total

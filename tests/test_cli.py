@@ -318,6 +318,12 @@ SINGLE_MODE_SWEEP = {"m_max": 2, "single_mode": 1, "times": [0.0, 0.5]}
                 "flow": {"kind": "poisson", "hamiltonian": [{"coeff": 1e300, "powers": [4, 0]}]},
                 "integrator": {"dt": 0.1, "steps": 0}, "initial": {"coords": [1000.0, 0.0]}},
      3, "trajectory blew up at t=0 (H = inf)"),
+    # q^40 at q = 1e11: the gradient's power overflows, which on Python floats raises
+    # OverflowError unless it is taken as the inf a numpy scalar gives
+    ("evolve", {"model": {"kind": "custom", "labels": ["q", "p"]},
+                "flow": {"kind": "poisson", "hamiltonian": [{"coeff": 1.0, "powers": [40, 0]}]},
+                "integrator": {"dt": 0.001, "steps": 3}, "initial": {"coords": [1e11, 0.0]}},
+     3, "trajectory blew up at t=0.001 (|z| > 1e+12 or NaN)"),
 ])
 def test_extreme_valid_config_ends_in_one_error_line(tmp_path, capsys, command, payload, code,
                                                      message):

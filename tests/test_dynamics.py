@@ -14,6 +14,7 @@ from diracmech.errors import DegeneracyError, NumericDomainError, UsageError
 from diracmech.fields import ScalarField, coordinate_field, polynomial_field
 from diracmech.models import (KlauderModel, KRamp, LatticeMaxwell, RadialPotential,
                               RelativisticParticle)
+from diracmech.models.maxwell import _WaveFlow
 from diracmech.phase import ChartSpec, PhaseSpacePoint
 
 from test_constraints import CUSTOM_FOUR, reference_degeneracy_scale, reference_gradient_rows
@@ -161,6 +162,19 @@ def test_nan_state_is_rejected():
         evolve(x0, PoissonFlow(h), IntegratorConfig(dt=0.01, steps=1000))
 
 
+def test_nan_in_a_later_coordinate_is_a_blow_up_at_its_step():
+    # H = p: q moves at unit speed and dH/dq turns NaN once q passes 0.503, in the second
+    # stage of step 50; p, the last coordinate, is NaN after it while q stays finite
+    def grad(z):
+        return [math.nan if z[0] > 0.503 else 0.0, 1.0]
+
+    h = ScalarField("nan_wall", FLAT, lambda z: z[1], grad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericDomainError, match=r"blew up at t=0\.51 \(.* or NaN\)"):
+            evolve(FLAT.point([0.0, 1.0]), PoissonFlow(h), IntegratorConfig(dt=0.01, steps=100))
+
+
 def test_newton_projection_restores_surface():
     model = KlauderModel(alpha=1.0, k=1.0, potential=RadialPotential.harmonic())
     x0 = model.embed_reduced(phi=0.0, p_phi=1.0)
@@ -226,7 +240,7 @@ def test_dirac_vector_field_is_the_dirac_bracket(rng):
     coords = [coordinate_field(chart, label) for label in chart.labels]
     for x in model.sample_surface(rng, 20):
         expected = [dirac_bracket(z, h, cs, x) for z in coords]
-        assert np.max(np.abs(rhs(0.0, x.coords) - expected)) < 1e-12
+        assert np.max(np.abs(np.array(rhs(0.0, x.coords)) - expected)) < 1e-12
     # near the excluded origin with p_r = p_phi = 0, det M = alpha^4 r^4 is below the guard
     x = chart.point([1e-4, 0.3, 0.0, 0.0])
     with pytest.raises(DegeneracyError, match="not Second Class"):
@@ -277,7 +291,7 @@ def test_dirac_rhs_equals_the_reference_bitwise_over_200_steps(index):
     rhs, reference = _dirac_rhs(flow, n), reference_dirac_rhs(flow, n)
 
     def both(t, z):
-        k = rhs(t, z)
+        k = np.array(rhs(t, z))
         assert k.tobytes() == reference(t, z).tobytes()
         return k
 
@@ -295,9 +309,11 @@ def test_dirac_rhs_equals_the_reference_bitwise_over_200_steps(index):
 
 
 
-def rk4_final_state(stage, x0, dt, steps):
-    """evolve's RK4 loop on a bare right-hand side ``stage``; returns the last state."""
+def rk4_states(stage, x0, dt, steps):
+    """The RK4 loop on float64 arrays with a bare right-hand side ``stage``; returns
+    every state, a (steps + 1, dim) array."""
     z = np.array(x0.coords)
+    states = [z]
     for i in range(steps):
         t = i * dt
         k1 = stage(t, z)
@@ -305,7 +321,8 @@ def rk4_final_state(stage, x0, dt, steps):
         k3 = stage(t + 0.5 * dt, z + (0.5 * dt) * k2)
         k4 = stage(t + dt, z + dt * k3)
         z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return z
+        states.append(z)
+    return np.array(states)
 
 
 QUARTIC = RadialPotential((0.3, -1.2, 0.5, 0.7, -0.2))
@@ -329,12 +346,65 @@ def test_float_dirac_rhs_equals_the_reference_bitwise(case):
     rhs, reference = _dirac_rhs(flow, n), reference_dirac_rhs(flow, n)
 
     def both(t, z):
-        k = rhs(t, z)
+        k = np.array(rhs(t, z))
         assert k.dtype == np.float64 and k.tobytes() == reference(t, z).tobytes()
         return k
 
-    z = rk4_final_state(both, x0, dt, 200)
+    z = rk4_states(both, x0, dt, 200)[-1]
     assert evolve(x0, flow, IntegratorConfig(dt=dt, steps=200)).states[-1].tobytes() == z.tobytes()
+
+
+def array_stage(flow):
+    """The flow's right-hand side on float64 arrays, as numpy builds it: J grad G from
+    gradient_at, and the reference Dirac rhs."""
+    n = flow.chart.n_pairs
+    if isinstance(flow, DiracFlow):
+        return reference_dirac_rhs(flow, n)
+    field = flow.hamiltonian if isinstance(flow, PoissonFlow) else flow.generator
+
+    def stage(t, z):
+        g = field.gradient_at(z)
+        vector_field = np.concatenate([g[n:], -g[:n]])
+        if isinstance(flow, GaugeFlow):
+            return flow.multiplier_at(t) * vector_field
+        return vector_field
+
+    return stage
+
+
+def float_step_flows():
+    """(flow, x0, monitor) for each kind of chart flow that evolve steps on Python floats."""
+    oscillator = polynomial_field(FLAT, [(0.5, (0, 2)), (0.5, (2, 0)), (0.25, (4, 0)),
+                                         (-0.1, (3, 1))], name="anharmonic")
+    yield (PoissonFlow(oscillator), FLAT.point([1.2, -0.4]),
+           ConstraintSet(FLAT, (polynomial_field(FLAT, [(1.0, (1, 1))], name="qp"),), ("qp",)))
+    particle = RelativisticParticle(mass=1.3, spatial_dim=3)
+    yield (PoissonFlow(particle.physical_hamiltonian),
+           particle.spatial_chart.point([0.1, -0.2, 0.3, 0.7, -1.1, 0.4]), None)
+    model = KlauderModel(alpha=1.0, k=0.0)
+    yield (GaugeFlow(model.cartesian_generator, np.polynomial.Polynomial([0.5, -1.0, 0.3])),
+           model.cartesian_chart.point([0.8, -0.3, 0.8, 0.3]), cartesian_monitor(model))
+    for flow, x0 in list(dirac_flows())[:2]:  # static and ramped k
+        yield flow, x0, None
+
+
+@pytest.mark.parametrize("index", range(5))
+def test_float_step_equals_the_array_step_bitwise(index):
+    flow, x0, monitor = list(float_step_flows())[index]
+    dt, steps = 1e-3, 300
+    states = rk4_states(array_stage(flow), x0, dt, steps)
+    times = np.array([i * dt for i in range(steps + 1)])
+    traj = evolve(x0, flow, IntegratorConfig(dt=dt, steps=steps), monitor=monitor)
+    assert traj.times.tobytes() == times.tobytes()
+    assert traj.states.tobytes() == states.tobytes()
+    generator = flow.generator if isinstance(flow, GaugeFlow) else flow.hamiltonian
+    expected = np.array([generator.value_at(z) for z in states])
+    assert traj.generator_values.tobytes() == expected.tobytes()
+    watched = flow.constraints if isinstance(flow, DiracFlow) else monitor
+    expected = {} if watched is None else watched.residual_series(times, states)
+    assert traj.residuals.keys() == expected.keys()
+    for name, series in expected.items():
+        assert traj.residuals[name].tobytes() == series.tobytes(), name
 
 
 # two constraints whose gradient rows have no zero entry: each q.p sums two products
@@ -360,13 +430,13 @@ def test_float_dirac_rhs_of_dense_rows_within_ulps_of_the_reference():
 
     def both(t, z):
         nonlocal worst, moved
-        k, expected = rhs(t, z), reference(t, z)
+        k, expected = np.array(rhs(t, z)), reference(t, z)
         ulp = np.spacing(np.max(np.abs(expected)))
         worst = max(worst, float(np.max(np.abs(k - expected)) / ulp))
         moved += k.tobytes() != expected.tobytes()
         return k
 
-    rk4_final_state(both, DENSE_CHART.point([0.3, -0.2, 0.5, 0.7]), dt, 200)
+    rk4_states(both, DENSE_CHART.point([0.3, -0.2, 0.5, 0.7]), dt, 200)
     assert worst <= DENSE_ULPS, worst
     assert moved > 0  # the case does reach the fused multiply-add rounding
 
@@ -567,13 +637,15 @@ def test_constraint_drift_recomputed_equals_recorded():
 
 
 def test_trajectory_keeps_the_integrator_arrays_without_a_copy():
-    # the states array is the only trajectory-sized allocation
+    # the states array is the only trajectory-sized allocation; the lattice's own flow
+    # takes the array step (the gradient route of its H steps on Python floats, whose
+    # every float tracemalloc traces)
     model = LatticeMaxwell(side=8)
     h = model.hamiltonian
     x0 = h.chart.point(np.random.default_rng(3).uniform(-0.1, 0.1, h.chart.dim))
     tracemalloc.start()
     try:
-        traj = evolve(x0, PoissonFlow(h), IntegratorConfig(dt=1e-3, steps=300))
+        traj = evolve(x0, _WaveFlow(h, model), IntegratorConfig(dt=1e-3, steps=300))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -126,6 +127,42 @@ def test_polynomial_field_gradient_matches_ad(rng):
                            rtol=1e-13, atol=1e-13)
 
 
+def numpy_scalar_polynomial_gradient(terms, z):
+    """The polynomial gradient with every power taken on a numpy scalar, where an
+    overflow is inf rather than OverflowError."""
+    z = np.asarray(z, dtype=float)
+    g = np.zeros(len(z))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for coeff, powers in terms:
+            for j, pj in enumerate(powers):
+                if pj == 0:
+                    continue
+                term = coeff * pj
+                for i, p in enumerate(powers):
+                    e = p - 1 if i == j else p
+                    if e:
+                        term *= z[i] ** e
+                g[j] += term
+    return g
+
+
+def test_polynomial_gradient_on_floats_has_the_bits_of_numpy_scalar_powers(rng):
+    # x ** e on a Python float raises OverflowError where a numpy scalar gives +-inf
+    terms = [(1.0, (40, 0, 0, 0)), (-2.5, (0, 39, 1, 0)), (0.5, (3, 0, 0, 7)),
+             (1e-3, (0, 0, 21, 2)), (0.7, (1, 0, 0, 0))]
+    f = polynomial_field(CHART, terms)
+    points = list(rng.uniform(-3, 3, (50, 4))) + [
+        [1e11, -1e11, 3.0, -1e9], [-1e11, 1e11, -1e20, 0.0], [1e-200, -1e-200, 1e300, -1e-300]]
+    for z in points:
+        expected = numpy_scalar_polynomial_gradient(terms, z)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = f.gradient_list(np.asarray(z, dtype=float).tolist())
+        assert np.array(g).tobytes() == expected.tobytes(), (z, g, expected)
+    signed = f.gradient_list([1e11, -1e11, 3.0, -1e9])
+    assert signed[0] == math.inf and signed[1] == -math.inf  # both overflow signs are met
+
+
 def test_gradient_purity():
     f = polynomial_field(CHART, [(1.5, (2, 0, 1, 0)), (-0.25, (0, 1, 0, 3))])
     z = np.array([1.1, -0.7, 2.2, 0.4])
@@ -144,7 +181,7 @@ def test_gradient_consistency_simple_square():
 def test_gradient_consistency_negative_control():
     base = polynomial_field(CHART, [(1.0, (2, 0, 0, 0))])
     broken = ScalarField(name="broken", chart=CHART, func=base.func,
-                         grad=lambda z: base.grad(z) + 1.0)
+                         grad=lambda z: np.array(base.grad(z)) + 1.0)
     x = CHART.point([3.0, 0.0, 0.0, 0.0])
     assert gradient_consistency_check(broken, x).max_rel_err > 0.1
 
@@ -179,7 +216,7 @@ def test_field_product_with_finite_difference_factor_uses_the_product_rule():
     product = field_product(square, BLACKBOX)
     z = np.array([0.5, -0.7, 1.3, 2.0])
     assert np.array_equal(product.gradient_at(z),
-                          square.func(z) * BLACKBOX.grad(z) + BLACKBOX.func(z) * square.grad(z))
+                          square.func(z) * BLACKBOX.grad(z) + BLACKBOX.func(z) * np.array(square.grad(z)))
     assert gradient_consistency_check(product, CHART.point(z)).max_rel_err < 1e-6
 
 
@@ -202,7 +239,7 @@ def test_closed_form_grads_return_python_floats():
     # numpy back into every float operation of the pairing solve
     for field, points in closed_form_fields():
         for z in points:
-            g = field.grad(np.asarray(z, dtype=float))
+            g = field.grad(np.asarray(z, dtype=float).tolist())
             assert type(g) is list and all(type(v) is float for v in g), (field.name, g)
             assert field.gradient_list(z) == g
             at = field.gradient_at(z)

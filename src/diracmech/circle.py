@@ -58,10 +58,6 @@ class CircleState:
             raise UsageError("cannot normalize the zero state")
         return CircleState(scaled / np.sqrt(n2), self.hbar)
 
-    def values_on_grid(self, phis: np.ndarray) -> np.ndarray:
-        """psi(phi) on a grid: sum_m c_m e^{i m phi}."""
-        return np.exp(1j * np.outer(phis, self.m_values)) @ self.coeffs
-
     @classmethod
     def single_mode(cls, m: int, m_max: int, hbar: float = 1.0) -> "CircleState":
         if abs(m) > m_max:
@@ -76,11 +72,13 @@ class CircleState:
         return cls(c).normalized()
 
 
-def _reduced_spectrum(model: KlauderModel, p_phi, t):
-    """r* = ((k(t)^2 + p_phi^2)/alpha^2)^(1/4) and U(r*) (Horner, elementwise) for p_phi
-    and t that broadcast together; NumericDomainError where either is not finite."""
+def _reduced_spectrum(model: KlauderModel, m, hbar: float, t):
+    """r* = ((k(t)^2 + p_phi^2)/alpha^2)^(1/4) and U(r*) (Horner, elementwise), with
+    p_phi = m hbar, for modes m and times t that broadcast together;
+    NumericDomainError where either is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises below
         k = model.k(t)
+        p_phi = m * hbar
         r_star = ((k * k + p_phi * p_phi) / model.alpha ** 2) ** 0.25
         u_values = np.broadcast_to(model.potential(r_star), r_star.shape)
     if not (np.all(np.isfinite(r_star)) and np.all(np.isfinite(u_values))):
@@ -106,7 +104,7 @@ class SpectrumTable:
     @classmethod
     def build(cls, model: KlauderModel, m_max: int, t: float = 0.0) -> "SpectrumTable":
         m = np.arange(-m_max, m_max + 1)
-        r_star, u_values = _reduced_spectrum(model, m * model.hbar, t)
+        r_star, u_values = _reduced_spectrum(model, m, model.hbar, t)
         return cls(k=model.k(t), hbar=model.hbar, m_values=m, r_star=r_star,
                    u_values=u_values, degenerate=(r_star == 0.0))
 
@@ -135,22 +133,35 @@ def _phased(state: CircleState, table: SpectrumTable, t: float) -> np.ndarray:
     """c_m exp(-i U_m t / hbar) of a normalized state on the table's window."""
     _require_normalized(state)
     table._match(state)
-    return state.coeffs * _phase_factors(table.u_values * t, state.hbar)
+    with np.errstate(over="ignore"):  # an overflowing U t raises in _phase_factors
+        action = table.u_values * t
+    return state.coeffs * _phase_factors(action, state.hbar)
 
 
-def _simpson(integrand, a: float, b: float, intervals: int):
-    """Composite Simpson (weights 1-4-2-...-4-1) of integrand(nodes) along its last
-    axis over [a, b]; an odd interval count rounds up to the next even one."""
+def _simpson_nodes(a: float, b: float, intervals: int) -> np.ndarray:
+    """The composite Simpson nodes on [a, b]; an odd interval count rounds up to the
+    next even one."""
     n = int(intervals)
     if n < 2:
         raise UsageError("need at least 2 quadrature steps")
     n += n % 2
-    values = integrand(np.linspace(a, b, n + 1))
+    return np.linspace(a, b, n + 1)
+
+
+def _simpson_sum(values, a: float, b: float):
+    """Composite Simpson (weights 1-4-2-...-4-1) of values at the nodes of [a, b] along
+    their last axis."""
+    n = values.shape[-1] - 1
     # the weights come after the integrand's temporaries are freed: the peak stays theirs
     weights = np.ones(n + 1)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
     return ((b - a) / n / 3.0) * (values @ weights)
+
+
+def _simpson(integrand, a: float, b: float, intervals: int):
+    """Composite Simpson of integrand(nodes) along its last axis over [a, b]."""
+    return _simpson_sum(integrand(_simpson_nodes(a, b, intervals)), a, b)
 
 
 def evolve_static(state: CircleState, table: SpectrumTable, t: float) -> CircleState:
@@ -174,22 +185,23 @@ def evolve_time_dependent(state: CircleState, model: KlauderModel, t0: float, t1
     """
     _require_normalized(state)
     hbar = state.hbar
-    p_phi = (state.m_values * hbar)[:, None]
+    modes = state.m_values[:, None]
 
     def potentials(ts):  # U(r*_m(t)) for all modes and times; (modes, times)
-        return _reduced_spectrum(model, p_phi, ts)[1]
+        return _reduced_spectrum(model, modes, hbar, ts)[1]
 
     t_star = -model.k.k0 / model.k.k1 if model.time_dependent else np.nan
-    if min(t0, t1) <= t_star <= max(t0, t1):
-        def from_cusp(end):  # int_t*^end U_m dt
-            if end == t_star:
-                return 0.0
-            sign = np.sign(end - t_star)
-            return sign * _simpson(lambda s: potentials(t_star + sign * s * s) * (2.0 * s),
-                                   0.0, np.sqrt(abs(end - t_star)), quadrature_steps)
-        integrals = from_cusp(t1) - from_cusp(t0)
-    else:
-        integrals = _simpson(potentials, t0, t1, quadrature_steps)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite integral raises below
+        if min(t0, t1) <= t_star <= max(t0, t1):
+            def from_cusp(end):  # int_t*^end U_m dt
+                if end == t_star:
+                    return 0.0
+                sign = np.sign(end - t_star)
+                return sign * _simpson(lambda s: potentials(t_star + sign * s * s) * (2.0 * s),
+                                       0.0, np.sqrt(abs(end - t_star)), quadrature_steps)
+            integrals = from_cusp(t1) - from_cusp(t0)
+        else:
+            integrals = _simpson(potentials, t0, t1, quadrature_steps)
     return CircleState(state.coeffs * _phase_factors(integrals, hbar), hbar).normalized()
 
 
@@ -244,13 +256,34 @@ def expect_phi(state: CircleState, table: SpectrumTable, t: float) -> PhiExpecta
     return PhiExpectation(value=float(value.real), imag_residue=float(value.imag))
 
 
+@dataclass(frozen=True, eq=False)
+class PhiGrid:
+    """The Simpson nodes of ``nodes`` intervals on [0, 2pi] and the basis e^{i m phi}
+    at them, one row per node and one column per mode m = -m_max..m_max. Only the
+    coefficients change from state to state, so a sweep builds one grid and passes
+    it to every ``expect_phi_quadrature`` call."""
+
+    nodes: int
+    phis: np.ndarray
+    basis: np.ndarray
+
+    @classmethod
+    def build(cls, m_max: int, nodes: int) -> "PhiGrid":
+        phis = _simpson_nodes(0.0, 2.0 * np.pi, nodes)
+        return cls(nodes=int(nodes), phis=phis,
+                   basis=np.exp(1j * np.outer(phis, np.arange(-m_max, m_max + 1))))
+
+
 def expect_phi_quadrature(state: CircleState, table: SpectrumTable, t: float,
-                          nodes: int = 4096) -> float:
-    """Quadrature oracle (1/2pi) int_0^{2pi} phi |psi(phi,t)|^2 dphi (Simpson)."""
-    evolved = CircleState(_phased(state, table, t), state.hbar)
-    integral = _simpson(lambda phis: phis * np.abs(evolved.values_on_grid(phis)) ** 2,
-                        0.0, 2.0 * np.pi, nodes)
-    return float(integral / (2.0 * np.pi))
+                          nodes: int = 4096, grid: PhiGrid | None = None) -> float:
+    """Quadrature oracle (1/2pi) int_0^{2pi} phi |psi(phi,t)|^2 dphi (Simpson) on
+    ``nodes`` intervals, read from ``grid`` if given, else built for this call."""
+    if grid is None:
+        grid = PhiGrid.build(state.m_max, nodes)
+    elif (grid.nodes, grid.basis.shape[1]) != (nodes, len(state.coeffs)):
+        raise UsageError("phi grid does not match the node count and the state window")
+    values = grid.phis * np.abs(grid.basis @ _phased(state, table, t)) ** 2
+    return float(_simpson_sum(values, 0.0, 2.0 * np.pi) / (2.0 * np.pi))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .brackets import poisson_tensor
-from .circle import (CircleState, SpectrumTable, evolve_time_dependent,
+from .circle import (CircleState, PhiGrid, SpectrumTable, evolve_time_dependent,
                      expect_cartesian, expect_phi, expect_phi_quadrature, expect_reduced)
 from .constraints import dirac_bracket, dirac_tensor
 from .dynamics import IntegratorConfig, NewtonProjection, constraint_drift, evolve
@@ -450,6 +450,8 @@ def cmd_quantum(config: dict, args) -> int:
                "phi_mean_quadrature", "re_xy", "im_xy", "re_pxy", "im_pxy", "norm"]
     rows = []
     static_table = None if ramped else SpectrumTable.build(model, m_max)
+    nodes = 4096  # intervals of the phi quadrature oracle
+    grid = None  # built at the first row, after expect_phi's (2 m_max + 1)^2 arrays
     for t in times:
         t = float(t)
         if ramped:
@@ -462,8 +464,11 @@ def cmd_quantum(config: dict, args) -> int:
             table_t = static_table
             phi_t = t
         reduced = expect_reduced(evolved, table_t)
-        phi_mean = expect_phi(evolved, table_t, phi_t)
-        quad = expect_phi_quadrature(evolved, table_t, phi_t, nodes=4096)
+        with _sized_by("quantum/m_max"):
+            phi_mean = expect_phi(evolved, table_t, phi_t)
+            if grid is None:
+                grid = PhiGrid.build(m_max, nodes)
+        quad = expect_phi_quadrature(evolved, table_t, phi_t, nodes, grid)
         cart = expect_cartesian(evolved, table_t, phi_t)
         rows.append([t, reduced.r_mean, reduced.pr_mean, reduced.pphi_mean,
                      phi_mean.value, quad, cart.xy.real, cart.xy.imag,

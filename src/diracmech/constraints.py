@@ -82,9 +82,9 @@ class ConstraintSet:
         return self.values_along([t], [coords])[0]
 
     def rates_at(self, t: float) -> list:
-        """d(offset)/dt of every constraint as Python floats, 0.0 where there is no ramp."""
-        return [0.0 if ramp is None else float(ramp.rate(t))
-                for ramp in self.time_ramps or (None,) * len(self.fields)]
+        """d(offset)/dt of every constraint of a time-dependent set as Python floats,
+        0.0 where there is no ramp."""
+        return [0.0 if ramp is None else float(ramp.rate(t)) for ramp in self.time_ramps]
 
     def gradient_rows(self, coords: np.ndarray) -> list:
         """One gradient row per constraint at a float64 array, as lists of Python floats."""

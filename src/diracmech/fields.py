@@ -163,18 +163,22 @@ def polynomial_field(chart: ChartSpec, terms: Sequence[tuple[float, Sequence[int
             total = total + term
         return total
 
-    def grad(z, terms=cleaned, dim=chart.dim):
+    # one (j, coeff * p_j, ((i, e_i), ...)) per term and coordinate j with p_j > 0: the
+    # factors of d(term)/dz_j whose exponent e_i is positive, in coordinate order
+    partials = []
+    for coeff, powers in cleaned:
+        for j, pj in enumerate(powers):
+            if pj:
+                exponents = (p - 1 if i == j else p for i, p in enumerate(powers))
+                partials.append((j, coeff * pj,
+                                 tuple((i, e) for i, e in enumerate(exponents) if e)))
+
+    def grad(z, partials=tuple(partials), dim=chart.dim):
         g = [0.0] * dim
-        for coeff, powers in terms:
-            for j, pj in enumerate(powers):
-                if pj == 0:
-                    continue
-                term = coeff * pj
-                for i, p in enumerate(powers):
-                    e = p - 1 if i == j else p
-                    if e:
-                        term *= _power(z[i], e)
-                g[j] += term
+        for j, term, factors in partials:
+            for i, e in factors:
+                term *= _power(z[i], e)
+            g[j] += term
         return g
 
     return ScalarField(name=name, chart=chart, func=func, grad=grad)

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .brackets import poisson_bracket, poisson_bracket_field
-from .circle import (CircleState, SpectrumTable, evolve_static, evolve_time_dependent,
+from .circle import (CircleState, PhiGrid, SpectrumTable, evolve_static, evolve_time_dependent,
                      expect_cartesian, expect_cartesian_matrix_oracle, expect_phi,
                      expect_phi_quadrature, expect_reduced)
 from .constraints import (ConstraintSet, classify, dirac_bracket, dirac_tensor,
@@ -470,12 +470,13 @@ def check_stationarity(rng, fault):
 def check_phi_vs_quadrature(rng, fault):
     model = KlauderModel(alpha=1.0, k=0.5, potential=RadialPotential((0.0, 0.7)))
     table = SpectrumTable.build(model, 8)
+    grid = PhiGrid.build(8, 4096)
     worst = 0.0
     for _ in range(20):
         state = CircleState.random(rng, 8)
         t = rng.uniform(0, 10)
         analytic = expect_phi(state, table, t)
-        quad = expect_phi_quadrature(state, table, t)
+        quad = expect_phi_quadrature(state, table, t, 4096, grid)
         worst = max(worst, abs(analytic.value - quad - fault), abs(analytic.imag_residue))
     return _result("quantum.phi_vs_quadrature", worst, 1e-6,
                    "double sum vs 4096-node quadrature")

@@ -288,6 +288,22 @@ SINGLE_MODE_SWEEP = {"m_max": 2, "single_mode": 1, "times": [0.0, 0.5]}
                            "potential": {"type": "poly", "coeffs": [0, 1]}},
                  "quantum": SINGLE_MODE_SWEEP},
      3, "non-finite phase: U t / hbar overflows"),
+    # U t, m hbar and the Simpson sum of U overflow before the phases are taken
+    ("quantum", {"model": {"kind": "klauder", "potential": {"type": "poly", "coeffs": [1e308, 1]}},
+                 "quantum": {**SINGLE_MODE_SWEEP, "times": [0.0, 10.0]}},
+     3, "non-finite phase: U t / hbar overflows"),
+    ("quantum", {"model": {"kind": "klauder", "hbar": 1e308,
+                           "potential": {"type": "poly", "coeffs": [0, 1]}},
+                 "quantum": SINGLE_MODE_SWEEP},
+     3, "non-finite reduced spectrum: r*^4 or U(r*) overflows"),
+    ("quantum", {"model": {"kind": "klauder", "hbar": 1e308, "k": [0.5, -1.0],
+                           "potential": {"type": "poly", "coeffs": [0, 1]}},
+                 "quantum": SINGLE_MODE_SWEEP},
+     3, "non-finite reduced spectrum: r*^4 or U(r*) overflows"),
+    ("quantum", {"model": {"kind": "klauder", "k": [0.5, -1.0],
+                           "potential": {"type": "poly", "coeffs": [0, 1e308]}},
+                 "quantum": {**SINGLE_MODE_SWEEP, "times": [0.0, 1.5]}},
+     3, "non-finite phase: U t / hbar overflows"),
     # sizes whose arrays exceed 2^60 bytes, which no host can map
     ("quantum", {"model": {"kind": "klauder"}, "quantum": {**SINGLE_MODE_SWEEP, "m_max": 10 ** 18}},
      2, "quantum/m_max is too large: its arrays cannot be allocated"),
@@ -336,6 +352,22 @@ def test_extreme_valid_config_ends_in_one_error_line(tmp_path, capsys, command, 
     assert [line for line in err if line.startswith("error:")] == [f"error: {message}"]
     if command == "quantum":
         assert not out.exists()  # no NaN rows
+
+
+@pytest.mark.parametrize("name", ["PhiGrid.build", "expect_phi"])
+def test_quantum_window_too_large_for_its_mode_arrays_is_a_config_error(
+        tmp_path, capsys, monkeypatch, name):
+    # the phi grid holds (nodes + 1) x (2 m_max + 1) values and expect_phi (2 m_max + 1)^2;
+    # an m_max that allocates its state but not these would take gigabytes to reach here
+    def unallocatable(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(f"diracmech.cli.{name}", unallocatable)
+    config = write_config(tmp_path / "cfg.json",
+                          {"model": {"kind": "klauder"}, "quantum": SINGLE_MODE_SWEEP})
+    assert run_cli("quantum", "--config", config, "--out", str(tmp_path / "q.csv")) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: quantum/m_max is too large: its arrays cannot be allocated"]
 
 
 @pytest.mark.parametrize("payload", [GAUGE, RAMPED_DIRAC])

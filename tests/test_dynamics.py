@@ -59,6 +59,16 @@ def test_gauge_flow_matches_closed_form():
     assert np.max(traj.residuals["C"]) < 1e-10
 
 
+def test_gauge_flow_matches_closed_form_off_unit_alpha():
+    # at alpha != 1, p0 / alpha and alpha q0 weigh sinh(alpha T) differently from p0 and q0
+    model = KlauderModel(alpha=1.7, k=0.0)
+    x0 = model.cartesian_chart.point([0.6, -0.4, 1.1, 0.5])
+    traj = evolve(x0, GaugeFlow(model.cartesian_generator, 1.0),
+                  IntegratorConfig(dt=1e-3, steps=800))
+    q, p = gauge_orbit_closed_form([0.6, -0.4], [1.1, 0.5], 1.7, 0.8)
+    assert np.max(np.abs(traj.states[-1] - np.concatenate([q, p]))) < 1e-8
+
+
 def test_gauge_flow_time_dependent_multiplier():
     # lambda(t) = cos t accumulates T = sin(1) by t = 1
     model = KlauderModel(alpha=1.0, k=0.0)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from diracmech.circle import (CircleState, SpectrumTable, evolve_static,
+from diracmech.circle import (CircleState, PhiGrid, SpectrumTable, evolve_static,
                               evolve_time_dependent, expect_cartesian,
                               expect_cartesian_matrix_oracle, expect_phi,
                               expect_phi_quadrature, expect_reduced)
@@ -232,6 +232,42 @@ def test_expect_phi_matches_quadrature_randomly(rng):
         assert abs(analytic.imag_residue) < 1e-12
         assert analytic.value == pytest.approx(expect_phi_quadrature(state, table, t),
                                                abs=1e-6)
+
+
+def per_call_phi_quadrature(state, table, t, nodes):
+    """The quadrature oracle as each call once built it: the grid, the basis
+    e^{i m phi} and the evolved coefficients, then Simpson's weights."""
+    n = nodes + nodes % 2
+    phis = np.linspace(0.0, 2.0 * np.pi, n + 1)
+    m_values = np.arange(-state.m_max, state.m_max + 1)
+    evolved = CircleState(state.coeffs * np.exp(-1j * (table.u_values * t) / state.hbar),
+                          state.hbar)
+    values = phis * np.abs(np.exp(1j * np.outer(phis, m_values)) @ evolved.coeffs) ** 2
+    weights = np.ones(n + 1)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    return float(((2.0 * np.pi) / n / 3.0) * (values @ weights) / (2.0 * np.pi))
+
+
+@pytest.mark.parametrize("m_max", [0, 1, 8, 64])
+@pytest.mark.parametrize("nodes", [2, 7, 4096, 4097])
+def test_phi_quadrature_on_one_grid_has_the_bits_of_the_per_call_grid(rng, m_max, nodes):
+    model, table = table_for(m_max=m_max, k=0.5, potential=RadialPotential((0.0, 0.7)))
+    grid = PhiGrid.build(m_max, nodes)
+    for _ in range(3):
+        state = CircleState.random(rng, m_max)
+        t = rng.uniform(0.0, 10.0)
+        expected = per_call_phi_quadrature(state, table, t, nodes)
+        assert expect_phi_quadrature(state, table, t, nodes, grid) == expected
+        assert expect_phi_quadrature(state, table, t, nodes) == expected
+
+
+@pytest.mark.parametrize("m_max, nodes", [(3, 4096), (4, 2048), (4, 4095)])
+def test_phi_quadrature_rejects_a_grid_of_another_size(rng, m_max, nodes):
+    model, table = table_for(m_max=4)
+    with pytest.raises(UsageError, match="phi grid does not match"):
+        expect_phi_quadrature(CircleState.random(rng, 4), table, 0.5, nodes,
+                              PhiGrid.build(m_max, 4096))
 
 
 def test_expect_cartesian_examples():

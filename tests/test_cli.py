@@ -288,22 +288,6 @@ SINGLE_MODE_SWEEP = {"m_max": 2, "single_mode": 1, "times": [0.0, 0.5]}
                            "potential": {"type": "poly", "coeffs": [0, 1]}},
                  "quantum": SINGLE_MODE_SWEEP},
      3, "non-finite phase: U t / hbar overflows"),
-    # U t, m hbar and the Simpson sum of U overflow before the phases are taken
-    ("quantum", {"model": {"kind": "klauder", "potential": {"type": "poly", "coeffs": [1e308, 1]}},
-                 "quantum": {**SINGLE_MODE_SWEEP, "times": [0.0, 10.0]}},
-     3, "non-finite phase: U t / hbar overflows"),
-    ("quantum", {"model": {"kind": "klauder", "hbar": 1e308,
-                           "potential": {"type": "poly", "coeffs": [0, 1]}},
-                 "quantum": SINGLE_MODE_SWEEP},
-     3, "non-finite reduced spectrum: r*^4 or U(r*) overflows"),
-    ("quantum", {"model": {"kind": "klauder", "hbar": 1e308, "k": [0.5, -1.0],
-                           "potential": {"type": "poly", "coeffs": [0, 1]}},
-                 "quantum": SINGLE_MODE_SWEEP},
-     3, "non-finite reduced spectrum: r*^4 or U(r*) overflows"),
-    ("quantum", {"model": {"kind": "klauder", "k": [0.5, -1.0],
-                           "potential": {"type": "poly", "coeffs": [0, 1e308]}},
-                 "quantum": {**SINGLE_MODE_SWEEP, "times": [0.0, 1.5]}},
-     3, "non-finite phase: U t / hbar overflows"),
     # sizes whose arrays exceed 2^60 bytes, which no host can map
     ("quantum", {"model": {"kind": "klauder"}, "quantum": {**SINGLE_MODE_SWEEP, "m_max": 10 ** 18}},
      2, "quantum/m_max is too large: its arrays cannot be allocated"),
@@ -340,6 +324,22 @@ SINGLE_MODE_SWEEP = {"m_max": 2, "single_mode": 1, "times": [0.0, 0.5]}
                 "flow": {"kind": "poisson", "hamiltonian": [{"coeff": 1.0, "powers": [40, 0]}]},
                 "integrator": {"dt": 0.001, "steps": 3}, "initial": {"coords": [1e11, 0.0]}},
      3, "trajectory blew up at t=0.001 (|z| > 1e+12 or NaN)"),
+    # U t, m hbar and the Simpson sum of U overflow before the phases are taken
+    ("quantum", {"model": {"kind": "klauder", "potential": {"type": "poly", "coeffs": [1e308, 1]}},
+                 "quantum": {**SINGLE_MODE_SWEEP, "times": [0.0, 10.0]}},
+     3, "non-finite phase: U t / hbar overflows"),
+    ("quantum", {"model": {"kind": "klauder", "hbar": 1e308,
+                           "potential": {"type": "poly", "coeffs": [0, 1]}},
+                 "quantum": SINGLE_MODE_SWEEP},
+     3, "non-finite reduced spectrum: r*^4 or U(r*) overflows"),
+    ("quantum", {"model": {"kind": "klauder", "hbar": 1e308, "k": [0.5, -1.0],
+                           "potential": {"type": "poly", "coeffs": [0, 1]}},
+                 "quantum": SINGLE_MODE_SWEEP},
+     3, "non-finite reduced spectrum: r*^4 or U(r*) overflows"),
+    ("quantum", {"model": {"kind": "klauder", "k": [0.5, -1.0],
+                           "potential": {"type": "poly", "coeffs": [0, 1e308]}},
+                 "quantum": {**SINGLE_MODE_SWEEP, "times": [0.0, 1.5]}},
+     3, "non-finite phase: U t / hbar overflows"),
 ])
 def test_extreme_valid_config_ends_in_one_error_line(tmp_path, capsys, command, payload, code,
                                                      message):

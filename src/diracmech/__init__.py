@@ -11,9 +11,8 @@ from .constraints import (ClassificationResult, ConstraintSet, SurfaceParametriz
                           classify, constraint_matrix, dirac_bracket, dirac_tensor,
                           faddeev_popov_determinant, observable_check,
                           pair_jacobian_check, reduced_bracket_check)
-from .dynamics import (DiracFlow, GaugeFlow, IntegratorConfig, NewtonProjection,
-                       PoissonFlow, Trajectory, constraint_drift, evolve,
-                       gauge_orbit_closed_form)
+from .dynamics import (DiracFlow, GaugeFlow, IntegratorConfig, PoissonFlow, Trajectory,
+                       constraint_drift, evolve, gauge_orbit_closed_form)
 from .errors import (ChartMismatchError, ConfigError, DegeneracyError,
                      DiracMechError, NumericDomainError, UsageError)
 from .fields import (ScalarField, coordinate_field, gradient_consistency_check,
@@ -29,7 +28,7 @@ __all__ = [
     "ConstraintSet", "ClassificationResult", "SurfaceParametrization",
     "constraint_matrix", "classify", "dirac_bracket", "dirac_tensor", "observable_check",
     "reduced_bracket_check", "faddeev_popov_determinant", "pair_jacobian_check",
-    "PoissonFlow", "DiracFlow", "GaugeFlow", "IntegratorConfig", "NewtonProjection",
+    "PoissonFlow", "DiracFlow", "GaugeFlow", "IntegratorConfig",
     "Trajectory", "evolve", "constraint_drift", "gauge_orbit_closed_form",
     "DiracMechError", "UsageError", "ChartMismatchError", "ConfigError",
     "NumericDomainError", "DegeneracyError",

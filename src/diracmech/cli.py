@@ -25,7 +25,7 @@ from .brackets import poisson_tensor
 from .circle import (CircleState, PhiGrid, SpectrumTable, evolve_time_dependent,
                      expect_cartesian, expect_phi, expect_phi_quadrature, expect_reduced)
 from .constraints import dirac_bracket, dirac_tensor
-from .dynamics import IntegratorConfig, NewtonProjection, constraint_drift, evolve
+from .dynamics import IntegratorConfig, constraint_drift, evolve
 from .errors import (ConfigError, DegeneracyError, NumericDomainError,
                      UsageError)
 from .fields import coordinate_field
@@ -82,7 +82,6 @@ SCENARIO_SCHEMA = _strict({
     "integrator": _strict({
         "dt": _POSITIVE,
         "steps": {"type": "integer", "minimum": 0},
-        "projection": _strict({"tol": _POSITIVE, "max_iter": {"type": "integer", "minimum": 1}}),
     }, "dt", "steps"),
     "initial": _strict({
         "coords": _NUMBERS,
@@ -223,8 +222,8 @@ COMMAND_KINDS = {
 # the keys only one model kind reads; under another kind they are rejected, not ignored
 KIND_KEYS = {
     "klauder": ("model/alpha", "model/k", "model/hbar", "model/potential",
-                "samples/r_range", "samples/momentum_range"),
-    "particle": ("model/mass", "model/spatial_dim"),
+                "samples/r_range", "samples/momentum_range", "initial/surface"),
+    "particle": ("model/mass", "model/spatial_dim", "initial/x", "initial/p"),
     "maxwell": ("model/side", "model/spacing"),
     "custom": ("model/labels", "model/constraints", "flow/hamiltonian"),
 }
@@ -349,10 +348,7 @@ def _build_integrator(config: dict) -> IntegratorConfig:
     block = config.get("integrator")
     if block is None:
         raise ConfigError("scenario needs an 'integrator' block")
-    projection = None
-    if "projection" in block:
-        projection = NewtonProjection(**block["projection"])
-    return IntegratorConfig(dt=block["dt"], steps=block["steps"], projection=projection)
+    return IntegratorConfig(dt=block["dt"], steps=block["steps"])
 
 
 def _multiplier(value):

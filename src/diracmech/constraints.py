@@ -78,9 +78,6 @@ class ConstraintSet:
     def time_dependent(self) -> bool:
         return self.time_ramps is not None and any(r is not None for r in self.time_ramps)
 
-    def values_at(self, coords, t: float = 0.0) -> np.ndarray:
-        return self.values_along([t], [coords])[0]
-
     def rates_at(self, t: float) -> list:
         """d(offset)/dt of every constraint of a time-dependent set as Python floats,
         0.0 where there is no ramp."""
@@ -93,7 +90,7 @@ class ConstraintSet:
     def require_on_surface(self, coords, label: str, tol: float = ON_SURFACE_TOL,
                            t: float = 0.0) -> None:
         """Raise UsageError naming the worst constraint unless every |Phi_I| < tol."""
-        vals = np.abs(self.values_at(coords, t))
+        vals = np.abs(self.values_along([t], [coords])[0])
         if not np.all(vals < tol):  # a NaN residual is off the surface too
             worst = int(np.argmax(vals))
             raise UsageError(f"{label} is off the constraint surface: |{self.names[worst]}| "

@@ -2,9 +2,8 @@
 
 All flows integrate dz/dt = {z, G} with classic fixed-step RK4, where G is
 the Hamiltonian (Poisson or Dirac bracket) or lambda(t) times a gauge
-generator (Poisson bracket). Constraint residuals are recorded along the way;
-an optional Newton projection can push each step back onto the surface, but
-the Dirac flow is tangent to it by construction so the default is off.
+generator (Poisson bracket). Constraint residuals are recorded along the way,
+never corrected: the Dirac flow is tangent to the surface by construction.
 
 A chart flow of a few coordinates steps on a list of Python floats: its
 right-hand side takes and returns float lists, the RK4 stage sums and the
@@ -34,18 +33,9 @@ DIRAC_SURFACE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
-class NewtonProjection:
-    """Minimal-norm Newton correction onto the constraint surface."""
-
-    tol: float = 1e-12
-    max_iter: int = 10
-
-
-@dataclass(frozen=True)
 class IntegratorConfig:
     dt: float
     steps: int
-    projection: Optional[NewtonProjection] = None
 
     def __post_init__(self):
         try:
@@ -207,22 +197,6 @@ def _array_bounded(z: np.ndarray) -> bool:
     return np.abs(z).max() <= BLOWUP_LIMIT  # False for a NaN
 
 
-def _project(z: np.ndarray, cs: ConstraintSet, t: float, proj: NewtonProjection) -> np.ndarray:
-    for _ in range(proj.max_iter):
-        vals = cs.values_at(z, t)
-        if np.max(np.abs(vals)) < proj.tol:
-            return z
-        rows = np.array(cs.gradient_rows(z))
-        # minimal-norm correction: z += rows^T delta with (rows rows^T) delta = -vals
-        delta, *_ = np.linalg.lstsq(rows @ rows.T, -vals, rcond=None)
-        z = z + rows.T @ delta
-    vals = cs.values_at(z, t)
-    if np.max(np.abs(vals)) >= proj.tol:
-        raise NumericDomainError(
-            f"Newton projection did not converge (max residual {np.max(np.abs(vals)):.3e})")
-    return z
-
-
 def evolve(x0: PhaseSpacePoint, flow: FlowSpec, cfg: IntegratorConfig,
            monitor: Optional[ConstraintSet] = None) -> Trajectory:
     """Integrate the flow from x0, recording states, residuals and G values.
@@ -258,9 +232,6 @@ def evolve(x0: PhaseSpacePoint, flow: FlowSpec, cfg: IntegratorConfig,
 
     if watched is not None:
         require_same_chart(watched, x0)
-    if cfg.projection is not None and (watched is None or len(watched) == 0):
-        raise UsageError("a Newton projection needs constraints to project onto; "
-                         "this flow watches none")
 
     dt, steps = cfg.dt, cfg.steps
     try:
@@ -287,10 +258,6 @@ def evolve(x0: PhaseSpacePoint, flow: FlowSpec, cfg: IntegratorConfig,
             for i in range(steps):
                 z = step(rhs, i * dt, z, dt)
                 t_next = (i + 1) * dt
-                if cfg.projection is not None:
-                    z = _project(np.asarray(z), watched, t_next, cfg.projection)
-                    if on_floats:
-                        z = z.tolist()
                 if not bounded(z):  # also catches NaN
                     raise NumericDomainError(
                         f"trajectory blew up at t={t_next:g} (|z| > {BLOWUP_LIMIT:g} or NaN)")

@@ -159,6 +159,11 @@ def test_scenario_schema_is_valid():
       "quantum": {"single_mode": 0, "times": [0.0], "time_dependent": True}},
      "invalid config at quantum: Additional properties are not allowed "
      "('time_dependent' was unexpected)"),
+    # the Dirac flow stays on the surface by construction, so no step is corrected
+    ({"model": {"kind": "klauder"},
+      "integrator": {"dt": 0.1, "steps": 5, "projection": {"tol": 1e-12, "max_iter": 10}}},
+     "invalid config at integrator: Additional properties are not allowed "
+     "('projection' was unexpected)"),
 ])
 def test_invalid_config_message(tmp_path, capsys, config, message):
     assert run_cli("brackets", "--config", write_config(tmp_path / "cfg.json", config)) == 2
@@ -498,22 +503,25 @@ def test_command_rejects_unsupported_model_or_flow(tmp_path, command, model, flo
                 "flow": {"kind": "poisson", "hamiltonian": []},
                 "integrator": {"dt": 0.01, "steps": 1},
                 "initial": {"x": [0.0, 0.0, 0.0], "p": [1.0, 0.0, 0.0]}}, "flow/hamiltonian"),
+    ("evolve", {"model": {"kind": "particle"}, "flow": {"kind": "poisson"},
+                "integrator": {"dt": 0.01, "steps": 1},
+                "initial": {"x": [0.0, -1.0, 2.0], "p": [3.0, 0.0, 0.0],
+                            "surface": {"p_phi": 1.0}}}, "initial/surface"),
+    ("evolve", {"model": {"kind": "klauder"}, "flow": {"kind": "dirac"},
+                "integrator": {"dt": 0.01, "steps": 1},
+                "initial": {"surface": {"p_phi": 2.0}, "x": [0.0, 0.0, 0.0]}}, "initial/x"),
+    ("evolve", {"model": {"kind": "klauder"}, "flow": {"kind": "dirac"},
+                "integrator": {"dt": 0.01, "steps": 1},
+                "initial": {"surface": {"p_phi": 2.0}, "p": [1.0, 0.0, 0.0]}}, "initial/p"),
+    ("evolve", {"model": {"kind": "custom", "labels": ["q", "p"]}, "flow": {"kind": "poisson"},
+                "integrator": {"dt": 0.01, "steps": 1},
+                "initial": {"coords": [1.0, 0.0], "surface": {"p_phi": 1.0}}}, "initial/surface"),
 ])
 def test_key_of_another_model_kind_exits_2(tmp_path, capsys, command, payload, path):
     config = write_config(tmp_path / "cfg.json", payload)
     assert run_cli(command, "--config", config, "--out", str(tmp_path / "out.csv")) == 2
     assert capsys.readouterr().err.startswith(f"error: {path} is read by ")
     assert not (tmp_path / "out.csv").exists()
-
-
-def test_evolve_projection_without_constraints_exits_2(tmp_path, capsys):
-    # a particle flow watches no constraints, so a projection would be ignored
-    config = write_config(tmp_path / "cfg.json", {
-        "model": {"kind": "particle", "mass": 1.0}, "flow": {"kind": "poisson"},
-        "integrator": {"dt": 0.01, "steps": 10, "projection": {"tol": 1e-10}},
-        "initial": {"x": [0.0, 0.0, 0.0], "p": [1.0, 0.0, 0.0]}})
-    assert run_cli("evolve", "--config", config, "--out", str(tmp_path / "t.csv")) == 2
-    assert "Newton projection needs constraints" in capsys.readouterr().err
 
 
 def test_evolve_unrecordable_step_count_exits_2(tmp_path, capsys):

@@ -221,6 +221,24 @@ def test_classify_mixed(rng):
     assert result.rank == 2
 
 
+def test_classify_rank_cutoff_scales_with_the_largest_singular_value():
+    # block-diagonal M with brackets 1e2 and 1e-8: |det M| = 1e-12 is not Second Class and
+    # max |M| = 1e2 not First Class; singular values (1e2, 1e2, 1e-8, 1e-8) against the
+    # cutoff tol * max(s[0], 1) = 1e-7 give rank 2, where a cutoff of tol alone gives 4
+    cs = ConstraintSet(FLAT, (polynomial_field(FLAT, [(10.0, (1, 0, 0, 0))], name="A"),
+                              polynomial_field(FLAT, [(10.0, (0, 0, 1, 0))], name="B"),
+                              polynomial_field(FLAT, [(1e-4, (0, 1, 0, 0))], name="C"),
+                              polynomial_field(FLAT, [(1e-4, (0, 0, 0, 1))], name="D")),
+                       ("A", "B", "C", "D"))
+    x = FLAT.point([0.0, 0.0, 0.0, 0.0])
+    np.testing.assert_allclose(np.linalg.svd(constraint_matrix(cs, x), compute_uv=False),
+                               [1e2, 1e2, 1e-8, 1e-8], rtol=1e-12)
+    result = classify(cs, [x], tol=1e-9)
+    assert result.kind == "mixed_or_degenerate"
+    assert result.det_M == pytest.approx(1e-12, rel=1e-12)
+    assert result.rank == 2
+
+
 # -- dirac bracket --------------------------------------------------------------
 
 def test_dirac_radial_pair_vanishes(model, polar_coords, rng):

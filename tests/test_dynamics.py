@@ -7,9 +7,8 @@ import pytest
 
 from diracmech.cli import _trajectory_rows
 from diracmech.constraints import DEGENERACY_RTOL, ConstraintSet, dirac_bracket, dirac_tensor
-from diracmech.dynamics import (DiracFlow, GaugeFlow, IntegratorConfig, NewtonProjection,
-                                PoissonFlow, _dirac_rhs, constraint_drift, evolve,
-                                gauge_orbit_closed_form)
+from diracmech.dynamics import (DiracFlow, GaugeFlow, IntegratorConfig, PoissonFlow,
+                                _dirac_rhs, constraint_drift, evolve, gauge_orbit_closed_form)
 from diracmech.errors import DegeneracyError, NumericDomainError, UsageError
 from diracmech.fields import ScalarField, coordinate_field, polynomial_field
 from diracmech.models import (KlauderModel, KRamp, LatticeMaxwell, RadialPotential,
@@ -183,32 +182,6 @@ def test_nan_in_a_later_coordinate_is_a_blow_up_at_its_step():
         warnings.simplefilter("error")
         with pytest.raises(NumericDomainError, match=r"blew up at t=0\.51 \(.* or NaN\)"):
             evolve(FLAT.point([0.0, 1.0]), PoissonFlow(h), IntegratorConfig(dt=0.01, steps=100))
-
-
-def test_newton_projection_restores_surface():
-    model = KlauderModel(alpha=1.0, k=1.0, potential=RadialPotential.harmonic())
-    x0 = model.embed_reduced(phi=0.0, p_phi=1.0)
-    cfg = IntegratorConfig(dt=1e-2, steps=200, projection=NewtonProjection())
-    traj = evolve(x0, DiracFlow(model.hamiltonian(), model.constraint_set), cfg)
-    drift = constraint_drift(traj)
-    assert max(s.max_residual for s in drift.values()) < 1e-11
-
-
-def test_newton_projection_needs_watched_constraints():
-    model = KlauderModel(alpha=1.0, k=1.0, potential=RadialPotential.harmonic())
-    x0 = model.embed_reduced(phi=0.0, p_phi=1.0)
-    cfg = IntegratorConfig(dt=1e-2, steps=5, projection=NewtonProjection())
-    with pytest.raises(UsageError, match="Newton projection needs constraints"):
-        evolve(x0, PoissonFlow(model.hamiltonian()), cfg)
-    traj = evolve(x0, PoissonFlow(model.hamiltonian()), cfg, monitor=model.constraint_set)
-    assert max(s.max_residual for s in constraint_drift(traj).values()) < 1e-12
-
-
-def test_newton_projection_onto_an_empty_monitor_is_a_usage_error():
-    h = polynomial_field(FLAT, [(0.5, (2, 0)), (0.5, (0, 2))], name="H")
-    cfg = IntegratorConfig(dt=1e-2, steps=5, projection=NewtonProjection())
-    with pytest.raises(UsageError, match="Newton projection needs constraints"):
-        evolve(FLAT.point([1.0, 0.0]), PoissonFlow(h), cfg, monitor=ConstraintSet(FLAT, (), ()))
 
 
 def test_degeneracy_mid_run_keeps_partial_trajectory():
@@ -567,7 +540,7 @@ def test_residual_series_equals_the_per_state_reference_bitwise():
         [(2, False), (2, True), (4, False), (2, True)]
     for cs, traj in cases:
         series = cs.residual_series(traj.times, traj.states)
-        reference = np.stack([np.abs(cs.values_at(z, t))
+        reference = np.stack([np.abs(cs.values_along([t], [z])[0])
                               for t, z in zip(traj.times, traj.states)])
         assert list(series) == list(cs.names)
         for j, name in enumerate(cs.names):

@@ -1,3 +1,4 @@
+import cmath
 import math
 import warnings
 
@@ -49,6 +50,70 @@ def test_dual_transcendentals():
         assert out.eps[0] == pytest.approx(deriv, rel=1e-14)
     y = duals.atan2(x, 2.0)
     assert y.eps[0] == pytest.approx(2.0 / (4.0 + 0.49), rel=1e-14)
+
+
+COMPLEX_STEP = 1e-200  # Im f(x + ih)/h is f'(x) to rounding: no difference is taken
+
+
+# (dual form, complex form where it differs, "d" a dual and "f" a float argument, positive)
+DUAL_OPERATORS = {
+    "dual+dual": (lambda a, b: a + b, None, "dd", False),
+    "dual+float": (lambda a, b: a + b, None, "df", False),
+    "float+dual": (lambda a, b: a + b, None, "fd", False),
+    "dual-dual": (lambda a, b: a - b, None, "dd", False),
+    "dual-float": (lambda a, b: a - b, None, "df", False),
+    "float-dual": (lambda a, b: a - b, None, "fd", False),
+    "dual*dual": (lambda a, b: a * b, None, "dd", False),
+    "dual*float": (lambda a, b: a * b, None, "df", False),
+    "float*dual": (lambda a, b: a * b, None, "fd", False),
+    "dual/dual": (lambda a, b: a / b, None, "dd", False),
+    "dual/float": (lambda a, b: a / b, None, "df", False),
+    "float/dual": (lambda a, b: a / b, None, "fd", False),
+    "square": (lambda a: a ** 2, None, "d", False),
+    "cube": (lambda a: a ** 3, None, "d", False),
+    "power": (lambda a: a ** -1.5, None, "d", True),
+    "neg": (lambda a: -a, None, "d", False),
+    "sqrt": (duals.sqrt, cmath.sqrt, "d", True),
+    "exp": (duals.exp, cmath.exp, "d", False),
+    "log": (duals.log, cmath.log, "d", True),
+    "sin": (duals.sin, cmath.sin, "d", False),
+    "cos": (duals.cos, cmath.cos, "d", False),
+    "sinh": (duals.sinh, cmath.sinh, "d", False),
+    "cosh": (duals.cosh, cmath.cosh, "d", False),
+}
+
+
+@pytest.mark.parametrize("name", list(DUAL_OPERATORS))
+def test_dual_operator_matches_the_complex_step_derivative(name, rng):
+    dual_fn, complex_fn, kinds, positive = DUAL_OPERATORS[name]
+    complex_fn = complex_fn or dual_fn
+    for _ in range(20):
+        args = rng.uniform(0.5, 2.0, len(kinds))
+        if not positive:
+            args *= rng.choice([-1.0, 1.0], len(kinds))
+        tangents = rng.uniform(-3.0, 3.0, (len(kinds), 3))  # three non-unit directions
+        out = dual_fn(*(duals.Dual(a, t) if kind == "d" else float(a)
+                        for a, t, kind in zip(args, tangents, kinds)))
+        expected = [complex_fn(*(complex(a, COMPLEX_STEP * t[j]) if kind == "d" else float(a)
+                                 for a, t, kind in zip(args, tangents, kinds)))
+                    for j in range(3)]
+        assert out.val == pytest.approx(expected[0].real, rel=1e-15)
+        np.testing.assert_allclose(out.eps, [e.imag / COMPLEX_STEP for e in expected],
+                                   rtol=1e-13, atol=1e-15)
+
+
+def test_dual_atan2_matches_its_closed_form_partials(rng):
+    for _ in range(20):
+        y, x = rng.uniform(-2.0, 2.0, 2)
+        ty, tx = rng.uniform(-3.0, 3.0, (2, 3))
+        r2 = x * x + y * y
+        d_dy, d_dx = x / r2, -y / r2
+        for out, tangent in ((duals.atan2(duals.Dual(y, ty), duals.Dual(x, tx)),
+                              d_dy * ty + d_dx * tx),
+                             (duals.atan2(duals.Dual(y, ty), x), d_dy * ty),
+                             (duals.atan2(y, duals.Dual(x, tx)), d_dx * tx)):
+            assert out.val == math.atan2(y, x)
+            np.testing.assert_allclose(out.eps, tangent, rtol=1e-13, atol=1e-15)
 
 
 @pytest.mark.parametrize("fn, arg, dual", [

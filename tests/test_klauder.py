@@ -180,7 +180,7 @@ def test_ramp_values_and_flags():
         assert constant.k(t).hex() == (1.0).hex()
     cs = model.constraint_set
     x = model.embed_reduced(0.0, 1.0)
-    vals_later = cs.values_at(x.coords, t=2.0)
+    vals_later = cs.values_along([2.0], [x.coords])[0]
     assert vals_later[0] == pytest.approx(-1.0)  # chi = r p_r - k(2) = 1 - 2
 
 

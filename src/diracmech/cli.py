@@ -3,7 +3,10 @@
 One JSON scenario per file, validated against a strict schema (unknown keys
 rejected). Sampling is driven by numpy's seeded PCG64 generator so a fixed
 (config, seed) pair reproduces every table bit for bit. Floats are printed
-with 17 significant digits for round-trip exactness.
+with 17 significant digits (``%.17g``) for round-trip exactness. A CSV artifact
+has commas between cells, CRLF line ends and minimal quoting: a cell holding a
+comma, a double quote, CR or LF is double-quoted, its double quotes doubled.
+A scenario block that the subcommand never reads is a config error.
 
 Exit codes: 0 success, 1 verification failure, 2 config error, 3 numerical
 degeneracy.
@@ -12,11 +15,9 @@ degeneracy.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from contextlib import contextmanager
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -219,6 +220,15 @@ COMMAND_KINDS = {
 }
 
 
+# the blocks each subcommand reads besides seed, model and output; any other is rejected
+COMMAND_BLOCKS = {
+    "brackets": ("samples",),
+    "evolve": ("flow", "integrator", "initial"),
+    "quantum": ("quantum",),
+    "maxwell": ("integrator", "maxwell"),
+}
+
+
 # the keys only one model kind reads; under another kind they are rejected, not ignored
 KIND_KEYS = {
     "klauder": ("model/alpha", "model/k", "model/hbar", "model/potential",
@@ -233,6 +243,9 @@ def build_model(config: dict, command: str):
     block = config.get("model")
     if block is None:
         raise ConfigError("scenario needs a 'model' block")
+    for name in config:
+        if name not in ("seed", "model", "output", *COMMAND_BLOCKS[command]):
+            raise ConfigError(f"the {command!r} subcommand does not read the {name!r} block")
     kind = block["kind"]
     if kind not in COMMAND_KINDS[command]:
         raise ConfigError(f"the {command!r} subcommand runs {', '.join(COMMAND_KINDS[command])} "
@@ -283,9 +296,39 @@ def _rng(config: dict, args) -> np.random.Generator:
 # artifact writing
 
 
+def _text(value) -> str:
+    """A float (numpy's too) to 17 significant digits, anything else by str."""
+    return "%.17g" % value if isinstance(value, float) else str(value)
+
+
 def _formatted(rows) -> list[list[str]]:
-    """Rows as text: a float (numpy's too) to 17 significant digits, anything else by str."""
-    return [[f"{v:.17g}" if isinstance(v, float) else str(v) for v in row] for row in rows]
+    return [list(map(_text, row)) for row in rows]
+
+
+_QUOTED = frozenset(',"\r\n')
+
+
+def _csv_cell(value) -> str:
+    """The cell's text, in double quotes (its own doubled) when it holds a comma, a
+    double quote, CR or LF."""
+    text = _text(value)
+    return text if _QUOTED.isdisjoint(text) else '"' + text.replace('"', '""') + '"'
+
+
+def _csv_lines(rows) -> list[str]:
+    """The CSV lines of rows of one width, one column at a time: a column of floats in
+    one map of %.17g, any other cell by cell. Rows of differing widths, or of fewer
+    than two cells (a lone empty cell is written "" so the line is not blank), go row
+    by row."""
+    widths = set(map(len, rows))
+    if len(widths) != 1 or widths.pop() < 2:
+        return [(",".join(map(_csv_cell, row)) or ('""' if row else "")) + "\r\n"
+                for row in rows]
+    columns = [list(map("%.17g".__mod__, column))
+               if all(issubclass(kind, float) for kind in set(map(type, column)))
+               else list(map(_csv_cell, column)) for column in zip(*rows)]
+    columns[-1] = [cell + "\r\n" for cell in columns[-1]]
+    return list(map(",".join, zip(*columns)))
 
 
 def write_table(path: str, fmt: str, columns: list[str], rows: list[list],
@@ -295,9 +338,8 @@ def write_table(path: str, fmt: str, columns: list[str], rows: list[list],
         out.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
         with open(out, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(columns)
-            writer.writerows(_formatted(chain(rows, footer_rows or ())))
+            for section in ([columns], rows, footer_rows or ()):
+                handle.writelines(_csv_lines(section))
     else:
         payload = {"columns": columns, "rows": rows}
         if footer_rows:
@@ -327,16 +369,19 @@ def cmd_brackets(config: dict, args) -> int:
     coords = {l: coordinate_field(chart, l) for l in chart.labels}
     # {z_a, z_b} = J_ab: the Poisson column is a constant of the chart
     poisson = poisson_tensor(chart.n_pairs).tolist()
-    pairs = [(a, b, poisson[chart.index(a)][chart.index(b)]) for a, b in model.bracket_pairs]
+    # per pair, once: the label, the two coordinate fields, {a, b} and (a, b)
+    pairs = [(f"{{{a},{b}}}", coords[a], coords[b], poisson[chart.index(a)][chart.index(b)],
+              (a, b)) for a, b in model.bracket_pairs]
     rows = []
     for x in model.sample(rng, count, **ranges):
         cs = model.constraints_at(x)
         dirac = dirac_tensor(cs, x)
-        for a, b, pb in pairs:
-            db = dirac_bracket(coords[a], coords[b], cs, x, tensor=dirac)
-            oracle = model.dirac_oracle((a, b), x)
-            rows.append([f"{{{a},{b}}}", *x.coords, pb, db, "" if oracle is None else oracle,
-                         "" if oracle is None else abs(db - oracle)])
+        point = x.coords.tolist()
+        for label, fa, fb, pb, pair in pairs:
+            db = dirac_bracket(fa, fb, cs, x, tensor=dirac)
+            oracle = model.dirac_oracle(pair, x)
+            rows.append((label, *point, pb, db, "", "") if oracle is None else
+                        (label, *point, pb, db, oracle, abs(db - oracle)))
     columns = ["pair", *chart.labels, "poisson", "dirac", "oracle", "abs_diff"]
     path, fmt = _resolve_output(config, args, "brackets.csv")
     write_table(path, fmt, columns, rows)
@@ -394,13 +439,12 @@ def cmd_evolve(config: dict, args) -> int:
     return EXIT_OK
 
 
-def _trajectory_rows(traj) -> list[list]:
+def _trajectory_rows(traj) -> list[tuple]:
     """t, the coordinates, one |Phi_I| per residual series and G."""
-    # one tolist() per array gives the Python floats a float() per element would
-    residuals = [series.tolist() for series in traj.residuals.values()]
-    return [[t, *z, *rest] for t, z, *rest in
-            zip(traj.times.tolist(), traj.states.tolist(), *residuals,
-                traj.generator_values.tolist())]
+    # one tolist() per column gives the Python floats a float() per element would
+    return list(zip(traj.times.tolist(), *traj.states.T.tolist(),
+                    *(series.tolist() for series in traj.residuals.values()),
+                    traj.generator_values.tolist()))
 
 
 def _write_trajectory(path, fmt, traj):

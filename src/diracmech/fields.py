@@ -109,7 +109,7 @@ class ScalarField:
     def gradient(self, x: PhaseSpacePoint) -> np.ndarray:
         require_same_chart(self, x)
         g = self.gradient_at(x.coords)
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             bad = self.chart.labels[int(np.argmin(np.isfinite(g)))]
             raise NumericDomainError(
                 f"gradient of {self.name!r} is non-finite in coordinate {bad!r}"

@@ -79,7 +79,7 @@ class PhaseSpacePoint:
                 f"point needs {self.chart.dim} coordinates for chart "
                 f"{self.chart.name!r}, got shape {coords.shape}"
             )
-        if not np.all(np.isfinite(coords)):
+        if not np.isfinite(coords).all():
             bad = self.chart.labels[int(np.argmin(np.isfinite(coords)))]
             raise NumericDomainError(f"non-finite coordinate {bad!r}")
         if not self.chart.contains(coords):

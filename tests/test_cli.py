@@ -1,6 +1,8 @@
 import csv
+import importlib.util
 import json
 import math
+import pathlib
 import warnings
 
 import numpy as np
@@ -10,7 +12,8 @@ from jsonschema.validators import validator_for
 from diracmech.brackets import poisson_bracket
 from diracmech.circle import (CircleState, SpectrumTable, evolve_time_dependent,
                               expect_phi, expect_reduced)
-from diracmech.cli import SCENARIO_SCHEMA, build_model, main
+from diracmech import cli
+from diracmech.cli import COMMAND_BLOCKS, SCENARIO_SCHEMA, build_model, main
 from diracmech.fields import coordinate_field
 from diracmech.models import KlauderModel, KRamp, RadialPotential
 from diracmech.dynamics import gauge_orbit_closed_form
@@ -58,6 +61,35 @@ def test_brackets_deterministic_for_fixed_seed(tmp_path):
     c = tmp_path / "c.csv"
     assert run_cli("brackets", "--config", config, "--seed", "124", "--out", str(c)) == 0
     assert a.read_bytes() != c.read_bytes()
+
+
+def test_brackets_reads_one_bracket_and_one_oracle_per_row(tmp_path, monkeypatch):
+    # the benchmark's traced bracket op counts these calls and rows on the same table
+    calls = {"dirac_bracket": 0, "dirac_oracle": 0}
+    written = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    write_table = cli.write_table
+
+    def recording_write_table(path, fmt, columns, rows, footer_rows=None):
+        written.append(len(rows))
+        return write_table(path, fmt, columns, rows, footer_rows)
+
+    monkeypatch.setattr(cli, "dirac_bracket", counted("dirac_bracket", cli.dirac_bracket))
+    monkeypatch.setattr(KlauderModel, "dirac_oracle",
+                        counted("dirac_oracle", KlauderModel.dirac_oracle))
+    monkeypatch.setattr(cli, "write_table", recording_write_table)
+    config = write_config(tmp_path / "cfg.json", {
+        "seed": 3, "model": {"kind": "klauder", "alpha": 1.0, "k": 1.0},
+        "samples": {"count": 5, "r_range": [0.1, 5.0], "momentum_range": [-5.0, 5.0]}})
+    assert run_cli("brackets", "--config", config, "--out", str(tmp_path / "t.csv")) == 0
+    assert calls == {"dirac_bracket": 30, "dirac_oracle": 30}
+    assert written == [30]
 
 
 def test_brackets_custom_unconstrained_dirac_equals_poisson(tmp_path):
@@ -478,14 +510,55 @@ def test_evolve_custom_dirac_flow_stays_on_surface(tmp_path):
     ("evolve", {"kind": "maxwell", "side": 2}, {"kind": "poisson"}),
     ("quantum", {"kind": "particle", "mass": 1.0}, None),
 ])
-def test_command_rejects_unsupported_model_or_flow(tmp_path, command, model, flow):
-    payload = {"model": model, "integrator": {"dt": 0.01, "steps": 1},
-               "initial": {"x": [0.0, 0.0, 0.0], "p": [1.0, 0.0, 0.0]},
-               "quantum": {"single_mode": 0, "times": [0.0]}}
-    if flow is not None:
-        payload["flow"] = flow
+def test_command_rejects_unsupported_model_or_flow(tmp_path, capsys, command, model, flow):
+    blocks = {"flow": flow, "integrator": {"dt": 0.01, "steps": 1},
+              "initial": {"x": [0.0, 0.0, 0.0], "p": [1.0, 0.0, 0.0]},
+              "quantum": {"single_mode": 0, "times": [0.0]}}
+    payload = {"model": model, **{name: blocks[name] for name in COMMAND_BLOCKS[command]
+                                  if blocks.get(name) is not None}}
     config = write_config(tmp_path / "cfg.json", payload)
     assert run_cli(command, "--config", config, "--out", str(tmp_path / "out.csv")) == 2
+    assert "block" not in capsys.readouterr().err  # the model or the flow, not a block
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def load_module(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("scenario, command, block, value", [
+    ("maxwell_l2", "maxwell", "flow", {"kind": "dirac"}),
+    ("maxwell_l2", "maxwell", "initial", {"coords": [0.0, 1.0]}),
+    ("maxwell_l2", "maxwell", "samples", {"count": 5}),
+    ("klauder_brackets", "brackets", "integrator", {"dt": 0.01, "steps": 1}),
+    ("quantum_sweep", "quantum", "integrator", {"dt": 0.01, "steps": 1}),
+])
+def test_block_the_subcommand_never_reads_exits_2(tmp_path, capsys, scenario, command, block,
+                                                  value):
+    payload = json.loads((ROOT / "scenarios" / f"{scenario}.json").read_text())
+    payload[block] = value
+    config = write_config(tmp_path / "cfg.json", payload)
+    out = tmp_path / "out.csv"
+    assert run_cli(command, "--config", config, "--out", str(out)) == 2
+    assert capsys.readouterr().err == \
+        f"error: the {command!r} subcommand does not read the {block!r} block\n"
+    assert not out.exists()
+
+
+def test_every_scenario_and_benchmark_input_has_only_blocks_its_command_reads():
+    runner = load_module("run_all_scenarios", ROOT / "scripts" / "run_all_scenarios.py")
+    configs = [(json.loads((ROOT / "scenarios" / name).read_text()), command)
+               for name, command in runner.COMMANDS.items()]
+    inputs = load_module("bench_inputs", ROOT / "bench" / "inputs.py")
+    configs += [(inputs.scenario(kind, inputs.stream("test", 1)), inputs.COMMAND[kind])
+                for kind in inputs.COMMAND]
+    for config, command in configs:
+        build_model(config, command)  # raises ConfigError on a block the command never reads
 
 
 @pytest.mark.parametrize("command, payload, path", [

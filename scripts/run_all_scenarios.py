@@ -10,12 +10,16 @@ DIR, and exit 1 on any difference. For a CSV that differs, the number of
 differing rows and the max abs difference of every column that differs are
 printed too. To capture goldens, run the script on a reference checkout and
 copy its out/ directory.
+
+The CLI runs from this checkout: its ``src/`` comes first on the child's
+PYTHONPATH, ahead of any installed copy.
 """
 
 import argparse
 import csv
 import json
 import math
+import os
 import pathlib
 import subprocess
 import sys
@@ -83,12 +87,14 @@ def main(argv=None):
         print(f"scenarios/{line}", file=sys.stderr)
     if unmatched:
         return 1
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
     failures = 0
     for name, command in COMMANDS.items():
         config = scenario_dir / name
         result = subprocess.run(
             [sys.executable, "-m", "diracmech", command, "--config", str(config)],
-            capture_output=True, text=True, cwd=root)
+            capture_output=True, text=True, cwd=root, env=env)
         status = "ok" if result.returncode == 0 else f"exit {result.returncode}"
         detail = []
         if result.returncode == 0 and args.check is not None:

@@ -184,6 +184,8 @@ def evolve_time_dependent(state: CircleState, model: KlauderModel, t0: float, t1
     U_m(t* +- s^2) 2s is smooth.
     """
     _require_normalized(state)
+    if state.hbar != model.hbar:
+        raise UsageError("state and model disagree on hbar")
     hbar = state.hbar
     modes = state.m_values[:, None]
 

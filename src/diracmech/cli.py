@@ -6,7 +6,10 @@ rejected). Sampling is driven by numpy's seeded PCG64 generator so a fixed
 with 17 significant digits (``%.17g``) for round-trip exactness. A CSV artifact
 has commas between cells, CRLF line ends and minimal quoting: a cell holding a
 comma, a double quote, CR or LF is double-quoted, its double quotes doubled.
-A scenario block that the subcommand never reads is a config error.
+Each subcommand's row of ``COMMANDS`` names the blocks it needs and the other
+blocks it may read; a scenario that lacks a needed block or holds one the
+subcommand never reads is a config error, raised before anything is computed.
+So is an artifact path that cannot be written.
 
 Exit codes: 0 success, 1 verification failure, 2 config error, 3 numerical
 degeneracy.
@@ -211,24 +214,6 @@ def load_config(path: str) -> dict:
     return config
 
 
-# the model kinds each subcommand runs; build_model is the only kind dispatch
-COMMAND_KINDS = {
-    "brackets": ("klauder", "particle", "custom"),
-    "evolve": ("klauder", "particle", "custom"),
-    "quantum": ("klauder",),
-    "maxwell": ("maxwell",),
-}
-
-
-# the blocks each subcommand reads besides seed, model and output; any other is rejected
-COMMAND_BLOCKS = {
-    "brackets": ("samples",),
-    "evolve": ("flow", "integrator", "initial"),
-    "quantum": ("quantum",),
-    "maxwell": ("integrator", "maxwell"),
-}
-
-
 # the keys only one model kind reads; under another kind they are rejected, not ignored
 KIND_KEYS = {
     "klauder": ("model/alpha", "model/k", "model/hbar", "model/potential",
@@ -240,15 +225,20 @@ KIND_KEYS = {
 
 
 def build_model(config: dict, command: str):
-    block = config.get("model")
-    if block is None:
-        raise ConfigError("scenario needs a 'model' block")
+    """The scenario's model, once the scenario passes the command's row of COMMANDS and
+    KIND_KEYS; the only kind dispatch, and it runs before anything is computed."""
+    spec = COMMANDS[command]
+    for name in spec["needs"]:
+        if name not in config:
+            raise ConfigError(f"scenario needs {'an' if name[0] in 'aeiou' else 'a'} "
+                              f"{name!r} block")
     for name in config:
-        if name not in ("seed", "model", "output", *COMMAND_BLOCKS[command]):
+        if name not in ("seed", "output", *spec["needs"], *spec["reads"]):
             raise ConfigError(f"the {command!r} subcommand does not read the {name!r} block")
+    block = config["model"]
     kind = block["kind"]
-    if kind not in COMMAND_KINDS[command]:
-        raise ConfigError(f"the {command!r} subcommand runs {', '.join(COMMAND_KINDS[command])} "
+    if kind not in spec["kinds"]:
+        raise ConfigError(f"the {command!r} subcommand runs {', '.join(spec['kinds'])} "
                           f"models, not {kind!r}")
     for other, paths in KIND_KEYS.items():
         if other == kind:
@@ -334,24 +324,26 @@ def _csv_lines(rows) -> list[str]:
 def write_table(path: str, fmt: str, columns: list[str], rows: list[list],
                 footer_rows: list[list] | None = None):
     out = Path(path)
-    if out.parent != Path(""):
+    try:
         out.parent.mkdir(parents=True, exist_ok=True)
-    if fmt == "csv":
-        with open(out, "w", newline="") as handle:
-            for section in ([columns], rows, footer_rows or ()):
-                handle.writelines(_csv_lines(section))
-    else:
-        payload = {"columns": columns, "rows": rows}
-        if footer_rows:
-            payload["footer"] = _formatted(footer_rows)
-        with open(out, "w") as handle:
-            json.dump(payload, handle, indent=1)
-            handle.write("\n")
+        if fmt == "csv":
+            with open(out, "w", newline="") as handle:
+                for section in ([columns], rows, footer_rows or ()):
+                    handle.writelines(_csv_lines(section))
+        else:
+            payload = {"columns": columns, "rows": rows}
+            if footer_rows:
+                payload["footer"] = _formatted(footer_rows)
+            with open(out, "w") as handle:
+                json.dump(payload, handle, indent=1)
+                handle.write("\n")
+    except OSError as err:
+        raise ConfigError(f"cannot write artifact {path!r}: {err}") from err
 
 
-def _resolve_output(config, args, default_name):
+def _resolve_output(config, args):
     block = config.get("output", {})
-    path = args.out or block.get("path") or default_name
+    path = args.out or block.get("path") or COMMANDS[args.command]["artifact"]
     fmt = args.format or block.get("format") or "csv"
     return path, fmt
 
@@ -360,9 +352,8 @@ def _resolve_output(config, args, default_name):
 # subcommands
 
 
-def cmd_brackets(config: dict, args) -> int:
+def cmd_brackets(model, config: dict, args) -> int:
     rng = _rng(config, args)
-    model = build_model(config, "brackets")
     ranges = dict(config.get("samples", {}))
     count = ranges.pop("count", 100)
     chart = model.bracket_chart
@@ -383,17 +374,10 @@ def cmd_brackets(config: dict, args) -> int:
             rows.append((label, *point, pb, db, "", "") if oracle is None else
                         (label, *point, pb, db, oracle, abs(db - oracle)))
     columns = ["pair", *chart.labels, "poisson", "dirac", "oracle", "abs_diff"]
-    path, fmt = _resolve_output(config, args, "brackets.csv")
+    path, fmt = _resolve_output(config, args)
     write_table(path, fmt, columns, rows)
     print(f"wrote {len(rows)} bracket rows to {path}")
     return EXIT_OK
-
-
-def _build_integrator(config: dict) -> IntegratorConfig:
-    block = config.get("integrator")
-    if block is None:
-        raise ConfigError("scenario needs an 'integrator' block")
-    return IntegratorConfig(dt=block["dt"], steps=block["steps"])
 
 
 def _multiplier(value):
@@ -414,17 +398,14 @@ def _initial_point(block: dict, model, chart):
     return x0
 
 
-def cmd_evolve(config: dict, args) -> int:
-    model = build_model(config, "evolve")
-    flow_cfg = config.get("flow")
-    if flow_cfg is None:
-        raise ConfigError("scenario needs a 'flow' block")
+def cmd_evolve(model, config: dict, args) -> int:
+    flow_cfg = config["flow"]
     terms = flow_cfg.get("hamiltonian")
     flow, monitor = model.flow(flow_cfg["kind"], _multiplier(flow_cfg.get("multiplier", 1.0)),
                                None if terms is None else _terms(terms))
-    cfg = _build_integrator(config)
+    cfg = IntegratorConfig(**config["integrator"])
     x0 = _initial_point(config.get("initial", {}), model, flow.chart)
-    path, fmt = _resolve_output(config, args, "trajectory.csv")
+    path, fmt = _resolve_output(config, args)
 
     try:
         traj = evolve(x0, flow, cfg, monitor=monitor)
@@ -457,11 +438,8 @@ def _write_trajectory(path, fmt, traj):
     write_table(path, fmt, columns, rows, footer)
 
 
-def cmd_quantum(config: dict, args) -> int:
-    model = build_model(config, "quantum")
-    block = config.get("quantum")
-    if block is None:
-        raise ConfigError("scenario needs a 'quantum' block")
+def cmd_quantum(model, config: dict, args) -> int:
+    block = config["quantum"]
     m_max = block.get("m_max", 64)
     if "coeffs" in block:
         raw = block["coeffs"]
@@ -513,14 +491,14 @@ def cmd_quantum(config: dict, args) -> int:
         rows.append([t, reduced.r_mean, reduced.pr_mean, reduced.pphi_mean,
                      phi_mean.value, quad, cart.xy.real, cart.xy.imag,
                      cart.pxy.real, cart.pxy.imag, evolved.norm_squared()])
-    path, fmt = _resolve_output(config, args, "quantum.csv")
+    path, fmt = _resolve_output(config, args)
     write_table(path, fmt, columns, rows)
     print(f"wrote {len(rows)} expectation rows to {path}")
     return EXIT_OK
 
 
-def cmd_maxwell(config: dict, args) -> int:
-    model = build_model(config, "maxwell")
+def cmd_maxwell(model, config: dict, args) -> int:
+    cfg = IntegratorConfig(**config["integrator"])  # a bad dt fails before the projector work
     rng = _rng(config, args)
     block = config.get("maxwell", {})
     with _sized_by("model/side"):
@@ -536,15 +514,34 @@ def cmd_maxwell(config: dict, args) -> int:
         e0 = model.random_transverse(rng, e_scale) if e_scale else np.zeros_like(a0)
     if not np.all(np.isfinite(e0)):
         raise ConfigError(f"maxwell/e_scale {e_scale!r} overflows the projected initial E")
-    cfg = _build_integrator(config)
     traj = model.evolve(a0, e0, cfg)
     columns = ["t", "energy", "gauss_residual", "transverse_residual"]
     rows = list(zip(traj.times.tolist(), traj.generator_values.tolist(),
                     traj.residuals["gauss"].tolist(), traj.residuals["transverse"].tolist()))
-    path, fmt = _resolve_output(config, args, "maxwell.csv")
+    path, fmt = _resolve_output(config, args)
     write_table(path, fmt, columns, rows, checks)
     print(f"wrote {len(rows)} evolution rows and {len(checks)} checks to {path}")
     return EXIT_OK
+
+
+# per scenario subcommand: the model kinds it runs, the blocks it cannot run without, the
+# other blocks it may read (every one reads seed and output), its handler, its default
+# artifact and its help line
+COMMANDS = {
+    "brackets": {"kinds": ("klauder", "particle", "custom"), "needs": ("model",),
+                 "reads": ("samples",), "run": cmd_brackets, "artifact": "brackets.csv",
+                 "help": "Poisson/Dirac bracket tables vs oracles"},
+    "evolve": {"kinds": ("klauder", "particle", "custom"),
+               "needs": ("model", "flow", "integrator"), "reads": ("initial",),
+               "run": cmd_evolve, "artifact": "trajectory.csv",
+               "help": "integrate a flow and record residuals"},
+    "quantum": {"kinds": ("klauder",), "needs": ("model", "quantum"), "reads": (),
+                "run": cmd_quantum, "artifact": "quantum.csv",
+                "help": "expectation-value sweep on the circle"},
+    "maxwell": {"kinds": ("maxwell",), "needs": ("model", "integrator"), "reads": ("maxwell",),
+                "run": cmd_maxwell, "artifact": "maxwell.csv",
+                "help": "lattice projector checks and wave evolution"},
+}
 
 
 def cmd_verify(args) -> int:
@@ -580,10 +577,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=_seed, help="64-bit seed for PCG64 sampling")
         p.add_argument("--format", choices=["csv", "json"], help="artifact format")
 
-    add_common(sub.add_parser("brackets", help="Poisson/Dirac bracket tables vs oracles"))
-    add_common(sub.add_parser("evolve", help="integrate a flow and record residuals"))
-    add_common(sub.add_parser("quantum", help="expectation-value sweep on the circle"))
-    add_common(sub.add_parser("maxwell", help="lattice projector checks and wave evolution"))
+    for name, spec in COMMANDS.items():
+        add_common(sub.add_parser(name, help=spec["help"]))
 
     verify = sub.add_parser("verify", help="run the invariant suites")
     verify.add_argument("suite", nargs="?", default="all", choices=available_suites())
@@ -599,15 +594,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(args)
         config = load_config(args.config)
-        if args.command == "brackets":
-            return cmd_brackets(config, args)
-        if args.command == "evolve":
-            return cmd_evolve(config, args)
-        if args.command == "quantum":
-            return cmd_quantum(config, args)
-        if args.command == "maxwell":
-            return cmd_maxwell(config, args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return COMMANDS[args.command]["run"](build_model(config, args.command), config, args)
     except NumericDomainError as err:  # includes DegeneracyError
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DEGENERATE

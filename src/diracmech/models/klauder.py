@@ -334,19 +334,16 @@ class KlauderModel:
             raise UsageError(f"unknown coordinate pair {pair!r}")
         if a == b:
             return 0.0
-        r, p_r, p_phi = x["r"], x["p_r"], x["p_phi"]
+        # the brackets above pair labels in chart order (r, phi, p_r, p_phi); swapped, negated
+        sign = 1.0 if labels.index(a) < labels.index(b) else -1.0
+        if "phi" not in pair:
+            return sign * 0.0
+        other = b if a == "phi" else a
+        if other == "p_phi":
+            return sign
+        r, _, p_r, p_phi = x.coords.tolist()
         denom = p_phi ** 2 + (r * p_r) ** 2 + (self.alpha * r * r) ** 2
-        table = {
-            ("r", "p_r"): 0.0,
-            ("r", "p_phi"): 0.0,
-            ("p_r", "p_phi"): 0.0,
-            ("phi", "p_phi"): 1.0,
-            ("r", "phi"): -r * p_phi / denom,
-            ("phi", "p_r"): -p_r * p_phi / denom,
-        }
-        if pair in table:
-            return table[pair]
-        return -table[(b, a)]
+        return sign * (-(r if other == "r" else p_r) * p_phi / denom)
 
     def surface_denominator(self, p_phi: float) -> float:
         """On-surface value of the oracle denominator at t = 0: 2(k^2 + p_phi^2)."""

@@ -13,7 +13,7 @@ from diracmech.brackets import poisson_bracket
 from diracmech.circle import (CircleState, SpectrumTable, evolve_time_dependent,
                               expect_phi, expect_reduced)
 from diracmech import cli
-from diracmech.cli import COMMAND_BLOCKS, SCENARIO_SCHEMA, build_model, main
+from diracmech.cli import COMMANDS, SCENARIO_SCHEMA, build_model, main
 from diracmech.fields import coordinate_field
 from diracmech.models import KlauderModel, KRamp, RadialPotential
 from diracmech.dynamics import gauge_orbit_closed_form
@@ -514,7 +514,8 @@ def test_command_rejects_unsupported_model_or_flow(tmp_path, capsys, command, mo
     blocks = {"flow": flow, "integrator": {"dt": 0.01, "steps": 1},
               "initial": {"x": [0.0, 0.0, 0.0], "p": [1.0, 0.0, 0.0]},
               "quantum": {"single_mode": 0, "times": [0.0]}}
-    payload = {"model": model, **{name: blocks[name] for name in COMMAND_BLOCKS[command]
+    spec = COMMANDS[command]
+    payload = {"model": model, **{name: blocks[name] for name in (*spec["needs"], *spec["reads"])
                                   if blocks.get(name) is not None}}
     config = write_config(tmp_path / "cfg.json", payload)
     assert run_cli(command, "--config", config, "--out", str(tmp_path / "out.csv")) == 2
@@ -595,6 +596,95 @@ def test_key_of_another_model_kind_exits_2(tmp_path, capsys, command, payload, p
     assert run_cli(command, "--config", config, "--out", str(tmp_path / "out.csv")) == 2
     assert capsys.readouterr().err.startswith(f"error: {path} is read by ")
     assert not (tmp_path / "out.csv").exists()
+
+
+def refuse_model_work(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("model work ran")
+
+    for target in ("diracmech.models.LatticeMaxwell.projector_residuals",
+                   "diracmech.circle.SpectrumTable.build", "diracmech.cli.evolve",
+                   "diracmech.cli.dirac_tensor"):
+        monkeypatch.setattr(target, refuse)
+
+
+# (scenario file, subcommand, the needed block removed, today's message, model/side)
+MISSING_BLOCK_CASES = [
+    ("klauder_brackets", "brackets", "model", "scenario needs a 'model' block", None),
+    ("gauge_orbit", "evolve", "model", "scenario needs a 'model' block", None),
+    ("gauge_orbit", "evolve", "flow", "scenario needs a 'flow' block", None),
+    ("gauge_orbit", "evolve", "integrator", "scenario needs an 'integrator' block", None),
+    ("quantum_sweep", "quantum", "model", "scenario needs a 'model' block", None),
+    ("quantum_sweep", "quantum", "quantum", "scenario needs a 'quantum' block", None),
+    ("maxwell_l2", "maxwell", "model", "scenario needs a 'model' block", None),
+    ("maxwell_l2", "maxwell", "integrator", "scenario needs an 'integrator' block", None),
+    ("maxwell_l2", "maxwell", "integrator", "scenario needs an 'integrator' block", 64),
+]
+
+
+@pytest.mark.parametrize("scenario, command, block, message, side", MISSING_BLOCK_CASES)
+def test_missing_needed_block_exits_2_before_any_model_work(tmp_path, capsys, monkeypatch,
+                                                            scenario, command, block, message,
+                                                            side):
+    payload = json.loads((ROOT / "scenarios" / f"{scenario}.json").read_text())
+    if side is not None:
+        payload["model"]["side"] = side
+    del payload[block]
+    config = write_config(tmp_path / "cfg.json", payload)
+    refuse_model_work(monkeypatch)
+    out = tmp_path / "out.csv"
+    assert run_cli(command, "--config", config, "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_missing_block_cases_cover_every_needed_block():
+    tested = {(command, block) for _, command, block, _, _ in MISSING_BLOCK_CASES}
+    assert tested == {(command, block) for command, spec in COMMANDS.items()
+                      for block in spec["needs"]}
+
+
+SMALL_RUNS = {
+    "brackets": {"model": {"kind": "klauder"}, "samples": {"count": 2}},
+    "evolve": {"model": {"kind": "klauder", "k": 0.0}, "flow": {"kind": "gauge"},
+               "integrator": {"dt": 0.01, "steps": 2}, "initial": {"coords": [1.0, 0.0, 1.0, 0.0]}},
+    "quantum": {"model": {"kind": "klauder"},
+                "quantum": {"m_max": 2, "single_mode": 1, "times": [0.0]}},
+    "maxwell": {"model": {"kind": "maxwell", "side": 2}, "integrator": {"dt": 0.01, "steps": 2}},
+}
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_unwritable_artifact_path_exits_2_with_one_error_line(tmp_path, capsys, command, fmt):
+    config = write_config(tmp_path / "cfg.json", SMALL_RUNS[command])
+    assert run_cli(command, "--config", config, "--out", str(tmp_path), "--format", fmt) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write artifact {str(tmp_path)!r}: ")
+    assert err.count("\n") == 1
+
+
+def test_artifact_parent_that_cannot_be_made_exits_2(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "sub" / "table.csv"
+    config = write_config(tmp_path / "cfg.json", SMALL_RUNS["brackets"])
+    assert run_cli("brackets", "--config", config, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write artifact {str(out)!r}: ") and err.count("\n") == 1
+
+
+def test_unwritable_partial_trajectory_exits_2(tmp_path, capsys):
+    # the degenerate orbit of test_evolve_degeneracy_exits_3, its partial rows unwritable
+    config = write_config(tmp_path / "cfg.json", {
+        "model": {"kind": "klauder", "alpha": 1.0, "k": [0.05, -1.0]},
+        "flow": {"kind": "dirac"},
+        "integrator": {"dt": 0.001, "steps": 2000},
+        "initial": {"surface": {"phi": 0.0, "p_phi": 0.0}},
+    })
+    assert run_cli("evolve", "--config", config, "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write artifact {str(tmp_path)!r}: ")
+    assert err.count("\n") == 1
 
 
 def test_evolve_unrecordable_step_count_exits_2(tmp_path, capsys):

@@ -74,10 +74,39 @@ def test_oracle_r_phi_value():
     assert model.dirac_oracle(("r", "phi"), x) == pytest.approx(-math.sqrt(2.0) * 2.0 / 8.0)
 
 
+def pair_table_oracle(model, pair, x):
+    """The oracle as a six-entry table of the chart-ordered pairs, a swapped pair negated."""
+    a, b = pair
+    if a == b:
+        return 0.0
+    r, p_r, p_phi = x["r"], x["p_r"], x["p_phi"]
+    denom = p_phi ** 2 + (r * p_r) ** 2 + (model.alpha * r * r) ** 2
+    table = {("r", "p_r"): 0.0, ("r", "p_phi"): 0.0, ("p_r", "p_phi"): 0.0,
+             ("phi", "p_phi"): 1.0, ("r", "phi"): -r * p_phi / denom,
+             ("phi", "p_r"): -p_r * p_phi / denom}
+    return table[pair] if pair in table else -table[(b, a)]
+
+
+def test_oracle_equals_the_pair_table_bitwise(rng):
+    model = KlauderModel(alpha=1.3, k=0.7)
+    chart = model.polar_chart
+    points = list(model.sample_points(rng, 20)) + [chart.point(z) for z in (
+        [1.0, 0.0, -0.0, -0.0], [2.0, 0.5, -3.0, 0.0], [0.5, 1.0, 0.0, -2.0],
+        [1e200, 1.0, 1e200, 1e100], [1e-5, 2.0, -1e5, 3.0])]
+    for x in points:
+        for a in chart.labels:
+            for b in chart.labels:
+                assert repr(model.dirac_oracle((a, b), x)) == \
+                    repr(pair_table_oracle(model, (a, b), x)), (a, b, x)
+    assert repr(model.dirac_oracle(("p_r", "r"), points[0])) == "-0.0"
+
+
 def test_oracle_unknown_pair():
     model = KlauderModel()
     with pytest.raises(UsageError, match="unknown"):
         model.dirac_oracle(("r", "bogus"), model.polar_chart.point([1, 0, 0, 0]))
+    with pytest.raises(UsageError, match="unknown"):
+        model.dirac_oracle(("p_x", "p_x"), model.polar_chart.point([1, 0, 0, 0]))
 
 
 def test_engine_matches_oracle_everywhere(rng):

@@ -168,6 +168,15 @@ def test_ramped_tables_carry_k_and_single_mode_pr_is_classical():
             assert expect_reduced(evolved, table).pr_mean == pytest.approx(expected, abs=1e-12)
 
 
+def test_both_routes_refuse_a_state_of_another_hbar():
+    model = KlauderModel(k=KRamp(1.0, 0.5), hbar=0.7, potential=LINEAR)
+    state = CircleState.single_mode(1, 3)  # hbar = 1
+    with pytest.raises(UsageError, match="state and model disagree on hbar"):
+        evolve_time_dependent(state, model, 0.0, 0.5)
+    with pytest.raises(UsageError, match="state and table disagree on hbar"):
+        expect_reduced(state, SpectrumTable.build(model, 3))
+
+
 # -- expectation values ----------------------------------------------------------------
 
 def test_expect_reduced_examples():

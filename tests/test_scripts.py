@@ -1,7 +1,11 @@
 import importlib.util
+import os
 import pathlib
 import runpy
+import subprocess
 import sys
+
+import pytest
 
 from diracmech.models import KlauderModel, RadialPotential
 
@@ -36,6 +40,26 @@ def test_unmatched_scenario_exits_1_before_running_anything(monkeypatch, capsys)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "scenarios/absent.json: COMMANDS entry has no file\n"
+
+
+@pytest.mark.parametrize("inherited", [None, "elsewhere"])
+def test_scenarios_run_the_checkout_src_first(monkeypatch, capsys, inherited):
+    runner = load_runner()
+    seen = []
+
+    def record(argv, **kwargs):
+        seen.append(kwargs["env"]["PYTHONPATH"])
+        return subprocess.CompletedProcess(argv, 2, "", "")
+
+    monkeypatch.setattr(runner.subprocess, "run", record)
+    if inherited is None:
+        monkeypatch.delenv("PYTHONPATH", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONPATH", inherited)
+    assert runner.main([]) == 1
+    capsys.readouterr()
+    src = str(SCRIPT.parent.parent / "src")
+    assert seen == [os.pathsep.join(filter(None, [src, inherited]))] * len(runner.COMMANDS)
 
 
 def test_csv_difference_counts_rows_and_bounds_each_column(tmp_path):

@@ -11,18 +11,24 @@ differing rows and the max abs difference of every column that differs are
 printed too. To capture goldens, run the script on a reference checkout and
 copy its out/ directory.
 
+With ``--digests``, also write each artifact pinned in ``scenarios/digests.json``
+(a scenario, its subcommand, a format, the sha256 and the length in bytes) to a
+temporary directory, and exit 1 unless its digest and length match the pin.
+
 The CLI runs from this checkout: its ``src/`` comes first on the child's
 PYTHONPATH, ahead of any installed copy.
 """
 
 import argparse
 import csv
+import hashlib
 import json
 import math
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 COMMANDS = {
     "klauder_brackets.json": "brackets",
@@ -37,9 +43,13 @@ COMMANDS = {
 }
 
 
+# the pinned artifact digests, the one JSON file in scenarios/ that is no scenario
+DIGESTS = "digests.json"
+
+
 def unmatched_scenarios(scenario_dir: pathlib.Path, commands=COMMANDS) -> list[str]:
     """One line per scenario file without a COMMANDS entry, or entry without a file."""
-    files = {path.name for path in scenario_dir.glob("*.json")}
+    files = {path.name for path in scenario_dir.glob("*.json")} - {DIGESTS}
     return ([f"{name}: no COMMANDS entry" for name in sorted(files - set(commands))]
             + [f"{name}: COMMANDS entry has no file" for name in commands if name not in files])
 
@@ -75,10 +85,37 @@ def csv_difference(golden: pathlib.Path, artifact: pathlib.Path) -> list[str]:
     return lines
 
 
+def digest_statuses(scenario_dir: pathlib.Path, root: pathlib.Path, env: dict) -> list[tuple]:
+    """(subcommand, artifact, status) per artifact pinned in the digests file, written to a
+    temporary directory: ``ok``, the exit code, or the sha256 and length that differ."""
+    statuses = []
+    for pin in json.loads((scenario_dir / DIGESTS).read_text()):
+        name = f"{pin['scenario']}.{pin['format']}"
+        with tempfile.TemporaryDirectory() as directory:
+            out = pathlib.Path(directory) / name
+            result = subprocess.run(
+                [sys.executable, "-m", "diracmech", pin["command"], "--config",
+                 str(scenario_dir / f"{pin['scenario']}.json"), "--out", str(out),
+                 "--format", pin["format"]], capture_output=True, text=True, cwd=root, env=env)
+            data = out.read_bytes() if result.returncode == 0 else b""
+        found = (hashlib.sha256(data).hexdigest(), len(data))
+        if result.returncode != 0:
+            status = f"exit {result.returncode}"
+        elif found == (pin["sha256"], pin["bytes"]):
+            status = "ok"
+        else:
+            status = (f"sha256 {found[0]} of {found[1]} bytes, "
+                      f"pinned {pin['sha256']} of {pin['bytes']}")
+        statuses.append((pin["command"], name, status))
+    return statuses
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", metavar="DIR", type=pathlib.Path,
                         help="golden directory to compare the written artifacts against")
+    parser.add_argument("--digests", action="store_true",
+                        help=f"check the artifacts pinned in scenarios/{DIGESTS}")
     args = parser.parse_args(argv)
     root = pathlib.Path(__file__).resolve().parent.parent
     scenario_dir = root / "scenarios"
@@ -112,6 +149,10 @@ def main(argv=None):
         if status != "ok":
             failures += 1
             sys.stderr.write(result.stderr)
+    if args.digests:
+        for command, name, status in digest_statuses(scenario_dir, root, env):
+            print(f"{command:10} {name:28} {status}")
+            failures += status != "ok"
     return 1 if failures else 0
 
 

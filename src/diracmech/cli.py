@@ -26,15 +26,16 @@ from pathlib import Path
 import numpy as np
 
 from .brackets import poisson_tensor
-from .circle import (CircleState, PhiGrid, SpectrumTable, evolve_time_dependent,
-                     expect_cartesian, expect_phi, expect_phi_quadrature, expect_reduced)
 from .constraints import dirac_bracket, dirac_tensor
 from .dynamics import IntegratorConfig, constraint_drift, evolve
 from .errors import (ConfigError, DegeneracyError, NumericDomainError,
                      UsageError)
 from .fields import coordinate_field
 from .models import CustomModel, KlauderModel, KRamp, LatticeMaxwell, RelativisticParticle
-from .verify import DEFAULT_SEED, available_suites, run_suite
+
+# diracmech.circle and diracmech.verify load in the one subcommand that runs each, so the
+# suites of verify.available_suites() are named here for the parser
+_SUITES = ("all", "core", "constraints", "klauder", "dynamics", "particle", "maxwell", "quantum")
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -253,8 +254,10 @@ def build_model(config: dict, command: str):
                             k=KRamp(*k) if isinstance(k, list) else k, hbar=block.get("hbar", 1.0),
                             potential=block.get("potential", {}).get("coeffs", ()))
     if kind == "particle":
-        return RelativisticParticle(mass=block.get("mass", 1.0),
-                                    spatial_dim=block.get("spatial_dim", 3))
+        spatial_dim = block.get("spatial_dim", 3)
+        with _sized_by("model/spatial_dim"):  # the 2(d + 1) coordinates, before their labels
+            np.empty(2 * (spatial_dim + 1))
+        return RelativisticParticle(mass=block.get("mass", 1.0), spatial_dim=spatial_dim)
     if kind == "maxwell":
         return LatticeMaxwell(side=block.get("side", 2), spacing=block.get("spacing", 1.0))
     return CustomModel(labels=tuple(block.get("labels", ())),
@@ -439,6 +442,9 @@ def _write_trajectory(path, fmt, traj):
 
 
 def cmd_quantum(model, config: dict, args) -> int:
+    from .circle import (CircleState, PhiGrid, SpectrumTable, evolve_time_dependent,
+                         expect_cartesian, expect_phi, expect_phi_quadrature, expect_reduced)
+
     block = config["quantum"]
     m_max = block.get("m_max", 64)
     if "coeffs" in block:
@@ -545,6 +551,8 @@ COMMANDS = {
 
 
 def cmd_verify(args) -> int:
+    from .verify import DEFAULT_SEED, run_suite
+
     results = run_suite(args.suite, seed=args.seed if args.seed is not None else DEFAULT_SEED,
                         inject_fault=args.inject_fault)
     for result in results:
@@ -581,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
         add_common(sub.add_parser(name, help=spec["help"]))
 
     verify = sub.add_parser("verify", help="run the invariant suites")
-    verify.add_argument("suite", nargs="?", default="all", choices=available_suites())
+    verify.add_argument("suite", nargs="?", default="all", choices=_SUITES)
     verify.add_argument("--seed", type=_seed, help="seed for the check sampler")
     verify.add_argument("--inject-fault", metavar="CHECK_ID",
                         help="negative control: shift the named check's oracle so it fails")

@@ -127,7 +127,7 @@ def pairing_matrix_of_rows(rows: list, n_pairs: int) -> list:
     M = a - a^T with a_IJ = q_I . p_J summed in index order, so M is antisymmetric
     by construction and the diagonal a_II - a_II is NaN for a non-finite row.
     """
-    if len(rows) == 2:  # unrolled: the two-constraint Dirac flow builds one M per rhs
+    if len(rows) == 2:  # unrolled: dirac_tensor and classify build one 2x2 M per point
         r0, r1 = rows
         q0, p0, q1, p1 = r0[:n_pairs], r0[n_pairs:], r1[:n_pairs], r1[n_pairs:]
         a00, a01 = _float_dot(q0, p0), _float_dot(q0, p1)

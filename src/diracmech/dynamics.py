@@ -12,6 +12,16 @@ preallocated trajectory array. A flow with a direct array right-hand side
 (``PoissonFlow._direct_rhs``: the lattice Maxwell flow, 48 to 3,072
 coordinates) steps on float64 arrays, where numpy's per-call cost is repaid.
 Both steps sum in the same operation order, so they give the same bits.
+
+``evolve`` builds each chart flow's right-hand side once per flow, as a closure
+that has resolved its fields' gradient routes (and a gauge flow's constant
+multiplier), so a call does arithmetic only. With two constraints, as in every
+built-in Dirac flow, one pass over the gradients sums the brackets {Phi_I, H}
+and the pairing matrix M in the order of the constraint engine's float sums;
+more constraints take the engine's stacked rows and pivoted LU. The correction
+rows^T lambda stays one BLAS matvec, into arrays the closure owns: BLAS rounds
+each entry with a fused multiply-add, which Python floats cannot reproduce and
+the Dirac artifacts' bytes depend on.
 """
 
 from __future__ import annotations
@@ -23,7 +33,8 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .constraints import ConstraintSet, _constraint_brackets, _pairing_multipliers
+from .constraints import (ConstraintSet, _constraint_brackets, _pairing_multipliers,
+                          _second_class, _solve_pairing)
 from .errors import DegeneracyError, NumericDomainError, UsageError
 from .fields import ScalarField
 from .phase import ChartSpec, PhaseSpacePoint, require_same_chart
@@ -129,40 +140,76 @@ def _poisson_rhs(flow: PoissonFlow, n: int):
     direct = flow._direct_rhs(n)
     if direct is not None:
         return direct
-    h = flow.hamiltonian
+    gradient = flow.hamiltonian._gradient_floats
 
     def rhs(t, z):
-        return _symplectic_apply(h.gradient_list(z), n)
+        return _symplectic_apply(gradient(z), n)
 
     return rhs
 
 
 def _gauge_rhs(flow: GaugeFlow, n: int):
-    gen = flow.generator
+    gradient = flow.generator._gradient_floats
+    constant = None if callable(flow.multiplier) else float(flow.multiplier)
 
     def rhs(t, z):
-        lam = flow.multiplier_at(t)
-        return [lam * v for v in _symplectic_apply(gen.gradient_list(z), n)]
+        lam = flow.multiplier_at(t) if constant is None else constant
+        return [lam * v for v in _symplectic_apply(gradient(z), n)]
 
     return rhs
 
 
 def _dirac_rhs(flow: DiracFlow, n: int):
-    """{z, H}_D at (t, z) as Python floats. The brackets and M are summed on Python
-    floats; two constraints take the closed 2x2 solve, more take pivoted LU."""
+    """{z, H}_D at (t, z) as Python floats. Two constraints take one pass over the
+    gradients and the closed 2x2 solve; more take the stacked rows and pivoted LU."""
     h, cs = flow.hamiltonian, flow.constraints
-    time_dependent = cs.time_dependent
+    rates_at = cs.rates_at if cs.time_dependent else None
+    if len(cs) != 2:
+        def rhs(t, z):
+            gh, rows = h.gradient_list(z), cs.gradient_rows(z)
+            # s_J = {Phi_J, H} (+ explicit-time rates)
+            s = _constraint_brackets(rows, gh, n)
+            if rates_at is not None:
+                s = list(map(operator.add, s, rates_at(t)))
+            lam = _pairing_multipliers(rows, s, n, z)
+            return _symplectic_apply(list(map(operator.sub, gh, np.dot(lam, rows).tolist())), n)
+
+        return rhs
+
+    grad_h = h._gradient_floats
+    grad_0, grad_1 = (f._gradient_floats for f in cs.fields)
+    # rows^T lam is one BLAS matvec on arrays owned by this closure, so by one evolve call
+    lam, rows, correction = np.empty(2), np.empty((2, 2 * n)), np.empty(2 * n)
 
     def rhs(t, z):
-        gh, rows = h.gradient_list(z), cs.gradient_rows(z)
-        # s_J = {Phi_J, H} (+ explicit-time rates)
-        s = _constraint_brackets(rows, gh, n)
-        if time_dependent:
-            s = list(map(operator.add, s, cs.rates_at(t)))
-        lam = _pairing_multipliers(rows, s, n, z)
-        # grad H - rows^T lam, with rows^T lam one BLAS matvec: BLAS rounds each entry
-        # with a fused multiply-add, which Python floats cannot reproduce
-        return _symplectic_apply(list(map(operator.sub, gh, np.dot(lam, rows).tolist())), n)
+        if isinstance(z, np.ndarray):
+            z = z.tolist()
+        gh, r0, r1 = grad_h(z), grad_0(z), grad_1(z)
+        # {Phi_I, H} = b_I - c_I and M = a - a^T, a_IJ = q_I . p_J: each sum from +0.0 in
+        # index order, the bits of _constraint_brackets and pairing_matrix_of_rows
+        b0 = c0 = b1 = c1 = a00 = a01 = a10 = a11 = 0.0
+        for i in range(n):
+            q0, p0, q1, p1, hq, hp = r0[i], r0[n + i], r1[i], r1[n + i], gh[i], gh[n + i]
+            b0 += q0 * hp
+            c0 += p0 * hq
+            b1 += q1 * hp
+            c1 += p1 * hq
+            a00 += q0 * p0
+            a01 += q0 * p1
+            a10 += q1 * p0
+            a11 += q1 * p1
+        s = [b0 - c0, b1 - c1]
+        if rates_at is not None:
+            s = list(map(operator.add, s, rates_at(t)))
+        m01 = a01 - a10
+        m = [[a00 - a00, m01], [a10 - a01, a11 - a11]]  # a NaN diagonal marks a non-finite row
+        if not _second_class(m, m01 * m01):
+            _pairing_multipliers([r0, r1], s, n, z)  # raises the guard's DegeneracyError
+        lam[:] = _solve_pairing(m, s)
+        rows[0], rows[1] = r0, r1
+        # BLAS rounds each entry with a fused multiply-add, which Python floats cannot reproduce
+        np.dot(lam, rows, out=correction)
+        return _symplectic_apply(list(map(operator.sub, gh, correction.tolist())), n)
 
     return rhs
 

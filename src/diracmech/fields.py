@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dfield
+from functools import cached_property, partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -92,14 +93,24 @@ class ScalarField:
         or as gradient, is read by tolist()."""
         if isinstance(coords, np.ndarray):
             coords = coords.tolist()
-        g = self._gradient(coords)
-        return g if isinstance(g, list) else np.asarray(g, dtype=float).tolist()
+        return self._gradient_floats(coords)
 
-    def _gradient(self, coords: list):
-        # the one gradient route: the registered grad, else the dual pass
-        if self.grad is not None:
-            return self.grad(coords)
-        return duals.gradient(self.func, coords)
+    @cached_property
+    def _gradient(self) -> Callable:
+        # the one gradient route, resolved once per field: the registered grad, else the dual pass
+        return self.grad if self.grad is not None else partial(duals.gradient, self.func)
+
+    @cached_property
+    def _gradient_floats(self) -> Callable[[list], list]:
+        """``_gradient`` at a list point as a list of Python floats: a returned list as it
+        is, an array by tolist(). A flow's right-hand side resolves it once per flow."""
+        gradient = self._gradient
+
+        def floats(coords: list) -> list:
+            g = gradient(coords)
+            return g if isinstance(g, list) else np.asarray(g, dtype=float).tolist()
+
+        return floats
 
     # validated point API --------------------------------------------------
     def value(self, x: PhaseSpacePoint) -> float:

@@ -2,7 +2,10 @@ import csv
 import importlib.util
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -17,6 +20,7 @@ from diracmech.cli import COMMANDS, SCENARIO_SCHEMA, build_model, main
 from diracmech.fields import coordinate_field
 from diracmech.models import KlauderModel, KRamp, RadialPotential
 from diracmech.dynamics import gauge_orbit_closed_form
+from diracmech.verify import available_suites
 
 
 def run_cli(*argv):
@@ -26,6 +30,13 @@ def run_cli(*argv):
 def write_config(path, payload):
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def child_env():
+    """The environment of a child interpreter that imports this checkout's src first."""
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def read_csv(path):
@@ -391,6 +402,22 @@ def test_extreme_valid_config_ends_in_one_error_line(tmp_path, capsys, command, 
         assert not out.exists()  # no NaN rows
 
 
+def test_unallocatable_spatial_dim_exits_2_in_a_capped_child(tmp_path):
+    # 2(d + 1) labels for d = 10^12 would grow until the host ran out of memory; under a
+    # 1 GiB address space a regression ends in a MemoryError within seconds
+    config = write_config(tmp_path / "cfg.json",
+                          {"model": {"kind": "particle", "spatial_dim": 10 ** 12}})
+    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30)); "
+            "from diracmech.cli import main; sys.exit(main(sys.argv[1:]))")
+    done = subprocess.run([sys.executable, "-c", code, "brackets", "--config", config,
+                           "--out", str(tmp_path / "out.csv")],
+                          env={**child_env(), "OPENBLAS_NUM_THREADS": "1"},
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (
+        2, "error: model/spatial_dim is too large: its arrays cannot be allocated\n")
+    assert not (tmp_path / "out.csv").exists()
+
+
 @pytest.mark.parametrize("name", ["PhiGrid.build", "expect_phi"])
 def test_quantum_window_too_large_for_its_mode_arrays_is_a_config_error(
         tmp_path, capsys, monkeypatch, name):
@@ -399,7 +426,7 @@ def test_quantum_window_too_large_for_its_mode_arrays_is_a_config_error(
     def unallocatable(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(f"diracmech.cli.{name}", unallocatable)
+    monkeypatch.setattr(f"diracmech.circle.{name}", unallocatable)
     config = write_config(tmp_path / "cfg.json",
                           {"model": {"kind": "klauder"}, "quantum": SINGLE_MODE_SWEEP})
     assert run_cli("quantum", "--config", config, "--out", str(tmp_path / "q.csv")) == 2
@@ -859,6 +886,28 @@ def test_verify_unknown_fault_id_exits_2(capsys, suite, check_id):
     assert run_cli("verify", suite, "--inject-fault", check_id) == 2
     captured = capsys.readouterr()
     assert "names no check" in captured.err and "checks passed" not in captured.out
+
+
+def test_verify_parser_lists_the_suites_of_the_verify_module(capsys):
+    assert cli._SUITES == tuple(available_suites())
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli("verify", "-h")
+    assert exit_info.value.code == 0
+    assert "{" + ",".join(available_suites()) + "}" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli("verify", "bogus")
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument suite: invalid choice: 'bogus'" in err
+    assert all(repr(suite) in err for suite in available_suites())
+
+
+def test_cli_import_loads_neither_verify_nor_circle():
+    code = ("import sys, diracmech.cli; print(sorted(name for name in sys.modules "
+            "if name in ('diracmech.verify', 'diracmech.circle')))")
+    done = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("argv", [

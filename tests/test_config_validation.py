@@ -17,7 +17,9 @@ from diracmech.cli import SCENARIO_SCHEMA, load_config
 from diracmech.errors import ConfigError
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-SCENARIOS = [json.loads(path.read_text()) for path in sorted((ROOT / "scenarios").glob("*.json"))]
+# every scenario file; scenarios/digests.json holds the pinned artifact digests
+SCENARIOS = [json.loads(path.read_text()) for path in sorted((ROOT / "scenarios").glob("*.json"))
+             if path.name != "digests.json"]
 
 _BASE = validator_for(SCENARIO_SCHEMA)
 # the CLI's integers are Python ints: 2.0 is not one, as it is in JSON Schema

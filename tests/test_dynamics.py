@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -256,8 +258,9 @@ def reference_dirac_rhs(flow, n):
 
 
 def dirac_flows():
-    """(flow, x0): static-k and ramped-k Klauder orbits, and a four-constraint custom
-    flow whose pairing solve takes the LU route."""
+    """(flow, x0): static-k and ramped-k Klauder orbits, a four-constraint custom flow
+    whose pairing solve takes the LU route, and a two-constraint flow whose gradients come
+    from a coordinate field's array and from the dual pass."""
     for k in (1.0, KRamp(1.0, 0.5)):
         model = KlauderModel(alpha=1.0, k=k, potential=RadialPotential.harmonic())
         yield DiracFlow(model.hamiltonian(), model.constraint_set), model.embed_reduced(0.1, 2.0)
@@ -265,9 +268,17 @@ def dirac_flows():
     flow, _ = CUSTOM_FOUR.flow("dirac", hamiltonian=h)
     # on the surface: q1 = -q2 p3, p1 = 0, q2 = -q3^2 / 2, p2 = -q3^2 at q3 = 0.5, p3 = 0.25
     yield flow, CUSTOM_FOUR.chart.point([0.03125, -0.125, 0.5, 0.0, -0.25, 0.25])
+    # q1 = 0 and p1 + q1 q2 = 0 (no grad) leave the (q2, p2) surface, where q1 p2 pushes p1
+    h = polynomial_field(DENSE_CHART, [(0.5, (0, 0, 2, 0)), (0.5, (0, 0, 0, 2)),
+                                       (0.5, (0, 2, 0, 0)), (0.2, (1, 0, 0, 1))], name="H")
+    cs = ConstraintSet(DENSE_CHART, (
+        coordinate_field(DENSE_CHART, "q1"),
+        ScalarField("p1 + q1 q2", DENSE_CHART, lambda z: z[2] + z[0] * z[1])),
+        ("q1", "p1 + q1 q2"))
+    yield DiracFlow(h, cs), DENSE_CHART.point([0.0, 0.6, 0.0, -0.4])
 
 
-@pytest.mark.parametrize("index", range(3))
+@pytest.mark.parametrize("index", range(4))
 def test_dirac_rhs_equals_the_reference_bitwise_over_200_steps(index):
     flow, x0 = list(dirac_flows())[index]
     n, dt = flow.chart.n_pairs, 1e-3
@@ -449,6 +460,12 @@ FLOAT_FAILURES = {  # (flow, coords, message): where the two-constraint pairing 
     "underflowing_det": (TINY_PAIRING, [0.5, 0.25], r"is singular \(det=0\.000e\+00\)"),
     "nan_coordinate": (DiracFlow(KLAUDER.hamiltonian(), KLAUDER.constraint_set),
                        [1.0, 0.3, math.nan, 1.0], "has a non-finite entry"),
+    # M_01 = 1, but q.p = 1e200 * 1e200 of the first row overflows: M_00 = inf - inf is
+    # the NaN that fails the guard, where a literal zero diagonal would pass it
+    "nan_diagonal": (DiracFlow(coordinate_field(DENSE_CHART, "p2"), ConstraintSet(DENSE_CHART, (
+        polynomial_field(DENSE_CHART, [(1e200, (1, 0, 0, 0)), (1e200, (0, 0, 1, 0))], name="A"),
+        polynomial_field(DENSE_CHART, [(1e-200, (0, 0, 1, 0))], name="B")), ("A", "B"))),
+        [0.5, 0.25, -0.5, 1.0], "has a non-finite entry"),
 }
 
 
@@ -494,6 +511,33 @@ def test_float_dirac_rhs_keeps_the_partial_trajectory_on_a_nonfinite_row():
     assert str(tensor_route.value) == str(err.value)
 
 
+def test_concurrent_dirac_orbits_keep_the_bytes_of_their_solo_runs():
+    # each right-hand side owns its matvec buffers; a thread switch every microsecond
+    # interleaves the two orbits' stages
+    cfg = IntegratorConfig(dt=1e-3, steps=1000)
+    runs = list(dirac_flows())[:2]  # static and ramped k
+    solo = [evolve(x0, flow, cfg).states.tobytes() for flow, x0 in runs]
+    together = [None, None]
+    barrier = threading.Barrier(2)
+
+    def run(j):
+        barrier.wait(timeout=60)
+        together[j] = evolve(runs[j][1], runs[j][0], cfg).states.tobytes()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(j,)) for j in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert together == solo
+
+
 def reference_trajectory_rows(traj):
     """The per-element row builder: float() of every entry."""
     res_names = list(traj.residuals.keys())
@@ -535,9 +579,10 @@ def test_residual_series_equals_the_per_state_reference_bitwise():
         evolve(model.embed_reduced(0.0, 0.0),
                DiracFlow(model.hamiltonian(), model.constraint_set), cfg)
     cases.append((model.constraint_set, err.value.partial_trajectory))
-    # static and ramped Klauder, the four-constraint custom set, the partial k = 0.05 - t orbit
+    # static and ramped Klauder, the four-constraint custom set, the (q2, p2) surface set,
+    # the partial k = 0.05 - t orbit
     assert [(len(cs), cs.time_dependent) for cs, _ in cases] == \
-        [(2, False), (2, True), (4, False), (2, True)]
+        [(2, False), (2, True), (4, False), (2, False), (2, True)]
     for cs, traj in cases:
         series = cs.residual_series(traj.times, traj.states)
         reference = np.stack([np.abs(cs.values_along([t], [z])[0])

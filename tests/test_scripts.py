@@ -1,4 +1,6 @@
+import hashlib
 import importlib.util
+import json
 import os
 import pathlib
 import runpy
@@ -60,6 +62,34 @@ def test_scenarios_run_the_checkout_src_first(monkeypatch, capsys, inherited):
     capsys.readouterr()
     src = str(SCRIPT.parent.parent / "src")
     assert seen == [os.pathsep.join(filter(None, [src, inherited]))] * len(runner.COMMANDS)
+
+
+def test_digests_flag_checks_each_pinned_artifact(monkeypatch, capsys, tmp_path):
+    runner = load_runner()
+
+    def write(argv, **kwargs):  # each pinned artifact reads "x"; the bad scenario exits 3
+        if "--format" in argv and "bad.json" not in argv[argv.index("--config") + 1]:
+            pathlib.Path(argv[argv.index("--out") + 1]).write_bytes(b"x")
+        return subprocess.CompletedProcess(argv, 3 if "bad.json" in str(argv) else 0, "", "")
+
+    monkeypatch.setattr(runner.subprocess, "run", write)
+    x = hashlib.sha256(b"x").hexdigest()
+    pins = [{"scenario": "good", "command": "evolve", "format": "csv", "sha256": x, "bytes": 1},
+            {"scenario": "good", "command": "evolve", "format": "json", "sha256": x, "bytes": 2},
+            {"scenario": "bad", "command": "brackets", "format": "csv", "sha256": x, "bytes": 1}]
+    (tmp_path / runner.DIGESTS).write_text(json.dumps(pins))
+    assert runner.digest_statuses(tmp_path, tmp_path, {}) == [
+        ("evolve", "good.csv", "ok"),
+        ("evolve", "good.json", f"sha256 {x} of 1 bytes, pinned {x} of 2"),
+        ("brackets", "bad.csv", "exit 3")]
+    # the committed pins: every scenario runs, then each pin, and "x" matches none of them
+    committed = json.loads((SCRIPT.parent.parent / "scenarios" / runner.DIGESTS).read_text())
+    assert runner.main(["--digests"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(runner.COMMANDS) + len(committed)
+    assert [line.split()[:2] for line in lines[len(runner.COMMANDS):]] == [
+        [pin["command"], f"{pin['scenario']}.{pin['format']}"] for pin in committed]
+    assert all(" sha256 " in line for line in lines[len(runner.COMMANDS):])
 
 
 def test_csv_difference_counts_rows_and_bounds_each_column(tmp_path):

@@ -19,9 +19,9 @@ multiplier), so a call does arithmetic only. With two constraints, as in every
 built-in Dirac flow, one pass over the gradients sums the brackets {Phi_I, H}
 and the pairing matrix M in the order of the constraint engine's float sums;
 more constraints take the engine's stacked rows and pivoted LU. The correction
-rows^T lambda stays one BLAS matvec, into arrays the closure owns: BLAS rounds
-each entry with a fused multiply-add, which Python floats cannot reproduce and
-the Dirac artifacts' bytes depend on.
+sum_I lambda_I grad Phi_I is summed per entry on Python floats, left to right and
+unfused, so of a Dirac orbit's bits only those of the LU solve for more than two
+constraints depend on the BLAS kernel.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field as dfield
+from functools import reduce
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -171,15 +172,14 @@ def _dirac_rhs(flow: DiracFlow, n: int):
             s = _constraint_brackets(rows, gh, n)
             if rates_at is not None:
                 s = list(map(operator.add, s, rates_at(t)))
-            lam = _pairing_multipliers(rows, s, n, z)
-            return _symplectic_apply(list(map(operator.sub, gh, np.dot(lam, rows).tolist())), n)
+            lam = _pairing_multipliers(rows, s, n, z).tolist()
+            return _symplectic_apply([g - reduce(operator.add, map(operator.mul, lam, col))
+                                      for g, *col in zip(gh, *rows)], n)
 
         return rhs
 
     grad_h = h._gradient_floats
     grad_0, grad_1 = (f._gradient_floats for f in cs.fields)
-    # rows^T lam is one BLAS matvec on arrays owned by this closure, so by one evolve call
-    lam, rows, correction = np.empty(2), np.empty((2, 2 * n)), np.empty(2 * n)
 
     def rhs(t, z):
         if isinstance(z, np.ndarray):
@@ -205,11 +205,8 @@ def _dirac_rhs(flow: DiracFlow, n: int):
         m = [[a00 - a00, m01], [a10 - a01, a11 - a11]]  # a NaN diagonal marks a non-finite row
         if not _second_class(m, m01 * m01):
             _pairing_multipliers([r0, r1], s, n, z)  # raises the guard's DegeneracyError
-        lam[:] = _solve_pairing(m, s)
-        rows[0], rows[1] = r0, r1
-        # BLAS rounds each entry with a fused multiply-add, which Python floats cannot reproduce
-        np.dot(lam, rows, out=correction)
-        return _symplectic_apply(list(map(operator.sub, gh, correction.tolist())), n)
+        l0, l1 = _solve_pairing(m, s)
+        return _symplectic_apply([g - (l0 * a + l1 * b) for g, a, b in zip(gh, r0, r1)], n)
 
     return rhs
 
@@ -347,17 +344,17 @@ def constraint_drift(traj: Trajectory, cs: Optional[ConstraintSet] = None) -> di
     in which case residuals are recomputed from the stored states.
     """
     series = traj.residuals if cs is None else cs.residual_series(traj.times, traj.states)
-    # the fit runs on times scaled into [0, 1) by 2^-e, so no t^2 underflows or overflows;
-    # the exact power of two leaves every bit of the slope as it is where none did
+    # least-squares slope sum (t - tbar)(y - ybar) / sum (t - tbar)^2 on times scaled into
+    # [0, 1) by 2^-e, so no t^2 underflows or overflows; y - y0 is 0.0 for a constant y
     e = math.frexp(traj.times[-1])[1]
-    scaled = np.ldexp(traj.times, -e)
+    t = np.ldexp(traj.times, -e)
+    t -= np.mean(t)
     out = {}
     for name, values in series.items():
-        if len(traj) > 1:
-            with np.errstate(over="ignore"):  # a slope beyond the float range is inf
-                rate = float(np.ldexp(np.polyfit(scaled, values, 1)[0], -e))
-        else:
-            rate = 0.0
+        y = values - values[0]
+        slope = np.sum(t * (y - np.mean(y))) / np.sum(t * t) if len(traj) > 1 else 0.0
+        with np.errstate(over="ignore"):  # a slope beyond the float range is inf
+            rate = float(np.ldexp(slope, -e))
         out[name] = DriftStats(max_residual=float(np.max(values)), growth_rate=rate)
     return out
 

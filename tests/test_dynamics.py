@@ -3,6 +3,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -234,24 +235,42 @@ def test_dirac_vector_field_is_the_dirac_bracket(rng):
         dirac_bracket(coords[1], h, cs, x)
 
 
+def ordered_dot(x, y):
+    """x . y summed in index order from +0.0, one rounding per product and per sum."""
+    total = 0.0
+    for a, b in zip(x, y):
+        total = total + a * b
+    return total
+
+
 def reference_dirac_rhs(flow, n):
-    """The Dirac right-hand side written out with the numpy guard scale and np.stack."""
+    """The Dirac right-hand side written out with the numpy guard scale, np.stack and
+    explicit loops for every sum, so that no BLAS kernel picks its rounding."""
     h, cs = flow.hamiltonian, flow.constraints
 
     def rhs(t, z):
         gh = h.gradient_at(z)
         rows = reference_gradient_rows(cs, z)
-        s = rows[:, :n] @ gh[n:] - rows[:, n:] @ gh[:n]
+        q, p = rows[:, :n], rows[:, n:]
+        s = np.array([ordered_dot(qi, gh[n:]) - ordered_dot(pi, gh[:n]) for qi, pi in zip(q, p)])
         if cs.time_dependent:
             s = s + cs.rates_at(t)
-        a = rows[:, :n] @ rows[:, n:].T
+        a = np.array([[ordered_dot(qi, pj) for pj in p] for qi in q])
         m = a - a.T
         det = float(m[0, 1] * m[0, 1]) if len(m) == 2 else float(np.linalg.det(m))
         if not abs(det) > DEGENERACY_RTOL * reference_degeneracy_scale(m):
             raise DegeneracyError("reference guard", det=det, coords=z)
         lam = (np.array([-s[1] / m[0, 1], s[0] / m[0, 1]]) if len(m) == 2
                else np.linalg.solve(m, s))
-        effective = gh - rows.T @ lam
+        # sum_I lam_I rows_I per entry: index order from the first product, no fused
+        # multiply-add, as no BLAS kernel is bound to sum it
+        correction = np.empty(2 * n)
+        for j in range(2 * n):
+            total = lam[0] * rows[0, j]
+            for i in range(1, len(lam)):
+                total = total + lam[i] * rows[i, j]
+            correction[j] = total
+        effective = gh - correction
         return np.concatenate([effective[n:], -effective[:n]])
 
     return rhs
@@ -401,7 +420,8 @@ def test_float_step_equals_the_array_step_bitwise(index):
         assert traj.residuals[name].tobytes() == series.tobytes(), name
 
 
-# two constraints whose gradient rows have no zero entry: each q.p sums two products
+# two constraints where q_A . p_B, the brackets {Phi_I, H} and the q2 and p2 entries of the
+# correction each sum two nonzero products
 DENSE_CHART = ChartSpec(labels=("q1", "q2", "p1", "p2"), name="dense")
 DENSE_FLOW = DiracFlow(
     polynomial_field(DENSE_CHART, [(0.5, (0, 0, 2, 0)), (0.5, (0, 0, 0, 2)), (0.5, (2, 0, 0, 0)),
@@ -412,27 +432,37 @@ DENSE_FLOW = DiracFlow(
         polynomial_field(DENSE_CHART, [(1.0, (0, 0, 1, 0)), (0.4, (0, 1, 0, 0)),
                                        (-0.25, (0, 0, 0, 1)), (0.15, (0, 1, 1, 0))], name="B")),
         ("A", "B")))
-DENSE_ULPS = 8  # of the largest |entry| of the reference rhs; 2 measured on OpenBLAS
 
 
-def test_float_dirac_rhs_of_dense_rows_within_ulps_of_the_reference():
-    # BLAS sums a two-term q.p with a fused multiply-add and the float route does not,
-    # so here the bits may move; the difference stays within DENSE_ULPS ulps
+def test_float_dirac_rhs_of_dense_rows_equals_the_reference_bitwise():
+    # a sum of two nonzero products is what a fused multiply-add rounds differently
     n, dt = 2, 1e-3
     rhs, reference = _dirac_rhs(DENSE_FLOW, n), reference_dirac_rhs(DENSE_FLOW, n)
-    worst, moved = 0.0, 0
 
     def both(t, z):
-        nonlocal worst, moved
-        k, expected = np.array(rhs(t, z)), reference(t, z)
-        ulp = np.spacing(np.max(np.abs(expected)))
-        worst = max(worst, float(np.max(np.abs(k - expected)) / ulp))
-        moved += k.tobytes() != expected.tobytes()
+        k = np.array(rhs(t, z))
+        assert k.tobytes() == reference(t, z).tobytes()
         return k
 
     rk4_states(both, DENSE_CHART.point([0.3, -0.2, 0.5, 0.7]), dt, 200)
-    assert worst <= DENSE_ULPS, worst
-    assert moved > 0  # the case does reach the fused multiply-add rounding
+
+
+THREE = ChartSpec(labels=("q1", "q2", "q3", "p1", "p2", "p3"), name="three")
+
+
+@pytest.mark.parametrize("count", [2, 4])
+def test_dirac_rhs_keeps_the_sign_of_a_zero_correction(count):
+    # Phi = (q2, p2[, q3, p3]) and H = -q2 - p2 - q3 - p3 give lam_I = -1: each q1 product
+    # is -0.0, so the correction is -0.0 and dH/dq1 = -0.0 less it is +0.0, where a
+    # sum seeded with +0.0 would give -0.0
+    h = ScalarField("H", THREE, lambda z: -z[1] - z[2] - z[4] - z[5],
+                    lambda z: [-0.0, -1.0, -1.0, 0.0, -1.0, -1.0])
+    labels = ("q2", "p2", "q3", "p3")[:count]
+    cs = ConstraintSet(THREE, tuple(coordinate_field(THREE, label) for label in labels), labels)
+    flow, z = DiracFlow(h, cs), np.zeros(6)
+    k = np.array(_dirac_rhs(flow, 3)(0.0, z))
+    assert k.tobytes() == reference_dirac_rhs(flow, 3)(0.0, z).tobytes()
+    assert repr(float(k[3])) == "-0.0"  # dp1/dt = -(dH/dq1 - correction)
 
 
 def unchecked_point(chart, coords):
@@ -512,7 +542,7 @@ def test_float_dirac_rhs_keeps_the_partial_trajectory_on_a_nonfinite_row():
 
 
 def test_concurrent_dirac_orbits_keep_the_bytes_of_their_solo_runs():
-    # each right-hand side owns its matvec buffers; a thread switch every microsecond
+    # a right-hand side keeps no state between calls; a thread switch every microsecond
     # interleaves the two orbits' stages
     cfg = IntegratorConfig(dt=1e-3, steps=1000)
     runs = list(dirac_flows())[:2]  # static and ramped k
@@ -612,15 +642,43 @@ def test_constraint_drift_constant_trajectory():
     assert abs(drift["C"].growth_rate) < 1e-12
 
 
-def test_drift_rate_equals_the_fit_on_unscaled_times_bitwise():
-    # the power-of-two time scaling moves no bit where t^2 neither underflows nor overflows
-    ramped = KlauderModel(alpha=1.0, k=KRamp(1.0, 0.5), potential=RadialPotential.harmonic())
-    traj = evolve(ramped.embed_reduced(0.2, 1.3),
-                  DiracFlow(ramped.hamiltonian(), ramped.constraint_set),
-                  IntegratorConfig(dt=1e-3, steps=300))
+def exact_slope(times, values):
+    """The least-squares slope of the stored floats, in exact rationals."""
+    t, y = [list(map(Fraction, v.tolist())) for v in (times, values)]
+    t_bar, y_bar = sum(t) / len(t), sum(y) / len(y)
+    return (sum((a - t_bar) * (b - y_bar) for a, b in zip(t, y))
+            / sum((a - t_bar) ** 2 for a in t))
+
+
+# numpy's pairwise sum rounds a partial sum holding a term at most 26 + log2(n / 128) times
+# for n > 128 (8 accumulators over blocks of 128, then halving): 28 at n = 301, 32 at 5001.
+# Twice that, for the numerator and the denominator, plus the centring, product and
+# quotient roundings, stays under 80 u; measured at most 0.6 u
+DRIFT_ULPS = 80
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_drift_rate_is_within_the_pairwise_sum_bound_of_the_exact_slope(index):
+    # |rate - exact| <= DRIFT_ULPS u sum |t - tbar| (|y - y0| + |y - ybar|) / sum (t - tbar)^2
+    flow, x0 = list(dirac_flows())[index]
+    traj = evolve(x0, flow, IntegratorConfig(dt=1e-3, steps=300))
+    tc = traj.times - np.mean(traj.times)
     for name, stats in constraint_drift(traj).items():
-        plain = float(np.polyfit(traj.times, traj.residuals[name], 1)[0])
-        assert repr(stats.growth_rate) == repr(plain)
+        y = traj.residuals[name]
+        scale = np.sum(np.abs(tc) * (np.abs(y - y[0]) + np.abs(y - np.mean(y)))) / np.sum(tc * tc)
+        error = abs(Fraction(stats.growth_rate) - exact_slope(traj.times, y))
+        assert error <= Fraction(DRIFT_ULPS * 2.0 ** -53 * scale), name
+
+
+def test_drift_rate_of_a_constant_residual_is_zero_at_any_time_step():
+    # at dt = 1e-160 the ramped orbit's |C| stays 2.2e-16 over 3 steps; a fit that left
+    # rounding noise of eps |C| / T reported a slope of -4.5e128
+    flow, x0 = list(dirac_flows())[1]
+    traj = evolve(x0, flow, IntegratorConfig(dt=1e-160, steps=3))
+    c = traj.residuals["C"]
+    assert np.all(c == c[0]) and c[0] > 0.0
+    assert {name: repr(stats.growth_rate) for name, stats in constraint_drift(traj).items()} \
+        == {"C": "0.0", "chi": "0.0"}
 
 
 # -- config validation ---------------------------------------------------------------

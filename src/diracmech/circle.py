@@ -277,12 +277,10 @@ class PhiGrid:
 
 
 def expect_phi_quadrature(state: CircleState, table: SpectrumTable, t: float,
-                          nodes: int = 4096, grid: PhiGrid | None = None) -> float:
+                          nodes: int, grid: PhiGrid) -> float:
     """Quadrature oracle (1/2pi) int_0^{2pi} phi |psi(phi,t)|^2 dphi (Simpson) on
-    ``nodes`` intervals, read from ``grid`` if given, else built for this call."""
-    if grid is None:
-        grid = PhiGrid.build(state.m_max, nodes)
-    elif (grid.nodes, grid.basis.shape[1]) != (nodes, len(state.coeffs)):
+    ``nodes`` intervals, read from ``grid``, which ``PhiGrid.build(m_max, nodes)`` makes."""
+    if (grid.nodes, grid.basis.shape[1]) != (nodes, len(state.coeffs)):
         raise UsageError("phi grid does not match the node count and the state window")
     values = grid.phis * np.abs(grid.basis @ _phased(state, table, t)) ** 2
     return float(_simpson_sum(values, 0.0, 2.0 * np.pi) / (2.0 * np.pi))

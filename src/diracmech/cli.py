@@ -148,10 +148,12 @@ def _violations(value, schema: dict, path: tuple = ()) -> list[tuple]:
         elif keyword == "items" and _is(value, "array"):
             for index, item in enumerate(value):
                 found += _violations(item, rule, path + (index,))
+        # jsonschema's words for the only array bounds, _PAIR's 2 and 2 (a minItems of 1
+        # or a maxItems of 0 would read otherwise)
         elif keyword == "minItems" and _is(value, "array") and len(value) < rule:
-            fail(keyword, f"{value!r} {'should be non-empty' if rule == 1 else 'is too short'}")
+            fail(keyword, f"{value!r} is too short")
         elif keyword == "maxItems" and _is(value, "array") and len(value) > rule:
-            fail(keyword, f"{value!r} {'is expected to be empty' if rule == 0 else 'is too long'}")
+            fail(keyword, f"{value!r} is too long")
         elif keyword == "minimum" and _is(value, "number") and value < rule:
             fail(keyword, f"{value!r} is less than the minimum of {rule!r}")
         elif keyword == "exclusiveMinimum" and _is(value, "number") and value <= rule:
@@ -360,6 +362,8 @@ def cmd_brackets(model, config: dict, args) -> int:
     ranges = dict(config.get("samples", {}))
     count = ranges.pop("count", 100)
     chart = model.bracket_chart
+    with _sized_by("samples/count"):  # a row of chart.dim + 4 values per point and pair
+        np.empty((count, len(model.bracket_pairs), chart.dim + 4))
     coords = {l: coordinate_field(chart, l) for l in chart.labels}
     # {z_a, z_b} = J_ab: the Poisson column is a constant of the chart
     poisson = poisson_tensor(chart.n_pairs).tolist()

@@ -83,14 +83,14 @@ class ConstraintSet:
         0.0 where there is no ramp."""
         return [0.0 if ramp is None else float(ramp.rate(t)) for ramp in self.time_ramps]
 
-    def gradient_rows(self, coords: np.ndarray) -> list:
-        """One gradient row per constraint at a float64 array, as lists of Python floats."""
-        return [f.gradient_list(coords) for f in self.fields]
+    def gradient_rows(self, coords: list) -> list:
+        """One gradient row per constraint at a list of Python floats (an array point's
+        tolist()), as lists of Python floats."""
+        return [f._gradient_floats(coords) for f in self.fields]
 
-    def require_on_surface(self, coords, label: str, tol: float = ON_SURFACE_TOL,
-                           t: float = 0.0) -> None:
-        """Raise UsageError naming the worst constraint unless every |Phi_I| < tol."""
-        vals = np.abs(self.values_along([t], [coords])[0])
+    def require_on_surface(self, coords, label: str, tol: float = ON_SURFACE_TOL) -> None:
+        """Raise UsageError naming the worst constraint unless every |Phi_I(z, 0)| < tol."""
+        vals = np.abs(self.values_along([0.0], [coords])[0])
         if not np.all(vals < tol):  # a NaN residual is off the surface too
             worst = int(np.argmax(vals))
             raise UsageError(f"{label} is off the constraint surface: |{self.names[worst]}| "
@@ -140,7 +140,7 @@ def pairing_matrix_of_rows(rows: list, n_pairs: int) -> list:
 
 def constraint_matrix(cs: ConstraintSet, x: PhaseSpacePoint) -> np.ndarray:
     require_same_chart(cs, x)
-    m = pairing_matrix_of_rows(cs.gradient_rows(x.coords), cs.chart.n_pairs)
+    m = pairing_matrix_of_rows(cs.gradient_rows(x.coords.tolist()), cs.chart.n_pairs)
     return np.array(m, dtype=float).reshape(len(cs), len(cs))
 
 
@@ -277,7 +277,7 @@ def dirac_tensor(cs: ConstraintSet, x: PhaseSpacePoint) -> np.ndarray:
         return poisson_tensor(n)
     # overflowing gradients end in the guard's error, not in numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = cs.gradient_rows(x.coords)
+        rows = cs.gradient_rows(x.coords.tolist())
     # S_I = {Phi_I, z} = (-dPhi_I/dp, dPhi_I/dq)
     s = np.array([[-v for v in row[n:]] + row[:n] for row in rows])
     return poisson_tensor(n) + s.T @ _pairing_multipliers(rows, s, n, x.coords)
@@ -307,7 +307,7 @@ def observable_check(a: ScalarField, cs: ConstraintSet,
     worst = np.zeros(len(cs))
     for x in samples:
         d = dirac_tensor(cs, x)
-        rows = np.array(cs.gradient_rows(x.coords))
+        rows = np.array(cs.gradient_rows(x.coords.tolist()))
         worst = np.maximum(worst, np.abs(a.gradient(x) @ d @ rows.T))
     per_constraint = dict(zip(cs.names, map(float, worst)))
     return ObservableReport(max_abs=max(per_constraint.values()), per_constraint=per_constraint)

@@ -161,13 +161,15 @@ def _gauge_rhs(flow: GaugeFlow, n: int):
 
 
 def _dirac_rhs(flow: DiracFlow, n: int):
-    """{z, H}_D at (t, z) as Python floats. Two constraints take one pass over the
-    gradients and the closed 2x2 solve; more take the stacked rows and pivoted LU."""
-    h, cs = flow.hamiltonian, flow.constraints
+    """{z, H}_D at (t, z), z a list of Python floats, as Python floats. Two constraints
+    take one pass over the gradients and the closed 2x2 solve; more take the stacked
+    rows and pivoted LU."""
+    cs = flow.constraints
+    grad_h = flow.hamiltonian._gradient_floats
     rates_at = cs.rates_at if cs.time_dependent else None
     if len(cs) != 2:
         def rhs(t, z):
-            gh, rows = h.gradient_list(z), cs.gradient_rows(z)
+            gh, rows = grad_h(z), cs.gradient_rows(z)
             # s_J = {Phi_J, H} (+ explicit-time rates)
             s = _constraint_brackets(rows, gh, n)
             if rates_at is not None:
@@ -178,12 +180,9 @@ def _dirac_rhs(flow: DiracFlow, n: int):
 
         return rhs
 
-    grad_h = h._gradient_floats
     grad_0, grad_1 = (f._gradient_floats for f in cs.fields)
 
     def rhs(t, z):
-        if isinstance(z, np.ndarray):
-            z = z.tolist()
         gh, r0, r1 = grad_h(z), grad_0(z), grad_1(z)
         # {Phi_I, H} = b_I - c_I and M = a - a^T, a_IJ = q_I . p_J: each sum from +0.0 in
         # index order, the bits of _constraint_brackets and pairing_matrix_of_rows

@@ -61,9 +61,9 @@ class ScalarField:
 
     ``grad`` reads its point, a list of Python floats, by index or by unpacking,
     and returns an array or a list of Python floats. ``gradient_at`` reads an
-    array point by tolist() and always gives an array; ``gradient_list``, which
-    the constraint engine and every RK4 step of a chart flow read, passes a
-    list point and a returned list on with no numpy call.
+    array point by tolist() and always gives an array; ``_gradient_floats``,
+    which the constraint engine and every RK4 step of a chart flow read, takes a
+    list point and passes a returned list on with no numpy call.
     """
 
     name: str
@@ -72,11 +72,8 @@ class ScalarField:
     grad: Optional[Callable] = dfield(default=None, compare=False)
 
     # raw-coordinate fast path, used by the integrators -------------------
-    def value_at(self, coords) -> float:
-        return float(self.func(np.asarray(coords, dtype=float)))
-
     def values_along(self, states) -> np.ndarray:
-        """``value_at`` of every row of a (T, dim) block of states, in blocks of rows
+        """``func`` of every row of a (T, dim) block of states, in blocks of rows
         holding at most BLOCK_COORDINATES coordinates, one ``func`` call each."""
         states = np.asarray(states, dtype=float)
         out = np.empty(len(states))
@@ -87,13 +84,6 @@ class ScalarField:
 
     def gradient_at(self, coords) -> np.ndarray:
         return np.asarray(self._gradient(np.asarray(coords, dtype=float).tolist()), dtype=float)
-
-    def gradient_list(self, coords) -> list:
-        """The gradient as Python floats at a list of Python floats; an array, as point
-        or as gradient, is read by tolist()."""
-        if isinstance(coords, np.ndarray):
-            coords = coords.tolist()
-        return self._gradient_floats(coords)
 
     @cached_property
     def _gradient(self) -> Callable:
@@ -115,7 +105,7 @@ class ScalarField:
     # validated point API --------------------------------------------------
     def value(self, x: PhaseSpacePoint) -> float:
         require_same_chart(self, x)
-        return self.value_at(x.coords)
+        return float(self.func(x.coords))
 
     def gradient(self, x: PhaseSpacePoint) -> np.ndarray:
         require_same_chart(self, x)

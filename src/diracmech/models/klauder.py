@@ -220,25 +220,25 @@ class KlauderModel:
         return ScalarField("C_cartesian", self.cartesian_chart, func, grad)
 
     # -- reduced phase space -------------------------------------------------
-    def reduced_radius(self, p_phi, t: float = 0.0):
-        """r* = ((k^2 + p_phi^2)/alpha^2)^(1/4); dual-capable for embeddings.
+    def reduced_radius(self, p_phi):
+        """r* = ((k(0)^2 + p_phi^2)/alpha^2)^(1/4); dual-capable for embeddings.
 
         An array of p_phi takes libm's pow entry by entry, as a float does; numpy's
         vectorised pow may round the last bit differently.
         """
         if isinstance(p_phi, np.ndarray):
-            return np.array([self.reduced_radius(p, t) for p in p_phi.tolist()])
-        k = self.k(t)
+            return np.array([self.reduced_radius(p) for p in p_phi.tolist()])
+        k = self.k(0.0)
         value = (k * k + p_phi * p_phi) / (self.alpha ** 2)
         if duals.value(value) <= 0.0:
             raise NumericDomainError(
                 "reduced radius degenerates at (k, p_phi) = (0, 0); origin excluded")
         return value ** 0.25
 
-    def reduced_point(self, p_phi: float, t: float = 0.0) -> tuple[float, float]:
-        """On-surface radial pair (r*, p_r*) for given angular momentum."""
-        r_star = float(self.reduced_radius(p_phi, t))
-        return r_star, self.k(t) / r_star
+    def reduced_point(self, p_phi: float) -> tuple[float, float]:
+        """On-surface radial pair (r*, p_r*) at t = 0 for given angular momentum."""
+        r_star = float(self.reduced_radius(p_phi))
+        return r_star, self.k(0.0) / r_star
 
     def embed_reduced(self, phi: float, p_phi: float) -> PhaseSpacePoint:
         r_star, p_r_star = self.reduced_point(p_phi)

@@ -123,17 +123,16 @@ class RelativisticParticle:
             raise UsageError(f"expected {self.spatial_dim}-vectors")
         return x0 + p * (float(tau) / self.energy(p))
 
-    def on_shell_point(self, x_spatial, p_spatial, tau: float = 0.0) -> PhaseSpacePoint:
-        """Positive-energy point with x0 = tau, p0 = +sqrt(p.p + m^2)."""
+    def on_shell_point(self, x_spatial, p_spatial) -> PhaseSpacePoint:
+        """Positive-energy point with x0 = 0, p0 = +sqrt(p.p + m^2)."""
         x = np.asarray(x_spatial, dtype=float)
         p = np.asarray(p_spatial, dtype=float)
-        coords = np.concatenate([[float(tau)], x, [self.energy(p)], p])
+        coords = np.concatenate([[0.0], x, [self.energy(p)], p])
         return self.full_chart.point(coords)
 
-    def sample_on_shell(self, rng: np.random.Generator, n: int,
-                        tau: float = 0.0) -> list[PhaseSpacePoint]:
+    def sample_on_shell(self, rng: np.random.Generator, n: int) -> list[PhaseSpacePoint]:
         return [self.on_shell_point(rng.uniform(-5.0, 5.0, self.spatial_dim),
-                                    rng.uniform(-5.0, 5.0, self.spatial_dim), tau)
+                                    rng.uniform(-5.0, 5.0, self.spatial_dim))
                 for _ in range(n)]
 
     # -- model interface (see diracmech.models) ------------------------------

@@ -31,7 +31,7 @@ def fd_poisson_bracket(a, b, coords, step=None):
             up, dn = np.array(coords), np.array(coords)
             up[i] += h[i]
             dn[i] -= h[i]
-            g[i] = (field.value_at(up) - field.value_at(dn)) / (up[i] - dn[i])
+            g[i] = (float(field.func(up)) - float(field.func(dn))) / (up[i] - dn[i])
         return g
 
     ga, gb = fd_grad(a), fd_grad(b)

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 
 from diracmech.brackets import poisson_bracket
-from diracmech.circle import (CircleState, SpectrumTable, evolve_static,
+from diracmech.circle import (CircleState, PhiGrid, SpectrumTable, evolve_static,
                               evolve_time_dependent, expect_phi,
                               expect_phi_quadrature, expect_reduced)
 from diracmech.constraints import dirac_bracket, observable_check, reduced_bracket_check
@@ -186,7 +186,7 @@ def test_criterion_8_lattice_maxwell():
 def test_criterion_9_quantum():
     rng = np.random.default_rng(SEED)
     model = KlauderModel(alpha=1.0, k=0.5, potential=RadialPotential((0.0, 0.7)))
-    table = SpectrumTable.build(model, 8)
+    table, grid = SpectrumTable.build(model, 8), PhiGrid.build(8, 4096)
     worst_norm, worst_quad = 0.0, 0.0
     for _ in range(100):
         state = CircleState.random(rng, 8)
@@ -194,7 +194,7 @@ def test_criterion_9_quantum():
         evolved = evolve_static(state, table, t)
         worst_norm = max(worst_norm, abs(evolved.norm_squared() - 1.0))
         worst_quad = max(worst_quad, abs(expect_phi(state, table, t).value
-                                         - expect_phi_quadrature(state, table, t, nodes=4096)))
+                                         - expect_phi_quadrature(state, table, t, 4096, grid)))
     ramp_model = KlauderModel(alpha=1.0, k=KRamp(0.5, 0.2), potential=RadialPotential((0.0, 0.7)))
     tdep = evolve_time_dependent(CircleState.random(rng, 8), ramp_model, 0.0, 2.0, 512)
     worst_norm = max(worst_norm, abs(tdep.norm_squared() - 1.0))

@@ -402,20 +402,35 @@ def test_extreme_valid_config_ends_in_one_error_line(tmp_path, capsys, command, 
         assert not out.exists()  # no NaN rows
 
 
-def test_unallocatable_spatial_dim_exits_2_in_a_capped_child(tmp_path):
-    # 2(d + 1) labels for d = 10^12 would grow until the host ran out of memory; under a
-    # 1 GiB address space a regression ends in a MemoryError within seconds
-    config = write_config(tmp_path / "cfg.json",
-                          {"model": {"kind": "particle", "spatial_dim": 10 ** 12}})
+def capped_brackets_run(tmp_path, payload):
+    """``brackets`` on ``payload`` in a child under a 1 GiB address space, where an
+    unguarded size ends in a MemoryError within seconds; returns the finished process."""
+    config = write_config(tmp_path / "cfg.json", payload)
     code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30)); "
             "from diracmech.cli import main; sys.exit(main(sys.argv[1:]))")
     done = subprocess.run([sys.executable, "-c", code, "brackets", "--config", config,
                            "--out", str(tmp_path / "out.csv")],
                           env={**child_env(), "OPENBLAS_NUM_THREADS": "1"},
                           capture_output=True, text=True, timeout=120)
+    assert not (tmp_path / "out.csv").exists()
+    return done
+
+
+def test_unallocatable_spatial_dim_exits_2_in_a_capped_child(tmp_path):
+    # 2(d + 1) labels for d = 10^12 would grow until the host ran out of memory
+    done = capped_brackets_run(tmp_path, {"model": {"kind": "particle", "spatial_dim": 10 ** 12}})
     assert (done.returncode, done.stderr) == (
         2, "error: model/spatial_dim is too large: its arrays cannot be allocated\n")
-    assert not (tmp_path / "out.csv").exists()
+
+
+def test_unallocatable_sample_count_exits_2_in_a_capped_child(tmp_path):
+    # 10^9 points of 6 bracket rows each: the sampler and the rows would grow for tens of
+    # seconds and end in a MemoryError with no error line
+    payload = json.loads((ROOT / "scenarios" / "klauder_brackets.json").read_text())
+    payload["samples"]["count"] = 10 ** 9
+    done = capped_brackets_run(tmp_path, payload)
+    assert (done.returncode, done.stderr) == (
+        2, "error: samples/count is too large: its arrays cannot be allocated\n")
 
 
 @pytest.mark.parametrize("name", ["PhiGrid.build", "expect_phi"])

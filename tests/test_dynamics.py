@@ -11,7 +11,8 @@ import pytest
 from diracmech.cli import _trajectory_rows
 from diracmech.constraints import DEGENERACY_RTOL, ConstraintSet, dirac_bracket, dirac_tensor
 from diracmech.dynamics import (DiracFlow, GaugeFlow, IntegratorConfig, PoissonFlow,
-                                _dirac_rhs, constraint_drift, evolve, gauge_orbit_closed_form)
+                                _dirac_rhs, _gauge_rhs, _poisson_rhs, constraint_drift, evolve,
+                                gauge_orbit_closed_form)
 from diracmech.errors import DegeneracyError, NumericDomainError, UsageError
 from diracmech.fields import ScalarField, coordinate_field, polynomial_field
 from diracmech.models import (KlauderModel, KRamp, LatticeMaxwell, RadialPotential,
@@ -126,7 +127,9 @@ def test_dirac_flow_with_ramped_gauge_parameter():
     drift = constraint_drift(traj)
     assert drift["chi"].max_residual < 1e-9
     assert drift["C"].max_residual < 1e-9
-    expected_r = np.array([model.reduced_point(2.0, t)[0] for t in traj.times])
+    # the closed form r*(t) = ((k(t)^2 + p_phi^2) / alpha^2)^(1/4)
+    expected_r = np.array([((model.k(t) ** 2 + 2.0 ** 2) / model.alpha ** 2) ** 0.25
+                           for t in traj.times])
     assert np.max(np.abs(traj.states[:, 0] - expected_r)) < 1e-8  # non-circular orbit
 
 
@@ -209,11 +212,11 @@ def test_partial_trajectory_values_equal_the_per_state_values():
                IntegratorConfig(dt=1e-3, steps=2000))
     partial = err.value.partial_trajectory
     assert len(partial) > 1
-    expected = np.array([h.value_at(z) for z in partial.states])
+    expected = np.array([float(h.func(z)) for z in partial.states])
     assert partial.generator_values.tobytes() == expected.tobytes()
     for j, (name, f) in enumerate(zip(cs.names, cs.fields)):
         ramp = cs.time_ramps[j]
-        values = [f.value_at(z) + (0.0 if ramp is None else ramp.offset(t))
+        values = [float(f.func(z)) + (0.0 if ramp is None else ramp.offset(t))
                   for t, z in zip(partial.times.tolist(), partial.states)]
         assert partial.residuals[name].tobytes() == np.abs(values).tobytes()
 
@@ -226,13 +229,21 @@ def test_dirac_vector_field_is_the_dirac_bracket(rng):
     coords = [coordinate_field(chart, label) for label in chart.labels]
     for x in model.sample_surface(rng, 20):
         expected = [dirac_bracket(z, h, cs, x) for z in coords]
-        assert np.max(np.abs(np.array(rhs(0.0, x.coords)) - expected)) < 1e-12
+        assert np.max(np.abs(float_rhs(rhs, 0.0, x.coords) - expected)) < 1e-12
     # near the excluded origin with p_r = p_phi = 0, det M = alpha^4 r^4 is below the guard
     x = chart.point([1e-4, 0.3, 0.0, 0.0])
     with pytest.raises(DegeneracyError, match="not Second Class"):
-        rhs(0.0, x.coords)
+        rhs(0.0, x.coords.tolist())
     with pytest.raises(DegeneracyError, match="not Second Class"):
         dirac_bracket(coords[1], h, cs, x)
+
+
+def float_rhs(rhs, t, z):
+    """A chart flow's right-hand side at the float list of the array ``z``, checked to
+    return a list of Python floats, as an array."""
+    k = rhs(t, z.tolist())
+    assert type(k) is list and all(type(v) is float for v in k), k
+    return np.array(k)
 
 
 def ordered_dot(x, y):
@@ -304,7 +315,7 @@ def test_dirac_rhs_equals_the_reference_bitwise_over_200_steps(index):
     rhs, reference = _dirac_rhs(flow, n), reference_dirac_rhs(flow, n)
 
     def both(t, z):
-        k = np.array(rhs(t, z))
+        k = float_rhs(rhs, t, z)
         assert k.tobytes() == reference(t, z).tobytes()
         return k
 
@@ -359,8 +370,8 @@ def test_float_dirac_rhs_equals_the_reference_bitwise(case):
     rhs, reference = _dirac_rhs(flow, n), reference_dirac_rhs(flow, n)
 
     def both(t, z):
-        k = np.array(rhs(t, z))
-        assert k.dtype == np.float64 and k.tobytes() == reference(t, z).tobytes()
+        k = float_rhs(rhs, t, z)
+        assert k.tobytes() == reference(t, z).tobytes()
         return k
 
     z = rk4_states(both, x0, dt, 200)[-1]
@@ -408,10 +419,14 @@ def test_float_step_equals_the_array_step_bitwise(index):
     states = rk4_states(array_stage(flow), x0, dt, steps)
     times = np.array([i * dt for i in range(steps + 1)])
     traj = evolve(x0, flow, IntegratorConfig(dt=dt, steps=steps), monitor=monitor)
+    factory = {PoissonFlow: _poisson_rhs, GaugeFlow: _gauge_rhs, DiracFlow: _dirac_rhs}
+    rhs, stage = factory[type(flow)](flow, flow.chart.n_pairs), array_stage(flow)
+    for t, z in zip(times[::30].tolist(), states[::30]):
+        assert float_rhs(rhs, t, z).tobytes() == stage(t, z).tobytes()
     assert traj.times.tobytes() == times.tobytes()
     assert traj.states.tobytes() == states.tobytes()
     generator = flow.generator if isinstance(flow, GaugeFlow) else flow.hamiltonian
-    expected = np.array([generator.value_at(z) for z in states])
+    expected = np.array([float(generator.func(z)) for z in states])
     assert traj.generator_values.tobytes() == expected.tobytes()
     watched = flow.constraints if isinstance(flow, DiracFlow) else monitor
     expected = {} if watched is None else watched.residual_series(times, states)
@@ -440,7 +455,7 @@ def test_float_dirac_rhs_of_dense_rows_equals_the_reference_bitwise():
     rhs, reference = _dirac_rhs(DENSE_FLOW, n), reference_dirac_rhs(DENSE_FLOW, n)
 
     def both(t, z):
-        k = np.array(rhs(t, z))
+        k = float_rhs(rhs, t, z)
         assert k.tobytes() == reference(t, z).tobytes()
         return k
 
@@ -460,7 +475,7 @@ def test_dirac_rhs_keeps_the_sign_of_a_zero_correction(count):
     labels = ("q2", "p2", "q3", "p3")[:count]
     cs = ConstraintSet(THREE, tuple(coordinate_field(THREE, label) for label in labels), labels)
     flow, z = DiracFlow(h, cs), np.zeros(6)
-    k = np.array(_dirac_rhs(flow, 3)(0.0, z))
+    k = float_rhs(_dirac_rhs(flow, 3), 0.0, z)
     assert k.tobytes() == reference_dirac_rhs(flow, 3)(0.0, z).tobytes()
     assert repr(float(k[3])) == "-0.0"  # dp1/dt = -(dH/dq1 - correction)
 
@@ -506,7 +521,7 @@ def test_float_dirac_rhs_fails_as_dirac_tensor_does(case):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no RuntimeWarning on either route
         with pytest.raises(DegeneracyError, match=message) as float_route:
-            rhs(0.0, np.array(coords))
+            rhs(0.0, coords)
         with pytest.raises(DegeneracyError) as tensor_route:
             dirac_tensor(flow.constraints, unchecked_point(flow.chart, coords))
     assert str(float_route.value) == str(tensor_route.value)

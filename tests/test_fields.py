@@ -222,9 +222,9 @@ def test_polynomial_gradient_on_floats_has_the_bits_of_numpy_scalar_powers(rng):
         expected = numpy_scalar_polynomial_gradient(terms, z)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            g = f.gradient_list(np.asarray(z, dtype=float).tolist())
+            g = f._gradient_floats(np.asarray(z, dtype=float).tolist())
         assert np.array(g).tobytes() == expected.tobytes(), (z, g, expected)
-    signed = f.gradient_list([1e11, -1e11, 3.0, -1e9])
+    signed = f._gradient_floats([1e11, -1e11, 3.0, -1e9])
     assert signed[0] == math.inf and signed[1] == -math.inf  # both overflow signs are met
 
 
@@ -234,7 +234,7 @@ def test_gradient_purity():
     first = f.gradient_at(z)
     for _ in range(3):
         assert np.array_equal(f.gradient_at(z), first)
-        assert f.value_at(z) == f.value_at(z)
+        assert f.value(CHART.point(z)) == f.value(CHART.point(z))
 
 
 def test_gradient_consistency_simple_square():
@@ -304,21 +304,12 @@ def test_closed_form_grads_return_python_floats():
     # numpy back into every float operation of the pairing solve
     for field, points in closed_form_fields():
         for z in points:
-            g = field.grad(np.asarray(z, dtype=float).tolist())
+            floats = np.asarray(z, dtype=float).tolist()
+            g = field.grad(floats)
             assert type(g) is list and all(type(v) is float for v in g), (field.name, g)
-            assert field.gradient_list(z) == g
+            assert field._gradient_floats(floats) == g
             at = field.gradient_at(z)
             assert at.dtype == np.float64 and at.tolist() == g
-
-
-def test_gradient_list_reads_arrays_by_tolist():
-    square = polynomial_field(CHART, [(1.0, (2, 0, 1, 0))])
-    plain = ScalarField("sin_p2", CHART, lambda z: duals.sin(z[3]))
-    z = np.array([0.3, -1.2, 0.8, 2.1])
-    for field in (square, plain, coordinate_field(CHART, "p1")):  # a grad array, the dual pass
-        g = field.gradient_list(z)
-        assert type(g) is list and all(type(v) is float for v in g)
-        assert g == field.gradient_at(z).tolist()
 
 
 def test_field_product_of_closed_forms_returning_lists():
@@ -393,5 +384,5 @@ def test_batch_route_equals_value_at_bitwise(name, size):
     count = size[0] + size[1] * max(1, BLOCK_COORDINATES // field.chart.dim)
     states = sample(np.random.default_rng(17), count)
     batch = field.values_along(states)
-    expected = np.array([field.value_at(z) for z in states], dtype=float)
+    expected = np.array([float(field.func(z)) for z in states], dtype=float)
     assert batch.shape == (count,) and batch.tobytes() == expected.tobytes()

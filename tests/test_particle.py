@@ -97,7 +97,10 @@ def particle_fields(particle):
 @pytest.mark.parametrize("spatial_dim", [1, 2, 3])
 def test_closed_form_gradients_equal_dual_route(rng, spatial_dim):
     particle = RelativisticParticle(mass=rng.uniform(0.1, 5.0), spatial_dim=spatial_dim)
-    on_shell = [x.coords for x in particle.sample_on_shell(rng, 100, tau=0.7)]
+    on_shell = []
+    for _ in range(100):  # x0 = tau = 0.7, p0 = sqrt(p.p + m^2)
+        x, p = rng.uniform(-5.0, 5.0, spatial_dim), rng.uniform(-5.0, 5.0, spatial_dim)
+        on_shell.append(np.concatenate([[0.7], x, [math.sqrt(p @ p + particle.mass ** 2)], p]))
     for field, chart in particle_fields(particle):
         off_shell = list(rng.uniform(-5, 5, (100, chart.dim)))
         wide = list(log_uniform(rng, -6, 6, (50, chart.dim)))

@@ -8,9 +8,10 @@ import diracmech
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "diracmech"
-# every caller a default value can have: the package, its scripts, the benchmark and the tests
+# every caller a default value can have: the package, its scripts and the benchmark; a
+# value that only the tests set is no setting of the program, so the tests do not count
 CALLER_FILES = tuple(sorted(PACKAGE.rglob("*.py"))
-                     + [path for folder in ("scripts", "bench", "tests")
+                     + [path for folder in ("scripts", "bench")
                         for path in sorted((ROOT / folder).glob("*.py"))])
 
 

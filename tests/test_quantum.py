@@ -156,7 +156,8 @@ def test_overflowing_reduced_spectrum_raises_without_warnings():
 
 
 def test_ramped_tables_carry_k_and_single_mode_pr_is_classical():
-    # k = 0.5 - t crosses 0 at t = 0.5: <p_r> of mode m is p_r* = k(t)/r*(m hbar, t)
+    # k = 0.5 - t crosses 0 at t = 0.5: <p_r> of mode m is p_r* = k(t)/r*(m hbar, t), with
+    # r* = ((k(t)^2 + p_phi^2) / alpha^2)^(1/4)
     model = KlauderModel(alpha=1.3, k=KRamp(0.5, -1.0), hbar=0.7, potential=LINEAR)
     for m in (1, -2):
         state = CircleState.single_mode(m, 3, hbar=0.7)
@@ -164,7 +165,8 @@ def test_ramped_tables_carry_k_and_single_mode_pr_is_classical():
             table = SpectrumTable.build(model, 3, t)
             assert table.k == model.k(t)
             evolved = evolve_time_dependent(state, model, 0.0, t) if t else state
-            expected = model.reduced_point(m * model.hbar, t)[1]
+            k, p_phi = model.k(t), m * model.hbar
+            expected = k / ((k * k + p_phi * p_phi) / model.alpha ** 2) ** 0.25  # k(t) / r*
             assert expect_reduced(evolved, table).pr_mean == pytest.approx(expected, abs=1e-12)
 
 
@@ -229,17 +231,19 @@ def test_expect_phi_orientation():
     coeffs[5] = 1.0j
     state = CircleState(coeffs).normalized()
     assert expect_phi(state, table, 0.0).value == pytest.approx(math.pi + 1.0, abs=1e-12)
-    assert expect_phi_quadrature(state, table, 0.0) == pytest.approx(math.pi + 1.0, abs=1e-8)
+    assert (expect_phi_quadrature(state, table, 0.0, 4096, PhiGrid.build(4, 4096))
+            == pytest.approx(math.pi + 1.0, abs=1e-8))
 
 
 def test_expect_phi_matches_quadrature_randomly(rng):
     model, table = table_for(m_max=8, k=0.5, potential=RadialPotential((0.0, 0.7)))
+    grid = PhiGrid.build(8, 4096)
     for _ in range(100):
         state = CircleState.random(rng, 8)
         t = rng.uniform(0.0, 10.0)
         analytic = expect_phi(state, table, t)
         assert abs(analytic.imag_residue) < 1e-12
-        assert analytic.value == pytest.approx(expect_phi_quadrature(state, table, t),
+        assert analytic.value == pytest.approx(expect_phi_quadrature(state, table, t, 4096, grid),
                                                abs=1e-6)
 
 
@@ -268,7 +272,6 @@ def test_phi_quadrature_on_one_grid_has_the_bits_of_the_per_call_grid(rng, m_max
         t = rng.uniform(0.0, 10.0)
         expected = per_call_phi_quadrature(state, table, t, nodes)
         assert expect_phi_quadrature(state, table, t, nodes, grid) == expected
-        assert expect_phi_quadrature(state, table, t, nodes) == expected
 
 
 @pytest.mark.parametrize("m_max, nodes", [(3, 4096), (4, 2048), (4, 4095)])
@@ -323,6 +326,6 @@ def test_quadrature_needs_two_intervals(nodes):
     model, table = table_for()
     state = CircleState.single_mode(1, 4)
     with pytest.raises(UsageError, match="at least 2"):
-        expect_phi_quadrature(state, table, 0.5, nodes=nodes)
+        PhiGrid.build(state.m_max, nodes)
     with pytest.raises(UsageError, match="at least 2"):
         evolve_time_dependent(state, model, 0.0, 1.0, quadrature_steps=nodes)

@@ -5,13 +5,12 @@ the Hamiltonian (Poisson or Dirac bracket) or lambda(t) times a gauge
 generator (Poisson bracket). Constraint residuals are recorded along the way,
 never corrected: the Dirac flow is tangent to the surface by construction.
 
-A chart flow of a few coordinates steps on a list of Python floats: its
-right-hand side takes and returns float lists, the RK4 stage sums and the
-blow-up test make no numpy call, and each state is written into the
-preallocated trajectory array. A flow with a direct array right-hand side
-(``PoissonFlow._direct_rhs``: the lattice Maxwell flow, 48 to 3,072
-coordinates) steps on float64 arrays, where numpy's per-call cost is repaid.
-Both steps sum in the same operation order, so they give the same bits.
+``evolve`` steps on a list of Python floats: the right-hand side takes and
+returns float lists, the RK4 stage sums and the blow-up test make no numpy
+call, and each state is written into the preallocated trajectory array. The
+lattice Maxwell flow does not come here: ``LatticeMaxwell.evolve`` applies the
+same RK4 map per Fourier mode in closed form, and shares this module's
+recording arrays, blow-up error and finalisation.
 
 ``evolve`` builds each chart flow's right-hand side once per flow, as a closure
 that has resolved its fields' gradient routes (and a gauge flow's constant
@@ -69,11 +68,6 @@ class PoissonFlow:
     @property
     def chart(self) -> ChartSpec:
         return self.hamiltonian.chart
-
-    def _direct_rhs(self, n: int) -> Optional[Callable[[float, np.ndarray], np.ndarray]]:
-        """(t, z) -> J grad H built directly, with the bits of the gradient route, or None
-        for that route; a subclass whose H has a known vector field overrides it."""
-        return None
 
 
 @dataclass(frozen=True)
@@ -138,9 +132,6 @@ def _symplectic_apply(grad: list, n: int) -> list:
 
 
 def _poisson_rhs(flow: PoissonFlow, n: int):
-    direct = flow._direct_rhs(n)
-    if direct is not None:
-        return direct
     gradient = flow.hamiltonian._gradient_floats
 
     def rhs(t, z):
@@ -211,7 +202,7 @@ def _dirac_rhs(flow: DiracFlow, n: int):
 
 
 def _float_step(rhs, t: float, z: list, dt: float) -> list:
-    """One RK4 step on Python floats, in the operation order of ``_array_step``."""
+    """One classic RK4 step on Python floats."""
     half = 0.5 * dt
     k1 = rhs(t, z)
     k2 = rhs(t + half, [a + half * b for a, b in zip(z, k1)])
@@ -222,22 +213,23 @@ def _float_step(rhs, t: float, z: list, dt: float) -> list:
             for a, b1, b2, b3, b4 in zip(z, k1, k2, k3, k4)]
 
 
-def _array_step(rhs, t: float, z: np.ndarray, dt: float) -> np.ndarray:
-    """One RK4 step on a float64 array."""
-    k1 = rhs(t, z)
-    k2 = rhs(t + 0.5 * dt, z + (0.5 * dt) * k1)
-    k3 = rhs(t + 0.5 * dt, z + (0.5 * dt) * k2)
-    k4 = rhs(t + dt, z + dt * k3)
-    return z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def _floats_bounded(z: list) -> bool:
     # every entry, not max(map(abs, z)): max passes over a NaN that is not first
     return all(abs(v) <= BLOWUP_LIMIT for v in z)
 
 
-def _array_bounded(z: np.ndarray) -> bool:
-    return np.abs(z).max() <= BLOWUP_LIMIT  # False for a NaN
+def _blew_up(t: float) -> NumericDomainError:
+    return NumericDomainError(f"trajectory blew up at t={t:g} (|z| > {BLOWUP_LIMIT:g} or NaN)")
+
+
+def _recording(steps: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Empty times and states arrays for a run of ``steps`` steps; a run too long to
+    record is a usage error, not a MemoryError."""
+    try:
+        return np.empty(steps + 1), np.empty((steps + 1, dim))
+    except (MemoryError, ValueError) as err:
+        raise UsageError(f"cannot record {steps + 1} states of {dim} coordinates: "
+                         f"{err}") from None
 
 
 def evolve(x0: PhaseSpacePoint, flow: FlowSpec, cfg: IntegratorConfig,
@@ -277,33 +269,22 @@ def evolve(x0: PhaseSpacePoint, flow: FlowSpec, cfg: IntegratorConfig,
         require_same_chart(watched, x0)
 
     dt, steps = cfg.dt, cfg.steps
-    try:
-        times = np.empty(steps + 1)
-        states = np.empty((steps + 1, chart.dim))
-    except (MemoryError, ValueError) as err:
-        raise UsageError(f"cannot record {steps + 1} states of {chart.dim} coordinates: "
-                         f"{err}") from None
+    times, states = _recording(steps, chart.dim)
     times[0] = 0.0
     states[0] = x0.coords
-    # the array step only where the flow builds its vector field as an array
-    on_floats = not isinstance(flow, PoissonFlow) or flow._direct_rhs(chart.n_pairs) is None
-    if on_floats:
-        z, step, bounded = x0.coords.tolist(), _float_step, _floats_bounded
-    else:
-        z, step, bounded = np.array(x0.coords), _array_step, _array_bounded
-    if not bounded(z):  # the start meets the check each step meets
-        raise NumericDomainError(f"trajectory blew up at t=0 (|z| > {BLOWUP_LIMIT:g} or NaN)")
+    z = x0.coords.tolist()
+    if not _floats_bounded(z):  # the start meets the check each step meets
+        raise _blew_up(0.0)
 
     # entered once per run: an overflowing or NaN stage ends in the blow-up check or in
     # the pairing guard, not in numpy warnings
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(steps):
-                z = step(rhs, i * dt, z, dt)
+                z = _float_step(rhs, i * dt, z, dt)
                 t_next = (i + 1) * dt
-                if not bounded(z):  # also catches NaN
-                    raise NumericDomainError(
-                        f"trajectory blew up at t={t_next:g} (|z| > {BLOWUP_LIMIT:g} or NaN)")
+                if not _floats_bounded(z):  # also catches NaN
+                    raise _blew_up(t_next)
                 times[i + 1] = t_next
                 states[i + 1] = z
     except DegeneracyError as err:

@@ -871,6 +871,20 @@ def test_maxwell_artifact(tmp_path):
     assert max(energies) - min(energies) < 1e-8 * max(1.0, energies[0])
 
 
+def test_maxwell_unrecordable_step_count_exits_2(tmp_path, capsys):
+    # the spectral route records through the same guard as a chart flow
+    config = write_config(tmp_path / "cfg.json", {
+        "model": {"kind": "maxwell", "side": 2},
+        "integrator": {"dt": 0.001, "steps": 2 ** 62},
+    })
+    out = tmp_path / "mx.csv"
+    assert run_cli("maxwell", "--config", config, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot record {2 ** 62 + 1} states of 48 coordinates: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_maxwell_requires_maxwell_model(tmp_path):
     config = write_config(tmp_path / "cfg.json", {"model": {"kind": "klauder"}})
     assert run_cli("maxwell", "--config", config) == 2

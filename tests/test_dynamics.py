@@ -17,7 +17,6 @@ from diracmech.errors import DegeneracyError, NumericDomainError, UsageError
 from diracmech.fields import ScalarField, coordinate_field, polynomial_field
 from diracmech.models import (KlauderModel, KRamp, LatticeMaxwell, RadialPotential,
                               RelativisticParticle)
-from diracmech.models.maxwell import _WaveFlow
 from diracmech.phase import ChartSpec, PhaseSpacePoint
 
 from test_constraints import CUSTOM_FOUR, reference_degeneracy_scale, reference_gradient_rows
@@ -738,15 +737,16 @@ def test_constraint_drift_recomputed_equals_recorded():
 
 
 def test_trajectory_keeps_the_integrator_arrays_without_a_copy():
-    # the states array is the only trajectory-sized allocation; the lattice's own flow
-    # takes the array step (the gradient route of its H steps on Python floats, whose
-    # every float tracemalloc traces)
+    # the states array is the only trajectory-sized allocation: the lattice's spectral RK4
+    # writes each block of steps into its rows and records the residuals block by block
+    # (a chart flow's Python floats would each be traced, so the lattice's flow is measured)
     model = LatticeMaxwell(side=8)
-    h = model.hamiltonian
-    x0 = h.chart.point(np.random.default_rng(3).uniform(-0.1, 0.1, h.chart.dim))
+    rng = np.random.default_rng(3)
+    a0, e0 = model.random_transverse(rng, 0.1), model.random_transverse(rng, 0.1)
+    assert model.chart.dim == 3072  # its labels are built once per lattice, before tracing
     tracemalloc.start()
     try:
-        traj = evolve(x0, _WaveFlow(h, model), IntegratorConfig(dt=1e-3, steps=300))
+        traj = model.evolve(a0, e0, IntegratorConfig(dt=1e-3, steps=300))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

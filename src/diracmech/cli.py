@@ -18,6 +18,7 @@ degeneracy.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from contextlib import contextmanager
@@ -26,11 +27,10 @@ from pathlib import Path
 import numpy as np
 
 from .brackets import poisson_tensor
-from .constraints import dirac_bracket, dirac_tensor
+from .constraints import dirac_tensor
 from .dynamics import IntegratorConfig, constraint_drift, evolve
 from .errors import (ConfigError, DegeneracyError, NumericDomainError,
                      UsageError)
-from .fields import coordinate_field
 from .models import CustomModel, KlauderModel, KRamp, LatticeMaxwell, RelativisticParticle
 
 # diracmech.circle and diracmech.verify load in the one subcommand that runs each, so the
@@ -364,19 +364,18 @@ def cmd_brackets(model, config: dict, args) -> int:
     chart = model.bracket_chart
     with _sized_by("samples/count"):  # a row of chart.dim + 4 values per point and pair
         np.empty((count, len(model.bracket_pairs), chart.dim + 4))
-    coords = {l: coordinate_field(chart, l) for l in chart.labels}
     # {z_a, z_b} = J_ab: the Poisson column is a constant of the chart
     poisson = poisson_tensor(chart.n_pairs).tolist()
-    # per pair, once: the label, the two coordinate fields, {a, b} and (a, b)
-    pairs = [(f"{{{a},{b}}}", coords[a], coords[b], poisson[chart.index(a)][chart.index(b)],
-              (a, b)) for a, b in model.bracket_pairs]
+    # per pair, once: the label, the indices i and j of a and b, {a, b} = J_ij and (a, b)
+    pairs = [(f"{{{a},{b}}}", i, j, poisson[i][j], (a, b)) for a, b in model.bracket_pairs
+             for i, j in [(chart.index(a), chart.index(b))]]
     rows = []
     for x in model.sample(rng, count, **ranges):
-        cs = model.constraints_at(x)
-        dirac = dirac_tensor(cs, x)
+        # {z_a, z_b}_D = D_ab: one Dirac tensor per point serves every pair
+        dirac = dirac_tensor(model.constraints_at(x), x).tolist()
         point = x.coords.tolist()
-        for label, fa, fb, pb, pair in pairs:
-            db = dirac_bracket(fa, fb, cs, x, tensor=dirac)
+        for label, i, j, pb, pair in pairs:
+            db = dirac[i][j]
             oracle = model.dirac_oracle(pair, x)
             rows.append((label, *point, pb, db, "", "") if oracle is None else
                         (label, *point, pb, db, oracle, abs(db - oracle)))
@@ -600,8 +599,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built at the first main call, not at import; parse_args only reads it, so threads share it
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "verify":
             return cmd_verify(args)

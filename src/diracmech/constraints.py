@@ -283,14 +283,9 @@ def dirac_tensor(cs: ConstraintSet, x: PhaseSpacePoint) -> np.ndarray:
     return poisson_tensor(n) + s.T @ _pairing_multipliers(rows, s, n, x.coords)
 
 
-def dirac_bracket(a: ScalarField, b: ScalarField, cs: ConstraintSet,
-                  x: PhaseSpacePoint, tensor: Optional[np.ndarray] = None) -> float:
-    """{a,b}_D at x; with an empty constraint set this is the Poisson bracket.
-
-    ``tensor`` is dirac_tensor(cs, x), passed by callers that read many brackets at x.
-    """
-    d = dirac_tensor(cs, x) if tensor is None else tensor
-    return float(a.gradient(x) @ d @ b.gradient(x))
+def dirac_bracket(a: ScalarField, b: ScalarField, cs: ConstraintSet, x: PhaseSpacePoint) -> float:
+    """{a,b}_D at x; with an empty constraint set this is the Poisson bracket."""
+    return float(a.gradient(x) @ dirac_tensor(cs, x) @ b.gradient(x))
 
 
 @dataclass(frozen=True)

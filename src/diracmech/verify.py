@@ -360,7 +360,7 @@ def check_dirac_surface_drift(rng, fault):
 # relativistic particle
 
 
-def check_particle_brackets(rng, fault):
+def check_bracket_suite(rng, fault):
     particle = RelativisticParticle(mass=2.0, spatial_dim=3)
     report = particle.bracket_report(particle.sample_on_shell(rng, 30))
     worst = max(report.values())
@@ -368,7 +368,7 @@ def check_particle_brackets(rng, fault):
                    "{chi,C}=p0 and canonical reduced pairs")
 
 
-def check_particle_trajectory(rng, fault):
+def check_trajectory(rng, fault):
     particle = RelativisticParticle(mass=4.0, spatial_dim=3)
     x0 = np.array([0.0, -1.0, 2.0])
     p = np.array([3.0, 0.0, 0.0])
@@ -426,7 +426,7 @@ def check_dirac_matrix(rng, fault):
                    "{A,E}_D by FFT, pseudo-inverse and LU agree")
 
 
-def check_maxwell_evolution(rng, fault):
+def check_evolution(rng, fault):
     """The spectral RK4 over 2,000 steps: its energy drift, its Gauss residual, and its
     first 200 states against the stencil RK4 of the generic Poisson flow, relative to the
     field scale. Each measured at most 3.0e-15 over seeds 0-59 and the default."""
@@ -536,9 +536,9 @@ SUITES: dict[str, list[Callable]] = {
                 check_rotational_invariance, check_circular_orbit],
     "dynamics": [check_gauge_closed_form, check_gauge_residual_order,
                  check_energy_conservation, check_dirac_surface_drift],
-    "particle": [check_particle_brackets, check_particle_trajectory],
+    "particle": [check_bracket_suite, check_trajectory],
     "maxwell": [check_projector_identity, check_projector_action,
-                check_dirac_matrix, check_maxwell_evolution],
+                check_dirac_matrix, check_evolution],
     "quantum": [check_unitarity, check_stationarity, check_phi_vs_quadrature,
                 check_cartesian_oracle, check_tdep_reduction, check_tdep_phase],
 }

@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -17,9 +18,11 @@ from diracmech.circle import (CircleState, SpectrumTable, evolve_time_dependent,
                               expect_phi, expect_reduced)
 from diracmech import cli
 from diracmech.cli import COMMANDS, SCENARIO_SCHEMA, build_model, main
+from diracmech.constraints import dirac_bracket
 from diracmech.fields import coordinate_field
 from diracmech.models import KlauderModel, KRamp, RadialPotential
 from diracmech.dynamics import gauge_orbit_closed_form
+from diracmech import verify
 from diracmech.verify import available_suites
 
 
@@ -74,9 +77,9 @@ def test_brackets_deterministic_for_fixed_seed(tmp_path):
     assert a.read_bytes() != c.read_bytes()
 
 
-def test_brackets_reads_one_bracket_and_one_oracle_per_row(tmp_path, monkeypatch):
-    # the benchmark's traced bracket op counts these calls and rows on the same table
-    calls = {"dirac_bracket": 0, "dirac_oracle": 0}
+def test_brackets_reads_one_dirac_tensor_per_point_and_one_oracle_per_row(tmp_path,
+                                                                          monkeypatch):
+    calls = {"dirac_tensor": 0, "dirac_oracle": 0}
     written = []
 
     def counted(name, fn):
@@ -91,7 +94,7 @@ def test_brackets_reads_one_bracket_and_one_oracle_per_row(tmp_path, monkeypatch
         written.append(len(rows))
         return write_table(path, fmt, columns, rows, footer_rows)
 
-    monkeypatch.setattr(cli, "dirac_bracket", counted("dirac_bracket", cli.dirac_bracket))
+    monkeypatch.setattr(cli, "dirac_tensor", counted("dirac_tensor", cli.dirac_tensor))
     monkeypatch.setattr(KlauderModel, "dirac_oracle",
                         counted("dirac_oracle", KlauderModel.dirac_oracle))
     monkeypatch.setattr(cli, "write_table", recording_write_table)
@@ -99,7 +102,7 @@ def test_brackets_reads_one_bracket_and_one_oracle_per_row(tmp_path, monkeypatch
         "seed": 3, "model": {"kind": "klauder", "alpha": 1.0, "k": 1.0},
         "samples": {"count": 5, "r_range": [0.1, 5.0], "momentum_range": [-5.0, 5.0]}})
     assert run_cli("brackets", "--config", config, "--out", str(tmp_path / "t.csv")) == 0
-    assert calls == {"dirac_bracket": 30, "dirac_oracle": 30}
+    assert calls == {"dirac_tensor": 5, "dirac_oracle": 30}
     assert written == [30]
 
 
@@ -151,6 +154,28 @@ def test_brackets_poisson_column_equals_the_engine_bracket(tmp_path, model):
         a, b = row[0][1:-1].split(",")
         x = chart.point([float(v) for v in row[1:column]])
         expected = poisson_bracket(coordinate_field(chart, a), coordinate_field(chart, b), x)
+        assert row[column] == f"{expected:.17g}", row
+
+
+@pytest.mark.parametrize("model", [{"kind": "klauder", "alpha": 1.3, "k": 0.7},
+                                   {"kind": "particle", "mass": 2.0, "spatial_dim": 2},
+                                   SECOND_CLASS_CUSTOM])
+def test_brackets_dirac_column_equals_the_engine_bracket(tmp_path, model):
+    # the table reads D_ab; dirac_bracket contracts D with the two coordinate gradients
+    config = {"seed": 3, "model": model, "samples": {"count": 6}}
+    out = tmp_path / "table.csv"
+    assert run_cli("brackets", "--config", write_config(tmp_path / "cfg.json", config),
+                   "--out", str(out)) == 0
+    header, rows = read_csv(out)
+    built = build_model(config, "brackets")
+    chart = built.bracket_chart
+    column = header.index("dirac")
+    assert header[1:column - 1] == list(chart.labels) and rows
+    for row in rows:
+        a, b = row[0][1:-1].split(",")
+        x = chart.point([float(v) for v in row[1:column - 1]])
+        expected = dirac_bracket(coordinate_field(chart, a), coordinate_field(chart, b),
+                                 built.constraints_at(x), x)
         assert row[column] == f"{expected:.17g}", row
 
 
@@ -917,6 +942,23 @@ def test_verify_unknown_fault_id_exits_2(capsys, suite, check_id):
     assert "names no check" in captured.err and "checks passed" not in captured.out
 
 
+def test_verify_accepts_every_check_id_it_reports():
+    # --inject-fault takes the ids of verify._CHECK_IDS (and their short forms)
+    assert [result.check_id for result in verify.run_suite("all")] == list(verify._CHECK_IDS)
+
+
+@pytest.mark.parametrize("suite, check_id", [("maxwell", "maxwell.evolution"),
+                                             ("particle", "particle.bracket_suite"),
+                                             ("particle", "particle.trajectory")])
+def test_verify_fault_fails_the_named_check_alone(capsys, suite, check_id):
+    assert run_cli("verify", suite, "--inject-fault", check_id) == 1
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line for line in lines if line.startswith("FAIL ")]
+    assert len(failed) == 1 and failed[0].startswith(f"FAIL {check_id}: ")
+    checks = len(verify.SUITES[suite])
+    assert lines[-1] == f"{checks - 1}/{checks} checks passed"
+
+
 def test_verify_parser_lists_the_suites_of_the_verify_module(capsys):
     assert cli._SUITES == tuple(available_suites())
     with pytest.raises(SystemExit) as exit_info:
@@ -949,3 +991,67 @@ def test_negative_seed_exits_2(capsys, argv):
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     assert "non-negative integer" in err and "Traceback" not in err
+
+
+# -- threads ----------------------------------------------------------------------
+
+def test_main_builds_its_parser_at_the_first_call_and_only_then(tmp_path):
+    code = "import diracmech.cli; print(diracmech.cli._parser.cache_info().misses)"
+    done = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "0\n"  # the import builds no parser
+    cli._parser.cache_clear()
+    config = write_config(tmp_path / "cfg.json", {"model": {"kind": "klauder"},
+                                                  "samples": {"count": 1}})
+    for _ in range(3):
+        assert run_cli("brackets", "--config", config, "--out", str(tmp_path / "t.csv")) == 0
+    assert cli._parser.cache_info()[:2] == (2, 1)  # hits, misses
+
+
+THREADED_RUNS = [
+    ("brackets", {"seed": 5, "model": {"kind": "klauder", "alpha": 1.3, "k": 0.7},
+                  "samples": {"count": 60}}),
+    ("brackets", {"seed": 6, "model": {"kind": "particle", "spatial_dim": 2},
+                  "samples": {"count": 30}}),
+    ("evolve", {"model": {"kind": "klauder", "k": 0.0},
+                "flow": {"kind": "gauge", "multiplier": 1.0},
+                "integrator": {"dt": 0.001, "steps": 200},
+                "initial": {"coords": [1.0, 0.0, 1.0, 0.0]}}),
+    ("evolve", {"model": {"kind": "klauder", "k": [0.5, 1.0],
+                          "potential": {"type": "poly", "coeffs": [0.0, 0.0, 0.5]}},
+                "flow": {"kind": "dirac"}, "integrator": {"dt": 0.001, "steps": 200},
+                "initial": {"surface": {"phi": 0.0, "p_phi": 2.0}}}),
+]
+
+
+def test_concurrent_main_calls_write_the_bytes_of_their_serial_runs(tmp_path):
+    # 8 threads, each run twice in CSV and JSON, race for the first parser build and then
+    # share it; a thread switch every microsecond interleaves them
+    jobs = []
+    for j, (command, payload) in enumerate(THREADED_RUNS * 2):
+        config = write_config(tmp_path / f"cfg{j}.json", payload)
+        jobs.append([command, "--config", config, "--format", ("csv", "json")[j // 4]])
+    for j, argv in enumerate(jobs):
+        assert main([*argv, "--out", str(tmp_path / f"serial{j}")]) == 0
+    serial = [(tmp_path / f"serial{j}").read_bytes() for j in range(len(jobs))]
+    codes = [None] * len(jobs)
+    barrier = threading.Barrier(len(jobs))
+
+    def run(j):
+        barrier.wait(timeout=60)
+        codes[j] = main([*jobs[j], "--out", str(tmp_path / f"thread{j}")])
+
+    cli._parser.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(j,)) for j in range(len(jobs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert codes == [0] * len(jobs)
+    assert [(tmp_path / f"thread{j}").read_bytes() for j in range(len(jobs))] == serial

@@ -365,8 +365,8 @@ def test_dirac_tensor_matches_per_pair_formula(rng):
         b = random_polynomial(chart, rng, name="b")
         assert dirac_bracket(a, b, cs, x) == pytest.approx(reference_bracket(a, b, cs, x),
                                                            rel=1e-12, abs=1e-12)
-        # a tensor built once by the caller gives the same bracket, bit for bit
-        assert dirac_bracket(a, b, cs, x, tensor=d) == dirac_bracket(a, b, cs, x)
+        # the bracket is grad a . D . grad b with this D, bit for bit
+        assert float(a.gradient(x) @ d @ b.gradient(x)) == dirac_bracket(a, b, cs, x)
 
 
 def test_dirac_tensor_chart_mismatch_raises(model):

@@ -310,18 +310,34 @@ def _csv_cell(value) -> str:
     return text if _QUOTED.isdisjoint(text) else '"' + text.replace('"', '""') + '"'
 
 
+def _column_cells(column) -> list[str]:
+    """One column's cell texts, each distinct cell formatted once. A float is keyed on
+    its bits, so 0.0 and -0.0, and each NaN, keep their own text; an all-str column is
+    keyed on its strings; any other column (a dict would merge 1, 1.0 and True) goes
+    cell by cell."""
+    kinds = set(map(type, column))
+    if all(issubclass(kind, float) for kind in kinds):
+        distinct, where = np.unique(np.array(column, dtype=float).view(np.int64),
+                                    return_inverse=True)
+        if len(distinct) == len(column):
+            return list(map("%.17g".__mod__, column))
+        texts = list(map("%.17g".__mod__, distinct.view(float).tolist()))
+        return list(map(texts.__getitem__, where.tolist()))
+    if kinds == {str}:
+        texts = {text: _csv_cell(text) for text in set(column)}
+        return list(map(texts.__getitem__, column))
+    return list(map(_csv_cell, column))
+
+
 def _csv_lines(rows) -> list[str]:
-    """The CSV lines of rows of one width, one column at a time: a column of floats in
-    one map of %.17g, any other cell by cell. Rows of differing widths, or of fewer
-    than two cells (a lone empty cell is written "" so the line is not blank), go row
-    by row."""
+    """The CSV lines of rows of one width, one column at a time (see _column_cells).
+    Rows of differing widths, or of fewer than two cells (a lone empty cell is written
+    "" so the line is not blank), go row by row."""
     widths = set(map(len, rows))
     if len(widths) != 1 or widths.pop() < 2:
         return [(",".join(map(_csv_cell, row)) or ('""' if row else "")) + "\r\n"
                 for row in rows]
-    columns = [list(map("%.17g".__mod__, column))
-               if all(issubclass(kind, float) for kind in set(map(type, column)))
-               else list(map(_csv_cell, column)) for column in zip(*rows)]
+    columns = list(map(_column_cells, zip(*rows)))
     columns[-1] = [cell + "\r\n" for cell in columns[-1]]
     return list(map(",".join, zip(*columns)))
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dfield
+from functools import lru_cache
 from itertools import starmap
 from typing import Callable, Optional, Sequence
 
@@ -266,6 +267,14 @@ def classify(cs: ConstraintSet, samples: Sequence[PhaseSpacePoint], tol: float) 
                                 notes=tuple(notes))
 
 
+@lru_cache(maxsize=None)
+def _shared_poisson_tensor(n_pairs: int) -> np.ndarray:
+    """One read-only J per chart size, for dirac_tensor to add to its correction."""
+    j = poisson_tensor(n_pairs)
+    j.flags.writeable = False
+    return j
+
+
 def dirac_tensor(cs: ConstraintSet, x: PhaseSpacePoint) -> np.ndarray:
     """D_ab = {z_a, z_b}_D = J + S^T M^-1 S at x, with S_Ia = {Phi_I, z_a}.
 
@@ -280,7 +289,7 @@ def dirac_tensor(cs: ConstraintSet, x: PhaseSpacePoint) -> np.ndarray:
         rows = cs.gradient_rows(x.coords.tolist())
     # S_I = {Phi_I, z} = (-dPhi_I/dp, dPhi_I/dq)
     s = np.array([[-v for v in row[n:]] + row[:n] for row in rows])
-    return poisson_tensor(n) + s.T @ _pairing_multipliers(rows, s, n, x.coords)
+    return _shared_poisson_tensor(n) + s.T @ _pairing_multipliers(rows, s, n, x.coords)
 
 
 def dirac_bracket(a: ScalarField, b: ScalarField, cs: ConstraintSet, x: PhaseSpacePoint) -> float:

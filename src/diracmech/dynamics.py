@@ -238,9 +238,9 @@ def evolve(x0: PhaseSpacePoint, flow: FlowSpec, cfg: IntegratorConfig,
 
     The Dirac flow requires x0 on the constraint surface (|Phi_I| < 1e-8) and
     an invertible pairing matrix; both are rechecked along the trajectory.
-    Coordinates beyond 1e12, or NaN, abort with a blow-up error. ``monitor`` adds a
-    constraint set to watch for Poisson/gauge flows; a Dirac flow always
-    monitors its own.
+    Coordinates beyond 1e12, or NaN, abort with a blow-up error, and so does a
+    non-finite generator value or watched residual. ``monitor`` adds a constraint set
+    to watch for Poisson/gauge flows; a Dirac flow always monitors its own.
     """
     if isinstance(flow, PoissonFlow):
         chart = require_same_chart(flow.hamiltonian, x0)
@@ -297,15 +297,17 @@ def evolve(x0: PhaseSpacePoint, flow: FlowSpec, cfg: IntegratorConfig,
 
 
 def _finalize(chart, times, states, watched, generator) -> Trajectory:
-    # bounded states whose generator overflows end in the blow-up error, not in numpy
-    # warnings; the initial state meets this check even with no step taken
+    # bounded states whose generator or watched residual overflows end in the blow-up
+    # error, not in numpy warnings; the initial state meets this check even with no step
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         gen_values = generator.values_along(states)
-    bad = np.flatnonzero(~np.isfinite(gen_values))
-    if bad.size:
-        raise NumericDomainError(f"trajectory blew up at t={times[bad[0]]:g} "
-                                 f"({generator.name} = {gen_values[bad[0]]})")
-    residuals = watched.residual_series(times, states) if watched is not None else {}
+        residuals = watched.residual_series(times, states) if watched is not None else {}
+    series = {generator.name: gen_values, **{f"|{n}|": v for n, v in residuals.items()}}
+    for name, values in series.items():
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise NumericDomainError(f"trajectory blew up at t={times[bad[0]]:g} "
+                                     f"({name} = {values[bad[0]]})")
     # the trajectory owns evolve's preallocated arrays; no second copy of the states
     return Trajectory(chart=chart, times=times, states=states,
                       residuals=residuals, generator_values=gen_values)

@@ -17,8 +17,14 @@ FLOATS = st.sampled_from(EXTREMES) | st.floats()
 TEXT = st.text(alphabet=st.sampled_from(["a", "0", ".", " ", "{", ",", '"', "\r", "\n"]),
                max_size=5)
 CELLS = FLOATS | FLOATS.map(np.float64) | st.integers(-10**20, 10**20) | st.booleans() | TEXT
+# a small pool, so that most cells of a column repeat one the writer has formatted:
+# signed zeros of both types, one shared NaN object and fresh ones, and 1.0 of both types
+SHARED_NAN = math.nan
+REPEATS = (st.sampled_from([0.0, -0.0, np.float64(-0.0), SHARED_NAN, 1.0, np.float64(1.0),
+                            math.inf, -math.inf, 5e-324])
+           | st.builds(float, st.just("nan")))
 # a column of one kind takes the writer's whole-column route, a mixed one the cell route
-COLUMN_KINDS = st.sampled_from([FLOATS, FLOATS.map(np.float64), TEXT, CELLS])
+COLUMN_KINDS = st.sampled_from([FLOATS, FLOATS.map(np.float64), TEXT, CELLS, REPEATS])
 
 
 @st.composite
@@ -47,6 +53,10 @@ def csv_module_bytes(path, columns, rows, footer_rows) -> bytes:
 # a trajectory: the drift footer is narrower than the body
 @example(["t", "q", "p", "res_C", "H"], [[0.0, 1.0, -0.0, 5e-324, 0.5]],
          [["drift", "C", 1e-17, -math.inf]])
+# signed zeros that repeat: each keeps its own text
+@example(["t", "x"], [[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [-0.0, 1.0]], None)
+# a pair label that needs quotes, on every row
+@example(["pair", "poisson"], [["{r,p_r}", 1.0] for _ in range(6)], None)
 # a lone empty cell, an empty row and a ragged footer
 @example([""], [[""], []], [["a", "b,c"], ["x\r\ny"]])
 @given(st.lists(TEXT, max_size=6), sections(), st.none() | sections())

@@ -427,6 +427,25 @@ def test_extreme_valid_config_ends_in_one_error_line(tmp_path, capsys, command, 
         assert not out.exists()  # no NaN rows
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_overflowing_watched_residual_exits_3(tmp_path, capsys, fmt):
+    # q moves 4e7, 5e7, 6e7 while H = 1e7 p stays finite, and the watched q^40 overflows
+    # at t = 2: no inf residual, nan drift row or JSON Infinity reaches an artifact
+    payload = {"model": {"kind": "custom", "labels": ["q", "p"], "constraints": [
+                   {"name": "C", "terms": [{"coeff": 1.0, "powers": [40, 0]}]}]},
+               "flow": {"kind": "poisson", "hamiltonian": [{"coeff": 1e7, "powers": [0, 1]}]},
+               "integrator": {"dt": 1.0, "steps": 3}, "initial": {"coords": [4e7, 0.0]}}
+    config = write_config(tmp_path / "cfg.json", payload)
+    out = tmp_path / f"out.{fmt}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy overflow warnings would reach stderr
+        code = run_cli("evolve", "--config", config, "--out", str(out), "--format", fmt)
+    assert code == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "error: trajectory blew up at t=2 (|C| = inf)"]
+    assert not out.exists()
+
+
 def capped_brackets_run(tmp_path, payload):
     """``brackets`` on ``payload`` in a child under a 1 GiB address space, where an
     unguarded size ends in a MemoryError within seconds; returns the finished process."""

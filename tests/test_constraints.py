@@ -346,6 +346,21 @@ def test_dirac_tensor_antisymmetric_and_canonical_without_constraints(rng):
     assert np.array_equal(d, j) and not np.any(np.signbit(d[d == 0]))
 
 
+def test_dirac_and_poisson_tensors_are_fresh_writable_arrays(rng):
+    # dirac_tensor adds one J shared per chart size: a caller that writes its D, with or
+    # without constraints, changes no later D
+    empty = ConstraintSet(FLAT, (), ())
+    for cs, x in [*tensor_points(rng), (empty, FLAT.point(rng.uniform(-3, 3, 4)))]:
+        d = dirac_tensor(cs, x)
+        expected = d.copy()
+        d[...] = np.nan
+        again = dirac_tensor(cs, x)
+        assert again.flags.writeable and np.array_equal(again, expected)
+    j = poisson_tensor(2)
+    j[0, 2] = 5.0
+    assert poisson_tensor(2)[0, 2] == 1.0
+
+
 def test_dirac_tensor_annihilates_constraint_gradients(rng):
     # {z_a, Phi_I}_D = (D grad Phi_I)_a = 0: every coordinate is an observable
     for cs, x in tensor_points(rng):

@@ -12,15 +12,26 @@ lattice Maxwell flow does not come here: ``LatticeMaxwell.evolve`` applies the
 same RK4 map per Fourier mode in closed form, and shares this module's
 recording arrays, blow-up error and finalisation.
 
-``evolve`` builds each chart flow's right-hand side once per flow, as a closure
-that has resolved its fields' gradient routes (and a gauge flow's constant
-multiplier), so a call does arithmetic only. With two constraints, as in every
-built-in Dirac flow, one pass over the gradients sums the brackets {Phi_I, H}
-and the pairing matrix M in the order of the constraint engine's float sums;
-more constraints take the engine's stacked rows and pivoted LU. The correction
-sum_I lambda_I grad Phi_I is summed per entry on Python floats, left to right and
-unfused, so of a Dirac orbit's bits only those of the LU solve for more than two
-constraints depend on the BLAS kernel.
+The RK4 step and the Poisson, gauge and two-constraint Dirac right-hand sides are
+generated code, as ``namedtuple`` and ``dataclasses`` generate theirs. For each kind
+and chart size n, the source is written out over the 2n coordinates, compiled in
+this module's globals at the first flow that needs it (not at import), and cached
+for the life of the process. Up to 64 coordinates every list entry and sum term is
+spelled out, which spares a step on a few coordinates the zips, slices and loop
+counters that cost more than its arithmetic; past 64, each list is one
+comprehension and each sum one loop. Both forms keep the order of every sum, so
+they give the same bits. ``evolve`` builds each flow's right-hand side once, from
+the generated factory and the flow's resolved gradient routes (and a gauge flow's
+constant multiplier), so a call does arithmetic only.
+
+With two constraints, as in every built-in Dirac flow, the brackets {Phi_I, H} and
+the pairing matrix M are summed straight from the gradients in the order of the
+constraint engine's float sums, and the generated rhs calls ``_second_class``,
+``_pairing_multipliers`` and ``_solve_pairing`` through the module's globals. More
+constraints take the engine's stacked rows and pivoted LU, through the same
+generated step. The correction sum_I lambda_I grad Phi_I is summed per entry on
+Python floats, left to right and unfused, so of a Dirac orbit's bits only those of
+the LU solve for more than two constraints depend on the BLAS kernel.
 """
 
 from __future__ import annotations
@@ -28,7 +39,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field as dfield
-from functools import reduce
+from functools import cache, reduce
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -126,91 +137,125 @@ class Trajectory:
         return len(self.times)
 
 
-def _symplectic_apply(grad: list, n: int) -> list:
-    """J grad for J = [[0, I], [-I, 0]] on Python floats: the Hamiltonian vector field map."""
-    return grad[n:] + list(map(operator.neg, grad[:n]))
+# Above this many coordinates a generated function reads its lists by index, each
+# per-coordinate list one comprehension and each sum one loop. Spelled out, the step and
+# the Dirac rhs take 0.24 s and 32 MiB to build at n = 1024, and past n = 2048 a sum's
+# chain of additions is too deep for the compiler (RecursionError).
+_UNROLL_LIMIT = 64
+
+
+def _source(kind: str, n: int) -> str:
+    """Python source of the function ``kind`` for a chart of n pairs.
+
+    The right-hand-side factories ``poisson``, ``gauge`` and ``dirac`` (two constraints)
+    each return an ``rhs(t, z)``; ``step`` is the classic RK4 step ``step(rhs, t, z, dt)``.
+    Each sum runs from +0.0 in index order and each list in coordinate order, unrolled or
+    in a loop, so both forms give the same bits.
+    """
+    dim = 2 * n
+    unrolled = dim <= _UNROLL_LIMIT
+
+    def at(i):  # the {q} and {p} suffixes of entry i: a local name, or an index in a loop
+        return {"q": f"_{i}", "p": f"_{n + i}"} if unrolled else {"q": "[i]", "p": f"[{n} + i]"}
+
+    def vector(*parts):  # (template, count) parts: the list of every entry of each in turn
+        if unrolled:
+            return "[" + ", ".join(t.format(**at(i)) for t, c in parts for i in range(c)) + "]"
+        return " + ".join(f"[{t.format(**at(None))} for i in range({c})]" for t, c in parts)
+
+    def read(name, value, keep=False):  # unrolled, entry j is then the local {name}_j
+        if not unrolled:
+            return [f"{name} = {value}"]
+        entries = ", ".join(f"{name}_{j}" for j in range(dim))
+        return [f"{name} = {value}", f"{entries} = {name}"] if keep else [f"{entries} = {value}"]
+
+    def sums(**terms):  # each name set to the sum of its template over i < n
+        if unrolled:
+            return [f"{name} = 0.0" + "".join(f" + {t.format(**at(i))}" for i in range(n))
+                    for name, t in terms.items()]
+        return ([" = ".join(terms) + " = 0.0", f"for i in range({n}):"]
+                + [f"    {name} += {t.format(**at(None))}" for name, t in terms.items()])
+
+    if kind == "step":
+        body = ["half = 0.5 * dt", *(read("z", "z") if unrolled else []),
+                *read("k1", "rhs(t, z)"),
+                *read("k2", f"rhs(t + half, {vector(('z{q} + half * k1{q}', dim))})"),
+                *read("k3", f"rhs(t + half, {vector(('z{q} + half * k2{q}', dim))})"),
+                *read("k4", f"rhs(t + dt, {vector(('z{q} + dt * k3{q}', dim))})"),
+                "sixth = dt / 6.0",
+                "return " + vector(("z{q} + sixth * (k1{q} + 2.0 * k2{q} + 2.0 * k3{q} + k4{q})",
+                                    dim))]
+        return "\n    ".join(["def step(rhs, t, z, dt):", *body])
+    if kind == "poisson":
+        head, body = "poisson(gradient)", [
+            *read("g", "gradient(z)"), "return " + vector(("g{p}", n), ("-g{q}", n))]
+    elif kind == "gauge":
+        head, body = "gauge(gradient, multiplier_at, constant)", [
+            "lam = multiplier_at(t) if constant is None else constant",
+            *read("g", "gradient(z)"), "return " + vector(("lam * g{p}", n), ("lam * -g{q}", n))]
+    else:
+        # {Phi_I, H} = b_I - c_I and M = a - a^T, a_IJ = q_I . p_J: the bits of
+        # _constraint_brackets and pairing_matrix_of_rows; a NaN diagonal marks a
+        # non-finite row, and a failed guard raises _pairing_multipliers' DegeneracyError
+        head, body = "dirac(grad_h, grad_0, grad_1, rates_at)", [
+            *read("gh", "grad_h(z)"), *read("r0", "grad_0(z)", True),
+            *read("r1", "grad_1(z)", True),
+            *sums(b0="r0{q} * gh{p}", c0="r0{p} * gh{q}", b1="r1{q} * gh{p}",
+                  c1="r1{p} * gh{q}", a00="r0{q} * r0{p}", a01="r0{q} * r1{p}",
+                  a10="r1{q} * r0{p}", a11="r1{q} * r1{p}"),
+            "s = [b0 - c0, b1 - c1]",
+            "if rates_at is not None:",
+            "    s = list(map(operator.add, s, rates_at(t)))",
+            "m01 = a01 - a10",
+            "m = [[a00 - a00, m01], [a10 - a01, a11 - a11]]",
+            "if not _second_class(m, m01 * m01):",
+            f"    _pairing_multipliers([r0, r1], s, {n}, z)",
+            "l0, l1 = _solve_pairing(m, s)",
+            "return " + vector(("gh{p} - (l0 * r0{p} + l1 * r1{p})", n),
+                               ("-(gh{q} - (l0 * r0{q} + l1 * r1{q}))", n))]
+    return "\n        ".join([f"def {head}:\n    def rhs(t, z):", *body]) + "\n    return rhs"
+
+
+@cache
+def _generated(kind: str, n: int):
+    """The function ``kind`` of ``_source`` for n pairs, compiled at its first use and
+    shared from then on: it holds no state, so concurrent flows call it freely."""
+    namespace = {}
+    exec(compile(_source(kind, n), f"<diracmech.dynamics {kind} n={n}>", "exec"),
+         globals(), namespace)
+    return namespace[kind]
 
 
 def _poisson_rhs(flow: PoissonFlow, n: int):
-    gradient = flow.hamiltonian._gradient_floats
-
-    def rhs(t, z):
-        return _symplectic_apply(gradient(z), n)
-
-    return rhs
+    return _generated("poisson", n)(flow.hamiltonian._gradient_floats)
 
 
 def _gauge_rhs(flow: GaugeFlow, n: int):
-    gradient = flow.generator._gradient_floats
     constant = None if callable(flow.multiplier) else float(flow.multiplier)
-
-    def rhs(t, z):
-        lam = flow.multiplier_at(t) if constant is None else constant
-        return [lam * v for v in _symplectic_apply(gradient(z), n)]
-
-    return rhs
+    return _generated("gauge", n)(flow.generator._gradient_floats, flow.multiplier_at, constant)
 
 
 def _dirac_rhs(flow: DiracFlow, n: int):
     """{z, H}_D at (t, z), z a list of Python floats, as Python floats. Two constraints
-    take one pass over the gradients and the closed 2x2 solve; more take the stacked
+    take the generated rhs and the closed 2x2 solve; more take the stacked
     rows and pivoted LU."""
     cs = flow.constraints
     grad_h = flow.hamiltonian._gradient_floats
     rates_at = cs.rates_at if cs.time_dependent else None
-    if len(cs) != 2:
-        def rhs(t, z):
-            gh, rows = grad_h(z), cs.gradient_rows(z)
-            # s_J = {Phi_J, H} (+ explicit-time rates)
-            s = _constraint_brackets(rows, gh, n)
-            if rates_at is not None:
-                s = list(map(operator.add, s, rates_at(t)))
-            lam = _pairing_multipliers(rows, s, n, z).tolist()
-            return _symplectic_apply([g - reduce(operator.add, map(operator.mul, lam, col))
-                                      for g, *col in zip(gh, *rows)], n)
-
-        return rhs
-
-    grad_0, grad_1 = (f._gradient_floats for f in cs.fields)
+    if len(cs) == 2:
+        return _generated("dirac", n)(grad_h, *(f._gradient_floats for f in cs.fields), rates_at)
 
     def rhs(t, z):
-        gh, r0, r1 = grad_h(z), grad_0(z), grad_1(z)
-        # {Phi_I, H} = b_I - c_I and M = a - a^T, a_IJ = q_I . p_J: each sum from +0.0 in
-        # index order, the bits of _constraint_brackets and pairing_matrix_of_rows
-        b0 = c0 = b1 = c1 = a00 = a01 = a10 = a11 = 0.0
-        for i in range(n):
-            q0, p0, q1, p1, hq, hp = r0[i], r0[n + i], r1[i], r1[n + i], gh[i], gh[n + i]
-            b0 += q0 * hp
-            c0 += p0 * hq
-            b1 += q1 * hp
-            c1 += p1 * hq
-            a00 += q0 * p0
-            a01 += q0 * p1
-            a10 += q1 * p0
-            a11 += q1 * p1
-        s = [b0 - c0, b1 - c1]
+        gh, rows = grad_h(z), cs.gradient_rows(z)
+        # s_J = {Phi_J, H} (+ explicit-time rates)
+        s = _constraint_brackets(rows, gh, n)
         if rates_at is not None:
             s = list(map(operator.add, s, rates_at(t)))
-        m01 = a01 - a10
-        m = [[a00 - a00, m01], [a10 - a01, a11 - a11]]  # a NaN diagonal marks a non-finite row
-        if not _second_class(m, m01 * m01):
-            _pairing_multipliers([r0, r1], s, n, z)  # raises the guard's DegeneracyError
-        l0, l1 = _solve_pairing(m, s)
-        return _symplectic_apply([g - (l0 * a + l1 * b) for g, a, b in zip(gh, r0, r1)], n)
+        lam = _pairing_multipliers(rows, s, n, z).tolist()
+        v = [g - reduce(operator.add, map(operator.mul, lam, col)) for g, *col in zip(gh, *rows)]
+        return v[n:] + [-x for x in v[:n]]
 
     return rhs
-
-
-def _float_step(rhs, t: float, z: list, dt: float) -> list:
-    """One classic RK4 step on Python floats."""
-    half = 0.5 * dt
-    k1 = rhs(t, z)
-    k2 = rhs(t + half, [a + half * b for a, b in zip(z, k1)])
-    k3 = rhs(t + half, [a + half * b for a, b in zip(z, k2)])
-    k4 = rhs(t + dt, [a + dt * b for a, b in zip(z, k3)])
-    sixth = dt / 6.0
-    return [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(z, k1, k2, k3, k4)]
 
 
 def _floats_bounded(z: list) -> bool:
@@ -269,6 +314,7 @@ def evolve(x0: PhaseSpacePoint, flow: FlowSpec, cfg: IntegratorConfig,
         require_same_chart(watched, x0)
 
     dt, steps = cfg.dt, cfg.steps
+    step = _generated("step", chart.n_pairs)
     times, states = _recording(steps, chart.dim)
     times[0] = 0.0
     states[0] = x0.coords
@@ -281,7 +327,7 @@ def evolve(x0: PhaseSpacePoint, flow: FlowSpec, cfg: IntegratorConfig,
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(steps):
-                z = _float_step(rhs, i * dt, z, dt)
+                z = step(rhs, i * dt, z, dt)
                 t_next = (i + 1) * dt
                 if not _floats_bounded(z):  # also catches NaN
                     raise _blew_up(t_next)

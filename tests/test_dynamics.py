@@ -11,8 +11,8 @@ import pytest
 from diracmech.cli import _trajectory_rows
 from diracmech.constraints import DEGENERACY_RTOL, ConstraintSet, dirac_bracket, dirac_tensor
 from diracmech.dynamics import (DiracFlow, GaugeFlow, IntegratorConfig, PoissonFlow,
-                                _dirac_rhs, _gauge_rhs, _poisson_rhs, constraint_drift, evolve,
-                                gauge_orbit_closed_form)
+                                _dirac_rhs, _gauge_rhs, _generated, _poisson_rhs,
+                                constraint_drift, evolve, gauge_orbit_closed_form)
 from diracmech.errors import DegeneracyError, NumericDomainError, UsageError
 from diracmech.fields import ScalarField, coordinate_field, polynomial_field
 from diracmech.models import (KlauderModel, KRamp, LatticeMaxwell, RadialPotential,
@@ -395,6 +395,34 @@ def array_stage(flow):
     return stage
 
 
+THREE = ChartSpec(labels=("q1", "q2", "q3", "p1", "p2", "p3"), name="three")
+# 2n = 66 coordinates, past the unroll limit of the generated right-hand sides and step
+WIDE = ChartSpec(labels=tuple(f"{c}{i}" for c in "qp" for i in range(1, 34)), name="wide")
+
+
+def coupled_dirac_flow(chart):
+    """(flow, x0) for the two-constraint Dirac flow of Phi = (q_n + 0.1 q1 q2,
+    p_n + 0.2 p1 + 0.3 p2) under oscillators coupled by 0.3 q1 p2, on a chart of n >= 2
+    pairs: {A, B} = 1 + 0.02 q2 + 0.03 q1, and rows with several nonzero products."""
+    n = chart.n_pairs
+
+    def term(coeff, *at):  # coeff times the product of the coordinates at indices ``at``
+        powers = [0] * (2 * n)
+        for i in at:
+            powers[i] += 1
+        return coeff, powers
+
+    h = polynomial_field(chart, [term(0.5, j, j) for j in range(2 * n)] + [term(0.3, 0, n + 1)],
+                         name="H")
+    cs = ConstraintSet(chart, (
+        polynomial_field(chart, [term(1.0, n - 1), term(0.1, 0, 1)], name="A"),
+        polynomial_field(chart, [term(1.0, 2 * n - 1), term(0.2, n), term(0.3, n + 1)], name="B")),
+        ("A", "B"))
+    z = [0.1 * math.sin(j + 1) for j in range(2 * n)]
+    z[n - 1], z[2 * n - 1] = -0.1 * z[0] * z[1], -(0.2 * z[n] + 0.3 * z[n + 1])
+    return DiracFlow(h, cs), chart.point(z)
+
+
 def float_step_flows():
     """(flow, x0, monitor) for each kind of chart flow that evolve steps on Python floats."""
     oscillator = polynomial_field(FLAT, [(0.5, (0, 2)), (0.5, (2, 0)), (0.25, (4, 0)),
@@ -409,9 +437,17 @@ def float_step_flows():
            model.cartesian_chart.point([0.8, -0.3, 0.8, 0.3]), cartesian_monitor(model))
     for flow, x0 in list(dirac_flows())[:2]:  # static and ramped k
         yield flow, x0, None
+    # a constant multiplier, as in the gauge scenario
+    yield (GaugeFlow(model.cartesian_generator, 0.7),
+           model.cartesian_chart.point([0.8, -0.3, 0.8, 0.3]), cartesian_monitor(model))
+    yield *coupled_dirac_flow(THREE), None
+    wide = RelativisticParticle(mass=1.3, spatial_dim=33)  # past the unroll limit
+    yield (PoissonFlow(wide.physical_hamiltonian),
+           wide.spatial_chart.point([0.1 * math.cos(j) for j in range(66)]), None)
+    yield *coupled_dirac_flow(WIDE), None
 
 
-@pytest.mark.parametrize("index", range(5))
+@pytest.mark.parametrize("index", range(9))
 def test_float_step_equals_the_array_step_bitwise(index):
     flow, x0, monitor = list(float_step_flows())[index]
     dt, steps = 1e-3, 300
@@ -459,9 +495,6 @@ def test_float_dirac_rhs_of_dense_rows_equals_the_reference_bitwise():
         return k
 
     rk4_states(both, DENSE_CHART.point([0.3, -0.2, 0.5, 0.7]), dt, 200)
-
-
-THREE = ChartSpec(labels=("q1", "q2", "q3", "p1", "p2", "p3"), name="three")
 
 
 @pytest.mark.parametrize("count", [2, 4])
@@ -557,10 +590,12 @@ def test_float_dirac_rhs_keeps_the_partial_trajectory_on_a_nonfinite_row():
 
 def test_concurrent_dirac_orbits_keep_the_bytes_of_their_solo_runs():
     # a right-hand side keeps no state between calls; a thread switch every microsecond
-    # interleaves the two orbits' stages
+    # interleaves the two orbits' stages, and with the cache of generated functions
+    # emptied, their builds of the same (kind, n)
     cfg = IntegratorConfig(dt=1e-3, steps=1000)
     runs = list(dirac_flows())[:2]  # static and ramped k
     solo = [evolve(x0, flow, cfg).states.tobytes() for flow, x0 in runs]
+    _generated.cache_clear()
     together = [None, None]
     barrier = threading.Barrier(2)
 
@@ -580,6 +615,9 @@ def test_concurrent_dirac_orbits_keep_the_bytes_of_their_solo_runs():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert together == solo
+    built = _generated.cache_info().misses
+    assert evolve(runs[0][1], runs[0][0], cfg).states.tobytes() == solo[0]
+    assert _generated.cache_info().misses == built  # the same kind and size builds nothing
 
 
 def reference_trajectory_rows(traj):

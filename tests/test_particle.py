@@ -34,6 +34,18 @@ def test_trajectory_identity_at_zero():
     assert np.array_equal(particle.trajectory([4.0, -1.0], [1.0, 1.0], 0.0), [4.0, -1.0])
 
 
+@pytest.mark.parametrize("spatial_dim", [2, 3])
+def test_energy_sums_p_dot_p_in_index_order(spatial_dim):
+    # a BLAS dot sums in its kernel's order, which moved sampled p0 by an ulp between
+    # OpenBLAS kernels; the energy is the float sum from +0.0 in index order
+    particle = RelativisticParticle(mass=2.0, spatial_dim=spatial_dim)
+    for x in particle.sample_on_shell(np.random.default_rng(20250810), 200):
+        total = 0.0
+        for i in range(1, spatial_dim + 1):
+            total += x[f"p{i}"] * x[f"p{i}"]
+        assert x["p0"] == math.sqrt(total + 4.0)
+
+
 def test_pairing_bracket_values(rng):
     rest = RelativisticParticle(mass=1.0)
     x = rest.on_shell_point([0.0, 0.0, 0.0], [0.0, 0.0, 0.0])

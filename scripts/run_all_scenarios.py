@@ -40,6 +40,7 @@ COMMANDS = {
     "quantum_ramped_sweep.json": "quantum",
     "maxwell_l2.json": "maxwell",
     "maxwell_l8_random.json": "maxwell",
+    "custom_four_orbit.json": "evolve",
 }
 
 

@@ -165,18 +165,11 @@ def pairing_det(m) -> float:
 
 
 def _solve_pairing(m, rhs):
-    # closed 2x2 form as a list; pivoted LU (gesv) beyond that
+    # a list: the closed 2x2 form, or pivoted LU (gesv) beyond that
     if len(m) == 2:
         delta = m[0][1]
         return [-rhs[1] / delta, rhs[0] / delta]
-    return np.linalg.solve(m, rhs)
-
-
-def _constraint_brackets(rows: list, grad: list, n_pairs: int) -> list:
-    """{Phi_I, g} for every constraint as Python floats, from float-list gradient
-    rows and the float-list gradient of g."""
-    gq, gp = grad[:n_pairs], grad[n_pairs:]
-    return [_float_dot(row[:n_pairs], gp) - _float_dot(row[n_pairs:], gq) for row in rows]
+    return np.linalg.solve(m, rhs).tolist()
 
 
 def _second_class(m, det: float) -> bool:
@@ -194,10 +187,9 @@ def _second_class(m, det: float) -> bool:
     return abs(det) > DEGENERACY_RTOL * scale
 
 
-def _pairing_multipliers(rows: list, rhs, n_pairs: int, coords):
-    """M^-1 rhs, with M built from float-list gradient ``rows``; raises
-    DegeneracyError unless the set is Second Class at ``coords`` by ``_second_class``."""
-    m = pairing_matrix_of_rows(rows, n_pairs)
+def _pairing_multipliers(m, rhs, coords):
+    """M^-1 rhs for the pairing matrix M; raises DegeneracyError unless the set is
+    Second Class at ``coords`` by ``_second_class``."""
     det = pairing_det(m)
     if not _second_class(m, det):
         problem = (f"is singular (det={det:.3e})" if np.all(np.isfinite(m))
@@ -289,7 +281,8 @@ def dirac_tensor(cs: ConstraintSet, x: PhaseSpacePoint) -> np.ndarray:
         rows = cs.gradient_rows(x.coords.tolist())
     # S_I = {Phi_I, z} = (-dPhi_I/dp, dPhi_I/dq)
     s = np.array([[-v for v in row[n:]] + row[:n] for row in rows])
-    return _shared_poisson_tensor(n) + s.T @ _pairing_multipliers(rows, s, n, x.coords)
+    m = pairing_matrix_of_rows(rows, n)
+    return _shared_poisson_tensor(n) + s.T @ _pairing_multipliers(m, s, x.coords)
 
 
 def dirac_bracket(a: ScalarField, b: ScalarField, cs: ConstraintSet, x: PhaseSpacePoint) -> float:

@@ -12,26 +12,26 @@ lattice Maxwell flow does not come here: ``LatticeMaxwell.evolve`` applies the
 same RK4 map per Fourier mode in closed form, and shares this module's
 recording arrays, blow-up error and finalisation.
 
-The RK4 step and the Poisson, gauge and two-constraint Dirac right-hand sides are
-generated code, as ``namedtuple`` and ``dataclasses`` generate theirs. For each kind
-and chart size n, the source is written out over the 2n coordinates, compiled in
-this module's globals at the first flow that needs it (not at import), and cached
-for the life of the process. Up to 64 coordinates every list entry and sum term is
-spelled out, which spares a step on a few coordinates the zips, slices and loop
-counters that cost more than its arithmetic; past 64, each list is one
-comprehension and each sum one loop. Both forms keep the order of every sum, so
-they give the same bits. ``evolve`` builds each flow's right-hand side once, from
-the generated factory and the flow's resolved gradient routes (and a gauge flow's
-constant multiplier), so a call does arithmetic only.
+The RK4 step and the Poisson, gauge and Dirac right-hand sides are generated code,
+as ``namedtuple`` and ``dataclasses`` generate theirs. For each kind, chart size n
+and (for the Dirac rhs) constraint count k, the source is written out over the 2n
+coordinates, compiled in this module's globals at the first flow that needs it (not
+at import), and cached for the life of the process. While n (k + 2)^2 <= 128 (up to
+64 coordinates for the step and the chart flows, up to 16 for two constraints)
+every list entry and sum term is spelled out, which spares a step on a few
+coordinates the zips, slices and loop counters that cost more than its arithmetic;
+past that, each list is one comprehension and each sum one loop. Both forms keep
+the order of every sum, so they give the same bits. ``evolve`` builds each flow's
+right-hand side once, from the generated factory and the flow's resolved gradient
+routes (and a gauge flow's constant multiplier), so a call does arithmetic only.
 
-With two constraints, as in every built-in Dirac flow, the brackets {Phi_I, H} and
-the pairing matrix M are summed straight from the gradients in the order of the
-constraint engine's float sums, and the generated rhs calls ``_second_class``,
-``_pairing_multipliers`` and ``_solve_pairing`` through the module's globals. More
-constraints take the engine's stacked rows and pivoted LU, through the same
-generated step. The correction sum_I lambda_I grad Phi_I is summed per entry on
-Python floats, left to right and unfused, so of a Dirac orbit's bits only those of
-the LU solve for more than two constraints depend on the BLAS kernel.
+The Dirac rhs covers every even constraint count: the brackets {Phi_I, H} and the
+pairing matrix M are summed straight from the gradients in the order of the
+constraint engine's float sums, and one call of ``_pairing_multipliers`` runs the
+package's one guard and solve on that M: the closed 2x2 form for two constraints,
+numpy's pivoted LU for more. The correction sum_I lambda_I grad Phi_I is summed per
+entry on Python floats, left to right and unfused, so of a Dirac orbit's bits only
+those of the LU solve for more than two constraints depend on the BLAS kernel.
 """
 
 from __future__ import annotations
@@ -39,13 +39,12 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field as dfield
-from functools import cache, reduce
+from functools import cache
 from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .constraints import (ConstraintSet, _constraint_brackets, _pairing_multipliers,
-                          _second_class, _solve_pairing)
+from .constraints import ConstraintSet, _pairing_multipliers
 from .errors import DegeneracyError, NumericDomainError, UsageError
 from .fields import ScalarField
 from .phase import ChartSpec, PhaseSpacePoint, require_same_chart
@@ -137,23 +136,27 @@ class Trajectory:
         return len(self.times)
 
 
-# Above this many coordinates a generated function reads its lists by index, each
-# per-coordinate list one comprehension and each sum one loop. Spelled out, the step and
-# the Dirac rhs take 0.24 s and 32 MiB to build at n = 1024, and past n = 2048 a sum's
-# chain of additions is too deep for the compiler (RecursionError).
-_UNROLL_LIMIT = 64
+# A generated function for n pairs and k constraints (k = 0 for the step and the Poisson and
+# gauge rhs) is spelled out over the coordinates while n (k + 2)^2 <= _UNROLL_TERMS: a bound
+# on the n (k^2 + 4k) product terms of the Dirac rhs's sums and correction, which keeps the
+# step and the chart flows spelled out up to 64 coordinates. Past it, each per-coordinate
+# list is one comprehension and each sum one loop. Spelled out at n = 32 and k = 64, the
+# Dirac rhs takes 0.7-0.9 s and 165 MiB to build (its loop form 0.1 s and 29 MiB; Python
+# 3.11 on a 2-core x86-64 host), and past n = 2048 a sum's chain of additions is too deep
+# for the compiler (RecursionError).
+_UNROLL_TERMS = 128
 
 
-def _source(kind: str, n: int) -> str:
+def _source(kind: str, n: int, k: int = 0) -> str:
     """Python source of the function ``kind`` for a chart of n pairs.
 
-    The right-hand-side factories ``poisson``, ``gauge`` and ``dirac`` (two constraints)
-    each return an ``rhs(t, z)``; ``step`` is the classic RK4 step ``step(rhs, t, z, dt)``.
-    Each sum runs from +0.0 in index order and each list in coordinate order, unrolled or
-    in a loop, so both forms give the same bits.
+    The right-hand-side factories ``poisson``, ``gauge`` and ``dirac`` (k constraints, any
+    even count) each return an ``rhs(t, z)``; ``step`` is the classic RK4 step
+    ``step(rhs, t, z, dt)``. Each sum runs from +0.0 in index order and each list in
+    coordinate order, unrolled or in a loop, so both forms give the same bits.
     """
     dim = 2 * n
-    unrolled = dim <= _UNROLL_LIMIT
+    unrolled = n * (k + 2) ** 2 <= _UNROLL_TERMS
 
     def at(i):  # the {q} and {p} suffixes of entry i: a local name, or an index in a loop
         return {"q": f"_{i}", "p": f"_{n + i}"} if unrolled else {"q": "[i]", "p": f"[{n} + i]"}
@@ -163,65 +166,65 @@ def _source(kind: str, n: int) -> str:
             return "[" + ", ".join(t.format(**at(i)) for t, c in parts for i in range(c)) + "]"
         return " + ".join(f"[{t.format(**at(None))} for i in range({c})]" for t, c in parts)
 
-    def read(name, value, keep=False):  # unrolled, entry j is then the local {name}_j
-        if not unrolled:
-            return [f"{name} = {value}"]
-        entries = ", ".join(f"{name}_{j}" for j in range(dim))
-        return [f"{name} = {value}", f"{entries} = {name}"] if keep else [f"{entries} = {value}"]
+    def read(name, value):  # unrolled, entry j is then the local {name}_j
+        return (", ".join(f"{name}_{j}" for j in range(dim)) if unrolled else name) + f" = {value}"
 
-    def sums(**terms):  # each name set to the sum of its template over i < n
+    def sums(terms):  # each name set to the sum of its template over i < n
         if unrolled:
             return [f"{name} = 0.0" + "".join(f" + {t.format(**at(i))}" for i in range(n))
                     for name, t in terms.items()]
         return ([" = ".join(terms) + " = 0.0", f"for i in range({n}):"]
                 + [f"    {name} += {t.format(**at(None))}" for name, t in terms.items()])
 
+    setup = []
     if kind == "step":
-        body = ["half = 0.5 * dt", *(read("z", "z") if unrolled else []),
-                *read("k1", "rhs(t, z)"),
-                *read("k2", f"rhs(t + half, {vector(('z{q} + half * k1{q}', dim))})"),
-                *read("k3", f"rhs(t + half, {vector(('z{q} + half * k2{q}', dim))})"),
-                *read("k4", f"rhs(t + dt, {vector(('z{q} + dt * k3{q}', dim))})"),
+        body = ["half = 0.5 * dt", *([read("z", "z")] if unrolled else []),
+                read("k1", "rhs(t, z)"),
+                read("k2", f"rhs(t + half, {vector(('z{q} + half * k1{q}', dim))})"),
+                read("k3", f"rhs(t + half, {vector(('z{q} + half * k2{q}', dim))})"),
+                read("k4", f"rhs(t + dt, {vector(('z{q} + dt * k3{q}', dim))})"),
                 "sixth = dt / 6.0",
                 "return " + vector(("z{q} + sixth * (k1{q} + 2.0 * k2{q} + 2.0 * k3{q} + k4{q})",
                                     dim))]
         return "\n    ".join(["def step(rhs, t, z, dt):", *body])
     if kind == "poisson":
         head, body = "poisson(gradient)", [
-            *read("g", "gradient(z)"), "return " + vector(("g{p}", n), ("-g{q}", n))]
+            read("g", "gradient(z)"), "return " + vector(("g{p}", n), ("-g{q}", n))]
     elif kind == "gauge":
         head, body = "gauge(gradient, multiplier_at, constant)", [
             "lam = multiplier_at(t) if constant is None else constant",
-            *read("g", "gradient(z)"), "return " + vector(("lam * g{p}", n), ("lam * -g{q}", n))]
+            read("g", "gradient(z)"), "return " + vector(("lam * g{p}", n), ("lam * -g{q}", n))]
     else:
-        # {Phi_I, H} = b_I - c_I and M = a - a^T, a_IJ = q_I . p_J: the bits of
-        # _constraint_brackets and pairing_matrix_of_rows; a NaN diagonal marks a
-        # non-finite row, and a failed guard raises _pairing_multipliers' DegeneracyError
-        head, body = "dirac(grad_h, grad_0, grad_1, rates_at)", [
-            *read("gh", "grad_h(z)"), *read("r0", "grad_0(z)", True),
-            *read("r1", "grad_1(z)", True),
-            *sums(b0="r0{q} * gh{p}", c0="r0{p} * gh{q}", b1="r1{q} * gh{p}",
-                  c1="r1{p} * gh{q}", a00="r0{q} * r0{p}", a01="r0{q} * r1{p}",
-                  a10="r1{q} * r0{p}", a11="r1{q} * r1{p}"),
-            "s = [b0 - c0, b1 - c1]",
-            "if rates_at is not None:",
-            "    s = list(map(operator.add, s, rates_at(t)))",
-            "m01 = a01 - a10",
-            "m = [[a00 - a00, m01], [a10 - a01, a11 - a11]]",
-            "if not _second_class(m, m01 * m01):",
-            f"    _pairing_multipliers([r0, r1], s, {n}, z)",
-            "l0, l1 = _solve_pairing(m, s)",
-            "return " + vector(("gh{p} - (l0 * r0{p} + l1 * r1{p})", n),
-                               ("-(gh{q} - (l0 * r0{q} + l1 * r1{q}))", n))]
-    return "\n        ".join([f"def {head}:\n    def rhs(t, z):", *body]) + "\n    return rhs"
+        # {Phi_I, H} = b_I - c_I, b_I = q_I . dH/dp and c_I = p_I . dH/dq, and M = a - a^T,
+        # a_IJ = q_I . p_J, for the q and p halves of row I = grad Phi_I, summed as in
+        # pairing_matrix_of_rows; a NaN diagonal marks a non-finite row for the guard. Entry
+        # j of row I is r{I}_{j} and a_IJ is a{I}_{J}, so no two (I, J) share a name
+        cs = range(k)
+        terms = {f"{x}{i}": f"r{i}{{{u}}} * gh{{{v}}}" for i in cs for x, u, v in ("bqp", "cpq")}
+        terms.update({f"a{i}_{j}": f"r{i}{{q}} * r{j}{{p}}" for i in cs for j in cs})
+        # sum_I l_I dPhi_I/dz per entry, left to right from the first product
+        lam = {x: " + ".join(f"l{i} * r{i}{{{x}}}" for i in cs) for x in "qp"}
+        head = "dirac(grad_h, grads, rates_at)"
+        setup = ["".join(f"grad_{i}, " for i in cs) + "= grads"]
+        body = [read("gh", "grad_h(z)"), *(read(f"r{i}", f"grad_{i}(z)") for i in cs),
+                *sums(terms), "s = [" + ", ".join(f"b{i} - c{i}" for i in cs) + "]",
+                "if rates_at is not None:",
+                "    s = list(map(operator.add, s, rates_at(t)))",
+                "m = [" + ", ".join("[" + ", ".join(f"a{i}_{j} - a{j}_{i}" for j in cs) + "]"
+                                    for i in cs) + "]",
+                "".join(f"l{i}, " for i in cs) + "= _pairing_multipliers(m, s, z)",
+                "return " + vector((f"gh{{p}} - ({lam['p']})", n),
+                                   (f"-(gh{{q}} - ({lam['q']}))", n))]
+    return "\n    ".join([f"def {head}:", *setup, "def rhs(t, z):",
+                          *(f"    {line}" for line in body), "return rhs"])
 
 
 @cache
-def _generated(kind: str, n: int):
-    """The function ``kind`` of ``_source`` for n pairs, compiled at its first use and
-    shared from then on: it holds no state, so concurrent flows call it freely."""
+def _generated(kind: str, n: int, k: int = 0):
+    """The function ``kind`` of ``_source`` for n pairs (and k constraints), compiled at its
+    first use and shared from then on: it holds no state, so concurrent flows call it freely."""
     namespace = {}
-    exec(compile(_source(kind, n), f"<diracmech.dynamics {kind} n={n}>", "exec"),
+    exec(compile(_source(kind, n, k), f"<diracmech.dynamics {kind} n={n} k={k}>", "exec"),
          globals(), namespace)
     return namespace[kind]
 
@@ -236,26 +239,11 @@ def _gauge_rhs(flow: GaugeFlow, n: int):
 
 
 def _dirac_rhs(flow: DiracFlow, n: int):
-    """{z, H}_D at (t, z), z a list of Python floats, as Python floats. Two constraints
-    take the generated rhs and the closed 2x2 solve; more take the stacked
-    rows and pivoted LU."""
+    """{z, H}_D at (t, z), z a list of Python floats, as Python floats."""
     cs = flow.constraints
-    grad_h = flow.hamiltonian._gradient_floats
-    rates_at = cs.rates_at if cs.time_dependent else None
-    if len(cs) == 2:
-        return _generated("dirac", n)(grad_h, *(f._gradient_floats for f in cs.fields), rates_at)
-
-    def rhs(t, z):
-        gh, rows = grad_h(z), cs.gradient_rows(z)
-        # s_J = {Phi_J, H} (+ explicit-time rates)
-        s = _constraint_brackets(rows, gh, n)
-        if rates_at is not None:
-            s = list(map(operator.add, s, rates_at(t)))
-        lam = _pairing_multipliers(rows, s, n, z).tolist()
-        v = [g - reduce(operator.add, map(operator.mul, lam, col)) for g, *col in zip(gh, *rows)]
-        return v[n:] + [-x for x in v[:n]]
-
-    return rhs
+    return _generated("dirac", n, len(cs))(
+        flow.hamiltonian._gradient_floats, [f._gradient_floats for f in cs.fields],
+        cs.rates_at if cs.time_dependent else None)
 
 
 def _floats_bounded(z: list) -> bool:

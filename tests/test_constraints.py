@@ -6,8 +6,8 @@ import pytest
 
 from diracmech import duals
 from diracmech.brackets import poisson_bracket, poisson_tensor
-from diracmech.constraints import (DEGENERACY_RTOL, ConstraintSet, _constraint_brackets,
-                                   _pairing_multipliers, _second_class, classify,
+from diracmech.constraints import (DEGENERACY_RTOL, ConstraintSet, _pairing_multipliers,
+                                   _second_class, classify,
                                    constraint_matrix, pairing_matrix_of_rows,
                                    degeneracy_scale, dirac_bracket, dirac_tensor,
                                    faddeev_popov_determinant, observable_check,
@@ -477,7 +477,8 @@ def test_nonfinite_pairing_matrix_raises_degeneracy_error():
         # M = [[0, 1], [-1, nan]] has the finite 2x2 det m01^2 = 1: only the scale sees the NaN
         rows = np.array([[1.0, 0.0], [bad, 1.0]])
         with pytest.raises(DegeneracyError, match="has a non-finite entry"):
-            _pairing_multipliers(rows.tolist(), np.ones(2), 1, [0.0, 0.0])
+            _pairing_multipliers(pairing_matrix_of_rows(rows.tolist(), 1), np.ones(2),
+                                 [0.0, 0.0])
     with pytest.raises(DegeneracyError, match="has a non-finite entry"):
         dirac_tensor(HUGE_PAIR, LINE.point([0.0, 0.0]))
 
@@ -563,7 +564,6 @@ def test_float_pairing_matrix_and_brackets_equal_the_numpy_route(rng):
             m = a - a.T
             s = rows[:, :1] @ grad[1:] - rows[:, 1:] @ grad[:1]
         assert repr(pairing_matrix_of_rows(rows.tolist(), 1)) == repr(m.tolist()), rows
-        assert repr(_constraint_brackets(rows.tolist(), grad.tolist(), 1)) == repr(s.tolist())
         assert repr(pairing_det(m.tolist())) == repr(pairing_det(m))
         assert repr(degeneracy_scale(m.tolist())) == repr(degeneracy_scale(m))
 
@@ -726,11 +726,17 @@ def test_pair_jacobian_matches_bracket(model, rng):
 
 
 def column_fp_determinant(gauge_conditions, constraints, x):
-    """det {chi_i, C_j} built column by column from the brackets {chi_i, C_j}, not
-    from the pairing matrix."""
-    chi_rows = [chi.gradient(x).tolist() for chi in gauge_conditions]
-    m = np.array([_constraint_brackets(chi_rows, c.gradient(x).tolist(), x.chart.n_pairs)
-                  for c in constraints]).T
+    """det {chi_i, C_j} from the brackets {chi_i, C_j} = q_chi . p_C - p_chi . q_C on numpy
+    arrays, not from the pairing matrix: each dot product is summed as an outer product
+    per pair in index order from +0.0, as the float sums of the constraint engine are."""
+    n = x.chart.n_pairs
+    chi = np.array([f.gradient(x) for f in gauge_conditions])
+    c = np.array([f.gradient(x) for f in constraints])
+    qp, pq = np.zeros((len(chi), len(c))), np.zeros((len(chi), len(c)))
+    for i in range(n):
+        qp = qp + np.outer(chi[:, i], c[:, n + i])
+        pq = pq + np.outer(chi[:, n + i], c[:, i])
+    m = qp - pq
     return float(np.linalg.det(m)) if len(constraints) > 1 else float(m[0, 0])
 
 

@@ -288,8 +288,9 @@ def reference_dirac_rhs(flow, n):
 
 def dirac_flows():
     """(flow, x0): static-k and ramped-k Klauder orbits, a four-constraint custom flow
-    whose pairing solve takes the LU route, and a two-constraint flow whose gradients come
-    from a coordinate field's array and from the dual pass."""
+    whose pairing solve takes the LU route, a two-constraint flow whose gradients come
+    from a coordinate field's array and from the dual pass, a twelve-constraint flow and
+    a four-constraint flow on 33 pairs, past the unroll limit."""
     for k in (1.0, KRamp(1.0, 0.5)):
         model = KlauderModel(alpha=1.0, k=k, potential=RadialPotential.harmonic())
         yield DiracFlow(model.hamiltonian(), model.constraint_set), model.embed_reduced(0.1, 2.0)
@@ -305,9 +306,11 @@ def dirac_flows():
         ScalarField("p1 + q1 q2", DENSE_CHART, lambda z: z[2] + z[0] * z[1])),
         ("q1", "p1 + q1 q2"))
     yield DiracFlow(h, cs), DENSE_CHART.point([0.0, 0.6, 0.0, -0.4])
+    yield twelve_constraint_flow()
+    yield coupled_dirac_flow(WIDE, 4)
 
 
-@pytest.mark.parametrize("index", range(4))
+@pytest.mark.parametrize("index", range(6))
 def test_dirac_rhs_equals_the_reference_bitwise_over_200_steps(index):
     flow, x0 = list(dirac_flows())[index]
     n, dt = flow.chart.n_pairs, 1e-3
@@ -400,27 +403,71 @@ THREE = ChartSpec(labels=("q1", "q2", "q3", "p1", "p2", "p3"), name="three")
 WIDE = ChartSpec(labels=tuple(f"{c}{i}" for c in "qp" for i in range(1, 34)), name="wide")
 
 
-def coupled_dirac_flow(chart):
+def monomial(chart, coeff, *at):
+    """A polynomial term: coeff times the product of the coordinates at indices ``at``."""
+    powers = [0] * chart.dim
+    for i in at:
+        powers[i] += 1
+    return coeff, powers
+
+
+def coupled_dirac_flow(chart, count=2):
     """(flow, x0) for the two-constraint Dirac flow of Phi = (q_n + 0.1 q1 q2,
     p_n + 0.2 p1 + 0.3 p2) under oscillators coupled by 0.3 q1 p2, on a chart of n >= 2
-    pairs: {A, B} = 1 + 0.02 q2 + 0.03 q1, and rows with several nonzero products."""
+    pairs: {A, B} = 1 + 0.02 q2 + 0.03 q1, and rows with several nonzero products. With
+    ``count`` 4 and n >= 6, also C = q_{n-1} + 0.1 q3 q4 + 0.1 q1 p1 and
+    D = p_{n-1} + 0.2 p3 + 0.3 p1: {A, D} = 0.03 q2 couples the two pairs, and the p1
+    entry of the correction sums three nonzero products."""
     n = chart.n_pairs
 
-    def term(coeff, *at):  # coeff times the product of the coordinates at indices ``at``
-        powers = [0] * (2 * n)
-        for i in at:
-            powers[i] += 1
-        return coeff, powers
+    def term(coeff, *at):
+        return monomial(chart, coeff, *at)
 
     h = polynomial_field(chart, [term(0.5, j, j) for j in range(2 * n)] + [term(0.3, 0, n + 1)],
                          name="H")
-    cs = ConstraintSet(chart, (
-        polynomial_field(chart, [term(1.0, n - 1), term(0.1, 0, 1)], name="A"),
-        polynomial_field(chart, [term(1.0, 2 * n - 1), term(0.2, n), term(0.3, n + 1)], name="B")),
-        ("A", "B"))
+    fields = [polynomial_field(chart, [term(1.0, n - 1), term(0.1, 0, 1)], name="A"),
+              polynomial_field(chart, [term(1.0, 2 * n - 1), term(0.2, n), term(0.3, n + 1)],
+                               name="B")]
     z = [0.1 * math.sin(j + 1) for j in range(2 * n)]
     z[n - 1], z[2 * n - 1] = -0.1 * z[0] * z[1], -(0.2 * z[n] + 0.3 * z[n + 1])
+    if count == 4:
+        fields += [polynomial_field(chart, [term(1.0, n - 2), term(0.1, 2, 3), term(0.1, 0, n)],
+                                    name="C"),
+                   polynomial_field(chart, [term(1.0, 2 * n - 2), term(0.2, n + 2),
+                                            term(0.3, n)], name="D")]
+        z[n - 2] = -(0.1 * z[2] * z[3] + 0.1 * z[0] * z[n])
+        z[2 * n - 2] = -(0.2 * z[n + 2] + 0.3 * z[n])
+    cs = ConstraintSet(chart, tuple(fields), tuple(f.name for f in fields))
     return DiracFlow(h, cs), chart.point(z)
+
+
+SEVEN = ChartSpec(labels=tuple(f"{c}{i}" for c in "qp" for i in range(1, 8)), name="seven")
+
+
+def twelve_constraint_flow():
+    """(flow, x0) for 12 constraints on 7 pairs that leave (q7, p7) free, ordered so that
+    Phi_1 = q1 + 0.2 q7 q2 and Phi_11 = p1 are a conjugate pair: a1_11 and a11_1 would share
+    the name a111. H = (z . z) / 2 + 0.3 p1 q7 gives {Phi_1, H} = 0.3 q7 on the surface,
+    so lambda_11 = {Phi_1, H} / M_1,11 is not zero."""
+    q = {i: i - 1 for i in range(1, 8)}  # the index of q_i, and of p_i at 7 + q[i]
+
+    def term(coeff, *at):
+        return monomial(SEVEN, coeff, *at)
+
+    terms = [[term(1.0, q[2]), term(0.1, q[7], q[3])],
+             [term(1.0, q[1]), term(0.2, q[7], q[2])],
+             [term(1.0, 7 + q[2]), term(0.3, 7 + q[7], 7 + q[3])]]
+    for i in range(3, 7):
+        terms += [[term(1.0, q[i])], [term(1.0, 7 + q[i])]]
+    terms.append([term(1.0, 7 + q[1])])
+    names = ("q2'", "q1'", "p2'", "q3", "p3", "q4", "p4", "q5", "p5", "q6", "p6", "p1")
+    cs = ConstraintSet(SEVEN, tuple(polynomial_field(SEVEN, t, name=name)
+                                    for t, name in zip(terms, names, strict=True)), names)
+    h = polynomial_field(SEVEN, [term(0.5, j, j) for j in range(14)]
+                         + [term(0.3, 7 + q[1], q[7])], name="H")
+    z = [0.0] * 14
+    z[q[7]], z[7 + q[7]] = 0.6, -0.4
+    return DiracFlow(h, cs), SEVEN.point(z)
 
 
 def float_step_flows():
@@ -562,30 +609,39 @@ def test_float_dirac_rhs_fails_as_dirac_tensor_does(case):
 
 
 def test_float_dirac_rhs_keeps_the_partial_trajectory_on_a_nonfinite_row():
-    # Phi = (q2, p2 - sqrt(1 - q1)) with H = p1: q1 moves at unit speed, and the
-    # gradient of the second constraint turns NaN at q1 = 1, at step 100 of 200
-    def wall(z):  # one state or a (4, B) block of states
-        return np.where(z[0] <= 1.0, z[3] - np.sqrt(np.maximum(1.0 - z[0], 0.0)), math.nan)
+    # Phi = (q2, p2 - sqrt(1 - q1)) with H = p1, and on three pairs also (q3, p3): q1 moves
+    # at unit speed, and the gradient of the second constraint turns NaN at q1 = 1, at
+    # step 100 of 200
+    for chart, labels in ((DENSE_CHART, ("q2", "wall")), (THREE, ("q2", "wall", "q3", "p3"))):
+        p2 = chart.index("p2")
 
-    def wall_grad(z):
-        q1 = float(z[0])
-        return [0.5 / math.sqrt(1.0 - q1) if q1 < 1.0 else math.nan, 0.0, 0.0, 1.0]
+        def wall(z):  # one state or a (dim, B) block of states
+            return np.where(z[0] <= 1.0, z[p2] - np.sqrt(np.maximum(1.0 - z[0], 0.0)), math.nan)
 
-    cs = ConstraintSet(DENSE_CHART, (coordinate_field(DENSE_CHART, "q2"),
-                                     ScalarField("wall", DENSE_CHART, wall, wall_grad)),
-                       ("q2", "wall"))
-    flow = DiracFlow(coordinate_field(DENSE_CHART, "p1"), cs)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(DegeneracyError, match="has a non-finite entry") as err:
-            evolve(DENSE_CHART.point([0.0, 0.0, 0.0, 1.0]), flow,
-                   IntegratorConfig(dt=0.01, steps=200))
-    partial = err.value.partial_trajectory
-    assert partial is not None and len(partial) == 100  # step 99 reaches q1 = 1 in its last stage
-    assert np.all(np.isfinite(partial.states)) and partial.states[-1, 0] < 1.0
-    with pytest.raises(DegeneracyError) as tensor_route:
-        dirac_tensor(cs, unchecked_point(DENSE_CHART, err.value.coords))
-    assert str(tensor_route.value) == str(err.value)
+        def wall_grad(z):
+            q1 = float(z[0])
+            grad = [0.0] * chart.dim
+            grad[0] = 0.5 / math.sqrt(1.0 - q1) if q1 < 1.0 else math.nan
+            grad[p2] = 1.0
+            return grad
+
+        cs = ConstraintSet(chart, tuple(ScalarField(label, chart, wall, wall_grad)
+                                        if label == "wall" else coordinate_field(chart, label)
+                                        for label in labels), labels)
+        flow = DiracFlow(coordinate_field(chart, "p1"), cs)
+        x0 = [0.0] * chart.dim
+        x0[p2] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegeneracyError, match="has a non-finite entry") as err:
+                evolve(chart.point(x0), flow, IntegratorConfig(dt=0.01, steps=200))
+        partial = err.value.partial_trajectory
+        # step 99 reaches q1 = 1 in its last stage
+        assert partial is not None and len(partial) == 100
+        assert np.all(np.isfinite(partial.states)) and partial.states[-1, 0] < 1.0
+        with pytest.raises(DegeneracyError) as tensor_route:
+            dirac_tensor(cs, unchecked_point(chart, err.value.coords))
+        assert str(tensor_route.value) == str(err.value)
 
 
 def test_concurrent_dirac_orbits_keep_the_bytes_of_their_solo_runs():
@@ -662,9 +718,10 @@ def test_residual_series_equals_the_per_state_reference_bitwise():
                DiracFlow(model.hamiltonian(), model.constraint_set), cfg)
     cases.append((model.constraint_set, err.value.partial_trajectory))
     # static and ramped Klauder, the four-constraint custom set, the (q2, p2) surface set,
-    # the partial k = 0.05 - t orbit
+    # the twelve-constraint set, the four-constraint set on 33 pairs, the partial
+    # k = 0.05 - t orbit
     assert [(len(cs), cs.time_dependent) for cs, _ in cases] == \
-        [(2, False), (2, True), (4, False), (2, False), (2, True)]
+        [(2, False), (2, True), (4, False), (2, False), (12, False), (4, False), (2, True)]
     for cs, traj in cases:
         series = cs.residual_series(traj.times, traj.states)
         reference = np.stack([np.abs(cs.values_along([t], [z])[0])

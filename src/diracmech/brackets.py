@@ -47,4 +47,4 @@ def poisson_bracket_field(a: ScalarField, b: ScalarField) -> ScalarField:
         return bracket_of_gradients(a.gradient_at(z), b.gradient_at(z), n)
 
     return ScalarField(name=f"{{{a.name},{b.name}}}", chart=chart, func=func,
-                       grad=lambda z, f=func: central_difference_gradient(f, z))
+                       grad=lambda z, f=func: central_difference_gradient(f, z).tolist())

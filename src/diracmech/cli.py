@@ -226,10 +226,13 @@ KIND_KEYS = {
     "custom": ("model/labels", "model/constraints", "flow/hamiltonian"),
 }
 
+# the keys a block leaves unread beside the one it reads first; rejected, not ignored
+UNREAD_BESIDE = {"quantum/coeffs": ("single_mode",), "initial/coords": ("surface", "x", "p")}
+
 
 def build_model(config: dict, command: str):
-    """The scenario's model, once the scenario passes the command's row of COMMANDS and
-    KIND_KEYS; the only kind dispatch, and it runs before anything is computed."""
+    """The scenario's model, once the scenario passes the command's row of COMMANDS,
+    KIND_KEYS and UNREAD_BESIDE; the only kind dispatch, run before anything is computed."""
     spec = COMMANDS[command]
     for name in spec["needs"]:
         if name not in config:
@@ -250,6 +253,14 @@ def build_model(config: dict, command: str):
             section, key = path.split("/")
             if key in config.get(section, {}):
                 raise ConfigError(f"{path} is read by {other} models only, not by {kind!r}")
+    flow = config.get("flow", {})
+    if "multiplier" in flow and flow["kind"] != "gauge":
+        raise ConfigError(f"flow/multiplier is read by gauge flows only, not by {flow['kind']!r}")
+    for path, others in UNREAD_BESIDE.items():
+        section, key = path.split("/")
+        for other in others:
+            if key in config.get(section, {}) and other in config[section]:
+                raise ConfigError(f"{section}/{other} is read without {path} only, not with it")
     if kind == "klauder":
         k = block.get("k", 1.0)
         return KlauderModel(alpha=block.get("alpha", 1.0),

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass, field as dfield
 from functools import lru_cache
 from itertools import starmap
+from operator import neg
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -86,8 +87,8 @@ class ConstraintSet:
 
     def gradient_rows(self, coords: list) -> list:
         """One gradient row per constraint at a list of Python floats (an array point's
-        tolist()), as lists of Python floats."""
-        return [f._gradient_floats(coords) for f in self.fields]
+        tolist()), as ``_gradient`` returns it: Python floats for the package's fields."""
+        return [f._gradient(coords) for f in self.fields]
 
     def require_on_surface(self, coords, label: str, tol: float = ON_SURFACE_TOL) -> None:
         """Raise UsageError naming the worst constraint unless every |Phi_I(z, 0)| < tol."""
@@ -279,8 +280,8 @@ def dirac_tensor(cs: ConstraintSet, x: PhaseSpacePoint) -> np.ndarray:
     # overflowing gradients end in the guard's error, not in numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         rows = cs.gradient_rows(x.coords.tolist())
-    # S_I = {Phi_I, z} = (-dPhi_I/dp, dPhi_I/dq)
-    s = np.array([[-v for v in row[n:]] + row[:n] for row in rows])
+    # S_I = {Phi_I, z} = (-dPhi_I/dp, dPhi_I/dq), unpacked: list + would broadcast an array row
+    s = np.array([[*map(neg, row[n:]), *row[:n]] for row in rows])
     m = pairing_matrix_of_rows(rows, n)
     return _shared_poisson_tensor(n) + s.T @ _pairing_multipliers(m, s, x.coords)
 

@@ -128,12 +128,12 @@ def seed(coords):
 
 
 def gradient(func, coords):
-    """Exact gradient of ``func`` at ``coords`` by one forward pass."""
+    """Exact gradient of ``func`` at ``coords`` by one forward pass, as Python floats."""
     out = func(seed(coords))
     if isinstance(out, Dual):
-        return np.array(out.eps, dtype=float)
+        return out.eps.tolist()
     # constant expressions degrade to plain floats
-    return np.zeros(len(coords))
+    return [0.0] * len(coords)
 
 
 # math's domain, range and division errors re-raise as NumericDomainError;

@@ -230,19 +230,19 @@ def _generated(kind: str, n: int, k: int = 0):
 
 
 def _poisson_rhs(flow: PoissonFlow, n: int):
-    return _generated("poisson", n)(flow.hamiltonian._gradient_floats)
+    return _generated("poisson", n)(flow.hamiltonian._gradient)
 
 
 def _gauge_rhs(flow: GaugeFlow, n: int):
     constant = None if callable(flow.multiplier) else float(flow.multiplier)
-    return _generated("gauge", n)(flow.generator._gradient_floats, flow.multiplier_at, constant)
+    return _generated("gauge", n)(flow.generator._gradient, flow.multiplier_at, constant)
 
 
 def _dirac_rhs(flow: DiracFlow, n: int):
     """{z, H}_D at (t, z), z a list of Python floats, as Python floats."""
     cs = flow.constraints
     return _generated("dirac", n, len(cs))(
-        flow.hamiltonian._gradient_floats, [f._gradient_floats for f in cs.fields],
+        flow.hamiltonian._gradient, [f._gradient for f in cs.fields],
         cs.rates_at if cs.time_dependent else None)
 
 

@@ -5,7 +5,7 @@ a point is a (dim,) array, and a block of states a (dim, B) array whose
 trailing axis is the batch. Its gradient is the
 registered ``grad`` if it has one, and exact forward-mode differentiation
 (dual numbers) otherwise. A black-box function registers central finite
-differences, ``lambda z: central_difference_gradient(func, z)``, with step
+differences, ``lambda z: central_difference_gradient(func, z).tolist()``, with step
 h = cbrt(machine eps) * max(1, |x_i|). Evaluation and gradients are pure:
 the same coordinates always produce bitwise-identical results.
 """
@@ -57,13 +57,14 @@ class ScalarField:
     :mod:`diracmech.duals` for anything beyond arithmetic, and give on a block
     the values it gives point by point, bit for bit. A field with a
     black-box ``func`` registers a closed-form ``grad``, or central
-    differences: ``grad=lambda z: central_difference_gradient(func, z)``.
+    differences: ``grad=lambda z: central_difference_gradient(func, z).tolist()``.
 
     ``grad`` reads its point, a list of Python floats, by index or by unpacking,
-    and returns an array or a list of Python floats. ``gradient_at`` reads an
-    array point by tolist() and always gives an array; ``_gradient_floats``,
-    which the constraint engine and every RK4 step of a chart flow read, takes a
-    list point and passes a returned list on with no numpy call.
+    and returns a list of Python floats, as every field the package builds does
+    (an array is read with the same bits, at numpy-scalar speed). ``_gradient``,
+    which the constraint engine and every RK4 step of a chart flow read, passes
+    that list on as it is; ``gradient_at`` reads an array point by tolist() and
+    always gives an array.
     """
 
     name: str
@@ -90,18 +91,6 @@ class ScalarField:
         # the one gradient route, resolved once per field: the registered grad, else the dual pass
         return self.grad if self.grad is not None else partial(duals.gradient, self.func)
 
-    @cached_property
-    def _gradient_floats(self) -> Callable[[list], list]:
-        """``_gradient`` at a list point as a list of Python floats: a returned list as it
-        is, an array by tolist(). A flow's right-hand side resolves it once per flow."""
-        gradient = self._gradient
-
-        def floats(coords: list) -> list:
-            g = gradient(coords)
-            return g if isinstance(g, list) else np.asarray(g, dtype=float).tolist()
-
-        return floats
-
     # validated point API --------------------------------------------------
     def value(self, x: PhaseSpacePoint) -> float:
         require_same_chart(self, x)
@@ -122,14 +111,10 @@ class ScalarField:
 
 
 def coordinate_field(chart: ChartSpec, label: str) -> ScalarField:
-    """The coordinate function z -> z_label, with exact unit gradient."""
+    """The coordinate function z -> z_label, with exact unit gradient (a new list per call)."""
     i = chart.index(label)
-    basis = np.zeros(chart.dim)
-    basis[i] = 1.0
-    basis.setflags(write=False)
-    return ScalarField(name=label, chart=chart,
-                       func=lambda z, i=i: z[i],
-                       grad=lambda z, b=basis: b)
+    return ScalarField(name=label, chart=chart, func=lambda z, i=i: z[i],
+                       grad=lambda z, i=i, n=chart.dim: [0.0] * i + [1.0] + [0.0] * (n - i - 1))
 
 
 def _power(x, e: int):
@@ -189,8 +174,8 @@ def field_product(a: ScalarField, b: ScalarField) -> ScalarField:
     chart = require_same_chart(a, b)
     grad = None
     if a.grad is not None and b.grad is not None:
-        def grad(z, a=a, b=b):  # a grad may return a list; gradient_at reads it as an array
-            return a.func(z) * b.gradient_at(z) + b.func(z) * a.gradient_at(z)
+        def grad(z, a=a, b=b):  # on float64 arrays from gradient_at, then as Python floats
+            return (a.func(z) * b.gradient_at(z) + b.func(z) * a.gradient_at(z)).tolist()
     return ScalarField(name=f"({a.name})*({b.name})", chart=chart,
                        func=lambda z, a=a, b=b: a.func(z) * b.func(z), grad=grad)
 

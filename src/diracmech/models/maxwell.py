@@ -353,7 +353,7 @@ class LatticeMaxwell:
             return model.energy(z[:n].T, z[n:].T)
 
         def grad(z, model=model, n=n):
-            return np.concatenate([-model.vector_laplacian(z[:n]), z[n:]])
+            return np.concatenate([-model.vector_laplacian(z[:n]), z[n:]]).tolist()
 
         return ScalarField(name="H_maxwell", chart=self.chart, func=func, grad=grad)
 

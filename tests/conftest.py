@@ -1,9 +1,11 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
 from diracmech import duals
+from diracmech.fields import ScalarField
 from diracmech.verify import _random_poly as random_polynomial  # noqa: F401  (same draws)
 
 CBRT_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
@@ -67,6 +69,18 @@ def assert_closed_form_finite_like_duals(field, points):
         else:
             assert np.argmin(ok_closed) == np.argmin(ok_dual), (field.name, z, closed, dual)
     return finite
+
+
+def array_twin(field):
+    """``field`` with a ``grad`` that returns its gradient as a float64 array: a user
+    ``grad`` the package reads with the bits of the list its own fields return."""
+    return ScalarField(field.name, field.chart, field.func,
+                       lambda z, gradient=field._gradient: np.array(gradient(z)))
+
+
+def array_twin_set(cs):
+    """The constraint set ``cs`` with every field replaced by its array twin."""
+    return dataclasses.replace(cs, fields=tuple(map(array_twin, cs.fields)))
 
 
 def log_uniform(rng, low_exp, high_exp, size):

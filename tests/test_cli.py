@@ -19,6 +19,7 @@ from diracmech.circle import (CircleState, SpectrumTable, evolve_time_dependent,
 from diracmech import cli
 from diracmech.cli import COMMANDS, SCENARIO_SCHEMA, build_model, main
 from diracmech.constraints import dirac_bracket
+from diracmech.errors import ConfigError
 from diracmech.fields import coordinate_field
 from diracmech.models import KlauderModel, KRamp, RadialPotential
 from diracmech.dynamics import gauge_orbit_closed_form
@@ -324,6 +325,32 @@ GAUGE = {"model": {"kind": "klauder", "alpha": 1.0, "k": 0.0}, "flow": {"kind": 
          "initial": {"coords": [1.0, 0.0, 1.0, 0.0]}}
 KLAUDER_SAMPLES = {"model": {"kind": "klauder", "alpha": 1.0, "k": 1.0}}
 SINGLE_MODE_SWEEP = {"m_max": 2, "single_mode": 1, "times": [0.0, 0.5]}
+SHORT_RUN = {"dt": 0.01, "steps": 2}
+PARTICLE_REST = [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]  # x0, x, p0 = m = 1, p = 0
+# a key that another key of the scenario leaves unread: (command, payload, message)
+UNREAD_KEY_CASES = [
+    ("evolve", {**RAMPED_DIRAC, "flow": {"kind": "dirac", "multiplier": 5.0},
+                "integrator": SHORT_RUN},
+     "flow/multiplier is read by gauge flows only, not by 'dirac'"),
+    ("evolve", {"model": {"kind": "custom", "labels": ["q", "p"]},
+                "flow": {"kind": "poisson", "hamiltonian": [{"coeff": 0.5, "powers": [0, 2]}],
+                         "multiplier": {"type": "poly", "coeffs": [1.0, 2.0]}},
+                "integrator": SHORT_RUN, "initial": {"coords": [1.0, 0.0]}},
+     "flow/multiplier is read by gauge flows only, not by 'poisson'"),
+    ("quantum", {"model": {"kind": "klauder"},
+                 "quantum": {**SINGLE_MODE_SWEEP, "coeffs": [[0, 0], [1, 0], [0, 0], [0, 0],
+                                                             [0, 0]]}},
+     "quantum/single_mode is read without quantum/coeffs only, not with it"),
+    ("evolve", {**GAUGE, "initial": {**GAUGE["initial"], "surface": {"p_phi": 1.0}},
+                "integrator": SHORT_RUN},
+     "initial/surface is read without initial/coords only, not with it"),
+    ("evolve", {"model": {"kind": "particle"}, "flow": {"kind": "dirac"}, "integrator": SHORT_RUN,
+                "initial": {"coords": PARTICLE_REST, "x": [1.0, 0.0, 0.0]}},
+     "initial/x is read without initial/coords only, not with it"),
+    ("evolve", {"model": {"kind": "particle"}, "flow": {"kind": "dirac"}, "integrator": SHORT_RUN,
+                "initial": {"coords": PARTICLE_REST, "p": [1.0, 0.0, 0.0]}},
+     "initial/p is read without initial/coords only, not with it"),
+]
 
 
 @pytest.mark.parametrize("command, payload, code, message", [
@@ -413,6 +440,8 @@ SINGLE_MODE_SWEEP = {"m_max": 2, "single_mode": 1, "times": [0.0, 0.5]}
                            "potential": {"type": "poly", "coeffs": [0, 1e308]}},
                  "quantum": {**SINGLE_MODE_SWEEP, "times": [0.0, 1.5]}},
      3, "non-finite phase: U t / hbar overflows"),
+    # a key the scenario leaves unread is a config error, not ignored
+    *((command, payload, 2, message) for command, payload, message in UNREAD_KEY_CASES),
 ])
 def test_extreme_valid_config_ends_in_one_error_line(tmp_path, capsys, command, payload, code,
                                                      message):
@@ -682,6 +711,19 @@ def test_key_of_another_model_kind_exits_2(tmp_path, capsys, command, payload, p
     assert run_cli(command, "--config", config, "--out", str(tmp_path / "out.csv")) == 2
     assert capsys.readouterr().err.startswith(f"error: {path} is read by ")
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("command, payload, message", UNREAD_KEY_CASES)
+def test_unread_key_exits_2_before_any_model_work(tmp_path, capsys, monkeypatch, command,
+                                                  payload, message):
+    config = write_config(tmp_path / "cfg.json", payload)
+    refuse_model_work(monkeypatch)
+    out = tmp_path / "out.csv"
+    assert run_cli(command, "--config", config, "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+    with pytest.raises(ConfigError, match=message):  # from the model builder, before a model
+        build_model(payload, command)
 
 
 def refuse_model_work(monkeypatch):

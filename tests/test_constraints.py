@@ -17,7 +17,7 @@ from diracmech.fields import ScalarField, coordinate_field, polynomial_field
 from diracmech.models import CustomModel, KlauderModel, KRamp, RelativisticParticle
 from diracmech.phase import ChartSpec
 
-from conftest import fd_poisson_bracket, random_polynomial
+from conftest import array_twin_set, fd_poisson_bracket, random_polynomial
 
 FLAT = ChartSpec(labels=("q1", "q2", "p1", "p2"), name="flat")
 
@@ -310,6 +310,10 @@ CUSTOM_FOUR = CustomModel(labels=("q1", "q2", "q3", "p1", "p2", "p3"), constrain
     ("B", ((1.0, (0, 0, 0, 1, 0, 0)),)),
     ("C", ((1.0, (0, 1, 0, 0, 0, 0)), (0.5, (0, 0, 2, 0, 0, 0)))),
     ("D", ((1.0, (0, 0, 0, 0, 1, 0)), (1.0, (0, 0, 2, 0, 0, 0))))))
+# on its surface: q2 = -q3^2 / 2, q1 = -q2 p3, p1 = 0 and p2 = -q3^2
+CUSTOM_FOUR_SURFACE = [
+    CUSTOM_FOUR.chart.point([q3 * q3 * p3 / 2, -q3 * q3 / 2, q3, 0.0, -q3 * q3, p3])
+    for q3, p3 in ((0.5, 0.25), (-1.2, 0.7), (0.3, -2.0))]
 
 
 def tensor_points(rng):
@@ -529,7 +533,7 @@ def test_gradient_rows_equals_the_numpy_stack(rng):
 
 
 def test_gradient_rows_give_python_floats_for_every_gradient_kind():
-    # a closed-form list grad, an array grad and the dual pass, at a tolist() point
+    # a closed-form grad, a coordinate field's unit grad and the dual pass, at a tolist() point
     square = polynomial_field(FLAT, [(1.0, (2, 0, 1, 0))])
     plain = ScalarField("sin_p2", FLAT, lambda z: duals.sin(z[3]))
     fields = (square, coordinate_field(FLAT, "p1"), plain)
@@ -541,6 +545,23 @@ def test_gradient_rows_give_python_floats_for_every_gradient_kind():
         assert repr(row) == repr(field.gradient_at(z).tolist()), field.name
 
 
+def test_array_grads_give_the_bits_of_their_list_twins_in_dirac_tensor_and_classify(rng):
+    # rows of float64 arrays: S, M, det M and D with the bits of the list rows
+    for cs, x in tensor_points(rng):
+        twin = array_twin_set(cs)
+        assert type(twin.gradient_rows(x.coords.tolist())[0]) is np.ndarray
+        assert dirac_tensor(twin, x).tobytes() == dirac_tensor(cs, x).tobytes()
+    klauder, particle = KlauderModel(alpha=1.3, k=0.7), RelativisticParticle(mass=2.0)
+    for cs, samples in ((klauder.constraint_set, klauder.sample_surface(rng, 10)),
+                        (particle.constraint_set(), particle.sample_on_shell(rng, 10)),
+                        (CUSTOM_FOUR.constraint_set, CUSTOM_FOUR_SURFACE)):
+        for x in samples:
+            expected = classify(cs, [x], 1e-9)
+            result = classify(array_twin_set(cs), [x], 1e-9)
+            assert result.kind == expected.kind == "second_class"
+            assert repr(result.det_M) == repr(expected.det_M)
+
+
 def test_two_by_two_det_squares_without_a_numpy_warning():
     # M_01 = 3e198 squares past the float range: inf, and no "overflow in scalar multiply"
     m = np.array([[0.0, 3e198], [-3e198, 0.0]])
@@ -549,20 +570,17 @@ def test_two_by_two_det_squares_without_a_numpy_warning():
         assert pairing_det(m) == math.inf and pairing_det(m.tolist()) == math.inf
 
 
-def test_float_pairing_matrix_and_brackets_equal_the_numpy_route(rng):
+def test_float_pairing_matrix_det_and_scale_equal_the_numpy_route(rng):
     # one pair, so every q.p is a single product and BLAS has nothing to fuse: the float
-    # lists must equal numpy's M and {Phi_I, g} by repr, signed zeros, inf and NaN included
+    # lists must give numpy's M, det M and scale by repr, signed zeros, inf and NaN included
     specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e200, -1e-200]
     for trial in range(400):
         rows = rng.normal(size=(2, 2)) * 10.0 ** rng.uniform(-5.0, 5.0, (2, 2))
-        grad = rng.normal(size=2)
-        for values in (rows.reshape(-1), grad):
-            hit = rng.random(values.shape) < 0.3
-            values[hit] = rng.choice(specials, int(hit.sum()))
+        hit = rng.random(rows.shape) < 0.3
+        rows[hit] = rng.choice(specials, int(hit.sum()))
         with np.errstate(all="ignore"):
             a = rows[:, :1] @ rows[:, 1:].T
             m = a - a.T
-            s = rows[:, :1] @ grad[1:] - rows[:, 1:] @ grad[:1]
         assert repr(pairing_matrix_of_rows(rows.tolist(), 1)) == repr(m.tolist()), rows
         assert repr(pairing_det(m.tolist())) == repr(pairing_det(m))
         assert repr(degeneracy_scale(m.tolist())) == repr(degeneracy_scale(m))

@@ -19,6 +19,7 @@ from diracmech.models import (KlauderModel, KRamp, LatticeMaxwell, RadialPotenti
                               RelativisticParticle)
 from diracmech.phase import ChartSpec, PhaseSpacePoint
 
+from conftest import array_twin, array_twin_set
 from test_constraints import CUSTOM_FOUR, reference_degeneracy_scale, reference_gradient_rows
 
 FLAT = ChartSpec(labels=("q1", "p1"), name="flat1d")
@@ -289,7 +290,7 @@ def reference_dirac_rhs(flow, n):
 def dirac_flows():
     """(flow, x0): static-k and ramped-k Klauder orbits, a four-constraint custom flow
     whose pairing solve takes the LU route, a two-constraint flow whose gradients come
-    from a coordinate field's array and from the dual pass, a twelve-constraint flow and
+    from a coordinate field and from the dual pass, a twelve-constraint flow and
     a four-constraint flow on 33 pairs, past the unroll limit."""
     for k in (1.0, KRamp(1.0, 0.5)):
         model = KlauderModel(alpha=1.0, k=k, potential=RadialPotential.harmonic())
@@ -514,6 +515,30 @@ def test_float_step_equals_the_array_step_bitwise(index):
     expected = {} if watched is None else watched.residual_series(times, states)
     assert traj.residuals.keys() == expected.keys()
     for name, series in expected.items():
+        assert traj.residuals[name].tobytes() == series.tobytes(), name
+
+
+def array_twin_flow(flow):
+    """``flow`` with every gradient it reads returned as a float64 array."""
+    if isinstance(flow, DiracFlow):
+        return DiracFlow(array_twin(flow.hamiltonian), array_twin_set(flow.constraints))
+    if isinstance(flow, GaugeFlow):
+        return GaugeFlow(array_twin(flow.generator), flow.multiplier)
+    return PoissonFlow(array_twin(flow.hamiltonian))
+
+
+@pytest.mark.parametrize("index", range(9))
+def test_array_grads_give_the_bits_of_their_list_twins_over_200_steps(index):
+    # the generated code unpacks or indexes an array as it does a list; its numpy scalars
+    # round as Python floats do, and warn on nothing here (warnings are errors)
+    flow, x0, monitor = list(float_step_flows())[index]
+    cfg = IntegratorConfig(dt=1e-3, steps=200)
+    expected = evolve(x0, flow, cfg, monitor=monitor)
+    traj = evolve(x0, array_twin_flow(flow), cfg, monitor=monitor)
+    for name in ("times", "states", "generator_values"):
+        assert getattr(traj, name).tobytes() == getattr(expected, name).tobytes(), name
+    assert traj.residuals.keys() == expected.residuals.keys()
+    for name, series in expected.residuals.items():
         assert traj.residuals[name].tobytes() == series.tobytes(), name
 
 

@@ -222,9 +222,9 @@ def test_polynomial_gradient_on_floats_has_the_bits_of_numpy_scalar_powers(rng):
         expected = numpy_scalar_polynomial_gradient(terms, z)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            g = f._gradient_floats(np.asarray(z, dtype=float).tolist())
+            g = f._gradient(np.asarray(z, dtype=float).tolist())
         assert np.array(g).tobytes() == expected.tobytes(), (z, g, expected)
-    signed = f._gradient_floats([1e11, -1e11, 3.0, -1e9])
+    signed = f._gradient([1e11, -1e11, 3.0, -1e9])
     assert signed[0] == math.inf and signed[1] == -math.inf  # both overflow signs are met
 
 
@@ -287,7 +287,9 @@ def test_field_product_with_finite_difference_factor_uses_the_product_rule():
 
 
 def closed_form_fields():
-    """(field, points) for every closed-form grad of the Klauder and particle models."""
+    """(field, points) for every kind of field the package builds: the closed-form grads of
+    the Klauder and particle models, a coordinate field, the dual pass, a bracket field's
+    central differences, a product of closed forms and the L=2 lattice Maxwell H."""
     rng = np.random.default_rng(11)
     klauder = KlauderModel(alpha=1.3, k=KRamp(0.7, 0.2), potential=RadialPotential((0.0, 0.4, 0.1)))
     polar = [x.coords for x in klauder.sample_points(rng, 20)]
@@ -295,21 +297,38 @@ def closed_form_fields():
         yield field, polar
     yield klauder.cartesian_generator, list(rng.uniform(-3, 3, (20, 4)))
     particle = RelativisticParticle(mass=2.0, spatial_dim=3)
-    yield particle.mass_shell, [x.coords for x in particle.sample(rng, 20)]
+    on_shell = [x.coords for x in particle.sample(rng, 20)]
+    yield particle.mass_shell, on_shell
     yield particle.physical_hamiltonian, list(rng.uniform(-3, 3, (20, 6)))
+    yield particle.time_gauge(), on_shell
+    flat = list(rng.uniform(-3, 3, (20, 4)))
+    yield coordinate_field(CHART, "p1"), flat
+    yield ScalarField("q1_sin_p2", CHART, lambda z: duals.sin(z[3]) * z[0]), flat
+    yield poisson_bracket_field(klauder.constraint, klauder.hamiltonian()), polar[:5]
+    yield field_product(klauder.constraint, klauder.gauge_condition), polar
+    maxwell = LatticeMaxwell(side=2)
+    yield maxwell.hamiltonian, list(rng.normal(size=(5, maxwell.chart.dim)))
 
 
 def test_closed_form_grads_return_python_floats():
-    # the two-constraint Dirac rhs reads them as they are; a numpy scalar would put
+    # the flows and the constraint engine read _gradient as it is; a numpy scalar would put
     # numpy back into every float operation of the pairing solve
     for field, points in closed_form_fields():
         for z in points:
-            floats = np.asarray(z, dtype=float).tolist()
-            g = field.grad(floats)
+            g = field._gradient(np.asarray(z, dtype=float).tolist())
             assert type(g) is list and all(type(v) is float for v in g), (field.name, g)
-            assert field._gradient_floats(floats) == g
             at = field.gradient_at(z)
             assert at.dtype == np.float64 and at.tolist() == g
+
+
+def test_coordinate_field_gradient_is_a_new_list_per_call():
+    for field in (coordinate_field(CHART, "q2"), RelativisticParticle(mass=1.0).time_gauge()):
+        z = [0.5] * field.chart.dim
+        expected = field._gradient(z)
+        first = field._gradient(z)
+        first[0] = 7.0
+        first.append(1.0)
+        assert field._gradient(z) == expected and first is not field._gradient(z)
 
 
 def test_field_product_of_closed_forms_returning_lists():

@@ -41,6 +41,8 @@ COMMANDS = {
     "maxwell_l2.json": "maxwell",
     "maxwell_l8_random.json": "maxwell",
     "custom_four_orbit.json": "evolve",
+    "custom_second_class_brackets.json": "brackets",
+    "particle_brackets.json": "brackets",
 }
 
 

@@ -10,7 +10,8 @@ constraint; {A,B}_D = grad A . D . grad B with the Dirac tensor D built once
 per point. When the pairing matrix vanishes on the surface the set is First
 Class (its elements generate gauge transformations instead of fixing a
 reduced phase space). Everything in between is reported as mixed/degenerate
-with a rank estimate.
+with a rank estimate. M is summed by the pairing function that ``kernels``
+generates, with the sums the Dirac flow runs.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import numpy as np
 from .brackets import poisson_bracket, poisson_tensor
 from .errors import DegeneracyError, NumericDomainError, UsageError
 from .fields import ScalarField, pullback_field
+from .kernels import _generated
 from .phase import ChartSpec, PhaseSpacePoint, require_same_chart
 
 # |det M| <= DEGENERACY_RTOL * max(1, prod of row norms) counts as singular
@@ -92,7 +94,8 @@ class ConstraintSet:
 
     def require_on_surface(self, coords, label: str, tol: float = ON_SURFACE_TOL) -> None:
         """Raise UsageError naming the worst constraint unless every |Phi_I(z, 0)| < tol."""
-        vals = np.abs(self.values_along([0.0], [coords])[0])
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual is off it
+            vals = np.abs(self.values_along([0.0], [coords])[0])
         if not np.all(vals < tol):  # a NaN residual is off the surface too
             worst = int(np.argmax(vals))
             raise UsageError(f"{label} is off the constraint surface: |{self.names[worst]}| "
@@ -115,29 +118,14 @@ class ConstraintSet:
         return {name: vals[:, j] for j, name in enumerate(self.names)}
 
 
-def _float_dot(a, b) -> float:
-    # summed in index order from +0.0, as BLAS sums: a lone -0.0 product gives +0.0
-    total = 0.0
-    for i in range(len(a)):
-        total += a[i] * b[i]
-    return total
-
-
 def pairing_matrix_of_rows(rows: list, n_pairs: int) -> list:
     """M_IJ = {Phi_I, Phi_J} as nested float lists, from float-list gradient rows.
 
     M = a - a^T with a_IJ = q_I . p_J summed in index order, so M is antisymmetric
-    by construction and the diagonal a_II - a_II is NaN for a non-finite row.
+    by construction and the diagonal a_II - a_II is NaN for a non-finite row. The
+    sums are the Dirac rhs's, generated by ``kernels`` once per (n_pairs, len(rows)).
     """
-    if len(rows) == 2:  # unrolled: dirac_tensor and classify build one 2x2 M per point
-        r0, r1 = rows
-        q0, p0, q1, p1 = r0[:n_pairs], r0[n_pairs:], r1[:n_pairs], r1[n_pairs:]
-        a00, a01 = _float_dot(q0, p0), _float_dot(q0, p1)
-        a10, a11 = _float_dot(q1, p0), _float_dot(q1, p1)
-        return [[a00 - a00, a01 - a10], [a10 - a01, a11 - a11]]
-    ps = [row[n_pairs:] for row in rows]
-    a = [[_float_dot(row[:n_pairs], p) for p in ps] for row in rows]
-    return [[a_i[j] - a[j][i] for j in range(len(a))] for i, a_i in enumerate(a)]
+    return _generated("pairing", n_pairs, len(rows))(rows)
 
 
 def constraint_matrix(cs: ConstraintSet, x: PhaseSpacePoint) -> np.ndarray:
@@ -161,7 +149,8 @@ def pairing_det(m) -> float:
     if len(m) == 2:  # on Python floats: an overflowing square is inf without a numpy warning
         m01 = float(m[0][1])
         return m01 * m01
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite det is the guard's to judge
+    # a non-finite det, or an LU pivot that underflows to 0, is the guard's to judge
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return float(np.linalg.det(m))
 
 
@@ -374,8 +363,9 @@ def faddeev_popov_determinant(gauge_conditions: Sequence[ScalarField],
         return 1.0
     rows = [f.gradient(x).tolist() for f in (*gauge_conditions, *constraints)]
     block = [row[k:] for row in pairing_matrix_of_rows(rows, x.chart.n_pairs)[:k]]
-    # det of a 1x1 matrix by LU is not always its entry
-    return float(np.linalg.det(block)) if k > 1 else block[0][0]
+    with np.errstate(divide="ignore"):  # an LU pivot that underflows to 0 divides by it
+        # det of a 1x1 matrix by LU is not always its entry
+        return float(np.linalg.det(block)) if k > 1 else block[0][0]
 
 
 @dataclass(frozen=True)

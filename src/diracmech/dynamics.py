@@ -12,24 +12,15 @@ lattice Maxwell flow does not come here: ``LatticeMaxwell.evolve`` applies the
 same RK4 map per Fourier mode in closed form, and shares this module's
 recording arrays, blow-up error and finalisation.
 
-The RK4 step and the Poisson, gauge and Dirac right-hand sides are generated code,
-as ``namedtuple`` and ``dataclasses`` generate theirs. For each kind, chart size n
-and (for the Dirac rhs) constraint count k, the source is written out over the 2n
-coordinates, compiled in this module's globals at the first flow that needs it (not
-at import), and cached for the life of the process. While n (k + 2)^2 <= 128 (up to
-64 coordinates for the step and the chart flows, up to 16 for two constraints)
-every list entry and sum term is spelled out, which spares a step on a few
-coordinates the zips, slices and loop counters that cost more than its arithmetic;
-past that, each list is one comprehension and each sum one loop. Both forms keep
-the order of every sum, so they give the same bits. ``evolve`` builds each flow's
-right-hand side once, from the generated factory and the flow's resolved gradient
+The RK4 step and the right-hand sides are generated by ``kernels``; ``evolve`` builds each
+flow's right-hand side once, from the generated factory and the flow's resolved gradient
 routes (and a gauge flow's constant multiplier), so a call does arithmetic only.
 
-The Dirac rhs covers every even constraint count: the brackets {Phi_I, H} and the
-pairing matrix M are summed straight from the gradients in the order of the
-constraint engine's float sums, and one call of ``_pairing_multipliers`` runs the
-package's one guard and solve on that M: the closed 2x2 form for two constraints,
-numpy's pivoted LU for more. The correction sum_I lambda_I grad Phi_I is summed per
+The Dirac rhs covers every even constraint count: the brackets {Phi_I, H} are summed
+straight from the gradients, and the pairing matrix M by the constraint engine's own
+generated sums; ``_dirac_rhs`` hands it ``_pairing_multipliers``, the package's one
+guard and solve, to call on that M: the closed 2x2 form for two constraints, numpy's
+pivoted LU for more. The correction sum_I lambda_I grad Phi_I is summed per
 entry on Python floats, left to right and unfused, so of a Dirac orbit's bits only
 those of the LU solve for more than two constraints depend on the BLAS kernel.
 """
@@ -39,7 +30,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field as dfield
-from functools import cache
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -47,6 +37,7 @@ import numpy as np
 from .constraints import ConstraintSet, _pairing_multipliers
 from .errors import DegeneracyError, NumericDomainError, UsageError
 from .fields import ScalarField
+from .kernels import _generated
 from .phase import ChartSpec, PhaseSpacePoint, require_same_chart
 
 BLOWUP_LIMIT = 1e12
@@ -136,99 +127,6 @@ class Trajectory:
         return len(self.times)
 
 
-# A generated function for n pairs and k constraints (k = 0 for the step and the Poisson and
-# gauge rhs) is spelled out over the coordinates while n (k + 2)^2 <= _UNROLL_TERMS: a bound
-# on the n (k^2 + 4k) product terms of the Dirac rhs's sums and correction, which keeps the
-# step and the chart flows spelled out up to 64 coordinates. Past it, each per-coordinate
-# list is one comprehension and each sum one loop. Spelled out at n = 32 and k = 64, the
-# Dirac rhs takes 0.7-0.9 s and 165 MiB to build (its loop form 0.1 s and 29 MiB; Python
-# 3.11 on a 2-core x86-64 host), and past n = 2048 a sum's chain of additions is too deep
-# for the compiler (RecursionError).
-_UNROLL_TERMS = 128
-
-
-def _source(kind: str, n: int, k: int = 0) -> str:
-    """Python source of the function ``kind`` for a chart of n pairs.
-
-    The right-hand-side factories ``poisson``, ``gauge`` and ``dirac`` (k constraints, any
-    even count) each return an ``rhs(t, z)``; ``step`` is the classic RK4 step
-    ``step(rhs, t, z, dt)``. Each sum runs from +0.0 in index order and each list in
-    coordinate order, unrolled or in a loop, so both forms give the same bits.
-    """
-    dim = 2 * n
-    unrolled = n * (k + 2) ** 2 <= _UNROLL_TERMS
-
-    def at(i):  # the {q} and {p} suffixes of entry i: a local name, or an index in a loop
-        return {"q": f"_{i}", "p": f"_{n + i}"} if unrolled else {"q": "[i]", "p": f"[{n} + i]"}
-
-    def vector(*parts):  # (template, count) parts: the list of every entry of each in turn
-        if unrolled:
-            return "[" + ", ".join(t.format(**at(i)) for t, c in parts for i in range(c)) + "]"
-        return " + ".join(f"[{t.format(**at(None))} for i in range({c})]" for t, c in parts)
-
-    def read(name, value):  # unrolled, entry j is then the local {name}_j
-        return (", ".join(f"{name}_{j}" for j in range(dim)) if unrolled else name) + f" = {value}"
-
-    def sums(terms):  # each name set to the sum of its template over i < n
-        if unrolled:
-            return [f"{name} = 0.0" + "".join(f" + {t.format(**at(i))}" for i in range(n))
-                    for name, t in terms.items()]
-        return ([" = ".join(terms) + " = 0.0", f"for i in range({n}):"]
-                + [f"    {name} += {t.format(**at(None))}" for name, t in terms.items()])
-
-    setup = []
-    if kind == "step":
-        body = ["half = 0.5 * dt", *([read("z", "z")] if unrolled else []),
-                read("k1", "rhs(t, z)"),
-                read("k2", f"rhs(t + half, {vector(('z{q} + half * k1{q}', dim))})"),
-                read("k3", f"rhs(t + half, {vector(('z{q} + half * k2{q}', dim))})"),
-                read("k4", f"rhs(t + dt, {vector(('z{q} + dt * k3{q}', dim))})"),
-                "sixth = dt / 6.0",
-                "return " + vector(("z{q} + sixth * (k1{q} + 2.0 * k2{q} + 2.0 * k3{q} + k4{q})",
-                                    dim))]
-        return "\n    ".join(["def step(rhs, t, z, dt):", *body])
-    if kind == "poisson":
-        head, body = "poisson(gradient)", [
-            read("g", "gradient(z)"), "return " + vector(("g{p}", n), ("-g{q}", n))]
-    elif kind == "gauge":
-        head, body = "gauge(gradient, multiplier_at, constant)", [
-            "lam = multiplier_at(t) if constant is None else constant",
-            read("g", "gradient(z)"), "return " + vector(("lam * g{p}", n), ("lam * -g{q}", n))]
-    else:
-        # {Phi_I, H} = b_I - c_I, b_I = q_I . dH/dp and c_I = p_I . dH/dq, and M = a - a^T,
-        # a_IJ = q_I . p_J, for the q and p halves of row I = grad Phi_I, summed as in
-        # pairing_matrix_of_rows; a NaN diagonal marks a non-finite row for the guard. Entry
-        # j of row I is r{I}_{j} and a_IJ is a{I}_{J}, so no two (I, J) share a name
-        cs = range(k)
-        terms = {f"{x}{i}": f"r{i}{{{u}}} * gh{{{v}}}" for i in cs for x, u, v in ("bqp", "cpq")}
-        terms.update({f"a{i}_{j}": f"r{i}{{q}} * r{j}{{p}}" for i in cs for j in cs})
-        # sum_I l_I dPhi_I/dz per entry, left to right from the first product
-        lam = {x: " + ".join(f"l{i} * r{i}{{{x}}}" for i in cs) for x in "qp"}
-        head = "dirac(grad_h, grads, rates_at)"
-        setup = ["".join(f"grad_{i}, " for i in cs) + "= grads"]
-        body = [read("gh", "grad_h(z)"), *(read(f"r{i}", f"grad_{i}(z)") for i in cs),
-                *sums(terms), "s = [" + ", ".join(f"b{i} - c{i}" for i in cs) + "]",
-                "if rates_at is not None:",
-                "    s = list(map(operator.add, s, rates_at(t)))",
-                "m = [" + ", ".join("[" + ", ".join(f"a{i}_{j} - a{j}_{i}" for j in cs) + "]"
-                                    for i in cs) + "]",
-                "".join(f"l{i}, " for i in cs) + "= _pairing_multipliers(m, s, z)",
-                "return " + vector((f"gh{{p}} - ({lam['p']})", n),
-                                   (f"-(gh{{q}} - ({lam['q']}))", n))]
-    return "\n    ".join([f"def {head}:", *setup, "def rhs(t, z):",
-                          *(f"    {line}" for line in body), "return rhs"])
-
-
-@cache
-def _generated(kind: str, n: int, k: int = 0):
-    """The function ``kind`` of ``_source`` for n pairs (and k constraints), compiled at its
-    first use and shared from then on: it holds no state, so concurrent flows call it freely."""
-    namespace = {}
-    exec(compile(_source(kind, n, k), f"<diracmech.dynamics {kind} n={n} k={k}>", "exec"),
-         globals(), namespace)
-    return namespace[kind]
-
-
 def _poisson_rhs(flow: PoissonFlow, n: int):
     return _generated("poisson", n)(flow.hamiltonian._gradient)
 
@@ -243,7 +141,7 @@ def _dirac_rhs(flow: DiracFlow, n: int):
     cs = flow.constraints
     return _generated("dirac", n, len(cs))(
         flow.hamiltonian._gradient, [f._gradient for f in cs.fields],
-        cs.rates_at if cs.time_dependent else None)
+        cs.rates_at if cs.time_dependent else None, _pairing_multipliers)
 
 
 def _floats_bounded(z: list) -> bool:

@@ -1,0 +1,113 @@
+"""Generated float kernels, as ``namedtuple`` and ``dataclasses`` generate theirs: the RK4
+step, the Poisson, gauge and Dirac right-hand sides and the pairing matrix. This module
+imports nothing from the package; a kernel is handed what it calls.
+
+For each kind, chart size n and constraint count k, the source is written out over the 2n
+coordinates, compiled at the first call that needs it (not at import), and cached for the
+life of the process. While n (k + 2)^2 <= 128 (up to 64 coordinates for the step and the
+chart flows, up to 16 for two constraints) every list entry and sum term is spelled out,
+which spares a step on a few coordinates the zips, slices and loop counters that cost more
+than its arithmetic; past that, each list is one comprehension and each sum one loop. Both
+forms keep the order of every sum, so they give the same bits.
+"""
+
+from __future__ import annotations
+
+import operator  # read by the generated Dirac rhs
+from functools import cache
+
+# A generated function for n pairs and k constraints (k = 0 for the step and the Poisson and
+# gauge rhs) is spelled out while n (k + 2)^2 <= _UNROLL_TERMS: a bound on the n (k^2 + 4k)
+# product terms of the Dirac rhs's sums and correction. Spelled out at n = 32 and k = 64, the
+# Dirac rhs takes 0.7-0.9 s and 165 MiB to build (its loop form 0.1 s and 29 MiB; Python
+# 3.11 on a 2-core x86-64 host), and past n = 2048 a sum's chain of additions is too deep
+# for the compiler (RecursionError).
+_UNROLL_TERMS = 128
+
+
+def _source(kind: str, n: int, k: int = 0) -> str:
+    """Python source of the function ``kind`` for a chart of n pairs.
+
+    ``step`` is the classic RK4 step ``step(rhs, t, z, dt)``, ``pairing(rows)`` returns M
+    for k gradient rows, and the factories ``poisson``, ``gauge`` and ``dirac`` (k
+    constraints, any even count, and ``solve(m, s, z)`` to call on M) each return an
+    ``rhs(t, z)``. Each sum runs from +0.0 in index order and each list in coordinate
+    order, unrolled or in a loop, so both forms give the same bits.
+    """
+    dim = 2 * n
+    unrolled = n * (k + 2) ** 2 <= _UNROLL_TERMS
+
+    def at(i):  # the {q} and {p} suffixes of entry i: a local name, or an index in a loop
+        return {"q": f"_{i}", "p": f"_{n + i}"} if unrolled else {"q": "[i]", "p": f"[{n} + i]"}
+
+    def vector(*parts):  # (template, count) parts: the list of every entry of each in turn
+        if unrolled:
+            return "[" + ", ".join(t.format(**at(i)) for t, c in parts for i in range(c)) + "]"
+        return " + ".join(f"[{t.format(**at(None))} for i in range({c})]" for t, c in parts)
+
+    def read(name, value):  # unrolled, entry j is then the local {name}_j
+        return (", ".join(f"{name}_{j}" for j in range(dim)) if unrolled else name) + f" = {value}"
+
+    def sums(terms):  # each name set to the sum of its template over i < n (none for k = 0)
+        if unrolled or not terms:
+            return [f"{name} = 0.0" + "".join(f" + {t.format(**at(i))}" for i in range(n))
+                    for name, t in terms.items()]
+        return ([" = ".join(terms) + " = 0.0", f"for i in range({n}):"]
+                + [f"    {name} += {t.format(**at(None))}" for name, t in terms.items()])
+
+    # M = a - a^T, a_IJ = q_I . p_J for the q and p halves of row I = grad Phi_I; a NaN
+    # diagonal marks a non-finite row for the guard. Entry j of row I is r{I}_{j} and a_IJ
+    # is a{I}_{J}, so no two (I, J) share a name
+    cs = range(k)
+    pairs = {f"a{i}_{j}": f"r{i}{{q}} * r{j}{{p}}" for i in cs for j in cs}
+    matrix = "[" + ", ".join("[" + ", ".join(f"a{i}_{j} - a{j}_{i}" for j in cs) + "]"
+                             for i in cs) + "]"
+    setup = []
+    if kind == "step":
+        body = ["half = 0.5 * dt", *([read("z", "z")] if unrolled else []),
+                read("k1", "rhs(t, z)"),
+                read("k2", f"rhs(t + half, {vector(('z{q} + half * k1{q}', dim))})"),
+                read("k3", f"rhs(t + half, {vector(('z{q} + half * k2{q}', dim))})"),
+                read("k4", f"rhs(t + dt, {vector(('z{q} + dt * k3{q}', dim))})"),
+                "sixth = dt / 6.0",
+                "return " + vector(("z{q} + sixth * (k1{q} + 2.0 * k2{q} + 2.0 * k3{q} + k4{q})",
+                                    dim))]
+        return "\n    ".join(["def step(rhs, t, z, dt):", *body])
+    if kind == "pairing":
+        body = [*(read(f"r{i}", f"rows[{i}]") for i in cs), *sums(pairs), f"return {matrix}"]
+        return "\n    ".join(["def pairing(rows):", *body])
+    if kind == "poisson":
+        head, body = "poisson(gradient)", [
+            read("g", "gradient(z)"), "return " + vector(("g{p}", n), ("-g{q}", n))]
+    elif kind == "gauge":
+        head, body = "gauge(gradient, multiplier_at, constant)", [
+            "lam = multiplier_at(t) if constant is None else constant",
+            read("g", "gradient(z)"), "return " + vector(("lam * g{p}", n), ("lam * -g{q}", n))]
+    else:
+        # {Phi_I, H} = b_I - c_I, b_I = q_I . dH/dp and c_I = p_I . dH/dq, summed beside a_IJ
+        terms = {f"{x}{i}": f"r{i}{{{u}}} * gh{{{v}}}" for i in cs for x, u, v in ("bqp", "cpq")}
+        terms.update(pairs)
+        # sum_I l_I dPhi_I/dz per entry, left to right from the first product
+        lam = {x: " + ".join(f"l{i} * r{i}{{{x}}}" for i in cs) for x in "qp"}
+        head = "dirac(grad_h, grads, rates_at, solve)"
+        setup = ["".join(f"grad_{i}, " for i in cs) + "= grads"]
+        body = [read("gh", "grad_h(z)"), *(read(f"r{i}", f"grad_{i}(z)") for i in cs),
+                *sums(terms), "s = [" + ", ".join(f"b{i} - c{i}" for i in cs) + "]",
+                "if rates_at is not None:",
+                "    s = list(map(operator.add, s, rates_at(t)))",
+                f"m = {matrix}",
+                "".join(f"l{i}, " for i in cs) + "= solve(m, s, z)",
+                "return " + vector((f"gh{{p}} - ({lam['p']})", n),
+                                   (f"-(gh{{q}} - ({lam['q']}))", n))]
+    return "\n    ".join([f"def {head}:", *setup, "def rhs(t, z):",
+                          *(f"    {line}" for line in body), "return rhs"])
+
+
+@cache
+def _generated(kind: str, n: int, k: int = 0):
+    """The function ``kind`` of ``_source`` for n pairs (and k constraints), compiled at its
+    first use and shared from then on: it holds no state, so concurrent callers call it freely."""
+    namespace = {}
+    exec(compile(_source(kind, n, k), f"<diracmech.kernels {kind} n={n} k={k}>", "exec"),
+         globals(), namespace)
+    return namespace[kind]

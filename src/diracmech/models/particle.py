@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .. import duals
-from ..constraints import ConstraintSet, _float_dot, dirac_tensor
+from ..constraints import ConstraintSet, dirac_tensor
 from ..brackets import poisson_bracket
 from ..dynamics import PoissonFlow
 from ..errors import NumericDomainError, UsageError
@@ -87,9 +87,11 @@ class RelativisticParticle:
                              names=("chi", "C"))
 
     def energy(self, p_spatial) -> float:
-        # p.p on Python floats in index order: a BLAS dot sums in the kernel's order
-        p = np.asarray(p_spatial, dtype=float).tolist()
-        return math.sqrt(_float_dot(p, p) + self.mass ** 2)
+        # p.p on Python floats in index order from +0.0: a BLAS dot sums in the kernel's order
+        total = 0.0
+        for v in np.asarray(p_spatial, dtype=float).tolist():
+            total += v * v
+        return math.sqrt(total + self.mass ** 2)
 
     @cached_property
     def physical_hamiltonian(self) -> ScalarField:

@@ -34,21 +34,30 @@ def test_scenario_artifact_keeps_its_bytes(tmp_path, scenario, command, fmt, sha
     assert (hashlib.sha256(data).hexdigest(), len(data)) == (sha256, size)
 
 
-def test_dirac_orbit_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
+@pytest.mark.parametrize("scenario, command, lines", [
     # ramped k puts p_r != 0 and so two products in a correction entry, the sum that a
-    # fused multiply-add rounds differently; 300 steps at dt 0.01 reach most rows with it
-    config = json.loads((SCENARIOS / "ramped_k_orbit.json").read_text())
-    config["integrator"] = {"dt": 0.01, "steps": 300}
-    (tmp_path / "orbit.json").write_text(json.dumps(config))
+    # fused multiply-add rounds differently; 300 steps at dt 0.01 reach most rows with it.
+    # Header, 301 states, two drift rows
+    ("ramped_k_orbit", "evolve", 1 + 301 + 2),
+    # S^T M^-1 S of dirac_tensor sums two products wherever both constraints move p1.
+    # Header, 40 points of 6 pairs
+    ("custom_second_class_brackets", "brackets", 1 + 40 * 6),
+], ids=["ramped_k_orbit", "custom_second_class_brackets"])
+def test_dirac_orbit_bytes_do_not_depend_on_the_blas_kernel(tmp_path, scenario, command, lines):
+    config = json.loads((SCENARIOS / f"{scenario}.json").read_text())
+    if command == "evolve":
+        config["integrator"] = {"dt": 0.01, "steps": 300}
+    (tmp_path / "scenario.json").write_text(json.dumps(config))
     env = {key: value for key, value in child_env().items() if key != "OPENBLAS_CORETYPE"}
     children = {}
     for kernel, extra in (("default", {}), ("nehalem", {"OPENBLAS_CORETYPE": "Nehalem"})):
         children[kernel] = subprocess.Popen(
-            [sys.executable, "-m", "diracmech", "evolve", "--config", str(tmp_path / "orbit.json"),
-             "--out", str(tmp_path / f"{kernel}.csv"), "--format", "csv"],
+            [sys.executable, "-m", "diracmech", command, "--config",
+             str(tmp_path / "scenario.json"), "--out", str(tmp_path / f"{kernel}.csv"),
+             "--format", "csv"],
             env={**env, **extra}, stdout=subprocess.DEVNULL)
     for child in children.values():
         assert child.wait(timeout=60) == 0
     default, nehalem = ((tmp_path / f"{kernel}.csv").read_bytes() for kernel in children)
-    assert default.count(b"\n") == 301 + 3  # header, 301 states, two drift rows
+    assert default.count(b"\n") == lines
     assert default == nehalem

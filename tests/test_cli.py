@@ -442,6 +442,27 @@ UNREAD_KEY_CASES = [
      3, "non-finite phase: U t / hbar overflows"),
     # a key the scenario leaves unread is a config error, not ignored
     *((command, payload, 2, message) for command, payload, message in UNREAD_KEY_CASES),
+    # 1e160 q0^2 overflows at q0 = 1e160: the residual is inf, so the start is off the surface
+    ("evolve", {"model": {"kind": "custom", "labels": ["q0", "p0"], "constraints": [
+        {"name": "A", "terms": [{"coeff": 1e160, "powers": [2, 0]}]},
+        {"name": "B", "terms": [{"coeff": 1.0, "powers": [0, 1]}]}]},
+        "flow": {"kind": "dirac", "hamiltonian": [{"coeff": 1.0, "powers": [0, 2]}]},
+        "integrator": SHORT_RUN, "initial": {"coords": [1e160, 0.0]}},
+     2, "initial point of a Dirac flow is off the constraint surface: |A| = inf, "
+        "tolerance 1e-08"),
+    # linear constraints whose constant M mixes entries near 1e161 with subnormal ones: the
+    # LU of det M divides by a pivot that underflows
+    ("brackets", {"model": {"kind": "custom", "labels": ["q1", "q2", "p1", "p2"],
+                            "constraints": [
+        {"name": "A", "terms": [{"coeff": 1.0, "powers": [1, 0, 0, 0]}]},
+        {"name": "B", "terms": [{"coeff": 1.0, "powers": [0, 1, 0, 0]}]},
+        {"name": "C", "terms": [{"coeff": 5.4e-323, "powers": [0, 1, 0, 0]},
+                                {"coeff": 6.872e-162, "powers": [0, 0, 1, 0]},
+                                {"coeff": -7.806e-322, "powers": [0, 0, 0, 1]}]},
+        {"name": "D", "terms": [{"coeff": 5.076e161, "powers": [0, 0, 1, 0]},
+                                {"coeff": -39.17, "powers": [0, 0, 0, 1]}]}]},
+                  "samples": {"count": 3}},
+     3, "constraint pairing matrix is singular (det=0.000e+00); system is not Second Class here"),
 ])
 def test_extreme_valid_config_ends_in_one_error_line(tmp_path, capsys, command, payload, code,
                                                      message):

@@ -570,6 +570,14 @@ def test_two_by_two_det_squares_without_a_numpy_warning():
         assert pairing_det(m) == math.inf and pairing_det(m.tolist()) == math.inf
 
 
+def dot_from_zero(u, v):
+    """u . v summed from +0.0 in index order."""
+    total = 0.0
+    for x, y in zip(u, v):
+        total += x * y
+    return total
+
+
 def test_float_pairing_matrix_det_and_scale_equal_the_numpy_route(rng):
     # one pair, so every q.p is a single product and BLAS has nothing to fuse: the float
     # lists must give numpy's M, det M and scale by repr, signed zeros, inf and NaN included
@@ -584,6 +592,36 @@ def test_float_pairing_matrix_det_and_scale_equal_the_numpy_route(rng):
         assert repr(pairing_matrix_of_rows(rows.tolist(), 1)) == repr(m.tolist()), rows
         assert repr(pairing_det(m.tolist())) == repr(pairing_det(m))
         assert repr(degeneracy_scale(m.tolist())) == repr(degeneracy_scale(m))
+    # n pairs and k rows on both sides of the unroll bound n (k + 2)^2 <= 128, and k = 0, 1
+    # and 3, against a_IJ = q_I . p_J summed from +0.0 in index order
+    for n, k in [(8, 2), (9, 2), (2, 4), (4, 4), (3, 0), (40, 0), (3, 1), (3, 3)]:
+        for trial in range(25):
+            rows = rng.normal(size=(k, 2 * n)) * 10.0 ** rng.uniform(-5.0, 5.0, (k, 2 * n))
+            hit = rng.random(rows.shape) < 0.2
+            rows[hit] = rng.choice(specials, int(hit.sum()))
+            rows = rows.tolist()
+            a = [[dot_from_zero(r[:n], s[n:]) for s in rows] for r in rows]
+            m = [[a[i][j] - a[j][i] for j in range(k)] for i in range(k)]
+            assert repr(pairing_matrix_of_rows(rows, n)) == repr(m), (n, k, rows)
+
+
+def test_lu_pivot_that_underflows_is_judged_without_a_numpy_warning():
+    # numpy's LU of this M, with entries near 1e161 beside subnormal ones, divides by a
+    # pivot that underflows ("divide by zero encountered in det"); the guard judges the det
+    m = np.zeros((4, 4))
+    upper = {(0, 2): 6.872e-162, (0, 3): 5.076e161, (1, 2): -7.806e-322, (1, 3): -39.17,
+             (2, 3): -2.04e-321}
+    for (i, j), value in upper.items():
+        m[i, j], m[j, i] = value, -value
+    # the Faddeev-Popov det of {chi_i, C_j} = [[0, 0], [5e-324, 1]] takes the same LU
+    chi = [coordinate_field(FLAT, "q1"), coordinate_field(FLAT, "q2")]
+    c = [polynomial_field(FLAT, [(5e-324, (0, 0, 0, 1))], name="C1"),
+         coordinate_field(FLAT, "p2")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegeneracyError, match="is singular"):
+            _pairing_multipliers(m.tolist(), [1.0, 0.0, 0.0, 0.0], [0.0] * 4)
+        assert faddeev_popov_determinant(chi, c, FLAT.point([0.0] * 4)) == 0.0
 
 
 def array_dirac_tensor(cs, x):

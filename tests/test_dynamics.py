@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from diracmech.cli import _trajectory_rows
-from diracmech.constraints import DEGENERACY_RTOL, ConstraintSet, dirac_bracket, dirac_tensor
+from diracmech.constraints import (DEGENERACY_RTOL, ConstraintSet, _pairing_multipliers,
+                                   dirac_bracket, dirac_tensor, pairing_matrix_of_rows)
 from diracmech.dynamics import (DiracFlow, GaugeFlow, IntegratorConfig, PoissonFlow,
                                 _dirac_rhs, _gauge_rhs, _generated, _poisson_rhs,
                                 constraint_drift, evolve, gauge_orbit_closed_form)
@@ -667,6 +668,28 @@ def test_float_dirac_rhs_keeps_the_partial_trajectory_on_a_nonfinite_row():
         with pytest.raises(DegeneracyError) as tensor_route:
             dirac_tensor(cs, unchecked_point(chart, err.value.coords))
         assert str(tensor_route.value) == str(err.value)
+
+
+def test_dirac_flow_builds_the_pairing_matrix_of_the_constraint_engine():
+    # at every stage point of a ramped-k Klauder orbit and of the four-constraint custom
+    # orbit, the M the generated rhs hands its guard-and-solve is the engine's M by repr
+    for flow, x0 in list(dirac_flows())[1:3]:
+        cs, n = flow.constraints, flow.chart.n_pairs
+        seen = []
+
+        def solve(m, s, z):
+            seen.append((m, z))
+            return _pairing_multipliers(m, s, z)
+
+        rhs = _generated("dirac", n, len(cs))(
+            flow.hamiltonian._gradient, [f._gradient for f in cs.fields],
+            cs.rates_at if cs.time_dependent else None, solve)
+        step, z = _generated("step", n), x0.coords.tolist()
+        for i in range(250):
+            z = step(rhs, i * 0.01, z, 0.01)
+        assert len(seen) == 4 * 250
+        for m, z in seen:
+            assert repr(m) == repr(pairing_matrix_of_rows(cs.gradient_rows(z), n)), z
 
 
 def test_concurrent_dirac_orbits_keep_the_bytes_of_their_solo_runs():

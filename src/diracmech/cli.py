@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .brackets import poisson_tensor
-from .constraints import dirac_tensor
+from .constraints import dirac_tensor_rows
 from .dynamics import IntegratorConfig, constraint_drift, evolve
 from .errors import (ConfigError, DegeneracyError, NumericDomainError,
                      UsageError)
@@ -399,7 +399,7 @@ def cmd_brackets(model, config: dict, args) -> int:
     rows = []
     for x in model.sample(rng, count, **ranges):
         # {z_a, z_b}_D = D_ab: one Dirac tensor per point serves every pair
-        dirac = dirac_tensor(model.constraints_at(x), x).tolist()
+        dirac = dirac_tensor_rows(model.constraints_at(x), x)
         point = x.coords.tolist()
         for label, i, j, pb, pair in pairs:
             db = dirac[i][j]

@@ -11,21 +11,21 @@ per point. When the pairing matrix vanishes on the surface the set is First
 Class (its elements generate gauge transformations instead of fixing a
 reduced phase space). Everything in between is reported as mixed/degenerate
 with a rank estimate. M is summed by the pairing function that ``kernels``
-generates, with the sums the Dirac flow runs.
+generates, with the sums the Dirac flow runs, and D by its tensor function:
+ordered float sums, so with two constraints D takes no BLAS call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dfield
-from functools import lru_cache
+from functools import cached_property
 from itertools import starmap
-from operator import neg
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .brackets import poisson_bracket, poisson_tensor
+from .brackets import poisson_bracket
 from .errors import DegeneracyError, NumericDomainError, UsageError
 from .fields import ScalarField, pullback_field
 from .kernels import _generated
@@ -86,6 +86,12 @@ class ConstraintSet:
         """d(offset)/dt of every constraint of a time-dependent set as Python floats,
         0.0 where there is no ramp."""
         return [0.0 if ramp is None else float(ramp.rate(t)) for ramp in self.time_ramps]
+
+    @cached_property
+    def _dirac_tensor(self) -> Callable[[list], list]:
+        """D(z) as nested float lists, generated once per set (see ``dirac_tensor_rows``)."""
+        return _generated("tensor", self.chart.n_pairs, len(self.fields))(
+            tuple(f._gradient for f in self.fields), _pairing_multipliers)
 
     def gradient_rows(self, coords: list) -> list:
         """One gradient row per constraint at a list of Python floats (an array point's
@@ -155,10 +161,15 @@ def pairing_det(m) -> float:
 
 
 def _solve_pairing(m, rhs):
-    # a list: the closed 2x2 form, or pivoted LU (gesv) beyond that
+    # a list: the closed 2x2 form, or pivoted LU (gesv) beyond that; rhs holds k floats,
+    # or k rows of floats (lists) solved column by column. The class test is the cheapest
+    # on the Dirac rhs, which takes this solve at every evaluation
     if len(m) == 2:
         delta = m[0][1]
-        return [-rhs[1] / delta, rhs[0] / delta]
+        first, second = rhs
+        if first.__class__ is list:
+            return [[-v / delta for v in second], [v / delta for v in first]]
+        return [-second / delta, first / delta]
     return np.linalg.solve(m, rhs).tolist()
 
 
@@ -249,30 +260,23 @@ def classify(cs: ConstraintSet, samples: Sequence[PhaseSpacePoint], tol: float) 
                                 notes=tuple(notes))
 
 
-@lru_cache(maxsize=None)
-def _shared_poisson_tensor(n_pairs: int) -> np.ndarray:
-    """One read-only J per chart size, for dirac_tensor to add to its correction."""
-    j = poisson_tensor(n_pairs)
-    j.flags.writeable = False
-    return j
+def dirac_tensor_rows(cs: ConstraintSet, x: PhaseSpacePoint) -> list:
+    """D_ab = {z_a, z_b}_D = J_ab + sum_I S_Ia (M^-1 S)_Ib at x as nested lists of Python
+    floats, with S_Ia = {Phi_I, z_a}; with an empty constraint set D is the canonical J.
+
+    The tensor function that ``kernels`` generates once per set reads the gradient rows,
+    sums M, makes one guarded pairing solve for every column of S and sums each entry
+    left to right with no fused multiply-add: no BLAS call for two constraints.
+    """
+    require_same_chart(cs, x)
+    # overflowing gradients end in the guard's error, not in numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        return cs._dirac_tensor(x.coords.tolist())
 
 
 def dirac_tensor(cs: ConstraintSet, x: PhaseSpacePoint) -> np.ndarray:
-    """D_ab = {z_a, z_b}_D = J + S^T M^-1 S at x, with S_Ia = {Phi_I, z_a}.
-
-    One stack of gradient rows and one guarded pairing solve serve every
-    coordinate pair; with an empty constraint set D is the canonical J.
-    """
-    n = require_same_chart(cs, x).n_pairs
-    if len(cs) == 0:
-        return poisson_tensor(n)
-    # overflowing gradients end in the guard's error, not in numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        rows = cs.gradient_rows(x.coords.tolist())
-    # S_I = {Phi_I, z} = (-dPhi_I/dp, dPhi_I/dq), unpacked: list + would broadcast an array row
-    s = np.array([[*map(neg, row[n:]), *row[:n]] for row in rows])
-    m = pairing_matrix_of_rows(rows, n)
-    return _shared_poisson_tensor(n) + s.T @ _pairing_multipliers(m, s, x.coords)
+    """D = J + S^T M^-1 S at x as an array: ``dirac_tensor_rows``, the one route."""
+    return np.array(dirac_tensor_rows(cs, x))
 
 
 def dirac_bracket(a: ScalarField, b: ScalarField, cs: ConstraintSet, x: PhaseSpacePoint) -> float:

@@ -1,6 +1,6 @@
 """Generated float kernels, as ``namedtuple`` and ``dataclasses`` generate theirs: the RK4
-step, the Poisson, gauge and Dirac right-hand sides and the pairing matrix. This module
-imports nothing from the package; a kernel is handed what it calls.
+step, the Poisson, gauge and Dirac right-hand sides, the pairing matrix and the Dirac
+tensor. This module imports nothing from the package; a kernel is handed what it calls.
 
 For each kind, chart size n and constraint count k, the source is written out over the 2n
 coordinates, compiled at the first call that needs it (not at import), and cached for the
@@ -31,8 +31,10 @@ def _source(kind: str, n: int, k: int = 0) -> str:
     ``step`` is the classic RK4 step ``step(rhs, t, z, dt)``, ``pairing(rows)`` returns M
     for k gradient rows, and the factories ``poisson``, ``gauge`` and ``dirac`` (k
     constraints, any even count, and ``solve(m, s, z)`` to call on M) each return an
-    ``rhs(t, z)``. Each sum runs from +0.0 in index order and each list in coordinate
-    order, unrolled or in a loop, so both forms give the same bits.
+    ``rhs(t, z)``. The factory ``tensor(grads, solve)`` returns ``d(z)``, the Dirac tensor
+    D as nested lists for any k: solve is called once, on M and the k rows of S. Each
+    sum runs from +0.0 in index order (an entry of D from its first product) and each
+    list in coordinate order, unrolled or in a loop, so both forms give the same bits.
     """
     dim = 2 * n
     unrolled = n * (k + 2) ** 2 <= _UNROLL_TERMS
@@ -76,7 +78,37 @@ def _source(kind: str, n: int, k: int = 0) -> str:
     if kind == "pairing":
         body = [*(read(f"r{i}", f"rows[{i}]") for i in cs), *sums(pairs), f"return {matrix}"]
         return "\n    ".join(["def pairing(rows):", *body])
-    if kind == "poisson":
+    inner, params = "rhs", "t, z"  # the function each factory returns
+    unpack = "".join(f"grad_{i}, " for i in cs) + "= grads"  # one name per constraint gradient
+    if kind == "tensor":
+        # S_I = {Phi_I, z} = (-dPhi_I/dp, dPhi_I/dq), L = M^-1 S from solve, and
+        # D_ab = J_ab + (S_0a L_0b + S_1a L_1b + ...) left to right; J_ab is 1.0 where
+        # b = a + n, -1.0 where a = b + n and 0.0 elsewhere
+        head, inner, params = "tensor(grads, solve)", "d", "z"
+
+        def plus(products):  # "J_ab + (products)", or J_ab alone with no constraint
+            return " + (" + " + ".join(products) + ")" if k else ""
+
+        if unrolled:
+            def entry(a, b):
+                j = "1.0" if b == a + n else "-1.0" if a == b + n else "0.0"
+                return j + plus((f"-r{i}_{n + a}" if a < n else f"r{i}_{a - n}") + f" * l{i}_{b}"
+                                for i in cs)
+            d = "[" + ", ".join("[" + ", ".join(entry(a, b) for b in range(dim)) + "]"
+                                for a in range(dim)) + "]"
+        else:
+            setup = [f"j = [[float(b == a + {n}) - float(a == b + {n}) for b in range({dim})]"
+                     f" for a in range({dim})]"]
+            d = ("[[jab" + plus(f"s{i}[a] * l{i}[b]" for i in cs)
+                 + " for b, jab in enumerate(ja)] for a, ja in enumerate(j)]")
+        if k:
+            setup.append(unpack)
+        body = [*(read(f"r{i}", f"grad_{i}(z)") for i in cs), *sums(pairs),
+                *(f"s{i} = " + vector((f"-r{i}{{p}}", n), (f"r{i}{{q}}", n)) for i in cs),
+                *([f"l = solve({matrix}, [" + ", ".join(f"s{i}" for i in cs) + "], z)"]
+                  if k else []),
+                *(read(f"l{i}", f"l[{i}]") for i in cs), f"return {d}"]
+    elif kind == "poisson":
         head, body = "poisson(gradient)", [
             read("g", "gradient(z)"), "return " + vector(("g{p}", n), ("-g{q}", n))]
     elif kind == "gauge":
@@ -90,7 +122,7 @@ def _source(kind: str, n: int, k: int = 0) -> str:
         # sum_I l_I dPhi_I/dz per entry, left to right from the first product
         lam = {x: " + ".join(f"l{i} * r{i}{{{x}}}" for i in cs) for x in "qp"}
         head = "dirac(grad_h, grads, rates_at, solve)"
-        setup = ["".join(f"grad_{i}, " for i in cs) + "= grads"]
+        setup = [unpack]
         body = [read("gh", "grad_h(z)"), *(read(f"r{i}", f"grad_{i}(z)") for i in cs),
                 *sums(terms), "s = [" + ", ".join(f"b{i} - c{i}" for i in cs) + "]",
                 "if rates_at is not None:",
@@ -99,8 +131,8 @@ def _source(kind: str, n: int, k: int = 0) -> str:
                 "".join(f"l{i}, " for i in cs) + "= solve(m, s, z)",
                 "return " + vector((f"gh{{p}} - ({lam['p']})", n),
                                    (f"-(gh{{q}} - ({lam['q']}))", n))]
-    return "\n    ".join([f"def {head}:", *setup, "def rhs(t, z):",
-                          *(f"    {line}" for line in body), "return rhs"])
+    return "\n    ".join([f"def {head}:", *setup, f"def {inner}({params}):",
+                          *(f"    {line}" for line in body), f"return {inner}"])
 
 
 @cache

@@ -47,7 +47,8 @@ class CustomModel:
                      for i in range(len(labels)) for j in range(i + 1, len(labels)))
 
     def sample(self, rng: np.random.Generator, count: int, **_) -> list[PhaseSpacePoint]:
-        return [self.chart.point(rng.uniform(-3.0, 3.0, self.chart.dim)) for _ in range(count)]
+        # one draw of count rows: bitwise the per-point draws, and the state after them
+        return [self.chart.point(row) for row in rng.uniform(-3.0, 3.0, (count, self.chart.dim))]
 
     def constraints_at(self, x: PhaseSpacePoint) -> ConstraintSet:
         return self.constraint_set

@@ -266,13 +266,11 @@ class KlauderModel:
                       r_range: tuple[float, float] = (0.1, 5.0),
                       other_range: tuple[float, float] = (-5.0, 5.0)) -> list[PhaseSpacePoint]:
         """Generic off-surface samples; r floored away from the excluded origin."""
-        lo = max(r_range[0], R_SAMPLE_FLOOR)
-        pts = []
-        for _ in range(n):
-            r = rng.uniform(lo, r_range[1])
-            phi, p_r, p_phi = rng.uniform(*other_range, size=3)
-            pts.append(self.polar_chart.point([r, phi, p_r, p_phi]))
-        return pts
+        low = np.array([max(r_range[0], R_SAMPLE_FLOOR), *[other_range[0]] * 3], dtype=float)
+        high = np.array([r_range[1], *[other_range[1]] * 3], dtype=float)
+        # rows (r, phi, p_r, p_phi) in one draw, low + (high - low) u as rng.uniform rounds
+        # it: bitwise the per-point draws, and the same generator state after them
+        return [self.polar_chart.point(row) for row in low + (high - low) * rng.random((n, 4))]
 
     def sample_surface(self, rng: np.random.Generator, n: int) -> list[PhaseSpacePoint]:
         pts = []

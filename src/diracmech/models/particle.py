@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -81,6 +81,8 @@ class RelativisticParticle:
         x0 = coordinate_field(self.full_chart, "x0")
         return ScalarField("chi", self.full_chart, lambda z, tau=float(tau): z[0] - tau, x0.grad)
 
+    # a bracket table reads one set per point, all at tau = 0: built once, with its tensor
+    @lru_cache(maxsize=16)
     def constraint_set(self, tau: float = 0.0) -> ConstraintSet:
         return ConstraintSet(chart=self.full_chart,
                              fields=(self.time_gauge(tau), self.mass_shell),
@@ -134,9 +136,10 @@ class RelativisticParticle:
         return self.full_chart.point(coords)
 
     def sample_on_shell(self, rng: np.random.Generator, n: int) -> list[PhaseSpacePoint]:
-        return [self.on_shell_point(rng.uniform(-5.0, 5.0, self.spatial_dim),
-                                    rng.uniform(-5.0, 5.0, self.spatial_dim))
-                for _ in range(n)]
+        # rows (x, p) in one draw: bitwise the per-point draws, and the same state after them
+        d = self.spatial_dim
+        return [self.on_shell_point(row[:d], row[d:])
+                for row in rng.uniform(-5.0, 5.0, (n, 2 * d))]
 
     # -- model interface (see diracmech.models) ------------------------------
     @property

@@ -42,7 +42,11 @@ def test_scenario_artifact_keeps_its_bytes(tmp_path, scenario, command, fmt, sha
     # S^T M^-1 S of dirac_tensor sums two products wherever both constraints move p1.
     # Header, 40 points of 6 pairs
     ("custom_second_class_brackets", "brackets", 1 + 40 * 6),
-], ids=["ramped_k_orbit", "custom_second_class_brackets"])
+    # chi and C both move r and p_r, so {r, p_r} of S^T M^-1 S sums two products; a fused
+    # kernel wrote -2.2e-16 there in 20 rows, where the unfused sum writes 0 exactly.
+    # Header, 200 points of 6 pairs
+    ("klauder_brackets", "brackets", 1 + 200 * 6),
+], ids=["ramped_k_orbit", "custom_second_class_brackets", "klauder_brackets"])
 def test_dirac_orbit_bytes_do_not_depend_on_the_blas_kernel(tmp_path, scenario, command, lines):
     config = json.loads((SCENARIOS / f"{scenario}.json").read_text())
     if command == "evolve":

@@ -95,7 +95,8 @@ def test_brackets_reads_one_dirac_tensor_per_point_and_one_oracle_per_row(tmp_pa
         written.append(len(rows))
         return write_table(path, fmt, columns, rows, footer_rows)
 
-    monkeypatch.setattr(cli, "dirac_tensor", counted("dirac_tensor", cli.dirac_tensor))
+    # cmd_brackets reads D as lists, through the binding dirac_tensor_rows
+    monkeypatch.setattr(cli, "dirac_tensor_rows", counted("dirac_tensor", cli.dirac_tensor_rows))
     monkeypatch.setattr(KlauderModel, "dirac_oracle",
                         counted("dirac_oracle", KlauderModel.dirac_oracle))
     monkeypatch.setattr(cli, "write_table", recording_write_table)
@@ -753,7 +754,7 @@ def refuse_model_work(monkeypatch):
 
     for target in ("diracmech.models.LatticeMaxwell.projector_residuals",
                    "diracmech.circle.SpectrumTable.build", "diracmech.cli.evolve",
-                   "diracmech.cli.dirac_tensor"):
+                   "diracmech.cli.dirac_tensor_rows"):
         monkeypatch.setattr(target, refuse)
 
 

@@ -4,12 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
-from diracmech import duals
+from diracmech import duals, kernels
 from diracmech.brackets import poisson_bracket, poisson_tensor
 from diracmech.constraints import (DEGENERACY_RTOL, ConstraintSet, _pairing_multipliers,
                                    _second_class, classify,
                                    constraint_matrix, pairing_matrix_of_rows,
                                    degeneracy_scale, dirac_bracket, dirac_tensor,
+                                   dirac_tensor_rows,
                                    faddeev_popov_determinant, observable_check,
                                    pair_jacobian_check, pairing_det, reduced_bracket_check)
 from diracmech.errors import DegeneracyError, NumericDomainError, UsageError
@@ -605,6 +606,45 @@ def test_float_pairing_matrix_det_and_scale_equal_the_numpy_route(rng):
             assert repr(pairing_matrix_of_rows(rows, n)) == repr(m), (n, k, rows)
 
 
+def tensor_function(monkeypatch, n, k, unroll_terms):
+    """The generated ``tensor`` for n pairs and k constraints, built from ``_source`` with
+    the unroll bound set to ``unroll_terms``: spelled out where n (k + 2)^2 is within it."""
+    monkeypatch.setattr(kernels, "_UNROLL_TERMS", unroll_terms)
+    namespace = {}
+    exec(kernels._source("tensor", n, k), vars(kernels), namespace)
+    return namespace["tensor"]
+
+
+@pytest.mark.parametrize("n, k", [(8, 2), (9, 2), (3, 4), (1, 0)])
+def test_tensor_source_spelled_out_and_in_loops_gives_the_same_bits(monkeypatch, rng, n, k):
+    # on both sides of the unroll bound n (k + 2)^2 <= 128, with four constraints (LU) and
+    # none (D = J); each entry is J_ab + (S_0a L_0b + S_1a L_1b + ...) left to right
+    spelled_out = tensor_function(monkeypatch, n, k, n * (k + 2) ** 2)
+    in_loops = tensor_function(monkeypatch, n, k, n * (k + 2) ** 2 - 1)
+    j = poisson_tensor(n).tolist()
+    for trial in range(20):
+        # rows scaled as a whole: the guard's det / prod of row norms does not depend on it
+        rows = (rng.normal(size=(k, 2 * n)) * 10.0 ** rng.uniform(-3.0, 3.0, (k, 1))).tolist()
+        grads = tuple(lambda z, row=row: row for row in rows)
+        z = [0.0] * (2 * n)
+        d = spelled_out(grads, _pairing_multipliers)(z)
+        assert repr(d) == repr(in_loops(grads, _pairing_multipliers)(z))
+        s = [[-v for v in row[n:]] + row[:n] for row in rows]
+        lam = _pairing_multipliers(pairing_matrix_of_rows(rows, n), s, z) if k else []
+        expected = [[j[a][b] + sum_in_order(s[i][a] * lam[i][b] for i in range(k)) if k
+                     else j[a][b] for b in range(2 * n)] for a in range(2 * n)]
+        assert repr(d) == repr(expected)
+
+
+def sum_in_order(terms):
+    """The terms summed left to right from the first one."""
+    terms = iter(terms)
+    total = next(terms)
+    for term in terms:
+        total = total + term
+    return total
+
+
 def test_lu_pivot_that_underflows_is_judged_without_a_numpy_warning():
     # numpy's LU of this M, with entries near 1e161 beside subnormal ones, divides by a
     # pivot that underflows ("divide by zero encountered in det"); the guard judges the det
@@ -624,23 +664,49 @@ def test_lu_pivot_that_underflows_is_judged_without_a_numpy_warning():
         assert faddeev_popov_determinant(chi, c, FLAT.point([0.0] * 4)) == 0.0
 
 
-def array_dirac_tensor(cs, x):
-    """D = J + S^T M^-1 S by numpy arrays: S from products with the identity, M = a - a^T
-    by matmul, the closed 2x2 solve or LU."""
+def array_dirac_tensor(cs, x, ordered):
+    """(D, |J| + |S|^T |L|) for D = J + S^T L, L = M^-1 S, by numpy arrays: M = a - a^T and
+    the closed 2x2 solve or LU. ``ordered`` sums a_IJ and S^T L by elementwise products
+    left to right from the first one, the order of the generated tensor; otherwise S comes
+    from products with the identity and every contraction from matmul (BLAS)."""
     n = x.chart.n_pairs
     rows = reference_gradient_rows(cs, x.coords)
-    eye = np.eye(x.chart.dim)
-    s = rows[:, :n] @ eye[n:] - rows[:, n:] @ eye[:n]
-    a = rows[:, :n] @ rows[:, n:].T
+    q, p = rows[:, :n], rows[:, n:]
+    if ordered:
+        s = np.hstack([-p, q])
+        products = q[:, None, :] * p[None, :, :]
+        a = 0.0 + products[..., 0]
+        for i in range(1, n):
+            a = a + products[..., i]
+    else:
+        eye = np.eye(x.chart.dim)
+        s = q @ eye[n:] - p @ eye[:n]
+        a = q @ p.T
     m = a - a.T
-    lam = [-s[1] / m[0, 1], s[0] / m[0, 1]] if len(m) == 2 else np.linalg.solve(m, s)
-    return poisson_tensor(n) + s.T @ lam
+    lam = np.array([-s[1] / m[0, 1], s[0] / m[0, 1]]) if len(m) == 2 else np.linalg.solve(m, s)
+    if ordered:
+        correction = s[0][:, None] * lam[0][None, :]
+        for i in range(1, len(s)):
+            correction = correction + s[i][:, None] * lam[i][None, :]
+    else:
+        correction = s.T @ lam
+    j = poisson_tensor(n)
+    return j + correction, np.abs(j) + np.abs(s.T) @ np.abs(lam)
 
 
 def test_dirac_tensor_equals_the_array_formula_bitwise(rng):
-    # every q.p here has at most one nonzero product, so the float sums round as BLAS does
+    # bitwise the ordered elementwise formula. BLAS may sum the products of S^T L in any
+    # order or fuse them; each side is within gamma_{k+1} (|J| + |S|^T |L|) of the exact
+    # J + S^T L (Higham 2002, sec. 3.1). Every q.p here has at most one nonzero product,
+    # so both formulas share M and L
+    eps = np.finfo(float).eps
     for cs, x in tensor_points(rng):
-        assert dirac_tensor(cs, x).tobytes() == array_dirac_tensor(cs, x).tobytes(), x
+        d = dirac_tensor(cs, x)
+        assert d.tobytes() == array_dirac_tensor(cs, x, ordered=True)[0].tobytes(), x
+        blas, magnitude = array_dirac_tensor(cs, x, ordered=False)
+        gamma = (len(cs) + 1) * eps / 2 / (1 - (len(cs) + 1) * eps / 2)
+        assert np.all(np.abs(d - blas) <= 2 * gamma * magnitude), x
+        assert dirac_tensor_rows(cs, x) == d.tolist()
 
 
 def test_four_constraint_pairing_matrix_equals_numpy_by_repr(rng):

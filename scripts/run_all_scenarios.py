@@ -33,6 +33,7 @@ import tempfile
 COMMANDS = {
     "klauder_brackets.json": "brackets",
     "klauder_orbit.json": "evolve",
+    "klauder_poisson_orbit.json": "evolve",
     "gauge_orbit.json": "evolve",
     "ramped_k_orbit.json": "evolve",
     "particle_flight.json": "evolve",

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .brackets import poisson_tensor
-from .constraints import dirac_tensor_rows
+from .constraints import dirac_tensor_columns
 from .dynamics import IntegratorConfig, constraint_drift, evolve
 from .errors import (ConfigError, DegeneracyError, NumericDomainError,
                      UsageError)
@@ -393,19 +393,25 @@ def cmd_brackets(model, config: dict, args) -> int:
         np.empty((count, len(model.bracket_pairs), chart.dim + 4))
     # {z_a, z_b} = J_ab: the Poisson column is a constant of the chart
     poisson = poisson_tensor(chart.n_pairs).tolist()
-    # per pair, once: the label, the indices i and j of a and b, {a, b} = J_ij and (a, b)
-    pairs = [(f"{{{a},{b}}}", i, j, poisson[i][j], (a, b)) for a, b in model.bracket_pairs
-             for i, j in [(chart.index(a), chart.index(b))]]
-    rows = []
-    for x in model.sample(rng, count, **ranges):
-        # {z_a, z_b}_D = D_ab: one Dirac tensor per point serves every pair
-        dirac = dirac_tensor_rows(model.constraints_at(x), x)
-        point = x.coords.tolist()
-        for label, i, j, pb, pair in pairs:
-            db = dirac[i][j]
-            oracle = model.dirac_oracle(pair, x)
-            rows.append((label, *point, pb, db, "", "") if oracle is None else
-                        (label, *point, pb, db, oracle, abs(db - oracle)))
+    index = [(chart.index(a), chart.index(b)) for a, b in model.bracket_pairs]
+    batch = model.sample(rng, count, **ranges)
+    # {z_a, z_b}_D = D_ab from one Dirac tensor on the batch's columns; "" without an oracle
+    tensor = dirac_tensor_columns(model.constraints_at(batch), batch)
+    dirac = np.empty((len(batch), len(index)))
+    oracle = np.full(dirac.shape, "", dtype=object)
+    diff = oracle.copy()
+    with np.errstate(all="ignore"):  # an overflow is inf, as on Python floats
+        for p, ((i, j), pair) in enumerate(zip(index, model.bracket_pairs)):
+            dirac[:, p] = tensor[i][j]
+            value = model.dirac_oracle(pair, batch)
+            if value is not None:
+                oracle[:, p], diff[:, p] = value, np.abs(dirac[:, p] - value)
+    # a row per point and pair, point by point, sharing the point's coordinate floats
+    points = np.array(batch.coords.tolist(), dtype=object)
+    rows = list(zip([f"{{{a},{b}}}" for a, b in model.bracket_pairs] * len(batch),
+                    *np.repeat(points, len(index), axis=0).T.tolist(),
+                    [poisson[i][j] for i, j in index] * len(batch),
+                    *(block.ravel().tolist() for block in (dirac, oracle, diff))))
     columns = ["pair", *chart.labels, "poisson", "dirac", "oracle", "abs_diff"]
     path, fmt = _resolve_output(config, args)
     write_table(path, fmt, columns, rows)

@@ -29,7 +29,7 @@ from .brackets import poisson_bracket
 from .errors import DegeneracyError, NumericDomainError, UsageError
 from .fields import ScalarField, pullback_field
 from .kernels import _generated
-from .phase import ChartSpec, PhaseSpacePoint, require_same_chart
+from .phase import ChartSpec, PhaseSpaceBatch, PhaseSpacePoint, require_same_chart
 
 # |det M| <= DEGENERACY_RTOL * max(1, prod of row norms) counts as singular
 DEGENERACY_RTOL = 1e-10
@@ -89,7 +89,7 @@ class ConstraintSet:
 
     @cached_property
     def _dirac_tensor(self) -> Callable[[list], list]:
-        """D(z) as nested float lists, generated once per set (see ``dirac_tensor_rows``)."""
+        """D(z) as nested float lists, generated once per set (see ``dirac_tensor``)."""
         return _generated("tensor", self.chart.n_pairs, len(self.fields))(
             tuple(f._gradient for f in self.fields), _pairing_multipliers)
 
@@ -201,6 +201,25 @@ def _pairing_multipliers(m, rhs, coords):
     return _solve_pairing(m, rhs)
 
 
+def _stacked(rows: list, column) -> np.ndarray:
+    """(n, rows, entries) from rows of (n,) columns or floats shared by every row."""
+    return np.moveaxis(np.array([np.broadcast_arrays(*row, column)[:-1] for row in rows]), -1, 0)
+
+
+def _column_multipliers(m, rhs, coords):
+    """``_pairing_multipliers`` at every row of a batch, on M and rhs of (n,) columns: a row
+    whose |det M| clears the threshold of ``_second_class`` by a factor 2 passes, and any
+    other row takes ``_pairing_multipliers`` on its floats, in order: the first to fail raises."""
+    stack = _stacked(m, coords[0])
+    det = stack[:, 0, 1] * stack[:, 0, 1] if len(m) == 2 else np.linalg.det(stack)
+    scale = np.maximum(np.prod(np.hypot.reduce(stack, axis=2), axis=1), 1.0)
+    for i in np.flatnonzero(~(np.abs(det) > 2.0 * DEGENERACY_RTOL * scale)).tolist():
+        _pairing_multipliers(stack[i].tolist(), [0.0] * len(m), [c[i] for c in coords])
+    if len(m) == 2:  # the closed form, elementwise
+        return _solve_pairing(m, rhs)
+    return np.linalg.solve(stack, _stacked(rhs, coords[0])).transpose(1, 2, 0)
+
+
 @dataclass(frozen=True)
 class ClassificationResult:
     kind: str  # second_class | first_class | mixed_or_degenerate
@@ -260,9 +279,9 @@ def classify(cs: ConstraintSet, samples: Sequence[PhaseSpacePoint], tol: float) 
                                 notes=tuple(notes))
 
 
-def dirac_tensor_rows(cs: ConstraintSet, x: PhaseSpacePoint) -> list:
-    """D_ab = {z_a, z_b}_D = J_ab + sum_I S_Ia (M^-1 S)_Ib at x as nested lists of Python
-    floats, with S_Ia = {Phi_I, z_a}; with an empty constraint set D is the canonical J.
+def dirac_tensor(cs: ConstraintSet, x: PhaseSpacePoint) -> np.ndarray:
+    """D_ab = {z_a, z_b}_D = J_ab + sum_I S_Ia (M^-1 S)_Ib at x, with S_Ia = {Phi_I, z_a};
+    with an empty constraint set D is the canonical J.
 
     The tensor function that ``kernels`` generates once per set reads the gradient rows,
     sums M, makes one guarded pairing solve for every column of S and sums each entry
@@ -271,12 +290,18 @@ def dirac_tensor_rows(cs: ConstraintSet, x: PhaseSpacePoint) -> list:
     require_same_chart(cs, x)
     # overflowing gradients end in the guard's error, not in numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        return cs._dirac_tensor(x.coords.tolist())
+        return np.array(cs._dirac_tensor(x.coords.tolist()))
 
 
-def dirac_tensor(cs: ConstraintSet, x: PhaseSpacePoint) -> np.ndarray:
-    """D = J + S^T M^-1 S at x as an array: ``dirac_tensor_rows``, the one route."""
-    return np.array(dirac_tensor_rows(cs, x))
+def dirac_tensor_columns(cs: ConstraintSet, batch: PhaseSpaceBatch) -> list:
+    """``dirac_tensor`` at every row of a batch, from one call on its columns, as nested
+    lists: D_ab is an (n,) column, or one float for every row. The sums run elementwise in
+    the float route's order, so with two constraints every entry is bitwise its row's."""
+    require_same_chart(cs, batch)
+    tensor = _generated("tensor", cs.chart.n_pairs, len(cs))(
+        tuple(f._gradient for f in cs.fields), _column_multipliers)
+    with np.errstate(all="ignore"):  # a non-finite row ends in the guard's error
+        return tensor(batch.columns)
 
 
 def dirac_bracket(a: ScalarField, b: ScalarField, cs: ConstraintSet, x: PhaseSpacePoint) -> float:

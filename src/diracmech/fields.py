@@ -119,7 +119,10 @@ def coordinate_field(chart: ChartSpec, label: str) -> ScalarField:
 
 def _power(x, e: int):
     """x ** e for an integer e >= 1. On a Python float an overflow is the signed inf
-    that numpy's pow gives, not OverflowError; the finite bits are libm's pow either way."""
+    that numpy's pow gives, not OverflowError; the finite bits are libm's pow either way,
+    taken entry by entry on a column (numpy's own pow may round differently)."""
+    if isinstance(x, np.ndarray):
+        return np.array([_power(v, e) for v in x.tolist()])
     try:
         return x ** e
     except OverflowError:
@@ -162,8 +165,8 @@ def polynomial_field(chart: ChartSpec, terms: Sequence[tuple[float, Sequence[int
     def grad(z, partials=tuple(partials), dim=chart.dim):
         g = [0.0] * dim
         for j, term, factors in partials:
-            for i, e in factors:
-                term *= _power(z[i], e)
+            for i, e in factors:  # x ** 1 is x, bit for bit: no pow call
+                term *= z[i] if e == 1 else _power(z[i], e)
             g[j] += term
         return g
 

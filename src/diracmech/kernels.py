@@ -32,7 +32,7 @@ def _source(kind: str, n: int, k: int = 0) -> str:
     for k gradient rows, and the factories ``poisson``, ``gauge`` and ``dirac`` (k
     constraints, any even count, and ``solve(m, s, z)`` to call on M) each return an
     ``rhs(t, z)``. The factory ``tensor(grads, solve)`` returns ``d(z)``, the Dirac tensor
-    D as nested lists for any k: solve is called once, on M and the k rows of S. Each
+    D as nested lists for any k, of floats or of a batch's columns: one solve, on M and S. Each
     sum runs from +0.0 in index order (an entry of D from its first product) and each
     list in coordinate order, unrolled or in a loop, so both forms give the same bits.
     """

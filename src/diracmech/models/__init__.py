@@ -3,8 +3,9 @@ point particle, a user-defined polynomial system, and abelian gauge fields on
 a periodic lattice.
 
 The first three share the interface behind the ``brackets`` and ``evolve``
-commands: ``bracket_chart`` and its ``bracket_pairs``, ``sample(rng, count)``,
-``constraints_at(x)``, ``dirac_oracle(pair, x)`` (None where there is no
+commands: ``bracket_chart`` and its ``bracket_pairs``, ``sample(rng, count)``
+(one validated ``PhaseSpaceBatch``), ``constraints_at(x)`` and
+``dirac_oracle(pair, x)`` at a point or a batch (None where there is no
 closed form), ``flow(kind, multiplier, hamiltonian)`` returning the flow and
 the constraint set to monitor, and ``initial_point(...)`` (None unless the
 model knows the named starting values).

@@ -17,7 +17,7 @@ from ..constraints import ConstraintSet
 from ..dynamics import DiracFlow, GaugeFlow, PoissonFlow
 from ..errors import UsageError
 from ..fields import polynomial_field
-from ..phase import ChartSpec, PhaseSpacePoint
+from ..phase import ChartSpec, PhaseSpaceBatch
 
 
 @dataclass(frozen=True)
@@ -46,14 +46,14 @@ class CustomModel:
         return tuple((labels[i], labels[j])
                      for i in range(len(labels)) for j in range(i + 1, len(labels)))
 
-    def sample(self, rng: np.random.Generator, count: int, **_) -> list[PhaseSpacePoint]:
+    def sample(self, rng: np.random.Generator, count: int, **_) -> PhaseSpaceBatch:
         # one draw of count rows: bitwise the per-point draws, and the state after them
-        return [self.chart.point(row) for row in rng.uniform(-3.0, 3.0, (count, self.chart.dim))]
+        return PhaseSpaceBatch(self.chart, rng.uniform(-3.0, 3.0, (count, self.chart.dim)))
 
-    def constraints_at(self, x: PhaseSpacePoint) -> ConstraintSet:
+    def constraints_at(self, x) -> ConstraintSet:
         return self.constraint_set
 
-    def dirac_oracle(self, pair: tuple[str, str], x: PhaseSpacePoint):
+    def dirac_oracle(self, pair: tuple[str, str], x):
         """Canonical {z_i, z_j} when unconstrained; None (no closed form) otherwise."""
         if len(self.constraint_set):
             return None

@@ -41,7 +41,7 @@ from ..constraints import ConstraintSet, SurfaceParametrization, TimeRamp
 from ..dynamics import DiracFlow, GaugeFlow, PoissonFlow
 from ..errors import NumericDomainError, UsageError
 from ..fields import ScalarField
-from ..phase import ChartSpec, PhaseSpacePoint
+from ..phase import ChartSpec, PhaseSpaceBatch, PhaseSpacePoint
 
 R_MIN = 1e-12  # chart exclusion; the origin is not part of the phase space
 R_SAMPLE_FLOOR = 0.05
@@ -82,12 +82,15 @@ def _constraint_gradient(alpha2: float, r: float, p_r: float, p_phi: float) -> l
     """Gradient of C on floats, in the operation order of its dual pass.
 
     inv = 1/(r r) and q = p_phi^2 inv as the dual quotient forms them; a zero
-    r r raises the error the dual division raises.
+    r r raises the error the dual division raises. Each entry is the dual pass's up
+    to the sign of the zero dC/dphi: +0.0, where the dual pass may give -0.0. On a
+    batch's columns it runs elementwise; the chart domain keeps r r > 0 there.
     """
     rr = r * r
-    if rr == 0.0:
-        raise duals.division_error(p_phi * p_phi, rr)
-    inv = 1.0 / rr
+    try:  # no test: a float division by zero raises
+        inv = 1.0 / rr
+    except ZeroDivisionError:
+        raise duals.division_error(p_phi * p_phi, rr) from None
     q = (p_phi * p_phi) * inv
     return [0.5 * ((0.0 - q * (r + r)) * inv - alpha2 * (r + r)), 0.0,
             0.5 * (p_r + p_r), 0.5 * ((p_phi + p_phi) * inv)]
@@ -264,13 +267,13 @@ class KlauderModel:
     # -- samplers --------------------------------------------------------------
     def sample_points(self, rng: np.random.Generator, n: int,
                       r_range: tuple[float, float] = (0.1, 5.0),
-                      other_range: tuple[float, float] = (-5.0, 5.0)) -> list[PhaseSpacePoint]:
+                      other_range: tuple[float, float] = (-5.0, 5.0)) -> PhaseSpaceBatch:
         """Generic off-surface samples; r floored away from the excluded origin."""
         low = np.array([max(r_range[0], R_SAMPLE_FLOOR), *[other_range[0]] * 3], dtype=float)
         high = np.array([r_range[1], *[other_range[1]] * 3], dtype=float)
         # rows (r, phi, p_r, p_phi) in one draw, low + (high - low) u as rng.uniform rounds
         # it: bitwise the per-point draws, and the same generator state after them
-        return [self.polar_chart.point(row) for row in low + (high - low) * rng.random((n, 4))]
+        return PhaseSpaceBatch(self.polar_chart, low + (high - low) * rng.random((n, 4)))
 
     def sample_surface(self, rng: np.random.Generator, n: int) -> list[PhaseSpacePoint]:
         pts = []
@@ -291,7 +294,7 @@ class KlauderModel:
 
     def sample(self, rng: np.random.Generator, count: int,
                r_range: tuple[float, float] = (0.1, 5.0),
-               momentum_range: tuple[float, float] = (-5.0, 5.0)) -> list[PhaseSpacePoint]:
+               momentum_range: tuple[float, float] = (-5.0, 5.0)) -> PhaseSpaceBatch:
         # the sampler draws from [low, high] and needs a finite width high - low >= 0
         if not 0.0 <= r_range[1] - max(r_range[0], R_SAMPLE_FLOOR) < math.inf:
             raise UsageError(f"samples/r_range {list(r_range)} needs low <= high with a finite "
@@ -301,7 +304,7 @@ class KlauderModel:
                              f"with a finite width")
         return self.sample_points(rng, count, r_range, momentum_range)
 
-    def constraints_at(self, x: PhaseSpacePoint) -> ConstraintSet:
+    def constraints_at(self, x) -> ConstraintSet:
         return self.constraint_set
 
     def flow(self, kind: str, multiplier=1.0, hamiltonian=None):
@@ -319,10 +322,11 @@ class KlauderModel:
         return None if p_phi is None else self.embed_reduced(phi, p_phi)
 
     # -- closed-form oracles ---------------------------------------------------
-    def dirac_oracle(self, pair: tuple[str, str], x: PhaseSpacePoint) -> float:
-        """Closed-form Dirac bracket of two coordinates, off-surface form.
+    def dirac_oracle(self, pair: tuple[str, str], x):
+        """Closed-form Dirac bracket of two coordinates, off-surface form, at a point or at
+        every row of a batch (a column, or one float for every row).
 
-        Denominator D = p_phi^2 + r^2 p_r^2 + alpha^2 r^4:
+        Denominator D = p_phi^2 + r^2 p_r^2 + alpha^2 r^4, each square a product:
         {r,p_r} = {r,p_phi} = {p_r,p_phi} = 0, {phi,p_phi} = 1,
         {r,phi} = -r p_phi / D, {phi,p_r} = -p_r p_phi / D.
         """
@@ -339,8 +343,9 @@ class KlauderModel:
         other = b if a == "phi" else a
         if other == "p_phi":
             return sign
-        r, _, p_r, p_phi = x.coords.tolist()
-        denom = p_phi ** 2 + (r * p_r) ** 2 + (self.alpha * r * r) ** 2
+        r, _, p_r, p_phi = x.columns  # squares as products: pow is not correctly rounded
+        rp, ar = r * p_r, self.alpha * r * r
+        denom = p_phi * p_phi + rp * rp + ar * ar
         return sign * (-(r if other == "r" else p_r) * p_phi / denom)
 
     def surface_denominator(self, p_phi: float) -> float:

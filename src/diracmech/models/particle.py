@@ -29,7 +29,7 @@ from ..brackets import poisson_bracket
 from ..dynamics import PoissonFlow
 from ..errors import NumericDomainError, UsageError
 from ..fields import ScalarField, coordinate_field
-from ..phase import ChartSpec, PhaseSpacePoint
+from ..phase import ChartSpec, PhaseSpaceBatch, PhaseSpacePoint
 
 
 @dataclass(frozen=True)
@@ -129,17 +129,20 @@ class RelativisticParticle:
         return x0 + p * (float(tau) / self.energy(p))
 
     def on_shell_point(self, x_spatial, p_spatial) -> PhaseSpacePoint:
-        """Positive-energy point with x0 = 0, p0 = +sqrt(p.p + m^2)."""
-        x = np.asarray(x_spatial, dtype=float)
-        p = np.asarray(p_spatial, dtype=float)
-        coords = np.concatenate([[0.0], x, [self.energy(p)], p])
-        return self.full_chart.point(coords)
+        """Positive-energy point with x0 = 0, p0 = +sqrt(p.p + m^2): a batch of one."""
+        return self._on_shell(np.concatenate([x_spatial, p_spatial]).reshape(1, -1))[0]
 
-    def sample_on_shell(self, rng: np.random.Generator, n: int) -> list[PhaseSpacePoint]:
+    def sample_on_shell(self, rng: np.random.Generator, n: int) -> PhaseSpaceBatch:
         # rows (x, p) in one draw: bitwise the per-point draws, and the same state after them
-        d = self.spatial_dim
-        return [self.on_shell_point(row[:d], row[d:])
-                for row in rng.uniform(-5.0, 5.0, (n, 2 * d))]
+        return self._on_shell(rng.uniform(-5.0, 5.0, (n, 2 * self.spatial_dim)))
+
+    def _on_shell(self, xp: np.ndarray) -> PhaseSpaceBatch:
+        # rows (0, x, p0, p) for rows (x, p), p.p summed over the p columns as energy sums it
+        d, total = self.spatial_dim, 0.0
+        for p in xp[:, d:].T:
+            total += p * p
+        return PhaseSpaceBatch(self.full_chart, np.column_stack(
+            (np.zeros(len(xp)), xp[:, :d], np.sqrt(total + self.mass ** 2), xp[:, d:])))
 
     # -- model interface (see diracmech.models) ------------------------------
     @property
@@ -151,19 +154,22 @@ class RelativisticParticle:
         d = self.spatial_dim
         return tuple((f"x{i}", f"p{j}") for i in range(d + 1) for j in range(d + 1))
 
-    def sample(self, rng: np.random.Generator, count: int, **_) -> list[PhaseSpacePoint]:
+    def sample(self, rng: np.random.Generator, count: int, **_) -> PhaseSpaceBatch:
         return self.sample_on_shell(rng, count)
 
-    def constraints_at(self, x: PhaseSpacePoint) -> ConstraintSet:
-        return self.constraint_set(tau=x["x0"])
+    def constraints_at(self, x) -> ConstraintSet:
+        # the time gauge through x0 of a point or a batch's first row (D is the same at any tau)
+        return self.constraint_set(tau=float(np.ravel(x.columns[0])[0]))
 
-    def dirac_oracle(self, pair: tuple[str, str], x: PhaseSpacePoint) -> float:
-        """Closed-form on-shell Dirac brackets: time is frozen, spatial pairs canonical."""
+    def dirac_oracle(self, pair: tuple[str, str], x):
+        """Closed-form on-shell Dirac brackets: time is frozen, spatial pairs canonical; at a
+        point, or at every row of a batch (a column, or one float for every row)."""
         a, b = pair
         if a == "x0":
             return 0.0
         if b == "p0":  # {x^i, p_0}_D = p_i / p_0
-            return x[f"p{a[1:]}"] / x["p0"]
+            z, d = x.columns, self.spatial_dim
+            return z[d + 1 + int(a[1:])] / z[d + 1]
         return 1.0 if a[1:] == b[1:] else 0.0
 
     def flow(self, kind: str, multiplier=1.0, hamiltonian=None):

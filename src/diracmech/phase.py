@@ -3,8 +3,8 @@
 A chart names 2N canonical coordinates, ordered (q_1..q_N, p_1..p_N), and may
 carry a domain predicate (e.g. "r > 0" for polar-style charts). Points are
 validated once, at construction: right length, finite entries, inside the
-domain. Everything is immutable, so values can be shared freely across
-threads.
+domain; a batch of n points once for all its rows. Everything is immutable, so
+values can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -55,9 +55,6 @@ class ChartSpec:
         except ValueError:
             raise UsageError(f"chart {self.name!r} has no coordinate {label!r}") from None
 
-    def contains(self, coords: np.ndarray) -> bool:
-        return self.domain is None or bool(self.domain(coords))
-
     def point(self, coords: Sequence[float]) -> "PhaseSpacePoint":
         return PhaseSpacePoint(self, coords)
 
@@ -82,7 +79,7 @@ class PhaseSpacePoint:
         if not np.isfinite(coords).all():
             bad = self.chart.labels[int(np.argmin(np.isfinite(coords)))]
             raise NumericDomainError(f"non-finite coordinate {bad!r}")
-        if not self.chart.contains(coords):
+        if self.chart.domain is not None and not self.chart.domain(coords):
             raise NumericDomainError(
                 f"point violates domain of chart {self.chart.name!r}"
                 + (f" ({self.chart.domain_description})" if self.chart.domain_description else "")
@@ -93,9 +90,43 @@ class PhaseSpacePoint:
     def __getitem__(self, label: str) -> float:
         return float(self.coords[self.chart.index(label)])
 
+    @property
+    def columns(self) -> list:  # its Python floats, read as a batch's columns are
+        return self.coords.tolist()
+
     def __repr__(self):
         pairs = ", ".join(f"{l}={v:g}" for l, v in zip(self.chart.labels, self.coords))
         return f"PhaseSpacePoint({pairs})"
+
+
+@dataclass(frozen=True, eq=False)
+class PhaseSpaceBatch:
+    """n points of a chart as one read-only (n, dim) array, validated by one finiteness and
+    one domain test: the first bad row raises its PhaseSpacePoint's error. ``batch[i]`` is
+    row i as a point, and ``columns`` the (n,) columns that the generated kernels read."""
+
+    chart: ChartSpec
+    coords: np.ndarray
+
+    def __post_init__(self):
+        coords = np.array(self.coords, dtype=float)
+        ok = np.isfinite(coords).all(axis=1)
+        if self.chart.domain is not None:  # it reads the (n,) columns: one bool per row
+            ok &= self.chart.domain(coords.T)
+        if not ok.all():
+            PhaseSpacePoint(self.chart, coords[int(np.argmin(ok))])
+        coords.setflags(write=False)
+        object.__setattr__(self, "coords", coords)
+
+    @property
+    def columns(self) -> list:
+        return list(self.coords.T)
+
+    def __len__(self) -> int:
+        return len(self.coords)
+
+    def __getitem__(self, i: int) -> PhaseSpacePoint:
+        return PhaseSpacePoint(self.chart, self.coords[i])
 
 
 def same_chart(*charts: ChartSpec) -> bool:

@@ -146,7 +146,7 @@ def test_criterion_7_relativistic_particle():
     for x in samples:
         cs = particle.constraint_set(tau=x["x0"])
         pairing = max(pairing, abs(poisson_bracket(cs.fields[0], cs.fields[1], x) - x["p0"]))
-    report_values = particle.bracket_report(samples[:25])
+    report_values = particle.bracket_report(list(samples)[:25])
     x0, p = np.array([0.0, -1.0, 2.0]), np.array([3.0, 0.0, 0.0])
     start = particle.spatial_chart.point(np.concatenate([x0, p]))
     traj = evolve(start, PoissonFlow(particle.physical_hamiltonian),

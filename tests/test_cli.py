@@ -21,6 +21,7 @@ from diracmech.cli import COMMANDS, SCENARIO_SCHEMA, build_model, main
 from diracmech.constraints import dirac_bracket
 from diracmech.errors import ConfigError
 from diracmech.fields import coordinate_field
+from diracmech.phase import PhaseSpacePoint
 from diracmech.models import KlauderModel, KRamp, RadialPotential
 from diracmech.dynamics import gauge_orbit_closed_form
 from diracmech import verify
@@ -78,7 +79,7 @@ def test_brackets_deterministic_for_fixed_seed(tmp_path):
     assert a.read_bytes() != c.read_bytes()
 
 
-def test_brackets_reads_one_dirac_tensor_per_point_and_one_oracle_per_row(tmp_path,
+def test_brackets_reads_one_dirac_tensor_per_table_and_one_oracle_per_pair(tmp_path,
                                                                           monkeypatch):
     calls = {"dirac_tensor": 0, "dirac_oracle": 0}
     written = []
@@ -95,8 +96,10 @@ def test_brackets_reads_one_dirac_tensor_per_point_and_one_oracle_per_row(tmp_pa
         written.append(len(rows))
         return write_table(path, fmt, columns, rows, footer_rows)
 
-    # cmd_brackets reads D as lists, through the binding dirac_tensor_rows
-    monkeypatch.setattr(cli, "dirac_tensor_rows", counted("dirac_tensor", cli.dirac_tensor_rows))
+    # cmd_brackets reads D on the batch's columns, through the binding dirac_tensor_columns,
+    # once for the table; the oracle answers each of the 6 pairs for all 5 rows at once
+    monkeypatch.setattr(cli, "dirac_tensor_columns",
+                        counted("dirac_tensor", cli.dirac_tensor_columns))
     monkeypatch.setattr(KlauderModel, "dirac_oracle",
                         counted("dirac_oracle", KlauderModel.dirac_oracle))
     monkeypatch.setattr(cli, "write_table", recording_write_table)
@@ -104,7 +107,7 @@ def test_brackets_reads_one_dirac_tensor_per_point_and_one_oracle_per_row(tmp_pa
         "seed": 3, "model": {"kind": "klauder", "alpha": 1.0, "k": 1.0},
         "samples": {"count": 5, "r_range": [0.1, 5.0], "momentum_range": [-5.0, 5.0]}})
     assert run_cli("brackets", "--config", config, "--out", str(tmp_path / "t.csv")) == 0
-    assert calls == {"dirac_tensor": 5, "dirac_oracle": 30}
+    assert calls == {"dirac_tensor": 1, "dirac_oracle": 6}
     assert written == [30]
 
 
@@ -125,6 +128,20 @@ SECOND_CLASS_CUSTOM = {
     "constraints": [{"name": "q2", "terms": [{"coeff": 1.0, "powers": [0, 1, 0, 0]}]},
                     {"name": "p2", "terms": [{"coeff": 1.0, "powers": [0, 0, 0, 1]}]}],
 }
+
+
+@pytest.mark.parametrize("model", [{"kind": "klauder", "alpha": 1.3, "k": 0.7},
+                                   {"kind": "particle", "mass": 2.0, "spatial_dim": 2},
+                                   SECOND_CLASS_CUSTOM])
+def test_brackets_builds_no_point_per_sampled_row(tmp_path, monkeypatch, model):
+    # the table reads the sampled batch as columns: one validation, no PhaseSpacePoint
+    built = []
+    post_init = PhaseSpacePoint.__post_init__
+    monkeypatch.setattr(PhaseSpacePoint, "__post_init__",
+                        lambda self: built.append(post_init(self)))
+    config = write_config(tmp_path / "cfg.json", {"model": model, "samples": {"count": 40}})
+    assert run_cli("brackets", "--config", config, "--out", str(tmp_path / "t.csv")) == 0
+    assert built == []
 
 
 def test_brackets_custom_second_class_pair_has_no_oracle(tmp_path):
@@ -301,6 +318,21 @@ def test_brackets_nonfinite_pairing_matrix_exits_3(tmp_path, capsys):
         assert capsys.readouterr().err.splitlines() == [
             "error: constraint pairing matrix has a non-finite entry; "
             "system is not Second Class here"]
+
+
+def test_brackets_klauder_oracle_at_huge_radii_writes_its_table(tmp_path, capsys):
+    # (alpha r r)^2 overflows to inf in the oracle's denominator, as a product; as a
+    # Python power it raised OverflowError out of the command
+    config = write_config(tmp_path / "cfg.json", {
+        "seed": 3, "model": {"kind": "klauder"},
+        "samples": {"count": 9, "r_range": [1e100, 1e101], "momentum_range": [-1, 1]}})
+    out = tmp_path / "t.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy overflow warnings would reach stderr
+        assert run_cli("brackets", "--config", config, "--out", str(out)) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 9 * 6 and max(float(row[-1]) for row in rows) < 1e-9
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("k, ramped", [([1.0, 1e308], True), (1e200, False)])
@@ -754,7 +786,7 @@ def refuse_model_work(monkeypatch):
 
     for target in ("diracmech.models.LatticeMaxwell.projector_residuals",
                    "diracmech.circle.SpectrumTable.build", "diracmech.cli.evolve",
-                   "diracmech.cli.dirac_tensor_rows"):
+                   "diracmech.cli.dirac_tensor_columns"):
         monkeypatch.setattr(target, refuse)
 
 

@@ -44,6 +44,7 @@ COMMANDS = {
     "custom_four_orbit.json": "evolve",
     "custom_second_class_brackets.json": "brackets",
     "particle_brackets.json": "brackets",
+    "custom_gauge_orbit.json": "evolve",
 }
 
 

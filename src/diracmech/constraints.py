@@ -38,24 +38,26 @@ ON_SURFACE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class TimeRamp:
-    """Additive explicit-time part of a constraint: Phi(z,t) = Phi(z) + offset(t).
+class KRamp:
+    """Affine k(t) = k0 + k1 t. As the time ramp of a constraint it is plain data: the
+    constraint reads Phi(z, t) = Phi(z) + k0 - k(t), so dPhi/dt is the constant -k1."""
 
-    ``offset`` takes a float or an array of times, elementwise; ``rate`` a float.
-    """
+    k0: float
+    k1: float = 0.0
 
-    offset: Callable[[float], float]
-    rate: Callable[[float], float]
+    def __call__(self, t):
+        return self.k0 + self.k1 * t
 
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """Ordered constraints and auxiliary conditions, lumped together."""
+    """Ordered constraints and auxiliary conditions, lumped together. ``time_ramps`` holds
+    a ``KRamp`` or None per constraint: a ramp makes it Phi(z, t) = Phi(z) + k0 - k(t)."""
 
     chart: ChartSpec
     fields: tuple[ScalarField, ...]
     names: tuple[str, ...]
-    time_ramps: Optional[tuple[Optional[TimeRamp], ...]] = dfield(default=None, compare=False)
+    time_ramps: Optional[tuple[Optional[KRamp], ...]] = dfield(default=None, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "fields", tuple(self.fields))
@@ -78,14 +80,11 @@ class ConstraintSet:
     def even_count(self) -> bool:
         return len(self.fields) % 2 == 0
 
-    @property
-    def time_dependent(self) -> bool:
-        return self.time_ramps is not None and any(r is not None for r in self.time_ramps)
-
-    def rates_at(self, t: float) -> list:
-        """d(offset)/dt of every constraint of a time-dependent set as Python floats,
-        0.0 where there is no ramp."""
-        return [0.0 if ramp is None else float(ramp.rate(t)) for ramp in self.time_ramps]
+    @cached_property
+    def rates(self) -> tuple:
+        """dPhi_I/dt of every constraint as Python floats: -k1 of its ramp, else 0.0."""
+        return tuple(0.0 if ramp is None else float(-ramp.k1)
+                     for ramp in self.time_ramps or (None,) * len(self.fields))
 
     @cached_property
     def _dirac_tensor(self) -> Callable[[list], list]:
@@ -115,7 +114,7 @@ class ConstraintSet:
             vals[:, j] = f.values_along(states)
         for j, ramp in enumerate(self.time_ramps or ()):
             if ramp is not None:
-                vals[:, j] += ramp.offset(np.asarray(times, dtype=float))
+                vals[:, j] += ramp.k0 - ramp(np.asarray(times, dtype=float))
         return vals
 
     def residual_series(self, times, states) -> dict[str, np.ndarray]:

@@ -75,8 +75,9 @@ class PoissonFlow:
 class DiracFlow:
     """dz/dt = {z, H}_D for a Second Class constraint set.
 
-    If a constraint carries an explicit time ramp, the standard correction
-    -{z, Phi_I}(M^-1)^IJ dPhi_J/dt is added so d(Phi)/dt = 0 identically.
+    A constraint with a time ramp k(t) = k0 + k1 t has the constant dPhi_J/dt = -k1
+    (``ConstraintSet.rates``), and the standard correction -{z, Phi_I}(M^-1)^IJ dPhi_J/dt
+    is added so d(Phi)/dt = 0 identically.
     """
 
     hamiltonian: ScalarField
@@ -140,8 +141,8 @@ def _dirac_rhs(flow: DiracFlow, n: int):
     """{z, H}_D at (t, z), z a list of Python floats, as Python floats."""
     cs = flow.constraints
     return _generated("dirac", n, len(cs))(
-        flow.hamiltonian._gradient, [f._gradient for f in cs.fields],
-        cs.rates_at if cs.time_dependent else None, _pairing_multipliers)
+        flow.hamiltonian._gradient, [f._gradient for f in cs.fields], cs.rates,
+        _pairing_multipliers)
 
 
 def _floats_bounded(z: list) -> bool:

@@ -1,6 +1,7 @@
 """Generated float kernels, as ``namedtuple`` and ``dataclasses`` generate theirs: the RK4
 step, the Poisson, gauge and Dirac right-hand sides, the pairing matrix and the Dirac
-tensor. This module imports nothing from the package; a kernel is handed what it calls.
+tensor. This module imports nothing from the package, and each kernel is compiled in a
+namespace of its own: it reads the builtins and what it is handed, no module global.
 
 For each kind, chart size n and constraint count k, the source is written out over the 2n
 coordinates, compiled at the first call that needs it (not at import), and cached for the
@@ -13,7 +14,6 @@ forms keep the order of every sum, so they give the same bits.
 
 from __future__ import annotations
 
-import operator  # read by the generated Dirac rhs
 from functools import cache
 
 # A generated function for n pairs and k constraints (k = 0 for the step and the Poisson and
@@ -29,9 +29,10 @@ def _source(kind: str, n: int, k: int = 0) -> str:
     """Python source of the function ``kind`` for a chart of n pairs.
 
     ``step`` is the classic RK4 step ``step(rhs, t, z, dt)``, ``pairing(rows)`` returns M
-    for k gradient rows, and the factories ``poisson``, ``gauge`` and ``dirac`` (k
-    constraints, any even count, and ``solve(m, s, z)`` to call on M) each return an
-    ``rhs(t, z)``. The factory ``tensor(grads, solve)`` returns ``d(z)``, the Dirac tensor
+    for k gradient rows, and the factories ``poisson``, ``gauge`` and
+    ``dirac(grad_h, grads, rates, solve)`` (k constraints, any even count, their k constant
+    rates dPhi_I/dt, added to {Phi_I, H}, and ``solve(m, s, z)`` to call on M) each return
+    an ``rhs(t, z)``. The factory ``tensor(grads, solve)`` returns ``d(z)``, the Dirac tensor
     D as nested lists for any k, of floats or of a batch's columns: one solve, on M and S. Each
     sum runs from +0.0 in index order (an entry of D from its first product) and each
     list in coordinate order, unrolled or in a loop, so both forms give the same bits.
@@ -121,12 +122,10 @@ def _source(kind: str, n: int, k: int = 0) -> str:
         terms.update(pairs)
         # sum_I l_I dPhi_I/dz per entry, left to right from the first product
         lam = {x: " + ".join(f"l{i} * r{i}{{{x}}}" for i in cs) for x in "qp"}
-        head = "dirac(grad_h, grads, rates_at, solve)"
-        setup = [unpack]
+        head = "dirac(grad_h, grads, rates, solve)"
+        setup = [unpack, "".join(f"rate_{i}, " for i in cs) + "= rates"]
         body = [read("gh", "grad_h(z)"), *(read(f"r{i}", f"grad_{i}(z)") for i in cs),
-                *sums(terms), "s = [" + ", ".join(f"b{i} - c{i}" for i in cs) + "]",
-                "if rates_at is not None:",
-                "    s = list(map(operator.add, s, rates_at(t)))",
+                *sums(terms), "s = [" + ", ".join(f"b{i} - c{i} + rate_{i}" for i in cs) + "]",
                 f"m = {matrix}",
                 "".join(f"l{i}, " for i in cs) + "= solve(m, s, z)",
                 "return " + vector((f"gh{{p}} - ({lam['p']})", n),
@@ -139,7 +138,7 @@ def _source(kind: str, n: int, k: int = 0) -> str:
 def _generated(kind: str, n: int, k: int = 0):
     """The function ``kind`` of ``_source`` for n pairs (and k constraints), compiled at its
     first use and shared from then on: it holds no state, so concurrent callers call it freely."""
-    namespace = {}
+    namespace = {}  # its globals: builtins and what the source defines, no module name
     exec(compile(_source(kind, n, k), f"<diracmech.kernels {kind} n={n} k={k}>", "exec"),
-         globals(), namespace)
+         namespace)
     return namespace[kind]

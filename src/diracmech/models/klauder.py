@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .. import duals
-from ..constraints import ConstraintSet, SurfaceParametrization, TimeRamp
+from ..constraints import ConstraintSet, KRamp, SurfaceParametrization
 from ..dynamics import DiracFlow, GaugeFlow, PoissonFlow
 from ..errors import NumericDomainError, UsageError
 from ..fields import ScalarField
@@ -109,17 +109,6 @@ def _potential_slope(coeffs: tuple[float, ...], r: float) -> float:
 
 
 @dataclass(frozen=True)
-class KRamp:
-    """Affine gauge parameter k(t) = k0 + k1 t."""
-
-    k0: float
-    k1: float = 0.0
-
-    def __call__(self, t: float) -> float:
-        return self.k0 + self.k1 * t
-
-
-@dataclass(frozen=True)
 class KlauderModel:
     alpha: float = 1.0
     k: KRamp = KRamp(1.0)  # a number k is the constant ramp KRamp(k)
@@ -183,14 +172,10 @@ class KlauderModel:
 
     @cached_property
     def constraint_set(self) -> ConstraintSet:
-        ramps = None
-        if self.time_dependent:
-            ramp = self.k  # chi(z, t) = r p_r - k0 + (k0 - k(t))
-            ramps = (TimeRamp(offset=lambda t, r=ramp: r.k0 - r(t),
-                              rate=lambda t, r=ramp: -r.k1), None)
+        # chi(z, t) = r p_r - k0 + (k0 - k(t)) = r p_r - k(t)
         return ConstraintSet(chart=self.polar_chart,
-                             fields=(self.gauge_condition, self.constraint),
-                             names=("chi", "C"), time_ramps=ramps)
+                             fields=(self.gauge_condition, self.constraint), names=("chi", "C"),
+                             time_ramps=(self.k, None) if self.time_dependent else None)
 
     def hamiltonian(self) -> ScalarField:
         """Physical Hamiltonian C + U(r) = (1/2)alpha^2 r^2 + (U(r) - alpha^2 r^2) on-surface."""

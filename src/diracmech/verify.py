@@ -207,7 +207,7 @@ def check_classification(rng, fault):
     flat_samples = [chart.point([0.0, 0.0, rng.uniform(-3, 3), rng.uniform(-3, 3)])
                     for _ in range(5)]
     kinds.append(classify(q1q2, flat_samples, 1e-8).kind == "first_class")
-    wrong = sum(1 for ok in kinds if not ok) + abs(fault)
+    wrong = sum(1 for ok in kinds if not ok) + abs(fault) / FAULT_SIZE  # a fault: one wrong kind
     return _result("constraints.classification", wrong, 0.5,
                    "second class pair / first class singles")
 
@@ -324,13 +324,13 @@ def check_gauge_residual_order(rng, fault):
     model = KlauderModel(alpha=1.0, k=0.0)
     x0 = model.cartesian_chart.point([1.3, -0.4, 0.9, 0.8])
     flow, monitor = model.flow("gauge", 1.0)
-    start = abs(model.cartesian_generator.value(x0))
+    start = abs(model.cartesian_generator.value(x0)) + abs(fault)  # the conserved value
     residuals = []
     for dt, steps in ((2e-2, 50), (1e-2, 100)):
         traj = evolve(x0, flow, IntegratorConfig(dt=dt, steps=steps), monitor=monitor)
         residuals.append(float(np.max(np.abs(traj.residuals["C"] - start))))
     ratio = residuals[0] / max(residuals[1], 1e-300)
-    measured = 15.0 - ratio + abs(fault) * 1e3  # negative when the order-4 ratio holds
+    measured = 15.0 - ratio  # negative when the order-4 ratio holds
     return _result("dynamics.gauge_residual_order", measured, 0.0,
                    f"halving dt cut the residual {ratio:.1f}x (need >= 15)")
 

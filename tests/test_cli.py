@@ -496,6 +496,23 @@ UNREAD_KEY_CASES = [
                                 {"coeff": -39.17, "powers": [0, 0, 0, 1]}]}]},
                   "samples": {"count": 3}},
      3, "constraint pairing matrix is singular (det=0.000e+00); system is not Second Class here"),
+    # a quantum block with no initial state, or with coefficients of the wrong length
+    ("quantum", {"model": {"kind": "klauder"}, "quantum": {"m_max": 1, "times": [0.0]}},
+     2, "quantum block needs 'coeffs' or 'single_mode'"),
+    ("quantum", {"model": {"kind": "klauder"},
+                 "quantum": {"m_max": 1, "coeffs": [[1.0, 0.0]], "times": [0.0]}},
+     2, "need 3 coefficients for m_max=1"),
+    # a Klauder orbit with no starting point, and a custom flow with no Hamiltonian
+    ("evolve", {"model": {"kind": "klauder"}, "flow": {"kind": "dirac"}, "integrator": SHORT_RUN},
+     2, "scenario needs an 'initial' block matching the model"),
+    ("evolve", {"model": {"kind": "custom", "labels": ["q", "p"]}, "flow": {"kind": "poisson"},
+                "integrator": SHORT_RUN, "initial": {"coords": [0.0, 1.0]}},
+     2, "custom flows need a polynomial 'hamiltonian'"),
+    # a start beyond the blow-up limit fails before the first step
+    ("evolve", {"model": {"kind": "custom", "labels": ["q", "p"]},
+                "flow": {"kind": "poisson", "hamiltonian": [{"coeff": 0.5, "powers": [0, 2]}]},
+                "integrator": SHORT_RUN, "initial": {"coords": [1e13, 0.0]}},
+     3, "trajectory blew up at t=0 (|z| > 1e+12 or NaN)"),
 ])
 def test_extreme_valid_config_ends_in_one_error_line(tmp_path, capsys, command, payload, code,
                                                      message):
@@ -506,8 +523,9 @@ def test_extreme_valid_config_ends_in_one_error_line(tmp_path, capsys, command, 
         assert run_cli(command, "--config", config, "--out", str(out)) == code
     err = capsys.readouterr().err.splitlines()
     assert [line for line in err if line.startswith("error:")] == [f"error: {message}"]
-    if command == "quantum":
-        assert not out.exists()  # no NaN rows
+    # an evolve that meets a degeneracy mid-run writes its good steps; no other error
+    # leaves an artifact (no NaN rows)
+    assert out.exists() == (command == "evolve" and "not Second Class" in message), message
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -1062,9 +1080,12 @@ def test_verify_accepts_every_check_id_it_reports():
     assert [result.check_id for result in verify.run_suite("all")] == list(verify._CHECK_IDS)
 
 
-@pytest.mark.parametrize("suite, check_id", [("maxwell", "maxwell.evolution"),
-                                             ("particle", "particle.bracket_suite"),
-                                             ("particle", "particle.trajectory")])
+@pytest.mark.parametrize("suite, check_id", [
+    ("maxwell", "maxwell.evolution"), ("particle", "particle.bracket_suite"),
+    ("particle", "particle.trajectory"),
+    # every other check, in the order verify runs them
+    *((check_id.partition(".")[0], check_id) for check_id in verify._CHECK_IDS
+      if check_id not in ("maxwell.evolution", "particle.bracket_suite", "particle.trajectory"))])
 def test_verify_fault_fails_the_named_check_alone(capsys, suite, check_id):
     assert run_cli("verify", suite, "--inject-fault", check_id) == 1
     lines = capsys.readouterr().out.splitlines()

@@ -611,7 +611,7 @@ def tensor_function(monkeypatch, n, k, unroll_terms):
     the unroll bound set to ``unroll_terms``: spelled out where n (k + 2)^2 is within it."""
     monkeypatch.setattr(kernels, "_UNROLL_TERMS", unroll_terms)
     namespace = {}
-    exec(kernels._source("tensor", n, k), vars(kernels), namespace)
+    exec(kernels._source("tensor", n, k), namespace)
     return namespace["tensor"]
 
 

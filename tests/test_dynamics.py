@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 import sys
 import threading
@@ -8,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from diracmech import kernels
 from diracmech.cli import _trajectory_rows
 from diracmech.constraints import (DEGENERACY_RTOL, ConstraintSet, _pairing_multipliers,
                                    dirac_bracket, dirac_tensor, pairing_matrix_of_rows)
@@ -217,7 +220,7 @@ def test_partial_trajectory_values_equal_the_per_state_values():
     assert partial.generator_values.tobytes() == expected.tobytes()
     for j, (name, f) in enumerate(zip(cs.names, cs.fields)):
         ramp = cs.time_ramps[j]
-        values = [float(f.func(z)) + (0.0 if ramp is None else ramp.offset(t))
+        values = [float(f.func(z)) + (0.0 if ramp is None else ramp.k0 - ramp(t))
                   for t, z in zip(partial.times.tolist(), partial.states)]
         assert partial.residuals[name].tobytes() == np.abs(values).tobytes()
 
@@ -265,8 +268,9 @@ def reference_dirac_rhs(flow, n):
         rows = reference_gradient_rows(cs, z)
         q, p = rows[:, :n], rows[:, n:]
         s = np.array([ordered_dot(qi, gh[n:]) - ordered_dot(pi, gh[:n]) for qi, pi in zip(q, p)])
-        if cs.time_dependent:
-            s = s + cs.rates_at(t)
+        for i, ramp in enumerate(cs.time_ramps or ()):
+            if ramp is not None and ramp.k1 != 0.0:  # dPhi_I/dt = -k1
+                s[i] -= ramp.k1
         a = np.array([[ordered_dot(qi, pj) for pj in p] for qi in q])
         m = a - a.T
         det = float(m[0, 1] * m[0, 1]) if len(m) == 2 else float(np.linalg.det(m))
@@ -682,8 +686,7 @@ def test_dirac_flow_builds_the_pairing_matrix_of_the_constraint_engine():
             return _pairing_multipliers(m, s, z)
 
         rhs = _generated("dirac", n, len(cs))(
-            flow.hamiltonian._gradient, [f._gradient for f in cs.fields],
-            cs.rates_at if cs.time_dependent else None, solve)
+            flow.hamiltonian._gradient, [f._gradient for f in cs.fields], cs.rates, solve)
         step, z = _generated("step", n), x0.coords.tolist()
         for i in range(250):
             z = step(rhs, i * 0.01, z, 0.01)
@@ -722,6 +725,26 @@ def test_concurrent_dirac_orbits_keep_the_bytes_of_their_solo_runs():
     built = _generated.cache_info().misses
     assert evolve(runs[0][1], runs[0][0], cfg).states.tobytes() == solo[0]
     assert _generated.cache_info().misses == built  # the same kind and size builds nothing
+
+
+@pytest.mark.parametrize("n", [1, 33], ids=["spelled_out", "loop"])
+@pytest.mark.parametrize("kind, k", [("step", 0), ("poisson", 0), ("gauge", 0),
+                                     ("pairing", 0), ("pairing", 2), ("pairing", 4),
+                                     ("dirac", 2), ("dirac", 4),
+                                     ("tensor", 0), ("tensor", 2), ("tensor", 4)])
+def test_generated_functions_read_no_module_global(kind, k, n):
+    # a kernel sees the builtins and what it is handed, so no module state can reach it
+    source = kernels._source(kind, n, k)
+    assert (n * (k + 2) ** 2 <= kernels._UNROLL_TERMS) == (n == 1)
+    defined = {node.name for node in ast.parse(source).body}
+    function = _generated(kind, n, k)
+    functions = [function]
+    if kind not in ("step", "pairing"):  # a factory: the function it returns as well
+        params = inspect.signature(function).parameters
+        functions.append(function(*((None,) * k if name in ("grads", "rates") else None
+                                    for name in params)))
+    for f in functions:
+        assert set(f.__globals__) == {"__builtins__", *defined}, f
 
 
 def reference_trajectory_rows(traj):
@@ -768,7 +791,7 @@ def test_residual_series_equals_the_per_state_reference_bitwise():
     # static and ramped Klauder, the four-constraint custom set, the (q2, p2) surface set,
     # the twelve-constraint set, the four-constraint set on 33 pairs, the partial
     # k = 0.05 - t orbit
-    assert [(len(cs), cs.time_dependent) for cs, _ in cases] == \
+    assert [(len(cs), any(cs.rates)) for cs, _ in cases] == \
         [(2, False), (2, True), (4, False), (2, False), (12, False), (4, False), (2, True)]
     for cs, traj in cases:
         series = cs.residual_series(traj.times, traj.states)

@@ -49,6 +49,16 @@ def test_reduced_point_degenerate_origin():
         KlauderModel(alpha=1.0, k=0.0).reduced_point(0.0)
 
 
+def test_k_zero_keeps_the_reduced_chart_and_the_sampler_off_p_phi_zero(rng):
+    # at k = 0, p_phi = 0 puts r* at the excluded origin
+    model = KlauderModel(alpha=1.0, k=0.0)
+    with pytest.raises(NumericDomainError, match=r"p_phi != 0 \(k = 0 excludes the origin\)"):
+        model.reduced_chart.point([0.3, 0.0])
+    assert model.reduced_chart.point([0.3, -5e-324])["p_phi"] == -5e-324
+    p_phi = [abs(x["p_phi"]) for x in model.sample_surface(rng, 500)]
+    assert min(p_phi) == 0.1 and p_phi.count(0.1) > 1  # draws under 0.1 are moved to it
+
+
 def test_chart_excludes_nonpositive_radius():
     model = KlauderModel()
     with pytest.raises(NumericDomainError):

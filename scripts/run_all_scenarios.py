@@ -45,6 +45,7 @@ COMMANDS = {
     "custom_second_class_brackets.json": "brackets",
     "particle_brackets.json": "brackets",
     "custom_gauge_orbit.json": "evolve",
+    "custom_dirac_orbit.json": "evolve",
 }
 
 

@@ -12,7 +12,7 @@ Class (its elements generate gauge transformations instead of fixing a
 reduced phase space). Everything in between is reported as mixed/degenerate
 with a rank estimate. M is summed by the pairing function that ``kernels``
 generates, with the sums the Dirac flow runs, and D by its tensor function:
-ordered float sums, so with two constraints D takes no BLAS call.
+ordered float sums and a float solve, so D takes no BLAS or LAPACK call.
 """
 
 from __future__ import annotations
@@ -150,26 +150,49 @@ def degeneracy_scale(m) -> float:
     return max(math.prod(starmap(math.hypot, m), start=1.0), 1.0)
 
 
+def _eliminate(m, rhs):
+    """(det M, M^-1 rhs) by Gaussian elimination with partial pivoting on Python floats (Higham
+    2002, ch. 9), for rhs of k floats or k rows (lists); det is the pivots' signed product."""
+    k, vector = len(m), not len(m) or rhs[0].__class__ is not list
+    a = [[*map(float, row), *((b,) if vector else b)] for row, b in zip(m, rhs)]
+    width, det = len(a[0]) if k else 0, 1.0
+    for j in range(k):
+        p, big = j, abs(a[j][j])
+        for i in range(j + 1, k):  # the first largest |a_ij| at or below the diagonal
+            if abs(a[i][j]) > big:
+                p, big = i, abs(a[i][j])
+        a[j], a[p] = a[p], a[j]
+        top, pivot = a[j], a[j][j]
+        if pivot == 0.0:  # M is singular
+            return 0.0, None
+        det *= pivot if p == j else -pivot
+        for row in a[j + 1:]:
+            f = row[j] / pivot
+            for c in range(j + 1, width):
+                row[c] -= f * top[c]
+    for c in range(k, width):  # back substitution, in place of each rhs column
+        for j in range(k - 1, -1, -1):
+            row, v = a[j], a[j][c]
+            for i in range(j + 1, k):
+                v -= row[i] * a[i][c]
+            row[c] = v / row[j]
+    return det, [row[k] if vector else row[k:] for row in a]
+
+
 def pairing_det(m) -> float:
     if len(m) == 2:  # on Python floats: an overflowing square is inf without a numpy warning
         m01 = float(m[0][1])
         return m01 * m01
-    # a non-finite det, or an LU pivot that underflows to 0, is the guard's to judge
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return float(np.linalg.det(m))
+    return _eliminate(m, [[]] * len(m))[0]
 
 
 def _solve_pairing(m, rhs):
-    # a list: the closed 2x2 form, or pivoted LU (gesv) beyond that; rhs holds k floats,
-    # or k rows of floats (lists) solved column by column. The class test is the cheapest
-    # on the Dirac rhs, which takes this solve at every evaluation
-    if len(m) == 2:
-        delta = m[0][1]
-        first, second = rhs
-        if first.__class__ is list:
-            return [[-v / delta for v in second], [v / delta for v in first]]
-        return [-second / delta, first / delta]
-    return np.linalg.solve(m, rhs).tolist()
+    # the closed 2x2 form, for rhs of two floats or two rows (lists) of floats or columns
+    delta = m[0][1]
+    first, second = rhs
+    if first.__class__ is list:
+        return [[-v / delta for v in second], [v / delta for v in first]]
+    return [-second / delta, first / delta]
 
 
 def _second_class(m, det: float) -> bool:
@@ -190,14 +213,15 @@ def _second_class(m, det: float) -> bool:
 def _pairing_multipliers(m, rhs, coords):
     """M^-1 rhs for the pairing matrix M; raises DegeneracyError unless the set is
     Second Class at ``coords`` by ``_second_class``."""
-    det = pairing_det(m)
-    if not _second_class(m, det):
+    # two constraints: the closed form once the guard passes; more: one elimination
+    det, solution = (pairing_det(m), rhs) if len(m) == 2 else _eliminate(m, rhs)
+    if solution is None or not _second_class(m, det):
         problem = (f"is singular (det={det:.3e})" if np.all(np.isfinite(m))
                    else "has a non-finite entry")
         raise DegeneracyError(
             f"constraint pairing matrix {problem}; system is not Second Class here",
             det=det, coords=np.array(coords))
-    return _solve_pairing(m, rhs)
+    return _solve_pairing(m, rhs) if len(m) == 2 else solution
 
 
 def _stacked(rows: list, column) -> np.ndarray:
@@ -206,17 +230,19 @@ def _stacked(rows: list, column) -> np.ndarray:
 
 
 def _column_multipliers(m, rhs, coords):
-    """``_pairing_multipliers`` at every row of a batch, on M and rhs of (n,) columns: a row
-    whose |det M| clears the threshold of ``_second_class`` by a factor 2 passes, and any
-    other row takes ``_pairing_multipliers`` on its floats, in order: the first to fail raises."""
+    """``_pairing_multipliers`` at every row of a batch, on M and rhs of (n,) columns, in order:
+    the first to fail raises. More than two constraints take it on each row's floats; with two
+    a row whose |det M| clears the threshold of ``_second_class`` by a factor 2 passes."""
     stack = _stacked(m, coords[0])
-    det = stack[:, 0, 1] * stack[:, 0, 1] if len(m) == 2 else np.linalg.det(stack)
+    if len(m) > 2:
+        s = _stacked(rhs, coords[0])
+        rows = map(_pairing_multipliers, stack.tolist(), s.tolist(), zip(*coords))
+        return np.reshape(list(rows), s.shape).transpose(1, 2, 0)
+    det = stack[:, 0, 1] * stack[:, 0, 1]
     scale = np.maximum(np.prod(np.hypot.reduce(stack, axis=2), axis=1), 1.0)
     for i in np.flatnonzero(~(np.abs(det) > 2.0 * DEGENERACY_RTOL * scale)).tolist():
         _pairing_multipliers(stack[i].tolist(), [0.0] * len(m), [c[i] for c in coords])
-    if len(m) == 2:  # the closed form, elementwise
-        return _solve_pairing(m, rhs)
-    return np.linalg.solve(stack, _stacked(rhs, coords[0])).transpose(1, 2, 0)
+    return _solve_pairing(m, rhs)  # elementwise
 
 
 @dataclass(frozen=True)
@@ -284,7 +310,7 @@ def dirac_tensor(cs: ConstraintSet, x: PhaseSpacePoint) -> np.ndarray:
 
     The tensor function that ``kernels`` generates once per set reads the gradient rows,
     sums M, makes one guarded pairing solve for every column of S and sums each entry
-    left to right with no fused multiply-add: no BLAS call for two constraints.
+    left to right with no fused multiply-add: no BLAS or LAPACK call.
     """
     require_same_chart(cs, x)
     # overflowing gradients end in the guard's error, not in numpy warnings
@@ -295,7 +321,7 @@ def dirac_tensor(cs: ConstraintSet, x: PhaseSpacePoint) -> np.ndarray:
 def dirac_tensor_columns(cs: ConstraintSet, batch: PhaseSpaceBatch) -> list:
     """``dirac_tensor`` at every row of a batch, from one call on its columns, as nested
     lists: D_ab is an (n,) column, or one float for every row. The sums run elementwise in
-    the float route's order, so with two constraints every entry is bitwise its row's."""
+    the float route's order, so every entry is bitwise its row's."""
     require_same_chart(cs, batch)
     tensor = _generated("tensor", cs.chart.n_pairs, len(cs))(
         tuple(f._gradient for f in cs.fields), _column_multipliers)
@@ -387,13 +413,9 @@ def faddeev_popov_determinant(gauge_conditions: Sequence[ScalarField],
             f"got {len(gauge_conditions)} and {len(constraints)}"
         )
     k = len(constraints)
-    if k == 0:
-        return 1.0
     rows = [f.gradient(x).tolist() for f in (*gauge_conditions, *constraints)]
     block = [row[k:] for row in pairing_matrix_of_rows(rows, x.chart.n_pairs)[:k]]
-    with np.errstate(divide="ignore"):  # an LU pivot that underflows to 0 divides by it
-        # det of a 1x1 matrix by LU is not always its entry
-        return float(np.linalg.det(block)) if k > 1 else block[0][0]
+    return _eliminate(block, [[]] * k)[0] if k != 1 else block[0][0]  # 1.0 for k = 0
 
 
 @dataclass(frozen=True)

@@ -19,10 +19,10 @@ routes (and a gauge flow's constant multiplier), so a call does arithmetic only.
 The Dirac rhs covers every even constraint count: the brackets {Phi_I, H} are summed
 straight from the gradients, and the pairing matrix M by the constraint engine's own
 generated sums; ``_dirac_rhs`` hands it ``_pairing_multipliers``, the package's one
-guard and solve, to call on that M: the closed 2x2 form for two constraints, numpy's
-pivoted LU for more. The correction sum_I lambda_I grad Phi_I is summed per
-entry on Python floats, left to right and unfused, so of a Dirac orbit's bits only
-those of the LU solve for more than two constraints depend on the BLAS kernel.
+guard and solve, and ``DEGENERACY_RTOL``: two constraints take its test and closed 2x2
+form inline where M has a zero diagonal and a finite det, more its float elimination. The
+correction sum_I lambda_I grad Phi_I is summed per entry on Python floats, left to right
+and unfused, so no BLAS or LAPACK kernel moves a Dirac orbit's bits.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .constraints import ConstraintSet, _pairing_multipliers
+from .constraints import DEGENERACY_RTOL, ConstraintSet, _pairing_multipliers
 from .errors import DegeneracyError, NumericDomainError, UsageError
 from .fields import ScalarField
 from .kernels import _generated
@@ -142,7 +142,7 @@ def _dirac_rhs(flow: DiracFlow, n: int):
     cs = flow.constraints
     return _generated("dirac", n, len(cs))(
         flow.hamiltonian._gradient, [f._gradient for f in cs.fields], cs.rates,
-        _pairing_multipliers)
+        _pairing_multipliers, DEGENERACY_RTOL)
 
 
 def _floats_bounded(z: list) -> bool:

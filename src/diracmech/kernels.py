@@ -30,12 +30,15 @@ def _source(kind: str, n: int, k: int = 0) -> str:
 
     ``step`` is the classic RK4 step ``step(rhs, t, z, dt)``, ``pairing(rows)`` returns M
     for k gradient rows, and the factories ``poisson``, ``gauge`` and
-    ``dirac(grad_h, grads, rates, solve)`` (k constraints, any even count, their k constant
-    rates dPhi_I/dt, added to {Phi_I, H}, and ``solve(m, s, z)`` to call on M) each return
-    an ``rhs(t, z)``. The factory ``tensor(grads, solve)`` returns ``d(z)``, the Dirac tensor
-    D as nested lists for any k, of floats or of a batch's columns: one solve, on M and S. Each
-    sum runs from +0.0 in index order (an entry of D from its first product) and each
-    list in coordinate order, unrolled or in a loop, so both forms give the same bits.
+    ``dirac(grad_h, grads, rates, solve, rtol)`` (k constraints, any even count, their k
+    constant rates dPhi_I/dt, added to {Phi_I, H}, and ``solve(m, s, z)``, the guarded solve
+    of M) each return an ``rhs(t, z)``; with two constraints it takes solve's test and closed
+    form itself where M = [[0, d], [-d, 0]] and d d < inf: hypot(0, d) = |d| makes the
+    guard's scale max(d d, 1), so |det| > rtol scale holds exactly when d d > rtol. The
+    factory ``tensor(grads, solve)`` returns ``d(z)``, the Dirac tensor D as nested lists
+    for any k, of floats or of a batch's columns: one solve, on M and S. Each sum runs from
+    +0.0 in index order (an entry of D from its first product) and each list in coordinate
+    order, unrolled or in a loop, so both forms give the same bits.
     """
     dim = 2 * n
     unrolled = n * (k + 2) ** 2 <= _UNROLL_TERMS
@@ -122,12 +125,17 @@ def _source(kind: str, n: int, k: int = 0) -> str:
         terms.update(pairs)
         # sum_I l_I dPhi_I/dz per entry, left to right from the first product
         lam = {x: " + ".join(f"l{i} * r{i}{{{x}}}" for i in cs) for x in "qp"}
-        head = "dirac(grad_h, grads, rates, solve)"
-        setup = [unpack, "".join(f"rate_{i}, " for i in cs) + "= rates"]
+        head = "dirac(grad_h, grads, rates, solve, rtol)"
+        setup = [unpack, "".join(f"rate_{i}, " for i in cs) + "= rates", 'inf = float("inf")']
+        guarded = ["s = [" + ", ".join(f"b{i} - c{i} + rate_{i}" for i in cs) + "]",
+                   "".join(f"l{i}, " for i in cs) + f"= solve({matrix}, s, z)"]
+        if k == 2:  # solve's own test and closed form where the diagonal is 0 and det finite
+            guarded = ["d = a0_1 - a1_0", "det = d * d",
+                       "if a0_0 - a0_0 == 0.0 and a1_1 - a1_1 == 0.0 and rtol < det < inf:",
+                       "    l0 = -(b1 - c1 + rate_1) / d", "    l1 = (b0 - c0 + rate_0) / d",
+                       "else:", *(f"    {line}" for line in guarded)]
         body = [read("gh", "grad_h(z)"), *(read(f"r{i}", f"grad_{i}(z)") for i in cs),
-                *sums(terms), "s = [" + ", ".join(f"b{i} - c{i} + rate_{i}" for i in cs) + "]",
-                f"m = {matrix}",
-                "".join(f"l{i}, " for i in cs) + "= solve(m, s, z)",
+                *sums(terms), *guarded,
                 "return " + vector((f"gh{{p}} - ({lam['p']})", n),
                                    (f"-(gh{{q}} - ({lam['q']}))", n))]
     return "\n    ".join([f"def {head}:", *setup, f"def {inner}({params}):",

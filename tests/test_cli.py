@@ -484,7 +484,7 @@ UNREAD_KEY_CASES = [
      2, "initial point of a Dirac flow is off the constraint surface: |A| = inf, "
         "tolerance 1e-08"),
     # linear constraints whose constant M mixes entries near 1e161 with subnormal ones: the
-    # LU of det M divides by a pivot that underflows
+    # elimination's det is subnormal, near the exact det Pf(M)^2 = 1.6e-320
     ("brackets", {"model": {"kind": "custom", "labels": ["q1", "q2", "p1", "p2"],
                             "constraints": [
         {"name": "A", "terms": [{"coeff": 1.0, "powers": [1, 0, 0, 0]}]},
@@ -495,7 +495,7 @@ UNREAD_KEY_CASES = [
         {"name": "D", "terms": [{"coeff": 5.076e161, "powers": [0, 0, 1, 0]},
                                 {"coeff": -39.17, "powers": [0, 0, 0, 1]}]}]},
                   "samples": {"count": 3}},
-     3, "constraint pairing matrix is singular (det=0.000e+00); system is not Second Class here"),
+     3, "constraint pairing matrix is singular (det=1.279e-320); system is not Second Class here"),
     # a quantum block with no initial state, or with coefficients of the wrong length
     ("quantum", {"model": {"kind": "klauder"}, "quantum": {"m_max": 1, "times": [0.0]}},
      2, "quantum block needs 'coeffs' or 'single_mode'"),

@@ -1,12 +1,16 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracmech import duals, kernels
 from diracmech.brackets import poisson_bracket, poisson_tensor
-from diracmech.constraints import (DEGENERACY_RTOL, ConstraintSet, _pairing_multipliers,
+from diracmech.constraints import (DEGENERACY_RTOL, ConstraintSet, _eliminate,
+                                   _pairing_multipliers,
                                    _second_class, classify,
                                    constraint_matrix, pairing_matrix_of_rows,
                                    degeneracy_scale, dirac_bracket, dirac_tensor,
@@ -404,6 +408,35 @@ def reference_degeneracy_scale(m):
     return float(max(np.prod(np.linalg.norm(m, axis=1)), 1.0))
 
 
+def reference_elimination(m, b):
+    """(det M, M^-1 b) by Gaussian elimination with partial pivoting on numpy arrays: the
+    first largest |entry| of each column is its pivot, each row below takes f = a_ij / pivot
+    times the pivot row off its entries right of j and of b, det is the product of the
+    pivots with a sign flip per swap, then back substitution from the last row; (0.0, None)
+    at a zero pivot. For b of k entries or of k rows."""
+    k = len(m)
+    a = np.hstack([np.array(m, dtype=float), np.array(b, dtype=float).reshape(k, -1)])
+    det = 1.0
+    for j in range(k):
+        p = j + int(np.argmax(np.abs(a[j:, j])))
+        if a[p, j] == 0.0:
+            return 0.0, None
+        if p != j:
+            a[[j, p]] = a[[p, j]]
+            det = -det
+        det = det * a[j, j]
+        for i in range(j + 1, k):
+            f = a[i, j] / a[j, j]
+            a[i, j + 1:] = a[i, j + 1:] - f * a[j, j + 1:]
+    x = np.empty((k, a.shape[1] - k))
+    for j in range(k - 1, -1, -1):
+        v = a[j, k:]
+        for i in range(j + 1, k):
+            v = v - a[j, i] * x[i]
+        x[j] = v / a[j, j]
+    return float(det), x.reshape(np.shape(b))
+
+
 def reference_gradient_rows(cs, coords):
     """ConstraintSet.gradient_rows, stacked by np.stack."""
     return np.stack([f.gradient_at(coords) for f in cs.fields])
@@ -563,6 +596,100 @@ def test_array_grads_give_the_bits_of_their_list_twins_in_dirac_tensor_and_class
             assert repr(result.det_M) == repr(expected.det_M)
 
 
+def fraction_elimination(m, b):
+    """(det M, M^-1 b) in exact rationals of the float entries, by Gaussian elimination on
+    the first nonzero pivot; (0, None) for a singular M."""
+    k = len(m)
+    a = [[*map(Fraction, row), Fraction(v)] for row, v in zip(m, b)]
+    det = Fraction(1)
+    for j in range(k):
+        p = next((i for i in range(j, k) if a[i][j]), None)
+        if p is None:
+            return Fraction(0), None
+        if p != j:
+            a[j], a[p], det = a[p], a[j], -det
+        det *= a[j][j]
+        for i in range(j + 1, k):
+            f = a[i][j] / a[j][j]
+            a[i] = [x - f * y for x, y in zip(a[i], a[j])]
+    x = [Fraction(0)] * k
+    for j in range(k - 1, -1, -1):
+        x[j] = (a[j][k] - sum(a[j][i] * x[i] for i in range(j + 1, k))) / a[j][j]
+    return det, x
+
+
+@st.composite
+def elimination_cases(draw):
+    """(kind, M, b): a general k x k M (k = 3..6) or an antisymmetric pairing matrix (k = 4
+    or 6), each entry 0 or of magnitude 2^-10..10 times one power of two, so that no product
+    under- or overflows, the error bound's domain; the same with a zero first row and column,
+    a zero leading pivot; or the singular u v^T - v u^T of small integers."""
+    kind = draw(st.sampled_from(["general", "antisymmetric", "zero_column", "singular"]))
+    k = draw(st.integers(3, 6) if kind == "general" else st.sampled_from([4, 6]))
+    e = draw(st.integers(-30, 30))
+    magnitude = st.one_of(st.just(0.0), st.floats(2.0 ** -10, 10.0))
+    entry = st.builds(lambda v, sign: math.ldexp(sign * v, e), magnitude, st.sampled_from([1, -1]))
+    b = draw(st.lists(st.floats(-10.0, 10.0), min_size=k, max_size=k))
+    if kind == "singular":
+        u, v = (draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k)) for _ in range(2))
+        return kind, [[float(u[i] * v[j] - v[i] * u[j]) for j in range(k)] for i in range(k)], b
+    m = np.array(draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=k, max_size=k)))
+    if kind != "general":
+        m = np.triu(m, 1) - np.triu(m, 1).T
+    if kind == "zero_column":
+        m[0], m[:, 0] = 0.0, 0.0
+    return kind, m.tolist(), b
+
+
+@given(elimination_cases())
+@settings(max_examples=200, deadline=None)
+def test_elimination_is_within_its_error_bound_of_the_exact_det_and_solution(case):
+    # Higham 2002, thms 9.3-9.4 and lemma 9.6: the computed LU is that of M + E and x solves
+    # (M + E') x = b, |E| <= gamma_k |L||U|, |E'| <= gamma_3k |L||U|, and with partial
+    # pivoting || |L||U| || <= (1 + 2 (k^2 - k) 2^(k-1)) ||M|| in the infinity norm. So
+    # ||b - M x|| <= gamma_3k c ||M|| ||x||, and by Hadamard's inequality row by row the
+    # det moves by at most k d (R + d)^(k-1) for rows moved by d = sqrt(k) gamma_k c ||M||
+    # and R the largest row norm, and once more by gamma_k in the pivots' product. Every
+    # bound is taken in exact rationals
+    kind, m, b = case
+    k = len(m)
+    exact_det, exact_x = fraction_elimination(m, b)
+    det, x = _eliminate(m, b)
+    if kind in ("zero_column", "singular"):
+        assert exact_det == 0
+        with pytest.raises(DegeneracyError, match=r"is singular \(det=") as err:
+            _pairing_multipliers(m, b, [0.0] * k)
+        if kind == "zero_column":
+            assert (det, x) == (0.0, None) and "det=0.000e+00" in str(err.value)
+        return
+
+    def gamma(j):
+        return j * Fraction(1, 2 ** 53) / (1 - j * Fraction(1, 2 ** 53))
+
+    c = 1 + 2 * (k * k - k) * 2 ** (k - 1)
+    norm = max(sum(abs(Fraction(v)) for v in row) for row in m)
+    d = 3 * gamma(k) * c * norm  # sqrt(k) <= 3 for k <= 6
+    rows = Fraction(max(math.hypot(*row) for row in m)) * (1 + gamma(1))
+    assert abs(Fraction(det) - exact_det) <= k * d * (rows + d) ** (k - 1) + gamma(k) * abs(
+        Fraction(det)), (m, det)
+    if x is not None:  # and ||x - M^-1 b|| <= ||M^-1|| ||b - M x||
+        residual = max(abs(Fraction(v) - sum(Fraction(a) * Fraction(y) for a, y in zip(row, x)))
+                       for row, v in zip(m, b))
+        bound = gamma(3 * k) * c * norm * max(abs(Fraction(v)) for v in x)
+        assert residual <= bound, (m, x)
+        if exact_x is not None:
+            inverse = [fraction_elimination(m, [float(i == j) for i in range(k)])[1]
+                       for j in range(k)]
+            inverse_norm = max(sum(abs(column[i]) for column in inverse) for i in range(k))
+            assert max(abs(Fraction(v) - w) for v, w in zip(x, exact_x)) <= inverse_norm * bound
+        # k rows of rhs take the elimination column by column, with the bits of each column
+        columns = [[v, -v, 2.0 * v] for v in b]
+        assert _eliminate(m, columns)[1] == [[v, w, y] for v, w, y in zip(
+            x, _eliminate(m, [-v for v in b])[1], _eliminate(m, [2.0 * v for v in b])[1])]
+    if kind == "antisymmetric" and abs(det) > DEGENERACY_RTOL * degeneracy_scale(m):
+        assert _pairing_multipliers(m, b, [0.0] * k) == x  # the guard's det is this det
+
+
 def test_two_by_two_det_squares_without_a_numpy_warning():
     # M_01 = 3e198 squares past the float range: inf, and no "overflow in scalar multiply"
     m = np.array([[0.0, 3e198], [-3e198, 0.0]])
@@ -646,14 +773,15 @@ def sum_in_order(terms):
 
 
 def test_lu_pivot_that_underflows_is_judged_without_a_numpy_warning():
-    # numpy's LU of this M, with entries near 1e161 beside subnormal ones, divides by a
-    # pivot that underflows ("divide by zero encountered in det"); the guard judges the det
+    # the elimination of this M, with entries near 1e161 beside subnormal ones, meets a
+    # pivot that underflows (numpy's LU warned "divide by zero encountered in det" there);
+    # the guard judges the det
     m = np.zeros((4, 4))
     upper = {(0, 2): 6.872e-162, (0, 3): 5.076e161, (1, 2): -7.806e-322, (1, 3): -39.17,
              (2, 3): -2.04e-321}
     for (i, j), value in upper.items():
         m[i, j], m[j, i] = value, -value
-    # the Faddeev-Popov det of {chi_i, C_j} = [[0, 0], [5e-324, 1]] takes the same LU
+    # the Faddeev-Popov det of {chi_i, C_j} = [[0, 0], [5e-324, 1]] takes the same elimination
     chi = [coordinate_field(FLAT, "q1"), coordinate_field(FLAT, "q2")]
     c = [polynomial_field(FLAT, [(5e-324, (0, 0, 0, 1))], name="C1"),
          coordinate_field(FLAT, "p2")]
@@ -666,9 +794,10 @@ def test_lu_pivot_that_underflows_is_judged_without_a_numpy_warning():
 
 def array_dirac_tensor(cs, x, ordered):
     """(D, |J| + |S|^T |L|) for D = J + S^T L, L = M^-1 S, by numpy arrays: M = a - a^T and
-    the closed 2x2 solve or LU. ``ordered`` sums a_IJ and S^T L by elementwise products
-    left to right from the first one, the order of the generated tensor; otherwise S comes
-    from products with the identity and every contraction from matmul (BLAS)."""
+    the closed 2x2 solve or the reference elimination. ``ordered`` sums a_IJ and S^T L by
+    elementwise products left to right from the first one, the order of the generated tensor;
+    otherwise S comes from products with the identity and every contraction from matmul
+    (BLAS)."""
     n = x.chart.n_pairs
     rows = reference_gradient_rows(cs, x.coords)
     q, p = rows[:, :n], rows[:, n:]
@@ -683,7 +812,8 @@ def array_dirac_tensor(cs, x, ordered):
         s = q @ eye[n:] - p @ eye[:n]
         a = q @ p.T
     m = a - a.T
-    lam = np.array([-s[1] / m[0, 1], s[0] / m[0, 1]]) if len(m) == 2 else np.linalg.solve(m, s)
+    lam = (np.array([-s[1] / m[0, 1], s[0] / m[0, 1]]) if len(m) == 2
+           else reference_elimination(m, s)[1])
     if ordered:
         correction = s[0][:, None] * lam[0][None, :]
         for i in range(1, len(s)):
@@ -849,7 +979,8 @@ def test_pair_jacobian_matches_bracket(model, rng):
 def column_fp_determinant(gauge_conditions, constraints, x):
     """det {chi_i, C_j} from the brackets {chi_i, C_j} = q_chi . p_C - p_chi . q_C on numpy
     arrays, not from the pairing matrix: each dot product is summed as an outer product
-    per pair in index order from +0.0, as the float sums of the constraint engine are."""
+    per pair in index order from +0.0, as the float sums of the constraint engine are, and
+    the det is the reference elimination's."""
     n = x.chart.n_pairs
     chi = np.array([f.gradient(x) for f in gauge_conditions])
     c = np.array([f.gradient(x) for f in constraints])
@@ -858,7 +989,9 @@ def column_fp_determinant(gauge_conditions, constraints, x):
         qp = qp + np.outer(chi[:, i], c[:, n + i])
         pq = pq + np.outer(chi[:, n + i], c[:, i])
     m = qp - pq
-    return float(np.linalg.det(m)) if len(constraints) > 1 else float(m[0, 0])
+    if len(constraints) == 1:
+        return float(m[0, 0])
+    return reference_elimination(m, np.zeros(len(m)))[0]
 
 
 def fp_cases(rng):

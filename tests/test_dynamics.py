@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracmech import kernels
 from diracmech.cli import _trajectory_rows
@@ -24,7 +26,9 @@ from diracmech.models import (KlauderModel, KRamp, LatticeMaxwell, RadialPotenti
 from diracmech.phase import ChartSpec, PhaseSpacePoint
 
 from conftest import array_twin, array_twin_set
-from test_constraints import CUSTOM_FOUR, reference_degeneracy_scale, reference_gradient_rows
+from test_batch import outcome
+from test_constraints import (CUSTOM_FOUR, reference_degeneracy_scale, reference_elimination,
+                              reference_gradient_rows)
 
 FLAT = ChartSpec(labels=("q1", "p1"), name="flat1d")
 
@@ -273,11 +277,10 @@ def reference_dirac_rhs(flow, n):
                 s[i] -= ramp.k1
         a = np.array([[ordered_dot(qi, pj) for pj in p] for qi in q])
         m = a - a.T
-        det = float(m[0, 1] * m[0, 1]) if len(m) == 2 else float(np.linalg.det(m))
+        det, lam = ((float(m[0, 1] * m[0, 1]), np.array([-s[1] / m[0, 1], s[0] / m[0, 1]]))
+                    if len(m) == 2 else reference_elimination(m, s))
         if not abs(det) > DEGENERACY_RTOL * reference_degeneracy_scale(m):
             raise DegeneracyError("reference guard", det=det, coords=z)
-        lam = (np.array([-s[1] / m[0, 1], s[0] / m[0, 1]]) if len(m) == 2
-               else np.linalg.solve(m, s))
         # sum_I lam_I rows_I per entry: index order from the first product, no fused
         # multiply-add, as no BLAS kernel is bound to sum it
         correction = np.empty(2 * n)
@@ -294,7 +297,7 @@ def reference_dirac_rhs(flow, n):
 
 def dirac_flows():
     """(flow, x0): static-k and ramped-k Klauder orbits, a four-constraint custom flow
-    whose pairing solve takes the LU route, a two-constraint flow whose gradients come
+    whose pairing solve takes the elimination route, a two-constraint flow whose gradients come
     from a coordinate field and from the dual pass, a twelve-constraint flow and
     a four-constraint flow on 33 pairs, past the unroll limit."""
     for k in (1.0, KRamp(1.0, 0.5)):
@@ -674,10 +677,25 @@ def test_float_dirac_rhs_keeps_the_partial_trajectory_on_a_nonfinite_row():
         assert str(tensor_route.value) == str(err.value)
 
 
+def guard_route_rhs(gh, rows, rates, z, n):
+    """The Dirac rhs at z from H's gradient and the constraints' gradient rows, with the
+    multipliers from the engine's M through ``_pairing_multipliers``: {Phi_I, H} summed from
+    +0.0 in index order plus the rate, and each correction entry left to right from its
+    first product."""
+    s = [ordered_dot(r[:n], gh[n:]) - ordered_dot(r[n:], gh[:n]) + rate
+         for r, rate in zip(rows, rates, strict=True)]
+    lam = _pairing_multipliers(pairing_matrix_of_rows(rows, n), s, z)
+    products = [[l * r[j] for l, r in zip(lam, rows)] for j in range(2 * n)]
+    effective = [g - sum(terms[1:], terms[0]) for g, terms in zip(gh, products)]
+    return effective[n:] + [-v for v in effective[:n]]
+
+
 def test_dirac_flow_builds_the_pairing_matrix_of_the_constraint_engine():
-    # at every stage point of a ramped-k Klauder orbit and of the four-constraint custom
-    # orbit, the M the generated rhs hands its guard-and-solve is the engine's M by repr
-    for flow, x0 in list(dirac_flows())[1:3]:
+    # at every stage point of the four-constraint custom orbit, the M the generated rhs
+    # hands its guard-and-solve is the engine's M by repr; two constraints solve inline where
+    # the guard passes, so at every stage point of a ramped-k Klauder orbit the rhs is
+    # bitwise the rhs recomputed from the engine's M through _pairing_multipliers
+    for flow, x0 in list(dirac_flows())[2:3]:
         cs, n = flow.constraints, flow.chart.n_pairs
         seen = []
 
@@ -686,13 +704,91 @@ def test_dirac_flow_builds_the_pairing_matrix_of_the_constraint_engine():
             return _pairing_multipliers(m, s, z)
 
         rhs = _generated("dirac", n, len(cs))(
-            flow.hamiltonian._gradient, [f._gradient for f in cs.fields], cs.rates, solve)
+            flow.hamiltonian._gradient, [f._gradient for f in cs.fields], cs.rates, solve,
+            DEGENERACY_RTOL)
         step, z = _generated("step", n), x0.coords.tolist()
         for i in range(250):
             z = step(rhs, i * 0.01, z, 0.01)
         assert len(seen) == 4 * 250
         for m, z in seen:
             assert repr(m) == repr(pairing_matrix_of_rows(cs.gradient_rows(z), n)), z
+    flow, x0 = list(dirac_flows())[1]
+    cs, n = flow.constraints, flow.chart.n_pairs
+    rhs, stages = _dirac_rhs(flow, n), []
+
+    def checked(t, z):
+        k = rhs(t, z)
+        stages.append(z)
+        assert repr(k) == repr(guard_route_rhs(flow.hamiltonian._gradient(z),
+                                               cs.gradient_rows(z), cs.rates, z, n)), z
+        return k
+
+    step, z = _generated("step", n), x0.coords.tolist()
+    for i in range(250):
+        z = step(checked, i * 0.01, z, 0.01)
+    assert len(stages) == 4 * 250
+
+
+SQRT_RTOL = math.sqrt(DEGENERACY_RTOL)
+
+
+def nudged(x, ulps):
+    """x moved by ``ulps`` units in the last place, up or down."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+@st.composite
+def two_constraint_rows(draw):
+    """(n, gh, rows, rates): random gradient rows of H and two constraints on n pairs, of one
+    kind: random; with d = x y from one q entry x of the first row and the p entry y of the
+    second, M = [[0, d], [-d, 0]] with d d within 4 ulps of DEGENERACY_RTOL, or with |d| from
+    1e110 to inf, or with a diagonal 1e200 1e200 - 1e200 1e200 = NaN beside a finite d;
+    entries up to 1e160, whose M overflows the guard's scale (the rescaled branch) or to
+    inf; or non-finite entries."""
+    n = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["random", "threshold", "huge_d", "nan_diagonal", "overflow",
+                                 "nonfinite"]))
+    finite = st.floats(-10.0, 10.0, allow_subnormal=False)
+    gh = draw(st.lists(finite, min_size=2 * n, max_size=2 * n))
+    rates = draw(st.tuples(finite, finite))
+    if kind in ("threshold", "huge_d", "nan_diagonal"):
+        i, e = draw(st.integers(0, n - 1)), draw(st.integers(-20, 20))
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        if kind == "threshold":
+            x, y = math.ldexp(nudged(SQRT_RTOL, draw(st.integers(-3, 2))), e), 2.0 ** -e
+        elif kind == "huge_d":
+            x = draw(st.floats(1.0, 10.0)) * 10.0 ** (150 + e)
+            y = 10.0 ** draw(st.integers(-20, 200))
+        else:
+            x, y = 1e200, 10.0 ** (e - 200)
+        rows = [[0.0] * (2 * n) for _ in range(2)]
+        rows[0][i], rows[1][n + i] = x, sign * y
+        if kind == "nan_diagonal":
+            rows[0][n + i] = sign * 1e200
+        return n, gh, rows, rates
+    entry = {"random": finite,
+             "overflow": st.builds(lambda m, e: m * 10.0 ** e, finite, st.integers(-5, 160)),
+             "nonfinite": st.sampled_from([math.inf, -math.inf, math.nan, 1e200, -1e200, 0.0,
+                                           1.0, -2.5])}[kind]
+    rows = draw(st.lists(st.lists(entry, min_size=2 * n, max_size=2 * n), min_size=2, max_size=2))
+    return n, gh, rows, rates
+
+
+@given(two_constraint_rows())
+@settings(max_examples=400, deadline=None)
+def test_two_constraint_rhs_returns_the_guard_routes_floats_or_its_error(case):
+    # the inline guard and solve of the generated rhs against the guard route on the engine's
+    # M: the same floats by repr, or the same DegeneracyError message, det and coords
+    n, gh, rows, rates = case
+    z = [0.5] * (2 * n)
+    rhs = _generated("dirac", n, 2)(lambda z: gh, [lambda z: rows[0], lambda z: rows[1]],
+                                    rates, _pairing_multipliers, DEGENERACY_RTOL)
+    got, error = outcome(rhs, 0.0, z)
+    expected, expected_error = outcome(guard_route_rhs, gh, rows, rates, z, n)
+    assert error == expected_error
+    assert repr(got) == repr(expected)
 
 
 def test_concurrent_dirac_orbits_keep_the_bytes_of_their_solo_runs():

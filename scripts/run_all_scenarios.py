@@ -4,12 +4,13 @@
 Every ``scenarios/*.json`` needs a COMMANDS entry and every entry a file;
 otherwise the script names the file and exits 1 before running anything.
 
-With ``--check DIR``, also compare each artifact a scenario writes (its
-``output.path``, under out/) byte for byte with the file of the same name in
-DIR, and exit 1 on any difference. For a CSV that differs, the number of
-differing rows and the max abs difference of every column that differs are
-printed too. To capture goldens, run the script on a reference checkout and
-copy its out/ directory.
+With ``--check DIR``, also write the JSON form of each scenario's run beside its
+artifact (``output.path``, under out/, with the suffix ``.json``), compare both
+byte for byte with the files of the same names in DIR, and exit 1 on any
+difference. For a CSV that differs, the number of differing rows and the max abs
+difference of every column that differs are printed too. To capture goldens, run
+the script with ``--check`` on a reference checkout (any DIR: the artifacts are
+written whatever it holds) and copy its out/ directory.
 
 With ``--digests``, also write each artifact pinned in ``scenarios/digests.json``
 (a scenario, its subcommand, a format, the sha256 and the length in bytes) to a
@@ -52,6 +53,9 @@ COMMANDS = {
 # the pinned artifact digests, the one JSON file in scenarios/ that is no scenario
 DIGESTS = "digests.json"
 
+# the checkout whose scenarios/ and src/ are run, and under whose out/ they write
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
 
 def unmatched_scenarios(scenario_dir: pathlib.Path, commands=COMMANDS) -> list[str]:
     """One line per scenario file without a COMMANDS entry, or entry without a file."""
@@ -91,6 +95,18 @@ def csv_difference(golden: pathlib.Path, artifact: pathlib.Path) -> list[str]:
     return lines
 
 
+def golden_status(golden_dir: pathlib.Path, artifact: pathlib.Path) -> tuple[str, list[str]]:
+    """``ok``, or how the artifact differs from the file of its name in the golden
+    directory, with the rows and columns of a CSV that differs (see csv_difference)."""
+    golden = golden_dir / artifact.name
+    if not golden.is_file():
+        return f"no golden {golden}", []
+    if golden.read_bytes() == artifact.read_bytes():
+        return "ok", []
+    return (f"differs from {golden}",
+            csv_difference(golden, artifact) if artifact.suffix == ".csv" else [])
+
+
 def digest_statuses(scenario_dir: pathlib.Path, root: pathlib.Path, env: dict) -> list[tuple]:
     """(subcommand, artifact, status) per artifact pinned in the digests file, written to a
     temporary directory: ``ok``, the exit code, or the sha256 and length that differ."""
@@ -123,32 +139,31 @@ def main(argv=None):
     parser.add_argument("--digests", action="store_true",
                         help=f"check the artifacts pinned in scenarios/{DIGESTS}")
     args = parser.parse_args(argv)
-    root = pathlib.Path(__file__).resolve().parent.parent
-    scenario_dir = root / "scenarios"
+    scenario_dir = ROOT / "scenarios"
     unmatched = unmatched_scenarios(scenario_dir)
     for line in unmatched:
         print(f"scenarios/{line}", file=sys.stderr)
     if unmatched:
         return 1
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     failures = 0
     for name, command in COMMANDS.items():
         config = scenario_dir / name
-        result = subprocess.run(
-            [sys.executable, "-m", "diracmech", command, "--config", str(config)],
-            capture_output=True, text=True, cwd=root, env=env)
+        argv = [sys.executable, "-m", "diracmech", command, "--config", str(config)]
+        result = subprocess.run(argv, capture_output=True, text=True, cwd=ROOT, env=env)
         status = "ok" if result.returncode == 0 else f"exit {result.returncode}"
         detail = []
         if result.returncode == 0 and args.check is not None:
-            artifact = root / json.loads(config.read_text())["output"]["path"]
-            golden = args.check / artifact.name
-            if not golden.is_file():
-                status = f"no golden {golden}"
-            elif golden.read_bytes() != artifact.read_bytes():
-                status = f"differs from {golden}"
-                if artifact.suffix == ".csv":
-                    detail = csv_difference(golden, artifact)
+            artifact = ROOT / json.loads(config.read_text())["output"]["path"]
+            status, detail = golden_status(args.check, artifact)
+            json_form = artifact.with_suffix(".json")
+            result = subprocess.run([*argv, "--out", str(json_form), "--format", "json"],
+                                    capture_output=True, text=True, cwd=ROOT, env=env)
+            json_status = (golden_status(args.check, json_form)[0] if result.returncode == 0
+                           else f"json exit {result.returncode}")
+            if json_status != "ok":
+                status = json_status if status == "ok" else f"{status}; {json_status}"
         print(f"{command:10} {name:28} {status}")
         for line in detail:
             print(f"{'':10} {line}")
@@ -156,7 +171,7 @@ def main(argv=None):
             failures += 1
             sys.stderr.write(result.stderr)
     if args.digests:
-        for command, name, status in digest_statuses(scenario_dir, root, env):
+        for command, name, status in digest_statuses(scenario_dir, ROOT, env):
             print(f"{command:10} {name:28} {status}")
             failures += status != "ok"
     return 1 if failures else 0

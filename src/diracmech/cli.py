@@ -321,23 +321,31 @@ def _csv_cell(value) -> str:
     return text if _QUOTED.isdisjoint(text) else '"' + text.replace('"', '""') + '"'
 
 
+def _float_cells(values: np.ndarray) -> list[str]:
+    """%.17g of each distinct value of a float64 column, keyed on its bits (0.0 and -0.0, and
+    each NaN, keep their own text), gathered back as shared strs through an object array."""
+    distinct, where = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array(list(map("%.17g".__mod__, distinct.view(float).tolist())), dtype=object)
+    return texts[where].tolist()
+
+
 def _column_cells(column) -> list[str]:
-    """One column's cell texts, each distinct cell formatted once. A float is keyed on
-    its bits, so 0.0 and -0.0, and each NaN, keep their own text; an all-str column is
-    keyed on its strings; any other column (a dict would merge 1, 1.0 and True) goes
-    cell by cell."""
+    """One column's cell texts, each distinct cell formatted once: an all-float column by
+    _float_cells, an all-str column keyed on its strings; any other column (a dict would
+    merge 1, 1.0 and True) goes cell by cell."""
     kinds = set(map(type, column))
     if all(issubclass(kind, float) for kind in kinds):
-        distinct, where = np.unique(np.array(column, dtype=float).view(np.int64),
-                                    return_inverse=True)
-        if len(distinct) == len(column):
-            return list(map("%.17g".__mod__, column))
-        texts = list(map("%.17g".__mod__, distinct.view(float).tolist()))
-        return list(map(texts.__getitem__, where.tolist()))
+        return _float_cells(np.array(column, dtype=float))
     if kinds == {str}:
         texts = {text: _csv_cell(text) for text in set(column)}
         return list(map(texts.__getitem__, column))
     return list(map(_csv_cell, column))
+
+
+def _joined(columns: list[list[str]]) -> list[str]:
+    """The CSV lines of two or more columns of cell texts."""
+    columns[-1] = [cell + "\r\n" for cell in columns[-1]]
+    return list(map(",".join, zip(*columns)))
 
 
 def _csv_lines(rows) -> list[str]:
@@ -348,22 +356,32 @@ def _csv_lines(rows) -> list[str]:
     if len(widths) != 1 or widths.pop() < 2:
         return [(",".join(map(_csv_cell, row)) or ('""' if row else "")) + "\r\n"
                 for row in rows]
-    columns = list(map(_column_cells, zip(*rows)))
-    columns[-1] = [cell + "\r\n" for cell in columns[-1]]
-    return list(map(",".join, zip(*columns)))
+    return _joined(list(map(_column_cells, zip(*rows))))
 
 
-def write_table(path: str, fmt: str, columns: list[str], rows: list[list],
+def _body_lines(body: np.ndarray) -> list[str]:
+    """The CSV lines of a body: a float64 field by _float_cells, any other by _column_cells
+    of its Python values; a body of fewer than two fields goes through _csv_lines."""
+    if len(body.dtype) < 2:
+        return _csv_lines(body.tolist())
+    return _joined([_float_cells(body[name]) if body.dtype[name] == np.float64
+                    else _column_cells(body[name].tolist()) for name in body.dtype.names])
+
+
+def write_table(path: str, fmt: str, columns: list[str], rows: np.ndarray,
                 footer_rows: list[list] | None = None):
+    """The header ``columns``, the body ``rows`` (a structured array, one positional field per
+    column; JSON holds ``rows.tolist()``) and the ``footer_rows`` lists."""
     out = Path(path)
     try:
         out.parent.mkdir(parents=True, exist_ok=True)
         if fmt == "csv":
             with open(out, "w", newline="") as handle:
-                for section in ([columns], rows, footer_rows or ()):
-                    handle.writelines(_csv_lines(section))
+                handle.writelines(_csv_lines([columns]))
+                handle.writelines(_body_lines(rows))
+                handle.writelines(_csv_lines(footer_rows or ()))
         else:
-            payload = {"columns": columns, "rows": rows}
+            payload = {"columns": columns, "rows": rows.tolist()}
             if footer_rows:
                 payload["footer"] = _formatted(footer_rows)
             with open(out, "w") as handle:
@@ -391,31 +409,30 @@ def cmd_brackets(model, config: dict, args) -> int:
     chart = model.bracket_chart
     with _sized_by("samples/count"):  # a row of chart.dim + 4 values per point and pair
         np.empty((count, len(model.bracket_pairs), chart.dim + 4))
-    # {z_a, z_b} = J_ab: the Poisson column is a constant of the chart
-    poisson = poisson_tensor(chart.n_pairs).tolist()
     index = [(chart.index(a), chart.index(b)) for a, b in model.bracket_pairs]
     batch = model.sample(rng, count, **ranges)
-    # {z_a, z_b}_D = D_ab from one Dirac tensor on the batch's columns; "" without an oracle
+    # {z_a, z_b}_D = D_ab from one Dirac tensor on the batch's columns
     tensor = dirac_tensor_columns(model.constraints_at(batch), batch)
     dirac = np.empty((len(batch), len(index)))
-    oracle = np.full(dirac.shape, "", dtype=object)
-    diff = oracle.copy()
     with np.errstate(all="ignore"):  # an overflow is inf, as on Python floats
-        for p, ((i, j), pair) in enumerate(zip(index, model.bracket_pairs)):
+        values = [model.dirac_oracle(pair, batch) for pair in model.bracket_pairs]
+        # float columns where every pair has an oracle, else object ones holding ""
+        exact = all(value is not None for value in values)
+        oracle = np.empty(dirac.shape) if exact else np.full(dirac.shape, "", dtype=object)
+        diff = oracle.copy()
+        for p, ((i, j), value) in enumerate(zip(index, values)):
             dirac[:, p] = tensor[i][j]
-            value = model.dirac_oracle(pair, batch)
             if value is not None:
                 oracle[:, p], diff[:, p] = value, np.abs(dirac[:, p] - value)
-    # a row per point and pair, point by point, sharing the point's coordinate floats
-    points = np.array(batch.coords.tolist(), dtype=object)
-    rows = list(zip([f"{{{a},{b}}}" for a, b in model.bracket_pairs] * len(batch),
-                    *np.repeat(points, len(index), axis=0).T.tolist(),
-                    [poisson[i][j] for i, j in index] * len(batch),
-                    *(block.ravel().tolist() for block in (dirac, oracle, diff))))
+    # a row per point and pair, point by point; {z_a, z_b} = J_ab is a constant of the chart
+    labels, n = [f"{{{a},{b}}}" for a, b in model.bracket_pairs], len(batch)
+    poisson = poisson_tensor(chart.n_pairs)[tuple(zip(*index))]
+    body = np.rec.fromarrays([np.tile(labels, n), *np.repeat(batch.coords, len(index), axis=0).T,
+                              np.tile(poisson, n), dirac.ravel(), oracle.ravel(), diff.ravel()])
     columns = ["pair", *chart.labels, "poisson", "dirac", "oracle", "abs_diff"]
     path, fmt = _resolve_output(config, args)
-    write_table(path, fmt, columns, rows)
-    print(f"wrote {len(rows)} bracket rows to {path}")
+    write_table(path, fmt, columns, body)
+    print(f"wrote {len(body)} bracket rows to {path}")
     return EXIT_OK
 
 
@@ -459,22 +476,15 @@ def cmd_evolve(model, config: dict, args) -> int:
     return EXIT_OK
 
 
-def _trajectory_rows(traj) -> list[tuple]:
-    """t, the coordinates, one |Phi_I| per residual series and G."""
-    # one tolist() per column gives the Python floats a float() per element would
-    return list(zip(traj.times.tolist(), *traj.states.T.tolist(),
-                    *(series.tolist() for series in traj.residuals.values()),
-                    traj.generator_values.tolist()))
-
-
 def _write_trajectory(path, fmt, traj):
+    """A row of t, the coordinates, one |Phi_I| per residual series and G per state, and a
+    drift footer row per series."""
     columns = ["t", *traj.chart.labels, *[f"res_{n}" for n in traj.residuals], "H"]
-    rows = _trajectory_rows(traj)
-    footer = []
-    drift = constraint_drift(traj)
-    for name, stats in drift.items():
-        footer.append(["drift", name, stats.max_residual, stats.growth_rate])
-    write_table(path, fmt, columns, rows, footer)
+    body = np.rec.fromarrays([traj.times, *traj.states.T, *traj.residuals.values(),
+                              traj.generator_values])
+    footer = [["drift", name, stats.max_residual, stats.growth_rate]
+              for name, stats in constraint_drift(traj).items()]
+    write_table(path, fmt, columns, body, footer)
 
 
 def cmd_quantum(model, config: dict, args) -> int:
@@ -498,22 +508,18 @@ def cmd_quantum(model, config: dict, args) -> int:
         raise ConfigError("quantum block needs 'coeffs' or 'single_mode'")
 
     times = block["times"]
-    if isinstance(times, dict):
-        with _sized_by("quantum/times"):
-            times = np.linspace(times["start"], times["stop"], times["count"])
-    else:
-        times = np.asarray(times, dtype=float)
-    ramped = model.time_dependent  # k1 != 0: the reduced surface moves with t
-    quad_steps = block.get("quadrature_steps", 2048)
-
     columns = ["t", "r_mean", "pr_mean", "pphi_mean", "phi_mean_analytic",
                "phi_mean_quadrature", "re_xy", "im_xy", "re_pxy", "im_pxy", "norm"]
-    rows = []
+    with _sized_by("quantum/times"):
+        if isinstance(times, dict):
+            times = np.linspace(times["start"], times["stop"], times["count"])
+        table = np.empty((len(times), len(columns)))
+    ramped = model.time_dependent  # k1 != 0: the reduced surface moves with t
+    quad_steps = block.get("quadrature_steps", 2048)
     static_table = None if ramped else SpectrumTable.build(model, m_max)
     nodes = 4096  # intervals of the phi quadrature oracle
     grid = None  # built at the first row, after expect_phi's (2 m_max + 1)^2 arrays
-    for t in times:
-        t = float(t)
+    for row, t in enumerate(map(float, times)):
         if ramped:
             with _sized_by("quantum/quadrature_steps"):
                 evolved = evolve_time_dependent(state, model, 0.0, t, quad_steps) if t else state
@@ -530,12 +536,12 @@ def cmd_quantum(model, config: dict, args) -> int:
                 grid = PhiGrid.build(m_max, nodes)
         quad = expect_phi_quadrature(evolved, table_t, phi_t, nodes, grid)
         cart = expect_cartesian(evolved, table_t, phi_t)
-        rows.append([t, reduced.r_mean, reduced.pr_mean, reduced.pphi_mean,
-                     phi_mean.value, quad, cart.xy.real, cart.xy.imag,
-                     cart.pxy.real, cart.pxy.imag, evolved.norm_squared()])
+        table[row] = (t, reduced.r_mean, reduced.pr_mean, reduced.pphi_mean,
+                      phi_mean.value, quad, cart.xy.real, cart.xy.imag,
+                      cart.pxy.real, cart.pxy.imag, evolved.norm_squared())
     path, fmt = _resolve_output(config, args)
-    write_table(path, fmt, columns, rows)
-    print(f"wrote {len(rows)} expectation rows to {path}")
+    write_table(path, fmt, columns, np.rec.fromarrays(table.T))
+    print(f"wrote {len(table)} expectation rows to {path}")
     return EXIT_OK
 
 
@@ -558,11 +564,11 @@ def cmd_maxwell(model, config: dict, args) -> int:
         raise ConfigError(f"maxwell/e_scale {e_scale!r} overflows the projected initial E")
     traj = model.evolve(a0, e0, cfg)
     columns = ["t", "energy", "gauss_residual", "transverse_residual"]
-    rows = list(zip(traj.times.tolist(), traj.generator_values.tolist(),
-                    traj.residuals["gauss"].tolist(), traj.residuals["transverse"].tolist()))
+    body = np.rec.fromarrays([traj.times, traj.generator_values, traj.residuals["gauss"],
+                              traj.residuals["transverse"]])
     path, fmt = _resolve_output(config, args)
-    write_table(path, fmt, columns, rows, checks)
-    print(f"wrote {len(rows)} evolution rows and {len(checks)} checks to {path}")
+    write_table(path, fmt, columns, body, checks)
+    print(f"wrote {len(body)} evolution rows and {len(checks)} checks to {path}")
     return EXIT_OK
 
 

@@ -14,7 +14,7 @@ recording arrays, blow-up error and finalisation.
 
 The RK4 step and the right-hand sides are generated by ``kernels``; ``evolve`` builds each
 flow's right-hand side once, from the generated factory and the flow's resolved gradient
-routes (and a gauge flow's constant multiplier), so a call does arithmetic only.
+routes (and a gauge flow's constant or polynomial multiplier), so a call does arithmetic only.
 
 The Dirac rhs covers every even constraint count: the brackets {Phi_I, H} are summed
 straight from the gradients, and the pairing matrix M by the constraint engine's own
@@ -133,8 +133,12 @@ def _poisson_rhs(flow: PoissonFlow, n: int):
 
 
 def _gauge_rhs(flow: GaugeFlow, n: int):
-    constant = None if callable(flow.multiplier) else float(flow.multiplier)
-    return _generated("gauge", n)(flow.generator._gradient, flow.multiplier_at, constant)
+    m = flow.multiplier
+    constant = None if callable(m) else float(m)
+    # a float numpy Polynomial whose domain is its window (its x is t): Horner in the rhs
+    coeffs = (m.coef.tolist() if constant is None and isinstance(m, np.polynomial.Polynomial)
+              and m.coef.dtype == float and np.array_equal(m.domain, m.window) else None)
+    return _generated("gauge", n)(flow.generator._gradient, flow.multiplier_at, constant, coeffs)
 
 
 def _dirac_rhs(flow: DiracFlow, n: int):

@@ -116,8 +116,13 @@ def _source(kind: str, n: int, k: int = 0) -> str:
         head, body = "poisson(gradient)", [
             read("g", "gradient(z)"), "return " + vector(("g{p}", n), ("-g{q}", n))]
     elif kind == "gauge":
-        head, body = "gauge(gradient, multiplier_at, constant)", [
-            "lam = multiplier_at(t) if constant is None else constant",
+        # lambda(t): the constant, else the coefficients c by Horner in numpy's polyval order
+        # (x = 0 + 1 t, from c[-1] + 0 x), else multiplier_at(t)
+        head, setup, body = "gauge(gradient, multiplier_at, constant, coeffs)", [
+            "last, *rest = coeffs[::-1] if coeffs else (None,)"], [
+            "if constant is not None:", "    lam = constant", "elif last is None:",
+            "    lam = multiplier_at(t)", "else:", "    x = 0.0 + 1.0 * t",
+            "    lam = last + x * 0", "    for c in rest:", "        lam = c + lam * x",
             read("g", "gradient(z)"), "return " + vector(("lam * g{p}", n), ("lam * -g{q}", n))]
     else:
         # {Phi_I, H} = b_I - c_I, b_I = q_I . dH/dp and c_I = p_I . dH/dq, summed beside a_IJ

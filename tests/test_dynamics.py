@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diracmech import kernels
-from diracmech.cli import _trajectory_rows
+from diracmech import cli
 from diracmech.constraints import (DEGENERACY_RTOL, ConstraintSet, _pairing_multipliers,
                                    dirac_bracket, dirac_tensor, pairing_matrix_of_rows)
 from diracmech.dynamics import (DiracFlow, GaugeFlow, IntegratorConfig, PoissonFlow,
@@ -88,6 +88,30 @@ def test_gauge_flow_time_dependent_multiplier():
                   IntegratorConfig(dt=1e-3, steps=1000))
     q, p = gauge_orbit_closed_form([0.8, -0.3], [0.8, 0.3], 1.0, math.sin(1.0))
     assert np.max(np.abs(traj.states[-1] - np.concatenate([q, p]))) < 1e-8
+
+
+POLY_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -1e308, 1e308, math.inf]) | st.floats(
+    allow_nan=False)
+
+
+@given(st.lists(POLY_FLOATS, min_size=1, max_size=6),
+       st.sampled_from([0.0, -0.0, 1e-300, -2.5, 1e200]) | st.floats(-1e3, 1e3),
+       st.sampled_from([(-1.0, 1.0), (0.0, 2.0)]))
+@settings(max_examples=300, deadline=None)
+def test_polynomial_multiplier_gives_the_bits_of_numpys_polynomial(coeffs, t, domain):
+    # on the default domain the generated rhs runs Horner on Python floats; on another the
+    # polynomial is called; both give float(Polynomial(c)(t)) times the gradient's entries
+    model = KlauderModel(alpha=1.0, k=0.0)
+    multiplier = np.polynomial.Polynomial(coeffs, domain=domain)
+    rhs = _gauge_rhs(GaugeFlow(model.cartesian_generator, multiplier), 2)
+    z = [0.8, -0.3, 0.8, 0.3]
+    g = model.cartesian_generator._gradient(z)
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        lam = float(multiplier(t))
+        expected = [lam * g[2], lam * g[3], lam * -g[0], lam * -g[1]]
+        got = rhs(t, z)
+    assert np.array(got).tobytes() == np.array(expected).tobytes()
 
 
 def test_gauge_residual_scales_as_fourth_order():
@@ -855,7 +879,18 @@ def reference_trajectory_rows(traj):
     return rows
 
 
-def test_trajectory_rows_equal_the_per_element_builder():
+def trajectory_body(traj, monkeypatch):
+    """The body ``cli._write_trajectory`` hands the writer."""
+    bodies = []
+    monkeypatch.setattr(cli, "write_table", lambda path, fmt, columns, rows, footer_rows:
+                        bodies.append((columns, rows)))
+    cli._write_trajectory("unwritten.csv", "csv", traj)
+    (columns, body), = bodies
+    assert len(body.dtype) == len(columns) and len(body) == len(traj)
+    return body
+
+
+def test_trajectory_rows_equal_the_per_element_builder(monkeypatch):
     cfg = IntegratorConfig(dt=1e-3, steps=300)
     flow, x0 = next(dirac_flows())
     trajectories = [evolve(x0, flow, cfg)]
@@ -871,7 +906,8 @@ def test_trajectory_rows_equal_the_per_element_builder():
                                flow, cfg))
     assert 1 < len(trajectories[1]) < 301
     for traj in trajectories:
-        rows, expected = _trajectory_rows(traj), reference_trajectory_rows(traj)
+        rows = trajectory_body(traj, monkeypatch).tolist()
+        expected = reference_trajectory_rows(traj)
         # repr tells 1 from 1.0 and -0.0 from 0.0, and equates NaNs
         assert [list(map(repr, row)) for row in rows] == [list(map(repr, row)) for row in expected]
 

@@ -22,6 +22,18 @@ def small():
 
 # -- discrete calculus -----------------------------------------------------------
 
+@pytest.mark.parametrize("side", [2, 3])
+def test_chart_is_built_once_per_side_with_the_same_name_and_labels(side):
+    names = []
+    for prefix in ("A", "E"):
+        for c in range(3):
+            for site in range(side ** 3):
+                names.append(f"{prefix}{c}.{site}")
+    chart = LatticeMaxwell(side=side).chart
+    assert chart.labels == tuple(names) and chart.name == f"maxwell L={side}"
+    assert LatticeMaxwell(side=side, spacing=0.5).chart is chart
+
+
 def test_divergence_is_negative_adjoint_of_gradient(small, rng):
     u = rng.normal(size=small.sites)
     v = rng.normal(size=small.n_components)

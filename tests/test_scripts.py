@@ -4,6 +4,7 @@ import json
 import os
 import pathlib
 import runpy
+import shutil
 import subprocess
 import sys
 
@@ -90,6 +91,46 @@ def test_digests_flag_checks_each_pinned_artifact(monkeypatch, capsys, tmp_path)
     assert [line.split()[:2] for line in lines[len(runner.COMMANDS):]] == [
         [pin["command"], f"{pin['scenario']}.{pin['format']}"] for pin in committed]
     assert all(" sha256 " in line for line in lines[len(runner.COMMANDS):])
+
+
+def test_check_compares_the_csv_and_the_json_form_of_each_scenario(monkeypatch, capsys,
+                                                                    tmp_path):
+    runner = load_runner()
+    root, goldens = tmp_path / "checkout", tmp_path / "goldens"
+    shutil.copytree(SCRIPT.parent.parent / "scenarios", root / "scenarios")
+    goldens.mkdir()
+    monkeypatch.setattr(runner, "ROOT", root)
+    runs = []
+
+    def write(argv, **kwargs):  # each artifact reads "<scenario>,<format>"
+        config = pathlib.Path(argv[argv.index("--config") + 1])
+        out = (pathlib.Path(argv[argv.index("--out") + 1]) if "--out" in argv
+               else root / json.loads(config.read_text())["output"]["path"])
+        fmt = argv[argv.index("--format") + 1] if "--format" in argv else "csv"
+        out.parent.mkdir(exist_ok=True)
+        out.write_text(f"{config.stem},{fmt}\r\n")
+        runs.append((config.name, out.name, fmt))
+        return subprocess.CompletedProcess(argv, 0, "", "")
+
+    monkeypatch.setattr(runner.subprocess, "run", write)
+    stems = [name.removesuffix(".json") for name in runner.COMMANDS]
+    for stem in stems:
+        for fmt in ("csv", "json"):
+            (goldens / f"{stem}.{fmt}").write_text(f"{stem},{fmt}\r\n")
+    (goldens / f"{stems[1]}.json").write_text("moved")
+    (goldens / f"{stems[2]}.csv").write_text(f"{stems[2]},tsv\r\n")
+    (goldens / f"{stems[3]}.json").unlink()
+    assert runner.main(["--check", str(goldens)]) == 1
+    assert runs == [(name, f"{stem}.{fmt}", fmt)
+                    for name, stem in zip(runner.COMMANDS, stems) for fmt in ("csv", "json")]
+    lines = capsys.readouterr().out.splitlines()
+    statuses = [line.split(None, 2)[2] for line in lines if not line.startswith(" ")]
+    assert statuses == ["ok", f"differs from {goldens / stems[1]}.json",
+                        f"differs from {goldens / stems[2]}.csv",
+                        f"no golden {goldens / stems[3]}.json", *["ok"] * (len(stems) - 4)]
+    # the one CSV that differs, in its one row (the golden's header names its column)
+    assert [line.strip() for line in lines if line.startswith(" ")] == [
+        "1 of 1 rows differ", "max |diff| tsv: text"]
 
 
 def test_csv_difference_counts_rows_and_bounds_each_column(tmp_path):

@@ -47,6 +47,7 @@ COMMANDS = {
     "particle_brackets.json": "brackets",
     "custom_gauge_orbit.json": "evolve",
     "custom_dirac_orbit.json": "evolve",
+    "custom_poisson_orbit.json": "evolve",
 }
 
 

@@ -111,7 +111,9 @@ SCENARIO_SCHEMA = _strict({
 
 # The validator reads the keywords SCENARIO_SCHEMA uses, with JSON Schema's messages,
 # and of several violations reports the one jsonschema's best_match picks. 2.0 is not an
-# integer (the sizes and counts here index and range over Python ints), a bool no number.
+# integer (the sizes and counts here index and range over Python ints), a bool no number,
+# and a number past the float range (an integer literal of 400 digits, or 1e400, which
+# json reads as inf) is a violation of its type: no float holds it.
 _TYPES = {"object": dict, "array": list, "string": str, "number": (int, float), "integer": int}
 
 
@@ -132,6 +134,8 @@ def _violations(value, schema: dict, path: tuple = ()) -> list[tuple]:
     for keyword, rule in schema.items():
         if keyword == "type" and not typed:
             fail(keyword, f"{value!r} is not of type {rule!r}")
+        elif keyword == "type" and rule == "number" and not abs(value) <= sys.float_info.max:
+            fail(keyword, "number is beyond the float range")
         elif keyword == "properties" and _is(value, "object"):
             for key, sub in rule.items():
                 if key in value:

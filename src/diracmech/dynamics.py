@@ -5,20 +5,19 @@ the Hamiltonian (Poisson or Dirac bracket) or lambda(t) times a gauge
 generator (Poisson bracket). Constraint residuals are recorded along the way,
 never corrected: the Dirac flow is tangent to the surface by construction.
 
-``evolve`` steps on a list of Python floats: the right-hand side takes and
-returns float lists, the RK4 stage sums and the blow-up test make no numpy
-call, and each state is written into the preallocated trajectory array. The
-lattice Maxwell flow does not come here: ``LatticeMaxwell.evolve`` applies the
-same RK4 map per Fourier mode in closed form, and shares this module's
-recording arrays, blow-up error and finalisation.
-
-The RK4 step and the right-hand sides are generated by ``kernels``; ``evolve`` builds each
-flow's right-hand side once, from the generated factory and the flow's resolved gradient
-routes (and a gauge flow's constant or polynomial multiplier), so a call does arithmetic only.
+``evolve`` steps on a list of Python floats, in one generated kernel per flow: ``kernels``
+writes the flow's right-hand side into each of the four RK4 stages of a loop over steps,
+which tests every new state against the blow-up bound and collects it, with no numpy call.
+``evolve`` binds that loop once per run to the flow's resolved gradient routes (and a gauge
+flow's constant or polynomial multiplier), calls it once per block of ``RUN_BLOCK`` steps,
+and writes each block into the preallocated trajectory arrays in one assignment. The lattice
+Maxwell flow does not come here: ``LatticeMaxwell.evolve`` applies the same RK4 map per
+Fourier mode in closed form, and shares this module's recording arrays, blow-up error and
+finalisation.
 
 The Dirac rhs covers every even constraint count: the brackets {Phi_I, H} are summed
 straight from the gradients, and the pairing matrix M by the constraint engine's own
-generated sums; ``_dirac_rhs`` hands it ``_pairing_multipliers``, the package's one
+generated sums; ``_kernel_args`` hands it ``_pairing_multipliers``, the package's one
 guard and solve, and ``DEGENERACY_RTOL``: two constraints take its test and closed 2x2
 form inline where M has a zero diagonal and a finite det, more its float elimination. The
 correction sum_I lambda_I grad Phi_I is summed per entry on Python floats, left to right
@@ -41,6 +40,7 @@ from .kernels import _generated
 from .phase import ChartSpec, PhaseSpacePoint, require_same_chart
 
 BLOWUP_LIMIT = 1e12
+RUN_BLOCK = 256  # steps per call of a flow's generated RK4 loop
 DIRAC_SURFACE_TOL = 1e-8
 
 
@@ -128,30 +128,22 @@ class Trajectory:
         return len(self.times)
 
 
-def _poisson_rhs(flow: PoissonFlow, n: int):
-    return _generated("poisson", n)(flow.hamiltonian._gradient)
-
-
-def _gauge_rhs(flow: GaugeFlow, n: int):
-    m = flow.multiplier
-    constant = None if callable(m) else float(m)
-    # a float numpy Polynomial whose domain is its window (its x is t): Horner in the rhs
-    coeffs = (m.coef.tolist() if constant is None and isinstance(m, np.polynomial.Polynomial)
-              and m.coef.dtype == float and np.array_equal(m.domain, m.window) else None)
-    return _generated("gauge", n)(flow.generator._gradient, flow.multiplier_at, constant, coeffs)
-
-
-def _dirac_rhs(flow: DiracFlow, n: int):
-    """{z, H}_D at (t, z), z a list of Python floats, as Python floats."""
+def _kernel_args(flow: FlowSpec) -> tuple[str, int, tuple]:
+    """(kind, k, arguments) of the flow's generated kernels: ``kind`` gives the rhs(t, z) and
+    ``kind + "_run"`` the whole RK4 loop, each bound by the arguments to the flow's resolved
+    gradient routes (and a gauge flow's constant or polynomial multiplier)."""
+    if isinstance(flow, PoissonFlow):
+        return "poisson", 0, (flow.hamiltonian._gradient,)
+    if isinstance(flow, GaugeFlow):
+        m = flow.multiplier
+        constant = None if callable(m) else float(m)
+        # a float numpy Polynomial whose domain is its window (its x is t): Horner in the rhs
+        coeffs = (m.coef.tolist() if constant is None and isinstance(m, np.polynomial.Polynomial)
+                  and m.coef.dtype == float and np.array_equal(m.domain, m.window) else None)
+        return "gauge", 0, (flow.generator._gradient, flow.multiplier_at, constant, coeffs)
     cs = flow.constraints
-    return _generated("dirac", n, len(cs))(
-        flow.hamiltonian._gradient, [f._gradient for f in cs.fields], cs.rates,
-        _pairing_multipliers, DEGENERACY_RTOL)
-
-
-def _floats_bounded(z: list) -> bool:
-    # every entry, not max(map(abs, z)): max passes over a NaN that is not first
-    return all(abs(v) <= BLOWUP_LIMIT for v in z)
+    return "dirac", len(cs), (flow.hamiltonian._gradient, [f._gradient for f in cs.fields],
+                              cs.rates, _pairing_multipliers, DEGENERACY_RTOL)
 
 
 def _blew_up(t: float) -> NumericDomainError:
@@ -180,12 +172,10 @@ def evolve(x0: PhaseSpacePoint, flow: FlowSpec, cfg: IntegratorConfig,
     """
     if isinstance(flow, PoissonFlow):
         chart = require_same_chart(flow.hamiltonian, x0)
-        rhs = _poisson_rhs(flow, chart.n_pairs)
         generator = flow.hamiltonian
         watched = monitor
     elif isinstance(flow, GaugeFlow):
         chart = require_same_chart(flow.generator, x0)
-        rhs = _gauge_rhs(flow, chart.n_pairs)
         generator = flow.generator
         watched = monitor
     elif isinstance(flow, DiracFlow):
@@ -196,7 +186,6 @@ def evolve(x0: PhaseSpacePoint, flow: FlowSpec, cfg: IntegratorConfig,
             raise UsageError("Dirac flow already monitors its own constraints")
         watched = flow.constraints
         watched.require_on_surface(x0.coords, "initial point of a Dirac flow", DIRAC_SURFACE_TOL)
-        rhs = _dirac_rhs(flow, chart.n_pairs)
         generator = flow.hamiltonian
     else:
         raise UsageError(f"unknown flow spec {flow!r}")
@@ -205,32 +194,46 @@ def evolve(x0: PhaseSpacePoint, flow: FlowSpec, cfg: IntegratorConfig,
         require_same_chart(watched, x0)
 
     dt, steps = cfg.dt, cfg.steps
-    step = _generated("step", chart.n_pairs)
+    kind, k, args = _kernel_args(flow)
+    run = _generated(kind + "_run", chart.n_pairs, k)(*args)  # arithmetic only from here
     times, states = _recording(steps, chart.dim)
     times[0] = 0.0
     states[0] = x0.coords
     z = x0.coords.tolist()
-    if not _floats_bounded(z):  # the start meets the check each step meets
+    # the start meets the check each step meets: every entry, not max(map(abs, z)), which
+    # passes over a NaN that is not first
+    if not all(abs(v) <= BLOWUP_LIMIT for v in z):
         raise _blew_up(0.0)
 
     # entered once per run: an overflowing or NaN stage ends in the blow-up check or in
     # the pairing guard, not in numpy warnings
+    done = 0  # states 0..done are recorded
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(steps):
-                z = step(rhs, i * dt, z, dt)
-                t_next = (i + 1) * dt
-                if not _floats_bounded(z):  # also catches NaN
-                    raise _blew_up(t_next)
-                times[i + 1] = t_next
-                states[i + 1] = z
+            while done < steps:
+                rows, stop = [], min(done + RUN_BLOCK, steps)
+                end = run(z, dt, done, stop, BLOWUP_LIMIT, rows)
+                done = _record(times, states, done, rows, dt)
+                if end < stop:  # step ``end`` left the bound; also catches NaN
+                    raise _blew_up((end + 1) * dt)
+                z = rows[-1]
     except DegeneracyError as err:
-        done = i + 1  # rows 0..i are valid
-        partial = _finalize(chart, times[:done], states[:done], watched, generator)
-        err.partial_trajectory = partial
+        done = _record(times, states, done, rows, dt)  # the block's steps before the failure
+        err.partial_trajectory = _finalize(chart, times[:done + 1], states[:done + 1], watched,
+                                           generator)
         raise
 
     return _finalize(chart, times, states, watched, generator)
+
+
+def _record(times, states, done, rows, dt) -> int:
+    """Writes the states ``rows`` after state ``done`` and their times (i + 1) dt; returns
+    the index of the last state recorded."""
+    stop = done + len(rows)
+    if rows:
+        states[done + 1:stop + 1] = rows
+        times[done + 1:stop + 1] = np.arange(done + 1, stop + 1) * dt
+    return stop
 
 
 def _finalize(chart, times, states, watched, generator) -> Trajectory:

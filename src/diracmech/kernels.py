@@ -1,44 +1,49 @@
-"""Generated float kernels, as ``namedtuple`` and ``dataclasses`` generate theirs: the RK4
-step, the Poisson, gauge and Dirac right-hand sides, the pairing matrix and the Dirac
-tensor. This module imports nothing from the package, and each kernel is compiled in a
-namespace of its own: it reads the builtins and what it is handed, no module global.
+"""Generated float kernels, as ``namedtuple`` and ``dataclasses`` generate theirs: the
+Poisson, gauge and Dirac right-hand sides, each flow's whole RK4 loop, the pairing matrix and
+the Dirac tensor. This module imports nothing from the package, and each kernel is compiled in
+a namespace of its own: it reads the builtins and what it is handed, no module global.
 
 For each kind, chart size n and constraint count k, the source is written out over the 2n
 coordinates, compiled at the first call that needs it (not at import), and cached for the
-life of the process. While n (k + 2)^2 <= 128 (up to 64 coordinates for the step and the
-chart flows, up to 16 for two constraints) every list entry and sum term is spelled out,
-which spares a step on a few coordinates the zips, slices and loop counters that cost more
-than its arithmetic; past that, each list is one comprehension and each sum one loop. Both
-forms keep the order of every sum, so they give the same bits.
+life of the process. A flow's RK4 loop holds its right-hand side's body four times, once per
+stage, so a step calls the gradients and no function of its own. While n (k + 2)^2 <= 128
+(up to 64 coordinates for the Poisson and gauge flows, up to 16 for two constraints) every
+list entry and sum term is spelled out, which spares a step on a few coordinates the zips,
+slices and loop counters that cost more than its arithmetic; past that, each list is one
+comprehension and each sum one loop. Both forms keep the order of every sum, so they give
+the same bits.
 """
 
 from __future__ import annotations
 
 from functools import cache
 
-# A generated function for n pairs and k constraints (k = 0 for the step and the Poisson and
-# gauge rhs) is spelled out while n (k + 2)^2 <= _UNROLL_TERMS: a bound on the n (k^2 + 4k)
-# product terms of the Dirac rhs's sums and correction. Spelled out at n = 32 and k = 64, the
-# Dirac rhs takes 0.7-0.9 s and 165 MiB to build (its loop form 0.1 s and 29 MiB; Python
-# 3.11 on a 2-core x86-64 host), and past n = 2048 a sum's chain of additions is too deep
-# for the compiler (RecursionError).
+# A generated function for n pairs and k constraints (k = 0 for the Poisson and gauge kinds)
+# is spelled out while n (k + 2)^2 <= _UNROLL_TERMS: a bound on the n (k^2 + 4k) product
+# terms of the Dirac rhs's sums and correction. Spelled out at n = 32 and k = 64, the Dirac
+# rhs takes 0.7-0.9 s and 165 MiB to build (its loop form 0.1 s and 29 MiB; Python 3.11 on a
+# 2-core x86-64 host), and past n = 2048 a sum's chain of additions is too deep for the
+# compiler (RecursionError).
 _UNROLL_TERMS = 128
 
 
 def _source(kind: str, n: int, k: int = 0) -> str:
     """Python source of the function ``kind`` for a chart of n pairs.
 
-    ``step`` is the classic RK4 step ``step(rhs, t, z, dt)``, ``pairing(rows)`` returns M
-    for k gradient rows, and the factories ``poisson``, ``gauge`` and
-    ``dirac(grad_h, grads, rates, solve, rtol)`` (k constraints, any even count, their k
-    constant rates dPhi_I/dt, added to {Phi_I, H}, and ``solve(m, s, z)``, the guarded solve
-    of M) each return an ``rhs(t, z)``; with two constraints it takes solve's test and closed
-    form itself where M = [[0, d], [-d, 0]] and d d < inf: hypot(0, d) = |d| makes the
-    guard's scale max(d d, 1), so |det| > rtol scale holds exactly when d d > rtol. The
-    factory ``tensor(grads, solve)`` returns ``d(z)``, the Dirac tensor D as nested lists
-    for any k, of floats or of a batch's columns: one solve, on M and S. Each sum runs from
-    +0.0 in index order (an entry of D from its first product) and each list in coordinate
-    order, unrolled or in a loop, so both forms give the same bits.
+    ``pairing(rows)`` returns M for k gradient rows, and the factories ``poisson``,
+    ``gauge`` and ``dirac(grad_h, grads, rates, solve, rtol)`` (k constraints, any even
+    count, their k constant rates dPhi_I/dt, added to {Phi_I, H}, and ``solve(m, s, z)``, the
+    guarded solve of M) each return an ``rhs(t, z)``; with two constraints it takes solve's
+    test and closed form itself where M = [[0, d], [-d, 0]] and d d < inf: hypot(0, d) = |d|
+    makes the guard's scale max(d d, 1), so |det| > rtol scale holds exactly when d d > rtol.
+    Their ``_run`` twins (``dirac_run`` and so on) take the same arguments and return
+    ``run(z, dt, start, stop, limit, rows)``: classic RK4 from the state list z at step
+    ``start``, the rhs body written into each of its four stages, which appends each new state
+    list to ``rows`` and returns the first step whose state has an entry past ``limit`` (or
+    NaN), else ``stop``. The factory ``tensor(grads, solve)`` returns ``d(z)``, the Dirac
+    tensor D as nested lists for any k, of floats or of a batch's columns: one solve, on M and
+    S. Each sum runs from +0.0 in index order (an entry of D from its first product) and each
+    list in coordinate order, unrolled or in a loop, so both forms give the same bits.
     """
     dim = 2 * n
     unrolled = n * (k + 2) ** 2 <= _UNROLL_TERMS
@@ -50,6 +55,15 @@ def _source(kind: str, n: int, k: int = 0) -> str:
         if unrolled:
             return "[" + ", ".join(t.format(**at(i)) for t, c in parts for i in range(c)) + "]"
         return " + ".join(f"[{t.format(**at(None))} for i in range({c})]" for t, c in parts)
+
+    def assign(name, *parts):  # the vector of parts to name: unrolled, entry j to {name}_j
+        if not unrolled:
+            return [f"{name} = {vector(*parts)}"]
+        return [f"{name}_{j} = {e}"
+                for j, e in enumerate(t.format(**at(i)) for t, c in parts for i in range(c))]
+
+    def listed(name):  # the list of name's entries
+        return "[" + ", ".join(f"{name}_{j}" for j in range(dim)) + "]" if unrolled else name
 
     def read(name, value):  # unrolled, entry j is then the local {name}_j
         return (", ".join(f"{name}_{j}" for j in range(dim)) if unrolled else name) + f" = {value}"
@@ -68,32 +82,20 @@ def _source(kind: str, n: int, k: int = 0) -> str:
     pairs = {f"a{i}_{j}": f"r{i}{{q}} * r{j}{{p}}" for i in cs for j in cs}
     matrix = "[" + ", ".join("[" + ", ".join(f"a{i}_{j} - a{j}_{i}" for j in cs) + "]"
                              for i in cs) + "]"
-    setup = []
-    if kind == "step":
-        body = ["half = 0.5 * dt", *([read("z", "z")] if unrolled else []),
-                read("k1", "rhs(t, z)"),
-                read("k2", f"rhs(t + half, {vector(('z{q} + half * k1{q}', dim))})"),
-                read("k3", f"rhs(t + half, {vector(('z{q} + half * k2{q}', dim))})"),
-                read("k4", f"rhs(t + dt, {vector(('z{q} + dt * k3{q}', dim))})"),
-                "sixth = dt / 6.0",
-                "return " + vector(("z{q} + sixth * (k1{q} + 2.0 * k2{q} + 2.0 * k3{q} + k4{q})",
-                                    dim))]
-        return "\n    ".join(["def step(rhs, t, z, dt):", *body])
     if kind == "pairing":
         body = [*(read(f"r{i}", f"rows[{i}]") for i in cs), *sums(pairs), f"return {matrix}"]
         return "\n    ".join(["def pairing(rows):", *body])
-    inner, params = "rhs", "t, z"  # the function each factory returns
     unpack = "".join(f"grad_{i}, " for i in cs) + "= grads"  # one name per constraint gradient
     if kind == "tensor":
         # S_I = {Phi_I, z} = (-dPhi_I/dp, dPhi_I/dq), L = M^-1 S from solve, and
         # D_ab = J_ab + (S_0a L_0b + S_1a L_1b + ...) left to right; J_ab is 1.0 where
         # b = a + n, -1.0 where a = b + n and 0.0 elsewhere
-        head, inner, params = "tensor(grads, solve)", "d", "z"
-
         def plus(products):  # "J_ab + (products)", or J_ab alone with no constraint
             return " + (" + " + ".join(products) + ")" if k else ""
 
         if unrolled:
+            setup = []
+
             def entry(a, b):
                 j = "1.0" if b == a + n else "-1.0" if a == b + n else "0.0"
                 return j + plus((f"-r{i}_{n + a}" if a < n else f"r{i}_{a - n}") + f" * l{i}_{b}"
@@ -112,38 +114,66 @@ def _source(kind: str, n: int, k: int = 0) -> str:
                 *([f"l = solve({matrix}, [" + ", ".join(f"s{i}" for i in cs) + "], z)"]
                   if k else []),
                 *(read(f"l{i}", f"l[{i}]") for i in cs), f"return {d}"]
-    elif kind == "poisson":
-        head, body = "poisson(gradient)", [
-            read("g", "gradient(z)"), "return " + vector(("g{p}", n), ("-g{q}", n))]
-    elif kind == "gauge":
+        return "\n    ".join(["def tensor(grads, solve):", *setup, "def d(z):",
+                              *(f"    {line}" for line in body), "return d"])
+    flow = kind.removesuffix("_run")
+    if flow == "poisson":
+        params, setup = "gradient", []
+
+        def stage(z, t, out):  # the rhs at the point list z and time t, as the vector out
+            return [read("g", f"gradient({z})"), *assign(out, ("g{p}", n), ("-g{q}", n))]
+    elif flow == "gauge":
         # lambda(t): the constant, else the coefficients c by Horner in numpy's polyval order
         # (x = 0 + 1 t, from c[-1] + 0 x), else multiplier_at(t)
-        head, setup, body = "gauge(gradient, multiplier_at, constant, coeffs)", [
-            "last, *rest = coeffs[::-1] if coeffs else (None,)"], [
-            "if constant is not None:", "    lam = constant", "elif last is None:",
-            "    lam = multiplier_at(t)", "else:", "    x = 0.0 + 1.0 * t",
-            "    lam = last + x * 0", "    for c in rest:", "        lam = c + lam * x",
-            read("g", "gradient(z)"), "return " + vector(("lam * g{p}", n), ("lam * -g{q}", n))]
+        params = "gradient, multiplier_at, constant, coeffs"
+        setup = ["last, *rest = coeffs[::-1] if coeffs else (None,)"]
+
+        def stage(z, t, out):
+            return ["if constant is not None:", "    lam = constant", "elif last is None:",
+                    f"    lam = multiplier_at({t})", "else:", f"    x = 0.0 + 1.0 * {t}",
+                    "    lam = last + x * 0", "    for c in rest:", "        lam = c + lam * x",
+                    read("g", f"gradient({z})"),
+                    *assign(out, ("lam * g{p}", n), ("lam * -g{q}", n))]
     else:
         # {Phi_I, H} = b_I - c_I, b_I = q_I . dH/dp and c_I = p_I . dH/dq, summed beside a_IJ
         terms = {f"{x}{i}": f"r{i}{{{u}}} * gh{{{v}}}" for i in cs for x, u, v in ("bqp", "cpq")}
         terms.update(pairs)
         # sum_I l_I dPhi_I/dz per entry, left to right from the first product
         lam = {x: " + ".join(f"l{i} * r{i}{{{x}}}" for i in cs) for x in "qp"}
-        head = "dirac(grad_h, grads, rates, solve, rtol)"
+        params = "grad_h, grads, rates, solve, rtol"
         setup = [unpack, "".join(f"rate_{i}, " for i in cs) + "= rates", 'inf = float("inf")']
-        guarded = ["s = [" + ", ".join(f"b{i} - c{i} + rate_{i}" for i in cs) + "]",
-                   "".join(f"l{i}, " for i in cs) + f"= solve({matrix}, s, z)"]
-        if k == 2:  # solve's own test and closed form where the diagonal is 0 and det finite
-            guarded = ["d = a0_1 - a1_0", "det = d * d",
-                       "if a0_0 - a0_0 == 0.0 and a1_1 - a1_1 == 0.0 and rtol < det < inf:",
-                       "    l0 = -(b1 - c1 + rate_1) / d", "    l1 = (b0 - c0 + rate_0) / d",
-                       "else:", *(f"    {line}" for line in guarded)]
-        body = [read("gh", "grad_h(z)"), *(read(f"r{i}", f"grad_{i}(z)") for i in cs),
-                *sums(terms), *guarded,
-                "return " + vector((f"gh{{p}} - ({lam['p']})", n),
-                                   (f"-(gh{{q}} - ({lam['q']}))", n))]
-    return "\n    ".join([f"def {head}:", *setup, f"def {inner}({params}):",
+
+        def stage(z, t, out):
+            guarded = ["s = [" + ", ".join(f"b{i} - c{i} + rate_{i}" for i in cs) + "]",
+                       "".join(f"l{i}, " for i in cs) + f"= solve({matrix}, s, {z})"]
+            if k == 2:  # solve's own test and closed form where the diagonal is 0 and det finite
+                guarded = ["d = a0_1 - a1_0", "det = d * d",
+                           "if a0_0 - a0_0 == 0.0 and a1_1 - a1_1 == 0.0 and rtol < det < inf:",
+                           "    l0 = -(b1 - c1 + rate_1) / d", "    l1 = (b0 - c0 + rate_0) / d",
+                           "else:", *(f"    {line}" for line in guarded)]
+            return [read("gh", f"grad_h({z})"), *(read(f"r{i}", f"grad_{i}({z})") for i in cs),
+                    *sums(terms), *guarded,
+                    *assign(out, (f"gh{{p}} - ({lam['p']})", n),
+                            (f"-(gh{{q}} - ({lam['q']}))", n))]
+    if kind == flow:
+        inner, args, body = "rhs", "t, z", [*stage("z", "t", "f"), f"return {listed('f')}"]
+    else:
+        # the stage points and the new state, as the RK4 step sums them; the loop's own names
+        # (step, t, t_half, t_next, y, k1-k4, half, sixth) are none that a stage sets
+        bounded = (" and ".join(f"abs(z_{j}) <= limit" for j in range(dim)) if unrolled
+                   else "all(abs(v) <= limit for v in z)")
+        inner, args, body = "run", "z, dt, start, stop, limit, rows", [
+            "half = 0.5 * dt", "sixth = dt / 6.0", *([read("z", "z")] if unrolled else []),
+            "for step in range(start, stop):", *(f"    {line}" for line in [
+                "t = step * dt", "t_half = t + half", "t_next = t + dt", *stage("z", "t", "k1"),
+                f"y = {vector(('z{q} + half * k1{q}', dim))}", *stage("y", "t_half", "k2"),
+                f"y = {vector(('z{q} + half * k2{q}', dim))}", *stage("y", "t_half", "k3"),
+                f"y = {vector(('z{q} + dt * k3{q}', dim))}", *stage("y", "t_next", "k4"),
+                *assign("z", ("z{q} + sixth * (k1{q} + 2.0 * k2{q} + 2.0 * k3{q} + k4{q})", dim)),
+                f"if not ({bounded}):", "    return step",
+                *([f"z = {listed('z')}"] if unrolled else []), "rows.append(z)"]),
+            "return stop"]
+    return "\n    ".join([f"def {kind}({params}):", *setup, f"def {inner}({args}):",
                           *(f"    {line}" for line in body), f"return {inner}"])
 
 

@@ -285,6 +285,29 @@ def test_nonfinite_json_literal_exits_2(tmp_path, capsys, literal):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("literal", ["1e400", "-1e400", "1" + "0" * 400])
+@pytest.mark.parametrize("command, payload, location", [
+    ("brackets", '{"model": {"kind": "klauder", "alpha": %s}, "samples": {"count": 2}}',
+     "model/alpha"),
+    ("evolve", '{"model": {"kind": "custom", "labels": ["q", "p"]}, "flow": {"kind": "poisson", '
+     '"hamiltonian": [{"coeff": 1.0, "powers": [0, 2]}]}, "integrator": {"dt": %s, "steps": 2}, '
+     '"initial": {"coords": [0.0, 1.0]}}', "integrator/dt"),
+    ("quantum", '{"model": {"kind": "klauder"}, "quantum": {"m_max": 2, "single_mode": 1, '
+     '"times": {"start": %s, "stop": 1.0, "count": 3}}}', "quantum/times/start"),
+])
+def test_number_beyond_the_float_range_exits_2(tmp_path, capsys, literal, command, payload,
+                                               location):
+    # json reads 1e400 as inf and the 401-digit integer as an int no float holds; either
+    # ended in a traceback or a table of inf rows
+    path = tmp_path / "cfg.json"
+    path.write_text(payload % literal)
+    out = tmp_path / "out.csv"
+    assert run_cli(command, "--config", str(path), "--out", str(out)) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: invalid config at {location}: number is beyond the float range"]
+    assert not out.exists()
+
+
 def test_undecodable_config_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_bytes(b'{"model": "\xff\xfe"}')
@@ -513,6 +536,10 @@ UNREAD_KEY_CASES = [
                 "flow": {"kind": "poisson", "hamiltonian": [{"coeff": 0.5, "powers": [0, 2]}]},
                 "integrator": SHORT_RUN, "initial": {"coords": [1e13, 0.0]}},
      3, "trajectory blew up at t=0 (|z| > 1e+12 or NaN)"),
+    # a JSON integer that no float holds, read as a time
+    ("quantum", {"model": {"kind": "klauder"},
+                 "quantum": {**SINGLE_MODE_SWEEP, "times": [0.0, 10 ** 400]}},
+     2, "invalid config at quantum/times/1: number is beyond the float range"),
 ])
 def test_extreme_valid_config_ends_in_one_error_line(tmp_path, capsys, command, payload, code,
                                                      message):

@@ -16,8 +16,8 @@ from diracmech import kernels
 from diracmech import cli
 from diracmech.constraints import (DEGENERACY_RTOL, ConstraintSet, _pairing_multipliers,
                                    dirac_bracket, dirac_tensor, pairing_matrix_of_rows)
-from diracmech.dynamics import (DiracFlow, GaugeFlow, IntegratorConfig, PoissonFlow,
-                                _dirac_rhs, _gauge_rhs, _generated, _poisson_rhs,
+from diracmech.dynamics import (BLOWUP_LIMIT, RUN_BLOCK, DiracFlow, GaugeFlow,
+                                IntegratorConfig, PoissonFlow, _generated, _kernel_args,
                                 constraint_drift, evolve, gauge_orbit_closed_form)
 from diracmech.errors import DegeneracyError, NumericDomainError, UsageError
 from diracmech.fields import ScalarField, coordinate_field, polynomial_field
@@ -29,6 +29,13 @@ from conftest import array_twin, array_twin_set
 from test_batch import outcome
 from test_constraints import (CUSTOM_FOUR, reference_degeneracy_scale, reference_elimination,
                               reference_gradient_rows)
+
+def standalone_rhs(flow, n):
+    """The flow's generated rhs(t, z) on n pairs, from the arguments ``evolve`` binds its RK4
+    loop with: the oracle of each stage of that loop."""
+    kind, k, args = _kernel_args(flow)
+    return _generated(kind, n, k)(*args)
+
 
 FLAT = ChartSpec(labels=("q1", "p1"), name="flat1d")
 
@@ -103,7 +110,7 @@ def test_polynomial_multiplier_gives_the_bits_of_numpys_polynomial(coeffs, t, do
     # polynomial is called; both give float(Polynomial(c)(t)) times the gradient's entries
     model = KlauderModel(alpha=1.0, k=0.0)
     multiplier = np.polynomial.Polynomial(coeffs, domain=domain)
-    rhs = _gauge_rhs(GaugeFlow(model.cartesian_generator, multiplier), 2)
+    rhs = standalone_rhs(GaugeFlow(model.cartesian_generator, multiplier), 2)
     z = [0.8, -0.3, 0.8, 0.3]
     g = model.cartesian_generator._gradient(z)
     with np.errstate(all="ignore"), warnings.catch_warnings():
@@ -257,7 +264,7 @@ def test_dirac_vector_field_is_the_dirac_bracket(rng):
     # dz_i/dt = {z_i, H}_D: the flow and the bracket share one pairing solve
     model = KlauderModel(alpha=1.3, k=0.7, potential=RadialPotential((0.0, 0.4, 0.1)))
     chart, cs, h = model.polar_chart, model.constraint_set, model.hamiltonian()
-    rhs = _dirac_rhs(DiracFlow(h, cs), chart.n_pairs)
+    rhs = standalone_rhs(DiracFlow(h, cs), chart.n_pairs)
     coords = [coordinate_field(chart, label) for label in chart.labels]
     for x in model.sample_surface(rng, 20):
         expected = [dirac_bracket(z, h, cs, x) for z in coords]
@@ -347,7 +354,7 @@ def dirac_flows():
 def test_dirac_rhs_equals_the_reference_bitwise_over_200_steps(index):
     flow, x0 = list(dirac_flows())[index]
     n, dt = flow.chart.n_pairs, 1e-3
-    rhs, reference = _dirac_rhs(flow, n), reference_dirac_rhs(flow, n)
+    rhs, reference = standalone_rhs(flow, n), reference_dirac_rhs(flow, n)
 
     def both(t, z):
         k = float_rhs(rhs, t, z)
@@ -402,7 +409,7 @@ def test_float_dirac_rhs_equals_the_reference_bitwise(case):
     model = KlauderModel(alpha=alpha, k=k, potential=potential)
     flow, x0 = DiracFlow(model.hamiltonian(), model.constraint_set), model.embed_reduced(0.1, p_phi)
     n, dt = flow.chart.n_pairs, 1e-3
-    rhs, reference = _dirac_rhs(flow, n), reference_dirac_rhs(flow, n)
+    rhs, reference = standalone_rhs(flow, n), reference_dirac_rhs(flow, n)
 
     def both(t, z):
         k = float_rhs(rhs, t, z)
@@ -534,8 +541,7 @@ def test_float_step_equals_the_array_step_bitwise(index):
     states = rk4_states(array_stage(flow), x0, dt, steps)
     times = np.array([i * dt for i in range(steps + 1)])
     traj = evolve(x0, flow, IntegratorConfig(dt=dt, steps=steps), monitor=monitor)
-    factory = {PoissonFlow: _poisson_rhs, GaugeFlow: _gauge_rhs, DiracFlow: _dirac_rhs}
-    rhs, stage = factory[type(flow)](flow, flow.chart.n_pairs), array_stage(flow)
+    rhs, stage = standalone_rhs(flow, flow.chart.n_pairs), array_stage(flow)
     for t, z in zip(times[::30].tolist(), states[::30]):
         assert float_rhs(rhs, t, z).tobytes() == stage(t, z).tobytes()
     assert traj.times.tobytes() == times.tobytes()
@@ -548,6 +554,106 @@ def test_float_step_equals_the_array_step_bitwise(index):
     assert traj.residuals.keys() == expected.keys()
     for name, series in expected.items():
         assert traj.residuals[name].tobytes() == series.tobytes(), name
+
+
+def reference_run(rhs, z, dt, steps):
+    """Classic RK4 on Python float lists, one call of the standalone ``rhs`` per stage, step
+    by step: the states after each step, until the rhs raises."""
+    states = []
+    for i in range(steps):
+        t, half, sixth = i * dt, 0.5 * dt, dt / 6.0
+        k1 = rhs(t, z)
+        k2 = rhs(t + half, [a + half * b for a, b in zip(z, k1)])
+        k3 = rhs(t + half, [a + half * b for a, b in zip(z, k2)])
+        k4 = rhs(t + dt, [a + dt * b for a, b in zip(z, k3)])
+        z = [a + sixth * (b + 2.0 * c + 2.0 * d + e) for a, b, c, d, e in zip(z, k1, k2, k3, k4)]
+        states.append(z)
+    return states
+
+
+@pytest.mark.parametrize("steps", [RUN_BLOCK - 1, RUN_BLOCK, RUN_BLOCK + 1])
+@pytest.mark.parametrize("index", [0, 2, 4, 7, 8], ids=["poisson", "gauge", "dirac",
+                                                        "poisson_loop", "dirac_loop"])
+def test_evolve_runs_the_bits_of_a_per_step_loop_over_the_standalone_rhs(index, steps):
+    # the spelled-out and (past the unroll bound, n = 33) loop forms, across a block's end
+    flow, x0, monitor = list(float_step_flows())[index]
+    dt, n = 1e-3, flow.chart.n_pairs
+    assert (n * ((len(flow.constraints) if isinstance(flow, DiracFlow) else 0) + 2) ** 2
+            <= kernels._UNROLL_TERMS) == (index < 7)
+    expected = [x0.coords.tolist(), *reference_run(standalone_rhs(flow, n),
+                                                   x0.coords.tolist(), dt, steps)]
+    traj = evolve(x0, flow, IntegratorConfig(dt=dt, steps=steps), monitor=monitor)
+    assert traj.states.tobytes() == np.array(expected).tobytes()
+    assert traj.times.tobytes() == np.array([i * dt for i in range(steps + 1)]).tobytes()
+
+
+def pairs_chart(n):
+    """The chart (q1..qn, p1..pn)."""
+    return ChartSpec(labels=tuple(f"{c}{i}" for c in "qp" for i in range(1, n + 1)),
+                     name=f"pairs{n}")
+
+
+def wall_flow(n, wall):
+    """Phi = (q2, p2 - sqrt(wall - q1)) with H = p1 on n pairs, from the origin with
+    p2 = sqrt(wall): q1 moves at unit speed, and the gradient of the second constraint
+    turns NaN once q1 passes the wall."""
+    chart = pairs_chart(n)
+    p2 = chart.index("p2")
+
+    def value(z):  # one state or a (dim, B) block of states
+        return np.where(z[0] <= wall, z[p2] - np.sqrt(np.maximum(wall - z[0], 0.0)), math.nan)
+
+    def grad(z):
+        q1 = float(z[0])
+        row = [0.0] * chart.dim
+        row[0] = 0.5 / math.sqrt(wall - q1) if q1 < wall else math.nan
+        row[p2] = 1.0
+        return row
+
+    cs = ConstraintSet(chart, (coordinate_field(chart, "q2"), ScalarField("wall", chart, value,
+                                                                           grad)), ("q2", "wall"))
+    x0 = [0.0] * chart.dim
+    x0[p2] = math.sqrt(wall)
+    return DiracFlow(coordinate_field(chart, "p1"), cs), chart.point(x0)
+
+
+@pytest.mark.parametrize("n", [2, 9], ids=["spelled_out", "loop"])
+@pytest.mark.parametrize("failing", [100, RUN_BLOCK - 1, RUN_BLOCK, RUN_BLOCK + 44])
+def test_degeneracy_mid_block_keeps_every_finished_step(failing, n):
+    # the wall sits a quarter step past q1 = failing dt, so the second stage of step
+    # ``failing`` meets the NaN row: the partial trajectory holds the states 0..failing
+    dt = 2.0 ** -7
+    flow, x0 = wall_flow(n, (failing + 0.25) * dt)
+    assert (n * 16 <= kernels._UNROLL_TERMS) == (n == 2)
+    with pytest.raises(DegeneracyError, match="has a non-finite entry") as reference:
+        reference_run(standalone_rhs(flow, n), x0.coords.tolist(), dt, 2 * RUN_BLOCK)
+    states = [x0.coords.tolist()]
+    states += reference_run(standalone_rhs(flow, n), x0.coords.tolist(), dt, failing)
+    with pytest.raises(DegeneracyError, match="has a non-finite entry") as err:
+        evolve(x0, flow, IntegratorConfig(dt=dt, steps=2 * RUN_BLOCK))
+    assert repr(err.value.coords) == repr(reference.value.coords)
+    partial = err.value.partial_trajectory
+    assert partial.states.tobytes() == np.array(states).tobytes()
+    assert partial.times.tobytes() == np.array([i * dt for i in range(failing + 1)]).tobytes()
+
+
+@pytest.mark.parametrize("moved", ["first", "last"])
+@pytest.mark.parametrize("n", [1, 33], ids=["spelled_out", "loop"])
+@pytest.mark.parametrize("failing", [100, RUN_BLOCK - 1, RUN_BLOCK + 44, 2 * RUN_BLOCK - 1])
+def test_blow_up_mid_block_or_at_its_end_is_dated_by_its_step(failing, n, moved):
+    # lambda(t) = 1 moves one coordinate at unit speed (q1 under G = p1, p_n under G = q_n)
+    # until lambda jumps to 1e30 a quarter step past t = failing dt, in the second stage of
+    # step ``failing``: its state is the first past the bound, at t = (failing + 1) dt
+    dt = 1e-3
+    chart = pairs_chart(n)
+    generator = coordinate_field(chart, "p1" if moved == "first" else f"q{n}")
+    wall = (failing + 0.25) * dt
+    flow = GaugeFlow(generator, lambda t: 1e30 if t > wall else 1.0)
+    x0 = chart.point([0.5] * chart.dim)
+    with pytest.raises(NumericDomainError) as err:
+        evolve(x0, flow, IntegratorConfig(dt=dt, steps=2 * RUN_BLOCK + 3))
+    assert str(err.value) == (f"trajectory blew up at t={(failing + 1) * dt:g} "
+                              f"(|z| > {BLOWUP_LIMIT:g} or NaN)")
 
 
 def array_twin_flow(flow):
@@ -591,7 +697,7 @@ DENSE_FLOW = DiracFlow(
 def test_float_dirac_rhs_of_dense_rows_equals_the_reference_bitwise():
     # a sum of two nonzero products is what a fused multiply-add rounds differently
     n, dt = 2, 1e-3
-    rhs, reference = _dirac_rhs(DENSE_FLOW, n), reference_dirac_rhs(DENSE_FLOW, n)
+    rhs, reference = standalone_rhs(DENSE_FLOW, n), reference_dirac_rhs(DENSE_FLOW, n)
 
     def both(t, z):
         k = float_rhs(rhs, t, z)
@@ -611,7 +717,7 @@ def test_dirac_rhs_keeps_the_sign_of_a_zero_correction(count):
     labels = ("q2", "p2", "q3", "p3")[:count]
     cs = ConstraintSet(THREE, tuple(coordinate_field(THREE, label) for label in labels), labels)
     flow, z = DiracFlow(h, cs), np.zeros(6)
-    k = float_rhs(_dirac_rhs(flow, 3), 0.0, z)
+    k = float_rhs(standalone_rhs(flow, 3), 0.0, z)
     assert k.tobytes() == reference_dirac_rhs(flow, 3)(0.0, z).tobytes()
     assert repr(float(k[3])) == "-0.0"  # dp1/dt = -(dH/dq1 - correction)
 
@@ -653,7 +759,7 @@ FLOAT_FAILURES = {  # (flow, coords, message): where the two-constraint pairing 
 @pytest.mark.parametrize("case", FLOAT_FAILURES)
 def test_float_dirac_rhs_fails_as_dirac_tensor_does(case):
     flow, coords, message = FLOAT_FAILURES[case]
-    rhs = _dirac_rhs(flow, flow.chart.n_pairs)
+    rhs = standalone_rhs(flow, flow.chart.n_pairs)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no RuntimeWarning on either route
         with pytest.raises(DegeneracyError, match=message) as float_route:
@@ -715,7 +821,7 @@ def guard_route_rhs(gh, rows, rates, z, n):
 
 
 def test_dirac_flow_builds_the_pairing_matrix_of_the_constraint_engine():
-    # at every stage point of the four-constraint custom orbit, the M the generated rhs
+    # at every stage point of the four-constraint custom orbit, the M the generated RK4 loop
     # hands its guard-and-solve is the engine's M by repr; two constraints solve inline where
     # the guard passes, so at every stage point of a ramped-k Klauder orbit the rhs is
     # bitwise the rhs recomputed from the engine's M through _pairing_multipliers
@@ -727,30 +833,29 @@ def test_dirac_flow_builds_the_pairing_matrix_of_the_constraint_engine():
             seen.append((m, z))
             return _pairing_multipliers(m, s, z)
 
-        rhs = _generated("dirac", n, len(cs))(
+        run = _generated("dirac_run", n, len(cs))(
             flow.hamiltonian._gradient, [f._gradient for f in cs.fields], cs.rates, solve,
             DEGENERACY_RTOL)
-        step, z = _generated("step", n), x0.coords.tolist()
-        for i in range(250):
-            z = step(rhs, i * 0.01, z, 0.01)
+        assert run(x0.coords.tolist(), 0.01, 0, 250, BLOWUP_LIMIT, []) == 250
         assert len(seen) == 4 * 250
         for m, z in seen:
             assert repr(m) == repr(pairing_matrix_of_rows(cs.gradient_rows(z), n)), z
     flow, x0 = list(dirac_flows())[1]
     cs, n = flow.constraints, flow.chart.n_pairs
-    rhs, stages = _dirac_rhs(flow, n), []
+    stages = []
 
-    def checked(t, z):
-        k = rhs(t, z)
+    def grad_h(z):  # each stage reads H's gradient at its point first
         stages.append(z)
-        assert repr(k) == repr(guard_route_rhs(flow.hamiltonian._gradient(z),
-                                               cs.gradient_rows(z), cs.rates, z, n)), z
-        return k
+        return flow.hamiltonian._gradient(z)
 
-    step, z = _generated("step", n), x0.coords.tolist()
-    for i in range(250):
-        z = step(checked, i * 0.01, z, 0.01)
+    run = _generated("dirac_run", n, len(cs))(grad_h, [f._gradient for f in cs.fields], cs.rates,
+                                              _pairing_multipliers, DEGENERACY_RTOL)
+    assert run(x0.coords.tolist(), 0.01, 0, 250, BLOWUP_LIMIT, []) == 250
     assert len(stages) == 4 * 250
+    rhs = standalone_rhs(flow, n)
+    for z in stages:
+        assert repr(rhs(0.0, z)) == repr(guard_route_rhs(flow.hamiltonian._gradient(z),
+                                                         cs.gradient_rows(z), cs.rates, z, n)), z
 
 
 SQRT_RTOL = math.sqrt(DEGENERACY_RTOL)
@@ -848,9 +953,10 @@ def test_concurrent_dirac_orbits_keep_the_bytes_of_their_solo_runs():
 
 
 @pytest.mark.parametrize("n", [1, 33], ids=["spelled_out", "loop"])
-@pytest.mark.parametrize("kind, k", [("step", 0), ("poisson", 0), ("gauge", 0),
-                                     ("pairing", 0), ("pairing", 2), ("pairing", 4),
-                                     ("dirac", 2), ("dirac", 4),
+@pytest.mark.parametrize("kind, k", [("poisson", 0), ("gauge", 0), ("pairing", 0), ("pairing", 2),
+                                     ("pairing", 4), ("dirac", 2), ("dirac", 4),
+                                     ("poisson_run", 0), ("gauge_run", 0), ("dirac_run", 2),
+                                     ("dirac_run", 4),
                                      ("tensor", 0), ("tensor", 2), ("tensor", 4)])
 def test_generated_functions_read_no_module_global(kind, k, n):
     # a kernel sees the builtins and what it is handed, so no module state can reach it
@@ -859,7 +965,7 @@ def test_generated_functions_read_no_module_global(kind, k, n):
     defined = {node.name for node in ast.parse(source).body}
     function = _generated(kind, n, k)
     functions = [function]
-    if kind not in ("step", "pairing"):  # a factory: the function it returns as well
+    if kind != "pairing":  # a factory: the function it returns as well
         params = inspect.signature(function).parameters
         functions.append(function(*((None,) * k if name in ("grads", "rates") else None
                                     for name in params)))

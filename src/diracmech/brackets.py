@@ -7,15 +7,19 @@ machinery and integrators can reuse gradients they already hold.
 
 from __future__ import annotations
 
+import math
+from operator import mul
+
 import numpy as np
 
 from .fields import ScalarField, central_difference_gradient
 from .phase import PhaseSpacePoint, require_same_chart
 
 
-def bracket_of_gradients(ga: np.ndarray, gb: np.ndarray, n_pairs: int) -> float:
+def bracket_of_gradients(ga: list, gb: list, n_pairs: int) -> float:
+    """ga . J gb, J gb = (dB/dp, -dB/dq), as one correctly rounded sum of its 2N products."""
     n = n_pairs
-    return float(ga[:n] @ gb[n:] - gb[:n] @ ga[n:])
+    return math.fsum(map(mul, ga, [*gb[n:], *(-v for v in gb[:n])]))
 
 
 def poisson_tensor(n_pairs: int) -> np.ndarray:
@@ -24,10 +28,8 @@ def poisson_tensor(n_pairs: int) -> np.ndarray:
 
 
 def poisson_bracket(a: ScalarField, b: ScalarField, x: PhaseSpacePoint) -> float:
-    chart = require_same_chart(a, b, x)
-    ga = a.gradient(x)
-    gb = b.gradient(x)
-    return bracket_of_gradients(ga, gb, chart.n_pairs)
+    n = require_same_chart(a, b, x).n_pairs
+    return bracket_of_gradients(a.gradient(x).tolist(), b.gradient(x).tolist(), n)
 
 
 def poisson_bracket_field(a: ScalarField, b: ScalarField) -> ScalarField:
@@ -44,7 +46,7 @@ def poisson_bracket_field(a: ScalarField, b: ScalarField) -> ScalarField:
         z = np.asarray(z, dtype=float)
         if z.ndim > 1:  # a (dim, B) block: gradients are taken one state at a time
             return np.array([func(state) for state in z.T])
-        return bracket_of_gradients(a.gradient_at(z), b.gradient_at(z), n)
+        return bracket_of_gradients(a._gradient(z.tolist()), b._gradient(z.tolist()), n)
 
     return ScalarField(name=f"{{{a.name},{b.name}}}", chart=chart, func=func,
                        grad=lambda z, f=func: central_difference_gradient(f, z).tolist())

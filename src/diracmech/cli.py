@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .brackets import poisson_tensor
-from .constraints import dirac_tensor_columns
+from .constraints import dirac_tensor
 from .dynamics import IntegratorConfig, constraint_drift, evolve
 from .errors import (ConfigError, DegeneracyError, NumericDomainError,
                      UsageError)
@@ -416,7 +416,7 @@ def cmd_brackets(model, config: dict, args) -> int:
     index = [(chart.index(a), chart.index(b)) for a, b in model.bracket_pairs]
     batch = model.sample(rng, count, **ranges)
     # {z_a, z_b}_D = D_ab from one Dirac tensor on the batch's columns
-    tensor = dirac_tensor_columns(model.constraints_at(batch), batch)
+    tensor = dirac_tensor(model.constraints_at(batch), batch)
     dirac = np.empty((len(batch), len(index)))
     with np.errstate(all="ignore"):  # an overflow is inf, as on Python floats
         values = [model.dirac_oracle(pair, batch) for pair in model.bracket_pairs]

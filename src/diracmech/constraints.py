@@ -29,7 +29,7 @@ from .brackets import poisson_bracket
 from .errors import DegeneracyError, NumericDomainError, UsageError
 from .fields import ScalarField, pullback_field
 from .kernels import _generated
-from .phase import ChartSpec, PhaseSpaceBatch, PhaseSpacePoint, require_same_chart
+from .phase import ChartSpec, PhaseSpacePoint, require_same_chart
 
 # |det M| <= DEGENERACY_RTOL * max(1, prod of row norms) counts as singular
 DEGENERACY_RTOL = 1e-10
@@ -88,20 +88,23 @@ class ConstraintSet:
 
     @cached_property
     def _dirac_tensor(self) -> Callable[[list], list]:
-        """D(z) as nested float lists, generated once per set (see ``dirac_tensor``)."""
+        """D(z) at a point's floats or a batch's columns, generated once per set."""
         return _generated("tensor", self.chart.n_pairs, len(self.fields))(
-            tuple(f._gradient for f in self.fields), _pairing_multipliers)
+            tuple(f._gradient for f in self.fields), _column_multipliers)
 
     def gradient_rows(self, coords: list) -> list:
-        """One gradient row per constraint at a list of Python floats (an array point's
-        tolist()), as ``_gradient`` returns it: Python floats for the package's fields."""
+        """One gradient row per constraint at a point's Python floats or a batch's columns
+        (``columns``), as ``_gradient`` returns it: floats or columns for the package's fields."""
         return [f._gradient(coords) for f in self.fields]
 
     def require_on_surface(self, coords, label: str, tol: float = ON_SURFACE_TOL) -> None:
-        """Raise UsageError naming the worst constraint unless every |Phi_I(z, 0)| < tol."""
+        """Raise UsageError unless every |Phi_I(z, 0)| < tol, at a point's coordinates or at
+        every row of a batch's: the first row off the surface names its worst constraint."""
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual is off it
-            vals = np.abs(self.values_along([0.0], [coords])[0])
-        if not np.all(vals < tol):  # a NaN residual is off the surface too
+            vals = np.abs(self.values_along([0.0], np.reshape(coords, (-1, self.chart.dim))))
+        off = ~np.all(vals < tol, axis=1)  # a NaN residual is off the surface too
+        if off.any():
+            vals = vals[np.argmax(off)]
             worst = int(np.argmax(vals))
             raise UsageError(f"{label} is off the constraint surface: |{self.names[worst]}| "
                              f"= {vals[worst]:.3e}, tolerance {tol:g}")
@@ -230,9 +233,11 @@ def _stacked(rows: list, column) -> np.ndarray:
 
 
 def _column_multipliers(m, rhs, coords):
-    """``_pairing_multipliers`` at every row of a batch, on M and rhs of (n,) columns, in order:
-    the first to fail raises. More than two constraints take it on each row's floats; with two
-    a row whose |det M| clears the threshold of ``_second_class`` by a factor 2 passes."""
+    """``_pairing_multipliers`` at a point's floats, or in order at every row of M and rhs of a
+    batch's (n,) columns: the first to fail raises. More than two constraints take it on each
+    row's floats; with two a row whose |det M| clears ``_second_class``'s threshold twice passes."""
+    if coords[0].__class__ is float:
+        return _pairing_multipliers(m, rhs, coords)
     stack = _stacked(m, coords[0])
     if len(m) > 2:
         s = _stacked(rhs, coords[0])
@@ -304,34 +309,31 @@ def classify(cs: ConstraintSet, samples: Sequence[PhaseSpacePoint], tol: float) 
                                 notes=tuple(notes))
 
 
-def dirac_tensor(cs: ConstraintSet, x: PhaseSpacePoint) -> np.ndarray:
-    """D_ab = {z_a, z_b}_D = J_ab + sum_I S_Ia (M^-1 S)_Ib at x, with S_Ia = {Phi_I, z_a};
-    with an empty constraint set D is the canonical J.
+def dirac_tensor(cs: ConstraintSet, x: PhaseSpacePoint) -> list:
+    """D_ab = {z_a, z_b}_D = J_ab + sum_I S_Ia (M^-1 S)_Ib with S_Ia = {Phi_I, z_a}, as nested
+    lists: at a point its floats, at a batch an (n,) column per entry, or one float for every
+    row. With an empty constraint set D is the canonical J.
 
     The tensor function that ``kernels`` generates once per set reads the gradient rows,
     sums M, makes one guarded pairing solve for every column of S and sums each entry
-    left to right with no fused multiply-add: no BLAS or LAPACK call.
+    left to right with no fused multiply-add: no BLAS or LAPACK call. On columns it runs
+    elementwise in that order, so with two constraints a row's D is bitwise its point's,
+    and the first row whose M fails the guard raises its point's error.
     """
     require_same_chart(cs, x)
-    # overflowing gradients end in the guard's error, not in numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.array(cs._dirac_tensor(x.coords.tolist()))
+    # overflowing gradients and non-finite rows end in the guard's error, not in warnings
+    with np.errstate(all="ignore"):
+        return cs._dirac_tensor(x.columns)
 
 
-def dirac_tensor_columns(cs: ConstraintSet, batch: PhaseSpaceBatch) -> list:
-    """``dirac_tensor`` at every row of a batch, from one call on its columns, as nested
-    lists: D_ab is an (n,) column, or one float for every row. The sums run elementwise in
-    the float route's order, so every entry is bitwise its row's."""
-    require_same_chart(cs, batch)
-    tensor = _generated("tensor", cs.chart.n_pairs, len(cs))(
-        tuple(f._gradient for f in cs.fields), _column_multipliers)
-    with np.errstate(all="ignore"):  # a non-finite row ends in the guard's error
-        return tensor(batch.columns)
+def _contraction(ga, d, gb) -> float:
+    """ga . D . gb as one correctly rounded sum of the products ga_a D_ab gb_b."""
+    return math.fsum(u * dab * v for u, row in zip(ga, d) for dab, v in zip(row, gb))
 
 
 def dirac_bracket(a: ScalarField, b: ScalarField, cs: ConstraintSet, x: PhaseSpacePoint) -> float:
-    """{a,b}_D at x; with an empty constraint set this is the Poisson bracket."""
-    return float(a.gradient(x) @ dirac_tensor(cs, x) @ b.gradient(x))
+    """{a,b}_D at a point x; with an empty constraint set this is the Poisson bracket."""
+    return _contraction(a.gradient(x).tolist(), dirac_tensor(cs, x), b.gradient(x).tolist())
 
 
 @dataclass(frozen=True)
@@ -345,12 +347,12 @@ def observable_check(a: ScalarField, cs: ConstraintSet,
     """Max |{a, Phi_I}_D| over samples; ~0 is the Second Class observable identity."""
     if len(cs) == 0:
         raise UsageError("an observable check needs at least one constraint")
-    worst = np.zeros(len(cs))
+    worst = [0.0] * len(cs)
     for x in samples:
-        d = dirac_tensor(cs, x)
-        rows = np.array(cs.gradient_rows(x.coords.tolist()))
-        worst = np.maximum(worst, np.abs(a.gradient(x) @ d @ rows.T))
-    per_constraint = dict(zip(cs.names, map(float, worst)))
+        d, ga = dirac_tensor(cs, x), a.gradient(x).tolist()
+        worst = [max(w, abs(_contraction(ga, d, row)))
+                 for w, row in zip(worst, cs.gradient_rows(x.columns))]
+    per_constraint = dict(zip(cs.names, worst))
     return ObservableReport(max_abs=max(per_constraint.values()), per_constraint=per_constraint)
 
 

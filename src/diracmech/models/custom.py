@@ -17,7 +17,7 @@ from ..constraints import ConstraintSet
 from ..dynamics import DiracFlow, GaugeFlow, PoissonFlow
 from ..errors import UsageError
 from ..fields import polynomial_field
-from ..phase import ChartSpec, PhaseSpaceBatch
+from ..phase import ChartSpec, PhaseSpacePoint
 
 
 @dataclass(frozen=True)
@@ -46,9 +46,9 @@ class CustomModel:
         return tuple((labels[i], labels[j])
                      for i in range(len(labels)) for j in range(i + 1, len(labels)))
 
-    def sample(self, rng: np.random.Generator, count: int, **_) -> PhaseSpaceBatch:
+    def sample(self, rng: np.random.Generator, count: int, **_) -> PhaseSpacePoint:
         # one draw of count rows: bitwise the per-point draws, and the state after them
-        return PhaseSpaceBatch(self.chart, rng.uniform(-3.0, 3.0, (count, self.chart.dim)))
+        return PhaseSpacePoint(self.chart, rng.uniform(-3.0, 3.0, (count, self.chart.dim)))
 
     def constraints_at(self, x) -> ConstraintSet:
         return self.constraint_set

@@ -41,7 +41,7 @@ from ..constraints import ConstraintSet, KRamp, SurfaceParametrization
 from ..dynamics import DiracFlow, GaugeFlow, PoissonFlow
 from ..errors import NumericDomainError, UsageError
 from ..fields import ScalarField
-from ..phase import ChartSpec, PhaseSpaceBatch, PhaseSpacePoint
+from ..phase import ChartSpec, PhaseSpacePoint
 
 R_MIN = 1e-12  # chart exclusion; the origin is not part of the phase space
 R_SAMPLE_FLOOR = 0.05
@@ -252,13 +252,13 @@ class KlauderModel:
     # -- samplers --------------------------------------------------------------
     def sample_points(self, rng: np.random.Generator, n: int,
                       r_range: tuple[float, float] = (0.1, 5.0),
-                      other_range: tuple[float, float] = (-5.0, 5.0)) -> PhaseSpaceBatch:
+                      other_range: tuple[float, float] = (-5.0, 5.0)) -> PhaseSpacePoint:
         """Generic off-surface samples; r floored away from the excluded origin."""
         low = np.array([max(r_range[0], R_SAMPLE_FLOOR), *[other_range[0]] * 3], dtype=float)
         high = np.array([r_range[1], *[other_range[1]] * 3], dtype=float)
         # rows (r, phi, p_r, p_phi) in one draw, low + (high - low) u as rng.uniform rounds
         # it: bitwise the per-point draws, and the same generator state after them
-        return PhaseSpaceBatch(self.polar_chart, low + (high - low) * rng.random((n, 4)))
+        return PhaseSpacePoint(self.polar_chart, low + (high - low) * rng.random((n, 4)))
 
     def sample_surface(self, rng: np.random.Generator, n: int) -> list[PhaseSpacePoint]:
         pts = []
@@ -279,7 +279,7 @@ class KlauderModel:
 
     def sample(self, rng: np.random.Generator, count: int,
                r_range: tuple[float, float] = (0.1, 5.0),
-               momentum_range: tuple[float, float] = (-5.0, 5.0)) -> PhaseSpaceBatch:
+               momentum_range: tuple[float, float] = (-5.0, 5.0)) -> PhaseSpacePoint:
         # the sampler draws from [low, high] and needs a finite width high - low >= 0
         if not 0.0 <= r_range[1] - max(r_range[0], R_SAMPLE_FLOOR) < math.inf:
             raise UsageError(f"samples/r_range {list(r_range)} needs low <= high with a finite "

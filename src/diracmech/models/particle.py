@@ -24,12 +24,11 @@ from typing import Optional
 import numpy as np
 
 from .. import duals
-from ..constraints import ConstraintSet, dirac_tensor
-from ..brackets import poisson_bracket
+from ..constraints import ConstraintSet, _stacked, dirac_tensor, pairing_matrix_of_rows
 from ..dynamics import PoissonFlow
 from ..errors import NumericDomainError, UsageError
 from ..fields import ScalarField, coordinate_field
-from ..phase import ChartSpec, PhaseSpaceBatch, PhaseSpacePoint
+from ..phase import ChartSpec, PhaseSpacePoint
 
 
 @dataclass(frozen=True)
@@ -132,16 +131,16 @@ class RelativisticParticle:
         """Positive-energy point with x0 = 0, p0 = +sqrt(p.p + m^2): a batch of one."""
         return self._on_shell(np.concatenate([x_spatial, p_spatial]).reshape(1, -1))[0]
 
-    def sample_on_shell(self, rng: np.random.Generator, n: int) -> PhaseSpaceBatch:
+    def sample_on_shell(self, rng: np.random.Generator, n: int) -> PhaseSpacePoint:
         # rows (x, p) in one draw: bitwise the per-point draws, and the same state after them
         return self._on_shell(rng.uniform(-5.0, 5.0, (n, 2 * self.spatial_dim)))
 
-    def _on_shell(self, xp: np.ndarray) -> PhaseSpaceBatch:
+    def _on_shell(self, xp: np.ndarray) -> PhaseSpacePoint:
         # rows (0, x, p0, p) for rows (x, p), p.p summed over the p columns as energy sums it
         d, total = self.spatial_dim, 0.0
         for p in xp[:, d:].T:
             total += p * p
-        return PhaseSpaceBatch(self.full_chart, np.column_stack(
+        return PhaseSpacePoint(self.full_chart, np.column_stack(
             (np.zeros(len(xp)), xp[:, :d], np.sqrt(total + self.mass ** 2), xp[:, d:])))
 
     # -- model interface (see diracmech.models) ------------------------------
@@ -154,7 +153,7 @@ class RelativisticParticle:
         d = self.spatial_dim
         return tuple((f"x{i}", f"p{j}") for i in range(d + 1) for j in range(d + 1))
 
-    def sample(self, rng: np.random.Generator, count: int, **_) -> PhaseSpaceBatch:
+    def sample(self, rng: np.random.Generator, count: int, **_) -> PhaseSpacePoint:
         return self.sample_on_shell(rng, count)
 
     def constraints_at(self, x) -> ConstraintSet:
@@ -184,23 +183,19 @@ class RelativisticParticle:
             return None
         return self.spatial_chart.point(list(x) + list(p))
 
-    def bracket_report(self, samples) -> dict[str, float]:
-        """Worst-case deviations of the on-shell bracket structure.
+    def bracket_report(self, samples: PhaseSpacePoint) -> dict[str, float]:
+        """Worst-case deviations of the on-shell bracket structure over a batch of samples.
 
         pairing: {chi, C} vs p0;   xp: {x^i, p_j}_D vs delta_ij;
         xx, pp: spatial Dirac brackets that must vanish.
         """
-        d = self.spatial_dim
-        xs, ps = slice(1, d + 1), slice(d + 2, 2 * d + 2)
-        worst = {"pairing": 0.0, "xp": 0.0, "xx": 0.0, "pp": 0.0}
-        for x in samples:
-            cs = self.constraint_set(tau=x["x0"])
-            cs.require_on_surface(x.coords, "off-shell sample (use on_shell_point)")
-            p0 = x["p0"]
-            worst["pairing"] = max(worst["pairing"],
-                                   abs(poisson_bracket(cs.fields[0], cs.fields[1], x) - p0))
-            dirac = dirac_tensor(cs, x)
-            worst["xp"] = max(worst["xp"], float(np.max(np.abs(dirac[xs, ps] - np.eye(d)))))
-            worst["xx"] = max(worst["xx"], float(np.max(np.abs(dirac[xs, xs]))))
-            worst["pp"] = max(worst["pp"], float(np.max(np.abs(dirac[ps, ps]))))
-        return worst
+        # the time gauge through each sample's own x0 holds there: only C is checked
+        ConstraintSet(self.full_chart, (self.mass_shell,), ("C",)).require_on_surface(
+            samples.coords, "off-shell sample (use on_shell_point)")
+        d, cs, z = self.spatial_dim, self.constraint_set(), samples.columns  # D at any tau
+        dirac = _stacked(dirac_tensor(cs, samples), z[0])  # (n, dim, dim)
+        pairing = pairing_matrix_of_rows(cs.gradient_rows(z), d + 1)[0][1]  # {chi, C}
+        worst = [np.subtract(pairing, z[d + 1]), dirac[:, 1:d + 1, d + 2:] - np.eye(d),
+                 dirac[:, 1:d + 1, 1:d + 1], dirac[:, d + 2:, d + 2:]]  # x^i: 1..d, p_i: d+2..
+        return {name: float(np.max(np.abs(block), initial=0.0))
+                for name, block in zip(("pairing", "xp", "xx", "pp"), worst)}

@@ -1,10 +1,11 @@
 """Phase-space charts and points.
 
 A chart names 2N canonical coordinates, ordered (q_1..q_N, p_1..p_N), and may
-carry a domain predicate (e.g. "r > 0" for polar-style charts). Points are
+carry a domain predicate (e.g. "r > 0" for polar-style charts). A point is
 validated once, at construction: right length, finite entries, inside the
-domain; a batch of n points once for all its rows. Everything is immutable, so
-values can be shared freely across threads.
+domain. A batch of n points is the same type with (n, dim) coordinates,
+validated once for all its rows: a single point is a batch of one. Everything
+is immutable, so values can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -64,69 +65,49 @@ class ChartSpec:
 
 @dataclass(frozen=True, eq=False)
 class PhaseSpacePoint:
-    """A validated position in a chart. Coordinates are read-only."""
+    """A validated position in a chart, or a batch of n of them: read-only ``coords`` of
+    shape (dim,) or (n, dim), validated by one finiteness and one domain test over the rows,
+    so the first bad row raises its error. ``batch[i]`` is row i as a point."""
 
     chart: ChartSpec
     coords: np.ndarray
 
     def __post_init__(self):
         coords = np.array(self.coords, dtype=float)
-        if coords.shape != (self.chart.dim,):
-            raise UsageError(
-                f"point needs {self.chart.dim} coordinates for chart "
-                f"{self.chart.name!r}, got shape {coords.shape}"
-            )
-        if not np.isfinite(coords).all():
-            bad = self.chart.labels[int(np.argmin(np.isfinite(coords)))]
-            raise NumericDomainError(f"non-finite coordinate {bad!r}")
-        if self.chart.domain is not None and not self.chart.domain(coords):
+        chart = self.chart
+        shape = coords.shape[coords.ndim > 1:]  # a point's, or a batch row's
+        if shape != (chart.dim,):
+            raise UsageError(f"point needs {chart.dim} coordinates for chart "
+                             f"{chart.name!r}, got shape {shape}")
+        ok = np.isfinite(coords.T)  # (dim,) or (dim, n): each point's entries down a column
+        if chart.domain is not None:  # it reads a point's floats or a batch's (n,) columns
+            ok = ok & chart.domain(coords.T)
+        if np.count_nonzero(ok) != ok.size:  # the first bad row raises its error as a point
+            finite = np.isfinite(coords[np.argmin(ok.all(axis=0))] if coords.ndim > 1 else coords)
             raise NumericDomainError(
-                f"point violates domain of chart {self.chart.name!r}"
-                + (f" ({self.chart.domain_description})" if self.chart.domain_description else "")
-            )
+                f"point violates domain of chart {chart.name!r}"
+                + (f" ({chart.domain_description})" if chart.domain_description else "")
+                if finite.all() else f"non-finite coordinate {chart.labels[np.argmin(finite)]!r}")
         coords.setflags(write=False)
         object.__setattr__(self, "coords", coords)
 
-    def __getitem__(self, label: str) -> float:
-        return float(self.coords[self.chart.index(label)])
+    def __getitem__(self, key):  # a coordinate by label (a batch's column), else rows
+        if key.__class__ is str:
+            return self.columns[self.chart.index(key)]
+        return PhaseSpacePoint(self.chart, self.coords[key])
 
-    @property
-    def columns(self) -> list:  # its Python floats, read as a batch's columns are
-        return self.coords.tolist()
-
-    def __repr__(self):
-        pairs = ", ".join(f"{l}={v:g}" for l, v in zip(self.chart.labels, self.coords))
-        return f"PhaseSpacePoint({pairs})"
-
-
-@dataclass(frozen=True, eq=False)
-class PhaseSpaceBatch:
-    """n points of a chart as one read-only (n, dim) array, validated by one finiteness and
-    one domain test: the first bad row raises its PhaseSpacePoint's error. ``batch[i]`` is
-    row i as a point, and ``columns`` the (n,) columns that the generated kernels read."""
-
-    chart: ChartSpec
-    coords: np.ndarray
-
-    def __post_init__(self):
-        coords = np.array(self.coords, dtype=float)
-        ok = np.isfinite(coords).all(axis=1)
-        if self.chart.domain is not None:  # it reads the (n,) columns: one bool per row
-            ok &= self.chart.domain(coords.T)
-        if not ok.all():
-            PhaseSpacePoint(self.chart, coords[int(np.argmin(ok))])
-        coords.setflags(write=False)
-        object.__setattr__(self, "coords", coords)
-
-    @property
-    def columns(self) -> list:
-        return list(self.coords.T)
-
-    def __len__(self) -> int:
+    def __len__(self) -> int:  # a batch's rows
         return len(self.coords)
 
-    def __getitem__(self, i: int) -> PhaseSpacePoint:
-        return PhaseSpacePoint(self.chart, self.coords[i])
+    @property
+    def columns(self) -> list:  # a point's Python floats, or a batch's (n,) columns
+        return self.coords.tolist() if self.coords.ndim == 1 else list(self.coords.T)
+
+    def __repr__(self):
+        if self.coords.ndim > 1:
+            return f"PhaseSpacePoint({len(self.coords)} rows of chart {self.chart.name!r})"
+        pairs = ", ".join(f"{l}={v:g}" for l, v in zip(self.chart.labels, self.coords))
+        return f"PhaseSpacePoint({pairs})"
 
 
 def same_chart(*charts: ChartSpec) -> bool:

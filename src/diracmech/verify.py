@@ -17,7 +17,7 @@ from .brackets import poisson_bracket, poisson_bracket_field
 from .circle import (CircleState, PhiGrid, SpectrumTable, evolve_static, evolve_time_dependent,
                      expect_cartesian, expect_cartesian_matrix_oracle, expect_phi,
                      expect_phi_quadrature, expect_reduced)
-from .constraints import (ConstraintSet, classify, dirac_bracket, dirac_tensor_columns,
+from .constraints import (ConstraintSet, classify, dirac_bracket, dirac_tensor,
                           observable_check, pair_jacobian_check, reduced_bracket_check)
 from .dynamics import (IntegratorConfig, PoissonFlow, constraint_drift, evolve,
                        gauge_orbit_closed_form)
@@ -220,7 +220,7 @@ def check_bracket_table(rng, fault):
     model = KlauderModel(alpha=1.0, k=1.0)
     chart = model.bracket_chart
     batch = model.sample(rng, 200)
-    engine = dirac_tensor_columns(model.constraints_at(batch), batch)
+    engine = dirac_tensor(model.constraints_at(batch), batch)
     worst = 0.0
     for pair in model.bracket_pairs:
         value = engine[chart.index(pair[0])][chart.index(pair[1])]

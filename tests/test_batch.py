@@ -1,7 +1,7 @@
-"""A sample set is one batch: one validated draw, and the Dirac tensor, its pairing guard
-and the bracket oracles run once on its columns. Each property holds the batch route to
-the per-point route it replaces, row by row: bitwise for two constraints, the same error
-for the first failing row."""
+"""A sample set is one batch: a PhaseSpacePoint of (n, dim) coordinates, validated once, and
+``dirac_tensor``, its pairing guard and the bracket oracles run once on its columns. Each
+property holds the batch call to its calls on the rows one by one: bitwise for two
+constraints, the same error for the first failing row."""
 
 import numpy as np
 import pytest
@@ -9,11 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diracmech.constraints import (DEGENERACY_RTOL, _column_multipliers, _pairing_multipliers,
-                                   _solve_pairing, dirac_tensor, dirac_tensor_columns)
-from diracmech.errors import DiracMechError
+                                   _solve_pairing, dirac_tensor)
+from diracmech.errors import DiracMechError, NumericDomainError, UsageError
 from diracmech.models import CustomModel, KlauderModel, RelativisticParticle
 from diracmech.models.klauder import R_MIN
-from diracmech.phase import PhaseSpaceBatch, PhaseSpacePoint
+from diracmech.phase import PhaseSpacePoint
 
 SEEDS = st.integers(0, 2**32 - 1)
 COUNTS = st.integers(1, 24)
@@ -32,10 +32,10 @@ def outcome(fn, *args):
 
 
 def per_row_and_columns(cs, batch):
-    """D per row by ``dirac_tensor`` and by ``dirac_tensor_columns`` as (n, dim, dim)
-    arrays, or the error each route raises."""
+    """D by ``dirac_tensor`` at each row and at the whole batch, as (n, dim, dim) arrays, or
+    the error each raises."""
     rows, row_error = outcome(lambda: np.array([dirac_tensor(cs, x) for x in batch]))
-    d, column_error = outcome(dirac_tensor_columns, cs, batch)
+    d, column_error = outcome(dirac_tensor, cs, batch)
     assert column_error == row_error
     if d is None:
         return None, None
@@ -180,24 +180,57 @@ def test_column_guard_decides_every_row_as_second_class(seed, kind):
             assert [[v[i] for v in s] for s in multipliers] == row
 
 
-@given(SEEDS, st.integers(1, 8), st.lists(st.sampled_from(
-    ["ok", "nan", "inf", "-inf", "zero_r", "r_min", "negative_r"]), min_size=1, max_size=4))
-@settings(max_examples=150, deadline=None)
-def test_batch_validation_raises_the_first_bad_rows_error(seed, count, faults):
+def point_error(chart, coords):
+    """The outcome of the per-point validation that batches were once held to, as ``outcome``
+    gives it: the shape, then a non-finite entry (the first), then the chart's domain."""
+    coords = np.array(coords, dtype=float)
+    if coords.shape != (chart.dim,):
+        return UsageError, (f"point needs {chart.dim} coordinates for chart {chart.name!r}, "
+                            f"got shape {coords.shape}"), "None", None
+    if not np.isfinite(coords).all():
+        bad = chart.labels[int(np.argmin(np.isfinite(coords)))]
+        return NumericDomainError, f"non-finite coordinate {bad!r}", "None", None
+    if chart.domain is not None and not chart.domain(coords):
+        return NumericDomainError, (f"point violates domain of chart {chart.name!r}" + (
+            f" ({chart.domain_description})" if chart.domain_description else "")), "None", None
+    return None
+
+
+# charts with a domain on one coordinate (its index, and values outside it) and without one
+CHARTS = {"polar": (KlauderModel().polar_chart, 0, [0.0, R_MIN, -1.0]),
+          "reduced": (KlauderModel(k=0.0).reduced_chart, 1, [0.0, -0.0]),
+          "minkowski": (RelativisticParticle(mass=1.0, spatial_dim=1).full_chart, None, [])}
+
+
+@given(SEEDS, st.integers(1, 8), st.sampled_from(sorted(CHARTS)), st.lists(st.sampled_from(
+    ["ok", "nan", "inf", "-inf", "domain", "short", "long"]), min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None)
+@example(seed=0, count=3, chart="polar", faults=["domain", "nan"])
+@example(seed=0, count=2, chart="minkowski", faults=["short"])
+def test_batch_validation_raises_the_first_bad_rows_error(seed, count, chart, faults):
+    # a point and a batch against the per-point validation of each row in turn
     rng = np.random.default_rng(seed)
-    chart = KlauderModel().polar_chart
-    coords = rng.uniform(0.1, 5.0, (count, 4))
+    chart, column, outside = CHARTS[chart]
+    coords = rng.uniform(0.1, 5.0, (count, chart.dim))
     for fault in faults:
-        i, j = rng.integers(0, count), rng.integers(0, 4)
-        value = {"ok": coords[i, j], "nan": np.nan, "inf": np.inf, "-inf": -np.inf,
-                 "zero_r": 0.0, "r_min": R_MIN, "negative_r": -1.0}[fault]
-        coords[i, 0 if fault in ("zero_r", "r_min", "negative_r") else j] = value
+        i, j = rng.integers(0, count), rng.integers(0, chart.dim)
+        if fault == "domain" and column is not None:
+            coords[i, column] = outside[rng.integers(0, len(outside))]
+        elif fault in ("nan", "inf", "-inf"):
+            coords[i, j] = float(fault)
+    if "short" in faults:  # every row one coordinate short, or one too many
+        coords = coords[:, :-1]
+    elif "long" in faults:
+        coords = np.hstack([coords, coords[:, :1]])
     expected = None
     for row in coords:
-        _, expected = outcome(PhaseSpacePoint, chart, row)
-        if expected is not None:
-            break
-    batch, error = outcome(PhaseSpaceBatch, chart, coords)
+        point, error = outcome(PhaseSpacePoint, chart, row)
+        assert error == point_error(chart, row)
+        if error is None:
+            assert point.coords.tobytes() == row.tobytes() and not point.coords.flags.writeable
+        if expected is None:
+            expected = error
+    batch, error = outcome(PhaseSpacePoint, chart, coords)
     assert error == expected
     if error is None:
         assert batch.coords.tobytes() == coords.tobytes()
@@ -207,10 +240,10 @@ def test_batch_validation_raises_the_first_bad_rows_error(seed, count, faults):
 def test_a_degenerate_row_raises_the_per_point_error_of_the_first_one():
     # {q, p^2 - c} pairs to 2p, singular where p = 0: rows 1 and 3 are, row 1 raises
     model = CustomModel(("q", "p"), (("q", ((1.0, (1, 0)),)), ("p2", ((1.0, (0, 2)),))))
-    batch = PhaseSpaceBatch(model.chart, [[1.0, 2.0], [0.5, 0.0], [2.0, -1.0], [3.0, 0.0]])
+    batch = PhaseSpacePoint(model.chart, [[1.0, 2.0], [0.5, 0.0], [2.0, -1.0], [3.0, 0.0]])
     assert per_row_and_columns(model.constraint_set, batch) == (None, None)  # the same error
     with pytest.raises(DiracMechError, match=r"is singular \(det=0.000e\+00\)") as raised:
-        dirac_tensor_columns(model.constraint_set, batch)
+        dirac_tensor(model.constraint_set, batch)
     assert raised.value.coords.tolist() == [0.5, 0.0]
 
 

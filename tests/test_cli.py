@@ -96,10 +96,9 @@ def test_brackets_reads_one_dirac_tensor_per_table_and_one_oracle_per_pair(tmp_p
         written.append(len(rows))
         return write_table(path, fmt, columns, rows, footer_rows)
 
-    # cmd_brackets reads D on the batch's columns, through the binding dirac_tensor_columns,
+    # cmd_brackets reads D on the batch's columns, through the binding dirac_tensor,
     # once for the table; the oracle answers each of the 6 pairs for all 5 rows at once
-    monkeypatch.setattr(cli, "dirac_tensor_columns",
-                        counted("dirac_tensor", cli.dirac_tensor_columns))
+    monkeypatch.setattr(cli, "dirac_tensor", counted("dirac_tensor", cli.dirac_tensor))
     monkeypatch.setattr(KlauderModel, "dirac_oracle",
                         counted("dirac_oracle", KlauderModel.dirac_oracle))
     monkeypatch.setattr(cli, "write_table", recording_write_table)
@@ -134,14 +133,15 @@ SECOND_CLASS_CUSTOM = {
                                    {"kind": "particle", "mass": 2.0, "spatial_dim": 2},
                                    SECOND_CLASS_CUSTOM])
 def test_brackets_builds_no_point_per_sampled_row(tmp_path, monkeypatch, model):
-    # the table reads the sampled batch as columns: one validation, no PhaseSpacePoint
+    # the table reads the sampled batch as columns: one validation of the whole draw, and
+    # no point per row
     built = []
     post_init = PhaseSpacePoint.__post_init__
     monkeypatch.setattr(PhaseSpacePoint, "__post_init__",
                         lambda self: built.append(post_init(self)))
     config = write_config(tmp_path / "cfg.json", {"model": model, "samples": {"count": 40}})
     assert run_cli("brackets", "--config", config, "--out", str(tmp_path / "t.csv")) == 0
-    assert built == []
+    assert len(built) == 1
 
 
 def test_brackets_custom_second_class_pair_has_no_oracle(tmp_path):
@@ -831,7 +831,7 @@ def refuse_model_work(monkeypatch):
 
     for target in ("diracmech.models.LatticeMaxwell.projector_residuals",
                    "diracmech.circle.SpectrumTable.build", "diracmech.cli.evolve",
-                   "diracmech.cli.dirac_tensor_columns"):
+                   "diracmech.cli.dirac_tensor"):
         monkeypatch.setattr(target, refuse)
 
 

@@ -334,7 +334,7 @@ def test_dirac_matrices_match_generic_engine(small):
     cs = ConstraintSet(chart, tuple(fields), tuple(names))
     x = chart.point(np.zeros(2 * n))
 
-    engine = dirac_tensor(cs, x)
+    engine = np.array(dirac_tensor(cs, x))
     assert np.max(np.abs(engine[:n, n:] - small.dirac_bracket_matrices())) < 1e-9
     assert np.max(np.abs(engine[:n, :n])) < 1e-12
     assert np.max(np.abs(engine[n:, n:])) < 1e-12

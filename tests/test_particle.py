@@ -67,9 +67,12 @@ def test_bracket_report_on_shell(rng):
 
 def test_bracket_report_rejects_off_shell():
     particle = RelativisticParticle(mass=1.0)
-    bad = particle.full_chart.point([0.0, 0.0, 0.0, 0.0, 3.0, 1.0, 0.0, 0.0])
-    with pytest.raises(UsageError, match="off-shell"):
-        particle.bracket_report([bad])
+    # a batch whose second row is off the mass shell: its residual |C| = 3.5 is named
+    batch = particle.full_chart.point([particle.on_shell_point([0.0] * 3, [1.0] * 3).coords,
+                                       [0.0, 0.0, 0.0, 0.0, 3.0, 1.0, 0.0, 0.0]])
+    with pytest.raises(UsageError, match=r"^off-shell sample \(use on_shell_point\) is off the "
+                                         r"constraint surface: \|C\| = 3\.500e\+00, tolerance"):
+        particle.bracket_report(batch)
 
 
 def test_closed_form_matches_rk4(rng):

@@ -2,6 +2,8 @@
 after them, are bitwise those of one draw per point in turn, the loop each test keeps as
 its oracle."""
 
+import math
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -23,10 +25,13 @@ def assert_same_draws(points, oracle, rng, oracle_rng):
 @settings(max_examples=200, deadline=None)
 @example(seed=0, count=0, r_bounds=(0.1, 5.0), momentum_bounds=(-5.0, 5.0))
 @example(seed=1, count=1, r_bounds=(1, 5), momentum_bounds=(-5, 5))  # integer JSON bounds
+@example(seed=0, count=1, r_bounds=(0.0, 0.0), momentum_bounds=(0.0, -0.0))  # signed zeros
 def test_klauder_sample_is_the_per_point_draws(seed, count, r_bounds, momentum_bounds):
     model = KlauderModel(alpha=1.0, k=1.0)
     r_range = (min(r_bounds), max(max(r_bounds), R_SAMPLE_FLOOR))
-    momentum_range = tuple(sorted(momentum_bounds))
+    # low <= high with -0.0 before 0.0, as the oracle's uniform(low, high) needs them: sorted
+    # alone keeps (0.0, -0.0), which compare equal, and uniform(0.0, -0.0) rejects it
+    momentum_range = tuple(sorted(momentum_bounds, key=lambda v: (v, math.copysign(1.0, v))))
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     points = model.sample(rng, count, r_range, momentum_range)
     lo = max(r_range[0], R_SAMPLE_FLOOR)

@@ -4,11 +4,16 @@ A :class:`Dual` carries a value together with a tangent vector and every
 arithmetic operation propagates both. Seeding the coordinates of a point with
 unit tangents therefore yields the exact gradient of any expression composed
 from the operations below, at the cost of one evaluation.
+
+``trace`` records that pass once as straight-line float code: Dual's own operations, run on
+values that name their floats and on tangents with no structurally zero entry (source
+transformation, Griewank & Walther, *Evaluating Derivatives*, ch. 6).
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -23,7 +28,7 @@ class Dual:
     __array_ufunc__ = None
 
     def __init__(self, val, eps):
-        self.val = float(val)
+        self.val = val if val.__class__ is _Traced else float(val)
         self.eps = eps  # 1-D float ndarray, owned by the arithmetic below
 
     def __repr__(self):
@@ -110,7 +115,7 @@ class Dual:
 
 
 def division_error(num, den) -> NumericDomainError:
-    """The error for ``num / den`` with a zero ``den``, on duals and closed forms alike."""
+    """The error for ``num / den`` with a zero ``den``."""
     return NumericDomainError(f"{num!r} / {den!r}: division by zero")
 
 
@@ -139,6 +144,12 @@ def gradient(func, coords):
 # math's domain, range and division errors re-raise as NumericDomainError;
 # the try costs nothing on the non-raising path
 _MATH_ERRORS = (ValueError, OverflowError, ZeroDivisionError)
+_UNIT = (1.0,)  # the value of a seed's traced unit tangent entry
+
+
+def _apply(fn, x):
+    """fn(x) on a float; on a traced value, the call recorded with fn handed in."""
+    return x.emit("{}({})", _Traced(x.tape, (fn,)), x) if x.__class__ is _Traced else fn(x)
 
 
 def _lift(fn, tangent):
@@ -149,7 +160,7 @@ def _lift(fn, tangent):
     def lifted(x):
         try:
             if isinstance(x, Dual):
-                v = fn(x.val)
+                v = _apply(fn, x.val)
                 return Dual(v, tangent(v, x))
             return fn(x)
         except _MATH_ERRORS as err:
@@ -162,10 +173,10 @@ def _lift(fn, tangent):
 sqrt = _lift(math.sqrt, lambda v, x: (0.5 / v) * x.eps)
 exp = _lift(math.exp, lambda v, x: v * x.eps)
 log = _lift(math.log, lambda v, x: x.eps / x.val)
-sin = _lift(math.sin, lambda v, x: math.cos(x.val) * x.eps)
-cos = _lift(math.cos, lambda v, x: -math.sin(x.val) * x.eps)
-sinh = _lift(math.sinh, lambda v, x: math.cosh(x.val) * x.eps)
-cosh = _lift(math.cosh, lambda v, x: math.sinh(x.val) * x.eps)
+sin = _lift(math.sin, lambda v, x: _apply(math.cos, x.val) * x.eps)
+cos = _lift(math.cos, lambda v, x: -_apply(math.sin, x.val) * x.eps)
+sinh = _lift(math.sinh, lambda v, x: _apply(math.cosh, x.val) * x.eps)
+cosh = _lift(math.cosh, lambda v, x: _apply(math.sinh, x.val) * x.eps)
 
 
 def atan2(y, x):
@@ -176,3 +187,94 @@ def atan2(y, x):
         xe = x.eps if isinstance(x, Dual) else 0.0
         return Dual(math.atan2(yv, xv), (xv * ye - yv * xe) / denom)
     return math.atan2(y, x)
+
+
+class _Traced:
+    """A float of a traced dual pass: a constant (value,), else an input or a temporary of
+    the code its tape records. It has no comparison and no float(), so a func that branches
+    on a value or leaves the dual helpers raises while traced."""
+
+    __slots__ = ("tape", "value")
+
+    def __init__(self, tape, value=None):
+        self.tape, self.value = tape, value
+
+    def emit(self, template, *operands):  # the tape maps each operation, once, to its result
+        return self.tape.setdefault((template, operands), _Traced(self.tape))
+
+    def __neg__(self):
+        return self.emit("-{}", self)
+
+
+def _recorded(template, reflected=False):
+    fold = template == "{} * {}"  # a seed's unit tangent entry: x * 1.0 is x
+
+    def op(self, other):  # a float operand is a constant the code is handed
+        if other.__class__ is not _Traced:
+            if not isinstance(other, (int, float)):
+                return NotImplemented
+            other = _Traced(self.tape, (float(other),))
+        a, b = (other, self) if reflected else (self, other)
+        if fold and (a.value is _UNIT or b.value is _UNIT):
+            return b if a.value is _UNIT else a
+        return a.tape.setdefault((template, (a, b)), _Traced(a.tape))
+    return op
+
+
+for _name, _sign in (("add", "+"), ("sub", "-"), ("mul", "*"), ("truediv", "/")):
+    setattr(_Traced, f"__{_name}__", _recorded(f"{{}} {_sign} {{}}"))
+    setattr(_Traced, f"__r{_name}__", _recorded(f"{{}} {_sign} {{}}", True))
+
+
+class _Tangent(dict):
+    """A traced tangent, coordinate index -> _Traced, with no structurally zero entry: Dual's
+    tangent operations on the entries there are; where only b has entry j, a - b has 0.0 - b_j."""
+
+    __add__ = lambda a, b: _Tangent({**b, **a, **{j: a[j] + b[j] for j in a if j in b}})
+    __sub__ = lambda a, b: _Tangent({**{j: 0.0 - v for j, v in b.items() if j not in a}, **a,
+                                     **{j: a[j] - b[j] for j in a if j in b}})
+    __neg__ = lambda a: _Tangent({j: -v for j, v in a.items()})
+    __mul__ = lambda a, s: _Tangent({j: v * s for j, v in a.items()})
+    __rmul__ = lambda a, s: _Tangent({j: s * v for j, v in a.items()})
+    __truediv__ = lambda a, s: _Tangent({j: v / s for j, v in a.items()})
+
+
+def trace(func, dim):
+    """``func``'s dual pass at dim coordinates as ((lines, outputs, count), constants), or None
+    where it branches on a value, calls what is not recorded, or raises while traced: lines
+    "t3 = t1 * c2" over the inputs x0.. and the count constants c0.. (each float of the pass
+    and each lift's math function), those the gradient needs and every division and call,
+    which may raise; outputs name each entry, o{j} a temporary of entry j alone."""
+    tape = {}
+    seeds = [_Traced(tape) for _ in range(dim)]
+    try:
+        out = func([Dual(x, _Tangent({j: _Traced(tape, _UNIT)})) for j, x in enumerate(seeds)])
+    except Exception:
+        return None
+    if not (isinstance(out, Dual) and isinstance(out.eps, _Tangent)):
+        return None
+    zero = _Traced(tape, (0.0,))  # a structurally zero entry
+    outputs = [out.eps.get(j, zero) for j in range(dim)]
+    live = {*outputs, *(t for (op, _), t in tape.items() if "/" in op or "(" in op)}  # may raise
+    kept = [(t, op) for op, t in reversed(tape.items()) if t in live and not live.update(op[1])]
+    kept.reverse()
+    names = {**{x: f"x{j}" for j, x in enumerate(seeds)},
+             **{t: f"t{i}" for i, (t, _) in enumerate(kept)}}
+    names.update((t, f"o{j}") for j, t in enumerate(outputs)
+                 if names.get(t, "x")[0] == "t" and outputs.count(t) == 1)
+    constants = []
+
+    def name(v):  # the constants c0.. in order of first use
+        if v not in names:
+            names[v] = f"c{len(constants)}"
+            constants.append(v.value[0])
+        return names[v]
+
+    reads, lines = Counter(v for _, (_, operands) in kept for v in operands), []
+    for t, (template, operands) in kept:
+        text = template.format(*map(name, operands))
+        if reads[t] == 1 and t not in outputs:  # read by one later line: written into it
+            names[t] = f"({text})"
+        else:
+            lines.append(f"{names[t]} = {text}")
+    return (tuple(lines), tuple(map(name, outputs)), len(constants)), tuple(constants)

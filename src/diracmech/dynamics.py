@@ -8,12 +8,12 @@ never corrected: the Dirac flow is tangent to the surface by construction.
 ``evolve`` steps on a list of Python floats, in one generated kernel per flow: ``kernels``
 writes the flow's right-hand side into each of the four RK4 stages of a loop over steps,
 which tests every new state against the blow-up bound and collects it, with no numpy call.
-``evolve`` binds that loop once per run to the flow's resolved gradient routes (and a gauge
-flow's constant or polynomial multiplier), calls it once per block of ``RUN_BLOCK`` steps,
-and writes each block into the preallocated trajectory arrays in one assignment. The lattice
-Maxwell flow does not come here: ``LatticeMaxwell.evolve`` applies the same RK4 map per
-Fourier mode in closed form, and shares this module's recording arrays, blow-up error and
-finalisation.
+``evolve`` binds that loop once per run to the flow's gradients, each traced one written in
+and handed its constants (and a gauge flow's constant or polynomial multiplier), calls it
+once per block of ``RUN_BLOCK`` steps, and writes each block into the preallocated trajectory
+arrays in one assignment. The lattice Maxwell flow does not come here:
+``LatticeMaxwell.evolve`` applies the same RK4 map per Fourier mode in closed form, and
+shares this module's recording arrays, blow-up error and finalisation.
 
 The Dirac rhs covers every even constraint count: the brackets {Phi_I, H} are summed
 straight from the gradients, and the pairing matrix M by the constraint engine's own
@@ -128,22 +128,33 @@ class Trajectory:
         return len(self.times)
 
 
-def _kernel_args(flow: FlowSpec) -> tuple[str, int, tuple]:
-    """(kind, k, arguments) of the flow's generated kernels: ``kind`` gives the rhs(t, z) and
-    ``kind + "_run"`` the whole RK4 loop, each bound by the arguments to the flow's resolved
-    gradient routes (and a gauge flow's constant or polynomial multiplier)."""
+def _kernel_args(flow: FlowSpec) -> tuple[str, int, tuple, tuple]:
+    """(kind, k, arguments, fields) of the flow's generated kernels: ``kind`` gives the
+    rhs(t, z) and ``kind + "_run"`` the whole RK4 loop, each bound by the arguments to the
+    gradient routes of ``fields`` (and a gauge flow's constant or polynomial multiplier)."""
     if isinstance(flow, PoissonFlow):
-        return "poisson", 0, (flow.hamiltonian._gradient,)
+        return "poisson", 0, (flow.hamiltonian._gradient,), (flow.hamiltonian,)
     if isinstance(flow, GaugeFlow):
         m = flow.multiplier
         constant = None if callable(m) else float(m)
         # a float numpy Polynomial whose domain is its window (its x is t): Horner in the rhs
         coeffs = (m.coef.tolist() if constant is None and isinstance(m, np.polynomial.Polynomial)
                   and m.coef.dtype == float and np.array_equal(m.domain, m.window) else None)
-        return "gauge", 0, (flow.generator._gradient, flow.multiplier_at, constant, coeffs)
+        return ("gauge", 0, (flow.generator._gradient, flow.multiplier_at, constant, coeffs),
+                (flow.generator,))
     cs = flow.constraints
-    return "dirac", len(cs), (flow.hamiltonian._gradient, [f._gradient for f in cs.fields],
-                              cs.rates, _pairing_multipliers, DEGENERACY_RTOL)
+    args = (flow.hamiltonian._gradient, [f._gradient for f in cs.fields], cs.rates,
+            _pairing_multipliers, DEGENERACY_RTOL)
+    return "dirac", len(cs), args, (flow.hamiltonian, *cs.fields)
+
+
+def _loop(flow: FlowSpec) -> Callable:
+    """The flow's RK4 loop ``run``, bound by ``_kernel_args``: each traced gradient written
+    into its four stages and handed its constants, every other gradient called."""
+    kind, k, args, fields = _kernel_args(flow)
+    traces = [f._trace for f in fields]
+    return _generated(kind + "_run", flow.chart.n_pairs, k, tuple(t and t[0] for t in traces))(
+        *args, tuple(t[1] if t else () for t in traces))
 
 
 def _blew_up(t: float) -> NumericDomainError:
@@ -194,8 +205,7 @@ def evolve(x0: PhaseSpacePoint, flow: FlowSpec, cfg: IntegratorConfig,
         require_same_chart(watched, x0)
 
     dt, steps = cfg.dt, cfg.steps
-    kind, k, args = _kernel_args(flow)
-    run = _generated(kind + "_run", chart.n_pairs, k)(*args)  # arithmetic only from here
+    run = _loop(flow)  # arithmetic only from here
     times, states = _recording(steps, chart.dim)
     times[0] = 0.0
     states[0] = x0.coords

@@ -2,9 +2,12 @@
 
 A field wraps a pure function of the coordinates, which reads them on axis 0:
 a point is a (dim,) array, and a block of states a (dim, B) array whose
-trailing axis is the batch. Its gradient is the
-registered ``grad`` if it has one, and exact forward-mode differentiation
-(dual numbers) otherwise. A black-box function registers central finite
+trailing axis is the batch. Its gradient is the registered ``grad`` if it has one,
+else its exact forward-mode (dual number) pass traced once by ``duals.trace`` into
+straight-line float code, compiled once per structure, else that dual pass itself: a
+``func`` that compares a value, calls a function but the ``duals`` lifts (``math.sin``,
+``np.sqrt``, ``duals.atan2``), reads a dual's ``val``, raises a dual to a power but 2,
+or raises while traced is not traced. A black-box function registers central finite
 differences, ``lambda z: central_difference_gradient(func, z).tolist()``, with step
 h = cbrt(machine eps) * max(1, |x_i|). Evaluation and gradients are pure:
 the same coordinates always produce bitwise-identical results.
@@ -21,6 +24,7 @@ import numpy as np
 
 from . import duals
 from .errors import NumericDomainError, UsageError
+from .kernels import _generated
 from .phase import ChartSpec, PhaseSpacePoint, require_same_chart
 
 _CBRT_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
@@ -58,6 +62,7 @@ class ScalarField:
     the values it gives point by point, bit for bit. A field with a
     black-box ``func`` registers a closed-form ``grad``, or central
     differences: ``grad=lambda z: central_difference_gradient(func, z).tolist()``.
+    An error in a traced gradient reruns the dual pass, which raises its own.
 
     ``grad`` reads its point, a list of Python floats, by index or by unpacking,
     and returns a list of Python floats, as every field the package builds does
@@ -87,9 +92,22 @@ class ScalarField:
         return np.asarray(self._gradient(np.asarray(coords, dtype=float).tolist()), dtype=float)
 
     @cached_property
+    def _trace(self) -> Optional[tuple]:
+        """``duals.trace`` of func, once per field: None for a registered grad, or a func
+        that branches on a value, calls what the tracer does not record, or raises."""
+        return None if self.grad is not None else duals.trace(self.func, self.chart.dim)
+
+    @cached_property
     def _gradient(self) -> Callable:
-        # the one gradient route, resolved once per field: the registered grad, else the dual pass
-        return self.grad if self.grad is not None else partial(duals.gradient, self.func)
+        # the one gradient route, resolved once per field: the registered grad, else the
+        # compiled trace (the dual pass on an error), else the dual pass
+        if self.grad is not None:
+            return self.grad
+        dual = partial(duals.gradient, self.func)
+        if self._trace is None:
+            return dual
+        shape, constants = self._trace
+        return _generated("gradient", self.chart.n_pairs, 0, (shape,))(dual, (constants,))
 
     # validated point API --------------------------------------------------
     def value(self, x: PhaseSpacePoint) -> float:

@@ -1,21 +1,25 @@
 """Generated float kernels, as ``namedtuple`` and ``dataclasses`` generate theirs: the
-Poisson, gauge and Dirac right-hand sides, each flow's whole RK4 loop, the pairing matrix and
-the Dirac tensor. This module imports nothing from the package, and each kernel is compiled in
-a namespace of its own: it reads the builtins and what it is handed, no module global.
+Poisson, gauge and Dirac right-hand sides, each flow's whole RK4 loop, a traced gradient, the
+pairing matrix and the Dirac tensor. This module imports nothing from the package, and each
+kernel is compiled in a namespace of its own: it reads the builtins and what it is handed.
 
-For each kind, chart size n and constraint count k, the source is written out over the 2n
-coordinates, compiled at the first call that needs it (not at import), and cached for the
-life of the process. A flow's RK4 loop holds its right-hand side's body four times, once per
-stage, so a step calls the gradients and no function of its own. While n (k + 2)^2 <= 128
-(up to 64 coordinates for the Poisson and gauge flows, up to 16 for two constraints) every
-list entry and sum term is spelled out, which spares a step on a few coordinates the zips,
-slices and loop counters that cost more than its arithmetic; past that, each list is one
-comprehension and each sum one loop. Both forms keep the order of every sum, so they give
-the same bits.
+For each kind, chart size n, constraint count k and the structure of each traced gradient
+(``duals.trace``; its constants are handed in, so they key nothing), the source is written out
+over the 2n coordinates, compiled at the first call that needs it, and cached for the life of
+the process. A flow's RK4 loop holds its right-hand side's body four times, once per stage,
+with each traced gradient's lines written in: an arithmetic or math error there reruns every
+gradient route at that point, the dual pass of a traced one, which raises its own error. A
+stage calls a registered ``grad``, or the dual pass of a func not traced. While
+n (k + 2)^2 <= 128 (up to 64 coordinates for the Poisson and gauge flows, up to 16 for two
+constraints) every list entry and sum term is spelled out, which spares a step on a few
+coordinates the zips, slices and loop counters that cost more than its arithmetic; past that,
+each list is one comprehension and each sum one loop. Both forms keep the order of every sum,
+so they give the same bits.
 """
 
 from __future__ import annotations
 
+import re
 from functools import cache
 
 # A generated function for n pairs and k constraints (k = 0 for the Poisson and gauge kinds)
@@ -27,23 +31,26 @@ from functools import cache
 _UNROLL_TERMS = 128
 
 
-def _source(kind: str, n: int, k: int = 0) -> str:
+def _source(kind: str, n: int, k: int = 0, traces: tuple = ()) -> str:
     """Python source of the function ``kind`` for a chart of n pairs.
 
-    ``pairing(rows)`` returns M for k gradient rows, and the factories ``poisson``,
-    ``gauge`` and ``dirac(grad_h, grads, rates, solve, rtol)`` (k constraints, any even
-    count, their k constant rates dPhi_I/dt, added to {Phi_I, H}, and ``solve(m, s, z)``, the
-    guarded solve of M) each return an ``rhs(t, z)``; with two constraints it takes solve's
-    test and closed form itself where M = [[0, d], [-d, 0]] and d d < inf: hypot(0, d) = |d|
-    makes the guard's scale max(d d, 1), so |det| > rtol scale holds exactly when d d > rtol.
-    Their ``_run`` twins (``dirac_run`` and so on) take the same arguments and return
-    ``run(z, dt, start, stop, limit, rows)``: classic RK4 from the state list z at step
-    ``start``, the rhs body written into each of its four stages, which appends each new state
-    list to ``rows`` and returns the first step whose state has an entry past ``limit`` (or
-    NaN), else ``stop``. The factory ``tensor(grads, solve)`` returns ``d(z)``, the Dirac
-    tensor D as nested lists for any k, of floats or of a batch's columns: one solve, on M and
-    S. Each sum runs from +0.0 in index order (an entry of D from its first product) and each
-    list in coordinate order, unrolled or in a loop, so both forms give the same bits.
+    ``pairing(rows)`` returns M for k gradient rows, and the factories ``poisson``, ``gauge`` and
+    ``dirac(grad_h, grads, rates, solve, rtol)`` (k constraints, any even count, their k
+    constant rates dPhi_I/dt, added to {Phi_I, H}, and ``solve(m, s, z)``, the guarded solve of
+    M) each return an ``rhs(t, z)``; with two constraints it takes solve's test and closed form
+    itself where M = [[0, d], [-d, 0]] and d d < inf: hypot(0, d) = |d| makes the guard's scale
+    max(d d, 1), so |det| > rtol scale holds exactly when d d > rtol. Their ``_run`` twins
+    (``dirac_run`` and so on) take the same arguments and return ``run(z, dt, start, stop,
+    limit, rows)``: classic RK4 from the state list z at step ``start``, the rhs body written
+    into each of its four stages, which appends each new state list to ``rows`` and returns the
+    first step whose state has an entry past ``limit`` (or NaN), else ``stop``. With ``traces``,
+    one ``duals.trace`` structure per gradient (H's first; None for a call), each is written in,
+    its constants read from the factory's ``consts``, a tuple per gradient; ``gradient(gradient,
+    consts)`` returns one traced gradient ``traced(z)``, whose route ``gradient`` is the dual
+    pass. The factory ``tensor(grads, solve)`` returns ``d(z)``, the Dirac tensor D as nested
+    lists for any k, of floats or of a batch's columns: one solve, on M and S. Each sum runs
+    from +0.0 in index order (an entry of D from its first product) and each list in coordinate
+    order, unrolled or in a loop, so both forms give the same bits.
     """
     dim = 2 * n
     unrolled = n * (k + 2) ** 2 <= _UNROLL_TERMS
@@ -117,11 +124,41 @@ def _source(kind: str, n: int, k: int = 0) -> str:
         return "\n    ".join(["def tensor(grads, solve):", *setup, "def d(z):",
                               *(f"    {line}" for line in body), "return d"])
     flow = kind.removesuffix("_run")
-    if flow == "poisson":
+    one = flow in ("gradient", "poisson", "gauge")  # one gradient, else H's and each Phi_I's
+    roles = ("g",) if one else ("gh", *(f"r{i}" for i in cs))
+    routes = ("gradient",) if one else ("grad_h", *(f"grad_{i}" for i in cs))
+    traces = tuple(traces) or (None,) * len(roles)
+
+    def point(z):  # the stage point z as a list: unrolled, y is one where a gradient is called
+        return listed(z) if unrolled and z != "z" and None not in traces else z
+
+    def gradients(z):  # each gradient at z: a traced one written in, its route on an error
+        calls = [read(role, f"{route}({point(z)})") for role, route in zip(roles, routes)]
+        if not any(traces):
+            return calls
+        written = []
+        for role, call, trace in zip(roles, calls, traces):
+            if trace is None:
+                written.append(call)
+                continue
+            # the trace's inputs x0.. read z's entries, and its t0.., c0.. and o0.. become the
+            # role's; unrolled, o{j} is the role's entry j itself
+            name = (lambda m, role=role: (f"{z}_{m[2]}" if unrolled else f"{z}[{m[2]}]")
+                    if m[1] == "x" else f"{role}_{m[2]}" if m[1] == "o" and unrolled
+                    else role + m[0])
+            lines, outputs = ([re.sub(r"\b([xtco])(\d+)\b", name, v) for v in part]
+                              for part in trace[:2])
+            written += lines + ([f"{role}_{j} = {o}" for j, o in enumerate(outputs)
+                                 if o != f"{role}_{j}"] if unrolled
+                                else [f"{role} = [{', '.join(outputs)}]"])
+        return ["try:", *(f"    {line}" for line in written),
+                "except (ArithmeticError, ValueError):", *(f"    {line}" for line in calls)]
+
+    if flow in ("gradient", "poisson"):
         params, setup = "gradient", []
 
-        def stage(z, t, out):  # the rhs at the point list z and time t, as the vector out
-            return [read("g", f"gradient({z})"), *assign(out, ("g{p}", n), ("-g{q}", n))]
+        def stage(z, t, out):  # the rhs at the point z and time t, as the vector out
+            return [*gradients(z), *assign(out, ("g{p}", n), ("-g{q}", n))]
     elif flow == "gauge":
         # lambda(t): the constant, else the coefficients c by Horner in numpy's polyval order
         # (x = 0 + 1 t, from c[-1] + 0 x), else multiplier_at(t)
@@ -132,7 +169,7 @@ def _source(kind: str, n: int, k: int = 0) -> str:
             return ["if constant is not None:", "    lam = constant", "elif last is None:",
                     f"    lam = multiplier_at({t})", "else:", f"    x = 0.0 + 1.0 * {t}",
                     "    lam = last + x * 0", "    for c in rest:", "        lam = c + lam * x",
-                    read("g", f"gradient({z})"),
+                    *gradients(z),
                     *assign(out, ("lam * g{p}", n), ("lam * -g{q}", n))]
     else:
         # {Phi_I, H} = b_I - c_I, b_I = q_I . dH/dp and c_I = p_I . dH/dq, summed beside a_IJ
@@ -145,30 +182,39 @@ def _source(kind: str, n: int, k: int = 0) -> str:
 
         def stage(z, t, out):
             guarded = ["s = [" + ", ".join(f"b{i} - c{i} + rate_{i}" for i in cs) + "]",
-                       "".join(f"l{i}, " for i in cs) + f"= solve({matrix}, s, {z})"]
+                       "".join(f"l{i}, " for i in cs) + f"= solve({matrix}, s, {point(z)})"]
             if k == 2:  # solve's own test and closed form where the diagonal is 0 and det finite
                 guarded = ["d = a0_1 - a1_0", "det = d * d",
                            "if a0_0 - a0_0 == 0.0 and a1_1 - a1_1 == 0.0 and rtol < det < inf:",
                            "    l0 = -(b1 - c1 + rate_1) / d", "    l1 = (b0 - c0 + rate_0) / d",
                            "else:", *(f"    {line}" for line in guarded)]
-            return [read("gh", f"grad_h({z})"), *(read(f"r{i}", f"grad_{i}({z})") for i in cs),
-                    *sums(terms), *guarded,
+            return [*gradients(z), *sums(terms), *guarded,
                     *assign(out, (f"gh{{p}} - ({lam['p']})", n),
                             (f"-(gh{{q}} - ({lam['q']}))", n))]
-    if kind == flow:
+    params += ", consts=()"  # a traced gradient's constants, one tuple per gradient
+    setup += ["(" + "".join(f"{role}c{j}, " for j in range(trace[2])) + f") = consts[{i}]"
+              for i, (role, trace) in enumerate(zip(roles, traces)) if trace]
+    if kind == "gradient":  # one traced gradient, its route the dual pass
+        inner, args, body = "traced", "z", [*([read("z", "z")] if unrolled else []),
+                                            *gradients("z"), f"return {listed('g')}"]
+    elif kind == flow:  # the oracle of a loop's stages, with its gradients called
         inner, args, body = "rhs", "t, z", [*stage("z", "t", "f"), f"return {listed('f')}"]
     else:
         # the stage points and the new state, as the RK4 step sums them; the loop's own names
         # (step, t, t_half, t_next, y, k1-k4, half, sixth) are none that a stage sets
+        def then(step):  # the next stage point y = z + step, and its list for a call
+            return [*assign("y", ("z{q} + " + step + "{q}", dim)),
+                    *([f"y = {listed('y')}"] if unrolled and None in traces else [])]
+
         bounded = (" and ".join(f"abs(z_{j}) <= limit" for j in range(dim)) if unrolled
                    else "all(abs(v) <= limit for v in z)")
         inner, args, body = "run", "z, dt, start, stop, limit, rows", [
             "half = 0.5 * dt", "sixth = dt / 6.0", *([read("z", "z")] if unrolled else []),
             "for step in range(start, stop):", *(f"    {line}" for line in [
                 "t = step * dt", "t_half = t + half", "t_next = t + dt", *stage("z", "t", "k1"),
-                f"y = {vector(('z{q} + half * k1{q}', dim))}", *stage("y", "t_half", "k2"),
-                f"y = {vector(('z{q} + half * k2{q}', dim))}", *stage("y", "t_half", "k3"),
-                f"y = {vector(('z{q} + dt * k3{q}', dim))}", *stage("y", "t_next", "k4"),
+                *then("half * k1"), *stage("y", "t_half", "k2"),
+                *then("half * k2"), *stage("y", "t_half", "k3"),
+                *then("dt * k3"), *stage("y", "t_next", "k4"),
                 *assign("z", ("z{q} + sixth * (k1{q} + 2.0 * k2{q} + 2.0 * k3{q} + k4{q})", dim)),
                 f"if not ({bounded}):", "    return step",
                 *([f"z = {listed('z')}"] if unrolled else []), "rows.append(z)"]),
@@ -178,10 +224,10 @@ def _source(kind: str, n: int, k: int = 0) -> str:
 
 
 @cache
-def _generated(kind: str, n: int, k: int = 0):
+def _generated(kind: str, n: int, k: int = 0, traces: tuple = ()):
     """The function ``kind`` of ``_source`` for n pairs (and k constraints), compiled at its
     first use and shared from then on: it holds no state, so concurrent callers call it freely."""
     namespace = {}  # its globals: builtins and what the source defines, no module name
-    exec(compile(_source(kind, n, k), f"<diracmech.kernels {kind} n={n} k={k}>", "exec"),
+    exec(compile(_source(kind, n, k, traces), f"<diracmech.kernels {kind} n={n} k={k}>", "exec"),
          namespace)
     return namespace[kind]

@@ -19,12 +19,9 @@ The same system in Cartesian coordinates (q1, q2, p1, p2) carries the First
 Class generator (1/2)(p.p - alpha^2 q.q), whose orbit is the cosh/sinh map in
 :func:`diracmech.dynamics.gauge_orbit_closed_form`.
 
-C, chi, C + U and the Cartesian generator register closed-form gradients,
-written on floats in the operation order of their dual pass: they equal the
-dual gradient under ==, so the Dirac, Poisson and gauge flows never run the
-dual engine. Each ``func`` stays dual-capable for pullbacks and the
-reduced-bracket checks, and the dual route is the oracle the closed forms
-are tested against.
+No field registers a ``grad``: C, chi, C + U and the Cartesian generator take their
+``func``'s dual pass, traced once into straight-line float code that the RK4 loops
+write into their stages (see :mod:`diracmech.fields`).
 """
 
 from __future__ import annotations
@@ -78,36 +75,6 @@ class RadialPotential:
         return total
 
 
-def _constraint_gradient(alpha2: float, r: float, p_r: float, p_phi: float) -> list:
-    """Gradient of C on floats, in the operation order of its dual pass.
-
-    inv = 1/(r r) and q = p_phi^2 inv as the dual quotient forms them; a zero
-    r r raises the error the dual division raises. Each entry is the dual pass's up
-    to the sign of the zero dC/dphi: +0.0, where the dual pass may give -0.0. On a
-    batch's columns it runs elementwise; the chart domain keeps r r > 0 there.
-    """
-    rr = r * r
-    try:  # no test: a float division by zero raises
-        inv = 1.0 / rr
-    except ZeroDivisionError:
-        raise duals.division_error(p_phi * p_phi, rr) from None
-    q = (p_phi * p_phi) * inv
-    return [0.5 * ((0.0 - q * (r + r)) * inv - alpha2 * (r + r)), 0.0,
-            0.5 * (p_r + p_r), 0.5 * ((p_phi + p_phi) * inv)]
-
-
-def _potential_slope(coeffs: tuple[float, ...], r: float) -> float:
-    """U'(r) from the dual Horner pass of U on floats: (v, s) <- (v r + c, v + r s).
-
-    Not RadialPotential.derivative, which sums i c_i r^(i-1) in its own order
-    and is kept as the independent oracle of phi_rate.
-    """
-    v = s = 0.0
-    for c in reversed(coeffs):
-        v, s = v * r + c, v + r * s
-    return s
-
-
 @dataclass(frozen=True)
 class KlauderModel:
     alpha: float = 1.0
@@ -148,27 +115,15 @@ class KlauderModel:
 
     @cached_property
     def constraint(self) -> ScalarField:
-        alpha2 = self.alpha ** 2
-
-        def func(z, alpha2=alpha2):
+        def func(z, alpha2=self.alpha ** 2):
             r, p_r, p_phi = z[0], z[2], z[3]
             return 0.5 * (p_r * p_r + (p_phi * p_phi) / (r * r) - alpha2 * (r * r))
 
-        def grad(z, alpha2=alpha2):
-            r, _, p_r, p_phi = z
-            return _constraint_gradient(alpha2, r, p_r, p_phi)
-
-        return ScalarField("C", self.polar_chart, func, grad)
+        return ScalarField("C", self.polar_chart, func)
 
     @cached_property
     def gauge_condition(self) -> ScalarField:
-        k0 = self.k(0.0)
-
-        def grad(z):
-            r, _, p_r, _ = z
-            return [p_r, 0.0, r, 0.0]
-
-        return ScalarField("chi", self.polar_chart, lambda z, k0=k0: z[0] * z[2] - k0, grad)
+        return ScalarField("chi", self.polar_chart, lambda z, k0=self.k(0.0): z[0] * z[2] - k0)
 
     @cached_property
     def constraint_set(self) -> ConstraintSet:
@@ -184,28 +139,15 @@ class KlauderModel:
         def func(z, c=c, u=u):
             return c.func(z) + u(z[0])
 
-        def grad(z, alpha2=self.alpha ** 2, coeffs=u.coeffs):
-            r, _, p_r, p_phi = z
-            g = _constraint_gradient(alpha2, r, p_r, p_phi)
-            g[0] += _potential_slope(coeffs, r)
-            return g
-
-        return ScalarField("H_phys", self.polar_chart, func, grad)
+        return ScalarField("H_phys", self.polar_chart, func)
 
     @cached_property
     def cartesian_generator(self) -> ScalarField:
         """First Class generator (1/2)(p.p - alpha^2 q.q) in Cartesian coordinates."""
-        alpha2 = self.alpha ** 2
-
-        def func(z, alpha2=alpha2):
+        def func(z, alpha2=self.alpha ** 2):
             return 0.5 * (z[2] * z[2] + z[3] * z[3] - alpha2 * (z[0] * z[0] + z[1] * z[1]))
 
-        def grad(z, alpha2=alpha2):
-            q1, q2, p1, p2 = z
-            return [0.5 * (0.0 - alpha2 * (q1 + q1)), 0.5 * (0.0 - alpha2 * (q2 + q2)),
-                    0.5 * (p1 + p1), 0.5 * (p2 + p2)]
-
-        return ScalarField("C_cartesian", self.cartesian_chart, func, grad)
+        return ScalarField("C_cartesian", self.cartesian_chart, func)
 
     # -- reduced phase space -------------------------------------------------
     def reduced_radius(self, p_phi):

@@ -8,10 +8,8 @@ emergent Hamiltonian sqrt(p.p + m^2) drives straight-line motion
 
     x^i(tau) = x^i(0) + p^i tau / sqrt(p.p + m^2).
 
-C, chi and the emergent Hamiltonian register closed-form gradients, written
-on floats in the operation order of their dual pass: they equal the dual
-gradient under ==, so the particle flight never runs the dual engine, and
-the dual route stays the oracle the closed forms are tested against.
+C, chi and the emergent Hamiltonian register no ``grad``: each takes its ``func``'s
+traced dual pass (see :mod:`diracmech.fields`).
 """
 
 from __future__ import annotations
@@ -26,8 +24,8 @@ import numpy as np
 from .. import duals
 from ..constraints import ConstraintSet, _stacked, dirac_tensor, pairing_matrix_of_rows
 from ..dynamics import PoissonFlow
-from ..errors import NumericDomainError, UsageError
-from ..fields import ScalarField, coordinate_field
+from ..errors import UsageError
+from ..fields import ScalarField
 from ..phase import ChartSpec, PhaseSpacePoint
 
 
@@ -68,17 +66,10 @@ class RelativisticParticle:
                 total = total - z[d + 1 + i] * z[d + 1 + i]
             return 0.5 * total
 
-        def grad(z, d=d):
-            momenta = z[d + 1:]
-            p0 = momenta[0]
-            return ([0.0] * (d + 1) + [0.5 * (p0 + p0)]
-                    + [0.5 * (0.0 - (p + p)) for p in momenta[1:]])
-
-        return ScalarField("C", self.full_chart, func, grad)
+        return ScalarField("C", self.full_chart, func)
 
     def time_gauge(self, tau: float = 0.0) -> ScalarField:
-        x0 = coordinate_field(self.full_chart, "x0")
-        return ScalarField("chi", self.full_chart, lambda z, tau=float(tau): z[0] - tau, x0.grad)
+        return ScalarField("chi", self.full_chart, lambda z, tau=float(tau): z[0] - tau)
 
     # a bracket table reads one set per point, all at tau = 0: built once, with its tensor
     @lru_cache(maxsize=16)
@@ -106,18 +97,7 @@ class RelativisticParticle:
             # np.sqrt on a block of states rounds correctly, as math.sqrt does on a float
             return np.sqrt(total) if isinstance(total, np.ndarray) else duals.sqrt(total)
 
-        def grad(z, d=d, m2=m2):
-            momenta = z[d:]
-            total = m2
-            for p in momenta:
-                total = p * p + total
-            energy = duals.sqrt(total)
-            if energy == 0.0:  # m^2 underflowed and p = 0: the dual tangent divides by it
-                raise NumericDomainError(f"sqrt({total!r}): float division by zero")
-            scale = 0.5 / energy
-            return [0.0] * d + [scale * (p + p) for p in momenta]
-
-        return ScalarField("H_phys", self.spatial_chart, func, grad)
+        return ScalarField("H_phys", self.spatial_chart, func)
 
     def trajectory(self, x0, p, tau):
         """Closed-form x(tau) = x(0) + p tau / sqrt(p.p + m^2)."""

@@ -94,7 +94,13 @@ class PhaseSpacePoint:
     def __getitem__(self, key):  # a coordinate by label (a batch's column), else rows
         if key.__class__ is str:
             return self.columns[self.chart.index(key)]
-        return PhaseSpacePoint(self.chart, self.coords[key])
+        rows = self.coords[key]
+        if self.coords.ndim == 1 or key.__class__ is tuple or rows.ndim > 2:
+            return PhaseSpacePoint(self.chart, rows)  # not rows of this batch: validated
+        rows.setflags(write=False)  # rows of a validated batch pass its checks as they are
+        point = object.__new__(PhaseSpacePoint)
+        point.__dict__.update(chart=self.chart, coords=rows)
+        return point
 
     def __len__(self) -> int:  # a batch's rows
         return len(self.coords)

@@ -132,7 +132,7 @@ def check_jacobi(rng, fault):
 
 
 def check_gradient_consistency(rng, fault):
-    """Every closed-form model gradient, and a polynomial's, against central differences."""
+    """Every model gradient (each a trace) and a polynomial's against central differences."""
     model = KlauderModel(alpha=1.3, k=0.7, potential=RadialPotential.harmonic())
     worst = 0.0
     for x in model.sample_points(rng, 20):

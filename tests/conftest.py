@@ -41,8 +41,8 @@ def fd_poisson_bracket(a, b, coords, step=None):
 
 
 def assert_closed_form_equals_duals(field, points):
-    """The field's registered gradient equals the dual route under == at every point."""
-    assert field.grad is not None
+    """The field's traced gradient equals the dual route under == at every point."""
+    assert field.grad is None and field._trace is not None, field.name
     for z in points:
         z = np.asarray(z, dtype=float)
         closed, dual = field.gradient_at(z), duals.gradient(field.func, z)
@@ -50,9 +50,10 @@ def assert_closed_form_equals_duals(field, points):
 
 
 def assert_closed_form_finite_like_duals(field, points):
-    """At overflow-prone points the closed form is finite exactly where the dual
+    """At overflow-prone points the traced gradient is finite exactly where the dual
     route is, names the same first non-finite coordinate, agrees where finite,
     and emits no numpy warning. Returns the number of all-finite points."""
+    assert field.grad is None and field._trace is not None, field.name
     finite = 0
     for z in points:
         z = np.asarray(z, dtype=float)

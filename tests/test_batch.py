@@ -237,6 +237,36 @@ def test_batch_validation_raises_the_first_bad_rows_error(seed, count, chart, fa
         assert not batch.coords.flags.writeable
 
 
+@given(SEEDS, COUNTS)
+@settings(max_examples=25, deadline=None)
+def test_a_batch_row_is_the_point_of_its_coordinates_unchecked_again(seed, count):
+    # rows and slices of a validated batch pass its checks as they are; a point of the same
+    # coordinates has the same chart, bytes and read-only flag
+    model = RelativisticParticle(mass=2.0, spatial_dim=2)
+    batch = model.sample(np.random.default_rng(seed), count)
+    checked = []
+    validate = PhaseSpacePoint.__post_init__
+    PhaseSpacePoint.__post_init__ = lambda self: checked.append(validate(self))
+    try:
+        rows = [batch[i] for i in range(count)] + [batch[1:], batch[[0, -1]], batch[-1]]
+    finally:
+        PhaseSpacePoint.__post_init__ = validate
+    assert not checked
+    for row, coords in zip(rows, [*batch.coords, batch.coords[1:], batch.coords[[0, -1]],
+                                  batch.coords[-1]]):
+        point = model.full_chart.point(coords)
+        assert row.chart is point.chart and row.coords.shape == point.coords.shape
+        assert row.coords.tobytes() == point.coords.tobytes()
+        assert not row.coords.flags.writeable
+
+
+def test_an_index_into_a_point_or_across_columns_is_still_refused():
+    batch = PhaseSpacePoint(KlauderModel().polar_chart, [[1.0, 2.0, 3.0, 4.0]] * 3)
+    for index in (lambda: batch[0][1], lambda: batch[0, 1], lambda: batch[:, 1]):
+        with pytest.raises(UsageError, match="point needs 4 coordinates"):
+            index()
+
+
 def test_a_degenerate_row_raises_the_per_point_error_of_the_first_one():
     # {q, p^2 - c} pairs to 2p, singular where p = 0: rows 1 and 3 are, row 1 raises
     model = CustomModel(("q", "p"), (("q", ((1.0, (1, 0)),)), ("p2", ((1.0, (0, 2)),))))

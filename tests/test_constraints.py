@@ -568,11 +568,13 @@ def test_gradient_rows_equals_the_numpy_stack(rng):
 
 
 def test_gradient_rows_give_python_floats_for_every_gradient_kind():
-    # a closed-form grad, a coordinate field's unit grad and the dual pass, at a tolist() point
+    # a closed-form grad, a coordinate field's unit grad, a trace and the dual pass of a func
+    # that compares a value, at a tolist() point
     square = polynomial_field(FLAT, [(1.0, (2, 0, 1, 0))])
     plain = ScalarField("sin_p2", FLAT, lambda z: duals.sin(z[3]))
-    fields = (square, coordinate_field(FLAT, "p1"), plain)
-    cs = ConstraintSet(FLAT, fields, ("square", "p1", "plain"))
+    branchy = ScalarField("branchy", FLAT, lambda z: z[0] * z[3] if z[0] > 0.0 else z[1])
+    fields = (square, coordinate_field(FLAT, "p1"), plain, branchy)
+    cs = ConstraintSet(FLAT, fields, ("square", "p1", "plain", "branchy"))
     z = np.array([0.3, -1.2, 0.8, 2.1])
     rows = cs.gradient_rows(z.tolist())
     for field, row in zip(fields, rows, strict=True):

@@ -33,7 +33,7 @@ from test_constraints import (CUSTOM_FOUR, reference_degeneracy_scale, reference
 def standalone_rhs(flow, n):
     """The flow's generated rhs(t, z) on n pairs, from the arguments ``evolve`` binds its RK4
     loop with: the oracle of each stage of that loop."""
-    kind, k, args = _kernel_args(flow)
+    kind, k, args, _ = _kernel_args(flow)
     return _generated(kind, n, k)(*args)
 
 

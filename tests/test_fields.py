@@ -287,9 +287,10 @@ def test_field_product_with_finite_difference_factor_uses_the_product_rule():
 
 
 def closed_form_fields():
-    """(field, points) for every kind of field the package builds: the closed-form grads of
-    the Klauder and particle models, a coordinate field, the dual pass, a bracket field's
-    central differences, a product of closed forms and the L=2 lattice Maxwell H."""
+    """(field, points) for every kind of field the package builds: the traced gradients of
+    the Klauder and particle models, a coordinate field, a traced sine, the dual pass of a
+    func that compares a value, a bracket field's central differences, a product of traced
+    fields and the L=2 lattice Maxwell H."""
     rng = np.random.default_rng(11)
     klauder = KlauderModel(alpha=1.3, k=KRamp(0.7, 0.2), potential=RadialPotential((0.0, 0.4, 0.1)))
     polar = [x.coords for x in klauder.sample_points(rng, 20)]
@@ -304,6 +305,7 @@ def closed_form_fields():
     flat = list(rng.uniform(-3, 3, (20, 4)))
     yield coordinate_field(CHART, "p1"), flat
     yield ScalarField("q1_sin_p2", CHART, lambda z: duals.sin(z[3]) * z[0]), flat
+    yield ScalarField("branchy", CHART, lambda z: z[0] * z[3] if z[0] > 0.0 else z[1]), flat
     yield poisson_bracket_field(klauder.constraint, klauder.hamiltonian()), polar[:5]
     yield field_product(klauder.constraint, klauder.gauge_condition), polar
     maxwell = LatticeMaxwell(side=2)
@@ -336,7 +338,7 @@ def test_field_product_of_closed_forms_returning_lists():
     product = field_product(model.constraint, model.gauge_condition)
     z = np.array([1.1, 0.4, -0.6, 1.9])
     c, chi = model.constraint, model.gauge_condition
-    expected = c.func(z) * np.array(chi.grad(z)) + chi.func(z) * np.array(c.grad(z))
+    expected = c.func(z) * chi.gradient_at(z) + chi.func(z) * c.gradient_at(z)
     assert np.array_equal(product.gradient_at(z), expected)
     assert gradient_consistency_check(product, model.polar_chart.point(z)).max_rel_err < 1e-6
 

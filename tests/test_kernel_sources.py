@@ -1,0 +1,83 @@
+"""The RK4 loops that ``evolve`` builds run their traced gradients written in.
+
+A Klauder Dirac flow, a gauge flow and a particle flight call no gradient route in their
+loop but in the error path, where the route raises the dual pass's own error; a polynomial
+field keeps its registered gradient, so a custom flow calls it. A trace hands its
+constants in as arguments, so models that differ only in their constants share one loop.
+"""
+
+import ast
+import re
+
+import pytest
+
+from diracmech import dynamics, kernels
+from diracmech.dynamics import IntegratorConfig, _generated, evolve
+from diracmech.models import CustomModel, KlauderModel, KRamp, RadialPotential, RelativisticParticle
+
+ROUTE = re.compile(r"gradient|grad_h|grad_\d+")
+
+
+def built_source(monkeypatch, x0, flow):
+    """The source of the loop ``evolve`` builds for the flow."""
+    built = []
+
+    def generated(*key):
+        built.append(key)
+        return _generated(*key)
+
+    monkeypatch.setattr(dynamics, "_generated", generated)
+    evolve(x0, flow, IntegratorConfig(dt=1e-3, steps=5))
+    (key,) = built
+    return kernels._source(*key)
+
+
+def route_calls(source):
+    """(calls outside an except clause, calls inside one) of a gradient route."""
+    tree = ast.parse(source)
+    handled = {id(node) for handler in ast.walk(tree) if isinstance(handler, ast.ExceptHandler)
+               for node in ast.walk(handler)}
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and ROUTE.fullmatch(node.func.id)]
+    return ([c for c in calls if id(c) not in handled], [c for c in calls if id(c) in handled])
+
+
+def klauder(k):
+    return KlauderModel(alpha=1.3, k=k, potential=RadialPotential((0.0, 0.0, 0.5)))
+
+
+PARTICLE = RelativisticParticle(mass=4.0, spatial_dim=3)
+FLOWS = {
+    "static_dirac": (klauder(1.0).embed_reduced(0.4, -1.5), klauder(1.0).flow("dirac")[0]),
+    "ramped_dirac": (klauder(KRamp(1.0, 0.5)).embed_reduced(2.0, 0.8),
+                     klauder(KRamp(1.0, 0.5)).flow("dirac")[0]),
+    "gauge": (klauder(0.0).cartesian_chart.point([0.6, -0.8, 0.0, 1.0]),
+              klauder(0.0).flow("gauge", 1.0)[0]),
+    "particle": (PARTICLE.spatial_chart.point([0.5, -1.0, 2.0, -2.5, 0.3, 1.1]),
+                 PARTICLE.flow("poisson")[0]),
+}
+
+
+@pytest.mark.parametrize("name", FLOWS)
+def test_loop_calls_no_gradient_route_but_on_an_error(monkeypatch, name):
+    outside, inside = route_calls(built_source(monkeypatch, *FLOWS[name]))
+    assert not outside
+    assert len(inside) == 4 * len(dynamics._kernel_args(FLOWS[name][1])[3])  # per stage
+
+
+def test_custom_polynomial_flow_keeps_its_call(monkeypatch):
+    model = CustomModel(labels=("q", "p"))
+    flow, _ = model.flow("poisson", hamiltonian=[(0.5, (2, 0)), (0.5, (0, 2))])
+    outside, inside = route_calls(built_source(monkeypatch, model.chart.point([1.0, 0.0]), flow))
+    assert len(outside) == 4 and not inside
+
+
+def test_models_of_different_alpha_share_one_compiled_loop():
+    cfg = IntegratorConfig(dt=1e-3, steps=5)
+    runs = [(m.embed_reduced(0.4, 1.2), m.flow("dirac")[0])
+            for m in (KlauderModel(alpha=1.3, k=0.7), KlauderModel(alpha=2.1, k=0.7))]
+    evolve(*runs[0], cfg)
+    before = _generated.cache_info()
+    evolve(*runs[1], cfg)
+    after = _generated.cache_info()
+    assert after.misses == before.misses and after.hits > before.hits

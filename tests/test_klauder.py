@@ -289,6 +289,7 @@ def test_constraint_closed_form_raises_like_dual_division(r):
     model = KlauderModel(alpha=1.0, k=1.0, potential=HARMONIC)
     z = np.array([r, 0.3, 1.0, 2.0])
     for field in (model.constraint, model.hamiltonian()):
+        assert field._trace is not None  # the traced route, which reruns the dual pass
         with pytest.raises(NumericDomainError) as closed:
             field.gradient_at(z)
         with pytest.raises(NumericDomainError) as dual:

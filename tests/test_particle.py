@@ -143,6 +143,7 @@ def test_closed_form_gradients_at_extreme_points(rng):
 def test_energy_gradient_raises_like_duals_where_the_energy_vanishes():
     # 1e-170^2 underflows to 0, so at p = 0 both routes divide by sqrt(0)
     h = RelativisticParticle(mass=1e-170, spatial_dim=2).physical_hamiltonian
+    assert h._trace is not None  # the traced route, which reruns the dual pass
     z = np.zeros(4)
     with pytest.raises(NumericDomainError) as closed:
         h.gradient_at(z)

@@ -420,10 +420,9 @@ def cmd_brackets(model, config: dict, args) -> int:
     dirac = np.empty((len(batch), len(index)))
     with np.errstate(all="ignore"):  # an overflow is inf, as on Python floats
         values = [model.dirac_oracle(pair, batch) for pair in model.bracket_pairs]
-        # float columns where every pair has an oracle, "" where none has, else object ones
+        # float columns where every pair has an oracle, else "" (a model gives all or none)
         exact = all(value is not None for value in values)
-        blank = "U1" if all(value is None for value in values) else object
-        oracle = np.empty(dirac.shape) if exact else np.full(dirac.shape, "", dtype=blank)
+        oracle = np.empty(dirac.shape) if exact else np.full(dirac.shape, "", dtype="U1")
         diff = oracle.copy()
         for p, ((i, j), value) in enumerate(zip(index, values)):
             dirac[:, p] = tensor[i][j]

@@ -191,13 +191,20 @@ def atan2(y, x):
 
 class _Traced:
     """A float of a traced dual pass: a constant (value,), else an input or a temporary of
-    the code its tape records. It has no comparison and no float(), so a func that branches
-    on a value or leaves the dual helpers raises while traced."""
+    the code its tape records. It has no ==, !=, order, truth value or float(), so a func that
+    branches on a value or leaves the dual helpers raises while traced. Its hash is its
+    identity: the tape compares two only on a full hash collision, and keeps the dual pass."""
 
     __slots__ = ("tape", "value")
+    __hash__ = object.__hash__
 
     def __init__(self, tape, value=None):
         self.tape, self.value = tape, value
+
+    def __eq__(self, other=None):  # != inverts ==, so it raises too
+        raise TypeError("a traced value has no comparison and no truth value")
+
+    __bool__ = __eq__
 
     def emit(self, template, *operands):  # the tape maps each operation, once, to its result
         return self.tape.setdefault((template, operands), _Traced(self.tape))
@@ -244,7 +251,7 @@ def trace(func, dim):
     where it branches on a value, calls what is not recorded, or raises while traced: lines
     "t3 = t1 * c2" over the inputs x0.. and the count constants c0.. (each float of the pass
     and each lift's math function), those the gradient needs and every division and call,
-    which may raise; outputs name each entry, o{j} a temporary of entry j alone."""
+    which may raise, a temporary read once written into its reader; outputs give each entry."""
     tape = {}
     seeds = [_Traced(tape) for _ in range(dim)]
     try:
@@ -260,8 +267,6 @@ def trace(func, dim):
     kept.reverse()
     names = {**{x: f"x{j}" for j, x in enumerate(seeds)},
              **{t: f"t{i}" for i, (t, _) in enumerate(kept)}}
-    names.update((t, f"o{j}") for j, t in enumerate(outputs)
-                 if names.get(t, "x")[0] == "t" and outputs.count(t) == 1)
     constants = []
 
     def name(v):  # the constants c0.. in order of first use
@@ -270,10 +275,10 @@ def trace(func, dim):
             constants.append(v.value[0])
         return names[v]
 
-    reads, lines = Counter(v for _, (_, operands) in kept for v in operands), []
+    reads, lines = Counter([*outputs, *(v for _, (_, operands) in kept for v in operands)]), []
     for t, (template, operands) in kept:
         text = template.format(*map(name, operands))
-        if reads[t] == 1 and t not in outputs:  # read by one later line: written into it
+        if reads[t] == 1:  # read once, by a later line or as an entry: written into it
             names[t] = f"({text})"
         else:
             lines.append(f"{names[t]} = {text}")

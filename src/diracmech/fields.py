@@ -5,7 +5,7 @@ a point is a (dim,) array, and a block of states a (dim, B) array whose
 trailing axis is the batch. Its gradient is the registered ``grad`` if it has one,
 else its exact forward-mode (dual number) pass traced once by ``duals.trace`` into
 straight-line float code, compiled once per structure, else that dual pass itself: a
-``func`` that compares a value, calls a function but the ``duals`` lifts (``math.sin``,
+``func`` that compares or tests a value, calls a function but the ``duals`` lifts (``math.sin``,
 ``np.sqrt``, ``duals.atan2``), reads a dual's ``val``, raises a dual to a power but 2,
 or raises while traced is not traced. A black-box function registers central finite
 differences, ``lambda z: central_difference_gradient(func, z).tolist()``, with step

@@ -34,23 +34,25 @@ _UNROLL_TERMS = 128
 def _source(kind: str, n: int, k: int = 0, traces: tuple = ()) -> str:
     """Python source of the function ``kind`` for a chart of n pairs.
 
-    ``pairing(rows)`` returns M for k gradient rows, and the factories ``poisson``, ``gauge`` and
-    ``dirac(grad_h, grads, rates, solve, rtol)`` (k constraints, any even count, their k
-    constant rates dPhi_I/dt, added to {Phi_I, H}, and ``solve(m, s, z)``, the guarded solve of
-    M) each return an ``rhs(t, z)``; with two constraints it takes solve's test and closed form
-    itself where M = [[0, d], [-d, 0]] and d d < inf: hypot(0, d) = |d| makes the guard's scale
-    max(d d, 1), so |det| > rtol scale holds exactly when d d > rtol. Their ``_run`` twins
-    (``dirac_run`` and so on) take the same arguments and return ``run(z, dt, start, stop,
-    limit, rows)``: classic RK4 from the state list z at step ``start``, the rhs body written
-    into each of its four stages, which appends each new state list to ``rows`` and returns the
-    first step whose state has an entry past ``limit`` (or NaN), else ``stop``. With ``traces``,
-    one ``duals.trace`` structure per gradient (H's first; None for a call), each is written in,
-    its constants read from the factory's ``consts``, a tuple per gradient; ``gradient(gradient,
-    consts)`` returns one traced gradient ``traced(z)``, whose route ``gradient`` is the dual
-    pass. The factory ``tensor(grads, solve)`` returns ``d(z)``, the Dirac tensor D as nested
-    lists for any k, of floats or of a batch's columns: one solve, on M and S. Each sum runs
-    from +0.0 in index order (an entry of D from its first product) and each list in coordinate
-    order, unrolled or in a loop, so both forms give the same bits.
+    ``pairing(rows)`` returns M for k gradient rows, and the factories ``poisson``,
+    ``gauge`` and ``dirac(grad_h, grads, rates, solve, rtol)`` (k constraints, any even
+    count, their k constant rates dPhi_I/dt, added to {Phi_I, H}, and ``solve(m, s, z)``, the
+    guarded solve of M) each return an ``rhs(t, z)``; with two constraints it takes solve's
+    test and closed form itself where M = [[0, d], [-d, 0]] and d d < inf: hypot(0, d) = |d|
+    makes the guard's scale max(d d, 1), so |det| > rtol scale holds exactly when d d > rtol.
+    Their ``_run`` twins (``dirac_run`` and so on) take the same arguments and return
+    ``run(z, dt, start, stop, limit, rows)``: classic RK4 from the state list z at step
+    ``start``, the rhs body written into each of its four stages, which appends each new state
+    list to ``rows`` and returns the first step whose state has an entry past ``limit`` (or
+    NaN), else ``stop``. The factory ``tensor(grads, solve)`` returns ``d(z)``, the Dirac
+    tensor D as nested lists for any k, of floats or of a batch's columns: one solve, on M and
+    S. Each sum runs from +0.0 in index order (an entry of D from its first product) and each
+    list in coordinate order, unrolled or in a loop, so both forms give the same bits.
+
+    With ``traces``, one ``duals.trace`` structure per gradient (H's first; None for a call),
+    each is written in, its constants read from the factory's ``consts``, a tuple per gradient;
+    ``gradient(gradient, consts)`` returns one traced gradient ``traced(z)``, whose route
+    ``gradient`` is the dual pass.
     """
     dim = 2 * n
     unrolled = n * (k + 2) ** 2 <= _UNROLL_TERMS
@@ -141,15 +143,12 @@ def _source(kind: str, n: int, k: int = 0, traces: tuple = ()) -> str:
             if trace is None:
                 written.append(call)
                 continue
-            # the trace's inputs x0.. read z's entries, and its t0.., c0.. and o0.. become the
-            # role's; unrolled, o{j} is the role's entry j itself
+            # the trace's inputs x0.. read z's entries, and its t0.. and c0.. become the role's
             name = (lambda m, role=role: (f"{z}_{m[2]}" if unrolled else f"{z}[{m[2]}]")
-                    if m[1] == "x" else f"{role}_{m[2]}" if m[1] == "o" and unrolled
-                    else role + m[0])
-            lines, outputs = ([re.sub(r"\b([xtco])(\d+)\b", name, v) for v in part]
+                    if m[1] == "x" else role + m[0])
+            lines, outputs = ([re.sub(r"\b([xtc])(\d+)\b", name, v) for v in part]
                               for part in trace[:2])
-            written += lines + ([f"{role}_{j} = {o}" for j, o in enumerate(outputs)
-                                 if o != f"{role}_{j}"] if unrolled
+            written += lines + ([f"{role}_{j} = {o}" for j, o in enumerate(outputs)] if unrolled
                                 else [f"{role} = [{', '.join(outputs)}]"])
         return ["try:", *(f"    {line}" for line in written),
                 "except (ArithmeticError, ValueError):", *(f"    {line}" for line in calls)]

@@ -150,13 +150,26 @@ def raises_while_traced(z):
     return z[2] * duals.value(z[0]) + z[3]  # a value read off as a float is no traced op
 
 
-@pytest.mark.parametrize("func", [branchy, leaves_the_dual_helpers, raises_while_traced])
+def equal_to_a_float(z):
+    return z[1] if duals.value(z[0]) == 0.0 else z[0] * z[1]  # == on a value, no order
+
+
+def equal_to_a_value(z):
+    return z[1] if duals.value(z[0]) != duals.value(z[2]) else z[0] * z[1]
+
+
+def truthy(z):
+    return z[0] * z[1] if duals.value(z[0]) else z[1]  # a truth test of a value
+
+
+@pytest.mark.parametrize("func", [branchy, leaves_the_dual_helpers, raises_while_traced,
+                                  equal_to_a_float, equal_to_a_value, truthy])
 def test_an_untraceable_func_keeps_the_dual_pass(func):
     field = ScalarField(func.__name__, CHART, func)
     assert field._trace is None
     assert field._gradient.func is duals.gradient
     flow = PoissonFlow(field)
-    for z in ([0.5, -1.2, 0.8, 2.1], [-0.5, 1.2, -0.8, 0.3]):
+    for z in ([0.5, -1.2, 0.8, 2.1], [-0.5, 1.2, -0.8, 0.3], [0.0, 1.2, 0.0, 0.3]):
         try:
             expected = duals.gradient(func, z)
         except TypeError as err:  # today's error, from both routes

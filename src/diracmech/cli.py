@@ -6,10 +6,12 @@ rejected). Sampling is driven by numpy's seeded PCG64 generator so a fixed
 with 17 significant digits (``%.17g``) for round-trip exactness. A CSV artifact
 has commas between cells, CRLF line ends and minimal quoting: a cell holding a
 comma, a double quote, CR or LF is double-quoted, its double quotes doubled.
-Each subcommand's row of ``COMMANDS`` names the blocks it needs and the other
-blocks it may read; a scenario that lacks a needed block or holds one the
-subcommand never reads is a config error, raised before anything is computed.
-So is an artifact path that cannot be written.
+A table's body and footer are structured arrays of float64 and str fields, each
+written field by field through one formatter. Each subcommand's row of
+``COMMANDS`` names the blocks it needs and the other blocks it may read; a
+scenario that lacks a needed block or holds one the subcommand never reads is a
+config error, raised before anything is computed. So is an artifact path that
+cannot be written.
 
 Exit codes: 0 success, 1 verification failure, 2 config error, 3 numerical
 degeneracy.
@@ -307,87 +309,55 @@ def _rng(config: dict, args) -> np.random.Generator:
 
 
 def _text(value) -> str:
-    """A float (numpy's too) to 17 significant digits, anything else by str."""
+    """A JSON footer cell: a float to 17 significant digits, anything else by str."""
     return "%.17g" % value if isinstance(value, float) else str(value)
-
-
-def _formatted(rows) -> list[list[str]]:
-    return [list(map(_text, row)) for row in rows]
 
 
 _QUOTED = frozenset(',"\r\n')
 
 
-def _csv_cell(value) -> str:
-    """The cell's text, in double quotes (its own doubled) when it holds a comma, a
-    double quote, CR or LF."""
-    text = _text(value)
-    return text if _QUOTED.isdisjoint(text) else '"' + text.replace('"', '""') + '"'
+def _cells(column: np.ndarray) -> list[str]:
+    """A field's CSV cells, each distinct cell formatted once and shared by its rows: a float64
+    field keyed on its int64 bits by np.unique (0.0 and -0.0, and each NaN, keep their own
+    text), written %.17g and gathered back through an object array; any other field keyed on
+    its strings, each put in double quotes (its own doubled) when it holds a comma, a double
+    quote, CR or LF."""
+    if column.dtype == np.float64:
+        distinct, where = np.unique(column.view(np.int64), return_inverse=True)
+        texts = list(map("%.17g".__mod__, distinct.view(np.float64).tolist()))
+        return np.array(texts, dtype=object)[where].tolist()
+    cells = column.tolist()
+    texts = {text: text if _QUOTED.isdisjoint(text) else '"' + text.replace('"', '""') + '"'
+             for text in set(cells)}
+    return list(map(texts.__getitem__, cells))
 
 
-def _float_cells(values: np.ndarray) -> list[str]:
-    """%.17g of each distinct value of a float64 column, keyed on its bits (0.0 and -0.0, and
-    each NaN, keep their own text), gathered back as shared strs through an object array."""
-    distinct, where = np.unique(values.view(np.int64), return_inverse=True)
-    texts = np.array(list(map("%.17g".__mod__, distinct.view(float).tolist())), dtype=object)
-    return texts[where].tolist()
-
-
-def _column_cells(column) -> list[str]:
-    """One column's cell texts, each distinct cell formatted once: an all-float column by
-    _float_cells, an all-str column keyed on its strings; any other column (a dict would
-    merge 1, 1.0 and True) goes cell by cell."""
-    kinds = set(map(type, column))
-    if all(issubclass(kind, float) for kind in kinds):
-        return _float_cells(np.array(column, dtype=float))
-    if kinds == {str}:
-        texts = {text: _csv_cell(text) for text in set(column)}
-        return list(map(texts.__getitem__, column))
-    return list(map(_csv_cell, column))
-
-
-def _joined(columns: list[list[str]]) -> list[str]:
-    """The CSV lines of two or more columns of cell texts."""
+def _lines(table: np.ndarray) -> list[str]:
+    """One CSV line per row of a structured array, formatted field by field."""
+    columns = [_cells(table[name]) for name in table.dtype.names]
     columns[-1] = [cell + "\r\n" for cell in columns[-1]]
     return list(map(",".join, zip(*columns)))
 
 
-def _csv_lines(rows) -> list[str]:
-    """The CSV lines of rows of one width, one column at a time (see _column_cells).
-    Rows of differing widths, or of fewer than two cells (a lone empty cell is written
-    "" so the line is not blank), go row by row."""
-    widths = set(map(len, rows))
-    if len(widths) != 1 or widths.pop() < 2:
-        return [(",".join(map(_csv_cell, row)) or ('""' if row else "")) + "\r\n"
-                for row in rows]
-    return _joined(list(map(_column_cells, zip(*rows))))
-
-
-def _body_lines(body: np.ndarray) -> list[str]:
-    """The CSV lines of a body: a float64 field by _float_cells, any other by _column_cells
-    of its Python values; a body of fewer than two fields goes through _csv_lines."""
-    if len(body.dtype) < 2:
-        return _csv_lines(body.tolist())
-    return _joined([_float_cells(body[name]) if body.dtype[name] == np.float64
-                    else _column_cells(body[name].tolist()) for name in body.dtype.names])
-
-
 def write_table(path: str, fmt: str, columns: list[str], rows: np.ndarray,
-                footer_rows: list[list] | None = None):
-    """The header ``columns``, the body ``rows`` (a structured array, one positional field per
-    column; JSON holds ``rows.tolist()``) and the ``footer_rows`` lists."""
+                footer: np.ndarray | None = None):
+    """The header ``columns``, the body ``rows`` and the ``footer`` rows: structured arrays
+    of one positional field per cell, float64 or str (a footer name is an object field, so a
+    trailing NUL stays). JSON holds ``rows.tolist()`` and the footer's cell texts."""
     out = Path(path)
     try:
         out.parent.mkdir(parents=True, exist_ok=True)
         if fmt == "csv":
             with open(out, "w", newline="") as handle:
-                handle.writelines(_csv_lines([columns]))
-                handle.writelines(_body_lines(rows))
-                handle.writelines(_csv_lines(footer_rows or ()))
+                # labels as an object column: a U array would strip a trailing NUL
+                handle.write(",".join(_cells(np.array(columns, dtype=object))) + "\r\n")
+                handle.writelines(_lines(rows))
+                if footer is not None:
+                    handle.writelines(_lines(footer))
         else:
             payload = {"columns": columns, "rows": rows.tolist()}
-            if footer_rows:
-                payload["footer"] = _formatted(footer_rows)
+            if footer is not None and len(footer):
+                payload["footer"] = [list(map(_text, row)) for row in footer.tolist()]
             with open(out, "w") as handle:
                 json.dump(payload, handle, indent=1)
                 handle.write("\n")
@@ -486,8 +456,9 @@ def _write_trajectory(path, fmt, traj):
     columns = ["t", *traj.chart.labels, *[f"res_{n}" for n in traj.residuals], "H"]
     body = np.rec.fromarrays([traj.times, *traj.states.T, *traj.residuals.values(),
                               traj.generator_values])
-    footer = [["drift", name, stats.max_residual, stats.growth_rate]
-              for name, stats in constraint_drift(traj).items()]
+    # a name is an object (O) field: a U field would strip a trailing NUL
+    footer = np.array([("drift", name, stats.max_residual, stats.growth_rate)
+                       for name, stats in constraint_drift(traj).items()], dtype="U5,O,f8,f8")
     write_table(path, fmt, columns, body, footer)
 
 
@@ -555,7 +526,8 @@ def cmd_maxwell(model, config: dict, args) -> int:
     block = config.get("maxwell", {})
     with _sized_by("model/side"):
         residuals = model.projector_residuals()
-    checks = [["check", name, abs(value), ""] for name, value in residuals.items()]
+    checks = np.array([("check", name, abs(value), "") for name, value in residuals.items()],
+                      dtype="U5,O,f8,U1")
 
     if block.get("initial", "lowest_mode") == "lowest_mode":
         a0, _ = model.lowest_standing_mode()

@@ -64,6 +64,8 @@ class ConstraintSet:
         object.__setattr__(self, "names", tuple(self.names))
         if len(self.names) != len(self.fields):
             raise UsageError("one name per constraint field")
+        if len(set(self.names)) != len(self.names):  # a residual series and drift row per name
+            raise UsageError("constraint names must be distinct")
         if self.fields:
             require_same_chart(self, *self.fields)
         if len(self.fields) > self.chart.dim:

@@ -718,6 +718,21 @@ def test_evolve_custom_dirac_flow_stays_on_surface(tmp_path):
     assert data[-1][1] == pytest.approx(math.cos(0.5), abs=1e-10)
 
 
+def test_evolve_rejects_two_constraints_of_one_name(tmp_path, capsys):
+    config = write_config(tmp_path / "cfg.json", {
+        "model": {"kind": "custom", "labels": ["q1", "q2", "p1", "p2"],
+                  "constraints": [{"name": "C", "terms": [{"coeff": 1.0, "powers": [1, 0, 0, 0]}]},
+                                  {"name": "C", "terms": [{"coeff": 1.0, "powers": [0, 0, 1, 0]}]}]},
+        "flow": {"kind": "poisson", "hamiltonian": [{"coeff": 0.5, "powers": [0, 0, 2, 0]}]},
+        "integrator": {"dt": 0.01, "steps": 20},
+        "initial": {"coords": [1.0, 0.5, 0.3, 0.25]},
+    })
+    out = tmp_path / "dup.csv"
+    assert run_cli("evolve", "--config", config, "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: constraint names must be distinct\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, model, flow", [
     ("evolve", {"kind": "particle", "mass": 1.0}, {"kind": "dirac"}),
     ("brackets", {"kind": "maxwell", "side": 2}, None),

@@ -1054,3 +1054,11 @@ def test_constraint_set_validation(model):
         ConstraintSet(FLAT, too_many + (polynomial_field(FLAT, [(1.0, (2, 0, 0, 0))]),),
                       tuple("c" + str(i) for i in range(5)))
     assert not ConstraintSet(model.polar_chart, (model.constraint,), ("C",)).even_count
+
+
+def test_constraint_names_must_be_distinct():
+    # one name for C = q1 and C = p1 would leave one residual series and one drift row
+    fields = (coordinate_field(FLAT, "q1"), coordinate_field(FLAT, "p1"))
+    with pytest.raises(UsageError, match="^constraint names must be distinct$"):
+        ConstraintSet(FLAT, fields, ("C", "C"))
+    assert ConstraintSet(FLAT, fields, ("C", "C\x00")).names == ("C", "C\x00")

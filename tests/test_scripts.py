@@ -1,5 +1,6 @@
 import hashlib
 import importlib.util
+import inspect
 import json
 import os
 import pathlib
@@ -10,6 +11,7 @@ import sys
 
 import pytest
 
+from diracmech import cli
 from diracmech.models import KlauderModel, RadialPotential
 
 SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "run_all_scenarios.py"
@@ -172,3 +174,18 @@ def test_classical_vs_quantum_prints_its_table(monkeypatch, capsys):
     rows = [line.split() for line in lines[header + 1:]]
     assert len(rows) == 11 and all(len(row) == 5 for row in rows)
     assert float(rows[-1][0]) == 1.0
+
+
+def test_line_census_lists_a_never_run_raise_and_not_cli_main(monkeypatch, tmp_path):
+    monkeypatch.setattr(sys, "path", [str(SCRIPT.parent), *sys.path])  # for run_all_scenarios
+    census = load_script("line_census.py")
+    scenario = str(SCRIPT.parent.parent / "scenarios" / "klauder_brackets.json")
+    report, failed = census.never_run([["brackets", "--config", scenario,
+                                        "--out", str(tmp_path / "t.csv")]])
+    assert failed == []
+    count, listed = report[pathlib.Path(inspect.getsourcefile(cli)).resolve()]
+    unreadable = 1 + next(i for i, line in enumerate(inspect.getsource(cli).splitlines())
+                          if 'raise ConfigError(f"cannot read config' in line)
+    main_start = inspect.getsourcelines(cli.main)[1]
+    assert unreadable in listed and len(listed) < count
+    assert not set(listed) & {main_start, main_start + 1}  # def main and its parse_args

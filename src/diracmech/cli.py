@@ -386,7 +386,7 @@ def cmd_brackets(model, config: dict, args) -> int:
     index = [(chart.index(a), chart.index(b)) for a, b in model.bracket_pairs]
     batch = model.sample(rng, count, **ranges)
     # {z_a, z_b}_D = D_ab from one Dirac tensor on the batch's columns
-    tensor = dirac_tensor(model.constraints_at(batch), batch)
+    tensor = dirac_tensor(model.constraint_set, batch)
     dirac = np.empty((len(batch), len(index)))
     with np.errstate(all="ignore"):  # an overflow is inf, as on Python floats
         values = [model.dirac_oracle(pair, batch) for pair in model.bracket_pairs]
@@ -411,10 +411,8 @@ def cmd_brackets(model, config: dict, args) -> int:
 
 
 def _multiplier(value):
-    """A constant, or a {"type": "poly"} block as the polynomial lambda(t)."""
-    if isinstance(value, dict):
-        return np.polynomial.Polynomial(value["coeffs"] or [0.0])
-    return value
+    """A constant, or a {"type": "poly"} block's coefficients of lambda(t), constant first."""
+    return (value["coeffs"] or [0.0]) if isinstance(value, dict) else value
 
 
 def _initial_point(block: dict, model, chart):

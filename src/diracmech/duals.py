@@ -153,8 +153,8 @@ def _apply(fn, x):
 
 
 def _lift(fn, tangent):
-    """``fn`` on floats and duals; ``tangent(v, x)`` is the tangent of a dual ``x``
-    with value ``v = fn(x.val)``."""
+    """``fn`` on floats, duals and blocks of states; ``tangent(v, x)`` is the tangent of a
+    dual ``x`` with value ``v = fn(x.val)``."""
     name = fn.__name__
 
     def lifted(x):
@@ -162,8 +162,12 @@ def _lift(fn, tangent):
             if isinstance(x, Dual):
                 v = _apply(fn, x.val)
                 return Dual(v, tangent(v, x))
+            if isinstance(x, np.ndarray):  # libm entry by entry: each point keeps its bits
+                return np.array(np.frompyfunc(fn, 1, 1)(x), dtype=float)
             return fn(x)
         except _MATH_ERRORS as err:
+            if isinstance(x, np.ndarray):  # the error of the first bad entry
+                np.frompyfunc(lifted, 1, 1)(x)
             raise NumericDomainError(f"{name}({value(x)!r}): {err}") from err
 
     lifted.__name__ = lifted.__qualname__ = name
@@ -186,6 +190,8 @@ def atan2(y, x):
         ye = y.eps if isinstance(y, Dual) else 0.0
         xe = x.eps if isinstance(x, Dual) else 0.0
         return Dual(math.atan2(yv, xv), (xv * ye - yv * xe) / denom)
+    if isinstance(y, np.ndarray) or isinstance(x, np.ndarray):  # as a lift takes a block
+        return np.array(np.frompyfunc(math.atan2, 2, 1)(y, x), dtype=float)
     return math.atan2(y, x)
 
 

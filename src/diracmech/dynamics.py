@@ -9,7 +9,7 @@ never corrected: the Dirac flow is tangent to the surface by construction.
 writes the flow's right-hand side into each of the four RK4 stages of a loop over steps,
 which tests every new state against the blow-up bound and collects it, with no numpy call.
 ``evolve`` binds that loop once per run to the flow's gradients, each traced one written in
-and handed its constants (and a gauge flow's constant or polynomial multiplier), calls it
+and handed its constants (and a gauge flow's multiplier coefficients), calls it
 once per block of ``RUN_BLOCK`` steps, and writes each block into the preallocated trajectory
 arrays in one assignment. The lattice Maxwell flow does not come here:
 ``LatticeMaxwell.evolve`` applies the same RK4 map per Fourier mode in closed form, and
@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field as dfield
+from numbers import Real
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -90,19 +91,22 @@ class DiracFlow:
 
 @dataclass(frozen=True)
 class GaugeFlow:
-    """dz/dt = lambda(t) {z, generator}: an unphysical orbit, not time evolution."""
+    """dz/dt = lambda(t) {z, generator}: an unphysical orbit, not time evolution. lambda(t) is
+    data: its polynomial coefficients, constant first, as a tuple of floats (a number c: (c,))."""
 
     generator: ScalarField
-    multiplier: Union[float, Callable[[float], float]] = 1.0
+    multiplier: Union[float, tuple[float, ...]] = 1.0
+
+    def __post_init__(self):
+        m = self.multiplier
+        coeffs = tuple(m) if isinstance(m, (list, tuple)) else (m,)
+        if not coeffs or not all(isinstance(c, Real) for c in coeffs):
+            raise UsageError(f"a gauge multiplier is a number or a non-empty list of them: {m!r}")
+        object.__setattr__(self, "multiplier", tuple(map(float, coeffs)))
 
     @property
     def chart(self) -> ChartSpec:
         return self.generator.chart
-
-    def multiplier_at(self, t: float) -> float:
-        if callable(self.multiplier):
-            return float(self.multiplier(t))
-        return float(self.multiplier)
 
 
 FlowSpec = Union[PoissonFlow, DiracFlow, GaugeFlow]
@@ -131,17 +135,12 @@ class Trajectory:
 def _kernel_args(flow: FlowSpec) -> tuple[str, int, tuple, tuple]:
     """(kind, k, arguments, fields) of the flow's generated kernels: ``kind`` gives the
     rhs(t, z) and ``kind + "_run"`` the whole RK4 loop, each bound by the arguments to the
-    gradient routes of ``fields`` (and a gauge flow's constant or polynomial multiplier)."""
+    gradient routes of ``fields``; a gauge flow's k counts its multiplier's coefficients."""
     if isinstance(flow, PoissonFlow):
         return "poisson", 0, (flow.hamiltonian._gradient,), (flow.hamiltonian,)
     if isinstance(flow, GaugeFlow):
         m = flow.multiplier
-        constant = None if callable(m) else float(m)
-        # a float numpy Polynomial whose domain is its window (its x is t): Horner in the rhs
-        coeffs = (m.coef.tolist() if constant is None and isinstance(m, np.polynomial.Polynomial)
-                  and m.coef.dtype == float and np.array_equal(m.domain, m.window) else None)
-        return ("gauge", 0, (flow.generator._gradient, flow.multiplier_at, constant, coeffs),
-                (flow.generator,))
+        return "gauge", len(m), (flow.generator._gradient, m), (flow.generator,)
     cs = flow.constraints
     args = (flow.hamiltonian._gradient, [f._gradient for f in cs.fields], cs.rates,
             _pairing_multipliers, DEGENERACY_RTOL)

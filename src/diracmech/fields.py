@@ -1,16 +1,16 @@
 """Differentiable scalar fields on phase space.
 
-A field wraps a pure function of the coordinates, which reads them on axis 0:
-a point is a (dim,) array, and a block of states a (dim, B) array whose
-trailing axis is the batch. Its gradient is the registered ``grad`` if it has one,
-else its exact forward-mode (dual number) pass traced once by ``duals.trace`` into
+A field wraps a pure function of the coordinates, which reads them on axis 0: a point is a
+(dim,) array, and a block of states a (dim, B) array whose trailing axis is the batch, which
+the ``duals`` lifts take entry by entry. Its gradient is the registered ``grad`` if it has
+one, else its exact forward-mode (dual number) pass traced once by ``duals.trace`` into
 straight-line float code, compiled once per structure, else that dual pass itself: a
-``func`` that compares or tests a value, calls a function but the ``duals`` lifts (``math.sin``,
-``np.sqrt``, ``duals.atan2``), reads a dual's ``val``, raises a dual to a power but 2,
-or raises while traced is not traced. A black-box function registers central finite
-differences, ``lambda z: central_difference_gradient(func, z).tolist()``, with step
-h = cbrt(machine eps) * max(1, |x_i|). Evaluation and gradients are pure:
-the same coordinates always produce bitwise-identical results.
+``func`` that compares or tests a value, calls a function but the ``duals`` lifts
+(``math.sin``, ``np.sqrt``, ``duals.atan2``), reads a dual's ``val``, raises a dual to a
+power but 2, or raises while traced is not traced. A black-box function registers central
+finite differences, ``lambda z: central_difference_gradient(func, z).tolist()``, with step
+h = cbrt(machine eps) * max(1, |x_i|). Evaluation and gradients are pure: the same
+coordinates always produce bitwise-identical results.
 """
 
 from __future__ import annotations

@@ -3,18 +3,18 @@ Poisson, gauge and Dirac right-hand sides, each flow's whole RK4 loop, a traced 
 pairing matrix and the Dirac tensor. This module imports nothing from the package, and each
 kernel is compiled in a namespace of its own: it reads the builtins and what it is handed.
 
-For each kind, chart size n, constraint count k and the structure of each traced gradient
-(``duals.trace``; its constants are handed in, so they key nothing), the source is written out
-over the 2n coordinates, compiled at the first call that needs it, and cached for the life of
-the process. A flow's RK4 loop holds its right-hand side's body four times, once per stage,
-with each traced gradient's lines written in: an arithmetic or math error there reruns every
-gradient route at that point, the dual pass of a traced one, which raises its own error. A
-stage calls a registered ``grad``, or the dual pass of a func not traced. While
-n (k + 2)^2 <= 128 (up to 64 coordinates for the Poisson and gauge flows, up to 16 for two
-constraints) every list entry and sum term is spelled out, which spares a step on a few
-coordinates the zips, slices and loop counters that cost more than its arithmetic; past that,
-each list is one comprehension and each sum one loop. Both forms keep the order of every sum,
-so they give the same bits.
+For each kind, chart size n, constraint count k (a gauge multiplier's coefficient count) and
+the structure of each traced gradient (``duals.trace``; its constants are handed in, so they
+key nothing), the source is written out over the 2n coordinates, compiled at the first call
+that needs it, and cached for the life of the process. A flow's RK4 loop holds its right-hand
+side's body four times, once per stage, with each traced gradient's lines written in: an
+arithmetic or math error there reruns every gradient route at that point, the dual pass of a
+traced one, which raises its own error. A stage calls a registered ``grad``, or the dual pass
+of a func not traced. While n (k + 2)^2 <= 128 (up to 64 coordinates for the Poisson and gauge
+flows, up to 16 for two constraints) every list entry and sum term is spelled out, which spares
+a step on a few coordinates the zips, slices and loop counters that cost more than its
+arithmetic; past that, each list is one comprehension and each sum one loop. Both forms keep
+the order of every sum, so they give the same bits.
 """
 
 from __future__ import annotations
@@ -34,28 +34,29 @@ _UNROLL_TERMS = 128
 def _source(kind: str, n: int, k: int = 0, traces: tuple = ()) -> str:
     """Python source of the function ``kind`` for a chart of n pairs.
 
-    ``pairing(rows)`` returns M for k gradient rows, and the factories ``poisson``,
-    ``gauge`` and ``dirac(grad_h, grads, rates, solve, rtol)`` (k constraints, any even
-    count, their k constant rates dPhi_I/dt, added to {Phi_I, H}, and ``solve(m, s, z)``, the
-    guarded solve of M) each return an ``rhs(t, z)``; with two constraints it takes solve's
-    test and closed form itself where M = [[0, d], [-d, 0]] and d d < inf: hypot(0, d) = |d|
-    makes the guard's scale max(d d, 1), so |det| > rtol scale holds exactly when d d > rtol.
-    Their ``_run`` twins (``dirac_run`` and so on) take the same arguments and return
+    ``pairing(rows)`` returns M for k gradient rows, and the factories ``poisson(gradient)``,
+    ``gauge(gradient, coeffs)`` (lambda(t)'s k polynomial coefficients, constant first) and
+    ``dirac(grad_h, grads, rates, solve, rtol)`` (k constraints, any even count, their k
+    constant rates dPhi_I/dt, added to {Phi_I, H}, and ``solve(m, s, z)``, the guarded solve of
+    M) each return an ``rhs(t, z)``; with two constraints it takes solve's test and closed form
+    itself where M = [[0, d], [-d, 0]] and d d < inf: hypot(0, d) = |d| makes the guard's scale
+    max(d d, 1), so |det| > rtol scale holds exactly when d d > rtol. Their ``_run`` twins
+    (``dirac_run`` and so on) take the same arguments and return
     ``run(z, dt, start, stop, limit, rows)``: classic RK4 from the state list z at step
     ``start``, the rhs body written into each of its four stages, which appends each new state
     list to ``rows`` and returns the first step whose state has an entry past ``limit`` (or
-    NaN), else ``stop``. The factory ``tensor(grads, solve)`` returns ``d(z)``, the Dirac
-    tensor D as nested lists for any k, of floats or of a batch's columns: one solve, on M and
-    S. Each sum runs from +0.0 in index order (an entry of D from its first product) and each
-    list in coordinate order, unrolled or in a loop, so both forms give the same bits.
+    NaN), else ``stop``. The factory ``tensor(grads, solve)`` returns ``d(z)``, the Dirac tensor
+    D as nested lists for any k, of floats or of a batch's columns: one solve, on M and S. Each
+    sum runs from +0.0 in index order (an entry of D from its first product) and each list in
+    coordinate order, unrolled or in a loop, so both forms give the same bits.
 
     With ``traces``, one ``duals.trace`` structure per gradient (H's first; None for a call),
     each is written in, its constants read from the factory's ``consts``, a tuple per gradient;
     ``gradient(gradient, consts)`` returns one traced gradient ``traced(z)``, whose route
     ``gradient`` is the dual pass.
     """
-    dim = 2 * n
-    unrolled = n * (k + 2) ** 2 <= _UNROLL_TERMS
+    flow, dim = kind.removesuffix("_run"), 2 * n
+    unrolled = n * ((0 if flow == "gauge" else k) + 2) ** 2 <= _UNROLL_TERMS
 
     def at(i):  # the {q} and {p} suffixes of entry i: a local name, or an index in a loop
         return {"q": f"_{i}", "p": f"_{n + i}"} if unrolled else {"q": "[i]", "p": f"[{n} + i]"}
@@ -125,7 +126,6 @@ def _source(kind: str, n: int, k: int = 0, traces: tuple = ()) -> str:
                 *(read(f"l{i}", f"l[{i}]") for i in cs), f"return {d}"]
         return "\n    ".join(["def tensor(grads, solve):", *setup, "def d(z):",
                               *(f"    {line}" for line in body), "return d"])
-    flow = kind.removesuffix("_run")
     one = flow in ("gradient", "poisson", "gauge")  # one gradient, else H's and each Phi_I's
     roles = ("g",) if one else ("gh", *(f"r{i}" for i in cs))
     routes = ("gradient",) if one else ("grad_h", *(f"grad_{i}" for i in cs))
@@ -159,17 +159,14 @@ def _source(kind: str, n: int, k: int = 0, traces: tuple = ()) -> str:
         def stage(z, t, out):  # the rhs at the point z and time t, as the vector out
             return [*gradients(z), *assign(out, ("g{p}", n), ("-g{q}", n))]
     elif flow == "gauge":
-        # lambda(t): the constant, else the coefficients c by Horner in numpy's polyval order
-        # (x = 0 + 1 t, from c[-1] + 0 x), else multiplier_at(t)
-        params = "gradient, multiplier_at, constant, coeffs"
-        setup = ["last, *rest = coeffs[::-1] if coeffs else (None,)"]
+        # lambda(t) from its k coefficients m0.. (constant first) by Horner in numpy's polyval
+        # order, from m{k-1} + t * 0.0: the bits of Polynomial(coeffs)(t) at every stage time
+        params, setup = "gradient, coeffs", ["".join(f"m{i}, " for i in range(k)) + "= coeffs"]
 
         def stage(z, t, out):
-            return ["if constant is not None:", "    lam = constant", "elif last is None:",
-                    f"    lam = multiplier_at({t})", "else:", f"    x = 0.0 + 1.0 * {t}",
-                    "    lam = last + x * 0", "    for c in rest:", "        lam = c + lam * x",
-                    *gradients(z),
-                    *assign(out, ("lam * g{p}", n), ("lam * -g{q}", n))]
+            return [f"lam = m{k - 1} + {t} * 0.0",
+                    *(f"lam = m{i} + lam * {t}" for i in reversed(range(k - 1))),
+                    *gradients(z), *assign(out, ("lam * g{p}", n), ("lam * -g{q}", n))]
     else:
         # {Phi_I, H} = b_I - c_I, b_I = q_I . dH/dp and c_I = p_I . dH/dq, summed beside a_IJ
         terms = {f"{x}{i}": f"r{i}{{{u}}} * gh{{{v}}}" for i in cs for x, u, v in ("bqp", "cpq")}
@@ -196,8 +193,9 @@ def _source(kind: str, n: int, k: int = 0, traces: tuple = ()) -> str:
     if kind == "gradient":  # one traced gradient, its route the dual pass
         inner, args, body = "traced", "z", [*([read("z", "z")] if unrolled else []),
                                             *gradients("z"), f"return {listed('g')}"]
-    elif kind == flow:  # the oracle of a loop's stages, with its gradients called
-        inner, args, body = "rhs", "t, z", [*stage("z", "t", "f"), f"return {listed('f')}"]
+    elif kind == flow:  # a loop's stages' oracle; t = -0.0 (no stage time) is +0.0, as in numpy
+        inner, args, body = "rhs", "t, z", ["t = 0.0 + t", *stage("z", "t", "f"),
+                                             f"return {listed('f')}"]
     else:
         # the stage points and the new state, as the RK4 step sums them; the loop's own names
         # (step, t, t_half, t_next, y, k1-k4, half, sixth) are none that a stage sets

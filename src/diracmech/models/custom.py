@@ -50,9 +50,6 @@ class CustomModel:
         # one draw of count rows: bitwise the per-point draws, and the state after them
         return PhaseSpacePoint(self.chart, rng.uniform(-3.0, 3.0, (count, self.chart.dim)))
 
-    def constraints_at(self, x) -> ConstraintSet:
-        return self.constraint_set
-
     def dirac_oracle(self, pair: tuple[str, str], x):
         """Canonical {z_i, z_j} when unconstrained; None (no closed form) otherwise."""
         if len(self.constraint_set):

@@ -231,9 +231,6 @@ class KlauderModel:
                              f"with a finite width")
         return self.sample_points(rng, count, r_range, momentum_range)
 
-    def constraints_at(self, x) -> ConstraintSet:
-        return self.constraint_set
-
     def flow(self, kind: str, multiplier=1.0, hamiltonian=None):
         """(flow, monitor): the gauge orbit of the Cartesian First Class generator,
         or the physical Hamiltonian under the Dirac or the Poisson bracket."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -71,12 +71,11 @@ class RelativisticParticle:
     def time_gauge(self, tau: float = 0.0) -> ScalarField:
         return ScalarField("chi", self.full_chart, lambda z, tau=float(tau): z[0] - tau)
 
-    # a bracket table reads one set per point, all at tau = 0: built once, with its tensor
-    @lru_cache(maxsize=16)
-    def constraint_set(self, tau: float = 0.0) -> ConstraintSet:
-        return ConstraintSet(chart=self.full_chart,
-                             fields=(self.time_gauge(tau), self.mass_shell),
-                             names=("chi", "C"))
+    @cached_property
+    def constraint_set(self) -> ConstraintSet:
+        # the time gauge at tau = 0: D, which a bracket table reads, is the same at any tau
+        return ConstraintSet(self.full_chart, (self.time_gauge(0.0), self.mass_shell),
+                             ("chi", "C"))
 
     def energy(self, p_spatial) -> float:
         # p.p on Python floats in index order from +0.0: a BLAS dot sums in the kernel's order
@@ -94,8 +93,7 @@ class RelativisticParticle:
             total = m2
             for i in range(d):
                 total = total + z[d + i] * z[d + i]
-            # np.sqrt on a block of states rounds correctly, as math.sqrt does on a float
-            return np.sqrt(total) if isinstance(total, np.ndarray) else duals.sqrt(total)
+            return duals.sqrt(total)
 
         return ScalarField("H_phys", self.spatial_chart, func)
 
@@ -107,17 +105,10 @@ class RelativisticParticle:
             raise UsageError(f"expected {self.spatial_dim}-vectors")
         return x0 + p * (float(tau) / self.energy(p))
 
-    def on_shell_point(self, x_spatial, p_spatial) -> PhaseSpacePoint:
-        """Positive-energy point with x0 = 0, p0 = +sqrt(p.p + m^2): a batch of one."""
-        return self._on_shell(np.concatenate([x_spatial, p_spatial]).reshape(1, -1))[0]
-
     def sample_on_shell(self, rng: np.random.Generator, n: int) -> PhaseSpacePoint:
-        # rows (x, p) in one draw: bitwise the per-point draws, and the same state after them
-        return self._on_shell(rng.uniform(-5.0, 5.0, (n, 2 * self.spatial_dim)))
-
-    def _on_shell(self, xp: np.ndarray) -> PhaseSpacePoint:
-        # rows (0, x, p0, p) for rows (x, p), p.p summed over the p columns as energy sums it
-        d, total = self.spatial_dim, 0.0
+        # rows (0, x, +sqrt(p.p + m^2), p) for rows (x, p) in one draw: bitwise the per-point
+        # draws, and the same state after them; p.p summed over the p columns as energy sums it
+        xp, d, total = rng.uniform(-5.0, 5.0, (n, 2 * self.spatial_dim)), self.spatial_dim, 0.0
         for p in xp[:, d:].T:
             total += p * p
         return PhaseSpacePoint(self.full_chart, np.column_stack(
@@ -135,10 +126,6 @@ class RelativisticParticle:
 
     def sample(self, rng: np.random.Generator, count: int, **_) -> PhaseSpacePoint:
         return self.sample_on_shell(rng, count)
-
-    def constraints_at(self, x) -> ConstraintSet:
-        # the time gauge through x0 of a point or a batch's first row (D is the same at any tau)
-        return self.constraint_set(tau=float(np.ravel(x.columns[0])[0]))
 
     def dirac_oracle(self, pair: tuple[str, str], x):
         """Closed-form on-shell Dirac brackets: time is frozen, spatial pairs canonical; at a
@@ -171,8 +158,8 @@ class RelativisticParticle:
         """
         # the time gauge through each sample's own x0 holds there: only C is checked
         ConstraintSet(self.full_chart, (self.mass_shell,), ("C",)).require_on_surface(
-            samples.coords, "off-shell sample (use on_shell_point)")
-        d, cs, z = self.spatial_dim, self.constraint_set(), samples.columns  # D at any tau
+            samples.coords, "off-shell sample (use sample_on_shell)")
+        d, cs, z = self.spatial_dim, self.constraint_set, samples.columns  # D at any tau
         dirac = _stacked(dirac_tensor(cs, samples), z[0])  # (n, dim, dim)
         pairing = pairing_matrix_of_rows(cs.gradient_rows(z), d + 1)[0][1]  # {chi, C}
         worst = [np.subtract(pairing, z[d + 1]), dirac[:, 1:d + 1, d + 2:] - np.eye(d),

@@ -220,7 +220,7 @@ def check_bracket_table(rng, fault):
     model = KlauderModel(alpha=1.0, k=1.0)
     chart = model.bracket_chart
     batch = model.sample(rng, 200)
-    engine = dirac_tensor(model.constraints_at(batch), batch)
+    engine = dirac_tensor(model.constraint_set, batch)
     worst = 0.0
     for pair in model.bracket_pairs:
         value = engine[chart.index(pair[0])][chart.index(pair[1])]

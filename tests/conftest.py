@@ -95,3 +95,8 @@ def refuse_duals(monkeypatch):
         raise AssertionError("the dual engine ran")
 
     monkeypatch.setattr(duals, "gradient", refuse)
+
+
+def on_shell_point(particle, x_spatial, p_spatial):
+    """The positive-energy point (0, x, p0, p) with p0 = ``particle.energy(p)``."""
+    return particle.full_chart.point([0.0, *x_spatial, particle.energy(p_spatial), *p_spatial])

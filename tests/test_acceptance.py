@@ -144,7 +144,7 @@ def test_criterion_7_relativistic_particle():
     samples = particle.sample_on_shell(rng, 100)
     pairing = 0.0
     for x in samples:
-        cs = particle.constraint_set(tau=x["x0"])
+        cs = particle.constraint_set  # at tau = 0: every on-shell sample has x0 = 0
         pairing = max(pairing, abs(poisson_bracket(cs.fields[0], cs.fields[1], x) - x["p0"]))
     report_values = particle.bracket_report(samples[:25])
     x0, p = np.array([0.0, -1.0, 2.0]), np.array([3.0, 0.0, 0.0])

@@ -65,7 +65,7 @@ def test_klauder_columns_are_the_per_point_route(seed, count, alpha, k, r_bounds
     model = KlauderModel(alpha=alpha, k=k)
     batch = model.sample(np.random.default_rng(seed), count,
                          (min(r_bounds), max(r_bounds) + 0.05), (-momentum, momentum))
-    rows, columns = per_row_and_columns(model.constraints_at(batch), batch)
+    rows, columns = per_row_and_columns(model.constraint_set, batch)
     assert columns.tobytes() == rows.tobytes()
     assert_oracle_columns_are_the_rows(model, batch)
 
@@ -75,7 +75,7 @@ def test_klauder_columns_are_the_per_point_route(seed, count, alpha, k, r_bounds
 def test_particle_columns_are_the_per_point_route(seed, count, mass, spatial_dim):
     model = RelativisticParticle(mass=mass, spatial_dim=spatial_dim)
     batch = model.sample(np.random.default_rng(seed), count)
-    rows, columns = per_row_and_columns(model.constraints_at(batch), batch)
+    rows, columns = per_row_and_columns(model.constraint_set, batch)
     assert columns.tobytes() == rows.tobytes()
     assert_oracle_columns_are_the_rows(model, batch)
 

@@ -194,7 +194,7 @@ def test_brackets_dirac_column_equals_the_engine_bracket(tmp_path, model):
         a, b = row[0][1:-1].split(",")
         x = chart.point([float(v) for v in row[1:column - 1]])
         expected = dirac_bracket(coordinate_field(chart, a), coordinate_field(chart, b),
-                                 built.constraints_at(x), x)
+                                 built.constraint_set, x)
         assert row[column] == f"{expected:.17g}", row
 
 

@@ -147,7 +147,7 @@ def test_classify_second_class_exactly_where_dirac_tensor_solves(case):
         cs, samples = model.constraint_set, model.sample_surface(rng, 20)
     elif case == "particle_random":
         particle = RelativisticParticle(mass=0.8)
-        cs, samples = particle.constraint_set(), particle.sample_on_shell(rng, 20)
+        cs, samples = particle.constraint_set, particle.sample_on_shell(rng, 20)
     else:  # a non-finite M has no rank to report, and the pairing solve rejects it too
         cs, samples = HUGE_PAIR, [LINE.point([0.0, 0.0])]
         with pytest.raises(NumericDomainError, match="non-finite entry"):
@@ -325,7 +325,7 @@ def tensor_points(rng):
     for model in (KlauderModel(alpha=1.3, k=KRamp(0.7, 0.2)), RelativisticParticle(mass=2.0),
                   CUSTOM_FOUR):
         for x in model.sample(rng, 10):
-            yield model.constraints_at(x), x
+            yield model.constraint_set, x
 
 
 def reference_bracket(a, b, cs, x):
@@ -591,7 +591,7 @@ def test_array_grads_give_the_bits_of_their_list_twins_in_dirac_tensor_and_class
         assert np.array(dirac_tensor(twin, x)).tobytes() == d.tobytes()
     klauder, particle = KlauderModel(alpha=1.3, k=0.7), RelativisticParticle(mass=2.0)
     for cs, samples in ((klauder.constraint_set, klauder.sample_surface(rng, 10)),
-                        (particle.constraint_set(), particle.sample_on_shell(rng, 10)),
+                        (particle.constraint_set, particle.sample_on_shell(rng, 10)),
                         (CUSTOM_FOUR.constraint_set, CUSTOM_FOUR_SURFACE)):
         for x in samples:
             expected = classify(cs, [x], 1e-9)
@@ -1026,7 +1026,7 @@ def test_pairing_det_is_the_square_of_the_fp_determinant_where_cc_vanishes(rng):
     particle = RelativisticParticle(mass=1.5, spatial_dim=2)
     q1, q2, p1, p2 = (coordinate_field(FLAT, l) for l in FLAT.labels)
     cases = [(klauder.constraint_set, klauder.sample_surface(rng, 20)),
-             (particle.constraint_set(0.0), particle.sample_on_shell(rng, 20)),
+             (particle.constraint_set, particle.sample_on_shell(rng, 20)),
              (ConstraintSet(FLAT, (q1, q2, p1, p2), ("q1", "q2", "p1", "p2")),
               [FLAT.point(rng.uniform(-3, 3, 4)) for _ in range(5)])]
     for cs, points in cases:

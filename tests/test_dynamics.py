@@ -12,10 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracmech import kernels
-from diracmech import cli
+from diracmech import cli, duals, kernels
 from diracmech.constraints import (DEGENERACY_RTOL, ConstraintSet, _pairing_multipliers,
-                                   dirac_bracket, dirac_tensor, pairing_matrix_of_rows)
+                                   classify, dirac_bracket, dirac_tensor, pairing_matrix_of_rows)
 from diracmech.dynamics import (BLOWUP_LIMIT, RUN_BLOCK, DiracFlow, GaugeFlow,
                                 IntegratorConfig, PoissonFlow, _generated, _kernel_args,
                                 constraint_drift, evolve, gauge_orbit_closed_form)
@@ -88,12 +87,12 @@ def test_gauge_flow_matches_closed_form_off_unit_alpha():
 
 
 def test_gauge_flow_time_dependent_multiplier():
-    # lambda(t) = cos t accumulates T = sin(1) by t = 1
+    # lambda(t) = 1 - t^2 / 2 accumulates T = t - t^3 / 6 = 5/6 by t = 1
     model = KlauderModel(alpha=1.0, k=0.0)
     x0 = model.cartesian_chart.point([0.8, -0.3, 0.8, 0.3])
-    traj = evolve(x0, GaugeFlow(model.cartesian_generator, math.cos),
+    traj = evolve(x0, GaugeFlow(model.cartesian_generator, (1.0, 0.0, -0.5)),
                   IntegratorConfig(dt=1e-3, steps=1000))
-    q, p = gauge_orbit_closed_form([0.8, -0.3], [0.8, 0.3], 1.0, math.sin(1.0))
+    q, p = gauge_orbit_closed_form([0.8, -0.3], [0.8, 0.3], 1.0, 5.0 / 6.0)
     assert np.max(np.abs(traj.states[-1] - np.concatenate([q, p]))) < 1e-8
 
 
@@ -102,20 +101,18 @@ POLY_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -1e308, 1e308, math.inf]) | st
 
 
 @given(st.lists(POLY_FLOATS, min_size=1, max_size=6),
-       st.sampled_from([0.0, -0.0, 1e-300, -2.5, 1e200]) | st.floats(-1e3, 1e3),
-       st.sampled_from([(-1.0, 1.0), (0.0, 2.0)]))
+       st.sampled_from([0.0, -0.0, 1e-300, -2.5, 1e200]) | st.floats(-1e3, 1e3))
 @settings(max_examples=300, deadline=None)
-def test_polynomial_multiplier_gives_the_bits_of_numpys_polynomial(coeffs, t, domain):
-    # on the default domain the generated rhs runs Horner on Python floats; on another the
-    # polynomial is called; both give float(Polynomial(c)(t)) times the gradient's entries
+def test_polynomial_multiplier_gives_the_bits_of_numpys_polynomial(coeffs, t):
+    # the generated rhs runs Horner on Python floats: float(Polynomial(c)(t)) times the
+    # gradient's entries
     model = KlauderModel(alpha=1.0, k=0.0)
-    multiplier = np.polynomial.Polynomial(coeffs, domain=domain)
-    rhs = standalone_rhs(GaugeFlow(model.cartesian_generator, multiplier), 2)
+    rhs = standalone_rhs(GaugeFlow(model.cartesian_generator, coeffs), 2)
     z = [0.8, -0.3, 0.8, 0.3]
     g = model.cartesian_generator._gradient(z)
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        lam = float(multiplier(t))
+        lam = float(np.polynomial.Polynomial(coeffs)(t))
         expected = [lam * g[2], lam * g[3], lam * -g[0], lam * -g[1]]
         got = rhs(t, z)
     assert np.array(got).tobytes() == np.array(expected).tobytes()
@@ -131,6 +128,81 @@ def test_gauge_residual_scales_as_fourth_order():
                       IntegratorConfig(dt=dt, steps=steps), monitor=cartesian_monitor(model))
         deviations.append(np.max(np.abs(traj.residuals["C"] - start)))
     assert deviations[0] / deviations[1] >= 15.0
+
+
+@pytest.mark.parametrize("start", [[0.8, -0.3, 0.8, 0.3], [-0.0, 0.5, 0.7, -0.0], [-0.0] * 4,
+                                   [0.0, -0.0, -1.0, 1.0]])
+def test_a_null_gauge_flow_keeps_its_start(start):
+    # lambda = -0.0 is +0.0, as numpy's Polynomial([-0.0]) evaluates it, so both null flows run
+    # the same bits; every state equals the start and keeps the bits of each coordinate that
+    # is not -0.0 (-0.0 plus a +0.0 increment is +0.0)
+    model = KlauderModel(alpha=1.0, k=0.0)
+    x0 = model.cartesian_chart.point(start)
+    plus, minus = (evolve(x0, GaugeFlow(model.cartesian_generator, zero),
+                          IntegratorConfig(dt=1e-3, steps=20)).states for zero in (0.0, -0.0))
+    assert minus.tobytes() == plus.tobytes()
+    assert np.all(plus == x0.coords)
+    kept = ~((x0.coords == 0.0) & np.signbit(x0.coords))
+    assert plus[:, kept].tobytes() == np.tile(x0.coords[kept], (21, 1)).tobytes()
+
+
+def test_gauge_flow_keeps_its_multiplier_as_float_coefficients():
+    generator = KlauderModel(alpha=1.0, k=0.0).cartesian_generator
+    assert GaugeFlow(generator).multiplier == (1.0,)
+    assert GaugeFlow(generator, 2).multiplier == (2.0,)
+    flow = GaugeFlow(generator, [1, np.float64(0.5), -0.25])
+    assert flow.multiplier == (1.0, 0.5, -0.25)
+    assert all(type(c) is float for c in flow.multiplier)
+
+
+@pytest.mark.parametrize("multiplier", [math.cos, np.polynomial.Polynomial([1.0]), [], (), "1.0",
+                                        None, 1j, [1.0, "2"], np.array([1.0, 0.5])],
+                         ids=["callable", "polynomial", "empty_list", "empty_tuple", "string",
+                              "none", "complex", "string_coefficient", "array"])
+def test_gauge_flow_rejects_a_multiplier_that_is_no_number_or_coefficients(multiplier):
+    generator = KlauderModel(alpha=1.0, k=0.0).cartesian_generator
+    with pytest.raises(UsageError, match="^a gauge multiplier is a number or a non-empty list"):
+        GaugeFlow(generator, multiplier)
+
+
+# -- fields through the duals lifts ------------------------------------------------
+
+LIFTED = ChartSpec(labels=("q1", "q2", "p1", "p2"), name="lifted")
+# Phi = (sqrt(1 + q1 q1) - 1 - p2, p1 + q2): {A, B} = 1 + q1 / sqrt(1 + q1 q1), Second Class
+LIFTED_SET = ConstraintSet(LIFTED, (
+    ScalarField("A", LIFTED, lambda z: duals.sqrt(1 + z[0] * z[0]) - 1 - z[3]),
+    ScalarField("B", LIFTED, lambda z: z[2] + z[1])), ("A", "B"))
+LIFTED_START = LIFTED.point([0.5, -0.3, 0.3, math.sqrt(1 + 0.5 * 0.5) - 1])
+OSCILLATOR = polynomial_field(LIFTED, [(0.5, powers) for powers in
+                                       ((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2))],
+                              name="H")
+
+
+def assert_series_are_the_per_state_values(traj, generator, watched):
+    """The trajectory's generator values and residuals, bitwise ``func`` at each state."""
+    per_state = np.array([float(generator.func(z)) for z in traj.states])
+    assert traj.generator_values.tobytes() == per_state.tobytes()
+    for name, field in zip(watched.names, watched.fields):
+        per_state = np.array([abs(float(field.func(z))) for z in traj.states])
+        assert traj.residuals[name].tobytes() == per_state.tobytes(), name
+
+
+def test_a_constraint_through_a_lift_is_classified_and_evolved():
+    assert classify(LIFTED_SET, [LIFTED_START], 1e-8).kind == "second_class"
+    traj = evolve(LIFTED_START, DiracFlow(OSCILLATOR, LIFTED_SET),
+                  IntegratorConfig(dt=1e-3, steps=300))
+    assert max(np.max(series) for series in traj.residuals.values()) < 1e-12
+    assert_series_are_the_per_state_values(traj, OSCILLATOR, LIFTED_SET)
+
+
+@pytest.mark.parametrize("func", [lambda z: duals.sqrt(1 + z[2] * z[2] + z[3] * z[3]),
+                                  lambda z: duals.exp(z[2]) + 0.5 * z[0] * z[0]],
+                         ids=["sqrt", "exp"])
+def test_a_hamiltonian_through_a_lift_finishes_its_run(func):
+    h = ScalarField("H", LIFTED, func)
+    traj = evolve(LIFTED_START, PoissonFlow(h), IntegratorConfig(dt=1e-3, steps=300),
+                  monitor=LIFTED_SET)
+    assert_series_are_the_per_state_values(traj, h, LIFTED_SET)
 
 
 # -- Dirac flow -------------------------------------------------------------------
@@ -432,7 +504,7 @@ def array_stage(flow):
         g = field.gradient_at(z)
         vector_field = np.concatenate([g[n:], -g[:n]])
         if isinstance(flow, GaugeFlow):
-            return flow.multiplier_at(t) * vector_field
+            return float(np.polynomial.Polynomial(flow.multiplier)(t)) * vector_field
         return vector_field
 
     return stage
@@ -520,7 +592,7 @@ def float_step_flows():
     yield (PoissonFlow(particle.physical_hamiltonian),
            particle.spatial_chart.point([0.1, -0.2, 0.3, 0.7, -1.1, 0.4]), None)
     model = KlauderModel(alpha=1.0, k=0.0)
-    yield (GaugeFlow(model.cartesian_generator, np.polynomial.Polynomial([0.5, -1.0, 0.3])),
+    yield (GaugeFlow(model.cartesian_generator, (0.5, -1.0, 0.3)),
            model.cartesian_chart.point([0.8, -0.3, 0.8, 0.3]), cartesian_monitor(model))
     for flow, x0 in list(dirac_flows())[:2]:  # static and ramped k
         yield flow, x0, None
@@ -641,15 +713,17 @@ def test_degeneracy_mid_block_keeps_every_finished_step(failing, n):
 @pytest.mark.parametrize("n", [1, 33], ids=["spelled_out", "loop"])
 @pytest.mark.parametrize("failing", [100, RUN_BLOCK - 1, RUN_BLOCK + 44, 2 * RUN_BLOCK - 1])
 def test_blow_up_mid_block_or_at_its_end_is_dated_by_its_step(failing, n, moved):
-    # lambda(t) = 1 moves one coordinate at unit speed (q1 under G = p1, p_n under G = q_n)
-    # until lambda jumps to 1e30 a quarter step past t = failing dt, in the second stage of
-    # step ``failing``: its state is the first past the bound, at t = (failing + 1) dt
+    # lambda = 1e9 moves one coordinate by 1e6 a step (q1 under G = p1 up, p_n under G = q_n
+    # down) from 1e12 - (failing + 0.5) 1e6 in size: the state of step ``failing`` is the
+    # first past the bound, at t = (failing + 1) dt
     dt = 1e-3
     chart = pairs_chart(n)
     generator = coordinate_field(chart, "p1" if moved == "first" else f"q{n}")
-    wall = (failing + 0.25) * dt
-    flow = GaugeFlow(generator, lambda t: 1e30 if t > wall else 1.0)
-    x0 = chart.point([0.5] * chart.dim)
+    flow = GaugeFlow(generator, 1e9)
+    start = [0.5] * chart.dim
+    start[0 if moved == "first" else -1] = (1.0 if moved == "first" else -1.0) * (
+        BLOWUP_LIMIT - (failing + 0.5) * 1e6)
+    x0 = chart.point(start)
     with pytest.raises(NumericDomainError) as err:
         evolve(x0, flow, IntegratorConfig(dt=dt, steps=2 * RUN_BLOCK + 3))
     assert str(err.value) == (f"trajectory blew up at t={(failing + 1) * dt:g} "
@@ -953,9 +1027,9 @@ def test_concurrent_dirac_orbits_keep_the_bytes_of_their_solo_runs():
 
 
 @pytest.mark.parametrize("n", [1, 33], ids=["spelled_out", "loop"])
-@pytest.mark.parametrize("kind, k", [("poisson", 0), ("gauge", 0), ("pairing", 0), ("pairing", 2),
+@pytest.mark.parametrize("kind, k", [("poisson", 0), ("gauge", 3), ("pairing", 0), ("pairing", 2),
                                      ("pairing", 4), ("dirac", 2), ("dirac", 4),
-                                     ("poisson_run", 0), ("gauge_run", 0), ("dirac_run", 2),
+                                     ("poisson_run", 0), ("gauge_run", 3), ("dirac_run", 2),
                                      ("dirac_run", 4),
                                      ("tensor", 0), ("tensor", 2), ("tensor", 4)])
 def test_generated_functions_read_no_module_global(kind, k, n):
@@ -967,7 +1041,7 @@ def test_generated_functions_read_no_module_global(kind, k, n):
     functions = [function]
     if kind != "pairing":  # a factory: the function it returns as well
         params = inspect.signature(function).parameters
-        functions.append(function(*((None,) * k if name in ("grads", "rates") else None
+        functions.append(function(*((None,) * k if name in ("grads", "rates", "coeffs") else None
                                     for name in params)))
     for f in functions:
         assert set(f.__globals__) == {"__builtins__", *defined}, f

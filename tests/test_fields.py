@@ -352,6 +352,32 @@ def test_nonfinite_gradient_names_label():
         f.gradient(x)
 
 
+@pytest.mark.parametrize("name", ["sqrt", "exp", "log", "sin", "cos", "sinh", "cosh"])
+def test_a_lift_of_a_block_is_its_value_at_each_entry(name, rng):
+    # libm entry by entry, as on a float, so a (dim, B) block keeps each point's bits
+    lift = getattr(duals, name)
+    block = rng.uniform(0.1, 3.0, (4, 7))
+    expected = np.array([[lift(v) for v in row] for row in block.tolist()])
+    got = lift(block)
+    assert got.shape == block.shape and got.tobytes() == expected.tobytes()
+    assert lift(block[2]).tobytes() == expected[2].tobytes()  # one coordinate's column
+    assert lift(block[:, :0]).shape == (4, 0)
+
+
+def test_atan2_of_a_block_is_its_value_at_each_entry(rng):
+    y, x = rng.uniform(-3.0, 3.0, (2, 4, 7))
+    expected = [[math.atan2(a, b) for a, b in zip(*rows)] for rows in zip(y.tolist(), x.tolist())]
+    assert duals.atan2(y, x).tobytes() == np.array(expected).tobytes()
+    assert duals.atan2(y[0], 2.0).tobytes() == np.array([math.atan2(a, 2.0)
+                                                         for a in y[0].tolist()]).tobytes()
+    assert type(duals.atan2(1.0, 2.0)) is float
+
+
+def test_a_lift_of_a_block_raises_the_error_of_its_first_bad_entry():
+    with pytest.raises(NumericDomainError, match=r"^sqrt\(-1\.0\): math domain error$"):
+        duals.sqrt(np.array([[4.0, -1.0], [-2.0, 1.0]]))
+
+
 # -- batches of states -------------------------------------------------------------
 
 BATCH_KLAUDER = KlauderModel(alpha=1.3, k=KRamp(0.7, 0.2),
@@ -392,6 +418,11 @@ BATCH_FIELDS = {
         BATCH_LATTICE.hamiltonian, coordinate_field(BATCH_LATTICE.chart, "A1.3")),
         uniform_states(48)),
     "reduced-pullback": (reduced_pullback, uniform_states(2)),
+    "lifts": (lambda: ScalarField("lifts", CHART, lambda z: duals.sqrt(1.0 + z[0] * z[0])
+                                  + duals.exp(z[1]) * duals.sin(z[2]) - duals.cos(z[3])
+                                  + duals.log(2.0 + duals.sinh(z[0]) * duals.sinh(z[0]))
+                                  * duals.cosh(z[1]) + duals.atan2(z[2], z[3])),
+              uniform_states(4)),
 }
 
 

@@ -3,7 +3,8 @@
 A Klauder Dirac flow, a gauge flow and a particle flight call no gradient route in their
 loop but in the error path, where the route raises the dual pass's own error; a polynomial
 field keeps its registered gradient, so a custom flow calls it. A trace hands its
-constants in as arguments, so models that differ only in their constants share one loop.
+constants in as arguments, so models that differ only in their constants share one loop. A
+gauge multiplier's Horner steps are written into each stage, with no branch and no loop.
 """
 
 import ast
@@ -81,3 +82,23 @@ def test_models_of_different_alpha_share_one_compiled_loop():
     evolve(*runs[1], cfg)
     after = _generated.cache_info()
     assert after.misses == before.misses and after.hits > before.hits
+
+
+@pytest.mark.parametrize("multiplier", [1.0, (1.0, 0.5, -0.25)], ids=["constant", "cubic"])
+def test_gauge_stages_hold_no_branch_and_no_loop(monkeypatch, multiplier):
+    x0, flow = FLOWS["gauge"][0], klauder(0.0).flow("gauge", multiplier)[0]
+    tree = ast.parse(built_source(monkeypatch, x0, flow))
+    (steps,) = [node for node in ast.walk(tree) if isinstance(node, (ast.For, ast.While,
+                                                                     ast.comprehension))]
+    # the one branch is the bound test on the new state, which the stages come before
+    branches = [node for node in ast.walk(tree) if isinstance(node, (ast.If, ast.IfExp))]
+    assert branches == [steps.body[-3]]
+    horner = [node for node in ast.walk(steps) if isinstance(node, ast.Assign)
+              and ast.unparse(node.targets[0]) == "lam"]
+    assert len(horner) == 4 * len(flow.multiplier)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_gauge_loop_is_spelled_out_to_32_pairs_at_any_coefficient_count(k):
+    assert "for i in range" not in kernels._source("gauge_run", 32, k)
+    assert "for i in range" in kernels._source("gauge_run", 33, k)

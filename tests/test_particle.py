@@ -12,7 +12,7 @@ from diracmech.errors import NumericDomainError, UsageError
 from diracmech.models import RelativisticParticle
 
 from conftest import (assert_closed_form_equals_duals, assert_closed_form_finite_like_duals,
-                      log_uniform, refuse_duals)
+                      log_uniform, on_shell_point, refuse_duals)
 
 
 def test_trajectory_rest_frame():
@@ -48,12 +48,12 @@ def test_energy_sums_p_dot_p_in_index_order(spatial_dim):
 
 def test_pairing_bracket_values(rng):
     rest = RelativisticParticle(mass=1.0)
-    x = rest.on_shell_point([0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
-    cs = rest.constraint_set(tau=0.0)
+    x = on_shell_point(rest, [0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+    cs = rest.constraint_set
     assert poisson_bracket(cs.fields[0], cs.fields[1], x) == pytest.approx(1.0)
     boosted = RelativisticParticle(mass=4.0)
-    x2 = boosted.on_shell_point([1.0, 2.0, 3.0], [3.0, 0.0, 0.0])
-    cs2 = boosted.constraint_set(tau=0.0)
+    x2 = on_shell_point(boosted, [1.0, 2.0, 3.0], [3.0, 0.0, 0.0])
+    cs2 = boosted.constraint_set
     assert poisson_bracket(cs2.fields[0], cs2.fields[1], x2) == pytest.approx(5.0)
 
 
@@ -68,9 +68,9 @@ def test_bracket_report_on_shell(rng):
 def test_bracket_report_rejects_off_shell():
     particle = RelativisticParticle(mass=1.0)
     # a batch whose second row is off the mass shell: its residual |C| = 3.5 is named
-    batch = particle.full_chart.point([particle.on_shell_point([0.0] * 3, [1.0] * 3).coords,
+    batch = particle.full_chart.point([on_shell_point(particle, [0.0] * 3, [1.0] * 3).coords,
                                        [0.0, 0.0, 0.0, 0.0, 3.0, 1.0, 0.0, 0.0]])
-    with pytest.raises(UsageError, match=r"^off-shell sample \(use on_shell_point\) is off the "
+    with pytest.raises(UsageError, match=r"^off-shell sample \(use sample_on_shell\) is off the "
                                          r"constraint surface: \|C\| = 3\.500e\+00, tolerance"):
         particle.bracket_report(batch)
 

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from diracmech.models import CustomModel, KlauderModel, RelativisticParticle
 from diracmech.models.klauder import R_SAMPLE_FLOOR
 
+from conftest import on_shell_point
+
 SEEDS = st.integers(0, 2**63 - 1)
 COUNTS = st.integers(0, 12)
 BOUND = st.floats(-10.0, 10.0)
@@ -51,8 +53,8 @@ def test_particle_sample_is_the_per_point_draws(seed, count, spatial_dim):
     model = RelativisticParticle(mass=1.3, spatial_dim=spatial_dim)
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     points = model.sample(rng, count)
-    oracle = [model.on_shell_point(oracle_rng.uniform(-5.0, 5.0, spatial_dim),
-                                   oracle_rng.uniform(-5.0, 5.0, spatial_dim))
+    oracle = [on_shell_point(model, oracle_rng.uniform(-5.0, 5.0, spatial_dim).tolist(),
+                             oracle_rng.uniform(-5.0, 5.0, spatial_dim).tolist())
               for _ in range(count)]
     assert_same_draws(points, oracle, rng, oracle_rng)
 

@@ -7,7 +7,7 @@ from the operations below, at the cost of one evaluation.
 
 ``trace`` records that pass once as straight-line float code: Dual's own operations, run on
 values that name their floats and on tangents with no structurally zero entry (source
-transformation, Griewank & Walther, *Evaluating Derivatives*, ch. 6).
+transformation, Griewank & Walther, *Evaluating Derivatives*, ch. 6); ``trace_values`` a grad's.
 """
 
 from __future__ import annotations
@@ -133,7 +133,10 @@ def seed(coords):
 
 
 def gradient(func, coords):
-    """Exact gradient of ``func`` at ``coords`` by one forward pass, as Python floats."""
+    """Exact gradient of ``func`` at ``coords`` by one forward pass, as Python floats; at a
+    batch's (n,) columns, each row's in turn (the first bad row raises), as columns."""
+    if isinstance(coords[0], np.ndarray):
+        return list(np.array([gradient(func, row) for row in zip(*coords)]).T)
     out = func(seed(coords))
     if isinstance(out, Dual):
         return out.eps.tolist()
@@ -145,6 +148,7 @@ def gradient(func, coords):
 # the try costs nothing on the non-raising path
 _MATH_ERRORS = (ValueError, OverflowError, ZeroDivisionError)
 _UNIT = (1.0,)  # the value of a seed's traced unit tangent entry
+LIFTS = {}  # each math function a trace calls -> its lift, which also takes a block
 
 
 def _apply(fn, x):
@@ -171,6 +175,7 @@ def _lift(fn, tangent):
             raise NumericDomainError(f"{name}({value(x)!r}): {err}") from err
 
     lifted.__name__ = lifted.__qualname__ = name
+    LIFTS[fn] = lifted
     return lifted
 
 
@@ -196,8 +201,8 @@ def atan2(y, x):
 
 
 class _Traced:
-    """A float of a traced dual pass: a constant (value,), else an input or a temporary of
-    the code its tape records. It has no ==, !=, order, truth value or float(), so a func that
+    """A float of a traced pass: a constant (value,), else an input or a temporary of the
+    code its tape records. It has no ==, !=, order, truth value or float(), so a func that
     branches on a value or leaves the dual helpers raises while traced. Its hash is its
     identity: the tape compares two only on a full hash collision, and keeps the dual pass."""
 
@@ -217,6 +222,10 @@ class _Traced:
 
     def __neg__(self):
         return self.emit("-{}", self)
+
+    def __pow__(self, n):  # an int exponent only: Dual's float one leaves a dual pass untraced
+        return (self.emit("{} ** {}", self, _Traced(self.tape, (float(n),)))
+                if n.__class__ is int else NotImplemented)
 
 
 def _recorded(template, reflected=False):
@@ -256,19 +265,33 @@ def trace(func, dim):
     """``func``'s dual pass at dim coordinates as ((lines, outputs, count), constants), or None
     where it branches on a value, calls what is not recorded, or raises while traced: lines
     "t3 = t1 * c2" over the inputs x0.. and the count constants c0.. (each float of the pass
-    and each lift's math function), those the gradient needs and every division and call,
-    which may raise, a temporary read once written into its reader; outputs give each entry."""
+    and each lift's math function), those the gradient needs and every division, power and
+    call (which may raise), a temporary read once written into its reader; outputs per entry."""
+
+    def tangent(seeds):  # the dual pass on the traced inputs, as its tangent's entries
+        out = func([Dual(x, _Tangent({j: _Traced(x.tape, _UNIT)})) for j, x in enumerate(seeds)])
+        if isinstance(out, Dual) and isinstance(out.eps, _Tangent):
+            zero = _Traced(seeds[0].tape, (0.0,))  # a structurally zero entry
+            return [out.eps.get(j, zero) for j in range(dim)]
+    return trace_values(tangent, dim)
+
+
+def trace_values(grad, dim):
+    """``grad``'s own float operations at dim coordinates, as ``trace`` gives a dual pass's:
+    grad run once on the traced inputs, or None where it raises while traced or returns
+    anything but a list of dim floats or traced values."""
     tape = {}
     seeds = [_Traced(tape) for _ in range(dim)]
     try:
-        out = func([Dual(x, _Tangent({j: _Traced(tape, _UNIT)})) for j, x in enumerate(seeds)])
+        outputs = grad(list(seeds))
     except Exception:
         return None
-    if not (isinstance(out, Dual) and isinstance(out.eps, _Tangent)):
+    if not (outputs.__class__ is list and len(outputs) == dim
+            and all(v.__class__ is float or v.__class__ is _Traced for v in outputs)):
         return None
-    zero = _Traced(tape, (0.0,))  # a structurally zero entry
-    outputs = [out.eps.get(j, zero) for j in range(dim)]
-    live = {*outputs, *(t for (op, _), t in tape.items() if "/" in op or "(" in op)}  # may raise
+    outputs = [v if v.__class__ is _Traced else _Traced(tape, (v,)) for v in outputs]
+    # every division, call and power may raise, so is kept
+    live = {*outputs, *(t for (op, _), t in tape.items() if "/" in op or "(" in op or "**" in op)}
     kept = [(t, op) for op, t in reversed(tape.items()) if t in live and not live.update(op[1])]
     kept.reverse()
     names = {**{x: f"x{j}" for j, x in enumerate(seeds)},

@@ -66,10 +66,12 @@ class ScalarField:
 
     ``grad`` reads its point, a list of Python floats, by index or by unpacking,
     and returns a list of Python floats, as every field the package builds does
-    (an array is read with the same bits, at numpy-scalar speed). ``_gradient``,
-    which the constraint engine and every RK4 step of a chart flow read, passes
-    that list on as it is; ``gradient_at`` reads an array point by tolist() and
-    always gives an array.
+    (an array is read with the same bits, at numpy-scalar speed). ``_gradient`` passes
+    that list on as it is; ``gradient_at`` reads an array point by tolist() and always gives
+    an array. The RK4 loops trace ``grad`` once, on values with no comparison, truth value
+    or ``float()``, and write in the float code it runs (``duals.trace_values``): a grad that
+    compares, converts or computes on arrays is called at every stage, and one that
+    type-tests its input is traced down its non-float branch.
     """
 
     name: str
@@ -93,9 +95,11 @@ class ScalarField:
 
     @cached_property
     def _trace(self) -> Optional[tuple]:
-        """``duals.trace`` of func, once per field: None for a registered grad, or a func
-        that branches on a value, calls what the tracer does not record, or raises."""
-        return None if self.grad is not None else duals.trace(self.func, self.chart.dim)
+        """The gradient's float code, once per field: ``duals.trace_values`` of a registered
+        grad, else ``duals.trace`` of func; None where either refuses."""
+        if self.grad is not None:
+            return duals.trace_values(self.grad, self.chart.dim)
+        return duals.trace(self.func, self.chart.dim)
 
     @cached_property
     def _gradient(self) -> Callable:
@@ -106,8 +110,9 @@ class ScalarField:
         dual = partial(duals.gradient, self.func)
         if self._trace is None:
             return dual
-        shape, constants = self._trace
-        return _generated("gradient", self.chart.n_pairs, 0, (shape,))(dual, (constants,))
+        # the lifts in place of their math functions read a batch's columns entry by entry
+        shape, lifted = self._trace[0], tuple(duals.LIFTS.get(c, c) for c in self._trace[1])
+        return _generated("gradient", self.chart.n_pairs, 0, (shape,))(dual, (lifted,))
 
     # validated point API --------------------------------------------------
     def value(self, x: PhaseSpacePoint) -> float:

@@ -4,17 +4,18 @@ pairing matrix and the Dirac tensor. This module imports nothing from the packag
 kernel is compiled in a namespace of its own: it reads the builtins and what it is handed.
 
 For each kind, chart size n, constraint count k (a gauge multiplier's coefficient count) and
-the structure of each traced gradient (``duals.trace``; its constants are handed in, so they
-key nothing), the source is written out over the 2n coordinates, compiled at the first call
-that needs it, and cached for the life of the process. A flow's RK4 loop holds its right-hand
-side's body four times, once per stage, with each traced gradient's lines written in: an
-arithmetic or math error there reruns every gradient route at that point, the dual pass of a
-traced one, which raises its own error. A stage calls a registered ``grad``, or the dual pass
-of a func not traced. While n (k + 2)^2 <= 128 (up to 64 coordinates for the Poisson and gauge
-flows, up to 16 for two constraints) every list entry and sum term is spelled out, which spares
-a step on a few coordinates the zips, slices and loop counters that cost more than its
-arithmetic; past that, each list is one comprehension and each sum one loop. Both forms keep
-the order of every sum, so they give the same bits.
+the structure of each traced gradient (its constants are handed in, so they key nothing), the
+source is written out over the 2n coordinates, compiled at the first call that needs it, and
+cached for the life of the process. A flow's RK4 loop holds its right-hand side's body four
+times, once per stage, with each traced gradient's lines written in (a dual pass's, or a
+grad's own): an arithmetic or math error there reruns every gradient route at that point, the
+dual pass, which raises its own error, or the grad, which gives its values (a polynomial's
+signed inf for an overflowing power). A stage calls only a gradient neither trace takes, and
+stage 3 reads stage 2's gauge multiplier. While n (k + 2)^2 <= 128 (up to 64 coordinates for
+the Poisson and gauge flows, up to 16 for two constraints) every list entry and sum term is
+spelled out, which spares a step on a few coordinates the zips, slices and loop counters that
+cost more than its arithmetic; past that, each list is one comprehension and each sum one
+loop. Both forms keep the order of every sum, so they give the same bits.
 """
 
 from __future__ import annotations
@@ -50,10 +51,10 @@ def _source(kind: str, n: int, k: int = 0, traces: tuple = ()) -> str:
     sum runs from +0.0 in index order (an entry of D from its first product) and each list in
     coordinate order, unrolled or in a loop, so both forms give the same bits.
 
-    With ``traces``, one ``duals.trace`` structure per gradient (H's first; None for a call),
-    each is written in, its constants read from the factory's ``consts``, a tuple per gradient;
-    ``gradient(gradient, consts)`` returns one traced gradient ``traced(z)``, whose route
-    ``gradient`` is the dual pass.
+    With ``traces``, one ``duals.trace`` or ``duals.trace_values`` structure per gradient (H's
+    first; None for a call), each is written in, its constants read from the factory's
+    ``consts``, a tuple per gradient; ``gradient(gradient, consts)`` returns one traced
+    gradient ``traced(z)``, whose route ``gradient`` is the dual pass.
     """
     flow, dim = kind.removesuffix("_run"), 2 * n
     unrolled = n * ((0 if flow == "gauge" else k) + 2) ** 2 <= _UNROLL_TERMS
@@ -156,17 +157,18 @@ def _source(kind: str, n: int, k: int = 0, traces: tuple = ()) -> str:
     if flow in ("gradient", "poisson"):
         params, setup = "gradient", []
 
-        def stage(z, t, out):  # the rhs at the point z and time t, as the vector out
+        def stage(z, t, out):  # the rhs at the point z and time t (None: the last stage's)
             return [*gradients(z), *assign(out, ("g{p}", n), ("-g{q}", n))]
     elif flow == "gauge":
         # lambda(t) from its k coefficients m0.. (constant first) by Horner in numpy's polyval
         # order, from m{k-1} + t * 0.0: the bits of Polynomial(coeffs)(t) at every stage time
         params, setup = "gradient, coeffs", ["".join(f"m{i}, " for i in range(k)) + "= coeffs"]
 
-        def stage(z, t, out):
-            return [f"lam = m{k - 1} + {t} * 0.0",
-                    *(f"lam = m{i} + lam * {t}" for i in reversed(range(k - 1))),
-                    *gradients(z), *assign(out, ("lam * g{p}", n), ("lam * -g{q}", n))]
+        def stage(z, t, out):  # t None: the last stage's time, and its lam
+            horner = [f"lam = m{k - 1} + {t} * 0.0",
+                      *(f"lam = m{i} + lam * {t}" for i in reversed(range(k - 1)))]
+            return [*(horner if t else []), *gradients(z),
+                    *assign(out, ("lam * g{p}", n), ("lam * -g{q}", n))]
     else:
         # {Phi_I, H} = b_I - c_I, b_I = q_I . dH/dp and c_I = p_I . dH/dq, summed beside a_IJ
         terms = {f"{x}{i}": f"r{i}{{{u}}} * gh{{{v}}}" for i in cs for x, u, v in ("bqp", "cpq")}
@@ -210,7 +212,7 @@ def _source(kind: str, n: int, k: int = 0, traces: tuple = ()) -> str:
             "for step in range(start, stop):", *(f"    {line}" for line in [
                 "t = step * dt", "t_half = t + half", "t_next = t + dt", *stage("z", "t", "k1"),
                 *then("half * k1"), *stage("y", "t_half", "k2"),
-                *then("half * k2"), *stage("y", "t_half", "k3"),
+                *then("half * k2"), *stage("y", None, "k3"),
                 *then("dt * k3"), *stage("y", "t_next", "k4"),
                 *assign("z", ("z{q} + sixth * (k1{q} + 2.0 * k2{q} + 2.0 * k3{q} + k4{q})", dim)),
                 f"if not ({bounded}):", "    return step",

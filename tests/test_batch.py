@@ -8,12 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from diracmech.constraints import (DEGENERACY_RTOL, _column_multipliers, _pairing_multipliers,
-                                   _solve_pairing, dirac_tensor)
+from diracmech import duals
+from diracmech.constraints import (DEGENERACY_RTOL, ConstraintSet, _column_multipliers,
+                                   _pairing_multipliers, _solve_pairing, dirac_tensor)
 from diracmech.errors import DiracMechError, NumericDomainError, UsageError
+from diracmech.fields import ScalarField
 from diracmech.models import CustomModel, KlauderModel, RelativisticParticle
 from diracmech.models.klauder import R_MIN
-from diracmech.phase import PhaseSpacePoint
+from diracmech.phase import ChartSpec, PhaseSpacePoint
 
 SEEDS = st.integers(0, 2**32 - 1)
 COUNTS = st.integers(1, 24)
@@ -275,6 +277,26 @@ def test_a_degenerate_row_raises_the_per_point_error_of_the_first_one():
     with pytest.raises(DiracMechError, match=r"is singular \(det=0.000e\+00\)") as raised:
         dirac_tensor(model.constraint_set, batch)
     assert raised.value.coords.tolist() == [0.5, 0.0]
+
+
+@pytest.mark.parametrize("lift", [lambda q: duals.sqrt(1.0 + q * q) - 1.0, duals.sqrt],
+                         ids=["sqrt_one_plus_square", "sqrt"])
+def test_a_lifted_constraint_gives_each_row_its_point_or_its_first_bad_rows_error(lift):
+    # lift(q1) - p2 with p1 + q2: D's columns are each row's floats, and of rows 1 and 3, off
+    # the domain of sqrt(q1), row 1 raises
+    chart = ChartSpec(("q1", "q2", "p1", "p2"))
+    cs = ConstraintSet(chart, (ScalarField("A", chart, lambda z: lift(z[0]) - z[3]),
+                               ScalarField("B", chart, lambda z: z[2] + z[1])), ("A", "B"))
+    batch = PhaseSpacePoint(chart, [[0.3, -0.2, 0.2, 0.1], [-1.5, 0.4, -0.4, 0.7],
+                                    [2.5, 0.1, 0.6, -0.3], [-2.5, 0.4, -0.4, 0.7]])
+    assert cs.fields[0]._trace is not None
+    rows, columns = per_row_and_columns(cs, batch)
+    if lift is duals.sqrt:
+        assert rows is None
+        with pytest.raises(NumericDomainError, match=r"^sqrt\(-1\.5\): math domain error$"):
+            dirac_tensor(cs, batch)
+    else:
+        assert columns.tobytes() == rows.tobytes()
 
 
 def test_klauder_oracle_squares_are_products_bitwise():

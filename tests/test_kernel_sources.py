@@ -1,20 +1,28 @@
 """The RK4 loops that ``evolve`` builds run their traced gradients written in.
 
-A Klauder Dirac flow, a gauge flow and a particle flight call no gradient route in their
-loop but in the error path, where the route raises the dual pass's own error; a polynomial
-field keeps its registered gradient, so a custom flow calls it. A trace hands its
-constants in as arguments, so models that differ only in their constants share one loop. A
-gauge multiplier's Horner steps are written into each stage, with no branch and no loop.
+A Klauder Dirac flow, a gauge flow, a particle flight and a custom polynomial flow call no
+gradient route in their loop but in the error path, where the route gives its own result
+(the dual pass's error, or the term table's signed inf); so does every ``evolve`` scenario. A
+registered ``grad`` that computes on arrays is not traced, and its loop calls it at every
+stage. A trace hands its constants in as arguments, so models that differ only in their
+constants share one loop. A gauge multiplier's Horner steps are written into each stage
+time's first stage, with no branch and no loop.
 """
 
 import ast
+import json
+import pathlib
 import re
 
 import pytest
 
 from diracmech import dynamics, kernels
-from diracmech.dynamics import IntegratorConfig, _generated, evolve
-from diracmech.models import CustomModel, KlauderModel, KRamp, RadialPotential, RelativisticParticle
+from diracmech.cli import _initial_point, _multiplier, _terms, build_model, load_config
+from diracmech.dynamics import IntegratorConfig, PoissonFlow, _generated, evolve
+from diracmech.fields import (ScalarField, central_difference_gradient, field_product,
+                              polynomial_field)
+from diracmech.models import (CustomModel, KlauderModel, KRamp, LatticeMaxwell, RadialPotential,
+                              RelativisticParticle)
 
 ROUTE = re.compile(r"gradient|grad_h|grad_\d+")
 
@@ -66,10 +74,49 @@ def test_loop_calls_no_gradient_route_but_on_an_error(monkeypatch, name):
     assert len(inside) == 4 * len(dynamics._kernel_args(FLOWS[name][1])[3])  # per stage
 
 
-def test_custom_polynomial_flow_keeps_its_call(monkeypatch):
+def test_custom_polynomial_flow_calls_its_grad_only_on_an_error(monkeypatch):
     model = CustomModel(labels=("q", "p"))
     flow, _ = model.flow("poisson", hamiltonian=[(0.5, (2, 0)), (0.5, (0, 2))])
     outside, inside = route_calls(built_source(monkeypatch, model.chart.point([1.0, 0.0]), flow))
+    assert not outside and len(inside) == 4
+
+
+SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
+EVOLVE_SCENARIOS = sorted(p.name for p in SCENARIOS.glob("*.json")
+                          if "flow" in json.loads(p.read_text()))  # the evolve block
+
+
+@pytest.mark.parametrize("name", EVOLVE_SCENARIOS)
+def test_no_scenario_loop_calls_a_gradient_route_but_on_an_error(monkeypatch, name):
+    config = load_config(str(SCENARIOS / name))
+    model, flow_cfg = build_model(config, "evolve"), config["flow"]
+    terms = flow_cfg.get("hamiltonian")
+    flow, _ = model.flow(flow_cfg["kind"], _multiplier(flow_cfg.get("multiplier", 1.0)),
+                         None if terms is None else _terms(terms))
+    x0 = _initial_point(config.get("initial", {}), model, flow.chart)
+    outside, inside = route_calls(built_source(monkeypatch, x0, flow))
+    assert not outside
+    assert len(inside) == 4 * len(dynamics._kernel_args(flow)[3])
+
+
+SQUARES = polynomial_field(CustomModel(labels=("q", "p")).chart, [(0.5, (2, 0)), (0.5, (0, 2))])
+# fields whose grad computes on arrays, each built when its test runs: none is traced
+ARRAY_GRADS = {
+    "maxwell_h": lambda: LatticeMaxwell(side=2).hamiltonian,
+    "field_product": lambda: field_product(
+        SQUARES, polynomial_field(SQUARES.chart, [(1.0, (1, 1))])),
+    "central_differences": lambda: ScalarField(
+        "fd", SQUARES.chart, SQUARES.func,
+        grad=lambda z: central_difference_gradient(SQUARES.func, z).tolist()),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_GRADS)
+def test_an_array_grad_keeps_its_call_at_every_stage(monkeypatch, name):
+    field = ARRAY_GRADS[name]()
+    assert field._trace is None
+    start = field.chart.point([0.01 * (i + 1) for i in range(field.chart.dim)])
+    outside, inside = route_calls(built_source(monkeypatch, start, PoissonFlow(field)))
     assert len(outside) == 4 and not inside
 
 
@@ -95,7 +142,7 @@ def test_gauge_stages_hold_no_branch_and_no_loop(monkeypatch, multiplier):
     assert branches == [steps.body[-3]]
     horner = [node for node in ast.walk(steps) if isinstance(node, ast.Assign)
               and ast.unparse(node.targets[0]) == "lam"]
-    assert len(horner) == 4 * len(flow.multiplier)
+    assert len(horner) == 3 * len(flow.multiplier)  # stages 2 and 3 share t_half and its lam
 
 
 @pytest.mark.parametrize("k", [1, 3])

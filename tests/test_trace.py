@@ -1,8 +1,11 @@
-"""The traced gradient: each field's dual pass recorded once as straight-line float code.
+"""The traced gradient: each field's dual pass, or its registered ``grad``, recorded once as
+straight-line float code.
 
-It equals the dual pass under == wherever that is finite, it is what the RK4 loops run in
-their four stages, bit for bit the call form of the same loop, and a ``func`` the tracer
-cannot record keeps today's dual pass. Every error still ends in the dual pass's message.
+A dual pass's trace equals it under == wherever that is finite, it is what the RK4 loops run
+in their four stages, bit for bit the call form of the same loop, and a ``func`` the tracer
+cannot record keeps today's dual pass. Every error still ends in the dual pass's message. A
+polynomial's traced term table gives every orbit the bits of its called one, and an
+overflowing power ends in the blow-up the term table's signed inf gives.
 """
 
 import math
@@ -18,7 +21,7 @@ from diracmech.dynamics import (BLOWUP_LIMIT, DiracFlow, GaugeFlow, IntegratorCo
 from diracmech.errors import DiracMechError, NumericDomainError
 from diracmech.fields import ScalarField, polynomial_field
 from diracmech.models import KlauderModel, KRamp, RadialPotential, RelativisticParticle
-from diracmech.phase import ChartSpec
+from diracmech.phase import ChartSpec, PhaseSpacePoint
 
 CHART = ChartSpec(labels=("q1", "q2", "p1", "p2"), name="flat")
 
@@ -217,3 +220,73 @@ def test_a_value_the_gradient_does_not_need_still_raises_its_error():
     with pytest.raises(NumericDomainError, match=r"^log\(-1\.0\): math domain error$"):
         field._gradient([-1.0, 0.0, 0.0, 0.0])
     assert field._gradient([2.0, 0.0, 0.0, 0.0]) == [0.5, 0.0, 0.0, 0.0]
+
+
+# a polynomial on 2 pairs: 1-6 terms, exponents 0-4, coefficients with signed zeros
+polynomial_terms = st.lists(st.tuples(st.floats(-2.0, 2.0) | st.sampled_from([0.0, -0.0]),
+                                      st.tuples(*[st.integers(0, 4)] * 4)),
+                            min_size=1, max_size=6)
+# custom_dirac_orbit's constraints, q2 - q1 p1 and p2 + q1^2
+DIRAC_CONSTRAINTS = (("A", [(1.0, (0, 1, 0, 0)), (-1.0, (1, 0, 1, 0))]),
+                     ("B", [(1.0, (0, 0, 0, 1)), (1.0, (2, 0, 0, 0))]))
+
+
+def polynomial_flow(kind, terms, multiplier):
+    """A fresh flow of the kind with the polynomial terms as H or generator."""
+    h = polynomial_field(CHART, terms, name="H")
+    if kind == "poisson":
+        return PoissonFlow(h)
+    if kind == "gauge":
+        return GaugeFlow(h, multiplier)
+    return DiracFlow(h, ConstraintSet(CHART, [polynomial_field(CHART, t, name=name)
+                                              for name, t in DIRAC_CONSTRAINTS],
+                                      [name for name, _ in DIRAC_CONSTRAINTS]))
+
+
+def orbit(flow, z, steps=30, dt=0.01):
+    """The states of evolve's orbit, or its error and the states of its partial trajectory."""
+    try:
+        return evolve(PhaseSpacePoint(CHART, z), flow,
+                      IntegratorConfig(dt=dt, steps=steps)).states.tobytes()
+    except DiracMechError as err:
+        partial = getattr(err, "partial_trajectory", None)
+        return type(err), str(err), partial and partial.states.tobytes()
+
+
+@given(st.sampled_from(["poisson", "gauge", "dirac"]), polynomial_terms,
+       st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3),
+       st.lists(st.floats(-2.0, 2.0) | st.sampled_from([0.0, -0.0]), min_size=2, max_size=2))
+@settings(max_examples=60, deadline=None)
+def test_a_traced_polynomial_orbit_is_its_called_orbit(kind, terms, multiplier, start):
+    q1, p1 = start
+    z = [q1, q1 * p1, p1, -(q1 * q1)]  # on the Dirac constraints' surface
+    traced, called = (polynomial_flow(kind, terms, multiplier) for _ in range(2))
+    assert all(f._trace is not None for f in _kernel_args(traced)[3])
+    for field in _kernel_args(called)[3]:
+        field.__dict__["_trace"] = None  # withheld: every stage calls the term table
+    with np.errstate(all="ignore"):
+        assert orbit(traced, z) == orbit(called, z)
+
+
+def test_an_overflowing_power_in_a_stage_ends_as_the_term_table_does():
+    # H = p^2/2 + q p^4 under lambda(t) = t at dt = 5.5: after 4 steps a stage's p^4 overflows,
+    # which the written-in code reruns the term table for, as its signed inf
+    poly = polynomial_field(ChartSpec(("q", "p")), [(0.5, (0, 2)), (1.0, (1, 4))], name="H")
+    calls = []
+    field = ScalarField("H", poly.chart, poly.func,
+                        grad=lambda z: calls.append(z) or poly.grad(z))
+    flow, z = GaugeFlow(field, (0.0, 1.0)), [1.0, 0.5]
+    assert field._trace is not None and len(calls) == 1  # the trace's own call
+    with np.errstate(all="ignore"):
+        written = rows_or_error(_loop(flow), z, 5.5)
+        assert len(calls) > 1  # the except path called the term table
+        assert written == rows_or_error(call_form(flow), z, 5.5)
+    assert written[1] == 4  # step 4 blows up, after four new states
+    withheld = GaugeFlow(ScalarField("H", poly.chart, poly.func, grad=poly.grad), (0.0, 1.0))
+    withheld.generator.__dict__["_trace"] = None
+    errors = []
+    for f in (flow, withheld):
+        with pytest.raises(NumericDomainError) as err:
+            evolve(poly.chart.point(z), f, IntegratorConfig(dt=5.5, steps=10))
+        errors.append(str(err.value))
+    assert errors[0] == errors[1] == "trajectory blew up at t=27.5 (|z| > 1e+12 or NaN)"

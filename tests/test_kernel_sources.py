@@ -74,7 +74,8 @@ def test_loop_calls_no_gradient_route_but_on_an_error(monkeypatch, name):
     assert len(inside) == 4 * len(dynamics._kernel_args(FLOWS[name][1])[3])  # per stage
 
 
-def test_custom_polynomial_flow_calls_its_grad_only_on_an_error(monkeypatch):
+def test_custom_polynomial_flow_keeps_its_call(monkeypatch):
+    # the term table is written into each stage; its grad is called only on an error
     model = CustomModel(labels=("q", "p"))
     flow, _ = model.flow("poisson", hamiltonian=[(0.5, (2, 0)), (0.5, (0, 2))])
     outside, inside = route_calls(built_source(monkeypatch, model.chart.point([1.0, 0.0]), flow))

@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .brackets import poisson_bracket
-from .errors import DegeneracyError, NumericDomainError, UsageError
+from .errors import DegeneracyError, DiracMechError, NumericDomainError, UsageError
 from .fields import ScalarField, pullback_field
 from .kernels import _generated
 from .phase import ChartSpec, PhaseSpacePoint, require_same_chart
@@ -319,13 +319,18 @@ def dirac_tensor(cs: ConstraintSet, x: PhaseSpacePoint) -> list:
     The tensor function that ``kernels`` generates once per set reads the gradient rows,
     sums M, makes one guarded pairing solve for every column of S and sums each entry
     left to right with no fused multiply-add: no BLAS or LAPACK call. On columns it runs
-    elementwise in that order, so with two constraints a row's D is bitwise its point's,
-    and the first row whose M fails the guard raises its point's error.
+    elementwise in that order, so with two constraints a row's D is bitwise its point's; on
+    an error the rows run as points in turn, so the first bad row raises its own error.
     """
     require_same_chart(cs, x)
     # overflowing gradients and non-finite rows end in the guard's error, not in warnings
     with np.errstate(all="ignore"):
-        return cs._dirac_tensor(x.columns)
+        try:
+            return cs._dirac_tensor(x.columns)
+        except DiracMechError:
+            for row in x.coords.tolist() if x.coords.ndim > 1 else ():
+                cs._dirac_tensor(row)
+            raise
 
 
 def _contraction(ga, d, gb) -> float:

@@ -1,13 +1,14 @@
 """Forward-mode differentiation with dual numbers.
 
-A :class:`Dual` carries a value together with a tangent vector and every
-arithmetic operation propagates both. Seeding the coordinates of a point with
-unit tangents therefore yields the exact gradient of any expression composed
-from the operations below, at the cost of one evaluation.
+A :class:`Dual` carries a value together with a sparse tangent, the partials an operation
+reached by coordinate index, and every arithmetic operation propagates both. Seeding the
+coordinates of a point with unit tangents therefore yields the exact gradient of any
+expression composed from the operations below, at the cost of one evaluation (sparse forward
+mode, Griewank & Walther, *Evaluating Derivatives*, ch. 7).
 
-``trace`` records that pass once as straight-line float code: Dual's own operations, run on
-values that name their floats and on tangents with no structurally zero entry (source
-transformation, Griewank & Walther, *Evaluating Derivatives*, ch. 6); ``trace_values`` a grad's.
+``trace`` records a gradient route once as straight-line float code, run on values that name
+their floats (source transformation, ibid., ch. 6): the dual pass, recorded as it runs, or a
+registered grad's own operations.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ class Dual:
 
     def __init__(self, val, eps):
         self.val = val if val.__class__ is _Traced else float(val)
-        self.eps = eps  # 1-D float ndarray, owned by the arithmetic below
+        self.eps = eps  # a _Tangent, owned by the arithmetic below
 
     def __repr__(self):
         return f"Dual({self.val!r}, {self.eps!r})"
@@ -125,11 +126,8 @@ def value(x):
 
 
 def seed(coords):
-    """Duals for ``coords`` with the identity as tangent basis."""
-    coords = np.asarray(coords, dtype=float)
-    n = coords.shape[0]
-    basis = np.eye(n)
-    return [Dual(coords[i], basis[i]) for i in range(n)]
+    """Duals for ``coords``, coordinate j with the unit tangent of entry j."""
+    return [Dual(x, _Tangent({j: 1.0})) for j, x in enumerate(coords)]
 
 
 def gradient(func, coords):
@@ -138,16 +136,13 @@ def gradient(func, coords):
     if isinstance(coords[0], np.ndarray):
         return list(np.array([gradient(func, row) for row in zip(*coords)]).T)
     out = func(seed(coords))
-    if isinstance(out, Dual):
-        return out.eps.tolist()
-    # constant expressions degrade to plain floats
-    return [0.0] * len(coords)
+    eps = out.eps if isinstance(out, Dual) else {}  # a constant expression gives a float
+    return [eps.get(j, 0.0) for j in range(len(coords))]
 
 
 # math's domain, range and division errors re-raise as NumericDomainError;
 # the try costs nothing on the non-raising path
 _MATH_ERRORS = (ValueError, OverflowError, ZeroDivisionError)
-_UNIT = (1.0,)  # the value of a seed's traced unit tangent entry
 LIFTS = {}  # each math function a trace calls -> its lift, which also takes a block
 
 
@@ -191,10 +186,11 @@ cosh = _lift(math.cosh, lambda v, x: _apply(math.sinh, x.val) * x.eps)
 def atan2(y, x):
     if isinstance(y, Dual) or isinstance(x, Dual):
         yv, xv = value(y), value(x)
-        denom = xv * xv + yv * yv
-        ye = y.eps if isinstance(y, Dual) else 0.0
-        xe = x.eps if isinstance(x, Dual) else 0.0
-        return Dual(math.atan2(yv, xv), (xv * ye - yv * xe) / denom)
+        ye, xe = (v.eps if isinstance(v, Dual) else _Tangent() for v in (y, x))
+        try:
+            return Dual(math.atan2(yv, xv), (xv * ye - yv * xe) / (xv * xv + yv * yv))
+        except ZeroDivisionError as err:  # y = x = 0, or their squares underflow
+            raise NumericDomainError(f"atan2({yv!r}, {xv!r}): division by zero") from err
     if isinstance(y, np.ndarray) or isinstance(x, np.ndarray):  # as a lift takes a block
         return np.array(np.frompyfunc(math.atan2, 2, 1)(y, x), dtype=float)
     return math.atan2(y, x)
@@ -229,7 +225,7 @@ class _Traced:
 
 
 def _recorded(template, reflected=False):
-    fold = template == "{} * {}"  # a seed's unit tangent entry: x * 1.0 is x
+    fold = template == "{} * {}"  # x * 1.0 is x, bit for bit, for every float x
 
     def op(self, other):  # a float operand is a constant the code is handed
         if other.__class__ is not _Traced:
@@ -237,8 +233,8 @@ def _recorded(template, reflected=False):
                 return NotImplemented
             other = _Traced(self.tape, (float(other),))
         a, b = (other, self) if reflected else (self, other)
-        if fold and (a.value is _UNIT or b.value is _UNIT):
-            return b if a.value is _UNIT else a
+        if fold and (1.0,) in (a.value, b.value):
+            return b if a.value == (1.0,) else a
         return a.tape.setdefault((template, (a, b)), _Traced(a.tape))
     return op
 
@@ -249,8 +245,8 @@ for _name, _sign in (("add", "+"), ("sub", "-"), ("mul", "*"), ("truediv", "/"))
 
 
 class _Tangent(dict):
-    """A traced tangent, coordinate index -> _Traced, with no structurally zero entry: Dual's
-    tangent operations on the entries there are; where only b has entry j, a - b has 0.0 - b_j."""
+    """A dual's tangent, index -> float or traced value, of the entries an operation reached:
+    the others are structural zeros, which it skips; a - b has 0.0 - b_j where only b has j."""
 
     __add__ = lambda a, b: _Tangent({**b, **a, **{j: a[j] + b[j] for j in a if j in b}})
     __sub__ = lambda a, b: _Tangent({**{j: 0.0 - v for j, v in b.items() if j not in a}, **a,
@@ -261,25 +257,15 @@ class _Tangent(dict):
     __truediv__ = lambda a, s: _Tangent({j: v / s for j, v in a.items()})
 
 
-def trace(func, dim):
-    """``func``'s dual pass at dim coordinates as ((lines, outputs, count), constants), or None
-    where it branches on a value, calls what is not recorded, or raises while traced: lines
-    "t3 = t1 * c2" over the inputs x0.. and the count constants c0.. (each float of the pass
-    and each lift's math function), those the gradient needs and every division, power and
-    call (which may raise), a temporary read once written into its reader; outputs per entry."""
-
-    def tangent(seeds):  # the dual pass on the traced inputs, as its tangent's entries
-        out = func([Dual(x, _Tangent({j: _Traced(x.tape, _UNIT)})) for j, x in enumerate(seeds)])
-        if isinstance(out, Dual) and isinstance(out.eps, _Tangent):
-            zero = _Traced(seeds[0].tape, (0.0,))  # a structurally zero entry
-            return [out.eps.get(j, zero) for j in range(dim)]
-    return trace_values(tangent, dim)
-
-
-def trace_values(grad, dim):
-    """``grad``'s own float operations at dim coordinates, as ``trace`` gives a dual pass's:
-    grad run once on the traced inputs, or None where it raises while traced or returns
-    anything but a list of dim floats or traced values."""
+def trace(grad, dim):
+    """``grad``'s float operations at dim coordinates as ((lines, outputs, count), constants),
+    grad run once on values that name their floats: lines "t3 = t1 * c2" over the inputs x0..
+    and the count constants c0.. (each float of the run and each lift's math function), those
+    the outputs need and every division, power and call (which may raise), a temporary read
+    once written into its reader; outputs per entry. None where grad raises while traced (it
+    compares, tests or converts a value, or calls what is not recorded), or returns anything
+    but a list of dim floats or traced values. A dual pass, ``partial(gradient, func)``, is
+    recorded as it runs on its sparse tangents, so the code gives the pass's bits."""
     tape = {}
     seeds = [_Traced(tape) for _ in range(dim)]
     try:

@@ -3,11 +3,11 @@
 A field wraps a pure function of the coordinates, which reads them on axis 0: a point is a
 (dim,) array, and a block of states a (dim, B) array whose trailing axis is the batch, which
 the ``duals`` lifts take entry by entry. Its gradient is the registered ``grad`` if it has
-one, else its exact forward-mode (dual number) pass traced once by ``duals.trace`` into
-straight-line float code, compiled once per structure, else that dual pass itself: a
-``func`` that compares or tests a value, calls a function but the ``duals`` lifts
-(``math.sin``, ``np.sqrt``, ``duals.atan2``), reads a dual's ``val``, raises a dual to a
-power but 2, or raises while traced is not traced. A black-box function registers central
+one, else its exact forward-mode (dual number) pass recorded once by ``duals.trace`` as
+straight-line float code with the pass's bits, compiled once per structure, else that dual
+pass itself: a ``func`` that compares or tests a value, calls a function but the ``duals``
+lifts (``math.sin``, ``np.sqrt``, ``duals.atan2``), reads a dual's ``val``, raises a dual to
+a power but 2, or raises while traced is not traced. A black-box function registers central
 finite differences, ``lambda z: central_difference_gradient(func, z).tolist()``, with step
 h = cbrt(machine eps) * max(1, |x_i|). Evaluation and gradients are pure: the same
 coordinates always produce bitwise-identical results.
@@ -69,7 +69,7 @@ class ScalarField:
     (an array is read with the same bits, at numpy-scalar speed). ``_gradient`` passes
     that list on as it is; ``gradient_at`` reads an array point by tolist() and always gives
     an array. The RK4 loops trace ``grad`` once, on values with no comparison, truth value
-    or ``float()``, and write in the float code it runs (``duals.trace_values``): a grad that
+    or ``float()``, and write in the float code it runs (``duals.trace``): a grad that
     compares, converts or computes on arrays is called at every stage, and one that
     type-tests its input is traced down its non-float branch.
     """
@@ -95,21 +95,17 @@ class ScalarField:
 
     @cached_property
     def _trace(self) -> Optional[tuple]:
-        """The gradient's float code, once per field: ``duals.trace_values`` of a registered
-        grad, else ``duals.trace`` of func; None where either refuses."""
-        if self.grad is not None:
-            return duals.trace_values(self.grad, self.chart.dim)
-        return duals.trace(self.func, self.chart.dim)
+        """The gradient's float code, once per field: ``duals.trace`` of the registered grad,
+        else of func's dual pass; None where it refuses."""
+        return duals.trace(self.grad or partial(duals.gradient, self.func), self.chart.dim)
 
     @cached_property
     def _gradient(self) -> Callable:
         # the one gradient route, resolved once per field: the registered grad, else the
         # compiled trace (the dual pass on an error), else the dual pass
-        if self.grad is not None:
-            return self.grad
         dual = partial(duals.gradient, self.func)
-        if self._trace is None:
-            return dual
+        if self.grad is not None or self._trace is None:
+            return self.grad or dual
         # the lifts in place of their math functions read a batch's columns entry by entry
         shape, lifted = self._trace[0], tuple(duals.LIFTS.get(c, c) for c in self._trace[1])
         return _generated("gradient", self.chart.n_pairs, 0, (shape,))(dual, (lifted,))

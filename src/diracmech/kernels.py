@@ -6,22 +6,22 @@ kernel is compiled in a namespace of its own: it reads the builtins and what it 
 For each kind, chart size n, constraint count k (a gauge multiplier's coefficient count) and
 the structure of each traced gradient (its constants are handed in, so they key nothing), the
 source is written out over the 2n coordinates, compiled at the first call that needs it, and
-cached for the life of the process. A flow's RK4 loop holds its right-hand side's body four
-times, once per stage, with each traced gradient's lines written in (a dual pass's, or a
-grad's own): an arithmetic or math error there reruns every gradient route at that point, the
-dual pass, which raises its own error, or the grad, which gives its values (a polynomial's
-signed inf for an overflowing power). A stage calls only a gradient neither trace takes, and
-stage 3 reads stage 2's gauge multiplier. While n (k + 2)^2 <= 128 (up to 64 coordinates for
-the Poisson and gauge flows, up to 16 for two constraints) every list entry and sum term is
-spelled out, which spares a step on a few coordinates the zips, slices and loop counters that
-cost more than its arithmetic; past that, each list is one comprehension and each sum one
-loop. Both forms keep the order of every sum, so they give the same bits.
+kept among the ``_KERNELS_KEPT`` most recently used. A flow's RK4 loop holds its right-hand
+side's body four times, once per stage, with each traced gradient's lines written in (a dual
+pass's, or a grad's own): an arithmetic or math error there reruns every gradient route at
+that point, the dual pass, which raises its own error, or the grad, which gives its values (a
+polynomial's signed inf for an overflowing power). A stage calls only a gradient the tracer
+refuses, and stage 3 reads stage 2's gauge multiplier. While n (k + 2)^2 <= 128 (up to 64
+coordinates for the Poisson and gauge flows, up to 16 for two constraints) every list entry
+and sum term is spelled out, which spares a step on a few coordinates the zips, slices and
+loop counters that cost more than its arithmetic; past that, each list is one comprehension
+and each sum one loop. Both forms keep the order of every sum, so they give the same bits.
 """
 
 from __future__ import annotations
 
 import re
-from functools import cache
+from functools import lru_cache
 
 # A generated function for n pairs and k constraints (k = 0 for the Poisson and gauge kinds)
 # is spelled out while n (k + 2)^2 <= _UNROLL_TERMS: a bound on the n (k^2 + 4k) product
@@ -30,6 +30,9 @@ from functools import cache
 # 2-core x86-64 host), and past n = 2048 a sum's chain of additions is too deep for the
 # compiler (RecursionError).
 _UNROLL_TERMS = 128
+# compiled kernels kept, least recently used dropped first: a ``verify all`` pass builds 21,
+# an evolve or brackets run at most 9, and each polynomial structure evolved one more
+_KERNELS_KEPT = 64
 
 
 def _source(kind: str, n: int, k: int = 0, traces: tuple = ()) -> str:
@@ -51,10 +54,10 @@ def _source(kind: str, n: int, k: int = 0, traces: tuple = ()) -> str:
     sum runs from +0.0 in index order (an entry of D from its first product) and each list in
     coordinate order, unrolled or in a loop, so both forms give the same bits.
 
-    With ``traces``, one ``duals.trace`` or ``duals.trace_values`` structure per gradient (H's
-    first; None for a call), each is written in, its constants read from the factory's
-    ``consts``, a tuple per gradient; ``gradient(gradient, consts)`` returns one traced
-    gradient ``traced(z)``, whose route ``gradient`` is the dual pass.
+    With ``traces``, one ``duals.trace`` structure per gradient (H's first; None for a call),
+    each is written in, its constants read from the factory's ``consts``, a tuple per
+    gradient; ``gradient(gradient, consts)`` returns one traced gradient ``traced(z)``, whose
+    route ``gradient`` is the dual pass.
     """
     flow, dim = kind.removesuffix("_run"), 2 * n
     unrolled = n * ((0 if flow == "gauge" else k) + 2) ** 2 <= _UNROLL_TERMS
@@ -222,10 +225,10 @@ def _source(kind: str, n: int, k: int = 0, traces: tuple = ()) -> str:
                           *(f"    {line}" for line in body), f"return {inner}"])
 
 
-@cache
+@lru_cache(maxsize=_KERNELS_KEPT)
 def _generated(kind: str, n: int, k: int = 0, traces: tuple = ()):
     """The function ``kind`` of ``_source`` for n pairs (and k constraints), compiled at its
-    first use and shared from then on: it holds no state, so concurrent callers call it freely."""
+    first use and shared while kept: it holds no state, so concurrent callers call it freely."""
     namespace = {}  # its globals: builtins and what the source defines, no module name
     exec(compile(_source(kind, n, k, traces), f"<diracmech.kernels {kind} n={n} k={k}>", "exec"),
          namespace)

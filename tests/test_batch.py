@@ -299,6 +299,28 @@ def test_a_lifted_constraint_gives_each_row_its_point_or_its_first_bad_rows_erro
         assert columns.tobytes() == rows.tobytes()
 
 
+# f(q1) - p2 pairs with p1 + q2 or p1 + |q2| to f'(q1) + 1 or f'(q1) +- 1: each f is singular
+# at some q1, and the reciprocal divides by zero, sqrt and log leave their domains at q1 < 0
+FIRSTS = {"reciprocal": lambda q: 1.0 / q, "square": lambda q: q * q, "sqrt": duals.sqrt,
+          "log": duals.log}
+SECONDS = {"sum": lambda z: z[2] + z[1],
+           "abs": lambda z: z[2] + (z[1] if z[1] > 0.0 else -z[1])}  # untraced: a comparison
+ENTRIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, -0.5, 0.5, 0.3, -1.5]) | st.floats(-3.0, 3.0)
+
+
+@given(st.sampled_from(sorted(FIRSTS)), st.sampled_from(sorted(SECONDS)),
+       st.lists(st.lists(ENTRIES, min_size=4, max_size=4), min_size=1, max_size=6))
+@settings(max_examples=150, deadline=None)
+# row 1's 1.0 / 0.0 is inf on its column, which the pairing guard meets as a DegeneracyError
+@example(first="reciprocal", second="sum", rows=[[0.3, -0.2, 0.2, 0.1], [0.0, 0.4, -0.4, 0.7]])
+def test_a_batch_raises_its_first_bad_rows_point_error(first, second, rows):
+    chart = ChartSpec(("q1", "q2", "p1", "p2"))
+    cs = ConstraintSet(chart, (ScalarField("A", chart, lambda z: FIRSTS[first](z[0]) - z[3]),
+                               ScalarField("B", chart, SECONDS[second])), ("A", "B"))
+    rows, columns = per_row_and_columns(cs, PhaseSpacePoint(chart, rows))  # the same error
+    assert rows is None or columns.tobytes() == rows.tobytes()
+
+
 def test_klauder_oracle_squares_are_products_bitwise():
     # libm's pow is not correctly rounded, so p ** 2 and p * p differ at some points: the
     # oracle forms each square as a product, as numpy does on a column

@@ -55,6 +55,16 @@ def test_dual_transcendentals():
 COMPLEX_STEP = 1e-200  # Im f(x + ih)/h is f'(x) to rounding: no difference is taken
 
 
+def directed(a, t):
+    """The dual of value a and tangent t: a plus t_j times seeded coordinate j at 0."""
+    return a + sum(tj * e for tj, e in zip(t, duals.seed([0.0] * len(t))))
+
+
+def entries(out, n=3):
+    """The first n tangent entries of a dual, a missing one 0.0."""
+    return [out.eps.get(j, 0.0) for j in range(n)]
+
+
 # (dual form, complex form where it differs, "d" a dual and "f" a float argument, positive)
 DUAL_OPERATORS = {
     "dual+dual": (lambda a, b: a + b, None, "dd", False),
@@ -92,13 +102,13 @@ def test_dual_operator_matches_the_complex_step_derivative(name, rng):
         if not positive:
             args *= rng.choice([-1.0, 1.0], len(kinds))
         tangents = rng.uniform(-3.0, 3.0, (len(kinds), 3))  # three non-unit directions
-        out = dual_fn(*(duals.Dual(a, t) if kind == "d" else float(a)
+        out = dual_fn(*(directed(a, t) if kind == "d" else float(a)
                         for a, t, kind in zip(args, tangents, kinds)))
         expected = [complex_fn(*(complex(a, COMPLEX_STEP * t[j]) if kind == "d" else float(a)
                                  for a, t, kind in zip(args, tangents, kinds)))
                     for j in range(3)]
         assert out.val == pytest.approx(expected[0].real, rel=1e-15)
-        np.testing.assert_allclose(out.eps, [e.imag / COMPLEX_STEP for e in expected],
+        np.testing.assert_allclose(entries(out), [e.imag / COMPLEX_STEP for e in expected],
                                    rtol=1e-13, atol=1e-15)
 
 
@@ -108,12 +118,12 @@ def test_dual_atan2_matches_its_closed_form_partials(rng):
         ty, tx = rng.uniform(-3.0, 3.0, (2, 3))
         r2 = x * x + y * y
         d_dy, d_dx = x / r2, -y / r2
-        for out, tangent in ((duals.atan2(duals.Dual(y, ty), duals.Dual(x, tx)),
+        for out, tangent in ((duals.atan2(directed(y, ty), directed(x, tx)),
                               d_dy * ty + d_dx * tx),
-                             (duals.atan2(duals.Dual(y, ty), x), d_dy * ty),
-                             (duals.atan2(y, duals.Dual(x, tx)), d_dx * tx)):
+                             (duals.atan2(directed(y, ty), x), d_dy * ty),
+                             (duals.atan2(y, directed(x, tx)), d_dx * tx)):
             assert out.val == math.atan2(y, x)
-            np.testing.assert_allclose(out.eps, tangent, rtol=1e-13, atol=1e-15)
+            np.testing.assert_allclose(entries(out), tangent, rtol=1e-13, atol=1e-15)
 
 
 @pytest.mark.parametrize("fn, arg, dual", [
@@ -133,8 +143,15 @@ def test_dual_math_errors_are_numeric_domain_errors(fn, arg, dual):
     (lambda z: z[1] / 0.0, [0.0, 3.0], "3.0 / 0.0: division by zero"),
     (lambda z: z[0] ** 0.5, [0.0, 1.0], "(0.0) ** 0.5: 0.0 cannot be raised"),
     (lambda z: z[0] ** 0.25, [-1.0, 1.0], "(-1.0) ** 0.25: complex result"),
-    (lambda z: z[0] ** 2.5, [1e200, 1.0], "(1e+200) ** 2.5: Numerical result out of range")],
-    ids=["reciprocal", "quotient", "by_constant", "sqrt_at_zero", "complex", "overflow"])
+    (lambda z: z[0] ** 2.5, [1e200, 1.0], "(1e+200) ** 2.5: Numerical result out of range"),
+    # atan2's partials x / r2 and -y / r2 at r2 = 0, exact or underflowed
+    (lambda z: duals.atan2(z[0], z[1]), [0.0, -0.0], "atan2(0.0, -0.0): division by zero"),
+    (lambda z: duals.atan2(z[0], 0.0), [-0.0, 1.0], "atan2(-0.0, 0.0): division by zero"),
+    (lambda z: duals.atan2(0.0, z[1]), [1.0, 0.0], "atan2(0.0, 0.0): division by zero"),
+    (lambda z: duals.atan2(z[0], z[1]), [1e-170, -1e-170],
+     "atan2(1e-170, -1e-170): division by zero")],
+    ids=["reciprocal", "quotient", "by_constant", "sqrt_at_zero", "complex", "overflow",
+         "atan2_origin", "atan2_dual_y", "atan2_dual_x", "atan2_underflow"])
 def test_dual_operator_errors_are_numeric_domain_errors(func, coords, message):
     with pytest.raises(NumericDomainError) as err:
         duals.gradient(func, coords)

@@ -150,3 +150,15 @@ def test_gauge_stages_hold_no_branch_and_no_loop(monkeypatch, multiplier):
 def test_gauge_loop_is_spelled_out_to_32_pairs_at_any_coefficient_count(k):
     assert "for i in range" not in kernels._source("gauge_run", 32, k)
     assert "for i in range" in kernels._source("gauge_run", 33, k)
+
+
+def test_the_compiled_kernels_kept_are_bounded():
+    # one term q1^a q2^b p1^c p2^d per flow, each exponent 0-3: most build a loop of their own
+    kept = kernels._KERNELS_KEPT
+    poly = polynomial_field(KlauderModel().cartesian_chart, [(1.0, (0, 0, 0, 0))])
+    x0, before = poly.chart.point([0.1, 0.2, 0.3, 0.4]), _generated.cache_info()
+    for a in range(1, 2 * kept):
+        h = polynomial_field(poly.chart, [(1.0, tuple(a // 4 ** i % 4 for i in range(4)))])
+        evolve(x0, PoissonFlow(h), IntegratorConfig(dt=1e-3, steps=1))
+    after = _generated.cache_info()
+    assert after.misses - before.misses > kept and after.currsize <= kept

@@ -133,7 +133,12 @@ class KlauderModel:
                              time_ramps=(self.k, None) if self.time_dependent else None)
 
     def hamiltonian(self) -> ScalarField:
-        """Physical Hamiltonian C + U(r) = (1/2)alpha^2 r^2 + (U(r) - alpha^2 r^2) on-surface."""
+        """Physical Hamiltonian C + U(r) = (1/2)alpha^2 r^2 + (U(r) - alpha^2 r^2) on-surface:
+        one field per model, so every flow of the model reuses its trace."""
+        return self._hamiltonian
+
+    @cached_property
+    def _hamiltonian(self) -> ScalarField:
         u, c = self.potential, self.constraint
 
         def func(z, c=c, u=u):

@@ -1,10 +1,11 @@
 import dataclasses
+import functools
 import warnings
 
 import numpy as np
 import pytest
 
-from diracmech import duals
+from diracmech import cli, duals
 from diracmech.fields import ScalarField
 from diracmech.verify import _random_poly as random_polynomial  # noqa: F401  (same draws)
 
@@ -89,9 +90,19 @@ def log_uniform(rng, low_exp, high_exp, size):
     return rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(low_exp, high_exp, size)
 
 
+def fresh_models(monkeypatch):
+    """Give the CLI an empty model cache of its own, of the same bound, until the test ends:
+    a kept model holds the gradient routes it bound when it was built, before any patch of
+    the test, and the models the test builds, bound to its patches, are dropped with it."""
+    monkeypatch.setattr(cli, "_model", functools.lru_cache(**cli._model.cache_parameters())(
+        cli._model.__wrapped__))
+
+
 def refuse_duals(monkeypatch):
-    """Make a dual pass at a point fail the test; a trace's one pass, on traced values, runs."""
+    """Make a dual pass at a point fail the test; a trace's one pass, on traced values, runs.
+    The CLI builds the test's models afresh, so they bind the refusing pass."""
     gradient = duals.gradient
+    fresh_models(monkeypatch)
 
     def refuse(func, coords):
         if not isinstance(coords[0], duals._Traced):

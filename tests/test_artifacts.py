@@ -1,6 +1,6 @@
-"""The artifact writer against test-only oracles: the csv module for CSV, and json.dump of
-the same rows given as lists for JSON. The writer's input is what the subcommands hand it:
-a header of labels, a body of float64 and str fields, and no footer, a drift footer
+"""The artifact writer against test-only oracles: the csv module for CSV, and the file json.dump
+writes of the same rows given as lists for JSON. The writer's input is what the subcommands
+hand it: a header of labels, a body of float64 and str fields, and no footer, a drift footer
 (drift, name, max residual, growth rate) or a check footer (check, name, value, "")."""
 
 import csv
@@ -40,6 +40,10 @@ FIELDS = {
 }
 # footer names: a constraint's name is any JSON string, a trailing NUL included
 NAMES = TEXT | st.sampled_from(["C\x00", 'a,"b\x00', "\x00", ""])
+# any JSON string: NUL, quotes, backslashes, brackets, separators, non-ASCII, a lone surrogate
+JSON_TEXT = NAMES | st.text(max_size=6) | st.sampled_from(
+    ["\\", "é", "日本", "[", "]", "],\n   [", "a]", "[b", "\ud800"])
+JSON_FIELDS = {**FIELDS, "json": ("U6", JSON_TEXT)}
 
 
 def text(value) -> str:
@@ -64,23 +68,23 @@ def footer_of(kind, names, values, rates=None) -> np.ndarray:
 
 
 @st.composite
-def bodies(draw):
+def bodies(draw, fields=FIELDS):
     """A structured body of 0 to 6 rows and 2 to 5 fields."""
     count = draw(st.integers(0, 6))
-    kinds = draw(st.lists(st.sampled_from(sorted(FIELDS)), min_size=2, max_size=5))
-    return body_of(*((FIELDS[kind][0], draw(st.lists(FIELDS[kind][1], min_size=count,
+    kinds = draw(st.lists(st.sampled_from(sorted(fields)), min_size=2, max_size=5))
+    return body_of(*((fields[kind][0], draw(st.lists(fields[kind][1], min_size=count,
                                                       max_size=count))) for kind in kinds))
 
 
 @st.composite
-def footers(draw):
+def footers(draw, names=NAMES):
     """No footer, or a drift or a check footer of 0 to 4 rows."""
     kind = draw(st.sampled_from([None, "drift", "check"]))
     if kind is None:
         return None
     count = draw(st.integers(0, 4))
     names, values, rates = (draw(st.lists(cells, min_size=count, max_size=count))
-                            for cells in (NAMES, FLOATS | NANS, REPEATS))
+                            for cells in (names, FLOATS | NANS, REPEATS))
     return footer_of(kind, names, values, rates if kind == "drift" else None)
 
 
@@ -145,11 +149,16 @@ def test_csv_writer_matches_the_csv_module(columns, body, footer):
          footer_of("drift", ["x\x00", "y"], [math.inf, 0.0], [-0.0, math.nan]))
 @example(["t", "energy", "gauss_residual", "transverse_residual"],
          body_of(*((float, [1.0]) for _ in range(4))), footer_of("check", [], []))
-@given(HEADERS, bodies(), footers())
+@given(st.lists(JSON_TEXT, min_size=4, max_size=8), bodies(JSON_FIELDS), footers(JSON_TEXT))
 @settings(max_examples=200, deadline=None)
 def test_json_writer_matches_json_dump_of_the_rows_as_lists(columns, body, footer):
     payload = {"columns": columns, "rows": [list(row) for row in body.tolist()]}
     if footer is not None and len(footer):
         payload["footer"] = [list(map(text, row)) for row in footer.tolist()]
-    expected = json.dumps(payload, indent=1) + "\n"
-    assert written("json", columns, body, footer) == expected.encode()
+    with tempfile.TemporaryDirectory() as directory:
+        path = pathlib.Path(directory, "ref.json")
+        with open(path, "w") as handle:  # the file json.dump writes, byte for byte
+            json.dump(payload, handle, indent=1)
+            handle.write("\n")
+        expected = path.read_bytes()
+    assert written("json", columns, body, footer) == expected

@@ -15,7 +15,9 @@ import pytest
 
 from diracmech.cli import main
 
+from conftest import fresh_models
 from test_cli import child_env
+from test_scripts import load_runner
 
 SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -32,6 +34,27 @@ def test_scenario_artifact_keeps_its_bytes(tmp_path, scenario, command, fmt, sha
                  "--out", str(out), "--format", fmt]) == 0
     data = out.read_bytes()
     assert (hashlib.sha256(data).hexdigest(), len(data)) == (sha256, size)
+
+
+def test_a_repeated_run_writes_the_bytes_of_the_first(tmp_path, monkeypatch):
+    # every scenario twice in one process, in CSV and in JSON: the second run reuses the
+    # first's model, its traces and bound kernels, and a pinned artifact keeps its pin
+    fresh_models(monkeypatch)
+    pins, checked = {(p[0], p[2]): (p[3], p[4]) for p in PINNED}, []
+    for name, command in load_runner().COMMANDS.items():
+        scenario = name.removesuffix(".json")
+        for fmt in ("csv", "json"):
+            runs = []
+            for run in range(2):
+                out = tmp_path / f"{scenario}-{run}.{fmt}"
+                assert main([command, "--config", str(SCENARIOS / name), "--out", str(out),
+                             "--format", fmt]) == 0
+                runs.append(out.read_bytes())
+            assert runs[0] == runs[1], (scenario, fmt)
+            if (scenario, fmt) in pins:
+                checked.append(scenario)
+                assert (hashlib.sha256(runs[1]).hexdigest(), len(runs[1])) == pins[scenario, fmt]
+    assert len(checked) == len(PINNED) and len(set(checked)) == 12
 
 
 @pytest.mark.parametrize("scenario, command, lines", [

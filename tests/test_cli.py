@@ -1203,8 +1203,9 @@ THREADED_RUNS = [
 
 
 def test_concurrent_main_calls_write_the_bytes_of_their_serial_runs(tmp_path):
-    # 8 threads, each run twice in CSV and JSON, race for the first parser build and then
-    # share it; a thread switch every microsecond interleaves them
+    # 8 threads, each run twice in CSV and JSON, race for the first parser build and for the
+    # first build of each model, its fields and traces, and then share them; a thread switch
+    # every microsecond interleaves them
     jobs = []
     for j, (command, payload) in enumerate(THREADED_RUNS * 2):
         config = write_config(tmp_path / f"cfg{j}.json", payload)
@@ -1220,6 +1221,7 @@ def test_concurrent_main_calls_write_the_bytes_of_their_serial_runs(tmp_path):
         codes[j] = main([*jobs[j], "--out", str(tmp_path / f"thread{j}")])
 
     cli._parser.cache_clear()
+    cli._model.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

@@ -24,6 +24,8 @@ from diracmech.fields import (ScalarField, central_difference_gradient, field_pr
 from diracmech.models import (CustomModel, KlauderModel, KRamp, LatticeMaxwell, RadialPotential,
                               RelativisticParticle)
 
+from conftest import fresh_models
+
 ROUTE = re.compile(r"gradient|grad_h|grad_\d+")
 
 
@@ -89,6 +91,7 @@ EVOLVE_SCENARIOS = sorted(p.name for p in SCENARIOS.glob("*.json")
 
 @pytest.mark.parametrize("name", EVOLVE_SCENARIOS)
 def test_no_scenario_loop_calls_a_gradient_route_but_on_an_error(monkeypatch, name):
+    fresh_models(monkeypatch)  # the scenario's fields traced here, not reused from a kept model
     config = load_config(str(SCENARIOS / name))
     model, flow_cfg = build_model(config, "evolve"), config["flow"]
     terms = flow_cfg.get("hamiltonian")

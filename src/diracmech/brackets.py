@@ -13,7 +13,7 @@ from operator import mul
 import numpy as np
 
 from .fields import ScalarField, central_difference_gradient
-from .phase import PhaseSpacePoint, require_same_chart
+from .phase import PhaseSpacePoint, require_point, require_same_chart
 
 
 def bracket_of_gradients(ga: list, gb: list, n_pairs: int) -> float:
@@ -28,8 +28,8 @@ def poisson_tensor(n_pairs: int) -> np.ndarray:
 
 
 def poisson_bracket(a: ScalarField, b: ScalarField, x: PhaseSpacePoint) -> float:
-    n = require_same_chart(a, b, x).n_pairs
-    return bracket_of_gradients(a.gradient(x).tolist(), b.gradient(x).tolist(), n)
+    n = require_point(a, b, x).n_pairs
+    return bracket_of_gradients(a.gradient(x), b.gradient(x), n)
 
 
 def poisson_bracket_field(a: ScalarField, b: ScalarField) -> ScalarField:

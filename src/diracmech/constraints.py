@@ -29,7 +29,7 @@ from .brackets import poisson_bracket
 from .errors import DegeneracyError, DiracMechError, NumericDomainError, UsageError
 from .fields import ScalarField, pullback_field
 from .kernels import _generated
-from .phase import ChartSpec, PhaseSpacePoint, require_same_chart
+from .phase import ChartSpec, PhaseSpacePoint, require_point, require_same_chart
 
 # |det M| <= DEGENERACY_RTOL * max(1, prod of row norms) counts as singular
 DEGENERACY_RTOL = 1e-10
@@ -340,7 +340,7 @@ def _contraction(ga, d, gb) -> float:
 
 def dirac_bracket(a: ScalarField, b: ScalarField, cs: ConstraintSet, x: PhaseSpacePoint) -> float:
     """{a,b}_D at a point x; with an empty constraint set this is the Poisson bracket."""
-    return _contraction(a.gradient(x).tolist(), dirac_tensor(cs, x), b.gradient(x).tolist())
+    return _contraction(a.gradient(x), dirac_tensor(cs, x), b.gradient(x))
 
 
 @dataclass(frozen=True)
@@ -356,7 +356,8 @@ def observable_check(a: ScalarField, cs: ConstraintSet,
         raise UsageError("an observable check needs at least one constraint")
     worst = [0.0] * len(cs)
     for x in samples:
-        d, ga = dirac_tensor(cs, x), a.gradient(x).tolist()
+        require_point(cs, x)  # before the tensor, which takes a batch
+        d, ga = dirac_tensor(cs, x), a.gradient(x)
         worst = [max(w, abs(_contraction(ga, d, row)))
                  for w, row in zip(worst, cs.gradient_rows(x.columns))]
     per_constraint = dict(zip(cs.names, worst))
@@ -422,7 +423,7 @@ def faddeev_popov_determinant(gauge_conditions: Sequence[ScalarField],
             f"got {len(gauge_conditions)} and {len(constraints)}"
         )
     k = len(constraints)
-    rows = [f.gradient(x).tolist() for f in (*gauge_conditions, *constraints)]
+    rows = [f.gradient(x) for f in (*gauge_conditions, *constraints)]
     block = [row[k:] for row in pairing_matrix_of_rows(rows, x.chart.n_pairs)[:k]]
     return _eliminate(block, [[]] * k)[0] if k != 1 else block[0][0]  # 1.0 for k = 0
 
@@ -441,7 +442,7 @@ def pair_jacobian_check(gauge: ScalarField, constraint: ScalarField, x: PhaseSpa
     This is the change-of-variables identity behind the canonical measure: the
     density of (chi, C) against the eliminated pair equals the mutual bracket.
     """
-    chart = require_same_chart(gauge, constraint, x)
+    chart = require_point(gauge, constraint, x)
     i1, i2 = chart.index(pair_labels[0]), chart.index(pair_labels[1])
     g_chi = gauge.gradient(x)
     g_c = constraint.gradient(x)

@@ -264,15 +264,16 @@ def trace(grad, dim):
     the outputs need and every division, power and call (which may raise), a temporary read
     once written into its reader; outputs per entry. None where grad raises while traced (it
     compares, tests or converts a value, or calls what is not recorded), or returns anything
-    but a list of dim floats or traced values. A dual pass, ``partial(gradient, func)``, is
-    recorded as it runs on its sparse tangents, so the code gives the pass's bits."""
+    but a list of floats or traced values (the caller holds its length to dim). A dual pass,
+    ``partial(gradient, func)``, is recorded as it runs on its sparse tangents, so the code
+    gives the pass's bits."""
     tape = {}
     seeds = [_Traced(tape) for _ in range(dim)]
     try:
         outputs = grad(list(seeds))
     except Exception:
         return None
-    if not (outputs.__class__ is list and len(outputs) == dim
+    if not (outputs.__class__ is list
             and all(v.__class__ is float or v.__class__ is _Traced for v in outputs)):
         return None
     outputs = [v if v.__class__ is _Traced else _Traced(tape, (v,)) for v in outputs]

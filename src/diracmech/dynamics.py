@@ -216,9 +216,13 @@ def evolve(x0: PhaseSpacePoint, flow: FlowSpec, cfg: IntegratorConfig,
 
     # entered once per run: an overflowing or NaN stage ends in the blow-up check or in
     # the pairing guard, not in numpy warnings
-    done = 0  # states 0..done are recorded
+    done, rows = 0, []  # states 0..done are recorded
     try:
         with np.errstate(over="ignore", invalid="ignore"):
+            # a grad that the loop calls, untraced, shows its entry count before the first step
+            for f in _kernel_args(flow)[3] if steps else ():
+                if f.grad is not None and f._trace is None:
+                    f._entries(f.grad(z))
             while done < steps:
                 rows, stop = [], min(done + RUN_BLOCK, steps)
                 end = run(z, dt, done, stop, BLOWUP_LIMIT, rows)

@@ -25,7 +25,7 @@ import numpy as np
 from . import duals
 from .errors import NumericDomainError, UsageError
 from .kernels import _generated
-from .phase import ChartSpec, PhaseSpacePoint, require_same_chart
+from .phase import ChartSpec, PhaseSpacePoint, require_point, require_same_chart
 
 _CBRT_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
 # coordinates per func call of ScalarField.values_along: whole runs of small charts in one
@@ -67,9 +67,10 @@ class ScalarField:
     ``grad`` reads its point, a list of Python floats, by index or by unpacking,
     and returns a list of Python floats, as every field the package builds does
     (an array is read with the same bits, at numpy-scalar speed). ``_gradient`` passes
-    that list on as it is; ``gradient_at`` reads an array point by tolist() and always gives
-    an array. The RK4 loops trace ``grad`` once, on values with no comparison, truth value
-    or ``float()``, and write in the float code it runs (``duals.trace``): a grad that
+    that list on as it is, and so does ``gradient`` at one validated point, once it has
+    checked its length and finiteness; ``gradient_at`` reads an array point by tolist() and
+    gives an array. The RK4 loops trace ``grad`` once, on values with no comparison, truth
+    value or ``float()``, and write in the float code it runs (``duals.trace``): a grad that
     compares, converts or computes on arrays is called at every stage, and one that
     type-tests its input is traced down its non-float branch.
     """
@@ -96,8 +97,9 @@ class ScalarField:
     @cached_property
     def _trace(self) -> Optional[tuple]:
         """The gradient's float code, once per field: ``duals.trace`` of the registered grad,
-        else of func's dual pass; None where it refuses."""
-        return duals.trace(self.grad or partial(duals.gradient, self.func), self.chart.dim)
+        else of func's dual pass; None where it refuses. A wrong entry count raises here."""
+        traced = duals.trace(self.grad or partial(duals.gradient, self.func), self.chart.dim)
+        return traced and self._entries(traced[0][1]) and traced
 
     @cached_property
     def _gradient(self) -> Callable:
@@ -110,19 +112,26 @@ class ScalarField:
         shape, lifted = self._trace[0], tuple(duals.LIFTS.get(c, c) for c in self._trace[1])
         return _generated("gradient", self.chart.n_pairs, 0, (shape,))(dual, (lifted,))
 
+    def _entries(self, g):
+        """The gradient ``g``, or a usage error unless it has one entry per coordinate."""
+        if len(g) != self.chart.dim:
+            raise UsageError(f"grad of {self.name!r} gives {len(g)} entries for the "
+                             f"{self.chart.dim} coordinates of chart {self.chart.name!r}")
+        return g
+
     # validated point API --------------------------------------------------
     def value(self, x: PhaseSpacePoint) -> float:
-        require_same_chart(self, x)
+        require_point(self, x)
         return float(self.func(x.coords))
 
-    def gradient(self, x: PhaseSpacePoint) -> np.ndarray:
-        require_same_chart(self, x)
-        g = self.gradient_at(x.coords)
-        if not np.isfinite(g).all():
-            bad = self.chart.labels[int(np.argmin(np.isfinite(g)))]
-            raise NumericDomainError(
-                f"gradient of {self.name!r} is non-finite in coordinate {bad!r}"
-            )
+    def gradient(self, x: PhaseSpacePoint) -> list:
+        """The gradient route's list at one point, its length and finiteness checked once."""
+        require_point(self, x)
+        g = self._entries(self._gradient(x.coords.tolist()))
+        if not all(map(math.isfinite, g)):
+            bad = next(l for l, v in zip(self.chart.labels, g) if not math.isfinite(v))
+            raise NumericDomainError(f"gradient of {self.name!r} is non-finite in coordinate "
+                                     f"{bad!r}")
         return g
 
     def __repr__(self):
@@ -224,7 +233,7 @@ class GradientCheck:
 
 def gradient_consistency_check(f: ScalarField, x: PhaseSpacePoint) -> GradientCheck:
     """Max relative discrepancy between f.gradient and a finite-difference probe."""
-    require_same_chart(f, x)
+    require_point(f, x)
     analytic = f.gradient_at(x.coords)
     numeric = central_difference_gradient(f.func, x.coords)
     denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))

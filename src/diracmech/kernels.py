@@ -30,7 +30,8 @@ from functools import lru_cache
 # 2-core x86-64 host), and past n = 2048 a sum's chain of additions is too deep for the
 # compiler (RecursionError).
 _UNROLL_TERMS = 128
-# compiled kernels kept, least recently used dropped first: a ``verify all`` pass builds 21,
+# compiled kernels kept, least recently used dropped first: a ``verify all`` pass builds 21
+# (the lattice stencil's loop with its grad written in, in place of the one that called it),
 # an evolve or brackets run at most 9, and each polynomial structure evolved one more
 _KERNELS_KEPT = 64
 

@@ -28,8 +28,8 @@ R = p I + s J in the basis (A, E / omega), p = 1 - x^2/2 + x^4/24, s = x (1 - x^
 step n is R^n = rho^n rotation(n theta), rho^2 = p^2 + s^2 = 1 - x^6/72 + x^8/576 and
 theta = atan2(s, p), and the zero mode drifts, A += n h E. One rfftn of the start feeds
 every step; each block of steps goes back through irfftn's transforms into the
-trajectory's rows. The stencil RK4 of ``evolve(x0, PoissonFlow(hamiltonian), cfg)`` on
-Python floats is its oracle.
+trajectory's rows. The stencil RK4 of ``evolve(x0, PoissonFlow(hamiltonian), cfg)`` is its
+oracle: H's grad is the stencil on Python floats, which the Poisson loop holds as float code.
 """
 
 from __future__ import annotations
@@ -113,6 +113,12 @@ class LatticeMaxwell:
         pairs = np.stack(self._neighbours, axis=1)[:, :, None, :]  # (direction i, +/-, 1, site)
         offsets = np.arange(3)[:, None] * self.sites               # component c at c L^3
         return (pairs + offsets).reshape(3, 2, self.n_components)
+
+    @cached_property
+    def _stencil_rows(self) -> list:
+        """Per vector entry, the Python int indices of v(x+e_0), v(x-e_0), .., v(x-e_2): built
+        at the first call of the float grad of ``hamiltonian``, which reads them."""
+        return list(zip(*self._vector_neighbours.reshape(6, -1).tolist()))
 
     def _vector(self, vec_flat) -> np.ndarray:
         v = np.asarray(vec_flat, dtype=float)
@@ -342,7 +348,9 @@ class LatticeMaxwell:
 
     @property
     def hamiltonian(self) -> ScalarField:
-        """H = (1/2)(sum E^2 + sum |grad A|^2) with a closed-form gradient.
+        """H = (1/2)(sum E^2 + sum |grad A|^2) with a closed-form gradient on Python floats:
+        -lap A, in ``vector_laplacian``'s order of operations, then E, so ``duals.trace``
+        writes it into the RK4 loop of a Poisson flow.
 
         Built per call: its functions hold the lattice, so caching it on the
         lattice would make a reference cycle that keeps the lattice and its
@@ -354,8 +362,11 @@ class LatticeMaxwell:
         def func(z, model=model, n=n):  # a (dim, B) block is read as B fields
             return model.energy(z[:n].T, z[n:].T)
 
-        def grad(z, model=model, n=n):
-            return np.concatenate([-model.vector_laplacian(z[:n]), z[n:]]).tolist()
+        def grad(z, model=model, n=n, a2=self.spacing ** 2):
+            g = [-((((-6.0 * z[j] + (z[f0] + z[b0])) + (z[f1] + z[b1])) + (z[f2] + z[b2])) / a2)
+                 for j, (f0, b0, f1, b1, f2, b2) in enumerate(model._stencil_rows)]
+            g += z[n:]
+            return g
 
         return ScalarField(name="H_maxwell", chart=self.chart, func=func, grad=grad)
 

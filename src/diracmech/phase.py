@@ -116,15 +116,18 @@ class PhaseSpacePoint:
         return f"PhaseSpacePoint({pairs})"
 
 
-def same_chart(*charts: ChartSpec) -> bool:
-    first = charts[0]
-    return all(c is first or c.labels == first.labels for c in charts[1:])
-
-
 def require_same_chart(*objs) -> ChartSpec:
     """Shared chart of fields/points, or a usage error naming the clash."""
-    charts = [o.chart for o in objs]
-    if not same_chart(*charts):
-        names = ", ".join(sorted({c.name for c in charts}))
-        raise ChartMismatchError(f"operands live on different charts: {names}")
-    return charts[0]
+    first = objs[0].chart
+    for o in objs:
+        if o.chart is not first and o.chart.labels != first.labels:
+            names = ", ".join(sorted({o.chart.name for o in objs}))
+            raise ChartMismatchError(f"operands live on different charts: {names}")
+    return first
+
+
+def require_point(*objs) -> ChartSpec:
+    """``require_same_chart`` of fields and sets and, last, one point: a batch is a usage error."""
+    if objs[-1].coords.ndim > 1:
+        raise UsageError(f"this takes one point, not a batch of {len(objs[-1].coords)} rows")
+    return require_same_chart(*objs)

@@ -331,7 +331,7 @@ def tensor_points(rng):
 def reference_bracket(a, b, cs, x):
     """The per-pair formula {a,b} + {Phi,a} . M^-1 {Phi,b}, with M solved by LU."""
     n = x.chart.n_pairs
-    ga, gb = a.gradient(x), b.gradient(x)
+    ga, gb = np.array(a.gradient(x)), np.array(b.gradient(x))
     rows = reference_gradient_rows(cs, x.coords)
 
     def with_constraints(g):  # {Phi_I, g}

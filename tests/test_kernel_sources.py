@@ -4,8 +4,8 @@ A Klauder Dirac flow, a gauge flow, a particle flight and a custom polynomial fl
 gradient route in their loop but in the error path, where the route gives its own result
 (the dual pass's error, or the term table's signed inf); so does every ``evolve`` scenario. A
 registered ``grad`` that computes on arrays is not traced, and its loop calls it at every
-stage. A trace hands its constants in as arguments, so models that differ only in their
-constants share one loop. A gauge multiplier's Horner steps are written into each stage
+stage; the lattice Maxwell H's float stencil is traced. A trace hands its constants in as
+arguments, so models that differ only in their constants share one loop. A gauge multiplier's Horner steps are written into each stage
 time's first stage, with no branch and no loop.
 """
 
@@ -106,7 +106,6 @@ def test_no_scenario_loop_calls_a_gradient_route_but_on_an_error(monkeypatch, na
 SQUARES = polynomial_field(CustomModel(labels=("q", "p")).chart, [(0.5, (2, 0)), (0.5, (0, 2))])
 # fields whose grad computes on arrays, each built when its test runs: none is traced
 ARRAY_GRADS = {
-    "maxwell_h": lambda: LatticeMaxwell(side=2).hamiltonian,
     "field_product": lambda: field_product(
         SQUARES, polynomial_field(SQUARES.chart, [(1.0, (1, 1))])),
     "central_differences": lambda: ScalarField(
@@ -122,6 +121,16 @@ def test_an_array_grad_keeps_its_call_at_every_stage(monkeypatch, name):
     start = field.chart.point([0.01 * (i + 1) for i in range(field.chart.dim)])
     outside, inside = route_calls(built_source(monkeypatch, start, PoissonFlow(field)))
     assert len(outside) == 4 and not inside
+
+
+def test_lattice_stencil_loop_calls_its_grad_only_on_an_error(monkeypatch):
+    # the float stencil of the lattice H is traced: written into each stage, spelled out at L = 2
+    model = LatticeMaxwell(side=2)
+    start = model.chart.point([0.01 * (i + 1) for i in range(model.chart.dim)])
+    source = built_source(monkeypatch, start, PoissonFlow(model.hamiltonian))
+    outside, inside = route_calls(source)
+    assert not outside and len(inside) == 4
+    assert "for i in range" not in source
 
 
 def test_models_of_different_alpha_share_one_compiled_loop():

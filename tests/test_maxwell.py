@@ -4,8 +4,12 @@ import json
 import warnings
 import weakref
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracmech.cli import main
 from diracmech.constraints import ConstraintSet, dirac_tensor
@@ -13,6 +17,7 @@ from diracmech.dynamics import IntegratorConfig, PoissonFlow, evolve
 from diracmech.errors import NumericDomainError, UsageError
 from diracmech.fields import ScalarField
 from diracmech.models import LatticeMaxwell
+from diracmech.models.maxwell import SPACING_RANGE
 
 
 @pytest.fixture(scope="module")
@@ -195,6 +200,39 @@ def test_constant_fields_drift_at_constant_speed():
     assert np.max(np.abs(traj.states[:, :n] - exact)) <= 4 * eps * np.max(np.abs(exact))
     assert np.max(np.abs(traj.states[:, n:] - e0)) <= 4 * eps * np.max(np.abs(e0))
     assert max(np.max(traj.residuals["gauss"]), np.max(traj.residuals["transverse"])) < 1e-12
+
+
+# signed zeros and infinities among plain floats: a sum of +-0.0 keeps its sign rule, and
+# inf - inf is NaN
+STENCIL_ENTRIES = st.floats(allow_nan=False) | st.sampled_from([0.0, -0.0, math.inf, -math.inf])
+
+
+@given(st.integers(2, 4), st.sampled_from([1.0, 0.7, *SPACING_RANGE]),
+       st.lists(STENCIL_ENTRIES, min_size=1, max_size=8), st.randoms(use_true_random=True))
+@settings(max_examples=80, deadline=None)
+def test_float_stencil_grad_gives_the_bits_of_the_array_laplacian(side, spacing, pool, rand):
+    # every coordinate one of a few drawn entries or a plain one, so that entries repeat
+    model = LatticeMaxwell(side=side, spacing=spacing)
+    z = [rand.choice(pool) if rand.random() < 0.5 else rand.uniform(-2.0, 2.0)
+         for _ in range(model.chart.dim)]
+    n = model.n_components
+    with np.errstate(all="ignore"):
+        expected = np.concatenate([-model.vector_laplacian(z[:n]), z[n:]])
+    grad = model.hamiltonian.grad(z)
+    assert all(v.__class__ is float for v in grad)
+    got, nan = np.array(grad), np.isnan(expected)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == expected[~nan].tobytes()
+
+
+def test_hamiltonian_builds_no_stencil_rows_until_its_grad_is_called():
+    model = LatticeMaxwell(side=3)
+    h = model.hamiltonian
+    a, _ = model.lowest_standing_mode()
+    model.evolve(a, np.zeros(model.n_components), IntegratorConfig(dt=1e-2, steps=3))
+    assert "_stencil_rows" not in vars(model)
+    h.grad([0.0] * model.chart.dim)
+    assert len(vars(model)["_stencil_rows"]) == model.n_components
 
 
 @pytest.mark.parametrize("length", [-1, 1])

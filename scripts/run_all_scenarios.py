@@ -48,6 +48,8 @@ COMMANDS = {
     "custom_gauge_orbit.json": "evolve",
     "custom_dirac_orbit.json": "evolve",
     "custom_poisson_orbit.json": "evolve",
+    "klauder_ramped_brackets.json": "brackets",
+    "custom_free_brackets.json": "brackets",
 }
 
 

@@ -8,10 +8,11 @@ has commas between cells, CRLF line ends and minimal quoting: a cell holding a
 comma, a double quote, CR or LF is double-quoted, its double quotes doubled.
 A table's body and footer are structured arrays of float64 and str fields, each
 written field by field through one formatter. Each subcommand's row of
-``COMMANDS`` names the blocks it needs and the other blocks it may read; a
-scenario that lacks a needed block or holds one the subcommand never reads is a
-config error, raised before anything is computed. So is an artifact path that
-cannot be written.
+``COMMANDS`` names the blocks it needs and the other blocks it may read, and
+``SCENARIO_SCHEMA`` annotates each key that not every scenario reads with who
+reads it (``readBy``, ``readWithout``); a scenario that lacks a needed block, or
+holds a block or key that goes unread, is a config error, raised before anything
+is computed. So is an artifact path that cannot be written.
 
 Exit codes: 0 success, 1 verification failure, 2 config error, 3 numerical
 degeneracy.
@@ -62,29 +63,37 @@ _TERMS = {"type": "array", "items": _strict(
     {"coeff": _NUMBER, "powers": {"type": "array", "items": {"type": "integer", "minimum": 0}}},
     "coeff", "powers")}
 
+# Who reads a key that not every scenario reads, in two keywords that JSON Schema ignores:
+# "readBy": "<block>/<key>=<value>", read only where that key holds that value, and
+# "readWithout": "<key>", read only where its own block lacks that key. build_model rejects
+# such a key where it is unread.
+_KLAUDER, _PARTICLE, _MAXWELL, _CUSTOM = ({"readBy": f"model/kind={kind}"}
+                                          for kind in ("klauder", "particle", "maxwell", "custom"))
+_NO_COORDS = {"readWithout": "coords"}
+
 SCENARIO_SCHEMA = _strict({
     "seed": {"type": "integer", "minimum": 0},
     "output": _strict({"path": {"type": "string"}, "format": {"enum": ["csv", "json"]}}),
     "model": _strict({
         "kind": {"enum": ["klauder", "particle", "maxwell", "custom"]},
-        "alpha": _POSITIVE,
-        "k": {"oneOf": [_NUMBER, _PAIR]},
-        "hbar": _POSITIVE,
-        "potential": _POLY,
-        "mass": _POSITIVE,
-        "spatial_dim": {"type": "integer", "minimum": 1},
-        "side": {"type": "integer", "minimum": 2},
-        "spacing": _POSITIVE,
-        "labels": {"type": "array", "items": {"type": "string"}},
+        "alpha": {**_POSITIVE, **_KLAUDER},
+        "k": {"oneOf": [_NUMBER, _PAIR], **_KLAUDER},
+        "hbar": {**_POSITIVE, **_KLAUDER},
+        "potential": {**_POLY, **_KLAUDER},
+        "mass": {**_POSITIVE, **_PARTICLE},
+        "spatial_dim": {"type": "integer", "minimum": 1, **_PARTICLE},
+        "side": {"type": "integer", "minimum": 2, **_MAXWELL},
+        "spacing": {**_POSITIVE, **_MAXWELL},
+        "labels": {"type": "array", "items": {"type": "string"}, **_CUSTOM},
         "constraints": {"type": "array", "items": _strict(
-            {"name": {"type": "string"}, "terms": _TERMS}, "name", "terms")},
+            {"name": {"type": "string"}, "terms": _TERMS}, "name", "terms"), **_CUSTOM},
     }, "kind"),
     "samples": _strict({"count": {"type": "integer", "minimum": 1},
-                        "r_range": _PAIR, "momentum_range": _PAIR}),
+                        "r_range": {**_PAIR, **_KLAUDER}, "momentum_range": {**_PAIR, **_KLAUDER}}),
     "flow": _strict({
         "kind": {"enum": ["poisson", "dirac", "gauge"]},
-        "hamiltonian": _TERMS,
-        "multiplier": {"oneOf": [_NUMBER, _POLY]},
+        "hamiltonian": {**_TERMS, **_CUSTOM},
+        "multiplier": {"oneOf": [_NUMBER, _POLY], "readBy": "flow/kind=gauge"},
     }, "kind"),
     "integrator": _strict({
         "dt": _POSITIVE,
@@ -92,14 +101,15 @@ SCENARIO_SCHEMA = _strict({
     }, "dt", "steps"),
     "initial": _strict({
         "coords": _NUMBERS,
-        "surface": _strict({"phi": _NUMBER, "p_phi": _NUMBER}, "p_phi"),
-        "x": _NUMBERS,
-        "p": _NUMBERS,
+        "surface": {**_strict({"phi": _NUMBER, "p_phi": _NUMBER}, "p_phi"), **_KLAUDER,
+                    **_NO_COORDS},
+        "x": {**_NUMBERS, **_PARTICLE, **_NO_COORDS},
+        "p": {**_NUMBERS, **_PARTICLE, **_NO_COORDS},
     }),
     "quantum": _strict({
         "m_max": {"type": "integer", "minimum": 1},
         "coeffs": {"type": "array", "items": _PAIR},
-        "single_mode": {"type": "integer"},
+        "single_mode": {"type": "integer", "readWithout": "coeffs"},
         "times": {"oneOf": [_NUMBERS, _strict(
             {"start": _NUMBER, "stop": _NUMBER, "count": {"type": "integer", "minimum": 1}},
             "start", "stop", "count")]},
@@ -223,22 +233,20 @@ def load_config(path: str) -> dict:
     return config
 
 
-# the keys only one model kind reads; under another kind they are rejected, not ignored
-KIND_KEYS = {
-    "klauder": ("model/alpha", "model/k", "model/hbar", "model/potential",
-                "samples/r_range", "samples/momentum_range", "initial/surface"),
-    "particle": ("model/mass", "model/spatial_dim", "initial/x", "initial/p"),
-    "maxwell": ("model/side", "model/spacing"),
-    "custom": ("model/labels", "model/constraints", "flow/hamiltonian"),
-}
-
-# the keys a block leaves unread beside the one it reads first; rejected, not ignored
-UNREAD_BESIDE = {"quantum/coeffs": ("single_mode",), "initial/coords": ("surface", "x", "p")}
+# (block, key, where, name, value) per rule of SCENARIO_SCHEMA, in schema order, built once: the
+# key is read where where/name holds value, and a "readWithout" rule's value is None (absent)
+_READ_RULES = tuple(
+    (block, key, *(rule.replace("=", "/").split("/") if keyword == "readBy"
+                   else (block, rule, None)))
+    for block, sub in SCENARIO_SCHEMA["properties"].items()
+    for key, schema in sub.get("properties", {}).items()
+    for keyword, rule in schema.items() if keyword in ("readBy", "readWithout"))
 
 
 def build_model(config: dict, command: str):
-    """The scenario's model, once the scenario passes the command's row of COMMANDS,
-    KIND_KEYS and UNREAD_BESIDE on every call; a kept model for an equal model block."""
+    """The scenario's model, once the scenario passes the command's row of COMMANDS and every
+    "readBy" and "readWithout" rule of SCENARIO_SCHEMA, the first broken rule in schema
+    order reported, on every call; a kept model for an equal model block."""
     spec = COMMANDS[command]
     for name in spec["needs"]:
         if name not in config:
@@ -252,25 +260,15 @@ def build_model(config: dict, command: str):
     if kind not in spec["kinds"]:
         raise ConfigError(f"the {command!r} subcommand runs {', '.join(spec['kinds'])} "
                           f"models, not {kind!r}")
-    for other, paths in KIND_KEYS.items():
-        if other == kind:
-            continue
-        for path in paths:
-            section, key = path.split("/")
-            if key in config.get(section, {}):
-                raise ConfigError(f"{path} is read by {other} models only, not by {kind!r}")
-    flow = config.get("flow", {})
-    if "multiplier" in flow and flow["kind"] != "gauge":
-        raise ConfigError(f"flow/multiplier is read by gauge flows only, not by {flow['kind']!r}")
-    for path, others in UNREAD_BESIDE.items():
-        section, key = path.split("/")
-        for other in others:
-            if key in config.get(section, {}) and other in config[section]:
-                raise ConfigError(f"{section}/{other} is read without {path} only, not with it")
+    for section, key, where, name, value in _READ_RULES:
+        if key in config.get(section, ()) and config[where].get(name) != value:
+            rule = (f"without {section}/{name} only, not with it" if value is None
+                    else f"by {value} {where}s only, not by {config[where][name]!r}")
+            raise ConfigError(f"{section}/{key} is read {rule}")
     return _model(json.dumps(block, sort_keys=True))
 
 
-# models kept, least recently used dropped first: the 14 the scenarios build keep 0.19 MB, the
+# models kept, least recently used dropped first: the 16 the scenarios build keep 0.19 MB, the
 # L=8 lattice's neighbour tables and symbol 0.11 MB of it; a benchmark workload builds <= 4
 _MODELS_KEPT = 16
 

@@ -135,12 +135,16 @@ class Trajectory:
 def _kernel_args(flow: FlowSpec) -> tuple[str, int, tuple, tuple]:
     """(kind, k, arguments, fields) of the flow's generated kernels: ``kind`` gives the
     rhs(t, z) and ``kind + "_run"`` the whole RK4 loop, each bound by the arguments to the
-    gradient routes of ``fields``; a gauge flow's k counts its multiplier's coefficients."""
+    gradient routes of ``fields``, the generator first; a gauge flow's k counts its
+    multiplier's coefficients, a Dirac flow's its constraints. The one flow-kind dispatch of
+    ``evolve``."""
     if isinstance(flow, PoissonFlow):
         return "poisson", 0, (flow.hamiltonian._gradient,), (flow.hamiltonian,)
     if isinstance(flow, GaugeFlow):
         m = flow.multiplier
         return "gauge", len(m), (flow.generator._gradient, m), (flow.generator,)
+    if not isinstance(flow, DiracFlow):
+        raise UsageError(f"unknown flow spec {flow!r}")
     cs = flow.constraints
     args = (flow.hamiltonian._gradient, [f._gradient for f in cs.fields], cs.rates,
             _pairing_multipliers, DEGENERACY_RTOL)
@@ -180,26 +184,16 @@ def evolve(x0: PhaseSpacePoint, flow: FlowSpec, cfg: IntegratorConfig,
     non-finite generator value or watched residual. ``monitor`` adds a constraint set
     to watch for Poisson/gauge flows; a Dirac flow always monitors its own.
     """
-    if isinstance(flow, PoissonFlow):
-        chart = require_same_chart(flow.hamiltonian, x0)
-        generator = flow.hamiltonian
-        watched = monitor
-    elif isinstance(flow, GaugeFlow):
-        chart = require_same_chart(flow.generator, x0)
-        generator = flow.generator
-        watched = monitor
-    elif isinstance(flow, DiracFlow):
-        chart = require_same_chart(flow.hamiltonian, flow.constraints, x0)
-        if len(flow.constraints) == 0 or not flow.constraints.even_count:
+    kind, k, _, fields = _kernel_args(flow)
+    generator, watched = fields[0], monitor
+    chart = require_same_chart(*fields, x0)
+    if kind == "dirac":
+        if k == 0 or not flow.constraints.even_count:
             raise UsageError("Dirac flow needs a non-empty, even constraint set")
         if monitor is not None:
             raise UsageError("Dirac flow already monitors its own constraints")
         watched = flow.constraints
         watched.require_on_surface(x0.coords, "initial point of a Dirac flow", DIRAC_SURFACE_TOL)
-        generator = flow.hamiltonian
-    else:
-        raise UsageError(f"unknown flow spec {flow!r}")
-
     if watched is not None:
         require_same_chart(watched, x0)
 
@@ -220,7 +214,7 @@ def evolve(x0: PhaseSpacePoint, flow: FlowSpec, cfg: IntegratorConfig,
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             # a grad that the loop calls, untraced, shows its entry count before the first step
-            for f in _kernel_args(flow)[3] if steps else ():
+            for f in fields if steps else ():
                 if f.grad is not None and f._trace is None:
                     f._entries(f.grad(z))
             while done < steps:

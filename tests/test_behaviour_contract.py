@@ -54,7 +54,7 @@ def test_a_repeated_run_writes_the_bytes_of_the_first(tmp_path, monkeypatch):
             if (scenario, fmt) in pins:
                 checked.append(scenario)
                 assert (hashlib.sha256(runs[1]).hexdigest(), len(runs[1])) == pins[scenario, fmt]
-    assert len(checked) == len(PINNED) and len(set(checked)) == 12
+    assert len(checked) == len(PINNED) and len(set(checked)) == 14
 
 
 @pytest.mark.parametrize("scenario, command, lines", [
@@ -69,11 +69,14 @@ def test_a_repeated_run_writes_the_bytes_of_the_first(tmp_path, monkeypatch):
     # kernel wrote -2.2e-16 there in 20 rows, where the unfused sum writes 0 exactly.
     # Header, 200 points of 6 pairs
     ("klauder_brackets", "brackets", 1 + 200 * 6),
+    # a ramped k's constraint set (one KRamp) through the same S^T M^-1 S. Header, 100
+    # points of 6 pairs
+    ("klauder_ramped_brackets", "brackets", 1 + 100 * 6),
     # four constraints take the float elimination of M, where numpy's LU moved 77 rows
     # under Nehalem. Header, 301 states, four drift rows
     ("custom_four_orbit", "evolve", 1 + 301 + 4),
 ], ids=["ramped_k_orbit", "custom_second_class_brackets", "klauder_brackets",
-        "custom_four_orbit"])
+        "klauder_ramped_brackets", "custom_four_orbit"])
 def test_dirac_orbit_bytes_do_not_depend_on_the_blas_kernel(tmp_path, scenario, command, lines):
     config = json.loads((SCENARIOS / f"{scenario}.json").read_text())
     if command == "evolve":

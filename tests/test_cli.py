@@ -819,6 +819,10 @@ def test_every_scenario_and_benchmark_input_has_only_blocks_its_command_reads():
     ("evolve", {"model": {"kind": "custom", "labels": ["q", "p"]}, "flow": {"kind": "poisson"},
                 "integrator": {"dt": 0.01, "steps": 1},
                 "initial": {"coords": [1.0, 0.0], "surface": {"p_phi": 1.0}}}, "initial/surface"),
+    # of two keys of other kinds, the first in schema order
+    ("evolve", {"model": {"kind": "custom", "labels": ["q", "p"], "mass": 1.0},
+                "flow": {"kind": "poisson"}, "integrator": {"dt": 0.01, "steps": 1},
+                "initial": {"surface": {"p_phi": 1.0}}}, "model/mass"),
 ])
 def test_key_of_another_model_kind_exits_2(tmp_path, capsys, command, payload, path):
     config = write_config(tmp_path / "cfg.json", payload)

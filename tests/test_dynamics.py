@@ -195,6 +195,20 @@ def test_a_constraint_through_a_lift_is_classified_and_evolved():
     assert_series_are_the_per_state_values(traj, OSCILLATOR, LIFTED_SET)
 
 
+@pytest.mark.parametrize("flow, monitor, message", [
+    (OSCILLATOR, None, "unknown flow spec"),
+    # an empty set on another chart: its count is refused first, as it has no field to clash
+    (DiracFlow(OSCILLATOR, ConstraintSet(FLAT, (), ())), None, "non-empty, even constraint set"),
+    (DiracFlow(OSCILLATOR, ConstraintSet(LIFTED, LIFTED_SET.fields[:1], ("A",))), None,
+     "non-empty, even constraint set"),
+    (DiracFlow(OSCILLATOR, LIFTED_SET), LIFTED_SET, "already monitors its own constraints"),
+    (PoissonFlow(polynomial_field(FLAT, [(1.0, (2, 0))])), None, "different charts"),
+], ids=["not_a_flow", "empty_set_on_another_chart", "odd_set", "dirac_monitor", "chart"])
+def test_evolve_refuses_a_flow_it_cannot_run(flow, monitor, message):
+    with pytest.raises(UsageError, match=message):
+        evolve(LIFTED_START, flow, IntegratorConfig(dt=1e-3, steps=1), monitor=monitor)
+
+
 @pytest.mark.parametrize("func", [lambda z: duals.sqrt(1 + z[2] * z[2] + z[3] * z[3]),
                                   lambda z: duals.exp(z[2]) + 0.5 * z[0] * z[0]],
                          ids=["sqrt", "exp"])

@@ -150,7 +150,8 @@ def main(argv=None):
         return 1
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    failures = 0
+    # a pinned artifact is named as its scenario, with .json or the shorter .csv
+    failures, width = 0, max(map(len, COMMANDS))
     for name, command in COMMANDS.items():
         config = scenario_dir / name
         argv = [sys.executable, "-m", "diracmech", command, "--config", str(config)]
@@ -167,7 +168,7 @@ def main(argv=None):
                            else f"json exit {result.returncode}")
             if json_status != "ok":
                 status = json_status if status == "ok" else f"{status}; {json_status}"
-        print(f"{command:10} {name:28} {status}")
+        print(f"{command:10} {name:{width}} {status}")
         for line in detail:
             print(f"{'':10} {line}")
         if status != "ok":
@@ -175,7 +176,7 @@ def main(argv=None):
             sys.stderr.write(result.stderr)
     if args.digests:
         for command, name, status in digest_statuses(scenario_dir, ROOT, env):
-            print(f"{command:10} {name:28} {status}")
+            print(f"{command:10} {name:{width}} {status}")
             failures += status != "ok"
     return 1 if failures else 0
 

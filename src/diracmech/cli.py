@@ -268,9 +268,10 @@ def build_model(config: dict, command: str):
     return _model(json.dumps(block, sort_keys=True))
 
 
-# models kept, least recently used dropped first: the 16 the scenarios build keep 0.19 MB, the
-# L=8 lattice's neighbour tables and symbol 0.11 MB of it; a benchmark workload builds <= 4
-_MODELS_KEPT = 16
+# models kept, least recently used dropped first: the 16 the scenarios build keep 0.18 MB with
+# their traces (tracemalloc), the L=8 lattice's neighbour tables and symbol 0.11 MB of it, so
+# twice that many leave room for new scenarios; a benchmark workload builds <= 4
+_MODELS_KEPT = 32
 
 
 @functools.lru_cache(maxsize=_MODELS_KEPT)
@@ -331,12 +332,14 @@ _QUOTED = frozenset(',"\r\n')
 def _cells(column: np.ndarray) -> list[str]:
     """A field's CSV cells, each distinct cell formatted once and shared by its rows: a float64
     field keyed on its int64 bits by np.unique (0.0 and -0.0, and each NaN, keep their own
-    text), written %.17g and gathered back through an object array; any other field keyed on
-    its strings, each put in double quotes (its own doubled) when it holds a comma, a double
-    quote, CR or LF."""
+    text), written %.17g by one format call (no such text holds a newline, so one per value
+    splits off) and gathered back through an object array; any other field keyed on its
+    strings, each put in double quotes (its own doubled) when it holds a comma, a double quote,
+    CR or LF."""
     if column.dtype == np.float64:
         distinct, where = np.unique(column.view(np.int64), return_inverse=True)
-        texts = list(map("%.17g".__mod__, distinct.view(np.float64).tolist()))
+        values = tuple(distinct.view(np.float64).tolist())
+        texts = ("%.17g\n" * len(values) % values).split("\n")[:-1]
         return np.array(texts, dtype=object)[where].tolist()
     cells = column.tolist()
     texts = {text: text if _QUOTED.isdisjoint(text) else '"' + text.replace('"', '""') + '"'
@@ -524,7 +527,8 @@ def cmd_quantum(model, config: dict, args) -> int:
             evolved = state
             table_t = static_table
             phi_t = t
-        reduced = expect_reduced(evolved, table_t)
+        if ramped or not row:  # a static model's reduced expectations are those of row 0
+            reduced = expect_reduced(evolved, table_t)
         with _sized_by("quantum/m_max"):
             phi_mean = expect_phi(evolved, table_t, phi_t)
             if grid is None:

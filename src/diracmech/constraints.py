@@ -27,7 +27,7 @@ import numpy as np
 
 from .brackets import poisson_bracket
 from .errors import DegeneracyError, DiracMechError, NumericDomainError, UsageError
-from .fields import ScalarField, pullback_field
+from .fields import ScalarField, _joint_trace, pullback_field
 from .kernels import _generated
 from .phase import ChartSpec, PhaseSpacePoint, require_point, require_same_chart
 
@@ -93,6 +93,14 @@ class ConstraintSet:
         """D(z) at a point's floats or a batch's columns, generated once per set."""
         return _generated("tensor", self.chart.n_pairs, len(self.fields))(
             tuple(f._gradient for f in self.fields), _column_multipliers)
+
+    def _traced_with(self, h: ScalarField) -> Optional[tuple]:
+        """``_joint_trace`` of h's gradient route and the set's, kept for the last h traced with
+        the set: a kept model's Dirac flow traces once."""
+        kept = self.__dict__.get("_joint", (None,))
+        if kept[0] is not h:
+            kept = self.__dict__["_joint"] = h, _joint_trace((h, *self.fields))
+        return kept[1]
 
     def gradient_rows(self, coords: list) -> list:
         """One gradient row per constraint at a point's Python floats or a batch's columns

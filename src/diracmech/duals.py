@@ -6,14 +6,15 @@ coordinates of a point with unit tangents therefore yields the exact gradient of
 expression composed from the operations below, at the cost of one evaluation (sparse forward
 mode, Griewank & Walther, *Evaluating Derivatives*, ch. 7).
 
-``trace`` records a gradient route once as straight-line float code, run on values that name
+``trace`` records gradient routes once as straight-line float code, run on values that name
 their floats (source transformation, ibid., ch. 6): the dual pass, recorded as it runs, or a
-registered grad's own operations.
+registered grad's own operations, a flow's routes on one tape that records each operation once.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from collections import Counter
 
 import numpy as np
@@ -148,7 +149,7 @@ LIFTS = {}  # each math function a trace calls -> its lift, which also takes a b
 
 def _apply(fn, x):
     """fn(x) on a float; on a traced value, the call recorded with fn handed in."""
-    return x.emit("{}({})", _Traced(x.tape, (fn,)), x) if x.__class__ is _Traced else fn(x)
+    return x.emit("{}({})", _constant(x.tape, fn), x) if x.__class__ is _Traced else fn(x)
 
 
 def _lift(fn, tangent):
@@ -220,8 +221,12 @@ class _Traced:
         return self.emit("-{}", self)
 
     def __pow__(self, n):  # an int exponent only: Dual's float one leaves a dual pass untraced
-        return (self.emit("{} ** {}", self, _Traced(self.tape, (float(n),)))
+        return (self.emit("{} ** {}", self, _constant(self.tape, float(n)))
                 if n.__class__ is int else NotImplemented)
+
+
+def _constant(tape, v):  # the tape's constant v: one per float's bits (-0.0 isn't 0.0) or fn
+    return tape.setdefault(v if callable(v) else struct.pack("d", v), _Traced(tape, (v,)))
 
 
 def _recorded(template, reflected=False):
@@ -231,7 +236,7 @@ def _recorded(template, reflected=False):
         if other.__class__ is not _Traced:
             if not isinstance(other, (int, float)):
                 return NotImplemented
-            other = _Traced(self.tape, (float(other),))
+            other = _constant(self.tape, float(other))
         a, b = (other, self) if reflected else (self, other)
         if fold and (1.0,) in (a.value, b.value):
             return b if a.value == (1.0,) else a
@@ -257,29 +262,39 @@ class _Tangent(dict):
     __truediv__ = lambda a, s: _Tangent({j: v / s for j, v in a.items()})
 
 
-def trace(grad, dim):
-    """``grad``'s float operations at dim coordinates as ((lines, outputs, count), constants),
-    grad run once on values that name their floats: lines "t3 = t1 * c2" over the inputs x0..
-    and the count constants c0.. (each float of the run and each lift's math function), those
-    the outputs need and every division, power and call (which may raise), a temporary read
-    once written into its reader; outputs per entry. None where grad raises while traced (it
-    compares, tests or converts a value, or calls what is not recorded), or returns anything
-    but a list of floats or traced values (the caller holds its length to dim). A dual pass,
-    ``partial(gradient, func)``, is recorded as it runs on its sparse tangents, so the code
-    gives the pass's bits."""
-    tape = {}
+def trace(routes, dim):
+    """The float operations of the gradient ``routes`` at dim coordinates as ((lines, outputs,
+    count), constants), each route run once, on one tape, on values that name their floats:
+    lines "t3 = t1 * c2" over the inputs x0.. and the count constants c0.. (each bit pattern of
+    a float and each lift's math function), those the outputs need and every division, power
+    and call (which may raise), each once however many routes run it, a temporary read once
+    written into its reader; outputs a tuple of entries per route, one name for an entry two
+    routes share. A route that raises while traced (it compares, tests or converts a value, or
+    calls what is not recorded), or returns anything but a list of floats or traced values,
+    leaves the tape as it was and has outputs None; None where every route does (the caller
+    holds each length to dim). A dual pass, ``partial(gradient, func)``, is recorded as it runs
+    on its sparse tangents, so the code gives the pass's bits."""
+    tape, entries = {}, []
     seeds = [_Traced(tape) for _ in range(dim)]
-    try:
-        outputs = grad(list(seeds))
-    except Exception:
+    for grad in routes:
+        start = len(tape)
+        try:
+            outputs = grad(list(seeds))
+        except Exception:
+            outputs = None
+        if outputs.__class__ is list and not {v.__class__ for v in outputs} - {float, _Traced}:
+            entries.append([v if v.__class__ is _Traced else _constant(tape, v) for v in outputs])
+        else:  # refused: its operations are no other route's
+            entries.append(None)
+            for key in list(tape)[start:]:
+                del tape[key]
+    if not any(entries):
         return None
-    if not (outputs.__class__ is list
-            and all(v.__class__ is float or v.__class__ is _Traced for v in outputs)):
-        return None
-    outputs = [v if v.__class__ is _Traced else _Traced(tape, (v,)) for v in outputs]
+    ops = [(op, t) for op, t in tape.items() if op.__class__ is tuple]  # not the constants
+    outputs = [v for e in entries if e for v in e]
     # every division, call and power may raise, so is kept
-    live = {*outputs, *(t for (op, _), t in tape.items() if "/" in op or "(" in op or "**" in op)}
-    kept = [(t, op) for op, t in reversed(tape.items()) if t in live and not live.update(op[1])]
+    live = {*outputs, *(t for (op, _), t in ops if "/" in op or "(" in op or "**" in op)}
+    kept = [(t, op) for op, t in reversed(ops) if t in live and not live.update(op[1])]
     kept.reverse()
     names = {**{x: f"x{j}" for j, x in enumerate(seeds)},
              **{t: f"t{i}" for i, (t, _) in enumerate(kept)}}
@@ -298,4 +313,5 @@ def trace(grad, dim):
             names[t] = f"({text})"
         else:
             lines.append(f"{names[t]} = {text}")
-    return (tuple(lines), tuple(map(name, outputs)), len(constants)), tuple(constants)
+    outputs = tuple(None if e is None else tuple(map(name, e)) for e in entries)
+    return (tuple(lines), outputs, len(constants)), tuple(constants)

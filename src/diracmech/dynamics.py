@@ -8,8 +8,8 @@ never corrected: the Dirac flow is tangent to the surface by construction.
 ``evolve`` steps on a list of Python floats, in one generated kernel per flow: ``kernels``
 writes the flow's right-hand side into each of the four RK4 stages of a loop over steps,
 which tests every new state against the blow-up bound and collects it, with no numpy call.
-``evolve`` binds that loop once per run to the flow's gradients, each traced one written in
-and handed its constants (and a gauge flow's multiplier coefficients), calls it
+``evolve`` binds that loop once per run to the flow's gradient routes, their joint trace
+written in and handed its constants (and a gauge flow's multiplier coefficients), calls it
 once per block of ``RUN_BLOCK`` steps, and writes each block into the preallocated trajectory
 arrays in one assignment. The lattice Maxwell flow does not come here:
 ``LatticeMaxwell.evolve`` applies the same RK4 map per Fourier mode in closed form, and
@@ -139,25 +139,30 @@ def _kernel_args(flow: FlowSpec) -> tuple[str, int, tuple, tuple]:
     multiplier's coefficients, a Dirac flow's its constraints. The one flow-kind dispatch of
     ``evolve``."""
     if isinstance(flow, PoissonFlow):
-        return "poisson", 0, (flow.hamiltonian._gradient,), (flow.hamiltonian,)
+        return "poisson", 0, (flow.hamiltonian._call,), (flow.hamiltonian,)
     if isinstance(flow, GaugeFlow):
         m = flow.multiplier
-        return "gauge", len(m), (flow.generator._gradient, m), (flow.generator,)
+        return "gauge", len(m), (flow.generator._call, m), (flow.generator,)
     if not isinstance(flow, DiracFlow):
         raise UsageError(f"unknown flow spec {flow!r}")
     cs = flow.constraints
-    args = (flow.hamiltonian._gradient, [f._gradient for f in cs.fields], cs.rates,
+    args = (flow.hamiltonian._call, [f._call for f in cs.fields], cs.rates,
             _pairing_multipliers, DEGENERACY_RTOL)
     return "dirac", len(cs), args, (flow.hamiltonian, *cs.fields)
 
 
+def _traced(flow: FlowSpec, fields: tuple) -> Optional[tuple]:
+    """The flow's gradient routes traced together: a one-gradient flow's field's own trace, a
+    Dirac flow's kept by its constraint set."""
+    return fields[0]._trace if len(fields) == 1 else flow.constraints._traced_with(fields[0])
+
+
 def _loop(flow: FlowSpec) -> Callable:
-    """The flow's RK4 loop ``run``, bound by ``_kernel_args``: each traced gradient written
-    into its four stages and handed its constants, every other gradient called."""
+    """The flow's RK4 loop ``run``, bound by ``_kernel_args``: the routes' joint trace written
+    into its four stages and handed its constants, every route it refuses called."""
     kind, k, args, fields = _kernel_args(flow)
-    traces = [f._trace for f in fields]
-    return _generated(kind + "_run", flow.chart.n_pairs, k, tuple(t and t[0] for t in traces))(
-        *args, tuple(t[1] if t else () for t in traces))
+    shape, constants = _traced(flow, fields) or (None, ())
+    return _generated(kind + "_run", flow.chart.n_pairs, k, shape)(*args, constants)
 
 
 def _blew_up(t: float) -> NumericDomainError:
@@ -214,8 +219,9 @@ def evolve(x0: PhaseSpacePoint, flow: FlowSpec, cfg: IntegratorConfig,
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             # a grad that the loop calls, untraced, shows its entry count before the first step
-            for f in fields if steps else ():
-                if f.grad is not None and f._trace is None:
+            shape = (_traced(flow, fields) or [(None, [None] * len(fields))])[0]
+            for f, entries in zip(fields, shape[1]) if steps else ():
+                if f.grad is not None and entries is None:
                     f._entries(f.grad(z))
             while done < steps:
                 rows, stop = [], min(done + RUN_BLOCK, steps)

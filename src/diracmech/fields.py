@@ -96,10 +96,8 @@ class ScalarField:
 
     @cached_property
     def _trace(self) -> Optional[tuple]:
-        """The gradient's float code, once per field: ``duals.trace`` of the registered grad,
-        else of func's dual pass; None where it refuses. A wrong entry count raises here."""
-        traced = duals.trace(self.grad or partial(duals.gradient, self.func), self.chart.dim)
-        return traced and self._entries(traced[0][1]) and traced
+        """The gradient's float code, once per field: ``_joint_trace`` of this field alone."""
+        return _joint_trace((self,))
 
     @cached_property
     def _gradient(self) -> Callable:
@@ -110,7 +108,12 @@ class ScalarField:
             return self.grad or dual
         # the lifts in place of their math functions read a batch's columns entry by entry
         shape, lifted = self._trace[0], tuple(duals.LIFTS.get(c, c) for c in self._trace[1])
-        return _generated("gradient", self.chart.n_pairs, 0, (shape,))(dual, (lifted,))
+        return _generated("gradient", self.chart.n_pairs, 0, shape)(dual, lifted)
+
+    def _call(self, z):
+        """``_gradient`` at z, resolved at the first call: a loop that writes this gradient in
+        calls it only on an error, and only then is the field traced alone."""
+        return self._gradient(z)
 
     def _entries(self, g):
         """The gradient ``g``, or a usage error unless it has one entry per coordinate."""
@@ -136,6 +139,17 @@ class ScalarField:
 
     def __repr__(self):
         return f"ScalarField({self.name!r} on {self.chart.name!r})"
+
+
+def _joint_trace(fields: Sequence[ScalarField]) -> Optional[tuple]:
+    """``duals.trace`` of the fields' gradient routes together (each grad, else its func's dual
+    pass), on their common chart; a traced route's wrong entry count raises here."""
+    out = duals.trace([f.grad or partial(duals.gradient, f.func) for f in fields],
+                      fields[0].chart.dim)
+    for f, entries in zip(fields, out[0][1] if out else ()):
+        if entries is not None:
+            f._entries(entries)
+    return out
 
 
 def coordinate_field(chart: ChartSpec, label: str) -> ScalarField:

@@ -4,14 +4,15 @@ pairing matrix and the Dirac tensor. This module imports nothing from the packag
 kernel is compiled in a namespace of its own: it reads the builtins and what it is handed.
 
 For each kind, chart size n, constraint count k (a gauge multiplier's coefficient count) and
-the structure of each traced gradient (its constants are handed in, so they key nothing), the
-source is written out over the 2n coordinates, compiled at the first call that needs it, and
-kept among the ``_KERNELS_KEPT`` most recently used. A flow's RK4 loop holds its right-hand
-side's body four times, once per stage, with each traced gradient's lines written in (a dual
-pass's, or a grad's own): an arithmetic or math error there reruns every gradient route at
-that point, the dual pass, which raises its own error, or the grad, which gives its values (a
-polynomial's signed inf for an overflowing power). A stage calls only a gradient the tracer
-refuses, and stage 3 reads stage 2's gauge multiplier. While n (k + 2)^2 <= 128 (up to 64
+the structure of the flow's joint trace (its constants, one per bit pattern, are handed in),
+the source is written out over the 2n coordinates, compiled at the first call that needs it,
+and kept among the ``_KERNELS_KEPT`` most recently used. A flow's RK4 loop holds its
+right-hand side's body four times, once per stage, with the trace of its gradient routes
+written in (a dual pass's, or a grad's own) and each Dirac sum whose products read an earlier
+sum's traced values taken from it: an error there calls every route and takes every sum, the
+dual pass raising its own error and a grad giving its values (a polynomial's signed inf for
+an overflowing power). A stage calls only a route the tracer refuses, and stage 3 reads stage
+2's gauge multiplier. While n (k + 2)^2 <= 128 (up to 64
 coordinates for the Poisson and gauge flows, up to 16 for two constraints) every list entry
 and sum term is spelled out, which spares a step on a few coordinates the zips, slices and
 loop counters that cost more than its arithmetic; past that, each list is one comprehension
@@ -21,7 +22,8 @@ and each sum one loop. Both forms keep the order of every sum, so they give the 
 from __future__ import annotations
 
 import re
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import Optional
 
 # A generated function for n pairs and k constraints (k = 0 for the Poisson and gauge kinds)
 # is spelled out while n (k + 2)^2 <= _UNROLL_TERMS: a bound on the n (k^2 + 4k) product
@@ -30,13 +32,13 @@ from functools import lru_cache
 # 2-core x86-64 host), and past n = 2048 a sum's chain of additions is too deep for the
 # compiler (RecursionError).
 _UNROLL_TERMS = 128
-# compiled kernels kept, least recently used dropped first: a ``verify all`` pass builds 21
-# (the lattice stencil's loop with its grad written in, in place of the one that called it),
-# an evolve or brackets run at most 9, and each polynomial structure evolved one more
+# compiled kernels kept, least recently used dropped first: a ``verify all`` pass builds 19
+# (a loop calls a traced gradient's route only on an error, which compiles its own kernel
+# then), an evolve or brackets run at most 9, and each polynomial structure evolved one more
 _KERNELS_KEPT = 64
 
 
-def _source(kind: str, n: int, k: int = 0, traces: tuple = ()) -> str:
+def _source(kind: str, n: int, k: int = 0, trace: Optional[tuple] = None) -> str:
     """Python source of the function ``kind`` for a chart of n pairs.
 
     ``pairing(rows)`` returns M for k gradient rows, and the factories ``poisson(gradient)``,
@@ -55,10 +57,10 @@ def _source(kind: str, n: int, k: int = 0, traces: tuple = ()) -> str:
     sum runs from +0.0 in index order (an entry of D from its first product) and each list in
     coordinate order, unrolled or in a loop, so both forms give the same bits.
 
-    With ``traces``, one ``duals.trace`` structure per gradient (H's first; None for a call),
-    each is written in, its constants read from the factory's ``consts``, a tuple per
-    gradient; ``gradient(gradient, consts)`` returns one traced gradient ``traced(z)``, whose
-    route ``gradient`` is the dual pass.
+    With ``trace``, the ``duals.trace`` structure of the kind's gradient routes together (H's
+    first; a route's entries None where it is called), its lines and entries are written in,
+    its constants read from the factory's ``consts``; ``gradient(gradient, consts)`` returns
+    one traced gradient ``traced(z)``, whose route ``gradient`` is the dual pass.
     """
     flow, dim = kind.removesuffix("_run"), 2 * n
     unrolled = n * ((0 if flow == "gauge" else k) + 2) ** 2 <= _UNROLL_TERMS
@@ -134,29 +136,41 @@ def _source(kind: str, n: int, k: int = 0, traces: tuple = ()) -> str:
     one = flow in ("gradient", "poisson", "gauge")  # one gradient, else H's and each Phi_I's
     roles = ("g",) if one else ("gh", *(f"r{i}" for i in cs))
     routes = ("gradient",) if one else ("grad_h", *(f"grad_{i}" for i in cs))
-    traces = tuple(traces) or (None,) * len(roles)
+    entries = trace[1] if trace else (None,) * len(roles)  # each role's traced entries, or None
+    called = None in entries  # a route called at every stage
+    # the q and p halves of each role's entries: their traced values, or the role's own
+    halves = {(role, h): (None, role, h) if e is None else e[n:] if h == "p" else e[:n]
+              for role, e in zip(roles, entries) for h in "qp"}
 
     def point(z):  # the stage point z as a list: unrolled, y is one where a gradient is called
-        return listed(z) if unrolled and z != "z" and None not in traces else z
+        return listed(z) if unrolled and z != "z" and not called else z
 
-    def gradients(z):  # each gradient at z: a traced one written in, its route on an error
+    def gradients(z, terms={}):
+        """Each gradient at z, a traced one written in, then the sums of ``terms`` over them:
+        a sum whose every product reads the traced values of an earlier one's is that sum
+        where the written code runs, and where it raises (every route called) a sum of its own."""
         calls = [read(role, f"{route}({point(z)})") for role, route in zip(roles, routes)]
-        if not any(traces):
-            return calls
-        written = []
-        for role, call, trace in zip(roles, calls, traces):
-            if trace is None:
-                written.append(call)
-                continue
-            # the trace's inputs x0.. read z's entries, and its t0.. and c0.. become the role's
-            name = (lambda m, role=role: (f"{z}_{m[2]}" if unrolled else f"{z}[{m[2]}]")
-                    if m[1] == "x" else role + m[0])
-            lines, outputs = ([re.sub(r"\b([xtc])(\d+)\b", name, v) for v in part]
-                              for part in trace[:2])
-            written += lines + ([f"{role}_{j} = {o}" for j, o in enumerate(outputs)] if unrolled
-                                else [f"{role} = [{', '.join(outputs)}]"])
+        if not trace:
+            return calls + sums(terms)
+        # the trace's inputs x0.. read z's entries, and its t0.. and c0.. are g-prefixed
+        sub = partial(re.sub, r"\b([xtc])(\d+)\b", lambda m: "g" + m[0] if m[1] != "x"
+                      else f"{z}_{m[2]}" if unrolled else f"{z}[{m[2]}]")
+        written, alike = list(map(sub, trace[0])), {}
+        for role, call, outputs in zip(roles, calls, entries):
+            written += [call] if outputs is None else (
+                [f"{role}_{j} = {sub(o)}" for j, o in enumerate(outputs)] if unrolled
+                else [f"{role} = [{', '.join(map(sub, outputs))}]"])
+        for total, term in terms.items():  # the sums by the traced values of their factors
+            alike.setdefault(tuple(map(halves.get, re.findall(r"(\w+)\{([qp])\}", term))),
+                             []).append(total)
+        shared = [names for names in alike.values() if len(names) > 1]
+        both = {t: terms[t] for names in shared for t in names}  # taken in either branch
+        written += sums({names[0]: terms[names[0]] for names in shared})
         return ["try:", *(f"    {line}" for line in written),
-                "except (ArithmeticError, ValueError):", *(f"    {line}" for line in calls)]
+                *(f"    {t} = {names[0]}" for names in shared for t in names[1:]),
+                "except (ArithmeticError, ValueError):",
+                *(f"    {line}" for line in calls + sums(both)),
+                *sums({t: term for t, term in terms.items() if t not in both})]
 
     if flow in ("gradient", "poisson"):
         params, setup = "gradient", []
@@ -190,12 +204,11 @@ def _source(kind: str, n: int, k: int = 0, traces: tuple = ()) -> str:
                            "if a0_0 - a0_0 == 0.0 and a1_1 - a1_1 == 0.0 and rtol < det < inf:",
                            "    l0 = -(b1 - c1 + rate_1) / d", "    l1 = (b0 - c0 + rate_0) / d",
                            "else:", *(f"    {line}" for line in guarded)]
-            return [*gradients(z), *sums(terms), *guarded,
+            return [*gradients(z, terms), *guarded,
                     *assign(out, (f"gh{{p}} - ({lam['p']})", n),
                             (f"-(gh{{q}} - ({lam['q']}))", n))]
-    params += ", consts=()"  # a traced gradient's constants, one tuple per gradient
-    setup += ["(" + "".join(f"{role}c{j}, " for j in range(trace[2])) + f") = consts[{i}]"
-              for i, (role, trace) in enumerate(zip(roles, traces)) if trace]
+    params += ", consts=()"  # the trace's constants
+    setup += ["(" + "".join(f"gc{j}, " for j in range(trace[2])) + ") = consts"] if trace else []
     if kind == "gradient":  # one traced gradient, its route the dual pass
         inner, args, body = "traced", "z", [*([read("z", "z")] if unrolled else []),
                                             *gradients("z"), f"return {listed('g')}"]
@@ -207,7 +220,7 @@ def _source(kind: str, n: int, k: int = 0, traces: tuple = ()) -> str:
         # (step, t, t_half, t_next, y, k1-k4, half, sixth) are none that a stage sets
         def then(step):  # the next stage point y = z + step, and its list for a call
             return [*assign("y", ("z{q} + " + step + "{q}", dim)),
-                    *([f"y = {listed('y')}"] if unrolled and None in traces else [])]
+                    *([f"y = {listed('y')}"] if unrolled and called else [])]
 
         bounded = (" and ".join(f"abs(z_{j}) <= limit" for j in range(dim)) if unrolled
                    else "all(abs(v) <= limit for v in z)")
@@ -227,10 +240,10 @@ def _source(kind: str, n: int, k: int = 0, traces: tuple = ()) -> str:
 
 
 @lru_cache(maxsize=_KERNELS_KEPT)
-def _generated(kind: str, n: int, k: int = 0, traces: tuple = ()):
+def _generated(kind: str, n: int, k: int = 0, trace: Optional[tuple] = None):
     """The function ``kind`` of ``_source`` for n pairs (and k constraints), compiled at its
     first use and shared while kept: it holds no state, so concurrent callers call it freely."""
     namespace = {}  # its globals: builtins and what the source defines, no module name
-    exec(compile(_source(kind, n, k, traces), f"<diracmech.kernels {kind} n={n} k={k}>", "exec"),
+    exec(compile(_source(kind, n, k, trace), f"<diracmech.kernels {kind} n={n} k={k}>", "exec"),
          namespace)
     return namespace[kind]

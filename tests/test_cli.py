@@ -19,7 +19,7 @@ from diracmech.circle import (CircleState, SpectrumTable, evolve_time_dependent,
 from diracmech import cli
 from diracmech.cli import COMMANDS, SCENARIO_SCHEMA, build_model, main
 from diracmech.constraints import dirac_bracket
-from diracmech.errors import ConfigError
+from diracmech.errors import ConfigError, UsageError
 from diracmech.fields import coordinate_field
 from diracmech.phase import PhaseSpacePoint
 from diracmech.models import KlauderModel, KRamp, RadialPotential
@@ -540,6 +540,22 @@ UNREAD_KEY_CASES = [
     ("quantum", {"model": {"kind": "klauder"},
                  "quantum": {**SINGLE_MODE_SWEEP, "times": [0.0, 10 ** 400]}},
      2, "invalid config at quantum/times/1: number is beyond the float range"),
+    # a usage error inside a size-checked block is its own, not a size error
+    ("quantum", {"model": {"kind": "klauder"}, "quantum": {**SINGLE_MODE_SWEEP, "single_mode": 9,
+                                                           "m_max": 4}},
+     2, "mode 9 outside window m_max=4"),
+    # a custom or particle orbit with no starting point, and a term of the wrong length
+    ("evolve", {"model": {"kind": "custom", "labels": ["q", "p"]},
+                "flow": {"kind": "poisson", "hamiltonian": [{"coeff": 0.5, "powers": [0, 2]}]},
+                "integrator": SHORT_RUN},
+     2, "scenario needs an 'initial' block matching the model"),
+    ("evolve", {"model": {"kind": "particle"}, "flow": {"kind": "poisson"},
+                "integrator": SHORT_RUN, "initial": {"x": [1.0, 0.0, 0.0]}},
+     2, "scenario needs an 'initial' block matching the model"),
+    ("evolve", {"model": {"kind": "custom", "labels": ["q", "p"]},
+                "flow": {"kind": "poisson", "hamiltonian": [{"coeff": 0.5, "powers": [0, 0, 2]}]},
+                "integrator": SHORT_RUN, "initial": {"coords": [1.0, 0.0]}},
+     2, "term exponents need length 2, got 3"),
 ])
 def test_extreme_valid_config_ends_in_one_error_line(tmp_path, capsys, command, payload, code,
                                                      message):
@@ -1153,6 +1169,24 @@ def test_verify_parser_lists_the_suites_of_the_verify_module(capsys):
     err = capsys.readouterr().err
     assert "argument suite: invalid choice: 'bogus'" in err
     assert all(repr(suite) in err for suite in available_suites())
+
+
+def test_an_unknown_suite_is_a_usage_error_of_run_suite():
+    # the parser's choices keep it from the CLI; a library caller meets the check itself
+    message = f"unknown suite 'bogus'; choose from {available_suites()}"
+    with pytest.raises(UsageError) as err:
+        verify.run_suite("bogus")
+    assert str(err.value) == message
+
+
+def test_the_cli_module_runs_as_a_script():
+    # ``python -m diracmech.cli`` reaches main: with no subcommand it exits 2 with the
+    # parser's usage error, not 0 with no output
+    done = subprocess.run([sys.executable, "-m", "diracmech.cli"], env=child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.splitlines()[-1] == (
+        "diracmech: error: the following arguments are required: command")
 
 
 def test_cli_import_loads_neither_verify_nor_circle():

@@ -1062,3 +1062,14 @@ def test_constraint_names_must_be_distinct():
     with pytest.raises(UsageError, match="^constraint names must be distinct$"):
         ConstraintSet(FLAT, fields, ("C", "C"))
     assert ConstraintSet(FLAT, fields, ("C", "C\x00")).names == ("C", "C\x00")
+
+
+def test_a_set_and_its_classification_refuse_malformed_input():
+    q1, p1 = coordinate_field(FLAT, "q1"), coordinate_field(FLAT, "p1")
+    with pytest.raises(UsageError, match=r"^one time ramp \(or None\) per constraint field$"):
+        ConstraintSet(FLAT, (q1, p1), ("q1", "p1"), time_ramps=(None,))
+    cs = ConstraintSet(FLAT, (q1, p1), ("q1", "p1"))
+    with pytest.raises(UsageError, match="^classification tolerance must be positive$"):
+        classify(cs, [FLAT.point([0.0, 1.0, 0.0, 2.0])], 0.0)
+    with pytest.raises(UsageError, match="^classification needs at least one sample$"):
+        classify(cs, [], 1e-8)

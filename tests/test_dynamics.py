@@ -9,15 +9,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diracmech import cli, duals, kernels
 from diracmech.constraints import (DEGENERACY_RTOL, ConstraintSet, _pairing_multipliers,
                                    classify, dirac_bracket, dirac_tensor, pairing_matrix_of_rows)
 from diracmech.dynamics import (BLOWUP_LIMIT, RUN_BLOCK, DiracFlow, GaugeFlow,
-                                IntegratorConfig, PoissonFlow, _generated, _kernel_args,
-                                constraint_drift, evolve, gauge_orbit_closed_form)
+                                IntegratorConfig, PoissonFlow, Trajectory, _generated,
+                                _kernel_args, _loop, _traced, constraint_drift, evolve,
+                                gauge_orbit_closed_form)
 from diracmech.errors import DegeneracyError, NumericDomainError, UsageError
 from diracmech.fields import ScalarField, coordinate_field, polynomial_field
 from diracmech.models import (KlauderModel, KRamp, LatticeMaxwell, RadialPotential,
@@ -29,11 +30,15 @@ from test_batch import outcome
 from test_constraints import (CUSTOM_FOUR, reference_degeneracy_scale, reference_elimination,
                               reference_gradient_rows)
 
-def standalone_rhs(flow, n):
-    """The flow's generated rhs(t, z) on n pairs, from the arguments ``evolve`` binds its RK4
-    loop with: the oracle of each stage of that loop."""
-    kind, k, args, _ = _kernel_args(flow)
-    return _generated(kind, n, k)(*args)
+def stage_points(kind, n, k, args, z, dt, start=0):
+    """The point that each stage of step ``start`` of the untraced ``kind`` loop on n pairs,
+    bound by ``args``, hands its first gradient route, from the state list z: z, then
+    z + (dt / 2) k1, z + (dt / 2) k2 and z + dt k3. From z = -0.0 with dt = 2.0 the second is
+    k1, signed zeros included. A stage's error propagates."""
+    seen, route = [], args[0]
+    run = _generated(kind, n, k)(lambda y: seen.append(list(y)) or route(y), *args[1:])
+    run(z, dt, start, start + 1, math.inf, [])
+    return seen
 
 
 FLAT = ChartSpec(labels=("q1", "p1"), name="flat1d")
@@ -100,22 +105,45 @@ POLY_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -1e308, 1e308, math.inf]) | st
     allow_nan=False)
 
 
+class RecordingEntry:
+    """A gradient entry that records each product the loop takes of it, as a float times it."""
+
+    def __init__(self, value, products):
+        self.value, self.products = value, products
+
+    def __neg__(self):
+        return RecordingEntry(-self.value, self.products)
+
+    def __rmul__(self, lam):
+        assert type(lam) is float, lam
+        self.products.append(lam * self.value)
+        return self.products[-1]
+
+
 @given(st.lists(POLY_FLOATS, min_size=1, max_size=6),
        st.sampled_from([0.0, -0.0, 1e-300, -2.5, 1e200]) | st.floats(-1e3, 1e3))
+@example([1e300], 1e200)  # lam g is finite, (dt / 2) lam g is not
+@example([1e-300], 1e-300)  # lam g is normal, (dt / 2) lam g is 0.0
 @settings(max_examples=300, deadline=None)
 def test_polynomial_multiplier_gives_the_bits_of_numpys_polynomial(coeffs, t):
-    # the generated rhs runs Horner on Python floats: float(Polynomial(c)(t)) times the
-    # gradient's entries
+    # the gauge loop runs Horner on Python floats at the stage time step * dt, which is t
+    # itself (1 * t; t = 0 is 0 * 1.0 = +0.0, where numpy's domain map 0.0 + t takes -0.0 too),
+    # and its first stage takes float(Polynomial(c)(t)) times the gradient's entries: entries
+    # that record their products read k1 unscaled, and stage 2 starts from -0.0 + (dt / 2) k1
     model = KlauderModel(alpha=1.0, k=0.0)
-    rhs = standalone_rhs(GaugeFlow(model.cartesian_generator, coeffs), 2)
-    z = [0.8, -0.3, 0.8, 0.3]
-    g = model.cartesian_generator._gradient(z)
+    g = model.cartesian_generator._gradient([0.8, -0.3, 0.8, 0.3])
+    products = []
+    entries = [RecordingEntry(v, products) for v in g]
+    start, dt = (1, t) if t else (0, 1.0)
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore")
         lam = float(np.polynomial.Polynomial(coeffs)(t))
-        expected = [lam * g[2], lam * g[3], lam * -g[0], lam * -g[1]]
-        got = rhs(t, z)
-    assert np.array(got).tobytes() == np.array(expected).tobytes()
+    expected = [lam * g[2], lam * g[3], lam * -g[0], lam * -g[1]]
+    points = stage_points("gauge", 2, len(coeffs), (lambda z: entries, tuple(coeffs)),
+                          [-0.0] * 4, dt, start)
+    assert np.array(products[:4]).tobytes() == np.array(expected).tobytes()
+    assert np.array(points[1]).tobytes() == np.array(
+        [-0.0 + (0.5 * dt) * v for v in expected]).tobytes()
 
 
 def test_gauge_residual_scales_as_fourth_order():
@@ -347,28 +375,23 @@ def test_partial_trajectory_values_equal_the_per_state_values():
 
 
 def test_dirac_vector_field_is_the_dirac_bracket(rng):
-    # dz_i/dt = {z_i, H}_D: the flow and the bracket share one pairing solve
+    # dz_i/dt = {z_i, H}_D: the flow and the bracket share one pairing solve; the loop's
+    # first stage k1 at z is read from the point z + k1 (dt = 2.0) that it hands stage 2
     model = KlauderModel(alpha=1.3, k=0.7, potential=RadialPotential((0.0, 0.4, 0.1)))
     chart, cs, h = model.polar_chart, model.constraint_set, model.hamiltonian()
-    rhs = standalone_rhs(DiracFlow(h, cs), chart.n_pairs)
+    kind, k, args, _ = _kernel_args(DiracFlow(h, cs))
     coords = [coordinate_field(chart, label) for label in chart.labels]
     for x in model.sample_surface(rng, 20):
-        expected = [dirac_bracket(z, h, cs, x) for z in coords]
-        assert np.max(np.abs(float_rhs(rhs, 0.0, x.coords) - expected)) < 1e-12
+        z = x.coords.tolist()
+        k1 = np.subtract(stage_points(kind, chart.n_pairs, k, args, z, 2.0)[1], z)
+        expected = [dirac_bracket(c, h, cs, x) for c in coords]
+        assert np.max(np.abs(k1 - expected)) < 1e-12
     # near the excluded origin with p_r = p_phi = 0, det M = alpha^4 r^4 is below the guard
     x = chart.point([1e-4, 0.3, 0.0, 0.0])
     with pytest.raises(DegeneracyError, match="not Second Class"):
-        rhs(0.0, x.coords.tolist())
+        stage_points(kind, chart.n_pairs, k, args, x.coords.tolist(), 2.0)
     with pytest.raises(DegeneracyError, match="not Second Class"):
         dirac_bracket(coords[1], h, cs, x)
-
-
-def float_rhs(rhs, t, z):
-    """A chart flow's right-hand side at the float list of the array ``z``, checked to
-    return a list of Python floats, as an array."""
-    k = rhs(t, z.tolist())
-    assert type(k) is list and all(type(v) is float for v in k), k
-    return np.array(k)
 
 
 def ordered_dot(x, y):
@@ -439,24 +462,10 @@ def dirac_flows():
 @pytest.mark.parametrize("index", range(6))
 def test_dirac_rhs_equals_the_reference_bitwise_over_200_steps(index):
     flow, x0 = list(dirac_flows())[index]
-    n, dt = flow.chart.n_pairs, 1e-3
-    rhs, reference = standalone_rhs(flow, n), reference_dirac_rhs(flow, n)
-
-    def both(t, z):
-        k = float_rhs(rhs, t, z)
-        assert k.tobytes() == reference(t, z).tobytes()
-        return k
-
-    z = np.array(x0.coords)
-    for i in range(200):  # evolve's RK4 step, every stage checked
-        t = i * dt
-        k1 = both(t, z)
-        k2 = both(t + 0.5 * dt, z + (0.5 * dt) * k1)
-        k3 = both(t + 0.5 * dt, z + (0.5 * dt) * k2)
-        k4 = both(t + dt, z + dt * k3)
-        z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    dt = 1e-3
+    states = rk4_states(reference_dirac_rhs(flow, flow.chart.n_pairs), x0, dt, 200)
     traj = evolve(x0, flow, IntegratorConfig(dt=dt, steps=200))
-    assert traj.states[-1].tobytes() == z.tobytes()
+    assert traj.states.tobytes() == states.tobytes()
     assert max(np.max(v) for v in traj.residuals.values()) < 1e-9
 
 
@@ -494,16 +503,9 @@ def test_float_dirac_rhs_equals_the_reference_bitwise(case):
     alpha, k, potential, p_phi = KLAUDER_FLOAT_CASES[case]
     model = KlauderModel(alpha=alpha, k=k, potential=potential)
     flow, x0 = DiracFlow(model.hamiltonian(), model.constraint_set), model.embed_reduced(0.1, p_phi)
-    n, dt = flow.chart.n_pairs, 1e-3
-    rhs, reference = standalone_rhs(flow, n), reference_dirac_rhs(flow, n)
-
-    def both(t, z):
-        k = float_rhs(rhs, t, z)
-        assert k.tobytes() == reference(t, z).tobytes()
-        return k
-
-    z = rk4_states(both, x0, dt, 200)[-1]
-    assert evolve(x0, flow, IntegratorConfig(dt=dt, steps=200)).states[-1].tobytes() == z.tobytes()
+    dt = 1e-3
+    states = rk4_states(reference_dirac_rhs(flow, flow.chart.n_pairs), x0, dt, 200)
+    assert evolve(x0, flow, IntegratorConfig(dt=dt, steps=200)).states.tobytes() == states.tobytes()
 
 
 def array_stage(flow):
@@ -627,9 +629,6 @@ def test_float_step_equals_the_array_step_bitwise(index):
     states = rk4_states(array_stage(flow), x0, dt, steps)
     times = np.array([i * dt for i in range(steps + 1)])
     traj = evolve(x0, flow, IntegratorConfig(dt=dt, steps=steps), monitor=monitor)
-    rhs, stage = standalone_rhs(flow, flow.chart.n_pairs), array_stage(flow)
-    for t, z in zip(times[::30].tolist(), states[::30]):
-        assert float_rhs(rhs, t, z).tobytes() == stage(t, z).tobytes()
     assert traj.times.tobytes() == times.tobytes()
     assert traj.states.tobytes() == states.tobytes()
     generator = flow.generator if isinstance(flow, GaugeFlow) else flow.hamiltonian
@@ -642,34 +641,19 @@ def test_float_step_equals_the_array_step_bitwise(index):
         assert traj.residuals[name].tobytes() == series.tobytes(), name
 
 
-def reference_run(rhs, z, dt, steps):
-    """Classic RK4 on Python float lists, one call of the standalone ``rhs`` per stage, step
-    by step: the states after each step, until the rhs raises."""
-    states = []
-    for i in range(steps):
-        t, half, sixth = i * dt, 0.5 * dt, dt / 6.0
-        k1 = rhs(t, z)
-        k2 = rhs(t + half, [a + half * b for a, b in zip(z, k1)])
-        k3 = rhs(t + half, [a + half * b for a, b in zip(z, k2)])
-        k4 = rhs(t + dt, [a + dt * b for a, b in zip(z, k3)])
-        z = [a + sixth * (b + 2.0 * c + 2.0 * d + e) for a, b, c, d, e in zip(z, k1, k2, k3, k4)]
-        states.append(z)
-    return states
-
-
 @pytest.mark.parametrize("steps", [RUN_BLOCK - 1, RUN_BLOCK, RUN_BLOCK + 1])
 @pytest.mark.parametrize("index", [0, 2, 4, 7, 8], ids=["poisson", "gauge", "dirac",
                                                         "poisson_loop", "dirac_loop"])
 def test_evolve_runs_the_bits_of_a_per_step_loop_over_the_standalone_rhs(index, steps):
-    # the spelled-out and (past the unroll bound, n = 33) loop forms, across a block's end
+    # the spelled-out and (past the unroll bound, n = 33) loop forms, across a block's end,
+    # against the per-step RK4 loop over the flow's standalone array right-hand side
     flow, x0, monitor = list(float_step_flows())[index]
     dt, n = 1e-3, flow.chart.n_pairs
     assert (n * ((len(flow.constraints) if isinstance(flow, DiracFlow) else 0) + 2) ** 2
             <= kernels._UNROLL_TERMS) == (index < 7)
-    expected = [x0.coords.tolist(), *reference_run(standalone_rhs(flow, n),
-                                                   x0.coords.tolist(), dt, steps)]
+    expected = rk4_states(array_stage(flow), x0, dt, steps)
     traj = evolve(x0, flow, IntegratorConfig(dt=dt, steps=steps), monitor=monitor)
-    assert traj.states.tobytes() == np.array(expected).tobytes()
+    assert traj.states.tobytes() == expected.tobytes()
     assert traj.times.tobytes() == np.array([i * dt for i in range(steps + 1)]).tobytes()
 
 
@@ -711,15 +695,14 @@ def test_degeneracy_mid_block_keeps_every_finished_step(failing, n):
     dt = 2.0 ** -7
     flow, x0 = wall_flow(n, (failing + 0.25) * dt)
     assert (n * 16 <= kernels._UNROLL_TERMS) == (n == 2)
-    with pytest.raises(DegeneracyError, match="has a non-finite entry") as reference:
-        reference_run(standalone_rhs(flow, n), x0.coords.tolist(), dt, 2 * RUN_BLOCK)
-    states = [x0.coords.tolist()]
-    states += reference_run(standalone_rhs(flow, n), x0.coords.tolist(), dt, failing)
+    with pytest.raises(DegeneracyError) as reference:
+        rk4_states(reference_dirac_rhs(flow, n), x0, dt, 2 * RUN_BLOCK)
     with pytest.raises(DegeneracyError, match="has a non-finite entry") as err:
         evolve(x0, flow, IntegratorConfig(dt=dt, steps=2 * RUN_BLOCK))
-    assert repr(err.value.coords) == repr(reference.value.coords)
+    assert err.value.coords.tobytes() == reference.value.coords.tobytes()
     partial = err.value.partial_trajectory
-    assert partial.states.tobytes() == np.array(states).tobytes()
+    states = rk4_states(reference_dirac_rhs(flow, n), x0, dt, failing)
+    assert partial.states.tobytes() == states.tobytes()
     assert partial.times.tobytes() == np.array([i * dt for i in range(failing + 1)]).tobytes()
 
 
@@ -783,31 +766,28 @@ DENSE_FLOW = DiracFlow(
 
 
 def test_float_dirac_rhs_of_dense_rows_equals_the_reference_bitwise():
-    # a sum of two nonzero products is what a fused multiply-add rounds differently
-    n, dt = 2, 1e-3
-    rhs, reference = standalone_rhs(DENSE_FLOW, n), reference_dirac_rhs(DENSE_FLOW, n)
-
-    def both(t, z):
-        k = float_rhs(rhs, t, z)
-        assert k.tobytes() == reference(t, z).tobytes()
-        return k
-
-    rk4_states(both, DENSE_CHART.point([0.3, -0.2, 0.5, 0.7]), dt, 200)
+    # a sum of two nonzero products is what a fused multiply-add rounds differently; the
+    # start is off the surface, so the loop runs without evolve's check of it
+    x0, dt, rows = DENSE_CHART.point([0.3, -0.2, 0.5, 0.7]), 1e-3, []
+    assert _loop(DENSE_FLOW)(x0.coords.tolist(), dt, 0, 200, BLOWUP_LIMIT, rows) == 200
+    states = rk4_states(reference_dirac_rhs(DENSE_FLOW, 2), x0, dt, 200)
+    assert np.array(rows).tobytes() == states[1:].tobytes()
 
 
 @pytest.mark.parametrize("count", [2, 4])
 def test_dirac_rhs_keeps_the_sign_of_a_zero_correction(count):
     # Phi = (q2, p2[, q3, p3]) and H = -q2 - p2 - q3 - p3 give lam_I = -1: each q1 product
     # is -0.0, so the correction is -0.0 and dH/dq1 = -0.0 less it is +0.0, where a
-    # sum seeded with +0.0 would give -0.0
+    # sum seeded with +0.0 would give -0.0. Every stage takes the same k, so the step from
+    # z = -0.0 gives -0.0 + (dt / 6) (k + 2 k + 2 k + k), each zero entry of k's sign
     h = ScalarField("H", THREE, lambda z: -z[1] - z[2] - z[4] - z[5],
                     lambda z: [-0.0, -1.0, -1.0, 0.0, -1.0, -1.0])
     labels = ("q2", "p2", "q3", "p3")[:count]
     cs = ConstraintSet(THREE, tuple(coordinate_field(THREE, label) for label in labels), labels)
-    flow, z = DiracFlow(h, cs), np.zeros(6)
-    k = float_rhs(standalone_rhs(flow, 3), 0.0, z)
-    assert k.tobytes() == reference_dirac_rhs(flow, 3)(0.0, z).tobytes()
-    assert repr(float(k[3])) == "-0.0"  # dp1/dt = -(dH/dq1 - correction)
+    flow, x0 = DiracFlow(h, cs), THREE.point([-0.0] * 6)
+    states = evolve(x0, flow, IntegratorConfig(dt=1e-3, steps=1)).states
+    assert states.tobytes() == rk4_states(reference_dirac_rhs(flow, 3), x0, 1e-3, 1).tobytes()
+    assert repr(float(states[1, 3])) == "-0.0"  # dp1/dt = -(dH/dq1 - correction)
 
 
 def unchecked_point(chart, coords):
@@ -846,17 +826,56 @@ FLOAT_FAILURES = {  # (flow, coords, message): where the two-constraint pairing 
 
 @pytest.mark.parametrize("case", FLOAT_FAILURES)
 def test_float_dirac_rhs_fails_as_dirac_tensor_does(case):
+    # the first stage of the flow's loop at coords, which no validated point holds
     flow, coords, message = FLOAT_FAILURES[case]
-    rhs = standalone_rhs(flow, flow.chart.n_pairs)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no RuntimeWarning on either route
         with pytest.raises(DegeneracyError, match=message) as float_route:
-            rhs(0.0, coords)
+            _loop(flow)(coords, 1e-3, 0, 1, BLOWUP_LIMIT, [])
         with pytest.raises(DegeneracyError) as tensor_route:
             dirac_tensor(flow.constraints, unchecked_point(flow.chart, coords))
     assert str(float_route.value) == str(tensor_route.value)
     assert isinstance(float_route.value.det, float) and isinstance(tensor_route.value.det, float)
     assert repr(float_route.value.det) == repr(tensor_route.value.det)  # repr equates NaNs
+
+
+def called_constraint_flow(grad):
+    """A Dirac flow on the dense chart with a traced H and Phi = (q1, p1), the second with the
+    grad ``grad``, from a point on the surface: a grad that calls float() is called, untraced,
+    at every stage."""
+    h = polynomial_field(DENSE_CHART, [(0.5, (0, 0, 1, 1)), (0.5, (0, 2, 0, 0))], name="H")
+    cs = ConstraintSet(DENSE_CHART, (coordinate_field(DENSE_CHART, "q1"),
+                                     ScalarField("p1", DENSE_CHART, lambda z: z[2], grad)),
+                       ("q1", "p1"))
+    return DiracFlow(h, cs), DENSE_CHART.point([0.0, 0.6, 0.0, -0.4])
+
+
+SHORT_GRAD = "grad of 'p1' gives 3 entries for the 4 coordinates of chart 'dense'"
+
+
+def test_a_called_grad_of_too_few_entries_is_named_before_any_state():
+    flow, x0 = called_constraint_flow(lambda z: [0.0, 0.0, float(z[0]) * 0.0 + 1.0])
+    assert flow.constraints._traced_with(flow.hamiltonian)[0][1][2] is None  # called
+    with pytest.raises(UsageError, match=SHORT_GRAD):
+        evolve(x0, flow, IntegratorConfig(dt=1e-3, steps=10))
+    rows = []
+    with pytest.raises(UsageError, match=SHORT_GRAD):
+        _loop(flow)(x0.coords.tolist(), 1e-3, 0, 10, BLOWUP_LIMIT, rows)
+    assert rows == []
+
+
+def test_a_called_grad_that_loses_an_entry_mid_run_is_named():
+    # its first call, at the first stage, gives four entries, and every later call three
+    calls = []
+
+    def grad(z):
+        calls.append(float(z[0]))  # float() refuses the trace
+        return [0.0, 0.0, 1.0, 0.0] if len(calls) == 1 else [0.0, 0.0, 1.0]
+
+    flow, x0 = called_constraint_flow(grad)
+    with pytest.raises(UsageError, match=SHORT_GRAD):
+        evolve(x0, flow, IntegratorConfig(dt=1e-3, steps=10))
+    assert len(calls) > 1
 
 
 def test_float_dirac_rhs_keeps_the_partial_trajectory_on_a_nonfinite_row():
@@ -921,7 +940,7 @@ def test_dirac_flow_builds_the_pairing_matrix_of_the_constraint_engine():
             seen.append((m, z))
             return _pairing_multipliers(m, s, z)
 
-        run = _generated("dirac_run", n, len(cs))(
+        run = _generated("dirac", n, len(cs))(
             flow.hamiltonian._gradient, [f._gradient for f in cs.fields], cs.rates, solve,
             DEGENERACY_RTOL)
         assert run(x0.coords.tolist(), 0.01, 0, 250, BLOWUP_LIMIT, []) == 250
@@ -936,14 +955,22 @@ def test_dirac_flow_builds_the_pairing_matrix_of_the_constraint_engine():
         stages.append(z)
         return flow.hamiltonian._gradient(z)
 
-    run = _generated("dirac_run", n, len(cs))(grad_h, [f._gradient for f in cs.fields], cs.rates,
-                                              _pairing_multipliers, DEGENERACY_RTOL)
-    assert run(x0.coords.tolist(), 0.01, 0, 250, BLOWUP_LIMIT, []) == 250
+    rows = []
+    run = _generated("dirac", n, len(cs))(grad_h, [f._gradient for f in cs.fields], cs.rates,
+                                          _pairing_multipliers, DEGENERACY_RTOL)
+    assert run(x0.coords.tolist(), 0.01, 0, 250, BLOWUP_LIMIT, rows) == 250
     assert len(stages) == 4 * 250
-    rhs = standalone_rhs(flow, n)
-    for z in stages:
-        assert repr(rhs(0.0, z)) == repr(guard_route_rhs(flow.hamiltonian._gradient(z),
-                                                         cs.gradient_rows(z), cs.rates, z, n)), z
+    points = []
+
+    def guard_route(t, z):  # the rhs recomputed from the engine's M at every stage point
+        z = z.tolist()
+        points.append(z)
+        return np.array(guard_route_rhs(flow.hamiltonian._gradient(z), cs.gradient_rows(z),
+                                        cs.rates, z, n))
+
+    states = rk4_states(guard_route, x0, 0.01, 250)
+    assert repr(stages) == repr(points)
+    assert np.array(rows).tobytes() == states[1:].tobytes()
 
 
 SQRT_RTOL = math.sqrt(DEGENERACY_RTOL)
@@ -996,16 +1023,17 @@ def two_constraint_rows(draw):
 @given(two_constraint_rows())
 @settings(max_examples=400, deadline=None)
 def test_two_constraint_rhs_returns_the_guard_routes_floats_or_its_error(case):
-    # the inline guard and solve of the generated rhs against the guard route on the engine's
-    # M: the same floats by repr, or the same DegeneracyError message, det and coords
+    # the inline guard and solve of the untraced loop against the guard route on the engine's
+    # M: from z = -0.0 with dt = 2.0, stage 2's point is k1 bit for bit, the same floats by
+    # repr; or stage 1 raises the same DegeneracyError message, det and coords
     n, gh, rows, rates = case
-    z = [0.5] * (2 * n)
-    rhs = _generated("dirac", n, 2)(lambda z: gh, [lambda z: rows[0], lambda z: rows[1]],
-                                    rates, _pairing_multipliers, DEGENERACY_RTOL)
-    got, error = outcome(rhs, 0.0, z)
+    z = [-0.0] * (2 * n)
+    args = (lambda z: gh, [lambda z: rows[0], lambda z: rows[1]], rates, _pairing_multipliers,
+            DEGENERACY_RTOL)
+    points, error = outcome(stage_points, "dirac", n, 2, args, z, 2.0)
     expected, expected_error = outcome(guard_route_rhs, gh, rows, rates, z, n)
     assert error == expected_error
-    assert repr(got) == repr(expected)
+    assert repr(None if points is None else points[1]) == repr(expected)
 
 
 def test_concurrent_dirac_orbits_keep_the_bytes_of_their_solo_runs():
@@ -1040,20 +1068,46 @@ def test_concurrent_dirac_orbits_keep_the_bytes_of_their_solo_runs():
     assert _generated.cache_info().misses == built  # the same kind and size builds nothing
 
 
+def polynomial_flow(kind, k, n):
+    """A flow of ``kind`` on n pairs whose generator and k constraints are polynomials, which
+    the tracer takes whole (a gauge flow's k counts its multiplier's coefficients)."""
+    chart = ChartSpec(labels=tuple(f"{c}{i}" for c in "qp" for i in range(1, n + 1)),
+                      name=f"pairs{n}")
+    h = polynomial_field(chart, [monomial(chart, 0.5, j, j) for j in range(2 * n)], name="H")
+    if kind == "poisson":
+        return PoissonFlow(h)
+    if kind == "gauge":
+        return GaugeFlow(h, tuple(0.1 * (i + 1) for i in range(k)))
+    fields = tuple(polynomial_field(chart, [monomial(chart, 1.0, i % (2 * n)),
+                                            monomial(chart, 0.1 * (i + 1), 0, n)], name=f"c{i}")
+                   for i in range(k))
+    return DiracFlow(h, ConstraintSet(chart, fields, tuple(f.name for f in fields)))
+
+
 @pytest.mark.parametrize("n", [1, 33], ids=["spelled_out", "loop"])
-@pytest.mark.parametrize("kind, k", [("poisson", 0), ("gauge", 3), ("pairing", 0), ("pairing", 2),
-                                     ("pairing", 4), ("dirac", 2), ("dirac", 4),
-                                     ("poisson_run", 0), ("gauge_run", 3), ("dirac_run", 2),
-                                     ("dirac_run", 4),
-                                     ("tensor", 0), ("tensor", 2), ("tensor", 4)])
-def test_generated_functions_read_no_module_global(kind, k, n):
-    # a kernel sees the builtins and what it is handed, so no module state can reach it
-    source = kernels._source(kind, n, k)
-    assert (n * (k + 2) ** 2 <= kernels._UNROLL_TERMS) == (n == 1)
+@pytest.mark.parametrize("kind, k, traced", [
+    *(pytest.param(kind, k, False, id=f"{kind}-{k}")
+      for kind, k in [("poisson", 0), ("gauge", 3), ("pairing", 0), ("pairing", 2),
+                      ("pairing", 4), ("dirac", 2), ("dirac", 4),
+                      ("tensor", 0), ("tensor", 2), ("tensor", 4)]),
+    # the run that evolve builds for a flow of polynomials: the joint trace written in
+    *(pytest.param(kind, k, True, id=f"{kind}_run-{k}")
+      for kind, k in [("poisson", 0), ("gauge", 3), ("dirac", 2), ("dirac", 4)])])
+def test_generated_functions_read_no_module_global(kind, k, traced, n):
+    # a kernel sees the builtins and what it is handed, so no module state can reach it; a
+    # flow's chart holds its constraints, so four take two pairs in the spelled-out form
+    pairs = max(n, k // 2) if traced else n
+    flow = polynomial_flow(kind, k, pairs) if traced else None
+    shape = _traced(flow, _kernel_args(flow)[3])[0] if traced else None
+    assert (shape is not None) == traced
+    source = kernels._source(kind, pairs, k, shape)
+    assert (pairs * (k + 2) ** 2 <= kernels._UNROLL_TERMS) == (n == 1)
     defined = {node.name for node in ast.parse(source).body}
-    function = _generated(kind, n, k)
+    function = _generated(kind, pairs, k, shape)
     functions = [function]
-    if kind != "pairing":  # a factory: the function it returns as well
+    if traced:  # the factory's run, bound to the flow's routes and the trace's constants
+        functions.append(_loop(flow))
+    elif kind != "pairing":  # a factory: the function it returns as well
         params = inspect.signature(function).parameters
         functions.append(function(*((None,) * k if name in ("grads", "rates", "coeffs") else None
                                     for name in params)))
@@ -1129,6 +1183,13 @@ def test_residual_series_equals_the_per_state_reference_bitwise():
 
 
 # -- trajectory bookkeeping ---------------------------------------------------------
+
+def test_a_trajectory_refuses_unequal_lengths_and_unordered_times():
+    with pytest.raises(UsageError, match="^times and states must have equal length$"):
+        Trajectory(FLAT, np.zeros(2), np.zeros((3, 2)))
+    with pytest.raises(UsageError, match="^times must be strictly increasing$"):
+        Trajectory(FLAT, np.array([0.0, 0.0]), np.zeros((2, 2)))
+
 
 def test_trajectory_invariants():
     h = polynomial_field(FLAT, [(0.5, (0, 2))], name="free")

@@ -455,3 +455,20 @@ def test_batch_route_equals_value_at_bitwise(name, size):
     batch = field.values_along(states)
     expected = np.array([float(field.func(z)) for z in states], dtype=float)
     assert batch.shape == (count,) and batch.tobytes() == expected.tobytes()
+
+
+def test_a_dual_compares_by_value_and_shows_its_tangent():
+    x, y = duals.seed([0.7, -1.5])
+    assert repr(x) == "Dual(0.7, {0: 1.0})"
+    assert +x is x
+    assert (x < y, x <= 0.7, x >= y, y >= 0.7) == (False, True, True, False)
+    with pytest.raises(TypeError, match="^dual exponents are not supported$"):
+        x ** y
+
+
+def test_a_polynomial_term_needs_one_non_negative_exponent_per_coordinate():
+    chart = ChartSpec(labels=("q", "p"))
+    with pytest.raises(UsageError, match="^term exponents need length 2, got 3$"):
+        polynomial_field(chart, [(1.0, (0, 0, 2))])
+    with pytest.raises(UsageError, match="^polynomial exponents must be non-negative$"):
+        polynomial_field(chart, [(1.0, (-1, 2))])

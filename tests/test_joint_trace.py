@@ -41,7 +41,7 @@ CUSTOM_TWO = CustomModel(labels=("q1", "q2", "p1", "p2"), constraints=(
 def call_form(flow):
     """The flow's RK4 loop with no trace: every gradient route called, no sum shared."""
     kind, k, args, _ = _kernel_args(flow)
-    return _generated(kind + "_run", flow.chart.n_pairs, k)(*args)
+    return _generated(kind, flow.chart.n_pairs, k)(*args)
 
 
 @st.composite
@@ -110,12 +110,12 @@ def test_the_except_branch_takes_every_sum_from_the_routes():
     routes = (lambda z: [z[0], z[1], z[2], z[3]],
               [lambda z: [z[3], 1.0, z[1], z[0]], lambda z: [z[1], z[0], 2.0 * z[2], z[3]]],
               (0.0, 0.0), _pairing_multipliers, 1e-10)
-    source = kernels._source("dirac_run", 2, 2, trace)
+    source = kernels._source("dirac", 2, 2, trace)
     assert "a0_1 = b0" in source and "a1_1 = b1" in source
     z = [0.3, 0.5, 0.7, 0.2]
-    written = rows_or_error(_generated("dirac_run", 2, 2, trace)(*routes, (1.0, 0.0)), z, 1e-3,
+    written = rows_or_error(_generated("dirac", 2, 2, trace)(*routes, (1.0, 0.0)), z, 1e-3,
                             50)
-    assert written == rows_or_error(_generated("dirac_run", 2, 2)(*routes), z, 1e-3, 50)
+    assert written == rows_or_error(_generated("dirac", 2, 2)(*routes), z, 1e-3, 50)
 
 
 def handlers(source):
@@ -131,7 +131,7 @@ def test_a_klauder_stage_shares_two_sums_and_its_handler_none():
     # takes those four sums from the routes, and the other four follow both branches
     flow = KlauderModel(alpha=1.3, k=0.7, potential=RadialPotential.harmonic()).flow("dirac")[0]
     trace = _traced(flow, _kernel_args(flow)[3])
-    tries, excepts = handlers(kernels._source("dirac_run", 2, 2, trace[0]))
+    tries, excepts = handlers(kernels._source("dirac", 2, 2, trace[0]))
     assert len(tries) == 4
     for body, handler in zip(tries, excepts):
         assert body[-4:] == ["b0 = 0.0 + r0_0 * gh_2 + r0_1 * gh_3",

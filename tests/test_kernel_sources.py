@@ -160,8 +160,8 @@ def test_gauge_stages_hold_no_branch_and_no_loop(monkeypatch, multiplier):
 
 @pytest.mark.parametrize("k", [1, 3])
 def test_gauge_loop_is_spelled_out_to_32_pairs_at_any_coefficient_count(k):
-    assert "for i in range" not in kernels._source("gauge_run", 32, k)
-    assert "for i in range" in kernels._source("gauge_run", 33, k)
+    assert "for i in range" not in kernels._source("gauge", 32, k)
+    assert "for i in range" in kernels._source("gauge", 33, k)
 
 
 def test_the_compiled_kernels_kept_are_bounded():

@@ -192,3 +192,12 @@ def test_evolve_refuses_a_grad_of_the_wrong_length_before_a_step(kind, calls_mad
         evolve(CHART.point([0.5, -1.5, 2.0, 0.25]), PoissonFlow(field),
                IntegratorConfig(dt=1e-3, steps=10))
     assert len(calls) == calls_made
+
+
+def test_a_chart_names_a_missing_label_and_a_point_shows_its_coordinates():
+    chart = ChartSpec(labels=("q", "p"), name="line")
+    with pytest.raises(UsageError, match="^chart 'line' has no coordinate 'x'$"):
+        chart.index("x")
+    assert repr(chart) == "ChartSpec('line', dim=2)"
+    assert repr(chart.point([1.0, -0.5])) == "PhaseSpacePoint(q=1, p=-0.5)"
+    assert repr(chart.point([[1.0, 0.0], [2.0, 3.0]])) == "PhaseSpacePoint(2 rows of chart 'line')"

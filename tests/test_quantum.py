@@ -311,8 +311,10 @@ def test_expect_cartesian_degenerate_mode_rejected():
     model, table = table_for(k=0.0)
     coeffs = np.zeros(9, dtype=complex)
     coeffs[4] = coeffs[5] = 1.0  # weight on the (0, 1) coherence with r*_0 = 0
-    with pytest.raises(NumericDomainError, match="degenerate"):
-        expect_cartesian(CircleState(coeffs).normalized(), table, 0.0)
+    message = r"^degenerate r\* = 0 mode carries weight; <p> undefined$"
+    for route in (expect_cartesian, expect_cartesian_matrix_oracle):
+        with pytest.raises(NumericDomainError, match=message):
+            route(CircleState(coeffs).normalized(), table, 0.0)
 
 
 def test_window_mismatch_rejected(rng):

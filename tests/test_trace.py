@@ -80,7 +80,7 @@ def test_an_overflowing_product_gives_the_dual_pass_bits_without_a_warning():
 def call_form(flow):
     """The flow's RK4 loop with every gradient called through its route."""
     kind, k, args, _ = _kernel_args(flow)
-    return _generated(kind + "_run", flow.chart.n_pairs, k)(*args)
+    return _generated(kind, flow.chart.n_pairs, k)(*args)
 
 
 def rows_or_error(run, z, dt, steps=1000):
